@@ -61,22 +61,38 @@ def _kmeanspp_means(X: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarr
     return means
 
 
-def _component_logpdf(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+def _component_logpdf(X: np.ndarray, mean: np.ndarray,
+                      cov: np.ndarray) -> tuple[np.ndarray, float]:
+    """Log density of each row of X under N(mean, cov), and tr(cov^-1).
+
+    Both come from one Cholesky factor, so they describe the same rounded
+    covariance; the penalized objective is stationary in the covariance
+    after an M-step, so its rounding then moves the objective only at second
+    order even when the covariance is near-singular.
+    """
     d = X.shape[1]
     chol = np.linalg.cholesky(cov)
     diff = X - mean
     solved = np.linalg.solve(chol, diff.T)
     maha = (solved * solved).sum(axis=0)
     logdet = 2.0 * np.log(np.diag(chol)).sum()
-    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
+    tr_inv = float((np.linalg.solve(chol, np.eye(d)) ** 2).sum())
+    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha), tr_inv
 
 
 def gmm_cluster(Zp: np.ndarray, K: int, seed: int, n_restarts: int = 5,
                 max_iter: int = 200, tol: float = 1e-7, reg: float = 1e-6,
                 init_means: np.ndarray | None = None) -> DomainLabels:
     """Full-covariance EM, best of ``n_restarts`` k-means++ starts by final
-    log-likelihood. Assignment is by maximum posterior responsibility; the
-    per-iteration log-likelihood must be non-decreasing (within 1e-8).
+    log-likelihood. Assignment is by maximum posterior responsibility.
+
+    ``reg`` acts as a fixed prior on each covariance: the M-step sets
+    ``cov_k = S_k + (lam / n_k) I`` with ``lam = reg * n / K`` (about
+    ``reg`` on balanced components), which maximizes the expected
+    log-likelihood minus ``(lam / 2) tr(cov_k^-1)``. EM therefore ascends
+    ``ll - (lam / 2) sum_k tr(cov_k^-1)``, and that quantity must be
+    non-decreasing across iterations (within 1e-8); the plain
+    log-likelihood need not be when a component is near-degenerate.
 
     ``init_means`` pins the starting means (single restart), for controlled
     comparisons.
@@ -88,6 +104,7 @@ def gmm_cluster(Zp: np.ndarray, K: int, seed: int, n_restarts: int = 5,
     if n <= K:
         raise ValueError(f"need more cells than components, got n={n}, K={K}")
 
+    lam = reg * n / K
     best = None
     restarts = 1 if init_means is not None else n_restarts
     for restart in range(restarts):
@@ -103,25 +120,24 @@ def gmm_cluster(Zp: np.ndarray, K: int, seed: int, n_restarts: int = 5,
         weights = np.full(K, 1.0 / K)
 
         path: list[float] = []
-        prev_ll = -np.inf
+        prev_ll = prev_objective = -np.inf
         monotone_check = True
         for _ in range(max_iter):
-            log_r = np.stack(
-                [np.log(weights[k]) + _component_logpdf(X, means[k], covs[k]) for k in range(K)],
-                axis=1,
-            )
+            logpdfs, tr_inv = zip(*(_component_logpdf(X, means[k], covs[k]) for k in range(K)))
+            log_r = np.log(weights) + np.stack(logpdfs, axis=1)
             row_max = log_r.max(axis=1, keepdims=True)
             log_norm = row_max[:, 0] + np.log(np.exp(log_r - row_max).sum(axis=1))
             ll = float(log_norm.sum())
-            if monotone_check and ll < prev_ll - 1e-8:
+            objective = ll - 0.5 * lam * sum(tr_inv)
+            if monotone_check and objective < prev_objective - 1e-8:
                 raise RuntimeError(
-                    f"EM log-likelihood decreased: {prev_ll} -> {ll}"
+                    f"EM penalized log-likelihood decreased: {prev_objective} -> {objective}"
                 )
             path.append(ll)
             resp = np.exp(log_r - log_norm[:, None])
 
             converged = np.isfinite(prev_ll) and abs(ll - prev_ll) < tol * (1.0 + abs(ll))
-            prev_ll = ll
+            prev_ll, prev_objective = ll, objective
             monotone_check = True
 
             nk = resp.sum(axis=0)
@@ -147,7 +163,7 @@ def gmm_cluster(Zp: np.ndarray, K: int, seed: int, n_restarts: int = 5,
             means = (resp.T @ X) / nk[:, None]
             for k in range(K):
                 diff = X - means[k]
-                covs[k] = (diff.T * resp[:, k]) @ diff / nk[k] + reg * np.eye(d)
+                covs[k] = ((diff.T * resp[:, k]) @ diff + lam * np.eye(d)) / nk[k]
 
         candidate = (prev_ll, -restart, resp, path)
         if best is None or candidate[:2] > best[:2]:

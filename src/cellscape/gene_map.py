@@ -3,7 +3,6 @@ render per-cell 2D expression maps, and apply joint cell masking."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -59,6 +58,16 @@ def layout_genes(coexpr: CoexpressionMatrix, seed: int,
     Minimizes sum over gene pairs of clipped-positive correlation times grid
     distance. ``swap_budget`` caps the number of swap evaluations
     (default 20 p^2).
+
+    Both phases work on one table (Taillard 1991, robust taboo search for
+    the QAP), ``M[g, c] = sum_k w[g, k] * dist(c, cell_of[k])``: the cost of
+    gene g sitting on grid cell c against every placed gene. Seeding places
+    the unplaced gene with the largest attachment to the placed ones on the
+    free cell of least ``M``; the swap of genes a and b changes the
+    objective by ``M[a, pb] - M[a, pa] + M[b, pa] - M[b, pb]
+    + 2 w[a, b] dist(pa, pb)``. Each swap evaluation costs O(1); each
+    placement and each accepted swap is a rank-1 O(p q^2) update of ``M``,
+    which holds p x q^2 floats.
     """
     C = coexpr.C
     if C.shape[0] != C.shape[1] or not np.array_equal(C, C.T):
@@ -81,23 +90,20 @@ def layout_genes(coexpr: CoexpressionMatrix, seed: int,
     # greedy seeding: strongest gene at the grid center, then best-fit placement
     cell_of = np.full(p, -1, dtype=np.int64)
     free = np.ones(q * q, dtype=bool)
-    placed: list[int] = []
-    first = int(np.argmax(w.sum(axis=1)))
-    center = ((q - 1) // 2) * q + (q - 1) // 2
-    cell_of[first] = center
-    free[center] = False
-    placed.append(first)
-    unplaced = [g for g in range(p) if g != first]
-    while unplaced:
-        attachment = w[np.ix_(unplaced, placed)].sum(axis=1)
-        g = unplaced[int(np.argmax(attachment))]
-        free_cells = np.flatnonzero(free)
-        cost = grid_dist[np.ix_(free_cells, cell_of[placed])] @ w[g, placed]
-        cell = int(free_cells[int(np.argmin(cost))])
+    M = np.zeros((p, q * q))
+    attachment = np.zeros(p)  # sum of w to the placed genes; -inf once placed
+    g = int(np.argmax(w.sum(axis=1)))
+    cell = ((q - 1) // 2) * q + (q - 1) // 2
+    for step in range(p):
+        if step:
+            g = int(np.argmax(attachment))  # ties go to the lowest gene index
+            free_cells = np.flatnonzero(free)
+            cell = int(free_cells[int(np.argmin(M[g, free_cells]))])
         cell_of[g] = cell
         free[cell] = False
-        placed.append(g)
-        unplaced.remove(g)
+        M += np.outer(w[:, g], grid_dist[cell])
+        attachment += w[:, g]
+        attachment[g] = -np.inf
 
     positions = grid_rs[cell_of].copy()
     greedy_j = _layout_objective(w, positions)
@@ -122,16 +128,15 @@ def layout_genes(coexpr: CoexpressionMatrix, seed: int,
                 continue
             a, b = a[valid], b[valid]
             pa, pb = cell_of[a], cell_of[b]
-            da = grid_dist[pa][:, cell_of]
-            db = grid_dist[pb][:, cell_of]
-            deltas = ((w[a] - w[b]) * (db - da)).sum(axis=1) + 2.0 * w[a, b] * grid_dist[pa, pb]
+            deltas = (M[a, pb] - M[a, pa] + M[b, pa] - M[b, pb]
+                      + 2.0 * w[a, b] * grid_dist[pa, pb])
             improving = np.flatnonzero(deltas < -1e-12)
             if improving.size:
-                first = improving[0]
-                cell_of[a[first]], cell_of[b[first]] = pb[first], pa[first]
-                j += deltas[first]
+                i = improving[0]
+                cell_of[a[i]], cell_of[b[i]] = pb[i], pa[i]
+                M += np.outer(w[:, a[i]] - w[:, b[i]], grid_dist[pb[i]] - grid_dist[pa[i]])
         positions = grid_rs[cell_of].copy()
-        j = _layout_objective(w, positions)  # recompute to shed float drift
+        j = _layout_objective(w, positions)  # from scratch, free of the table's float drift
 
     return GeneLayout(positions=positions, q=q, objective_value=j, greedy_objective=greedy_j)
 
@@ -176,11 +181,3 @@ def mask_cells(X: np.ndarray, maps: np.ndarray, ratio: float, seed: int) -> Cell
     return CellMapBatch(
         maps=maps, mask_set=mask, masked_features=masked_features, masked_maps=masked_maps
     )
-
-
-def write_layout(path, layout: GeneLayout, gene_names) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gene_id", "row", "col"])
-        for name, (r, s) in zip(gene_names, layout.positions):
-            writer.writerow([name, int(r), int(s)])

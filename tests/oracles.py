@@ -147,3 +147,92 @@ def pearson_corr(x, y) -> float:
     if denom == 0.0:
         return 0.0
     return float((xc * yc).sum() / denom)
+
+
+def naive_gene_layout(C, seed: int, swap_budget: int | None = None):
+    """Greedy seeding plus chunked first-improvement swaps, by plain loops.
+
+    Genes are placed one at a time: the heaviest row sum at the centre cell,
+    then repeatedly the unplaced gene with the largest summed weight to the
+    placed ones (lowest index on ties) on the free cell with the least
+    weighted distance to them (lowest cell on ties). Every swap candidate
+    is scored from scratch in O(p). Candidates are drawn ``min(512,
+    budget)`` at a time from ``default_rng(seed)`` (all first genes, then
+    all second genes); the first improving one in a chunk is applied and
+    the rest of the chunk is skipped. Sums run in placement order.
+
+    Returns ``(positions, greedy_objective, objective_value)``.
+    """
+    p = len(C)
+    w = [[float(C[i][j]) if i != j and C[i][j] > 0 else 0.0 for j in range(p)]
+         for i in range(p)]
+    q = 1
+    while q * q < p:
+        q += 1
+    cells = [(c // q, c % q) for c in range(q * q)]
+    dist = [[math.sqrt((r1 - r2) ** 2 + (s1 - s2) ** 2) for (r2, s2) in cells]
+            for (r1, s1) in cells]
+
+    def objective(cell_of):
+        total = 0.0
+        for u in range(p):
+            for v in range(u + 1, p):
+                total += w[u][v] * dist[cell_of[u]][cell_of[v]]
+        return total
+
+    first, best = 0, -math.inf
+    for g in range(p):
+        row = 0.0
+        for k in range(p):
+            row += w[g][k]
+        if row > best:
+            first, best = g, row
+    cell_of = [-1] * p
+    cell_of[first] = ((q - 1) // 2) * q + (q - 1) // 2
+    placed = [first]
+    while len(placed) < p:
+        gene, best = -1, -math.inf
+        for g in range(p):
+            if cell_of[g] >= 0:
+                continue
+            att = 0.0
+            for k in placed:
+                att += w[g][k]
+            if att > best:
+                gene, best = g, att
+        taken = set(cell_of)
+        cell, best = -1, math.inf
+        for c in range(q * q):
+            if c in taken:
+                continue
+            cost = 0.0
+            for k in placed:
+                cost += w[gene][k] * dist[c][cell_of[k]]
+            if cost < best:
+                cell, best = c, cost
+        cell_of[gene] = cell
+        placed.append(gene)
+    greedy = objective(cell_of)
+
+    budget = 20 * p * p if swap_budget is None else swap_budget
+    if p > 1 and budget > 0 and any(x > 0 for row in w for x in row):
+        rng = np.random.default_rng(seed)
+        remaining = budget
+        while remaining > 0:
+            size = min(512, budget, remaining)
+            firsts = rng.integers(0, p, size).tolist()
+            seconds = rng.integers(0, p, size).tolist()
+            remaining -= size
+            for a, b in zip(firsts, seconds):
+                if a == b:
+                    continue
+                pa, pb = cell_of[a], cell_of[b]
+                delta = 0.0
+                for k in range(p):
+                    delta += (w[a][k] - w[b][k]) * (dist[pb][cell_of[k]] - dist[pa][cell_of[k]])
+                delta += 2.0 * w[a][b] * dist[pa][pb]
+                if delta < -1e-12:
+                    cell_of[a], cell_of[b] = pb, pa
+                    break
+    positions = [cells[c] for c in cell_of]
+    return positions, greedy, objective(cell_of)

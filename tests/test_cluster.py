@@ -65,6 +65,18 @@ class TestGMM:
         ll = np.array(result.log_likelihood_path)
         assert np.all(np.diff(ll) >= -1e-8)
 
+    def test_near_singular_component_passes_the_guard(self):
+        # three points in four dimensions give one component a singular
+        # scatter, where the plain log-likelihood can fall between EM steps;
+        # the guarded objective must not
+        rng = np.random.default_rng(9)
+        X = np.vstack([rng.normal(0, 1, (20, 4)), rng.normal(5, 1, (20, 4)),
+                       rng.normal(-5, 1, (3, 4))])
+        result = gmm_cluster(X, K=3, seed=9)
+        labels = result.labels
+        assert len(set(labels[40:])) == 1
+        assert labels[40] not in set(labels[20:40])
+
     def test_small_exact_grouping(self):
         X = np.array([[0.0, 0], [0.1, 0], [-0.1, 0], [10.0, 0], [10.1, 0]])
         result = gmm_cluster(X, K=2, seed=1)

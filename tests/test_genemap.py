@@ -13,6 +13,7 @@ from cellscape.gene_map import (
     render_maps,
 )
 from cellscape.preprocess import CoexpressionMatrix
+from oracles import naive_gene_layout
 
 
 def cm(C):
@@ -93,6 +94,26 @@ class TestLayout:
             assert layout.objective_value >= optimum - 1e-9
         # heuristic optimality gap is reported, not asserted
         print(f"layout optimality gaps over 4 random 5-gene problems: {gaps}")
+
+    @pytest.mark.parametrize("kind", ["correlation", "mostly_negative"])
+    @pytest.mark.parametrize("p", [2, 3, 10, 17, 50, 101])
+    def test_matches_naive_reference(self, p, kind):
+        # squares and non-squares (padding cells); mostly-negative entries
+        # clip to mostly zero weights, so seeding runs through its tie-breaks
+        rng = np.random.default_rng(p)
+        if kind == "correlation":
+            C = np.corrcoef(rng.standard_normal((p, p + 5)))
+        else:
+            C = rng.uniform(-1.0, 0.1, (p, p))
+            np.fill_diagonal(C, 1.0)
+        C = (C + C.T) / 2
+        budget = None if p <= 50 else 2 * p * p  # the loop reference is O(p) per evaluation
+        layout = layout_genes(cm(C), seed=p, swap_budget=budget)
+        positions, greedy_j, final_j = naive_gene_layout(C, seed=p, swap_budget=budget)
+        np.testing.assert_array_equal(layout.positions, np.array(positions).reshape(p, 2))
+        # the objectives are summed in a different order
+        assert layout.greedy_objective == pytest.approx(greedy_j, rel=1e-12, abs=1e-12)
+        assert layout.objective_value == pytest.approx(final_j, rel=1e-12, abs=1e-12)
 
     def test_grid_size_invariant(self):
         for p in (1, 2, 4, 5, 9, 10, 16, 17):
