@@ -7,6 +7,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri
 from scipy.spatial import cKDTree
 
 
@@ -18,6 +19,8 @@ class DomainLabels:
     n_domains: int
     posterior: np.ndarray | None = None     # (n, K), rows sum to 1
     log_likelihood_path: list[float] = field(default_factory=list, repr=False)
+    # per E-step, the penalized log-likelihood EM ascends (see gmm_cluster)
+    objective_path: list[float] = field(default_factory=list, repr=False)
 
 
 def pca_reduce(Z: np.ndarray, k: int = 30) -> np.ndarray:
@@ -61,22 +64,29 @@ def _kmeanspp_means(X: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarr
     return means
 
 
-def _component_logpdf(X: np.ndarray, mean: np.ndarray,
-                      cov: np.ndarray) -> tuple[np.ndarray, float]:
-    """Log density of each row of X under N(mean, cov), and tr(cov^-1).
+def _component_terms(diff: np.ndarray,
+                     covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log density of each cell under every component, shape (n, K), from
+    ``diff[k] = X - mean_k`` (K, n, d), and tr(cov_k^-1), shape (K,).
 
-    Both come from one Cholesky factor, so they describe the same rounded
-    covariance; the penalized objective is stationary in the covariance
-    after an M-step, so its rounding then moves the objective only at second
-    order even when the covariance is near-singular.
+    All of them come from one Cholesky factor L_k per component and its
+    triangular inverse (LAPACK ``trtri``): the Mahalanobis term is
+    ||(x - mean_k) L_k^-T||^2, the log-determinant 2 sum log diag(L_k) and
+    tr(cov_k^-1) = ||L_k^-1||_F^2. Sharing the factor makes them describe the
+    same rounded covariance; the penalized objective is stationary in the
+    covariance after an M-step, so its rounding then moves the objective
+    only at second order even when the covariance is near-singular.
     """
-    d = X.shape[1]
-    chol = np.linalg.cholesky(cov)
-    diff = X - mean
-    solved = np.linalg.solve(chol, diff.T)
-    maha = (solved * solved).sum(axis=0)
-    logdet = 2.0 * np.log(np.diag(chol)).sum()
-    tr_inv = float((np.linalg.solve(chol, np.eye(d)) ** 2).sum())
+    d = diff.shape[2]
+    chol = np.linalg.cholesky(covs)
+    factors = [dtrtri(c, lower=1) for c in chol]
+    if any(info for _, info in factors):
+        raise np.linalg.LinAlgError("singular Cholesky factor")
+    inv_chol = np.stack([inv for inv, _ in factors])
+    whitened = diff @ inv_chol.transpose(0, 2, 1)
+    maha = np.einsum("knd,knd->nk", whitened, whitened)
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    tr_inv = (inv_chol * inv_chol).sum(axis=(1, 2))
     return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha), tr_inv
 
 
@@ -90,9 +100,10 @@ def gmm_cluster(Zp: np.ndarray, K: int, seed: int, n_restarts: int = 5,
     ``cov_k = S_k + (lam / n_k) I`` with ``lam = reg * n / K`` (about
     ``reg`` on balanced components), which maximizes the expected
     log-likelihood minus ``(lam / 2) tr(cov_k^-1)``. EM therefore ascends
-    ``ll - (lam / 2) sum_k tr(cov_k^-1)``, and that quantity must be
-    non-decreasing across iterations (within 1e-8); the plain
-    log-likelihood need not be when a component is near-degenerate.
+    ``ll - (lam / 2) sum_k tr(cov_k^-1)``, recorded per E-step as
+    ``objective_path``; it must be non-decreasing across iterations (within
+    1e-8), while the plain log-likelihood need not be when a component is
+    near-degenerate.
 
     ``init_means`` pins the starting means (single restart), for controlled
     comparisons.
@@ -105,6 +116,7 @@ def gmm_cluster(Zp: np.ndarray, K: int, seed: int, n_restarts: int = 5,
         raise ValueError(f"need more cells than components, got n={n}, K={K}")
 
     lam = reg * n / K
+    data_cov = np.cov(X, rowvar=False, ddof=1).reshape(d, d) + reg * np.eye(d)
     best = None
     restarts = 1 if init_means is not None else n_restarts
     for restart in range(restarts):
@@ -115,25 +127,27 @@ def gmm_cluster(Zp: np.ndarray, K: int, seed: int, n_restarts: int = 5,
                 raise ValueError(f"init_means must have shape ({K}, {d})")
         else:
             means = _kmeanspp_means(X, K, rng)
-        data_cov = np.cov(X, rowvar=False, ddof=1).reshape(d, d) + reg * np.eye(d)
-        covs = np.stack([data_cov.copy() for _ in range(K)])
+        covs = np.repeat(data_cov[None], K, axis=0)
         weights = np.full(K, 1.0 / K)
 
         path: list[float] = []
+        objectives: list[float] = []
+        diff = X - means[:, None, :]
         prev_ll = prev_objective = -np.inf
         monotone_check = True
         for _ in range(max_iter):
-            logpdfs, tr_inv = zip(*(_component_logpdf(X, means[k], covs[k]) for k in range(K)))
-            log_r = np.log(weights) + np.stack(logpdfs, axis=1)
+            logpdf, tr_inv = _component_terms(diff, covs)
+            log_r = np.log(weights) + logpdf
             row_max = log_r.max(axis=1, keepdims=True)
             log_norm = row_max[:, 0] + np.log(np.exp(log_r - row_max).sum(axis=1))
             ll = float(log_norm.sum())
-            objective = ll - 0.5 * lam * sum(tr_inv)
+            objective = ll - 0.5 * lam * float(tr_inv.sum())
             if monotone_check and objective < prev_objective - 1e-8:
                 raise RuntimeError(
                     f"EM penalized log-likelihood decreased: {prev_objective} -> {objective}"
                 )
             path.append(ll)
+            objectives.append(objective)
             resp = np.exp(log_r - log_norm[:, None])
 
             converged = np.isfinite(prev_ll) and abs(ll - prev_ll) < tol * (1.0 + abs(ll))
@@ -144,10 +158,11 @@ def gmm_cluster(Zp: np.ndarray, K: int, seed: int, n_restarts: int = 5,
             degenerate = np.flatnonzero(nk < 2.0)
             if degenerate.size:
                 for k in degenerate:
-                    dist = ((X - means[k]) ** 2).sum(axis=1)
+                    dist = (diff[k] ** 2).sum(axis=1)
                     far = int(np.argmax(dist))
                     means[k] = X[far]
-                    covs[k] = data_cov.copy()
+                    diff[k] = X - means[k]
+                    covs[k] = data_cov
                     weights[k] = 1.0 / K
                     warnings.warn(
                         f"GMM component {k} collapsed; reseeded from the farthest point",
@@ -161,17 +176,18 @@ def gmm_cluster(Zp: np.ndarray, K: int, seed: int, n_restarts: int = 5,
 
             weights = nk / n
             means = (resp.T @ X) / nk[:, None]
-            for k in range(K):
-                diff = X - means[k]
-                covs[k] = ((diff.T * resp[:, k]) @ diff + lam * np.eye(d)) / nk[k]
+            diff = X - means[:, None, :]
+            scatter = (diff * resp.T[:, :, None]).transpose(0, 2, 1) @ diff
+            covs = (scatter + lam * np.eye(d)) / nk[:, None, None]
 
-        candidate = (prev_ll, -restart, resp, path)
+        candidate = (prev_ll, -restart, resp, path, objectives)
         if best is None or candidate[:2] > best[:2]:
             best = candidate
 
-    _, _, resp, path = best
+    _, _, resp, path, objectives = best
     labels = resp.argmax(axis=1).astype(np.int64)
-    return DomainLabels(labels=labels, n_domains=K, posterior=resp, log_likelihood_path=path)
+    return DomainLabels(labels=labels, n_domains=K, posterior=resp,
+                        log_likelihood_path=path, objective_path=objectives)
 
 
 def refine_labels(labels: np.ndarray, coords: np.ndarray, r: int = 15) -> DomainLabels:
@@ -194,11 +210,7 @@ def refine_labels(labels: np.ndarray, coords: np.ndarray, r: int = 15) -> Domain
     votes = np.zeros((n, K), dtype=np.int64)
     rows = np.repeat(np.arange(n), r)
     np.add.at(votes, (rows, dense[neighbor_idx.ravel()]), 1)
-    top = votes.max(axis=1)
-    refined = dense.copy()
-    for i in range(n):
-        winners = np.flatnonzero(votes[i] == top[i])
-        if winners.size == 1:
-            refined[i] = winners[0]
-        # ties (including zero votes) keep the original label
+    n_winners = (votes == votes.max(axis=1, keepdims=True)).sum(axis=1)
+    # ties (including zero votes) keep the original label
+    refined = np.where(n_winners == 1, votes.argmax(axis=1), dense)
     return DomainLabels(labels=uniq[refined], n_domains=K)

@@ -4,6 +4,8 @@ these."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .cluster import DomainLabels, gmm_cluster, pca_reduce, refine_labels
@@ -59,22 +61,28 @@ def make_layout(coexpr: CoexpressionMatrix, cfg: PipelineConfig) -> GeneLayout:
 
 
 def segment_embeddings(Z_spatial: np.ndarray, coords: np.ndarray,
-                       cfg: PipelineConfig, seed: int | None = None) -> DomainLabels:
+                       cfg: PipelineConfig, seed: int | None = None,
+                       sample_labels: np.ndarray | list | None = None) -> DomainLabels:
     """PCA (skipped when the embedding is already narrow), GMM, then optional
-    spatial majority-vote refinement."""
+    spatial majority-vote refinement. ``sample_labels`` gives each cell's
+    sample when several samples share one coordinate frame; cells then vote
+    only among neighbours from their own sample."""
     seed = cfg.seed if seed is None else seed
     k = cfg.clustering.pca_dim
     reduced = Z_spatial if Z_spatial.shape[1] <= k else pca_reduce(Z_spatial, k=k)
     result = gmm_cluster(reduced, K=cfg.clustering.n_domains, seed=seed)
-    if cfg.clustering.refine:
-        refined = refine_labels(result.labels, coords, r=cfg.clustering.refine_neighbors)
-        return DomainLabels(
-            labels=refined.labels,
-            n_domains=cfg.clustering.n_domains,
-            posterior=result.posterior,
-            log_likelihood_path=result.log_likelihood_path,
-        )
-    return result
+    if not cfg.clustering.refine:
+        return result
+    n = len(result.labels)
+    samples = np.zeros(n) if sample_labels is None else np.asarray(sample_labels)
+    if samples.shape != (n,):
+        raise ValueError(f"sample_labels must have one entry per cell ({n})")
+    labels = result.labels.copy()
+    for sample in np.unique(samples):
+        cells = np.flatnonzero(samples == sample)
+        labels[cells] = refine_labels(result.labels[cells], coords[:, cells],
+                                      r=cfg.clustering.refine_neighbors).labels
+    return dataclasses.replace(result, labels=labels)
 
 
 def full_run(ds_raw: ExpressionDataset, cfg: PipelineConfig,
@@ -198,7 +206,8 @@ def integrated_run(samples: list[ExpressionDataset], cfg: PipelineConfig) -> dic
     mcfg = model_config_from(cfg)
     layout = None if mcfg.cci_only else make_layout(coexpr, cfg)
     model, embeddings, log = train(merged, graph, layout, mcfg)
-    labels = segment_embeddings(embeddings.Z_spatial, merged.coords, cfg)
+    labels = segment_embeddings(embeddings.Z_spatial, merged.coords, cfg,
+                                sample_labels=merged.batch_labels)
     return {
         "dataset": merged,
         "graph": graph,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -236,3 +237,108 @@ def naive_gene_layout(C, seed: int, swap_budget: int | None = None):
                     break
     positions = [cells[c] for c in cell_of]
     return positions, greedy, objective(cell_of)
+
+
+def naive_gmm_cluster(X, K: int, seed: int, n_restarts: int = 5, max_iter: int = 200,
+                      tol: float = 1e-7, reg: float = 1e-6, init_means=None):
+    """Full-covariance EM one component at a time, with general LU solves.
+
+    The same algorithm as ``cluster.gmm_cluster``: k-means++ starts drawn
+    from ``default_rng(SeedSequence([seed, restart]))``, the MAP covariance
+    step ``(scatter_k + lam I) / n_k`` with ``lam = reg n / K``, reseeding of
+    components whose weight falls below 2 cells at the farthest point, the
+    relative-tolerance stopping rule and selection by final log-likelihood
+    (earliest restart on ties). Each E-step factors every covariance on its
+    own and solves ``chol x = diff.T`` and ``chol x = I`` with
+    ``np.linalg.solve``. Returns ``(labels, posterior, log_likelihood_path,
+    objective_path)``.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    lam = reg * n / K
+
+    def kmeanspp(rng):
+        means = np.empty((K, d))
+        means[0] = X[int(rng.integers(n))]
+        d2 = ((X - means[0]) ** 2).sum(axis=1)
+        for k in range(1, K):
+            total = d2.sum()
+            idx = int(rng.integers(n)) if total <= 0 else int(rng.choice(n, p=d2 / total))
+            means[k] = X[idx]
+            d2 = np.minimum(d2, ((X - means[k]) ** 2).sum(axis=1))
+        return means
+
+    def component(mean, cov):
+        chol = np.linalg.cholesky(cov)
+        diff = X - mean
+        solved = np.linalg.solve(chol, diff.T)
+        maha = (solved * solved).sum(axis=0)
+        logdet = 2.0 * np.log(np.diag(chol)).sum()
+        tr_inv = float((np.linalg.solve(chol, np.eye(d)) ** 2).sum())
+        return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha), tr_inv
+
+    best = None
+    for restart in range(1 if init_means is not None else n_restarts):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, restart]))
+        if init_means is not None:
+            means = np.asarray(init_means, dtype=np.float64).copy()
+        else:
+            means = kmeanspp(rng)
+        data_cov = np.cov(X, rowvar=False, ddof=1).reshape(d, d) + reg * np.eye(d)
+        covs = np.stack([data_cov.copy() for _ in range(K)])
+        weights = np.full(K, 1.0 / K)
+        path, objectives = [], []
+        prev_ll = -np.inf
+        for _ in range(max_iter):
+            logpdfs, tr_inv = zip(*(component(means[k], covs[k]) for k in range(K)))
+            log_r = np.log(weights) + np.stack(logpdfs, axis=1)
+            row_max = log_r.max(axis=1, keepdims=True)
+            log_norm = row_max[:, 0] + np.log(np.exp(log_r - row_max).sum(axis=1))
+            ll = float(log_norm.sum())
+            path.append(ll)
+            objectives.append(ll - 0.5 * lam * sum(tr_inv))
+            resp = np.exp(log_r - log_norm[:, None])
+            converged = np.isfinite(prev_ll) and abs(ll - prev_ll) < tol * (1.0 + abs(ll))
+            prev_ll = ll
+            nk = resp.sum(axis=0)
+            degenerate = np.flatnonzero(nk < 2.0)
+            if degenerate.size:
+                for k in degenerate:
+                    far = int(np.argmax(((X - means[k]) ** 2).sum(axis=1)))
+                    means[k] = X[far]
+                    covs[k] = data_cov.copy()
+                    weights[k] = 1.0 / K
+                    warnings.warn(f"GMM component {k} collapsed; reseeded from the farthest point",
+                                  RuntimeWarning)
+                weights /= weights.sum()
+                continue
+            if converged:
+                break
+            weights = nk / n
+            means = (resp.T @ X) / nk[:, None]
+            for k in range(K):
+                diff = X - means[k]
+                covs[k] = ((diff.T * resp[:, k]) @ diff + lam * np.eye(d)) / nk[k]
+        candidate = (prev_ll, -restart, resp, path, objectives)
+        if best is None or candidate[:2] > best[:2]:
+            best = candidate
+    _, _, resp, path, objectives = best
+    return resp.argmax(axis=1), resp, path, objectives
+
+
+def loop_refine_labels(labels, coords, r: int):
+    """Majority vote among each cell's r nearest neighbours (self excluded,
+    neighbours from ``cKDTree``), tallied and tie-checked cell by cell; a
+    tied vote keeps the cell's own label."""
+    from scipy.spatial import cKDTree
+
+    labels = np.asarray(labels)
+    _, idx = cKDTree(coords.T).query(coords.T, k=r + 1)
+    refined = labels.copy()
+    for i, neighbours in enumerate(idx[:, 1:]):
+        counts = Counter(labels[neighbours].tolist())
+        top = max(counts.values())
+        winners = [label for label, c in counts.items() if c == top]
+        if len(winners) == 1:
+            refined[i] = winners[0]
+    return refined

@@ -7,7 +7,7 @@ import pytest
 from cellscape.cluster import DomainLabels, gmm_cluster, pca_reduce, refine_labels
 from cellscape.metrics import hom, nmi
 
-from oracles import contingency_hom, contingency_nmi
+from oracles import contingency_hom, contingency_nmi, loop_refine_labels, naive_gmm_cluster
 
 
 class TestPCA:
@@ -64,6 +64,9 @@ class TestGMM:
         assert nmi(truth, result.labels) >= 0.99
         ll = np.array(result.log_likelihood_path)
         assert np.all(np.diff(ll) >= -1e-8)
+        objective = np.array(result.objective_path)
+        assert objective.shape == ll.shape
+        assert np.all(np.diff(objective) >= -1e-8)
 
     def test_near_singular_component_passes_the_guard(self):
         # three points in four dimensions give one component a singular
@@ -76,6 +79,8 @@ class TestGMM:
         labels = result.labels
         assert len(set(labels[40:])) == 1
         assert labels[40] not in set(labels[20:40])
+        assert np.diff(result.log_likelihood_path).min() < -1e-8
+        assert np.all(np.diff(result.objective_path) >= -1e-8)
 
     def test_small_exact_grouping(self):
         X = np.array([[0.0, 0], [0.1, 0], [-0.1, 0], [10.0, 0], [10.1, 0]])
@@ -115,6 +120,60 @@ class TestGMM:
         np.testing.assert_array_equal(a.labels, b.labels)
 
 
+def _mixture(K, d, n, seed):
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(0.0, 4.0, (K, d))
+    return centers[rng.integers(K, size=n)] + rng.normal(0.0, 1.0, (n, d))
+
+
+class TestGMMAgainstLoopReference:
+    """The batched EM against the per-component loop with LU solves: same
+    labels and iteration counts, values equal up to summation order."""
+
+    @staticmethod
+    def _assert_matches(result, reference):
+        labels, posterior, path, objective = reference
+        np.testing.assert_array_equal(result.labels, labels)
+        assert len(result.log_likelihood_path) == len(path)
+        np.testing.assert_allclose(result.posterior, posterior, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(result.log_likelihood_path, path, rtol=1e-10)
+        np.testing.assert_allclose(result.objective_path, objective, rtol=1e-10)
+
+    @pytest.mark.parametrize("d", [2, 4, 30])
+    @pytest.mark.parametrize("K", [2, 3, 5, 6])
+    def test_restarts(self, K, d):
+        X = _mixture(K, d, n=60 * K if d == 30 else 40 * K, seed=1000 + 100 * K + d)
+        self._assert_matches(gmm_cluster(X, K=K, seed=d), naive_gmm_cluster(X, K=K, seed=d))
+
+    def test_restarts_tied_at_one_optimum(self):
+        # restarts 0 and 2 converge to the same mixture with permuted
+        # components, their final log-likelihoods 1 ulp apart; rounding
+        # decides which one is kept, so only the partition must agree
+        X = _mixture(6, 4, n=240, seed=604)
+        result = gmm_cluster(X, K=6, seed=4)
+        labels, _, path, _ = naive_gmm_cluster(X, K=6, seed=4)
+        pairs = set(zip(result.labels.tolist(), labels.tolist()))
+        assert len(pairs) == len(set(labels.tolist())) == 6
+        assert result.log_likelihood_path[-1] == pytest.approx(path[-1], rel=1e-12)
+
+    def test_init_means(self):
+        X = _mixture(3, 4, n=150, seed=12)
+        init = X[[0, 50, 100]]
+        self._assert_matches(gmm_cluster(X, K=3, seed=0, init_means=init),
+                             naive_gmm_cluster(X, K=3, seed=0, init_means=init))
+
+    def test_collapsed_component_is_reseeded(self):
+        # a mean far from every cell takes almost no responsibility on the
+        # first E-step, so its component is reseeded at the farthest cell
+        X = _mixture(2, 2, n=80, seed=13)
+        init = np.vstack([X[[0, 1]], [[500.0, 500.0]]])
+        with pytest.warns(RuntimeWarning, match="collapsed"):
+            result = gmm_cluster(X, K=3, seed=0, init_means=init)
+        with pytest.warns(RuntimeWarning, match="collapsed"):
+            reference = naive_gmm_cluster(X, K=3, seed=0, init_means=init)
+        self._assert_matches(result, reference)
+
+
 class TestRefine:
     def test_unanimous_flip(self):
         coords = np.array(
@@ -137,6 +196,16 @@ class TestRefine:
         labels = np.array([2, 0, 0, 1, 1])
         out = refine_labels(labels, coords, r=4)
         assert out.labels[0] == 2
+
+    def test_vectorised_ties_match_loop(self):
+        # four random labels (not 0..K-1) and four votes per cell: 457 of
+        # the 2,000 cells tie, 174 of them three or four ways
+        rng = np.random.default_rng(14)
+        coords = rng.integers(0, 60, (2, 2000)).astype(np.float64)
+        coords[1] += rng.random(2000) * 1e-3  # no duplicate points
+        labels = rng.integers(0, 4, 2000) * 3 + 1
+        expected = loop_refine_labels(labels, coords, r=4)
+        np.testing.assert_array_equal(refine_labels(labels, coords, r=4).labels, expected)
 
     def test_r_too_large(self):
         with pytest.raises(ValueError, match="r=5"):
