@@ -8,7 +8,6 @@ surgery, then segments and analyzes the resulting embeddings.
 
 from .analysis import (
     composition,
-    composition_shift,
     geneset_enrichment,
     transition_graph,
     wilcoxon_dge,
@@ -19,7 +18,7 @@ from .dataset import ExpressionDataset, load_dataset
 from .gene_map import GeneLayout, layout_genes, mask_cells, render_map, render_maps
 from .losses import contrastive_loss, sce_loss
 from .metrics import hom, nmi
-from .network import CellScapeModel, ModelConfig, fuse
+from .network import CellScapeModel, ModelConfig
 from .optim import AdamState, adam_step, lr_schedule, pcgrad
 from .preprocess import (
     combat_correct,
@@ -33,7 +32,6 @@ from .spatial_graph import (
     block_diagonal_merge,
     build_delaunay_graph,
     build_knn_graph,
-    neighbor_set,
 )
 from .synth import SyntheticSpec, generate_tissue, run_benchmark
 from .training import EmbeddingSet, embed, train

@@ -1,5 +1,5 @@
 """Downstream domain analyses: transition connectivity, rank-sum marker
-genes, cell-type composition and condition shifts, and gene-set enrichment
+genes, cell-type composition, and gene-set enrichment
 against user-supplied collections."""
 
 from __future__ import annotations
@@ -228,16 +228,6 @@ def composition(labels, type_labels) -> CompositionMatrix:
     )
 
 
-def composition_shift(a: CompositionMatrix, b: CompositionMatrix) -> np.ndarray:
-    """Elementwise proportion change between two conditions (a minus b)."""
-    if a.domains != b.domains or a.types != b.types:
-        missing = sorted(
-            set(map(str, a.domains)) ^ set(map(str, b.domains))
-        ) + sorted(set(map(str, a.types)) ^ set(map(str, b.types)))
-        raise ValueError(f"composition axes differ; unmatched ids: {missing}")
-    return a.P - b.P
-
-
 # ---------------------------------------------------------------------------
 # gene-set enrichment
 # ---------------------------------------------------------------------------
@@ -292,20 +282,6 @@ def read_gmt(path) -> dict[str, list[str]]:
 # ---------------------------------------------------------------------------
 # writers
 # ---------------------------------------------------------------------------
-
-def write_marker_table(path, records: list[GeneRecord], domain) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["domain", "gene", "statistic", "p_value", "adj_p_value",
-             "log2_fold_change", "fraction_expressing"]
-        )
-        for rec in records:
-            writer.writerow(
-                [domain, rec.gene, rec.statistic, rec.p_value, rec.adj_p_value,
-                 rec.log2_fold_change, rec.fraction_expressing]
-            )
-
 
 def write_enrichment_table(path, records: list[EnrichmentRecord]) -> None:
     with open(path, "w", newline="") as fh:

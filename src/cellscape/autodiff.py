@@ -13,13 +13,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+# CELLSCAPE_DEBUG=1: NaN/Inf checks after every forward and backward step
 _DEBUG = bool(os.environ.get("CELLSCAPE_DEBUG"))
-
-
-def set_debug(flag: bool) -> None:
-    """Enable NaN/Inf checks after every forward and backward step."""
-    global _DEBUG
-    _DEBUG = bool(flag)
 
 
 def _check_finite(arr: np.ndarray, where: str) -> None:
@@ -375,20 +370,6 @@ def elu(a, alpha: float = 1.0) -> Tensor:
             a._accumulate(g * np.where(positive, 1.0, expm + alpha), own=True)
 
     return _make(values, (a,), backward_fn, "elu")
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    shifted = a.values - a.values.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    values = e / e.sum(axis=axis, keepdims=True)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            inner = (g * values).sum(axis=axis, keepdims=True)
-            a._accumulate(values * (g - inner), own=True)
-
-    return _make(values, (a,), backward_fn, "softmax")
 
 
 def l2_normalize_rows(a, eps: float = 1e-12) -> Tensor:

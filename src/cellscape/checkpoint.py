@@ -2,8 +2,9 @@
 
 Layout: magic ``CSK1`` | version u32 | header-length u64 | JSON header |
 float64 little-endian payload. The header lists parameter names/shapes in
-payload order, optimizer hyperparameters, batch-norm state, and the model
-configuration needed to rebuild the network.
+payload order, batch-norm state, and the model configuration needed to
+rebuild the network. Optimizer state is not stored: a checkpoint holds a
+trained model for inference, not a resumable run.
 """
 
 from __future__ import annotations
@@ -15,25 +16,16 @@ import struct
 import numpy as np
 
 from .network import CellScapeModel, ModelConfig
-from .optim import AdamState
 
 MAGIC = b"CSK1"
-VERSION = 1
+VERSION = 2
 
 
-def save_checkpoint(path, model: CellScapeModel, optimizer: AdamState) -> None:
+def save_checkpoint(path, model: CellScapeModel) -> None:
     names = list(model.params)
     bn_names = list(model.bn_states)
     header = {
         "params": [{"name": n, "shape": list(model.params[n].shape)} for n in names],
-        "optimizer": {
-            "t": optimizer.t,
-            "learning_rate": optimizer.learning_rate,
-            "weight_decay": optimizer.weight_decay,
-            "beta1": optimizer.beta1,
-            "beta2": optimizer.beta2,
-            "eps": optimizer.eps,
-        },
         "bn": [
             {
                 "name": n,
@@ -54,16 +46,12 @@ def save_checkpoint(path, model: CellScapeModel, optimizer: AdamState) -> None:
         fh.write(blob)
         for n in names:
             fh.write(np.ascontiguousarray(model.params[n].values, dtype="<f8").tobytes())
-        for n in names:
-            fh.write(np.ascontiguousarray(optimizer.m[n], dtype="<f8").tobytes())
-        for n in names:
-            fh.write(np.ascontiguousarray(optimizer.v[n], dtype="<f8").tobytes())
         for n in bn_names:
             fh.write(np.ascontiguousarray(model.bn_states[n].running_mean, dtype="<f8").tobytes())
             fh.write(np.ascontiguousarray(model.bn_states[n].running_var, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path) -> tuple[CellScapeModel, AdamState]:
+def load_checkpoint(path) -> CellScapeModel:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
@@ -92,25 +80,10 @@ def load_checkpoint(path) -> tuple[CellScapeModel, AdamState]:
             raise ValueError(f"{path}: checkpoint parameters do not match the configuration")
         for n in names:
             model.params[n].values = read_array(shapes[n])
-
-        opt = header["optimizer"]
-        optimizer = AdamState(
-            model.params,
-            learning_rate=opt["learning_rate"],
-            weight_decay=opt["weight_decay"],
-            beta1=opt["beta1"],
-            beta2=opt["beta2"],
-            eps=opt["eps"],
-        )
-        optimizer.t = opt["t"]
-        for n in names:
-            optimizer.m[n] = read_array(shapes[n])
-        for n in names:
-            optimizer.v[n] = read_array(shapes[n])
         for entry in header["bn"]:
             state = model.bn_states[entry["name"]]
             state.momentum = entry["momentum"]
             state.eps = entry["eps"]
             state.running_mean = read_array((entry["size"],))
             state.running_var = read_array((entry["size"],))
-    return model, optimizer
+    return model

@@ -9,6 +9,7 @@ simulate, bench. All read one YAML config (``--config``) with flag overrides;
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import json
 import sys
@@ -25,13 +26,14 @@ from .analysis import (
     wilcoxon_dge,
     write_composition,
     write_enrichment_table,
-    write_marker_table,
     write_transition_graph,
 )
 from .checkpoint import save_checkpoint
-from .config import PipelineConfig, load_config, model_config_from
+from .config import PipelineConfig, load_config
 from .dataset import (
+    load_coords,
     load_dataset,
+    load_dense_matrix,
     load_labels,
     write_coords,
     write_dense_matrix,
@@ -39,7 +41,6 @@ from .dataset import (
     write_labels,
 )
 from .metrics import hom, nmi
-from .optim import AdamState
 from .spatial_graph import build_knn_graph, read_edge_list, write_edge_list
 from .synth import SyntheticSpec, generate_tissue, run_benchmark, write_benchmark_report
 from .training import write_embeddings_csv, write_training_log
@@ -124,51 +125,41 @@ def cmd_graph(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def _train_and_write(ds, graph, cfg: PipelineConfig, out: Path) -> dict:
-    ds_pre, _, coexpr = pipeline.preprocess_dataset(ds, cfg)
-    if graph is None:
-        graph = pipeline.build_graph(ds_pre.coords, cfg)
-    mcfg = model_config_from(cfg)
-    layout = None if mcfg.cci_only else pipeline.make_layout(coexpr, cfg)
-    from .training import train
-
-    model, embeddings, log = train(ds_pre, graph, layout, mcfg)
-    optimizer = AdamState(model.params, mcfg.learning_rate, mcfg.weight_decay)
-    save_checkpoint(out / "checkpoint.csk", model, optimizer)
-    write_edge_list(out / "graph.txt", graph)
-    write_embeddings_csv(out / "embeddings_spatial.csv", embeddings.Z_spatial, ds_pre.cell_ids)
-    if embeddings.Z_intrinsic is not None:
-        write_embeddings_csv(out / "embeddings_intrinsic.csv",
-                             embeddings.Z_intrinsic, ds_pre.cell_ids)
-    write_embeddings_csv(out / "embeddings_fused.csv", embeddings.Z, ds_pre.cell_ids)
-    write_training_log(out / "training_log.jsonl", log)
-    write_dense_matrix(out / "preprocessed_expression.csv", ds_pre.X,
-                       ds_pre.gene_names, ds_pre.cell_ids)
-    write_coords(out / "cells.csv", ds_pre.coords, ds_pre.cell_ids)
-    for name in ("checkpoint.csk", "embeddings_spatial.csv", "embeddings_fused.csv",
-                 "training_log.jsonl"):
+def _write_fit(out: Path, result: pipeline.Fit) -> None:
+    """The artifacts of one fit; ``segment`` and ``analyze`` read them back."""
+    ds, emb = result.dataset, result.embeddings
+    ids = ds.cell_ids
+    save_checkpoint(out / "checkpoint.csk", result.model)
+    write_dense_matrix(out / "preprocessed_expression.csv", ds.X, ds.gene_names, ids)
+    write_edge_list(out / "graph.txt", result.graph)
+    write_embeddings_csv(out / "embeddings_spatial.csv", emb.Z_spatial, ids)
+    if emb.Z_intrinsic is not None:
+        write_embeddings_csv(out / "embeddings_intrinsic.csv", emb.Z_intrinsic, ids)
+    write_embeddings_csv(out / "embeddings_fused.csv", emb.Z, ids)
+    write_training_log(out / "training_log.jsonl", result.log)
+    write_coords(out / "cells.csv", ds.coords, ids)
+    write_labels(out / "samples.csv", ids, result.samples.tolist(), header="sample")
+    write_labels(out / "labels.csv", ids, result.labels.labels.tolist(), header="domain")
+    for name in ("checkpoint.csk", "preprocessed_expression.csv", "graph.txt",
+                 "embeddings_spatial.csv", "embeddings_fused.csv", "training_log.jsonl",
+                 "cells.csv", "samples.csv", "labels.csv"):
         print(f"wrote {out / name}")
-    return {"dataset": ds_pre, "graph": graph, "embeddings": embeddings, "model": model}
 
 
 def cmd_train(cfg: PipelineConfig, args) -> int:
     ds = _load_input_dataset(cfg)
-    out = _outdir(cfg)
-    _train_and_write(ds, None, cfg, out)
+    _write_fit(_outdir(cfg), pipeline.fit([ds], cfg))
     return 0
 
 
 def cmd_segment(cfg: PipelineConfig, args) -> int:
     out = _outdir(cfg)
-    emb_path = _read_artifact(out / "embeddings_spatial.csv", "train")
-    coords_path = _read_artifact(out / "cells.csv", "train")
-    ids, Z = _read_embeddings(emb_path)
-    from .dataset import load_coords
-
-    coords, coord_ids = load_coords(coords_path)
-    if coord_ids != ids:
-        raise ValueError("embeddings and coordinates disagree on cell ids")
-    labels = pipeline.segment_embeddings(Z, coords, cfg)
+    ids, Z = _read_embeddings(_read_artifact(out / "embeddings_spatial.csv", "train"))
+    coords, coord_ids = load_coords(_read_artifact(out / "cells.csv", "train"))
+    sample_ids, samples = _read_label_csv(_read_artifact(out / "samples.csv", "train"))
+    if coord_ids != ids or sample_ids != ids:
+        raise ValueError("embeddings, coordinates and samples disagree on cell ids")
+    labels = pipeline.segment_embeddings(Z, coords, cfg, sample_labels=samples)
     write_labels(out / "labels.csv", ids, labels.labels.tolist(), header="domain")
     print(f"wrote {out / 'labels.csv'} ({labels.n_domains} domains)")
     return 0
@@ -198,8 +189,6 @@ def cmd_analyze(cfg: PipelineConfig, args) -> int:
     labels_path = _read_artifact(out / "labels.csv", "segment")
     expr_path = _read_artifact(out / "preprocessed_expression.csv", "train")
     ids, domains = _read_label_csv(labels_path)
-    from .dataset import load_dense_matrix
-
     X, gene_names, cell_ids = load_dense_matrix(expr_path)
     if cell_ids != ids:
         raise ValueError("labels and expression artifacts disagree on cell ids")
@@ -208,8 +197,7 @@ def cmd_analyze(cfg: PipelineConfig, args) -> int:
     if cfg.analysis.transition_source == "embedding":
         emb_path = _read_artifact(out / "embeddings_spatial.csv", "train")
         _, Z = _read_embeddings(emb_path)
-        graph = build_knn_graph(Z.T[:2] if Z.shape[1] < 2 else Z[:, :2].T,
-                                k=min(cfg.analysis.embedding_knn, len(ids) - 1))
+        graph = build_knn_graph(Z.T, k=min(cfg.analysis.embedding_knn, len(ids) - 1))
     else:
         graph = read_edge_list(_read_artifact(out / "graph.txt", "train"))
     tg = transition_graph(domain_arr, graph)
@@ -255,7 +243,6 @@ def cmd_analyze(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_integrate(cfg: PipelineConfig, args) -> int:
-    out = _outdir(cfg)
     if not cfg.paths.samples:
         raise ValueError("config is missing paths.samples (list of {expression, coords})")
     samples = []
@@ -265,21 +252,7 @@ def cmd_integrate(cfg: PipelineConfig, args) -> int:
         samples.append(
             load_dataset(expr, coords, format=entry.get("format", cfg.paths.format))
         )
-    result = pipeline.integrated_run(samples, cfg)
-    merged = result["dataset"]
-    write_dense_matrix(out / "corrected_expression.csv", merged.X,
-                       merged.gene_names, merged.cell_ids)
-    write_edge_list(out / "merged_graph.txt", result["graph"])
-    write_embeddings_csv(out / "embeddings_spatial.csv",
-                         result["embeddings"].Z_spatial, merged.cell_ids)
-    write_embeddings_csv(out / "embeddings_fused.csv",
-                         result["embeddings"].Z, merged.cell_ids)
-    write_training_log(out / "training_log.jsonl", result["log"])
-    write_labels(out / "labels.csv", merged.cell_ids,
-                 result["labels"].labels.tolist(), header="domain")
-    write_coords(out / "cells.csv", merged.coords, merged.cell_ids)
-    for name in ("corrected_expression.csv", "merged_graph.txt", "labels.csv"):
-        print(f"wrote {out / name}")
+    _write_fit(_outdir(cfg), pipeline.fit(samples, cfg))
     return 0
 
 
@@ -316,9 +289,18 @@ def cmd_bench(cfg: PipelineConfig, args) -> int:
         seed=cfg.seed,
     )
     ds, truth = generate_tissue(spec)
+
+    def configured(n_domains: int, seed: int) -> PipelineConfig:
+        local = copy.deepcopy(cfg)
+        local.seed = seed
+        local.clustering.n_domains = n_domains
+        return local
+
     methods = [
-        ("full_pipeline", pipeline.pipeline_method(cfg)),
-        ("pca_gmm_baseline", pipeline.baseline_method(cfg)),
+        ("full_pipeline",
+         lambda data, k, seed: pipeline.fit([data], configured(k, seed)).labels.labels),
+        ("pca_gmm_baseline",
+         lambda data, k, seed: pipeline.baseline_pca_gmm(data, configured(k, seed)).labels),
     ]
     report = run_benchmark(ds, truth, methods, repeats=cfg.bench.repeats,
                            base_seed=cfg.seed)
@@ -373,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prune-percentile", type=float, default=None,
                    help=f"Delaunay long-edge cutoff (default: {d.graph.prune_percentile})")
 
-    p = sub.add_parser("train", help="train the model, write checkpoint and embeddings")
+    p = sub.add_parser("train", help="train the model, write checkpoint, embeddings and domains")
     _add_common(p)
     p.add_argument("--epochs", type=int, default=None,
                    help=f"training epochs (default: {d.model.epochs})")

@@ -82,33 +82,6 @@ class ExpressionDataset:
             raw_counts=None if self.raw_counts is None else self.raw_counts[idx].copy(),
         )
 
-    def subset_cells(self, indices) -> "ExpressionDataset":
-        """Dataset restricted to the given cell columns."""
-        idx = np.asarray(indices, dtype=np.intp)
-        return replace(
-            self,
-            X=self.X[:, idx].copy(),
-            coords=self.coords[:, idx].copy(),
-            cell_ids=[self.cell_ids[i] for i in idx],
-            batch_labels=None if self.batch_labels is None
-            else [self.batch_labels[i] for i in idx],
-            type_labels=None if self.type_labels is None
-            else [self.type_labels[i] for i in idx],
-            raw_counts=None if self.raw_counts is None else self.raw_counts[:, idx].copy(),
-        )
-
-
-def split_by_batch(ds: ExpressionDataset) -> list[ExpressionDataset]:
-    """One dataset per batch label, in sorted batch order."""
-    if ds.batch_labels is None:
-        raise ValueError("dataset has no batch labels to split on")
-    out = []
-    labels = np.asarray(ds.batch_labels)
-    for batch in sorted(set(ds.batch_labels)):
-        sample = ds.subset_cells(np.flatnonzero(labels == batch))
-        sample.batch_labels = None
-        out.append(sample)
-    return out
 
 
 def _require_unique(names, what: str) -> None:

@@ -94,19 +94,6 @@ def gat_layer(h: Tensor, dst: np.ndarray, src: np.ndarray, n: int,
     return ad.concat(outputs, axis=1)
 
 
-def fuse(z_spatial: np.ndarray, z_intrinsic: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Joint embedding: project the concatenated branch outputs, z = W [z_sp || z_in]."""
-    z_spatial = np.asarray(z_spatial, dtype=np.float64)
-    z_intrinsic = np.asarray(z_intrinsic, dtype=np.float64)
-    W = np.asarray(W, dtype=np.float64)
-    joint = np.concatenate([z_spatial, z_intrinsic])
-    if W.ndim != 2 or W.shape[1] != joint.shape[0]:
-        raise ValueError(
-            f"fusion matrix {W.shape} incompatible with concatenated dim {joint.shape[0]}"
-        )
-    return W @ joint
-
-
 class CellScapeModel:
     """Parameter container plus the masked dual-branch forward pass."""
 
@@ -215,7 +202,7 @@ class CellScapeModel:
 
     def forward(self, features: np.ndarray, maps: np.ndarray | None,
                 graph: SpatialGraph, training: bool, update_running: bool = True,
-                include_self: bool = True, collect_attention=None) -> dict:
+                collect_attention=None) -> dict:
         """Full pass on (n, p) cell features and (n, q, q) maps.
 
         Returns spatial/intrinsic/fused embeddings and the decoded
@@ -224,15 +211,7 @@ class CellScapeModel:
         n = graph.n_nodes
         if features.shape != (n, self.n_genes):
             raise ValueError(f"features shape {features.shape} != ({n}, {self.n_genes})")
-        if not include_self:
-            deg = graph.degrees()
-            isolated = np.flatnonzero(deg == 0)
-            if isolated.size:
-                raise ValueError(
-                    f"node {isolated[0]} has an empty attention neighborhood "
-                    "(self-loops disabled)"
-                )
-        dst, src = graph.directed_edges(add_self_loops=include_self)
+        dst, src = graph.directed_edges()
 
         z_spatial = self.encode_spatial(Tensor(features), dst, src, n, collect_attention)
         if self.cfg.cci_only:

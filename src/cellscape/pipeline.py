@@ -1,6 +1,6 @@
-"""Stage functions composing the modules into the end-to-end pipeline; the
-command-line entry points and the benchmark methods are thin wrappers over
-these."""
+"""The pipeline's stage functions and ``fit``, which runs them once from raw
+samples to domain labels; the command-line entry points are thin wrappers
+over these."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from .cluster import DomainLabels, gmm_cluster, pca_reduce, refine_labels
 from .config import PipelineConfig, model_config_from
 from .dataset import ExpressionDataset
 from .gene_map import GeneLayout, layout_genes
+from .network import CellScapeModel
 from .preprocess import (
     CoexpressionMatrix,
     combat_correct,
@@ -22,11 +23,12 @@ from .preprocess import (
 )
 from .spatial_graph import (
     SpatialGraph,
+    block_diagonal_merge,
     build_delaunay_graph,
     build_knn_graph,
     choose_graph_method,
 )
-from .training import EmbeddingSet, embed, train
+from .training import EmbeddingSet, train
 
 
 def preprocess_dataset(ds: ExpressionDataset,
@@ -85,35 +87,6 @@ def segment_embeddings(Z_spatial: np.ndarray, coords: np.ndarray,
     return dataclasses.replace(result, labels=labels)
 
 
-def full_run(ds_raw: ExpressionDataset, cfg: PipelineConfig,
-             seed: int | None = None, graph: SpatialGraph | None = None) -> dict:
-    """Dataset to domain labels in one call; returns all intermediate
-    artifacts. ``graph`` overrides construction (used for merged samples)."""
-    if seed is not None:
-        import copy
-
-        cfg = copy.deepcopy(cfg)
-        cfg.seed = seed
-    ds_pre, hvg, coexpr = preprocess_dataset(ds_raw, cfg)
-    if graph is None:
-        graph = build_graph(ds_pre.coords, cfg)
-    mcfg = model_config_from(cfg)
-    layout = None if mcfg.cci_only else make_layout(coexpr, cfg)
-    model, embeddings, log = train(ds_pre, graph, layout, mcfg)
-    labels = segment_embeddings(embeddings.Z_spatial, ds_pre.coords, cfg)
-    return {
-        "dataset": ds_pre,
-        "hvg": hvg,
-        "coexpression": coexpr,
-        "graph": graph,
-        "layout": layout,
-        "model": model,
-        "embeddings": embeddings,
-        "log": log,
-        "labels": labels,
-    }
-
-
 def baseline_pca_gmm(ds_raw: ExpressionDataset, cfg: PipelineConfig,
                      seed: int | None = None) -> DomainLabels:
     """Non-spatial control: the same preprocessing, then PCA on expression
@@ -126,95 +99,61 @@ def baseline_pca_gmm(ds_raw: ExpressionDataset, cfg: PipelineConfig,
     return gmm_cluster(reduced, K=cfg.clustering.n_domains, seed=seed)
 
 
-def pipeline_method(cfg: PipelineConfig):
-    """Benchmark adapter for the full pipeline."""
+@dataclasses.dataclass
+class Fit:
+    """One run of the pipeline, as its callers read it."""
 
-    def run(ds, n_domains, seed):
-        import copy
-
-        local = copy.deepcopy(cfg)
-        local.clustering.n_domains = n_domains
-        result = full_run(ds, local, seed=seed)
-        return result["labels"].labels
-
-    return run
-
-
-def baseline_method(cfg: PipelineConfig):
-    """Benchmark adapter for the non-spatial PCA + GMM control."""
-
-    def run(ds, n_domains, seed):
-        import copy
-
-        local = copy.deepcopy(cfg)
-        local.clustering.n_domains = n_domains
-        return baseline_pca_gmm(ds, local, seed=seed).labels
-
-    return run
+    dataset: ExpressionDataset      # preprocessed, the samples merged
+    graph: SpatialGraph             # per-sample graphs, block-diagonal
+    layout: GeneLayout | None       # None with cci_only
+    model: CellScapeModel
+    embeddings: EmbeddingSet
+    log: list[dict]                 # one record per training epoch
+    labels: DomainLabels
+    samples: np.ndarray             # each cell's sample, "sample<i>"
 
 
-def integrate_samples(samples: list[ExpressionDataset], cfg: PipelineConfig,
-                      apply_combat: bool = True) -> tuple[ExpressionDataset, SpatialGraph]:
-    """Multi-sample integration: per-sample preprocessing and graphs, batch
-    harmonization on the concatenated matrix, block-diagonal graph merge."""
-    from .spatial_graph import block_diagonal_merge
-
+def _merge_samples(samples: list[ExpressionDataset]) -> tuple[ExpressionDataset, np.ndarray]:
+    """One dataset over every cell, plus each cell's sample. A single sample
+    passes through unchanged; with several, cell ids get an ``s<i>_`` prefix
+    and each cell's sample becomes its batch label."""
     if not samples:
-        raise ValueError("no samples to integrate")
-    processed = []
-    graphs = []
-    shared_genes: list[str] | None = None
-    for idx, sample in enumerate(samples):
-        out = normalize_total(sample, target=cfg.preprocessing.target_sum)
-        out = log1p_transform(out)
-        processed.append(out)
-        graphs.append(build_graph(sample.coords, cfg))
-        if shared_genes is None:
-            shared_genes = out.gene_names
-        elif out.gene_names != shared_genes:
+        raise ValueError("no samples to fit")
+    names = np.repeat([f"sample{i}" for i in range(len(samples))],
+                      [s.n_cells for s in samples])
+    if len(samples) == 1:
+        return samples[0], names
+    genes = samples[0].gene_names
+    for idx, sample in enumerate(samples[1:], start=1):
+        if sample.gene_names != genes:
             raise ValueError(f"sample {idx} gene panel differs from sample 0")
-
-    X = np.hstack([s.X for s in processed])
-    raw = np.hstack([s.raw_counts for s in processed])
-    coords = np.hstack([s.coords for s in processed])
-    cell_ids = []
-    batch_labels = []
-    for idx, s in enumerate(processed):
-        cell_ids.extend(f"s{idx}_{cid}" for cid in s.cell_ids)
-        batch_labels.extend([f"sample{idx}"] * s.n_cells)
     merged = ExpressionDataset(
-        X=X,
-        coords=coords,
-        gene_names=list(shared_genes),
-        cell_ids=cell_ids,
-        batch_labels=batch_labels,
-        raw_counts=raw,
+        X=np.hstack([s.X for s in samples]),
+        coords=np.hstack([s.coords for s in samples]),
+        gene_names=list(genes),
+        cell_ids=[f"s{i}_{cid}" for i, s in enumerate(samples) for cid in s.cell_ids],
+        batch_labels=names.tolist(),
+        raw_counts=np.hstack([s.X if s.raw_counts is None else s.raw_counts
+                              for s in samples]),
     )
-
-    n_hvg = min(cfg.preprocessing.n_hvg, merged.n_genes)
-    hvg = select_hvg(merged, n_top=n_hvg)
-    merged = merged.subset_genes(hvg)
-    if apply_combat and len(samples) > 1:
-        merged = combat_correct(merged)
-    return merged, block_diagonal_merge(graphs)
+    return merged, names
 
 
-def integrated_run(samples: list[ExpressionDataset], cfg: PipelineConfig) -> dict:
-    """Integration flow: harmonize, merge graphs, train, segment."""
-    merged, graph = integrate_samples(samples, cfg)
-    coexpr = pearson_coexpression(merged)
+def fit(samples: list[ExpressionDataset], cfg: PipelineConfig) -> Fit:
+    """Raw samples to domain labels: preprocess, graph, gene layout, train,
+    segment, each once. Samples may share one coordinate frame: they share no
+    graph edge, and refinement votes only within a sample. With several
+    samples, ComBat runs with one batch per sample whatever
+    ``preprocessing.combat`` says."""
+    ds, samples_of_cells = _merge_samples(samples)
+    if len(samples) > 1:
+        cfg = dataclasses.replace(
+            cfg, preprocessing=dataclasses.replace(cfg.preprocessing, combat=True))
+    pre, _, coexpr = preprocess_dataset(ds, cfg)
+    graph = block_diagonal_merge([build_graph(s.coords, cfg) for s in samples])
     mcfg = model_config_from(cfg)
     layout = None if mcfg.cci_only else make_layout(coexpr, cfg)
-    model, embeddings, log = train(merged, graph, layout, mcfg)
-    labels = segment_embeddings(embeddings.Z_spatial, merged.coords, cfg,
-                                sample_labels=merged.batch_labels)
-    return {
-        "dataset": merged,
-        "graph": graph,
-        "coexpression": coexpr,
-        "layout": layout,
-        "model": model,
-        "embeddings": embeddings,
-        "log": log,
-        "labels": labels,
-    }
+    model, embeddings, log = train(pre, graph, layout, mcfg)
+    labels = segment_embeddings(embeddings.Z_spatial, pre.coords, cfg,
+                                sample_labels=samples_of_cells)
+    return Fit(pre, graph, layout, model, embeddings, log, labels, samples_of_cells)

@@ -1,6 +1,7 @@
-"""Cell-cell spatial graph construction: exact kNN with union symmetrization,
-Delaunay triangulation with degenerate-input fallback, and block-diagonal
-merging of per-sample graphs."""
+"""Cell-cell spatial graph construction: exact kNN with union symmetrization
+(over points of any dimension, so embeddings too), Delaunay triangulation
+with degenerate-input fallback, and block-diagonal merging of per-sample
+graphs."""
 
 from __future__ import annotations
 
@@ -52,27 +53,14 @@ class SpatialGraph:
             np.add.at(deg, self.edges[:, 1], 1)
         return deg
 
-    def directed_edges(self, add_self_loops: bool = True) -> tuple[np.ndarray, np.ndarray]:
-        """(dst, src) arrays with both orientations, sorted by (dst, src)."""
-        if self.edges.size:
-            dst = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-            src = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        else:
-            dst = np.empty(0, dtype=np.int64)
-            src = np.empty(0, dtype=np.int64)
-        if add_self_loops:
-            loop = np.arange(self.n_nodes, dtype=np.int64)
-            dst = np.concatenate([dst, loop])
-            src = np.concatenate([src, loop])
+    def directed_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """(dst, src) arrays with both orientations plus a self-loop on every
+        node, sorted by (dst, src)."""
+        loop = np.arange(self.n_nodes, dtype=np.int64)
+        dst = np.concatenate([self.edges[:, 0], self.edges[:, 1], loop])
+        src = np.concatenate([self.edges[:, 1], self.edges[:, 0], loop])
         order = np.lexsort((src, dst))
         return dst[order], src[order]
-
-
-def neighbor_set(g: SpatialGraph, i: int) -> list[int]:
-    """Sorted neighbors of node ``i`` (empty list for isolated nodes)."""
-    if not 0 <= i < g.n_nodes:
-        raise ValueError(f"node index {i} out of range for {g.n_nodes} nodes")
-    return g.neighbor_lists()[i].tolist()
 
 
 def _finalize(n: int, pair_set: set[tuple[int, int]], coords: np.ndarray) -> SpatialGraph:
@@ -84,22 +72,30 @@ def _finalize(n: int, pair_set: set[tuple[int, int]], coords: np.ndarray) -> Spa
     return SpatialGraph(n, edges, weights)
 
 
-def _check_coords(coords: np.ndarray) -> np.ndarray:
+def _check_points(coords) -> np.ndarray:
     coords = np.asarray(coords, dtype=np.float64)
-    if coords.ndim != 2 or coords.shape[0] != 2:
-        raise ValueError(f"coords must be 2 x n, got {coords.shape}")
+    if coords.ndim != 2:
+        raise ValueError(f"points must be d x n, got {coords.shape}")
     if not np.all(np.isfinite(coords)):
         raise ValueError("coordinates contain NaN or Inf")
     return coords
 
 
+def _check_coords(coords) -> np.ndarray:
+    coords = _check_points(coords)
+    if coords.shape[0] != 2:
+        raise ValueError(f"coords must be 2 x n, got {coords.shape}")
+    return coords
+
+
 def build_knn_graph(coords, k: int, chunk: int = 512) -> SpatialGraph:
-    """Union-symmetrized k-nearest-neighbor graph with deterministic tie-break.
+    """Union-symmetrized k-nearest-neighbor graph over d x n points, with
+    deterministic tie-break.
 
     Exact blockwise distances; equidistant candidates are ordered by cell
     index, and exact coordinate duplicates raise a warning.
     """
-    coords = _check_coords(coords)
+    coords = _check_points(coords)
     n = coords.shape[1]
     if k <= 0:
         raise ValueError("k must be positive")

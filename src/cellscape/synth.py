@@ -24,7 +24,6 @@ class SyntheticSpec:
     band_axis: str = "x"
     program_strength: float = 5.0
     noise_sd: float = 0.5
-    batch_shift: list[float] | None = None  # one replicate per entry, offset added
     seed: int = 0
 
     def __post_init__(self):
@@ -41,59 +40,33 @@ class SyntheticSpec:
                 raise ValueError("generator parameters must be finite")
 
 
-def _one_replicate(spec: SyntheticSpec, rng: np.random.Generator,
-                   base: float = 1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def generate_tissue(spec: SyntheticSpec) -> tuple[ExpressionDataset, DomainLabels]:
+    """Cells uniform in the unit square, domains as bands along one axis.
+
+    Each domain owns a block of program genes with boosted Poisson rates.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
     coords = rng.random((2, spec.n_cells))
     axis = 0 if spec.band_axis == "x" else 1
     domains = np.minimum(
         (coords[axis] * spec.n_domains).astype(np.int64), spec.n_domains - 1
     )
     per_domain = spec.n_genes // spec.n_domains
-    lam = np.full((spec.n_genes, spec.n_cells), base)
+    lam = np.full((spec.n_genes, spec.n_cells), 1.0)
     for d in range(spec.n_domains):
         genes = slice(d * per_domain, (d + 1) * per_domain)
         lam[genes, domains == d] += spec.program_strength
     X = rng.poisson(lam).astype(np.float64)
     if spec.noise_sd > 0:
         X = np.maximum(X + rng.normal(0.0, spec.noise_sd, X.shape), 0.0)
-    return X, coords, domains
-
-
-def generate_tissue(spec: SyntheticSpec) -> tuple[ExpressionDataset, DomainLabels]:
-    """Cells uniform in the unit square, domains as bands along one axis.
-
-    Each domain owns a block of program genes with boosted Poisson rates.
-    With ``batch_shift`` set, one replicate is generated per entry with its
-    offset added to the expression and batch labels attached.
-    """
-    shifts = [0.0] if spec.batch_shift is None else list(spec.batch_shift)
-    blocks = []
-    for rep, shift in enumerate(shifts):
-        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, rep]))
-        X, coords, domains = _one_replicate(spec, rng)
-        blocks.append((X + shift, coords, domains, rep))
-
-    X = np.hstack([b[0] for b in blocks])
-    coords = np.hstack([b[1] for b in blocks])
-    domains = np.concatenate([b[2] for b in blocks])
-    n_total = X.shape[1]
-    cell_ids = []
-    batch_labels = []
-    for b in blocks:
-        for j in range(b[0].shape[1]):
-            cell_ids.append(f"b{b[3]}_c{j}" if len(blocks) > 1 else f"c{j}")
-            batch_labels.append(f"batch{b[3]}")
     ds = ExpressionDataset(
         X=X,
         coords=coords,
         gene_names=[f"g{i}" for i in range(spec.n_genes)],
-        cell_ids=cell_ids,
-        batch_labels=batch_labels if len(blocks) > 1 else None,
+        cell_ids=[f"c{j}" for j in range(spec.n_cells)],
         raw_counts=X.copy(),
     )
-    truth = DomainLabels(labels=domains, n_domains=spec.n_domains)
-    assert n_total == ds.n_cells
-    return ds, truth
+    return ds, DomainLabels(labels=domains, n_domains=spec.n_domains)
 
 
 @dataclass

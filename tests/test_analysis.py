@@ -5,7 +5,6 @@ import pytest
 
 from cellscape.analysis import (
     composition,
-    composition_shift,
     geneset_enrichment,
     read_gmt,
     transition_graph,
@@ -150,20 +149,6 @@ class TestComposition:
         np.testing.assert_allclose(comp.P.sum(axis=1), 1.0, atol=1e-12)
         assert comp.P_all.sum() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_array_equal(comp.N.sum(), 100)
-
-    def test_shift(self):
-        a = composition(np.array([0, 0, 1, 1]), np.array(["A", "B", "A", "A"]))
-        b = composition(np.array([0, 0, 1, 1]), np.array(["A", "A", "A", "B"]))
-        delta = composition_shift(a, b)
-        np.testing.assert_allclose(delta, [[-0.5, 0.5], [0.5, -0.5]])
-        np.testing.assert_allclose(composition_shift(b, a), -delta)
-        np.testing.assert_allclose(composition_shift(a, a), 0.0, atol=1e-15)
-
-    def test_shift_axis_mismatch(self):
-        a = composition(np.array([0, 0, 1, 1]), np.array(["A", "B", "A", "A"]))
-        c = composition(np.array([0, 0, 2, 2]), np.array(["A", "B", "A", "A"]))
-        with pytest.raises(ValueError, match="unmatched"):
-            composition_shift(a, c)
 
 
 class TestEnrichment:

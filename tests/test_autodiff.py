@@ -96,18 +96,6 @@ class TestNonlinearities:
         check_op(lambda ts: ad.tensor_sum(ad.leaky_relu(ts[0], 0.2) ** 2), [x])
         check_op(lambda ts: ad.tensor_sum(ad.elu(ts[0]) ** 2), [x])
 
-    def test_softmax_rows_sum_to_one(self):
-        x = ad.Tensor(RNG.standard_normal((5, 7)) * 10)
-        s = ad.softmax(x, axis=1)
-        np.testing.assert_allclose(s.values.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_softmax_grad(self):
-        w = RNG.standard_normal(7)
-        check_op(
-            lambda ts: ad.tensor_sum(ad.softmax(ts[0], axis=1) * w),
-            [RNG.standard_normal((4, 7))],
-        )
-
     def test_l2_normalize(self):
         x = RNG.standard_normal((5, 4)) + 1.0
         proj = RNG.standard_normal((5, 4))
@@ -226,7 +214,8 @@ class TestBackwardContract:
             def build(ts):
                 h = ad.matmul(ts[0], ts[1])
                 h = ad.elu(h)
-                s = ad.softmax(h, axis=1)
+                e = ad.exp(h)
+                s = ad.div(e, ad.tensor_sum(e, axis=1, keepdims=True))
                 return ad.tensor_sum(ad.log(s + 1.5) * proj)
 
             check_op(build, [a, b])

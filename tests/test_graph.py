@@ -11,7 +11,6 @@ from cellscape.spatial_graph import (
     build_delaunay_graph,
     build_knn_graph,
     choose_graph_method,
-    neighbor_set,
     prune_long_edges,
     read_edge_list,
     write_edge_list,
@@ -44,6 +43,18 @@ def brute_force_delaunay_edges(pts: np.ndarray) -> set[tuple[int, int]]:
         if empty:
             for a, b in ((i, j), (j, k), (i, k)):
                 edges.add((min(a, b), max(a, b)))
+    return edges
+
+
+def brute_force_knn_edges(points: np.ndarray, k: int) -> set[tuple[int, int]]:
+    """Union of each point's k nearest others by (distance, index), from
+    per-pair Euclidean norms."""
+    n = points.shape[1]
+    edges = set()
+    for i in range(n):
+        dist = [(np.linalg.norm(points[:, i] - points[:, j]), j) for j in range(n) if j != i]
+        for _, j in sorted(dist)[:k]:
+            edges.add((min(i, j), max(i, j)))
     return edges
 
 
@@ -91,6 +102,20 @@ class TestKnn:
         with pytest.warns(RuntimeWarning, match="duplicate"):
             g = build_knn_graph(coords, k=1)
         assert (0, 1) in {tuple(e) for e in g.edges}
+
+    def test_points_of_any_dimension(self):
+        # 6-D embedding: the first two dimensions are noise, the other four
+        # place the cells in three far-apart clusters
+        rng = np.random.default_rng(8)
+        centers = rng.standard_normal((4, 3)) * 10
+        points = np.vstack([rng.random((2, 60)),
+                            centers[:, np.arange(60) % 3] + rng.standard_normal((4, 60))])
+        g = build_knn_graph(points, k=4)
+        edges = {tuple(e) for e in g.edges.tolist()}
+        assert edges == brute_force_knn_edges(points, k=4)
+        assert edges != {tuple(e) for e in build_knn_graph(points[:2], k=4).edges.tolist()}
+        for (i, j), w in zip(g.edges, g.weights):
+            assert w == pytest.approx(np.linalg.norm(points[:, i] - points[:, j]), abs=1e-12)
 
     def test_no_self_loops_no_duplicates(self):
         rng = np.random.default_rng(3)
@@ -174,16 +199,6 @@ class TestMergeAndNeighbors:
         gs = [build_knn_graph(rng.random((2, m)), k=2) for m in (10, 15, 20)]
         merged = block_diagonal_merge(gs)
         assert merged.n_edges == sum(g.n_edges for g in gs)
-
-    def test_neighbor_set(self):
-        triangle = self._tiny(3, [(0, 1), (0, 2), (1, 2)])
-        assert neighbor_set(triangle, 0) == [1, 2]
-        path = self._tiny(3, [(0, 1), (1, 2)])
-        assert neighbor_set(path, 1) == [0, 2]
-        isolated = self._tiny(2, [])
-        assert neighbor_set(isolated, 0) == []
-        with pytest.raises(ValueError, match="out of range"):
-            neighbor_set(path, 5)
 
 
 class TestMethodChoiceAndIO:

@@ -5,10 +5,11 @@ import pytest
 
 from cellscape import autodiff as ad
 from cellscape.autodiff import Tensor
+from cellscape.checkpoint import load_checkpoint, save_checkpoint
 from cellscape.dataset import ExpressionDataset
 from cellscape.gene_map import layout_genes
 from cellscape.losses import contrastive_loss, sce_loss
-from cellscape.network import CellScapeModel, ModelConfig, fuse, gat_layer
+from cellscape.network import CellScapeModel, ModelConfig, gat_layer
 from cellscape.preprocess import pearson_coexpression
 from cellscape.spatial_graph import SpatialGraph, build_knn_graph
 from cellscape.training import embed, train
@@ -114,27 +115,6 @@ class TestCnnEncoder:
         cfg = ModelConfig(seed=0, **TOY_CFG)
         with pytest.raises(ValueError, match="q=3"):
             CellScapeModel(9, 3, cfg)
-
-
-class TestFuse:
-    def test_identity_is_concat(self):
-        z = fuse([1.0, 2.0], [3.0], np.eye(3))
-        np.testing.assert_array_equal(z, [1, 2, 3])
-
-    def test_zero_intrinsic_block(self):
-        rng = np.random.default_rng(3)
-        W = rng.standard_normal((2, 5))
-        z_sp = rng.standard_normal(3)
-        np.testing.assert_allclose(
-            fuse(z_sp, np.zeros(2), W), W[:, :3] @ z_sp, atol=1e-12
-        )
-
-    def test_scalar_case(self):
-        assert fuse([1.0], [4.0], np.array([[2.0, 3.0]]))[0] == pytest.approx(14.0)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="incompatible"):
-            fuse([1.0, 2.0], [3.0], np.eye(2))
 
 
 class TestSceLoss:
@@ -324,3 +304,27 @@ class TestTraining:
         _, _, log = train(ds, graph, layout, cfg)
         assert [r["epoch"] for r in log] == [0, 1, 2]
         assert all(r["lr"] == cfg.learning_rate for r in log)
+
+
+class TestCheckpoint:
+    def test_round_trip_embeds_bit_for_bit(self, tmp_path):
+        ds, graph, layout = toy_dataset(seed=19)
+        cfg = ModelConfig(seed=19, epochs=3, **TOY_CFG)
+        model, emb, _ = train(ds, graph, layout, cfg)
+        path = tmp_path / "model.csk"
+        save_checkpoint(path, model)
+        back = embed(load_checkpoint(path), ds, graph, layout)
+        np.testing.assert_array_equal(back.Z_spatial, emb.Z_spatial)
+        np.testing.assert_array_equal(back.Z_intrinsic, emb.Z_intrinsic)
+        np.testing.assert_array_equal(back.Z, emb.Z)
+
+    def test_version_1_rejected(self, tmp_path):
+        ds, graph, layout = toy_dataset(seed=20)
+        model = CellScapeModel(ds.n_genes, layout.q, ModelConfig(seed=20, **TOY_CFG))
+        path = tmp_path / "model.csk"
+        save_checkpoint(path, model)
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = (1).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
