@@ -3,7 +3,17 @@
 Tensors wrap float64 arrays and record the operations that produced them;
 ``backward`` walks the graph in reverse topological order and accumulates
 gradients into every reachable tensor with ``requires_grad=True``. Only the
-operations the training loop needs are implemented; all run on CPU numpy.
+operations the training loop needs are implemented; all run on CPU numpy
+and scipy.sparse.
+
+Most ops are generic (elementwise, matmul, gathers, segment sums,
+convolution). Graph attention is one fused op, ``gat_attention``: per-pair
+scores, the per-receiver softmax and the aggregation for every head run
+over the graph's CSR edge arrays, with the aggregation as a sparse product
+and the pair-score backward in blocks of edges, so no op holds an
+edges x features array. ``slice_cols`` has no caller in the model; the
+composite attention reference in the tests is built from it, and the
+benchmark tracer wraps it by name.
 """
 
 from __future__ import annotations
@@ -12,6 +22,7 @@ import os
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 # CELLSCAPE_DEBUG=1: NaN/Inf checks after every forward and backward step
 _DEBUG = bool(os.environ.get("CELLSCAPE_DEBUG"))
@@ -341,6 +352,86 @@ def segment_sum(a, segment_ids, num_segments: int) -> Tensor:
             a._accumulate(g[seg], own=True)
 
     return _make(values, (a,), backward_fn, "segment_sum")
+
+
+# ---------------------------------------------------------------------------
+# graph attention
+# ---------------------------------------------------------------------------
+
+# Edges per block of the edge-score backward: its temporaries are
+# _EDGE_CHUNK x width instead of E x width (E x n_genes in the decoder).
+_EDGE_CHUNK = 2048
+
+
+def gat_attention(hw, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor], edges,
+                  slope: float, average: bool, collect_attention: list | None = None) -> Tensor:
+    """Multi-head graph attention (Velickovic et al. 2018) over projected
+    features ``hw`` (n, heads * d), all heads in one op.
+
+    ``edges`` holds the attention pairs in CSR order: ``dst`` and ``src``
+    arrays sorted by receiver and row pointers ``indptr`` with every row
+    non-empty (``spatial_graph.DirectedEdges``). Head ``k`` scores pair
+    (i <- j) as leaky_relu(hw_k[i] . a_center[k] + hw_k[j] . a_neighbor[k]),
+    softmax-normalizes the scores per receiver and aggregates
+    sum_j alpha_ij hw_k[j] as one sparse product. Heads are concatenated, or
+    averaged when ``average`` is set. ``collect_attention`` receives one
+    ``(alpha (E, 1), dst)`` pair per head.
+    """
+    hw = as_tensor(hw)
+    heads = len(a_center)
+    n, width = hw.shape
+    d = width // heads
+    dst, src, indptr = edges.dst, edges.src, edges.indptr
+    starts = indptr[:-1]
+    feats = hw.values.reshape(n, heads, d)
+    ac = np.stack([a.values.reshape(d) for a in a_center])
+    an = np.stack([a.values.reshape(d) for a in a_neighbor])
+
+    raw = (np.einsum("nhd,hd->nh", feats, ac)[dst]
+           + np.einsum("nhd,hd->nh", feats, an)[src])           # (E, heads)
+    positive = raw > 0
+    scores = np.where(positive, raw, slope * raw)
+    ex = np.exp(scores - np.maximum.reduceat(scores, starts, axis=0)[dst])
+    alpha = ex / np.add.reduceat(ex, starts, axis=0)[dst]
+    adjacency = [csr_matrix((alpha[:, k], src, indptr), shape=(n, n)) for k in range(heads)]
+    outs = [adjacency[k] @ feats[:, k] for k in range(heads)]
+    if collect_attention is not None:
+        collect_attention.extend((alpha[:, k:k + 1].copy(), dst) for k in range(heads))
+    if average:
+        values = outs[0]
+        for out in outs[1:]:
+            values += out
+        values *= 1.0 / heads
+    else:
+        values = np.concatenate(outs, axis=1)
+
+    def backward_fn(g):
+        # (n, heads, d), or (n, 1, d) shared by all heads when they are averaged
+        grads = (g * (1.0 / heads) if average else g).reshape(n, -1, d)
+        # d loss / d alpha for every pair: <g_k[dst], hw_k[src]>, by blocks of edges
+        dalpha = np.empty_like(alpha)
+        for lo in range(0, dst.size, _EDGE_CHUNK):
+            hi = lo + _EDGE_CHUNK
+            dalpha[lo:hi] = np.einsum("ehd,ehd->eh", grads[dst[lo:hi]], feats[src[lo:hi]])
+        # softmax, then leaky-ReLU backward; the segment maximum cancels
+        weighted = alpha * dalpha
+        dscores = weighted - alpha * np.add.reduceat(weighted, starts, axis=0)[dst]
+        dscores *= np.where(positive, 1.0, slope)
+        dcenter = np.add.reduceat(dscores, starts, axis=0)                  # (n, heads)
+        dneighbor = np.stack([np.bincount(src, weights=dscores[:, k], minlength=n)
+                              for k in range(heads)], axis=1)
+        if hw.requires_grad:
+            dfeats = dcenter[:, :, None] * ac + dneighbor[:, :, None] * an
+            per_head = np.broadcast_to(grads, (n, heads, d))
+            for k in range(heads):
+                dfeats[:, k] += adjacency[k].T @ np.ascontiguousarray(per_head[:, k])
+            hw._accumulate(dfeats.reshape(n, width), own=True)
+        for params, dscore in ((a_center, dcenter), (a_neighbor, dneighbor)):
+            for k, a in enumerate(params):
+                if a.requires_grad:
+                    a._accumulate((feats[:, k].T @ dscore[:, k]).reshape(d, 1), own=True)
+
+    return _make(values, (hw, *a_center, *a_neighbor), backward_fn, "gat_attention")
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,12 @@ def load_checkpoint(path) -> CellScapeModel:
         if set(names) != set(model.params):
             raise ValueError(f"{path}: checkpoint parameters do not match the configuration")
         for n in names:
+            built = model.params[n].shape
+            if shapes[n] != built:
+                raise ValueError(
+                    f"{path}: parameter {n} has shape {list(shapes[n])} in the checkpoint "
+                    f"but {list(built)} in the model its configuration builds"
+                )
             model.params[n].values = read_array(shapes[n])
         for entry in header["bn"]:
             state = model.bn_states[entry["name"]]

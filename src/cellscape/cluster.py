@@ -90,11 +90,16 @@ def _component_terms(diff: np.ndarray,
     return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha), tr_inv
 
 
+# final log-likelihoods within this relative distance of the best count as tied
+_RESTART_RTOL = 1e-12
+
+
 def gmm_cluster(Zp: np.ndarray, K: int, seed: int, n_restarts: int = 5,
                 max_iter: int = 200, tol: float = 1e-7, reg: float = 1e-6,
                 init_means: np.ndarray | None = None) -> DomainLabels:
     """Full-covariance EM, best of ``n_restarts`` k-means++ starts by final
-    log-likelihood. Assignment is by maximum posterior responsibility.
+    log-likelihood (the earliest restart within a relative 1e-12 of the
+    best). Assignment is by maximum posterior responsibility.
 
     ``reg`` acts as a fixed prior on each covariance: the M-step sets
     ``cov_k = S_k + (lam / n_k) I`` with ``lam = reg * n / K`` (about
@@ -117,7 +122,7 @@ def gmm_cluster(Zp: np.ndarray, K: int, seed: int, n_restarts: int = 5,
 
     lam = reg * n / K
     data_cov = np.cov(X, rowvar=False, ddof=1).reshape(d, d) + reg * np.eye(d)
-    best = None
+    finals = []
     restarts = 1 if init_means is not None else n_restarts
     for restart in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence([seed, restart]))
@@ -180,11 +185,15 @@ def gmm_cluster(Zp: np.ndarray, K: int, seed: int, n_restarts: int = 5,
             scatter = (diff * resp.T[:, :, None]).transpose(0, 2, 1) @ diff
             covs = (scatter + lam * np.eye(d)) / nk[:, None, None]
 
-        candidate = (prev_ll, -restart, resp, path, objectives)
-        if best is None or candidate[:2] > best[:2]:
-            best = candidate
+        finals.append((prev_ll, resp, path, objectives))
 
-    _, _, resp, path, objectives = best
+    # restarts that reach one optimum end a few ulps apart, with permuted
+    # components; keeping the earliest near-best one makes the label ids
+    # independent of summation order
+    top = max(ll for ll, *_ in finals)
+    _, resp, path, objectives = next(
+        f for f in finals if f[0] >= top - _RESTART_RTOL * abs(top)
+    )
     labels = resp.argmax(axis=1).astype(np.int64)
     return DomainLabels(labels=labels, n_domains=K, posterior=resp,
                         log_likelihood_path=path, objective_path=objectives)

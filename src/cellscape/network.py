@@ -9,7 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, Tensor
-from .spatial_graph import SpatialGraph
+from .spatial_graph import DirectedEdges, SpatialGraph
 
 
 @dataclass
@@ -54,44 +54,15 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_o
     return Tensor(rng.uniform(-limit, limit, shape), requires_grad=True)
 
 
-def gat_layer(h: Tensor, dst: np.ndarray, src: np.ndarray, n: int,
-              W: Tensor, a_center: list[Tensor], a_neighbor: list[Tensor],
-              head_dim: int, slope: float, average: bool,
+def gat_layer(h: Tensor, edges: DirectedEdges, W: Tensor, a_center: list[Tensor],
+              a_neighbor: list[Tensor], slope: float, average: bool,
               collect_attention: list | None = None) -> Tensor:
-    """One multi-head graph-attention layer over precomputed directed edges.
-
-    ``dst``/``src`` list each attention pair (receiver, sender) including
-    self-loops; softmax normalizes per receiver. Heads are concatenated, or
-    averaged when ``average`` is set (final layers).
-    """
-    heads = len(a_center)
-    hw = ad.matmul(h, W)
-    outputs = []
-    for head in range(heads):
-        part = ad.slice_cols(hw, head * head_dim, (head + 1) * head_dim)
-        score_c = ad.matmul(part, a_center[head])
-        score_n = ad.matmul(part, a_neighbor[head])
-        e = ad.leaky_relu(
-            ad.gather_rows(score_c, dst) + ad.gather_rows(score_n, src), slope
-        )
-        # per-receiver softmax, stabilized by the detached segment maximum
-        seg_max = np.full((n, 1), -np.inf)
-        np.maximum.at(seg_max, dst, e.values)
-        ex = ad.exp(e - seg_max[dst])
-        denom = ad.segment_sum(ex, dst, n)
-        alpha = ex / ad.gather_rows(denom, dst)
-        if collect_attention is not None:
-            collect_attention.append((alpha.values.copy(), dst))
-        messages = ad.gather_rows(part, src) * alpha
-        outputs.append(ad.segment_sum(messages, dst, n))
-    if heads == 1:
-        return outputs[0]
-    if average:
-        total = outputs[0]
-        for out in outputs[1:]:
-            total = total + out
-        return total * (1.0 / heads)
-    return ad.concat(outputs, axis=1)
+    """One multi-head graph-attention layer: project by ``W``, then attend
+    over the graph's directed edges (self-loops included), one head per
+    ``a_center``/``a_neighbor`` pair. Heads are concatenated, or averaged
+    when ``average`` is set (final layers)."""
+    return ad.gat_attention(ad.matmul(h, W), a_center, a_neighbor, edges, slope, average,
+                            collect_attention)
 
 
 class CellScapeModel:
@@ -156,20 +127,18 @@ class CellScapeModel:
 
     # -- forward pieces ---------------------------------------------------
 
-    def encode_spatial(self, features: Tensor, dst, src, n,
+    def encode_spatial(self, features: Tensor, edges: DirectedEdges,
                        collect_attention=None) -> Tensor:
         cfg = self.cfg
-        head_dim = cfg.hidden_dim // cfg.attention_heads
         h = features
         for layer in range(cfg.gat_layers):
             final = layer == cfg.gat_layers - 1
-            out_dim = cfg.embed_dim if final else head_dim
             h = gat_layer(
-                h, dst, src, n,
+                h, edges,
                 self.params[f"encoder.{layer}.W"],
                 [self.params[f"encoder.{layer}.{k}.a_center"] for k in range(cfg.attention_heads)],
                 [self.params[f"encoder.{layer}.{k}.a_neighbor"] for k in range(cfg.attention_heads)],
-                out_dim, cfg.attention_slope, average=final,
+                cfg.attention_slope, average=final,
                 collect_attention=collect_attention,
             )
             if not final:
@@ -191,13 +160,13 @@ class CellScapeModel:
         flat = ad.reshape(x, (n, -1))
         return ad.matmul(flat, self.params["cnn.fc.w"]) + self.params["cnn.fc.b"]
 
-    def decode(self, z: Tensor, dst, src, n) -> Tensor:
+    def decode(self, z: Tensor, edges: DirectedEdges) -> Tensor:
         return gat_layer(
-            z, dst, src, n,
+            z, edges,
             self.params["decoder.W"],
             [self.params["decoder.0.a_center"]],
             [self.params["decoder.0.a_neighbor"]],
-            self.n_genes, self.cfg.attention_slope, average=True,
+            self.cfg.attention_slope, average=True,
         )
 
     def forward(self, features: np.ndarray, maps: np.ndarray | None,
@@ -211,9 +180,9 @@ class CellScapeModel:
         n = graph.n_nodes
         if features.shape != (n, self.n_genes):
             raise ValueError(f"features shape {features.shape} != ({n}, {self.n_genes})")
-        dst, src = graph.directed_edges()
+        edges = graph.directed_edges()
 
-        z_spatial = self.encode_spatial(Tensor(features), dst, src, n, collect_attention)
+        z_spatial = self.encode_spatial(Tensor(features), edges, collect_attention)
         if self.cfg.cci_only:
             z_intrinsic = None
             joint = z_spatial
@@ -223,7 +192,7 @@ class CellScapeModel:
             z_intrinsic = self.encode_intrinsic(maps, training, update_running)
             joint = ad.concat([z_spatial, z_intrinsic], axis=1)
         z_fused = ad.matmul(joint, self.params["fusion.W"])
-        x_hat = self.decode(z_fused, dst, src, n)
+        x_hat = self.decode(z_fused, edges)
         return {
             "z_spatial": z_spatial,
             "z_intrinsic": z_intrinsic,

@@ -12,6 +12,17 @@ import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
 
+@dataclass(frozen=True)
+class DirectedEdges:
+    """Attention pairs of a graph in CSR order: both orientations of every
+    edge plus a self-loop on every node, sorted by (dst, src). Receiver
+    ``i`` owns entries ``indptr[i]:indptr[i + 1]``, never an empty range."""
+
+    dst: np.ndarray     # (E,) receivers, non-decreasing
+    src: np.ndarray     # (E,) senders, increasing within each receiver
+    indptr: np.ndarray  # (n + 1,) row pointers into dst/src
+
+
 @dataclass
 class SpatialGraph:
     """Weighted undirected graph over cells; weights are Euclidean distances."""
@@ -19,6 +30,7 @@ class SpatialGraph:
     n_nodes: int
     edges: np.ndarray    # (E, 2) int, each row sorted i < j, rows unique + sorted
     weights: np.ndarray  # (E,) positive distances
+    _directed: DirectedEdges | None = field(default=None, repr=False, compare=False)
     _neighbors: list[np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -38,12 +50,13 @@ class SpatialGraph:
         return self.edges.shape[0]
 
     def neighbor_lists(self) -> list[np.ndarray]:
+        """Each node's neighbours in increasing order, self excluded."""
         if self._neighbors is None:
-            adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
-            for i, j in self.edges:
-                adj[i].append(j)
-                adj[j].append(i)
-            self._neighbors = [np.array(sorted(a), dtype=np.int64) for a in adj]
+            directed = self.directed_edges()
+            others = directed.src[directed.src != directed.dst]
+            # every CSR row holds exactly one self-loop
+            bounds = directed.indptr[1:-1] - np.arange(1, self.n_nodes)
+            self._neighbors = np.split(others, bounds)
         return self._neighbors
 
     def degrees(self) -> np.ndarray:
@@ -53,14 +66,18 @@ class SpatialGraph:
             np.add.at(deg, self.edges[:, 1], 1)
         return deg
 
-    def directed_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """(dst, src) arrays with both orientations plus a self-loop on every
-        node, sorted by (dst, src)."""
-        loop = np.arange(self.n_nodes, dtype=np.int64)
-        dst = np.concatenate([self.edges[:, 0], self.edges[:, 1], loop])
-        src = np.concatenate([self.edges[:, 1], self.edges[:, 0], loop])
-        order = np.lexsort((src, dst))
-        return dst[order], src[order]
+    def directed_edges(self) -> DirectedEdges:
+        """The graph's attention pairs, built on first use and cached."""
+        if self._directed is None:
+            loop = np.arange(self.n_nodes, dtype=np.int64)
+            dst = np.concatenate([self.edges[:, 0], self.edges[:, 1], loop])
+            src = np.concatenate([self.edges[:, 1], self.edges[:, 0], loop])
+            order = np.lexsort((src, dst))
+            dst, src = dst[order], src[order]
+            indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
+            np.cumsum(np.bincount(dst, minlength=self.n_nodes), out=indptr[1:])
+            self._directed = DirectedEdges(dst, src, indptr)
+        return self._directed
 
 
 def _finalize(n: int, pair_set: set[tuple[int, int]], coords: np.ndarray) -> SpatialGraph:

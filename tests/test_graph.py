@@ -16,6 +16,8 @@ from cellscape.spatial_graph import (
     write_edge_list,
 )
 
+from oracles import loop_neighbor_lists
+
 
 def brute_force_delaunay_edges(pts: np.ndarray) -> set[tuple[int, int]]:
     """Edges of all empty-circumcircle triangles (general-position points)."""
@@ -200,6 +202,26 @@ class TestMergeAndNeighbors:
         merged = block_diagonal_merge(gs)
         assert merged.n_edges == sum(g.n_edges for g in gs)
 
+    @pytest.mark.parametrize("kind", ["knn", "delaunay", "merged", "edgeless", "isolated"])
+    def test_neighbor_lists_match_loop(self, kind):
+        rng = np.random.default_rng(9)
+        if kind == "knn":
+            g = build_knn_graph(rng.random((2, 300)), k=5)
+        elif kind == "delaunay":
+            g = build_delaunay_graph(rng.random((2, 200)))
+        elif kind == "merged":
+            g = block_diagonal_merge([build_knn_graph(rng.random((2, m)), k=2) for m in (8, 12)])
+        elif kind == "edgeless":
+            g = self._tiny(4, [])
+        else:
+            g = self._tiny(6, [(0, 3), (1, 3), (3, 5)])
+        expected = loop_neighbor_lists(g.n_nodes, g.edges)
+        got = g.neighbor_lists()
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
 
 class TestMethodChoiceAndIO:
     def test_grid_prefers_knn(self):
@@ -223,8 +245,20 @@ class TestMethodChoiceAndIO:
 
     def test_directed_edges_include_self_loops(self):
         g = SpatialGraph(3, np.array([[0, 1]]), np.array([1.0]))
-        dst, src = g.directed_edges()
-        assert len(dst) == 2 + 3
-        assert set(zip(dst.tolist(), src.tolist())) == {
+        edges = g.directed_edges()
+        assert len(edges.dst) == 2 + 3
+        assert set(zip(edges.dst.tolist(), edges.src.tolist())) == {
             (0, 0), (0, 1), (1, 0), (1, 1), (2, 2),
         }
+        assert g.directed_edges() is edges
+
+    def test_directed_edges_csr_order(self):
+        g = build_knn_graph(np.random.default_rng(7).random((2, 50)), k=3)
+        edges = g.directed_edges()
+        assert np.all(np.diff(edges.dst) >= 0)
+        for i in range(g.n_nodes):
+            row = slice(edges.indptr[i], edges.indptr[i + 1])
+            np.testing.assert_array_equal(edges.dst[row], i)
+            assert np.all(np.diff(edges.src[row]) > 0)
+            assert i in edges.src[row]
+        assert edges.indptr[-1] == 2 * g.n_edges + g.n_nodes

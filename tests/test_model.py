@@ -14,7 +14,7 @@ from cellscape.preprocess import pearson_coexpression
 from cellscape.spatial_graph import SpatialGraph, build_knn_graph
 from cellscape.training import embed, train
 
-from oracles import finite_difference_grads, relative_error
+from oracles import composite_gat_layer, finite_difference_grads, relative_error
 
 TOY_CFG = dict(
     gat_layers=2,
@@ -51,13 +51,12 @@ class TestGatLayer:
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         g = build_knn_graph(rng.random((2, 10)), k=2)
-        dst, src = g.directed_edges()
         W = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
         a_c = [Tensor(rng.standard_normal((4, 1)), requires_grad=True)]
         a_n = [Tensor(rng.standard_normal((4, 1)), requires_grad=True)]
         attn = []
-        gat_layer(Tensor(rng.standard_normal((10, 5))), dst, src, 10, W, a_c, a_n,
-                  4, 0.2, average=True, collect_attention=attn)
+        gat_layer(Tensor(rng.standard_normal((10, 5))), g.directed_edges(), W, a_c, a_n,
+                  0.2, average=True, collect_attention=attn)
         alpha, dst_idx = attn[0]
         sums = np.zeros(10)
         np.add.at(sums, dst_idx, alpha[:, 0])
@@ -65,14 +64,13 @@ class TestGatLayer:
 
     def test_identical_features_uniform_attention(self):
         g = self._path_graph()
-        dst, src = g.directed_edges()
         rng = np.random.default_rng(1)
         W = Tensor(rng.standard_normal((4, 3)))
         a_c = [Tensor(rng.standard_normal((3, 1)))]
         a_n = [Tensor(rng.standard_normal((3, 1)))]
         h = Tensor(np.tile(rng.standard_normal(4), (3, 1)))
         attn = []
-        gat_layer(h, dst, src, 3, W, a_c, a_n, 3, 0.2, True, collect_attention=attn)
+        gat_layer(h, g.directed_edges(), W, a_c, a_n, 0.2, True, collect_attention=attn)
         alpha, dst_idx = attn[0]
         for node in range(3):
             vals = alpha[dst_idx == node, 0]
@@ -81,17 +79,140 @@ class TestGatLayer:
     def test_hand_computed_scalar_attention(self):
         # path 0-1-2, h=(0,1,2), W=1, scores e_ij = h_i + h_j, self-loops on
         g = self._path_graph()
-        dst, src = g.directed_edges()
         out = gat_layer(
-            Tensor(np.array([[0.0], [1.0], [2.0]])), dst, src, 3,
+            Tensor(np.array([[0.0], [1.0], [2.0]])), g.directed_edges(),
             Tensor(np.array([[1.0]])),
             [Tensor(np.array([[1.0]]))],
             [Tensor(np.array([[1.0]]))],
-            1, 0.2, average=True,
+            0.2, average=True,
         )
         e = np.exp(1.0)
         expected = (e**2 + 2 * e**3) / (e + e**2 + e**3)
         assert out.values[1, 0] == pytest.approx(expected, rel=1e-12)
+
+
+def _attention_graph(kind: str) -> SpatialGraph:
+    rng = np.random.default_rng(21)
+    if kind == "knn":
+        return build_knn_graph(rng.random((2, 30)), k=3)
+    if kind == "self-loops only":
+        return SpatialGraph(6, np.empty((0, 2), dtype=np.int64), np.empty(0))
+    if kind == "isolated node":
+        g = build_knn_graph(rng.random((2, 12)), k=2)
+        return SpatialGraph(13, g.edges, g.weights)
+    if kind == "hub":
+        spokes = [(0, j) for j in range(1, 25)]
+        return SpatialGraph(25, np.array(spokes + [(3, 4), (7, 9)]), np.ones(26))
+    if kind == "several chunks":
+        g = build_knn_graph(rng.random((2, 1600)), k=4)
+        assert g.directed_edges().dst.size > 3 * ad._EDGE_CHUNK
+        return g
+    raise ValueError(kind)
+
+
+def _attention_inputs(n, heads, head_dim, seed, in_dim=5):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((n, in_dim)),
+            rng.standard_normal((in_dim, heads * head_dim)),
+            [rng.standard_normal((head_dim, 1)) for _ in range(heads)],
+            [rng.standard_normal((head_dim, 1)) for _ in range(heads)])
+
+
+def _attention_pass(layer, graph, arrays, average, weights):
+    """Value of ``layer`` and the gradients of sum(out * weights) with
+    respect to h, W and every attention vector."""
+    h, W, a_c, a_n = arrays
+    h = Tensor(h.copy(), requires_grad=True)
+    W = Tensor(W.copy(), requires_grad=True)
+    a_c = [Tensor(a.copy(), requires_grad=True) for a in a_c]
+    a_n = [Tensor(a.copy(), requires_grad=True) for a in a_n]
+    if layer == "fused":
+        out = gat_layer(h, graph.directed_edges(), W, a_c, a_n, 0.2, average)
+    else:
+        edges = graph.directed_edges()
+        out = composite_gat_layer(h, edges.dst, edges.src, graph.n_nodes, W, a_c, a_n,
+                                  a_c[0].shape[0], 0.2, average)
+    ad.backward(ad.tensor_sum(out * weights))
+    return [out.values, h.grad, W.grad, *(a.grad for a in a_c), *(a.grad for a in a_n)]
+
+
+class TestGatAttentionOracle:
+    """The fused op against the head-by-head composite of generic ops."""
+
+    @pytest.mark.parametrize("kind", ["knn", "self-loops only", "isolated node", "hub",
+                                      "several chunks"])
+    @pytest.mark.parametrize("average", [False, True])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_values_and_gradients_match_composite(self, kind, heads, average):
+        graph = _attention_graph(kind)
+        arrays = _attention_inputs(graph.n_nodes, heads, 3, seed=heads)
+        out_width = 3 if average else 3 * heads
+        weights = np.random.default_rng(5).standard_normal((graph.n_nodes, out_width))
+        fused = _attention_pass("fused", graph, arrays, average, weights)
+        reference = _attention_pass("composite", graph, arrays, average, weights)
+        # relative to each array's largest entry: single entries can cancel
+        for got, want in zip(fused, reference):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+
+    def test_attention_weights_match_composite(self):
+        graph = _attention_graph("hub")
+        h, W, a_c, a_n = _attention_inputs(graph.n_nodes, 2, 3, seed=8)
+        edges = graph.directed_edges()
+        fused, composite = [], []
+        gat_layer(Tensor(h), edges, Tensor(W), [Tensor(a) for a in a_c],
+                  [Tensor(a) for a in a_n], 0.2, False, collect_attention=fused)
+        composite_gat_layer(Tensor(h), edges.dst, edges.src, graph.n_nodes, Tensor(W),
+                            [Tensor(a) for a in a_c], [Tensor(a) for a in a_n], 3, 0.2,
+                            False, collect_attention=composite)
+        assert len(fused) == len(composite) == 2
+        for (alpha, dst), (alpha_ref, dst_ref) in zip(fused, composite):
+            assert alpha.shape == alpha_ref.shape
+            np.testing.assert_allclose(alpha, alpha_ref, rtol=1e-12)
+            np.testing.assert_array_equal(dst, dst_ref)
+
+    @pytest.mark.parametrize("average", [False, True])
+    def test_gradients_match_finite_differences(self, average):
+        graph = _attention_graph("isolated node")
+        arrays = _attention_inputs(graph.n_nodes, 2, 3, seed=11, in_dim=4)
+        h, W, a_c, a_n = arrays
+        weights = np.random.default_rng(6).standard_normal((graph.n_nodes, 3 if average else 6))
+        edges = graph.directed_edges()
+
+        def loss():
+            out = gat_layer(Tensor(h), edges, Tensor(W), [Tensor(a) for a in a_c],
+                            [Tensor(a) for a in a_n], 0.2, average)
+            return float((out.values * weights).sum())
+
+        analytic = _attention_pass("fused", graph, arrays, average, weights)[1:]
+        numeric = finite_difference_grads(loss, [h, W, *a_c, *a_n], h=1e-5)
+        for got, want in zip(analytic, numeric):
+            assert relative_error(got, want) < 1e-7
+
+    def test_edge_score_backward_stays_within_a_chunk(self):
+        # a decoder-shaped layer (one head, wide output): the backward may
+        # hold chunk x width and n x width buffers, never an E x width one
+        import tracemalloc
+
+        graph = build_knn_graph(np.random.default_rng(3).random((2, 2000)), k=10)
+        edges = graph.directed_edges()
+        n, width = graph.n_nodes, 64
+        rng = np.random.default_rng(4)
+        W = Tensor(rng.standard_normal((8, width)), requires_grad=True)
+        a_c = [Tensor(rng.standard_normal((width, 1)), requires_grad=True)]
+        a_n = [Tensor(rng.standard_normal((width, 1)), requires_grad=True)]
+        out = gat_layer(Tensor(rng.standard_normal((n, 8))), edges, W, a_c, a_n, 0.2, True)
+        loss = ad.tensor_sum(out * rng.standard_normal((n, width)))
+        edge_by_width = edges.dst.size * width * 8
+        assert edges.dst.size > 4 * ad._EDGE_CHUNK
+        tracemalloc.start()
+        try:
+            ad.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < edge_by_width
 
 
 class TestCnnEncoder:
@@ -327,4 +448,17 @@ class TestCheckpoint:
         blob[4:8] = (1).to_bytes(4, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
+
+    def test_transposed_parameter_shape_rejected(self, tmp_path):
+        ds, graph, layout = toy_dataset(seed=22)
+        model = CellScapeModel(ds.n_genes, layout.q, ModelConfig(seed=22, **TOY_CFG))
+        assert model.params["encoder.0.W"].shape == (16, 8)
+        path = tmp_path / "model.csk"
+        save_checkpoint(path, model)
+        blob = path.read_bytes()
+        entry = b'{"name": "encoder.0.W", "shape": [16, 8]}'
+        assert blob.count(entry) == 1
+        path.write_bytes(blob.replace(entry, b'{"name": "encoder.0.W", "shape": [8, 16]}'))
+        with pytest.raises(ValueError, match=r"encoder\.0\.W has shape \[8, 16\]"):
             load_checkpoint(path)
