@@ -6,14 +6,19 @@ gradients into every reachable tensor with ``requires_grad=True``. Only the
 operations the training loop needs are implemented; all run on CPU numpy
 and scipy.sparse.
 
-Most ops are generic (elementwise, matmul, gathers, segment sums,
-convolution). Graph attention is one fused op, ``gat_attention``: per-pair
-scores, the per-receiver softmax and the aggregation for every head run
-over the graph's CSR edge arrays, with the aggregation as a sparse product
-and the pair-score backward in blocks of edges, so no op holds an
-edges x features array. ``slice_cols`` has no caller in the model; the
-composite attention reference in the tests is built from it, and the
-benchmark tracer wraps it by name.
+Most ops are generic (elementwise, matmul, gathers, segment sums).
+Graph attention is one fused op, ``gat_attention``: per-pair scores, the
+per-receiver softmax and the aggregation for every head run over the
+graph's CSR edge arrays, with the aggregation as a sparse product and the
+pair-score backward in blocks of edges, so no op holds an edges x features
+array. A CNN block is one fused op, ``conv_block``: a bias-free 3x3
+convolution, batch normalization, leaky ReLU and 2x2 max pooling, computed
+channel-major on (C, N*H*W) rows, with the closed-form batch-norm backward
+and an int8 winner per pooling window.
+
+``slice_cols``, ``conv2d``, ``batch_norm`` and ``maxpool2`` have no caller
+in the model. They stay because the composite references in the tests are
+built from them and the benchmark tracer wraps them by name.
 """
 
 from __future__ import annotations
@@ -483,16 +488,18 @@ def l2_normalize_rows(a, eps: float = 1e-12) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def _im2col(x: np.ndarray, kh: int, kw: int, pad: int) -> np.ndarray:
-    """Return (N*Ho*Wo, C*kh*kw) patch matrix for a stride-1 convolution."""
+    """Return the (C*kh*kw, N*Ho*Wo) patch matrix of a stride-1 convolution
+    of NCHW ``x``: channel-major, so the convolution is ``w.reshape(cout, -1)
+    @ cols`` and each copied run is one output row of one image."""
     if pad > 0:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     n, c, h, w = x.shape
     ho, wo = h - kh + 1, w - kw + 1
     s0, s1, s2, s3 = x.strides
     windows = np.lib.stride_tricks.as_strided(
-        x, (n, ho, wo, c, kh, kw), (s0, s2, s3, s1, s2, s3), writeable=False
+        x, (c, kh, kw, n, ho, wo), (s1, s2, s3, s0, s2, s3), writeable=False
     )
-    return np.ascontiguousarray(windows).reshape(n * ho * wo, c * kh * kw)
+    return np.ascontiguousarray(windows).reshape(c * kh * kw, n * ho * wo)
 
 
 def _conv_raw(x: np.ndarray, w: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
@@ -500,8 +507,15 @@ def _conv_raw(x: np.ndarray, w: np.ndarray, pad: int) -> tuple[np.ndarray, np.nd
     cout, _, kh, kw = w.shape
     ho, wo = h + 2 * pad - kh + 1, wd + 2 * pad - kw + 1
     cols = _im2col(x, kh, kw, pad)
-    out = cols @ w.reshape(cout, -1).T
-    return out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2), cols
+    out = w.reshape(cout, -1) @ cols
+    return out.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3), cols
+
+
+def _conv_input_grad(g: np.ndarray, w: np.ndarray, pad: int) -> np.ndarray:
+    """Input gradient of a stride-1 convolution: ``g`` convolved with the
+    rotated, channel-swapped kernel."""
+    w_rot = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    return _conv_raw(g, w_rot, w.shape[2] - 1 - pad)[0]
 
 
 def conv2d(x, w, b, padding: int | str = "same") -> Tensor:
@@ -520,15 +534,13 @@ def conv2d(x, w, b, padding: int | str = "same") -> Tensor:
     values = values + b.values.reshape(1, cout, 1, 1)
 
     def backward_fn(g):
-        g2 = g.transpose(0, 2, 3, 1).reshape(-1, cout)
+        g2 = g.transpose(1, 0, 2, 3).reshape(cout, -1)
         if b.requires_grad:
-            b._accumulate(g2.sum(axis=0))
+            b._accumulate(g2.sum(axis=1))
         if w.requires_grad:
-            w._accumulate((g2.T @ cols).reshape(w.shape), own=True)
+            w._accumulate((g2 @ cols.T).reshape(w.shape), own=True)
         if x.requires_grad:
-            w_rot = w.values[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gx, _ = _conv_raw(g, np.ascontiguousarray(w_rot), kh - 1 - pad)
-            x._accumulate(gx, own=True)
+            x._accumulate(_conv_input_grad(g, w.values, pad), own=True)
 
     return _make(values, (x, w, b), backward_fn, "conv2d")
 
@@ -618,6 +630,92 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool,
                 x._accumulate(gxhat * inv_std, own=True)
 
     return _make(values, (x, gamma, beta), backward_fn, "batch_norm")
+
+
+def conv_block(x, w, gamma, beta, state: BatchNormState, training: bool,
+               update_running: bool, slope: float) -> Tensor:
+    """One CNN block in one op: stride-1 3x3 "same" convolution (no bias),
+    batch normalization per channel, leaky ReLU, then 2x2 max pooling.
+
+    The same function as ``maxpool2(leaky_relu(batch_norm(conv2d(x, w, 0))))``.
+    Everything between the convolution and the pooling runs channel-major on
+    (C, N*H*W) rows, so the batch statistics are contiguous row reductions.
+    Each window's winner is the first maximum in window order, as in
+    ``maxpool2``: the all-zero maps of masked cells tie whole windows. The
+    output is (N, C, H//2, W//2); trailing odd rows and columns are dropped.
+    """
+    x, w, gamma, beta = as_tensor(x), as_tensor(w), as_tensor(gamma), as_tensor(beta)
+    cout, cin, kh, kw = w.shape
+    if (kh, kw) != (3, 3):
+        raise ValueError(f"conv_block expects a 3x3 kernel, got {w.shape}")
+    if x.ndim != 4 or x.shape[1] != cin:
+        raise ValueError(f"conv_block input shape {x.shape} incompatible with kernel {w.shape}")
+    n, _, h, wd = x.shape
+    hp, wp = h // 2, wd // 2
+    if hp == 0 or wp == 0:
+        raise ValueError(f"conv_block input spatial dims too small: {x.shape}")
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"conv_block leaky-ReLU slope must lie in [0, 1], got {slope}")
+    m = n * h * wd
+    cols = _im2col(x.values, kh, kw, 1)                        # (cin * 9, m)
+    xhat = w.values.reshape(cout, -1) @ cols                   # (cout, m)
+
+    if training:
+        mu = xhat.mean(axis=1)
+        xhat -= mu[:, None]
+        var = np.einsum("ij,ij->i", xhat, xhat) / m
+        if update_running:
+            state.running_mean += state.momentum * (mu - state.running_mean)
+            state.running_var += state.momentum * (var * (m / max(m - 1, 1)) - state.running_var)
+    else:
+        xhat -= state.running_mean[:, None]
+        var = state.running_var
+    inv_std = 1.0 / np.sqrt(var + state.eps)
+    xhat *= inv_std[:, None]
+    act = xhat * gamma.values[:, None]
+    act += beta.values[:, None]
+    np.maximum(act, slope * act, out=act)                      # leaky ReLU, 0 <= slope <= 1
+
+    # pool the columns of each window's rows, then its rows; ">" keeps the
+    # first maximum, so the winner index 2 * row + column is maxpool2's argmax
+    win = act.reshape(cout, n, h, wd)[:, :, :2 * hp, :2 * wp].reshape(cout, n, hp, 2, wp, 2)
+    left, right = win[..., 0], win[..., 1]
+    col_max, col_win = np.maximum(left, right), right > left
+    top, bottom = col_max[:, :, :, 0], col_max[:, :, :, 1]
+    row_win = bottom > top
+    pooled = np.maximum(top, bottom)                           # (cout, n, hp, wp)
+    winner = (2 * row_win + np.where(row_win, col_win[:, :, :, 1], col_win[:, :, :, 0])
+              ).astype(np.int8)
+
+    def backward_fn(g):
+        # pooling, then leaky ReLU: the winner's sign is the pooled value's
+        g = g.transpose(1, 0, 2, 3)
+        g = np.where(pooled > 0, g, slope * g)
+        # flat position of each window's winner in the (cout, n, h, wd) activation
+        corner = (np.arange(cout * n)[:, None, None] * (h * wd)
+                  + np.arange(hp)[:, None] * (2 * wd) + np.arange(wp) * 2)
+        pos = winner.astype(np.intp).reshape(corner.shape)
+        dy = np.zeros((cout, m))
+        dy.reshape(-1)[(corner + (pos >> 1) * wd + (pos & 1)).reshape(-1)] = g.reshape(-1)
+        dbeta = dy.sum(axis=1)
+        dgamma = np.einsum("ij,ij->i", dy, xhat)
+        if gamma.requires_grad:
+            gamma._accumulate(dgamma, own=True)
+        if beta.requires_grad:
+            beta._accumulate(dbeta, own=True)
+        # batch-norm backward (Ioffe & Szegedy 2015), in place on dy
+        if training:
+            dy -= xhat * (dgamma / m)[:, None]
+            dy -= (dbeta / m)[:, None]
+        dy *= (gamma.values * inv_std)[:, None]
+        if w.requires_grad:
+            w._accumulate((dy @ cols.T).reshape(w.shape), own=True)
+        if x.requires_grad:
+            dy_nchw = dy.reshape(cout, n, h, wd).transpose(1, 0, 2, 3)
+            x._accumulate(_conv_input_grad(dy_nchw, w.values, 1), own=True)
+
+    values = np.ascontiguousarray(pooled.transpose(1, 0, 2, 3))
+    return _make(values, (x, w, gamma, beta), backward_fn, "conv_block")
 
 
 # ---------------------------------------------------------------------------

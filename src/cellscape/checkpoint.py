@@ -18,7 +18,7 @@ import numpy as np
 from .network import CellScapeModel, ModelConfig
 
 MAGIC = b"CSK1"
-VERSION = 2
+VERSION = 3
 
 
 def save_checkpoint(path, model: CellScapeModel) -> None:

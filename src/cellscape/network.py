@@ -104,7 +104,6 @@ class CellScapeModel:
                 self.params[f"cnn.{i}.w"] = _glorot(
                     rng, (out_ch, in_ch, 3, 3), in_ch * 9, out_ch * 9
                 )
-                self.params[f"cnn.{i}.b"] = Tensor(np.zeros(out_ch), requires_grad=True)
                 self.params[f"cnn.{i}.gamma"] = Tensor(np.ones(out_ch), requires_grad=True)
                 self.params[f"cnn.{i}.beta"] = Tensor(np.zeros(out_ch), requires_grad=True)
                 self.bn_states[f"cnn.{i}"] = BatchNormState(out_ch)
@@ -150,13 +149,11 @@ class CellScapeModel:
         n = maps.shape[0]
         x = Tensor(maps.reshape(n, 1, self.q, self.q))
         for i in range(len(self.cfg.cnn_channels)):
-            x = ad.conv2d(x, self.params[f"cnn.{i}.w"], self.params[f"cnn.{i}.b"], "same")
-            x = ad.batch_norm(
-                x, self.params[f"cnn.{i}.gamma"], self.params[f"cnn.{i}.beta"],
-                self.bn_states[f"cnn.{i}"], training, update_running,
+            x = ad.conv_block(
+                x, self.params[f"cnn.{i}.w"], self.params[f"cnn.{i}.gamma"],
+                self.params[f"cnn.{i}.beta"], self.bn_states[f"cnn.{i}"], training,
+                update_running, 0.01,
             )
-            x = ad.leaky_relu(x, 0.01)
-            x = ad.maxpool2(x)
         flat = ad.reshape(x, (n, -1))
         return ad.matmul(flat, self.params["cnn.fc.w"]) + self.params["cnn.fc.b"]
 

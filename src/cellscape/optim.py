@@ -61,12 +61,22 @@ def lr_schedule(epoch: int, base_lr: float, halving_period: int = 50) -> float:
     return base_lr * 0.5 ** (epoch // halving_period)
 
 
+# A task gradient whose norm is at most this fraction of the other's is
+# treated as noise and not projected on. Rounding noise in a gradient summed
+# over k terms reaches about eps * k of the terms' size (~2e-11 at k = 1e5
+# cells x pixels); a real gradient below the ratio is under 1e-8 of the
+# summed update, too small for its conflict to be worth a projection.
+NOISE_RATIO = 1e-8
+
+
 def pcgrad(grad_list: list[np.ndarray], seed: int) -> list[np.ndarray]:
     """Project away pairwise gradient conflicts between tasks.
 
     Each task gradient is checked against the other tasks' ORIGINAL gradients
     in a seeded random order; on a negative dot product the conflicting
-    component is removed. The caller applies the sum of the adjusted list.
+    component is removed, unless the other gradient's norm is at most
+    ``NOISE_RATIO`` times this one's: projecting on noise would remove an
+    arbitrary direction. The caller applies the sum of the adjusted list.
     """
     if len(grad_list) < 2:
         raise ValueError("pcgrad needs at least two task gradients")
@@ -90,6 +100,8 @@ def pcgrad(grad_list: list[np.ndarray], seed: int) -> list[np.ndarray]:
                         f"pcgrad: skipping projection onto zero-norm task gradient {j}",
                         RuntimeWarning,
                     )
+                    continue
+                if sq_norms[j] <= NOISE_RATIO ** 2 * sq_norms[i]:
                     continue
                 gi -= (dot / sq_norms[j]) * originals[j]
         adjusted.append(gi)

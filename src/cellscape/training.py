@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,13 +36,20 @@ def _collect_grads(params: dict) -> dict[str, np.ndarray]:
     }
 
 
+def _global_norm(grads: dict[str, np.ndarray]) -> float:
+    return float(np.sqrt(sum(float(g.ravel() @ g.ravel()) for g in grads.values())))
+
+
 def train(ds: ExpressionDataset, graph: SpatialGraph, layout: GeneLayout | None,
           cfg: ModelConfig) -> tuple[CellScapeModel, EmbeddingSet, list[dict]]:
     """Fit the dual-branch model; returns (model, embeddings, per-epoch log).
 
     Each epoch resamples the mask, evaluates both objectives on the masked
     inputs, backpropagates them separately, merges per-parameter gradients
-    with gradient surgery, and applies one scheduled Adam step.
+    with gradient surgery, and applies one scheduled Adam step. Each log
+    record holds the epoch, its learning rate, both losses, its wall time
+    (``epoch_s``), each loss's gradient norm over all parameters and the
+    fraction of parameter tensors that PCGrad changed.
     """
     if graph.n_nodes != ds.n_cells:
         raise ValueError(f"graph has {graph.n_nodes} nodes but dataset has {ds.n_cells} cells")
@@ -65,6 +73,7 @@ def train(ds: ExpressionDataset, graph: SpatialGraph, layout: GeneLayout | None,
 
     log: list[dict] = []
     for epoch in range(cfg.epochs):
+        start = time.perf_counter()
         lr = lr_schedule(epoch, cfg.learning_rate)
         seq = np.random.SeedSequence([cfg.seed, epoch])
         mask_seed, surgery_seed, anchor_seed = (int(s) for s in seq.generate_state(3))
@@ -112,16 +121,21 @@ def train(ds: ExpressionDataset, graph: SpatialGraph, layout: GeneLayout | None,
         zero_grads(params.values())
 
         combined = {}
+        projected = 0
         for name in params:
-            adjusted = pcgrad(
-                [grads_recon[name].ravel(), grads_con[name].ravel()], seed=surgery_seed
-            )
+            tasks = [grads_recon[name].ravel(), grads_con[name].ravel()]
+            adjusted = pcgrad(tasks, seed=surgery_seed)
+            projected += any(not np.array_equal(a, t) for a, t in zip(adjusted, tasks))
             combined[name] = (adjusted[0] + adjusted[1]).reshape(params[name].shape)
         adam_step(optimizer, params, combined, lr=lr)
 
-        log.append(
-            {"epoch": epoch, "lr": lr, "loss_recon": recon_val, "loss_contrastive": con_val}
-        )
+        log.append({
+            "epoch": epoch, "lr": lr, "loss_recon": recon_val, "loss_contrastive": con_val,
+            "epoch_s": time.perf_counter() - start,
+            "grad_norm_recon": _global_norm(grads_recon),
+            "grad_norm_contrastive": _global_norm(grads_con),
+            "pcgrad_projected_frac": projected / len(params),
+        })
 
     embeddings = embed(model, ds, graph, layout)
     return model, embeddings, log

@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive (loops, enumeration, finite
 differences) and shares no code with the package under test, except
-``composite_gat_layer``: it builds graph attention from the package's
-generic autodiff ops, which ``test_autodiff`` checks one by one, to serve
-as the gradient reference for the fused ``gat_attention`` op.
+``composite_gat_layer`` and ``composite_conv_block``: they build graph
+attention and the CNN block from the package's generic autodiff ops, which
+``test_autodiff`` checks one by one, to serve as the references for the
+fused ``gat_attention`` and ``conv_block`` ops.
 """
 
 from __future__ import annotations
@@ -77,6 +78,16 @@ def composite_gat_layer(h, dst, src, n: int, W, a_center, a_neighbor, head_dim: 
             total = total + out
         return total * (1.0 / heads)
     return ad.concat(outputs, axis=1)
+
+
+def composite_conv_block(x, w, gamma, beta, state, training: bool, update_running: bool,
+                         slope: float):
+    """conv -> batch norm -> leaky ReLU -> 2x2 max pool from the generic
+    autodiff ops, with a zero convolution bias."""
+    bias = ad.Tensor(np.zeros(w.shape[0]))
+    out = ad.conv2d(x, w, bias, "same")
+    out = ad.batch_norm(out, gamma, beta, state, training, update_running)
+    return ad.maxpool2(ad.leaky_relu(out, slope))
 
 
 def loop_neighbor_lists(n_nodes: int, edges):

@@ -1,6 +1,8 @@
 """The command-line chains on tiny simulated tissues."""
 
 import csv
+import json
+import math
 
 import yaml
 
@@ -45,6 +47,17 @@ def test_simulate_train_segment_evaluate(tmp_path, capsys):
     assert read_rows(tmp_path / "samples.csv") == \
         [["cell_id", "sample"]] + [[cid, "sample0"] for cid, _ in rows]
     check_markers(tmp_path / "markers.csv", {label for _, label in rows})
+
+    with open(tmp_path / "training_log.jsonl") as fh:
+        log = [json.loads(line) for line in fh]
+    assert [r["epoch"] for r in log] == [0, 1, 2]
+    for r in log:
+        assert set(r) == {"epoch", "lr", "loss_recon", "loss_contrastive", "epoch_s",
+                          "grad_norm_recon", "grad_norm_contrastive", "pcgrad_projected_frac"}
+        assert r["epoch_s"] > 0.0
+        assert math.isfinite(r["grad_norm_recon"]) and r["grad_norm_recon"] > 0.0
+        assert math.isfinite(r["grad_norm_contrastive"]) and r["grad_norm_contrastive"] > 0.0
+        assert 0.0 <= r["pcgrad_projected_frac"] <= 1.0
 
 
 def test_integrate_segment_analyze(tmp_path, capsys):

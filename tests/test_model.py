@@ -1,5 +1,7 @@
 """Network layers, losses, and training-loop behavior on toy problems."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from cellscape.preprocess import pearson_coexpression
 from cellscape.spatial_graph import SpatialGraph, build_knn_graph
 from cellscape.training import embed, train
 
-from oracles import composite_gat_layer, finite_difference_grads, relative_error
+from oracles import (composite_conv_block, composite_gat_layer, finite_difference_grads,
+                     relative_error)
 
 TOY_CFG = dict(
     gat_layers=2,
@@ -319,6 +322,112 @@ class TestContrastiveLoss:
             contrastive_loss(z * 2.0, [np.array([1]), np.array([0])], tau=1.0)
 
 
+def _conv_block_inputs(n, cin, cout, q, seed, masked=(1, 3)):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, cin, q, q))
+    x[list(masked)] = 0.0       # masked cells: all-zero maps, whole windows tie
+    w = rng.standard_normal((cout, cin, 3, 3))
+    gamma = rng.random(cout) + 0.5
+    beta = rng.standard_normal(cout)
+    return x, w, gamma, beta
+
+
+def _conv_block_pass(op, arrays, training, update_running, weights):
+    """Output, running statistics and the gradients of x, w, gamma and beta
+    of ``op`` (the fused op or the composite chain) under loss sum(out * weights)."""
+    x, w, gamma, beta = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+    state = ad.BatchNormState(w.shape[0])
+    state.running_mean[:] = 0.3
+    state.running_var[:] = 2.0
+    out = op(x, w, gamma, beta, state, training, update_running, 0.01)
+    ad.backward(ad.tensor_sum(out * weights))
+    return [out.values, state.running_mean, state.running_var,
+            x.grad, w.grad, gamma.grad, beta.grad]
+
+
+def _assert_match(got_list, want_list):
+    # relative to each array's largest entry: single entries can cancel
+    for got, want in zip(got_list, want_list):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+class TestConvBlockOracle:
+    """The fused CNN block against conv2d -> batch_norm -> leaky_relu -> maxpool2."""
+
+    @pytest.mark.parametrize("training,update_running",
+                             [(True, True), (True, False), (False, False)])
+    @pytest.mark.parametrize("cin,q", [(1, 6), (1, 7), (3, 5), (3, 8)])
+    def test_values_and_gradients_match_composite(self, cin, q, training, update_running):
+        arrays = _conv_block_inputs(6, cin, 4, q, seed=cin * 10 + q)
+        weights = np.random.default_rng(q).standard_normal((6, 4, q // 2, q // 2))
+        fused = _conv_block_pass(ad.conv_block, arrays, training, update_running, weights)
+        reference = _conv_block_pass(composite_conv_block, arrays, training, update_running,
+                                     weights)
+        _assert_match(fused, reference)
+        if not update_running:
+            np.testing.assert_array_equal(fused[1], 0.3)
+            np.testing.assert_array_equal(fused[2], 2.0)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_every_cell_masked(self, training):
+        # every window of every map ties; the gradient goes to each window's first entry
+        arrays = _conv_block_inputs(4, 1, 3, 6, seed=2, masked=range(4))
+        weights = np.random.default_rng(3).standard_normal((4, 3, 3, 3))
+        fused = _conv_block_pass(ad.conv_block, arrays, training, True, weights)
+        reference = _conv_block_pass(composite_conv_block, arrays, training, True, weights)
+        _assert_match(fused, reference)
+
+    def test_two_layer_model_matches_composite(self):
+        cfg = ModelConfig(seed=4, **{**TOY_CFG, "cnn_channels": (4, 8)})
+        model = CellScapeModel(36, 6, cfg)
+        maps = np.random.default_rng(5).random((10, 6, 6))
+        maps[[2, 7]] = 0.0
+        weights = np.random.default_rng(6).standard_normal((10, cfg.embed_dim))
+        names = [name for name in model.params if name.startswith("cnn.")]
+        states = copy.deepcopy(model.bn_states)
+
+        z = model.encode_intrinsic(maps, training=True, update_running=True)
+        ad.backward(ad.tensor_sum(z * weights))
+        fused = [z.values, *(model.params[k].grad for k in names),
+                 *(s.running_mean for s in model.bn_states.values()),
+                 *(s.running_var for s in model.bn_states.values())]
+        ad.zero_grads(model.params.values())
+
+        x = Tensor(maps.reshape(10, 1, 6, 6))
+        for i in range(2):
+            x = composite_conv_block(x, model.params[f"cnn.{i}.w"],
+                                     model.params[f"cnn.{i}.gamma"],
+                                     model.params[f"cnn.{i}.beta"], states[f"cnn.{i}"],
+                                     True, True, 0.01)
+        z_ref = ad.matmul(ad.reshape(x, (10, -1)), model.params["cnn.fc.w"]) \
+            + model.params["cnn.fc.b"]
+        ad.backward(ad.tensor_sum(z_ref * weights))
+        reference = [z_ref.values, *(model.params[k].grad for k in names),
+                     *(s.running_mean for s in states.values()),
+                     *(s.running_var for s in states.values())]
+        assert "cnn.1.w" in names and "cnn.0.b" not in model.params
+        _assert_match(fused, reference)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_gradients_match_finite_differences(self, training):
+        # no masked cells: a tied window is a kink that central differences straddle
+        arrays = _conv_block_inputs(3, 2, 2, 5, seed=9, masked=())
+        weights = np.random.default_rng(10).standard_normal((3, 2, 2, 2))
+        analytic = _conv_block_pass(ad.conv_block, arrays, training, False, weights)[3:]
+        state = ad.BatchNormState(2)
+        state.running_mean[:] = 0.3
+        state.running_var[:] = 2.0
+
+        def loss():
+            out = ad.conv_block(*(Tensor(a) for a in arrays), state, training, False, 0.01)
+            return float((out.values * weights).sum())
+
+        numeric = finite_difference_grads(loss, list(arrays), h=1e-6)
+        for got, want in zip(analytic, numeric):
+            assert relative_error(got, want) < 1e-6
+
+
 class TestModelGradients:
     def test_full_model_matches_finite_differences(self):
         ds, graph, layout = toy_dataset(n=12, p=16, seed=7)
@@ -439,16 +548,25 @@ class TestCheckpoint:
         np.testing.assert_array_equal(back.Z_intrinsic, emb.Z_intrinsic)
         np.testing.assert_array_equal(back.Z, emb.Z)
 
-    def test_version_1_rejected(self, tmp_path):
+    @staticmethod
+    def _saved_as_version(tmp_path, version):
         ds, graph, layout = toy_dataset(seed=20)
         model = CellScapeModel(ds.n_genes, layout.q, ModelConfig(seed=20, **TOY_CFG))
         path = tmp_path / "model.csk"
         save_checkpoint(path, model)
         blob = bytearray(path.read_bytes())
-        blob[4:8] = (1).to_bytes(4, "little")
+        blob[4:8] = version.to_bytes(4, "little")
         path.write_bytes(bytes(blob))
+        return path
+
+    def test_version_1_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
-            load_checkpoint(path)
+            load_checkpoint(self._saved_as_version(tmp_path, 1))
+
+    def test_version_2_rejected(self, tmp_path):
+        # version 2 stored a convolution bias per CNN layer
+        with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
+            load_checkpoint(self._saved_as_version(tmp_path, 2))
 
     def test_transposed_parameter_shape_rejected(self, tmp_path):
         ds, graph, layout = toy_dataset(seed=22)

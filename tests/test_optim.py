@@ -1,5 +1,7 @@
 """Optimizer, scheduler, and gradient-surgery contracts."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,18 @@ class TestPCGrad:
     def test_single_task_rejected(self):
         with pytest.raises(ValueError):
             pcgrad([np.ones(3)], seed=0)
+
+    def test_noise_norm_gradient_not_projected_on(self):
+        # the other task's gradient is rounding noise (norm ~3e-17 of this
+        # one's) with a negative dot product: projecting on it would rotate g1
+        g1 = np.array([0.6, 0.8])
+        g2 = np.array([-3e-17, 1e-17])
+        assert g1 @ g2 < 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = pcgrad([g1, g2], seed=0)
+        assert out[0].tobytes() == g1.tobytes()
+        assert out[1] @ g1 >= 0.0
 
     def test_zero_norm_skip_warns(self):
         # force the guard: a tiny-but-negative dot with a denormal-norm vector
