@@ -33,7 +33,7 @@ from .spatial_graph import (
     build_delaunay_graph,
     build_knn_graph,
 )
-from .synth import SyntheticSpec, generate_tissue, run_benchmark
+from .synth import SyntheticSpec, generate_tissue
 from .training import EmbeddingSet, embed, train
 
 __version__ = "0.1.0"

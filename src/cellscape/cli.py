@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: preprocess, graph, train, segment, evaluate, analyze, integrate,
-simulate, bench. All read one YAML config (``--config``) with flag overrides;
+simulate. All read one YAML config (``--config``) with flag overrides;
 ``CELLSCAPE_SEED`` overrides the configured seed. Exit codes: 0 success,
 1 usage or configuration error, 2 numerical failure.
 """
@@ -9,7 +9,6 @@ simulate, bench. All read one YAML config (``--config``) with flag overrides;
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import json
 import sys
@@ -42,7 +41,7 @@ from .dataset import (
 )
 from .metrics import hom, nmi
 from .spatial_graph import build_knn_graph, read_edge_list, write_edge_list
-from .synth import SyntheticSpec, generate_tissue, run_benchmark, write_benchmark_report
+from .synth import SyntheticSpec, generate_tissue
 from .training import write_embeddings_csv, write_training_log
 
 _DEFAULTS = PipelineConfig()
@@ -277,41 +276,6 @@ def cmd_simulate(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def cmd_bench(cfg: PipelineConfig, args) -> int:
-    out = _outdir(cfg)
-    spec = SyntheticSpec(
-        n_cells=cfg.simulate.n_cells,
-        n_genes=cfg.simulate.n_genes,
-        n_domains=cfg.simulate.n_domains,
-        band_axis=cfg.simulate.band_axis,
-        program_strength=cfg.simulate.program_strength,
-        noise_sd=cfg.simulate.noise_sd,
-        seed=cfg.seed,
-    )
-    ds, truth = generate_tissue(spec)
-
-    def configured(n_domains: int, seed: int) -> PipelineConfig:
-        local = copy.deepcopy(cfg)
-        local.seed = seed
-        local.clustering.n_domains = n_domains
-        return local
-
-    methods = [
-        ("full_pipeline",
-         lambda data, k, seed: pipeline.fit([data], configured(k, seed)).labels.labels),
-        ("pca_gmm_baseline",
-         lambda data, k, seed: pipeline.baseline_pca_gmm(data, configured(k, seed)).labels),
-    ]
-    report = run_benchmark(ds, truth, methods, repeats=cfg.bench.repeats,
-                           base_seed=cfg.seed)
-    write_benchmark_report(out / "benchmark.json", out / "benchmark.csv", report)
-    for method, stats in report.summary().items():
-        print(f"{method}: nmi={stats['nmi_mean']:.4f}±{stats['nmi_sd']:.4f} "
-              f"hom={stats['hom_mean']:.4f}±{stats['hom_sd']:.4f}")
-    print(f"wrote {out / 'benchmark.json'}")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
@@ -410,12 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-sd", type=float, default=None,
                    help=f"additive noise sd (default: {d.simulate.noise_sd})")
 
-    p = sub.add_parser("bench", help="benchmark the pipeline against the non-spatial baseline")
-    _add_common(p)
-    p.add_argument("--repeats", type=int, default=None,
-                   help=f"seeded repetitions (default: {d.bench.repeats})")
-    p.add_argument("--epochs", type=int, default=None,
-                   help=f"training epochs per run (default: {d.model.epochs})")
     return parser
 
 
@@ -439,7 +397,7 @@ _OVERRIDE_KEYS = {
     "mask_ratio": "model.mask_ratio",
     "tau": "model.tau",
     "gamma": "model.gamma",
-    "n_domains": None,  # context dependent, handled below
+    "n_domains": "clustering.n_domains",  # simulate.n_domains for simulate
     "pca_dim": "clustering.pca_dim",
     "refine_neighbors": "clustering.refine_neighbors",
     "transition_source": "analysis.transition_source",
@@ -447,7 +405,6 @@ _OVERRIDE_KEYS = {
     "n_genes": "simulate.n_genes",
     "program_strength": "simulate.program_strength",
     "noise_sd": "simulate.noise_sd",
-    "repeats": "bench.repeats",
 }
 
 COMMANDS = {
@@ -459,7 +416,6 @@ COMMANDS = {
     "analyze": cmd_analyze,
     "integrate": cmd_integrate,
     "simulate": cmd_simulate,
-    "bench": cmd_bench,
 }
 
 
@@ -471,14 +427,9 @@ def _collect_overrides(args: argparse.Namespace) -> dict:
         value = getattr(args, attr)
         if value is None:
             continue
-        if attr == "n_domains":
-            target = "simulate.n_domains" if args.command == "simulate" \
-                else "clustering.n_domains"
-            overrides[target] = value
-            if args.command in ("bench", "integrate"):
-                overrides["clustering.n_domains"] = value
-        else:
-            overrides[dotted] = value
+        if attr == "n_domains" and args.command == "simulate":
+            dotted = "simulate.n_domains"
+        overrides[dotted] = value
     if getattr(args, "no_refine", None):
         overrides["clustering.refine"] = False
     return overrides

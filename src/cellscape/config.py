@@ -87,11 +87,6 @@ class SimulateConfig:
 
 
 @dataclass
-class BenchConfig:
-    repeats: int = 5
-
-
-@dataclass
 class PipelineConfig:
     seed: int = 0
     paths: PathsConfig = field(default_factory=PathsConfig)
@@ -102,7 +97,6 @@ class PipelineConfig:
     clustering: ClusteringConfig = field(default_factory=ClusteringConfig)
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
     simulate: SimulateConfig = field(default_factory=SimulateConfig)
-    bench: BenchConfig = field(default_factory=BenchConfig)
 
     def validate(self) -> None:
         if self.graph.method not in ("knn", "delaunay", "auto"):
@@ -135,7 +129,6 @@ _SECTIONS = {
     "clustering": ClusteringConfig,
     "analysis": AnalysisConfig,
     "simulate": SimulateConfig,
-    "bench": BenchConfig,
 }
 
 

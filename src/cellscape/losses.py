@@ -9,6 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .spatial_graph import DirectedEdges
 
 
 def sce_loss(x: np.ndarray, x_hat: Tensor, mask_set: np.ndarray, gamma: float = 3.0) -> Tensor:
@@ -48,48 +49,57 @@ def sce_loss(x: np.ndarray, x_hat: Tensor, mask_set: np.ndarray, gamma: float = 
     return (ad.tensor_sum(terms) + constant_part) * (1.0 / n_terms)
 
 
-def neighbor_arrays(neighbors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Dense 0/1 adjacency plus the per-cell occurrence count across all
-    neighbor sets (reusable across contrastive evaluations)."""
-    n = len(neighbors)
-    degree = np.zeros(n)
-    adjacency = np.zeros((n, n))
-    for i, nb in enumerate(neighbors):
-        if len(nb) == 0:
-            raise ValueError(f"cell {i} has an empty neighbor set")
-        adjacency[i, nb] = 1.0
-        degree[nb] += 1.0
-    return adjacency, degree
+def neighbor_arrays(edges: DirectedEdges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The positive pairs of the contrastive loss: ``(dst, src, degree)``.
+
+    ``dst, src`` are the graph's directed edges without self-loops, sorted
+    by (anchor, neighbor); ``degree`` counts each cell's occurrences across
+    all neighbor sets (its graph degree), as float64.
+    """
+    empty = np.flatnonzero(np.diff(edges.indptr) == 1)  # a row holding only its self-loop
+    if empty.size:
+        raise ValueError(f"cell {empty[0]} has an empty neighbor set")
+    keep = edges.dst != edges.src
+    dst, src = edges.dst[keep], edges.src[keep]
+    degree = np.bincount(src, minlength=len(edges.indptr) - 1).astype(np.float64)
+    return dst, src, degree
 
 
-def contrastive_loss(z: Tensor, neighbors: list[np.ndarray], tau: float,
-                     anchors: np.ndarray | None = None,
-                     prebuilt: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
+def contrastive_loss(z: Tensor, neighbors: tuple[np.ndarray, np.ndarray, np.ndarray],
+                     tau: float, anchors: np.ndarray | None = None) -> Tensor:
     """Multi-positive InfoNCE over spatial neighborhoods.
 
-    For each anchor the numerator pools similarities to its graph neighbors
-    and the denominator pools similarities to every neighbor occurrence in
-    the batch, computed in log-space with max-shift stabilization.
-    ``anchors`` restricts the averaged anchor set (defaults to every cell).
+    ``neighbors`` is the ``(dst, src, degree)`` triple of ``neighbor_arrays``:
+    the positives of anchor ``i`` are the cells ``src`` paired with it in
+    ``dst``. For each anchor the numerator pools similarities to its graph
+    neighbors and the denominator pools similarities to every neighbor
+    occurrence in the batch, computed in log-space with max-shift
+    stabilization. ``anchors`` restricts the averaged anchor set to the
+    given strictly increasing cell indices (defaults to every cell).
     """
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
+    dst, src, degree = neighbors
     n = z.shape[0]
-    if len(neighbors) != n:
-        raise ValueError("neighbor list length must match embedding rows")
+    if degree.shape[0] != n:
+        raise ValueError("neighbor arrays must cover every embedding row")
     norms = np.sqrt((z.values * z.values).sum(axis=1))
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise ValueError("contrastive_loss expects unit-norm embedding rows")
-    adjacency, degree = neighbor_arrays(neighbors) if prebuilt is None else prebuilt
 
     if anchors is None:
-        anchor_idx = np.arange(n)
-        z_anchor = z
-        adj_anchor = adjacency
+        z_anchor, rows, cols = z, dst, src
     else:
         anchor_idx = np.asarray(anchors, dtype=np.intp)
+        if anchor_idx.ndim != 1 or np.any(np.diff(anchor_idx) <= 0):
+            raise ValueError("anchors must be strictly increasing cell indices")
+        # anchor edges keep their (anchor, neighbor) order: dst is sorted and
+        # pos increases with the cell index
+        pos = np.full(n, -1, dtype=np.intp)
+        pos[anchor_idx] = np.arange(anchor_idx.size)
+        sel = pos[dst] >= 0
+        rows, cols = pos[dst[sel]], src[sel]
         z_anchor = ad.gather_rows(z, anchor_idx)
-        adj_anchor = adjacency[anchor_idx]
 
     # fold the temperature into the small operand; the (anchors x n)
     # similarity matrix is the expensive part
@@ -98,9 +108,8 @@ def contrastive_loss(z: Tensor, neighbors: list[np.ndarray], tau: float,
     expsims = ad.exp(sims - shift)
     denominator = ad.matmul(expsims, degree[:, None])
     # numerator terms exist only at neighbor pairs: gather them instead of
-    # multiplying the full similarity matrix by the adjacency mask
-    n_anchors = adj_anchor.shape[0]
-    rows, cols = np.nonzero(adj_anchor)
+    # multiplying the full similarity matrix by a mask
+    n_anchors = z_anchor.shape[0]
     flat = ad.reshape(sims, (n_anchors * n, 1))
     edge_terms = ad.exp(ad.gather_rows(flat, rows * n + cols) - shift[rows])
     numerator = ad.segment_sum(edge_terms, rows, n_anchors)

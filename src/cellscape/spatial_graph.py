@@ -31,7 +31,6 @@ class SpatialGraph:
     edges: np.ndarray    # (E, 2) int, each row sorted i < j, rows unique + sorted
     weights: np.ndarray  # (E,) positive distances
     _directed: DirectedEdges | None = field(default=None, repr=False, compare=False)
-    _neighbors: list[np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
@@ -48,16 +47,6 @@ class SpatialGraph:
     @property
     def n_edges(self) -> int:
         return self.edges.shape[0]
-
-    def neighbor_lists(self) -> list[np.ndarray]:
-        """Each node's neighbours in increasing order, self excluded."""
-        if self._neighbors is None:
-            directed = self.directed_edges()
-            others = directed.src[directed.src != directed.dst]
-            # every CSR row holds exactly one self-loop
-            bounds = directed.indptr[1:-1] - np.arange(1, self.n_nodes)
-            self._neighbors = np.split(others, bounds)
-        return self._neighbors
 
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.n_nodes, dtype=np.int64)

@@ -1,17 +1,14 @@
-"""Layered-tissue synthetic data generator and the benchmark harness that
-scores segmentation methods against the generated ground truth."""
+"""Layered-tissue synthetic data generator: cells in banded spatial domains,
+each domain with its own program genes, plus the ground-truth labels."""
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cluster import DomainLabels
 from .dataset import ExpressionDataset
-from .metrics import hom, nmi
 
 
 @dataclass
@@ -67,87 +64,3 @@ def generate_tissue(spec: SyntheticSpec) -> tuple[ExpressionDataset, DomainLabel
         raw_counts=X.copy(),
     )
     return ds, DomainLabels(labels=domains, n_domains=spec.n_domains)
-
-
-@dataclass
-class BenchmarkRun:
-    method: str
-    seed: int
-    nmi: float
-    hom: float
-    error: str | None = None
-
-
-@dataclass
-class BenchmarkReport:
-    runs: list[BenchmarkRun] = field(default_factory=list)
-
-    def summary(self) -> dict[str, dict]:
-        out: dict[str, dict] = {}
-        methods = []
-        for run in self.runs:
-            if run.method not in methods:
-                methods.append(run.method)
-        for method in methods:
-            rows = [r for r in self.runs if r.method == method]
-            ok = [r for r in rows if r.error is None]
-            nmis = [r.nmi for r in ok]
-            homs = [r.hom for r in ok]
-            out[method] = {
-                "nmi_mean": float(np.mean(nmis)) if nmis else float("nan"),
-                "nmi_sd": float(np.std(nmis, ddof=1)) if len(nmis) > 1 else 0.0,
-                "hom_mean": float(np.mean(homs)) if homs else float("nan"),
-                "hom_sd": float(np.std(homs, ddof=1)) if len(homs) > 1 else 0.0,
-                "nmi_values": nmis,
-                "hom_values": homs,
-                "failures": len(rows) - len(ok),
-            }
-        return out
-
-
-def run_benchmark(ds: ExpressionDataset, truth: DomainLabels,
-                  methods: list[tuple[str, object]], repeats: int = 5,
-                  base_seed: int = 0) -> BenchmarkReport:
-    """Score each (name, fn) method over seeded repetitions.
-
-    A method is a callable ``fn(ds, n_domains, seed) -> labels``; failures are
-    recorded per run rather than aborting the table.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be positive")
-    report = BenchmarkReport()
-    for rep in range(repeats):
-        seed = base_seed + rep
-        for name, fn in methods:
-            try:
-                labels = fn(ds, truth.n_domains, seed)
-                score_n = nmi(truth.labels, labels)
-                score_h = hom(truth.labels, labels)
-                report.runs.append(BenchmarkRun(name, seed, score_n, score_h))
-            except Exception as exc:  # recorded, not fatal
-                report.runs.append(
-                    BenchmarkRun(name, seed, float("nan"), float("nan"), str(exc))
-                )
-    return report
-
-
-def write_benchmark_report(json_path, csv_path, report: BenchmarkReport) -> None:
-    with open(json_path, "w") as fh:
-        json.dump(
-            {
-                "summary": report.summary(),
-                "runs": [
-                    {"method": r.method, "seed": r.seed, "nmi": r.nmi,
-                     "hom": r.hom, "error": r.error}
-                    for r in report.runs
-                ],
-            },
-            fh,
-            indent=2,
-            allow_nan=True,
-        )
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "seed", "nmi", "hom", "error"])
-        for r in report.runs:
-            writer.writerow([r.method, r.seed, r.nmi, r.hom, r.error or ""])

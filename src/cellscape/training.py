@@ -68,8 +68,7 @@ def train(ds: ExpressionDataset, graph: SpatialGraph, layout: GeneLayout | None,
     model = CellScapeModel(ds.n_genes, q, cfg)
     params = model.params
     optimizer = AdamState(params, cfg.learning_rate, cfg.weight_decay)
-    neighbors = graph.neighbor_lists()
-    prebuilt = neighbor_arrays(neighbors)
+    neighbors = neighbor_arrays(graph.directed_edges())
 
     log: list[dict] = []
     for epoch in range(cfg.epochs):
@@ -102,8 +101,7 @@ def train(ds: ExpressionDataset, graph: SpatialGraph, layout: GeneLayout | None,
                     n, size=cfg.max_contrastive_anchors, replace=False
                 )
             )
-        loss_con = contrastive_loss(z_norm, neighbors, cfg.tau, anchors=anchors,
-                                    prebuilt=prebuilt)
+        loss_con = contrastive_loss(z_norm, neighbors, cfg.tau, anchors=anchors)
 
         recon_val = loss_recon.item()
         con_val = loss_con.item()

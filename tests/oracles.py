@@ -2,10 +2,12 @@
 
 Everything here is deliberately naive (loops, enumeration, finite
 differences) and shares no code with the package under test, except
-``composite_gat_layer`` and ``composite_conv_block``: they build graph
-attention and the CNN block from the package's generic autodiff ops, which
+``composite_gat_layer``, ``composite_conv_block`` and
+``dense_contrastive_loss``: they build graph attention, the CNN block and
+the contrastive loss from the package's generic autodiff ops, which
 ``test_autodiff`` checks one by one, to serve as the references for the
-fused ``gat_attention`` and ``conv_block`` ops.
+fused ``gat_attention`` and ``conv_block`` ops and for the edge-list
+``contrastive_loss``.
 """
 
 from __future__ import annotations
@@ -88,6 +90,33 @@ def composite_conv_block(x, w, gamma, beta, state, training: bool, update_runnin
     out = ad.conv2d(x, w, bias, "same")
     out = ad.batch_norm(out, gamma, beta, state, training, update_running)
     return ad.maxpool2(ad.leaky_relu(out, slope))
+
+
+def dense_contrastive_loss(z, neighbors, tau: float, anchors=None):
+    """Multi-positive InfoNCE from per-cell neighbour lists over a dense
+    n x n 0/1 adjacency; ``anchors`` selects adjacency rows."""
+    n = z.shape[0]
+    degree = np.zeros(n)
+    adjacency = np.zeros((n, n))
+    for i, nb in enumerate(neighbors):
+        adjacency[i, nb] = 1.0
+        degree[nb] += 1.0
+    if anchors is None:
+        z_anchor = z
+    else:
+        anchors = np.asarray(anchors, dtype=np.intp)
+        z_anchor = ad.gather_rows(z, anchors)
+        adjacency = adjacency[anchors]
+    sims = ad.matmul(z_anchor * (1.0 / tau), ad.transpose(z))
+    shift = sims.values.max(axis=1, keepdims=True)
+    expsims = ad.exp(sims - shift)
+    denominator = ad.matmul(expsims, degree[:, None])
+    n_anchors = adjacency.shape[0]
+    rows, cols = np.nonzero(adjacency)
+    flat = ad.reshape(sims, (n_anchors * n, 1))
+    edge_terms = ad.exp(ad.gather_rows(flat, rows * n + cols) - shift[rows])
+    numerator = ad.segment_sum(edge_terms, rows, n_anchors)
+    return ad.tensor_mean(ad.log(denominator) - ad.log(numerator))
 
 
 def loop_neighbor_lists(n_nodes: int, edges):

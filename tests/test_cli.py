@@ -35,6 +35,10 @@ def test_simulate_train_segment_evaluate(tmp_path, capsys):
     assert main(["simulate", *common, "--n-cells", "400", "--n-genes", "60"]) == 0
     inputs = ["--expression", str(tmp_path / "expression.csv"),
               "--coords", str(tmp_path / "coords.csv")]
+    assert main(["preprocess", *common, *inputs]) == 0
+    assert main(["graph", *common, *inputs]) == 0
+    for name in ("hvg_genes.txt", "coexpression.csv", "graph.txt"):
+        assert (tmp_path / name).stat().st_size > 0, name
     assert main(["train", *common, *inputs, "--epochs", "3"]) == 0
     assert main(["analyze", *common]) == 0
     assert main(["segment", *common]) == 0

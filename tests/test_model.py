@@ -1,6 +1,7 @@
 """Network layers, losses, and training-loop behavior on toy problems."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,14 +11,14 @@ from cellscape.autodiff import Tensor
 from cellscape.checkpoint import load_checkpoint, save_checkpoint
 from cellscape.dataset import ExpressionDataset
 from cellscape.gene_map import layout_genes
-from cellscape.losses import contrastive_loss, sce_loss
+from cellscape.losses import contrastive_loss, neighbor_arrays, sce_loss
 from cellscape.network import CellScapeModel, ModelConfig, gat_layer
 from cellscape.preprocess import pearson_coexpression
-from cellscape.spatial_graph import SpatialGraph, build_knn_graph
+from cellscape.spatial_graph import SpatialGraph, build_delaunay_graph, build_knn_graph
 from cellscape.training import embed, train
 
-from oracles import (composite_conv_block, composite_gat_layer, finite_difference_grads,
-                     relative_error)
+from oracles import (composite_conv_block, composite_gat_layer, dense_contrastive_loss,
+                     finite_difference_grads, loop_neighbor_lists, relative_error)
 
 TOY_CFG = dict(
     gat_layers=2,
@@ -276,10 +277,22 @@ class TestSceLoss:
             sce_loss(np.ones((2, 2)), Tensor(np.ones((2, 2))), np.array([], dtype=int))
 
 
+def ring_neighbors(n):
+    """Contrastive positives of an undirected n-cycle."""
+    edges = [(i, i + 1) for i in range(n - 1)] + ([(0, n - 1)] if n > 2 else [])
+    graph = SpatialGraph(n, np.array(edges), np.ones(len(edges)))
+    return neighbor_arrays(graph.directed_edges())
+
+
+def unit_rows(rng, n, d):
+    z = rng.standard_normal((n, d))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
 class TestContrastiveLoss:
     def test_two_cell_identical_embeddings(self):
         z = Tensor(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        loss = contrastive_loss(z, [np.array([1]), np.array([0])], tau=1.0)
+        loss = contrastive_loss(z, ring_neighbors(2), tau=1.0)
         assert loss.item() == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_two_cell_closed_form_monotone(self):
@@ -287,7 +300,7 @@ class TestContrastiveLoss:
         for s in (-0.5, 0.0, 0.4, 0.9):
             # rows unit-norm with dot product s
             z = Tensor(np.array([[1.0, 0.0], [s, np.sqrt(1 - s * s)]]))
-            loss = contrastive_loss(z, [np.array([1]), np.array([0])], tau=1.0).item()
+            loss = contrastive_loss(z, ring_neighbors(2), tau=1.0).item()
             expected = -np.log(np.exp(s) / (np.exp(s) + np.exp(1.0)))
             assert loss == pytest.approx(expected, abs=1e-9)
             if previous is not None:
@@ -296,9 +309,8 @@ class TestContrastiveLoss:
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(5)
-        z = rng.standard_normal((8, 4))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        nbrs = [np.array([(i + 1) % 8, (i + 7) % 8]) for i in range(8)]
+        z = unit_rows(rng, 8, 4)
+        nbrs = ring_neighbors(8)
         base = contrastive_loss(Tensor(z), nbrs, tau=0.5).item()
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         rotated = contrastive_loss(Tensor(z @ q), nbrs, tau=0.5).item()
@@ -306,20 +318,66 @@ class TestContrastiveLoss:
 
     def test_loss_non_negative(self):
         rng = np.random.default_rng(6)
+        nbrs = ring_neighbors(6)
         for _ in range(20):
-            z = rng.standard_normal((6, 3))
-            z /= np.linalg.norm(z, axis=1, keepdims=True)
-            nbrs = [np.array([(i + 1) % 6]) for i in range(6)]
+            z = unit_rows(rng, 6, 3)
             assert contrastive_loss(Tensor(z), nbrs, tau=0.3).item() >= 0.0
 
     def test_errors(self):
         z = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        isolated = SpatialGraph(3, np.array([[0, 2]]), np.ones(1))
         with pytest.raises(ValueError, match="cell 1"):
-            contrastive_loss(z, [np.array([1]), np.array([], dtype=int)], tau=1.0)
+            neighbor_arrays(isolated.directed_edges())
         with pytest.raises(ValueError, match="temperature"):
-            contrastive_loss(z, [np.array([1]), np.array([0])], tau=0.0)
+            contrastive_loss(z, ring_neighbors(2), tau=0.0)
         with pytest.raises(ValueError, match="unit-norm"):
-            contrastive_loss(z * 2.0, [np.array([1]), np.array([0])], tau=1.0)
+            contrastive_loss(z * 2.0, ring_neighbors(2), tau=1.0)
+        with pytest.raises(ValueError, match="cover every"):
+            contrastive_loss(z, ring_neighbors(3), tau=1.0)
+
+    @pytest.mark.parametrize("anchors", [[2, 1], [1, 1, 3], [[0, 1]]])
+    def test_anchors_must_be_strictly_increasing(self, anchors):
+        z = Tensor(unit_rows(np.random.default_rng(8), 5, 3))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            contrastive_loss(z, ring_neighbors(5), tau=0.5, anchors=np.array(anchors))
+
+    @pytest.mark.parametrize("with_anchors", [False, True], ids=["all", "anchors"])
+    @pytest.mark.parametrize("kind,n", [("knn", 2), ("knn", 50), ("knn", 800),
+                                        ("delaunay", 3), ("delaunay", 50),
+                                        ("delaunay", 800)])
+    def test_matches_dense_oracle_exactly(self, kind, n, with_anchors):
+        rng = np.random.default_rng(n)
+        coords = rng.random((2, n))
+        graph = (build_knn_graph(coords, k=min(6, n - 1)) if kind == "knn"
+                 else build_delaunay_graph(coords))
+        anchors = None
+        if with_anchors:
+            anchors = np.sort(rng.choice(n, size=max(1, n // 4), replace=False))
+        z_values = unit_rows(rng, n, 8)
+
+        z = Tensor(z_values.copy(), requires_grad=True)
+        loss = contrastive_loss(z, neighbor_arrays(graph.directed_edges()), 0.3, anchors)
+        ad.backward(loss)
+        z_ref = Tensor(z_values.copy(), requires_grad=True)
+        ref = dense_contrastive_loss(z_ref, loop_neighbor_lists(n, graph.edges), 0.3, anchors)
+        ad.backward(ref)
+        assert loss.item() == ref.item()
+        np.testing.assert_array_equal(z.grad, z_ref.grad)
+
+    def test_peak_memory_below_one_dense_adjacency(self):
+        n, n_anchors = 2000, 64
+        rng = np.random.default_rng(10)
+        graph = build_knn_graph(rng.random((2, n)), k=6)
+        z = Tensor(unit_rows(rng, n, 32), requires_grad=True)
+        anchors = np.sort(rng.choice(n, size=n_anchors, replace=False))
+        tracemalloc.start()
+        try:
+            loss = contrastive_loss(z, neighbor_arrays(graph.directed_edges()), 0.3, anchors)
+            ad.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8, f"peak {peak / 2**20:.1f} MiB"
 
 
 def _conv_block_inputs(n, cin, cout, q, seed, masked=(1, 3)):
@@ -439,7 +497,7 @@ class TestModelGradients:
         batch = mask_cells(ds.X, maps, cfg.mask_ratio, seed=3)
         feats = np.ascontiguousarray(batch.masked_features.T)
         x_full = np.ascontiguousarray(ds.X.T)
-        neighbors = graph.neighbor_lists()
+        neighbors = neighbor_arrays(graph.directed_edges())
 
         def total_loss():
             out = model.forward(feats, batch.masked_maps, graph,
