@@ -14,11 +14,16 @@ pair-score backward in blocks of edges, so no op holds an edges x features
 array. A CNN block is one fused op, ``conv_block``: a bias-free 3x3
 convolution, batch normalization, leaky ReLU and 2x2 max pooling, computed
 channel-major on (C, N*H*W) rows, with the closed-form batch-norm backward
-and an int8 winner per pooling window.
+and an int8 winner per pooling window. The neighbourhood contrastive loss
+is one fused op, ``contrastive``: it walks the anchors in blocks of
+``_ANCHOR_CHUNK``, reads each block's positive pairs from the sorted edge
+arrays and builds the (n, d) gradient during the forward, so no op holds an
+anchors x n array.
 
-``slice_cols``, ``conv2d``, ``batch_norm`` and ``maxpool2`` have no caller
-in the model. They stay because the composite references in the tests are
-built from them and the benchmark tracer wraps them by name.
+``slice_cols``, ``conv2d``, ``batch_norm``, ``maxpool2``, ``transpose``,
+``exp``, ``log``, ``segment_sum`` and ``tensor_mean`` have no caller in the
+model. They stay because the composite and dense references in the tests
+are built from them and the benchmark tracer wraps them by name.
 """
 
 from __future__ import annotations
@@ -440,6 +445,67 @@ def gat_attention(hw, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor], 
 
 
 # ---------------------------------------------------------------------------
+# neighbourhood contrastive loss
+# ---------------------------------------------------------------------------
+
+# Anchors per block of the contrastive op: its similarity buffer is
+# _ANCHOR_CHUNK x n instead of anchors x n.
+_ANCHOR_CHUNK = 256
+
+
+def contrastive(z, anchors: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                degree: np.ndarray, tau: float) -> Tensor:
+    """Multi-positive InfoNCE over unit-norm embedding rows ``z`` (n, d).
+
+    ``anchors`` are the averaged cells; the positive pairs are
+    ``(anchors[rows], cols)``, unique, with ``rows`` (positions into
+    ``anchors``) sorted ascending. Anchor ``a`` contributes
+    ``log sum_j deg_j exp(s_aj) - log sum_{j in N(a)} exp(s_aj)`` with
+    ``s_aj = <z_a, z_j> / tau`` and ``deg = degree``; the loss is their mean.
+
+    The forward walks the anchors in blocks of ``_ANCHOR_CHUNK``. Each block
+    exponentiates its row-max-shifted similarities in one buffer and, when
+    ``z`` needs a gradient, turns that buffer into d loss / d similarity and
+    adds both matmul terms to one cached (n, d) gradient; the backward only
+    scales it. No anchors x n array is ever held.
+    """
+    z = as_tensor(z)
+    zv = z.values
+    n_anchors = anchors.size
+    inv_tau = 1.0 / tau
+    grad = np.zeros_like(zv) if z.requires_grad else None
+    total = 0.0
+    for lo in range(0, n_anchors, _ANCHOR_CHUNK):
+        hi = min(lo + _ANCHOR_CHUNK, n_anchors)
+        block = anchors[lo:hi]
+        scaled = zv[block]
+        scaled *= inv_tau
+        ex = scaled @ zv.T                                     # (block, n)
+        ex -= ex.max(axis=1, keepdims=True)                    # detached stabilizer
+        np.exp(ex, out=ex)
+        den = ex @ degree
+        e0, e1 = np.searchsorted(rows, (lo, hi))
+        r, c = rows[e0:e1] - lo, cols[e0:e1]
+        pair = ex[r, c]
+        num = _sorted_row_sums(pair, r, hi - lo)
+        total += float(np.sum(np.log(den) - np.log(num)))
+        if grad is not None:
+            # d loss / d similarity, in place: (exp * deg / den - [pair] exp / num) / m
+            ex *= degree
+            ex /= (n_anchors * den)[:, None]
+            ex[r, c] -= pair / (n_anchors * num[r])
+            grad[block] += (ex @ zv) * inv_tau
+            grad += ex.T @ scaled
+        del scaled, ex      # before the next block allocates its own
+    values = np.asarray(total / n_anchors)
+
+    def backward_fn(g):
+        z._accumulate(g * grad, own=True)
+
+    return _make(values, (z,), backward_fn, "contrastive")
+
+
+# ---------------------------------------------------------------------------
 # nonlinearities
 # ---------------------------------------------------------------------------
 
@@ -756,8 +822,8 @@ def backward(loss: Tensor) -> None:
             if state.get(id(parent)) != 2:
                 stack.append((parent, False))
 
-    # reset op outputs (not leaves) so a second loss sharing this forward
-    # graph starts from clean intermediate gradients
+    # reset op outputs (not leaves): a backward that stopped midway leaves
+    # unconsumed intermediate gradients that must not leak into this one
     for node in order:
         if node._backward_fn is not None:
             node.grad = None
@@ -767,6 +833,9 @@ def backward(loss: Tensor) -> None:
         if node._backward_fn is not None and node.grad is not None:
             _check_finite(node.grad, "backward")
             node._backward_fn(node.grad)
+            # consumed: free it now rather than holding a gradient per
+            # intermediate tensor until the next backward
+            node.grad = None
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

@@ -76,6 +76,11 @@ def contrastive_loss(z: Tensor, neighbors: tuple[np.ndarray, np.ndarray, np.ndar
     occurrence in the batch, computed in log-space with max-shift
     stabilization. ``anchors`` restricts the averaged anchor set to the
     given strictly increasing cell indices (defaults to every cell).
+
+    The loss is one fused op, ``autodiff.contrastive``, which walks the
+    anchors in blocks of ``autodiff._ANCHOR_CHUNK`` and builds the gradient
+    during the forward, so memory is O(chunk * n) rather than
+    O(anchors * n).
     """
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
@@ -88,7 +93,7 @@ def contrastive_loss(z: Tensor, neighbors: tuple[np.ndarray, np.ndarray, np.ndar
         raise ValueError("contrastive_loss expects unit-norm embedding rows")
 
     if anchors is None:
-        z_anchor, rows, cols = z, dst, src
+        anchor_idx, rows, cols = np.arange(n), dst, src
     else:
         anchor_idx = np.asarray(anchors, dtype=np.intp)
         if anchor_idx.ndim != 1 or np.any(np.diff(anchor_idx) <= 0):
@@ -99,19 +104,4 @@ def contrastive_loss(z: Tensor, neighbors: tuple[np.ndarray, np.ndarray, np.ndar
         pos[anchor_idx] = np.arange(anchor_idx.size)
         sel = pos[dst] >= 0
         rows, cols = pos[dst[sel]], src[sel]
-        z_anchor = ad.gather_rows(z, anchor_idx)
-
-    # fold the temperature into the small operand; the (anchors x n)
-    # similarity matrix is the expensive part
-    sims = ad.matmul(z_anchor * (1.0 / tau), ad.transpose(z))
-    shift = sims.values.max(axis=1, keepdims=True)  # detached stabilizer
-    expsims = ad.exp(sims - shift)
-    denominator = ad.matmul(expsims, degree[:, None])
-    # numerator terms exist only at neighbor pairs: gather them instead of
-    # multiplying the full similarity matrix by a mask
-    n_anchors = z_anchor.shape[0]
-    flat = ad.reshape(sims, (n_anchors * n, 1))
-    edge_terms = ad.exp(ad.gather_rows(flat, rows * n + cols) - shift[rows])
-    numerator = ad.segment_sum(edge_terms, rows, n_anchors)
-    per_cell = ad.log(denominator) - ad.log(numerator)
-    return ad.tensor_mean(per_cell)
+    return ad.contrastive(z, anchor_idx, rows, cols, degree, tau)

@@ -3,7 +3,7 @@ encoder over gene maps, linear fusion, and a graph-attention decoder."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -4,7 +4,7 @@ variable-gene selection, gene-gene correlation, and batch harmonization."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -203,6 +203,38 @@ class TestBackwardContract:
         # d/dw (9w^2 + 3w) = 18w + 3
         np.testing.assert_allclose(w.grad, [39.0])
 
+    def test_consumed_gradients_freed_and_forward_reusable(self):
+        rng = np.random.default_rng(3)
+        x, w0 = rng.standard_normal((5, 4)), rng.standard_normal((4, 3))
+
+        def forward(w):
+            h = ad.elu(ad.matmul(x, w))
+            return ad.tensor_sum(h * h), ad.tensor_sum(ad.exp(h))
+
+        def fresh_grad(which):
+            w = ad.Tensor(w0.copy(), requires_grad=True)
+            ad.backward(forward(w)[which])
+            return w.grad
+
+        w = ad.Tensor(w0.copy(), requires_grad=True)
+        first, second = forward(w)
+        ad.backward(first)
+        nodes, stack = [], [first, second]
+        while stack:
+            node = stack.pop()
+            if all(node is not seen for seen in nodes):
+                nodes.append(node)
+                stack.extend(node._parents)
+        assert sum(node._backward_fn is not None for node in nodes) == 6
+        for node in nodes:
+            if node._backward_fn is not None:
+                assert node.grad is None
+        np.testing.assert_array_equal(w.grad, fresh_grad(0))
+        # the second loss shares the first's forward graph
+        ad.zero_grads([w])
+        ad.backward(second)
+        np.testing.assert_array_equal(w.grad, fresh_grad(1))
+
     def test_property_random_expressions(self):
         # composite expression exercising most ops together, 20 random draws
         for trial in range(20):

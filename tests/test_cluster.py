@@ -4,7 +4,7 @@ brute-force contingency oracle."""
 import numpy as np
 import pytest
 
-from cellscape.cluster import DomainLabels, gmm_cluster, pca_reduce, refine_labels
+from cellscape.cluster import gmm_cluster, pca_reduce, refine_labels
 from cellscape.metrics import hom, nmi
 
 from oracles import contingency_hom, contingency_nmi, loop_refine_labels, naive_gmm_cluster

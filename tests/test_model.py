@@ -346,38 +346,108 @@ class TestContrastiveLoss:
                                         ("delaunay", 3), ("delaunay", 50),
                                         ("delaunay", 800)])
     def test_matches_dense_oracle_exactly(self, kind, n, with_anchors):
+        # "exactly" up to summation order: the fused op sums in anchor blocks
         rng = np.random.default_rng(n)
-        coords = rng.random((2, n))
-        graph = (build_knn_graph(coords, k=min(6, n - 1)) if kind == "knn"
-                 else build_delaunay_graph(coords))
-        anchors = None
-        if with_anchors:
-            anchors = np.sort(rng.choice(n, size=max(1, n // 4), replace=False))
-        z_values = unit_rows(rng, n, 8)
+        anchors = np.sort(rng.choice(n, size=max(1, n // 4), replace=False)) if with_anchors \
+            else None
+        _assert_match(*_contrastive_pair(kind, n, anchors, rng))
 
-        z = Tensor(z_values.copy(), requires_grad=True)
-        loss = contrastive_loss(z, neighbor_arrays(graph.directed_edges()), 0.3, anchors)
-        ad.backward(loss)
-        z_ref = Tensor(z_values.copy(), requires_grad=True)
-        ref = dense_contrastive_loss(z_ref, loop_neighbor_lists(n, graph.edges), 0.3, anchors)
-        ad.backward(ref)
-        assert loss.item() == ref.item()
-        np.testing.assert_array_equal(z.grad, z_ref.grad)
+    @pytest.mark.parametrize("kind", ["knn", "delaunay"])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["chunk", "chunk+1"])
+    def test_matches_dense_oracle_at_chunk_edges(self, kind, extra):
+        n = 800
+        rng = np.random.default_rng(extra)
+        anchors = np.sort(rng.choice(n, size=ad._ANCHOR_CHUNK + extra, replace=False))
+        _assert_match(*_contrastive_pair(kind, n, anchors, rng))
+
+    @pytest.mark.parametrize("with_anchors", [False, True], ids=["all", "anchors"])
+    def test_gradient_matches_finite_differences(self, monkeypatch, with_anchors):
+        # a small chunk so that the anchors span several blocks; the loss
+        # takes unit rows, so differentiate through the row normalization
+        monkeypatch.setattr(ad, "_ANCHOR_CHUNK", 4)
+        n = 12
+        rng = np.random.default_rng(11)
+        neighbors = neighbor_arrays(build_knn_graph(rng.random((2, n)), k=3).directed_edges())
+        anchors = np.array([0, 2, 3, 5, 7, 8, 9, 11]) if with_anchors else None
+        x_values = rng.standard_normal((n, 3))
+
+        def loss(x):
+            return contrastive_loss(ad.l2_normalize_rows(x), neighbors, 0.4, anchors)
+
+        x = Tensor(x_values.copy(), requires_grad=True)
+        ad.backward(loss(x))
+        numeric = finite_difference_grads(lambda: loss(Tensor(x_values)).item(), [x_values],
+                                          h=1e-6)[0]
+        assert relative_error(x.grad, numeric) < 1e-7
+
+    def test_no_gradient_input(self):
+        n = 600
+        rng = np.random.default_rng(12)
+        dst, src, degree = neighbor_arrays(build_knn_graph(rng.random((2, n)), k=6)
+                                           .directed_edges())
+        z_values = unit_rows(rng, n, 1024)
+
+        def traced(requires_grad):
+            tracemalloc.start()
+            try:
+                loss = ad.contrastive(Tensor(z_values, requires_grad=requires_grad),
+                                      np.arange(n), dst, src, degree, 0.3)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return loss, peak
+
+        plain, plain_peak = traced(False)
+        tracked, tracked_peak = traced(True)
+        assert plain.item() == tracked.item()
+        assert not plain.requires_grad and plain._backward_fn is None
+        # the cached (n, d) gradient is the only buffer that size
+        assert plain_peak < n * 1024 * 8 < tracked_peak
 
     def test_peak_memory_below_one_dense_adjacency(self):
-        n, n_anchors = 2000, 64
+        n = 2000
         rng = np.random.default_rng(10)
         graph = build_knn_graph(rng.random((2, n)), k=6)
         z = Tensor(unit_rows(rng, n, 32), requires_grad=True)
+        peak = _contrastive_peak(z, graph, anchors=None)
+        # a few anchor blocks, far below the n x n similarity matrix
+        assert peak < 2 * ad._ANCHOR_CHUNK * n * 8 < n * n * 8, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_peak_memory_at_8k_cells(self):
+        n, n_anchors = 8000, 4096
+        rng = np.random.default_rng(13)
+        graph = build_delaunay_graph(rng.random((2, n)))
+        z = Tensor(unit_rows(rng, n, 32), requires_grad=True)
         anchors = np.sort(rng.choice(n, size=n_anchors, replace=False))
-        tracemalloc.start()
-        try:
-            loss = contrastive_loss(z, neighbor_arrays(graph.directed_edges()), 0.3, anchors)
-            ad.backward(loss)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < n * n * 8, f"peak {peak / 2**20:.1f} MiB"
+        peak = _contrastive_peak(z, graph, anchors)
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def _contrastive_pair(kind, n, anchors, rng):
+    """Loss value and z.grad of the fused loss and of the dense oracle."""
+    coords = rng.random((2, n))
+    graph = (build_knn_graph(coords, k=min(6, n - 1)) if kind == "knn"
+             else build_delaunay_graph(coords))
+    z_values = unit_rows(rng, n, 8)
+    z = Tensor(z_values.copy(), requires_grad=True)
+    loss = contrastive_loss(z, neighbor_arrays(graph.directed_edges()), 0.3, anchors)
+    ad.backward(loss)
+    z_ref = Tensor(z_values.copy(), requires_grad=True)
+    ref = dense_contrastive_loss(z_ref, loop_neighbor_lists(n, graph.edges), 0.3, anchors)
+    ad.backward(ref)
+    return [loss.values, z.grad], [ref.values, z_ref.grad]
+
+
+def _contrastive_peak(z, graph, anchors):
+    """tracemalloc peak of the contrastive loss forward plus backward."""
+    tracemalloc.start()
+    try:
+        loss = contrastive_loss(z, neighbor_arrays(graph.directed_edges()), 0.3, anchors)
+        ad.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def _conv_block_inputs(n, cin, cout, q, seed, masked=(1, 3)):
