@@ -11,7 +11,8 @@ Graph attention is one fused op, ``gat_attention``: per-pair scores, the
 per-receiver softmax and the aggregation for every head run over the
 graph's CSR edge arrays, with the aggregation as a sparse product and the
 pair-score backward in blocks of edges, so no op holds an edges x features
-array. A CNN block is one fused op, ``conv_block``: a bias-free 3x3
+array; it returns the layer output only, its attention weights stay inside
+for the backward. A CNN block is one fused op, ``conv_block``: a bias-free 3x3
 convolution, batch normalization, leaky ReLU and 2x2 max pooling, computed
 channel-major on (C, N*H*W) rows, with the closed-form batch-norm backward
 and an int8 winner per pooling window. The neighbourhood contrastive loss
@@ -374,7 +375,7 @@ _EDGE_CHUNK = 2048
 
 
 def gat_attention(hw, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor], edges,
-                  slope: float, average: bool, collect_attention: list | None = None) -> Tensor:
+                  slope: float, average: bool) -> Tensor:
     """Multi-head graph attention (Velickovic et al. 2018) over projected
     features ``hw`` (n, heads * d), all heads in one op.
 
@@ -384,8 +385,8 @@ def gat_attention(hw, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor], 
     (i <- j) as leaky_relu(hw_k[i] . a_center[k] + hw_k[j] . a_neighbor[k]),
     softmax-normalizes the scores per receiver and aggregates
     sum_j alpha_ij hw_k[j] as one sparse product. Heads are concatenated, or
-    averaged when ``average`` is set. ``collect_attention`` receives one
-    ``(alpha (E, 1), dst)`` pair per head.
+    averaged when ``average`` is set. The attention weights stay inside the
+    op, for its backward.
     """
     hw = as_tensor(hw)
     heads = len(a_center)
@@ -405,8 +406,6 @@ def gat_attention(hw, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor], 
     alpha = ex / np.add.reduceat(ex, starts, axis=0)[dst]
     adjacency = [csr_matrix((alpha[:, k], src, indptr), shape=(n, n)) for k in range(heads)]
     outs = [adjacency[k] @ feats[:, k] for k in range(heads)]
-    if collect_attention is not None:
-        collect_attention.extend((alpha[:, k:k + 1].copy(), dst) for k in range(heads))
     if average:
         values = outs[0]
         for out in outs[1:]:
@@ -699,7 +698,7 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool,
 
 
 def conv_block(x, w, gamma, beta, state: BatchNormState, training: bool,
-               update_running: bool, slope: float) -> Tensor:
+               slope: float) -> Tensor:
     """One CNN block in one op: stride-1 3x3 "same" convolution (no bias),
     batch normalization per channel, leaky ReLU, then 2x2 max pooling.
 
@@ -709,6 +708,9 @@ def conv_block(x, w, gamma, beta, state: BatchNormState, training: bool,
     Each window's winner is the first maximum in window order, as in
     ``maxpool2``: the all-zero maps of masked cells tie whole windows. The
     output is (N, C, H//2, W//2); trailing odd rows and columns are dropped.
+    With ``training`` the block normalizes by the batch statistics and moves
+    the running ones in ``state`` towards them; otherwise it normalizes by
+    the running statistics and leaves ``state`` alone.
     """
     x, w, gamma, beta = as_tensor(x), as_tensor(w), as_tensor(gamma), as_tensor(beta)
     cout, cin, kh, kw = w.shape
@@ -730,9 +732,8 @@ def conv_block(x, w, gamma, beta, state: BatchNormState, training: bool,
         mu = xhat.mean(axis=1)
         xhat -= mu[:, None]
         var = np.einsum("ij,ij->i", xhat, xhat) / m
-        if update_running:
-            state.running_mean += state.momentum * (mu - state.running_mean)
-            state.running_var += state.momentum * (var * (m / max(m - 1, 1)) - state.running_var)
+        state.running_mean += state.momentum * (mu - state.running_mean)
+        state.running_var += state.momentum * (var * (m / max(m - 1, 1)) - state.running_var)
     else:
         xhat -= state.running_mean[:, None]
         var = state.running_var

@@ -27,7 +27,6 @@ from .analysis import (
     write_enrichment_table,
     write_transition_graph,
 )
-from .checkpoint import save_checkpoint
 from .config import PipelineConfig, load_config
 from .dataset import (
     load_coords,
@@ -125,24 +124,25 @@ def cmd_graph(cfg: PipelineConfig, args) -> int:
 
 
 def _write_fit(out: Path, result: pipeline.Fit) -> None:
-    """The artifacts of one fit; ``segment`` and ``analyze`` read them back."""
+    """The artifacts of one fit, each reported as it is written; ``segment``
+    and ``analyze`` read them back."""
     ds, emb = result.dataset, result.embeddings
     ids = ds.cell_ids
-    save_checkpoint(out / "checkpoint.csk", result.model)
-    write_dense_matrix(out / "preprocessed_expression.csv", ds.X, ds.gene_names, ids)
-    write_edge_list(out / "graph.txt", result.graph)
-    write_embeddings_csv(out / "embeddings_spatial.csv", emb.Z_spatial, ids)
-    if emb.Z_intrinsic is not None:
-        write_embeddings_csv(out / "embeddings_intrinsic.csv", emb.Z_intrinsic, ids)
-    write_embeddings_csv(out / "embeddings_fused.csv", emb.Z, ids)
-    write_training_log(out / "training_log.jsonl", result.log)
-    write_coords(out / "cells.csv", ds.coords, ids)
-    write_labels(out / "samples.csv", ids, result.samples.tolist(), header="sample")
-    write_labels(out / "labels.csv", ids, result.labels.labels.tolist(), header="domain")
-    for name in ("checkpoint.csk", "preprocessed_expression.csv", "graph.txt",
-                 "embeddings_spatial.csv", "embeddings_fused.csv", "training_log.jsonl",
-                 "cells.csv", "samples.csv", "labels.csv"):
+
+    def write(name: str, writer, *args, **kwargs) -> None:
+        writer(out / name, *args, **kwargs)
         print(f"wrote {out / name}")
+
+    write("preprocessed_expression.csv", write_dense_matrix, ds.X, ds.gene_names, ids)
+    write("graph.txt", write_edge_list, result.graph)
+    write("embeddings_spatial.csv", write_embeddings_csv, emb.Z_spatial, ids)
+    if emb.Z_intrinsic is not None:
+        write("embeddings_intrinsic.csv", write_embeddings_csv, emb.Z_intrinsic, ids)
+    write("embeddings_fused.csv", write_embeddings_csv, emb.Z, ids)
+    write("training_log.jsonl", write_training_log, result.log)
+    write("cells.csv", write_coords, ds.coords, ids)
+    write("samples.csv", write_labels, ids, result.samples.tolist(), header="sample")
+    write("labels.csv", write_labels, ids, result.labels.labels.tolist(), header="domain")
 
 
 def cmd_train(cfg: PipelineConfig, args) -> int:
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prune-percentile", type=float, default=None,
                    help=f"Delaunay long-edge cutoff (default: {d.graph.prune_percentile})")
 
-    p = sub.add_parser("train", help="train the model, write checkpoint, embeddings and domains")
+    p = sub.add_parser("train", help="train the model, write embeddings and domains")
     _add_common(p)
     p.add_argument("--epochs", type=int, default=None,
                    help=f"training epochs (default: {d.model.epochs})")

@@ -1,5 +1,5 @@
 """Arrange genes on a q x q grid so co-expressed genes sit close together,
-render per-cell 2D expression maps, and apply joint cell masking."""
+render per-cell 2D expression maps, and draw the masked cells."""
 
 from __future__ import annotations
 
@@ -33,16 +33,6 @@ class GeneLayout:
         g = np.full((self.q, self.q), -1, dtype=np.int64)
         g[self.positions[:, 0], self.positions[:, 1]] = np.arange(self.n_genes)
         return g
-
-
-@dataclass
-class CellMapBatch:
-    """Per-cell maps plus the jointly masked feature/map pair."""
-
-    maps: np.ndarray             # (n, q, q)
-    mask_set: np.ndarray         # sorted masked cell indices
-    masked_features: np.ndarray  # (p, n), masked columns zeroed
-    masked_maps: np.ndarray      # (n, q, q), masked slices zeroed
 
 
 def _layout_objective(w: np.ndarray, positions: np.ndarray) -> float:
@@ -162,22 +152,10 @@ def render_maps(X: np.ndarray, layout: GeneLayout) -> np.ndarray:
     return flat.reshape(n, layout.q, layout.q)
 
 
-def mask_cells(X: np.ndarray, maps: np.ndarray, ratio: float, seed: int) -> CellMapBatch:
-    """Zero both representations of ceil(ratio * n) seeded-random cells."""
+def mask_cells(n: int, ratio: float, seed: int) -> np.ndarray:
+    """Sorted indices of ceil(ratio * n) seeded-random cells out of n; training
+    zeroes both the features and the gene maps of these cells."""
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"mask ratio must lie in (0, 1), got {ratio}")
-    X = np.asarray(X, dtype=np.float64)
-    maps = np.asarray(maps, dtype=np.float64)
-    n = X.shape[1]
-    if maps.shape[0] != n:
-        raise ValueError(f"{maps.shape[0]} maps for {n} cells")
-    size = math.ceil(ratio * n)
     rng = np.random.default_rng(seed)
-    mask = np.sort(rng.choice(n, size=size, replace=False))
-    masked_features = X.copy()
-    masked_features[:, mask] = 0.0
-    masked_maps = maps.copy()
-    masked_maps[mask] = 0.0
-    return CellMapBatch(
-        maps=maps, mask_set=mask, masked_features=masked_features, masked_maps=masked_maps
-    )
+    return np.sort(rng.choice(n, size=math.ceil(ratio * n), replace=False))

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, Tensor
-from .spatial_graph import DirectedEdges, SpatialGraph
+from .spatial_graph import DirectedEdges
 
 
 @dataclass
@@ -55,18 +55,16 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_o
 
 
 def gat_layer(h: Tensor, edges: DirectedEdges, W: Tensor, a_center: list[Tensor],
-              a_neighbor: list[Tensor], slope: float, average: bool,
-              collect_attention: list | None = None) -> Tensor:
+              a_neighbor: list[Tensor], slope: float, average: bool) -> Tensor:
     """One multi-head graph-attention layer: project by ``W``, then attend
     over the graph's directed edges (self-loops included), one head per
     ``a_center``/``a_neighbor`` pair. Heads are concatenated, or averaged
     when ``average`` is set (final layers)."""
-    return ad.gat_attention(ad.matmul(h, W), a_center, a_neighbor, edges, slope, average,
-                            collect_attention)
+    return ad.gat_attention(ad.matmul(h, W), a_center, a_neighbor, edges, slope, average)
 
 
 class CellScapeModel:
-    """Parameter container plus the masked dual-branch forward pass."""
+    """Parameters of the dual-branch network plus its encoder and decoder passes."""
 
     def __init__(self, n_genes: int, q: int | None, cfg: ModelConfig):
         self.cfg = cfg
@@ -126,8 +124,7 @@ class CellScapeModel:
 
     # -- forward pieces ---------------------------------------------------
 
-    def encode_spatial(self, features: Tensor, edges: DirectedEdges,
-                       collect_attention=None) -> Tensor:
+    def encode_spatial(self, features: Tensor, edges: DirectedEdges) -> Tensor:
         cfg = self.cfg
         h = features
         for layer in range(cfg.gat_layers):
@@ -138,24 +135,36 @@ class CellScapeModel:
                 [self.params[f"encoder.{layer}.{k}.a_center"] for k in range(cfg.attention_heads)],
                 [self.params[f"encoder.{layer}.{k}.a_neighbor"] for k in range(cfg.attention_heads)],
                 cfg.attention_slope, average=final,
-                collect_attention=collect_attention,
             )
             if not final:
                 h = ad.elu(h)
         return h
 
-    def encode_intrinsic(self, maps: np.ndarray, training: bool,
-                         update_running: bool = True) -> Tensor:
+    def encode_intrinsic(self, maps: np.ndarray, training: bool) -> Tensor:
         n = maps.shape[0]
         x = Tensor(maps.reshape(n, 1, self.q, self.q))
         for i in range(len(self.cfg.cnn_channels)):
             x = ad.conv_block(
                 x, self.params[f"cnn.{i}.w"], self.params[f"cnn.{i}.gamma"],
-                self.params[f"cnn.{i}.beta"], self.bn_states[f"cnn.{i}"], training,
-                update_running, 0.01,
+                self.params[f"cnn.{i}.beta"], self.bn_states[f"cnn.{i}"], training, 0.01,
             )
         flat = ad.reshape(x, (n, -1))
         return ad.matmul(flat, self.params["cnn.fc.w"]) + self.params["cnn.fc.b"]
+
+    def encode(self, features: np.ndarray, maps: np.ndarray | None,
+               edges: DirectedEdges, training: bool) -> tuple[Tensor, Tensor | None, Tensor]:
+        """Both encoders and the fusion on (n, p) cell features and (n, q, q)
+        maps: ``(z_spatial, z_intrinsic, z_fused)`` as graph-connected
+        tensors, ``z_intrinsic`` None with ``cci_only``. With ``training``
+        the CNN normalizes by batch statistics and updates its running ones."""
+        z_spatial = self.encode_spatial(Tensor(features), edges)
+        if self.cfg.cci_only:
+            z_intrinsic = None
+            joint = z_spatial
+        else:
+            z_intrinsic = self.encode_intrinsic(maps, training)
+            joint = ad.concat([z_spatial, z_intrinsic], axis=1)
+        return z_spatial, z_intrinsic, ad.matmul(joint, self.params["fusion.W"])
 
     def decode(self, z: Tensor, edges: DirectedEdges) -> Tensor:
         return gat_layer(
@@ -165,34 +174,3 @@ class CellScapeModel:
             [self.params["decoder.0.a_neighbor"]],
             self.cfg.attention_slope, average=True,
         )
-
-    def forward(self, features: np.ndarray, maps: np.ndarray | None,
-                graph: SpatialGraph, training: bool, update_running: bool = True,
-                collect_attention=None) -> dict:
-        """Full pass on (n, p) cell features and (n, q, q) maps.
-
-        Returns spatial/intrinsic/fused embeddings and the decoded
-        reconstruction, all as graph-connected tensors.
-        """
-        n = graph.n_nodes
-        if features.shape != (n, self.n_genes):
-            raise ValueError(f"features shape {features.shape} != ({n}, {self.n_genes})")
-        edges = graph.directed_edges()
-
-        z_spatial = self.encode_spatial(Tensor(features), edges, collect_attention)
-        if self.cfg.cci_only:
-            z_intrinsic = None
-            joint = z_spatial
-        else:
-            if maps is None:
-                raise ValueError("gene maps required unless cci_only")
-            z_intrinsic = self.encode_intrinsic(maps, training, update_running)
-            joint = ad.concat([z_spatial, z_intrinsic], axis=1)
-        z_fused = ad.matmul(joint, self.params["fusion.W"])
-        x_hat = self.decode(z_fused, edges)
-        return {
-            "z_spatial": z_spatial,
-            "z_intrinsic": z_intrinsic,
-            "z_fused": z_fused,
-            "x_hat": x_hat,
-        }

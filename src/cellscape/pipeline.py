@@ -12,7 +12,6 @@ from .cluster import DomainLabels, gmm_cluster, pca_reduce, refine_labels
 from .config import PipelineConfig, model_config_from
 from .dataset import ExpressionDataset
 from .gene_map import GeneLayout, layout_genes
-from .network import CellScapeModel
 from .preprocess import (
     CoexpressionMatrix,
     combat_correct,
@@ -106,7 +105,6 @@ class Fit:
     dataset: ExpressionDataset      # preprocessed, the samples merged
     graph: SpatialGraph             # per-sample graphs, block-diagonal
     layout: GeneLayout | None       # None with cci_only
-    model: CellScapeModel
     embeddings: EmbeddingSet
     log: list[dict]                 # one record per training epoch
     labels: DomainLabels
@@ -153,7 +151,7 @@ def fit(samples: list[ExpressionDataset], cfg: PipelineConfig) -> Fit:
     graph = block_diagonal_merge([build_graph(s.coords, cfg) for s in samples])
     mcfg = model_config_from(cfg)
     layout = None if mcfg.cci_only else make_layout(coexpr, cfg)
-    model, embeddings, log = train(pre, graph, layout, mcfg)
+    _, embeddings, log = train(pre, graph, layout, mcfg)
     labels = segment_embeddings(embeddings.Z_spatial, pre.coords, cfg,
                                 sample_labels=samples_of_cells)
-    return Fit(pre, graph, layout, model, embeddings, log, labels, samples_of_cells)
+    return Fit(pre, graph, layout, embeddings, log, labels, samples_of_cells)

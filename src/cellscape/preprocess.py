@@ -110,16 +110,13 @@ def pearson_coexpression(ds: ExpressionDataset) -> CoexpressionMatrix:
     return CoexpressionMatrix(C=C, constant_genes=constant)
 
 
-def combat_correct(ds: ExpressionDataset, eb_shrink: bool = False,
-                   max_iter: int = 200, conv: float = 1e-6) -> ExpressionDataset:
+def combat_correct(ds: ExpressionDataset) -> ExpressionDataset:
     """Remove per-gene location/scale batch effects.
 
     Standardizes each gene, estimates per-batch additive (gamma) and
-    multiplicative (delta^2) effects, and back-transforms. By default the
-    batch moments are removed exactly, which makes post-correction batch
-    means identical per gene; ``eb_shrink=True`` instead shrinks the batch
-    estimates across genes with the parametric empirical-Bayes moment scheme
-    (robust for small panels, but equalizes moments only approximately).
+    multiplicative (delta^2) effects, and back-transforms. The batch moments
+    are removed exactly, with no empirical-Bayes shrinkage, which makes
+    post-correction batch means identical per gene.
     """
     if ds.batch_labels is None:
         raise ValueError("combat_correct requires batch labels")
@@ -135,7 +132,7 @@ def combat_correct(ds: ExpressionDataset, eb_shrink: bool = False,
             raise ValueError(f"batch {name!r} has {c} cell(s); need at least 2 per batch")
 
     X = ds.X
-    p, n = X.shape
+    n = X.shape[1]
     n_batches = len(batch_names)
     members = [np.flatnonzero(batch_idx == b) for b in range(n_batches)]
 
@@ -148,53 +145,14 @@ def combat_correct(ds: ExpressionDataset, eb_shrink: bool = False,
     scale = np.where(informative, np.sqrt(var_pooled), 1.0)
     Z = (X - grand[:, None]) / scale[:, None]
 
-    gamma_hat = np.stack([Z[:, m].mean(axis=1) for m in members], axis=1)
-    delta2_hat = np.stack(
-        [Z[:, m].var(axis=1, ddof=1) if m.size > 1 else np.ones(p) for m in members], axis=1
-    )
+    gamma = np.stack([Z[:, m].mean(axis=1) for m in members], axis=1)
+    delta2 = np.stack([Z[:, m].var(axis=1, ddof=1) for m in members], axis=1)
 
-    if eb_shrink:
-        gamma_star, delta2_star = _eb_adjust(Z, members, gamma_hat, delta2_hat, max_iter, conv)
-    else:
-        gamma_star, delta2_star = gamma_hat, delta2_hat
-
-    delta2_star = np.where(delta2_star > 0, delta2_star, 1.0)
-    adjusted = (Z - gamma_star[:, batch_idx]) / np.sqrt(delta2_star)[:, batch_idx]
+    delta2 = np.where(delta2 > 0, delta2, 1.0)
+    adjusted = (Z - gamma[:, batch_idx]) / np.sqrt(delta2)[:, batch_idx]
     corrected = scale[:, None] * adjusted + grand[:, None]
     corrected[~informative, :] = grand[~informative, None]
 
     out = ds.copy()
     out.X = corrected
     return out
-
-
-def _eb_adjust(Z, members, gamma_hat, delta2_hat, max_iter, conv):
-    """Parametric empirical-Bayes shrinkage of batch effects (method of moments)."""
-    p, n_batches = gamma_hat.shape
-    gamma_star = gamma_hat.copy()
-    delta2_star = delta2_hat.copy()
-    for b, m in enumerate(members):
-        n_b = m.size
-        gamma_bar = gamma_hat[:, b].mean()
-        tau2 = gamma_hat[:, b].var(ddof=1) if p > 1 else 0.0
-        d_mean = delta2_hat[:, b].mean()
-        d_var = delta2_hat[:, b].var(ddof=1) if p > 1 else 0.0
-        if d_var > 0:
-            a_prior = (2 * d_var + d_mean ** 2) / d_var
-            b_prior = (d_mean * d_var + d_mean ** 3) / d_var
-        else:
-            a_prior, b_prior = 2.0 + 1e-8, d_mean  # flat inverse-gamma fallback
-        g_old = gamma_hat[:, b].copy()
-        d_old = delta2_hat[:, b].copy()
-        zb = Z[:, m]
-        for _ in range(max_iter):
-            g_new = (n_b * tau2 * gamma_hat[:, b] + d_old * gamma_bar) / (n_b * tau2 + d_old)
-            sse = ((zb - g_new[:, None]) ** 2).sum(axis=1)
-            d_new = (b_prior + 0.5 * sse) / (n_b / 2.0 + a_prior - 1.0)
-            change = max(np.abs(g_new - g_old).max(), np.abs(d_new - d_old).max())
-            g_old, d_old = g_new, d_new
-            if change < conv:
-                break
-        gamma_star[:, b] = g_old
-        delta2_star[:, b] = d_old
-    return gamma_star, delta2_star

@@ -1,5 +1,6 @@
-"""Training loop: masked dual-branch forward, per-loss backprop, gradient
-surgery, Adam with the halving schedule, and mask-free embedding extraction."""
+"""Training loop: masked dual-branch encode and decode, per-loss backprop,
+gradient surgery, Adam with the halving schedule, and mask-free embedding
+extraction by the encoders alone."""
 
 from __future__ import annotations
 
@@ -68,7 +69,8 @@ def train(ds: ExpressionDataset, graph: SpatialGraph, layout: GeneLayout | None,
     model = CellScapeModel(ds.n_genes, q, cfg)
     params = model.params
     optimizer = AdamState(params, cfg.learning_rate, cfg.weight_decay)
-    neighbors = neighbor_arrays(graph.directed_edges())
+    edges = graph.directed_edges()
+    neighbors = neighbor_arrays(edges)
 
     log: list[dict] = []
     for epoch in range(cfg.epochs):
@@ -77,23 +79,18 @@ def train(ds: ExpressionDataset, graph: SpatialGraph, layout: GeneLayout | None,
         seq = np.random.SeedSequence([cfg.seed, epoch])
         mask_seed, surgery_seed, anchor_seed = (int(s) for s in seq.generate_state(3))
 
-        if maps_full is None:
-            rng = np.random.default_rng(mask_seed)
-            size = int(np.ceil(cfg.mask_ratio * n))
-            mask = np.sort(rng.choice(n, size=size, replace=False))
-            feats = features_full.copy()
-            feats[mask] = 0.0
-            masked_maps = None
-        else:
-            batch = mask_cells(X, maps_full, cfg.mask_ratio, mask_seed)
-            mask = batch.mask_set
-            feats = np.ascontiguousarray(batch.masked_features.T)
-            masked_maps = batch.masked_maps
+        mask = mask_cells(n, cfg.mask_ratio, mask_seed)
+        feats = features_full.copy()
+        feats[mask] = 0.0
+        masked_maps = None
+        if maps_full is not None:
+            masked_maps = maps_full.copy()
+            masked_maps[mask] = 0.0
 
-        out = model.forward(feats, masked_maps, graph, training=True, update_running=True)
-        loss_recon = sce_loss(features_full, out["x_hat"], mask, cfg.gamma)
+        _, _, z_fused = model.encode(feats, masked_maps, edges, training=True)
+        loss_recon = sce_loss(features_full, model.decode(z_fused, edges), mask, cfg.gamma)
 
-        z_norm = ad.l2_normalize_rows(out["z_fused"])
+        z_norm = ad.l2_normalize_rows(z_fused)
         anchors = None
         if n > cfg.max_contrastive_anchors:
             anchors = np.sort(
@@ -141,7 +138,8 @@ def train(ds: ExpressionDataset, graph: SpatialGraph, layout: GeneLayout | None,
 
 def embed(model: CellScapeModel, ds: ExpressionDataset, graph: SpatialGraph,
           layout: GeneLayout | None) -> EmbeddingSet:
-    """Deterministic mask-free forward pass (normalization in eval mode)."""
+    """Deterministic mask-free encoder pass (normalization in eval mode); the
+    decoder does not run."""
     if ds.n_genes != model.n_genes:
         raise ValueError(f"dataset has {ds.n_genes} genes, model expects {model.n_genes}")
     if graph.n_nodes != ds.n_cells:
@@ -154,14 +152,14 @@ def embed(model: CellScapeModel, ds: ExpressionDataset, graph: SpatialGraph,
         if layout.q != model.q:
             raise ValueError(f"layout grid {layout.q} differs from model grid {model.q}")
         maps = render_maps(ds.X, layout)
-    out = model.forward(
-        np.ascontiguousarray(ds.X.T), maps, graph, training=False, update_running=False
+    z_spatial, z_intrinsic, z_fused = model.encode(
+        np.ascontiguousarray(ds.X.T), maps, graph.directed_edges(), training=False
     )
-    fused = out["z_fused"].values
+    fused = z_fused.values
     norms = np.maximum(np.sqrt((fused * fused).sum(axis=1, keepdims=True)), 1e-12)
     return EmbeddingSet(
-        Z_spatial=out["z_spatial"].values,
-        Z_intrinsic=None if out["z_intrinsic"] is None else out["z_intrinsic"].values,
+        Z_spatial=z_spatial.values,
+        Z_intrinsic=None if z_intrinsic is None else z_intrinsic.values,
         Z=fused / norms,
     )
 

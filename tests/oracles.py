@@ -45,7 +45,7 @@ def finite_difference_grads(loss_fn, params, h: float = 1e-5):
 
 
 def composite_gat_layer(h, dst, src, n: int, W, a_center, a_neighbor, head_dim: int,
-                        slope: float, average: bool, collect_attention: list | None = None):
+                        slope: float, average: bool):
     """Multi-head graph attention head by head, from generic autodiff ops.
 
     ``dst``/``src`` list each attention pair (receiver, sender) including
@@ -68,8 +68,6 @@ def composite_gat_layer(h, dst, src, n: int, W, a_center, a_neighbor, head_dim: 
         ex = ad.exp(e - seg_max[dst])
         denom = ad.segment_sum(ex, dst, n)
         alpha = ex / ad.gather_rows(denom, dst)
-        if collect_attention is not None:
-            collect_attention.append((alpha.values.copy(), dst))
         messages = ad.gather_rows(part, src) * alpha
         outputs.append(ad.segment_sum(messages, dst, n))
     if heads == 1:
@@ -82,13 +80,13 @@ def composite_gat_layer(h, dst, src, n: int, W, a_center, a_neighbor, head_dim: 
     return ad.concat(outputs, axis=1)
 
 
-def composite_conv_block(x, w, gamma, beta, state, training: bool, update_running: bool,
-                         slope: float):
+def composite_conv_block(x, w, gamma, beta, state, training: bool, slope: float):
     """conv -> batch norm -> leaky ReLU -> 2x2 max pool from the generic
-    autodiff ops, with a zero convolution bias."""
+    autodiff ops, with a zero convolution bias; the running statistics move
+    exactly when ``training`` is set."""
     bias = ad.Tensor(np.zeros(w.shape[0]))
     out = ad.conv2d(x, w, bias, "same")
-    out = ad.batch_norm(out, gamma, beta, state, training, update_running)
+    out = ad.batch_norm(out, gamma, beta, state, training)
     return ad.maxpool2(ad.leaky_relu(out, slope))
 
 

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 
+import pytest
 import yaml
 
 from cellscape.cli import main
@@ -62,6 +63,25 @@ def test_simulate_train_segment_evaluate(tmp_path, capsys):
         assert math.isfinite(r["grad_norm_recon"]) and r["grad_norm_recon"] > 0.0
         assert math.isfinite(r["grad_norm_contrastive"]) and r["grad_norm_contrastive"] > 0.0
         assert 0.0 <= r["pcgrad_projected_frac"] <= 1.0
+
+
+@pytest.mark.parametrize("cci_only", [False, True], ids=["dual", "cci-only"])
+def test_train_writes_and_reports_exactly_its_artifacts(tmp_path, capsys, cci_only):
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert main(["simulate", "--output-dir", str(data), "--seed", "0",
+                 "--n-cells", "200", "--n-genes", "30"]) == 0
+    capsys.readouterr()
+    argv = ["train", "--output-dir", str(out), "--seed", "0", "--epochs", "1",
+            "--expression", str(data / "expression.csv"), "--coords", str(data / "coords.csv")]
+    assert main(argv + (["--cci-only"] if cci_only else [])) == 0
+    expected = {"preprocessed_expression.csv", "graph.txt", "embeddings_spatial.csv",
+                "embeddings_fused.csv", "training_log.jsonl", "cells.csv", "samples.csv",
+                "labels.csv"}
+    if not cci_only:
+        expected.add("embeddings_intrinsic.csv")
+    assert {path.name for path in out.iterdir()} == expected
+    reported = capsys.readouterr().out.splitlines()
+    assert sorted(reported) == sorted(f"wrote {out / name}" for name in expected)
 
 
 def test_integrate_segment_analyze(tmp_path, capsys):

@@ -5,6 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
+from cellscape import training
+from cellscape.dataset import ExpressionDataset
 from cellscape.gene_map import (
     GeneLayout,
     layout_genes,
@@ -12,7 +14,9 @@ from cellscape.gene_map import (
     render_map,
     render_maps,
 )
+from cellscape.network import CellScapeModel, ModelConfig
 from cellscape.preprocess import CoexpressionMatrix
+from cellscape.spatial_graph import build_knn_graph
 from oracles import naive_gene_layout
 
 
@@ -170,45 +174,70 @@ class TestRender:
 
 
 class TestMask:
-    def _setup(self, n=4, p=3, q=2):
+    """``mask_cells`` draws the masked cells; each training epoch zeroes
+    the features and the gene maps of those same cells."""
+
+    def _epoch_inputs(self, monkeypatch, cci_only=False, n=12, p=16, q=4):
+        """X, the full maps, and the mask, features and maps of the one
+        training epoch."""
         rng = np.random.default_rng(9)
-        X = rng.random((p, n))
-        cells = np.arange(p)
-        positions = np.stack(np.divmod(cells, q), axis=1)
+        X = rng.random((p, n)) + 0.5
+        ds = ExpressionDataset(X=X, coords=rng.random((2, n)),
+                               gene_names=[f"g{i}" for i in range(p)],
+                               cell_ids=[f"c{j}" for j in range(n)])
+        positions = np.stack(np.divmod(np.arange(p), q), axis=1)
         layout = GeneLayout(positions=positions, q=q, objective_value=0.0, greedy_objective=0.0)
-        return X, render_maps(X, layout)
+        cfg = ModelConfig(gat_layers=1, attention_heads=1, hidden_dim=4, embed_dim=4,
+                          cnn_channels=(2,), mask_ratio=0.5, epochs=1, cci_only=cci_only)
+        drawn, seen = [], []
 
-    def test_mask_count_and_zeroing(self):
-        X, maps = self._setup()
-        batch = mask_cells(X, maps, ratio=0.5, seed=0)
-        assert len(batch.mask_set) == 2
-        for i in batch.mask_set:
-            assert np.all(batch.masked_features[:, i] == 0)
-            assert np.all(batch.masked_maps[i] == 0)
+        def draw(*args):
+            drawn.append(mask_cells(*args))
+            return drawn[-1]
 
-    def test_unmasked_untouched(self):
-        X, maps = self._setup()
-        batch = mask_cells(X, maps, ratio=0.5, seed=0)
-        untouched = [i for i in range(4) if i not in set(batch.mask_set.tolist())]
-        for i in untouched:
-            np.testing.assert_array_equal(batch.masked_features[:, i], X[:, i])
-            np.testing.assert_array_equal(batch.masked_maps[i], maps[i])
+        def encode(model, features, maps, *args, **kwargs):
+            seen.append((features.copy(), None if maps is None else maps.copy()))
+            return original_encode(model, features, maps, *args, **kwargs)
+
+        original_encode = CellScapeModel.encode
+        monkeypatch.setattr(training, "mask_cells", draw)
+        monkeypatch.setattr(CellScapeModel, "encode", encode)
+        training.train(ds, build_knn_graph(ds.coords, k=3), layout, cfg)
+        assert len(drawn) == 1 and len(seen) == 2  # the epoch, then the mask-free embed
+        features, maps = seen[0]
+        return X, render_maps(X, layout), drawn[0], features, maps
+
+    def test_mask_count_and_zeroing(self, monkeypatch):
+        mask = mask_cells(7, ratio=0.3, seed=0)
+        assert mask.size == 3  # ceil(0.3 * 7)
+        assert np.all(np.diff(mask) > 0) and 0 <= mask.min() and mask.max() < 7
+        _, _, mask, features, maps = self._epoch_inputs(monkeypatch)
+        assert mask.size == 6
+        assert np.all(features[mask] == 0) and np.all(maps[mask] == 0)
+        # the spatial-only branch draws the same cells and zeroes their features
+        _, _, cci_mask, cci_features, cci_maps = self._epoch_inputs(monkeypatch, cci_only=True)
+        np.testing.assert_array_equal(cci_mask, mask)
+        assert np.all(cci_features[mask] == 0) and cci_maps is None
+
+    def test_unmasked_untouched(self, monkeypatch):
+        X, full_maps, mask, features, maps = self._epoch_inputs(monkeypatch)
+        kept = np.setdiff1d(np.arange(X.shape[1]), mask)
+        np.testing.assert_array_equal(features[kept], X.T[kept])
+        np.testing.assert_array_equal(maps[kept], full_maps[kept])
 
     def test_same_seed_same_mask(self):
-        X, maps = self._setup(n=50)
-        a = mask_cells(X, maps, ratio=0.3, seed=42)
-        b = mask_cells(X, maps, ratio=0.3, seed=42)
-        np.testing.assert_array_equal(a.mask_set, b.mask_set)
+        a = mask_cells(50, ratio=0.3, seed=42)
+        b = mask_cells(50, ratio=0.3, seed=42)
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, mask_cells(50, ratio=0.3, seed=43))
 
-    def test_map_sum_conservation(self):
-        X, maps = self._setup()
-        batch = mask_cells(X, maps, ratio=0.5, seed=1)
-        for i in range(4):
-            expected = 0.0 if i in set(batch.mask_set.tolist()) else X[:, i].sum()
-            assert batch.masked_maps[i].sum() == pytest.approx(expected)
+    def test_map_sum_conservation(self, monkeypatch):
+        X, _, mask, _, maps = self._epoch_inputs(monkeypatch)
+        for i in range(X.shape[1]):
+            expected = 0.0 if i in set(mask.tolist()) else X[:, i].sum()
+            assert maps[i].sum() == pytest.approx(expected)
 
     def test_ratio_bounds(self):
-        X, maps = self._setup()
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError, match="ratio"):
-                mask_cells(X, maps, ratio=bad, seed=0)
+                mask_cells(4, ratio=bad, seed=0)

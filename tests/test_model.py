@@ -8,9 +8,8 @@ import pytest
 
 from cellscape import autodiff as ad
 from cellscape.autodiff import Tensor
-from cellscape.checkpoint import load_checkpoint, save_checkpoint
 from cellscape.dataset import ExpressionDataset
-from cellscape.gene_map import layout_genes
+from cellscape.gene_map import layout_genes, mask_cells, render_maps
 from cellscape.losses import contrastive_loss, neighbor_arrays, sce_loss
 from cellscape.network import CellScapeModel, ModelConfig, gat_layer
 from cellscape.preprocess import pearson_coexpression
@@ -53,32 +52,36 @@ class TestGatLayer:
         return SpatialGraph(3, np.array([[0, 1], [1, 2]]), np.ones(2))
 
     def test_attention_rows_sum_to_one(self):
+        # the last input column is all ones and W carries it alone to the last
+        # output column, which no score reads: that output is each receiver's
+        # sum of attention weights
         rng = np.random.default_rng(0)
         g = build_knn_graph(rng.random((2, 10)), k=2)
-        W = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
-        a_c = [Tensor(rng.standard_normal((4, 1)), requires_grad=True)]
-        a_n = [Tensor(rng.standard_normal((4, 1)), requires_grad=True)]
-        attn = []
-        gat_layer(Tensor(rng.standard_normal((10, 5))), g.directed_edges(), W, a_c, a_n,
-                  0.2, average=True, collect_attention=attn)
-        alpha, dst_idx = attn[0]
-        sums = np.zeros(10)
-        np.add.at(sums, dst_idx, alpha[:, 0])
-        np.testing.assert_allclose(sums, 1.0, atol=1e-12)
+        h = np.hstack([rng.standard_normal((10, 5)), np.ones((10, 1))])
+        W = np.zeros((6, 8))                  # two heads of width 4
+        W[:5, [0, 1, 2, 4, 5, 6]] = rng.standard_normal((5, 6))
+        W[5, [3, 7]] = 1.0
+        a_c = rng.standard_normal((2, 4, 1))
+        a_n = rng.standard_normal((2, 4, 1))
+        a_c[:, 3] = a_n[:, 3] = 0.0
+        for average in (True, False):
+            out = gat_layer(Tensor(h), g.directed_edges(), Tensor(W),
+                            [Tensor(a) for a in a_c], [Tensor(a) for a in a_n], 0.2, average)
+            sums = out.values[:, 3::4]
+            np.testing.assert_allclose(sums, 1.0, atol=1e-12)
+            assert np.ptp(out.values[:, :3]) > 0.1  # the other columns do vary
 
     def test_identical_features_uniform_attention(self):
+        # identical rows: every node's output is the shared projected row
         g = self._path_graph()
         rng = np.random.default_rng(1)
-        W = Tensor(rng.standard_normal((4, 3)))
+        W = rng.standard_normal((4, 3))
         a_c = [Tensor(rng.standard_normal((3, 1)))]
         a_n = [Tensor(rng.standard_normal((3, 1)))]
-        h = Tensor(np.tile(rng.standard_normal(4), (3, 1)))
-        attn = []
-        gat_layer(h, g.directed_edges(), W, a_c, a_n, 0.2, True, collect_attention=attn)
-        alpha, dst_idx = attn[0]
-        for node in range(3):
-            vals = alpha[dst_idx == node, 0]
-            np.testing.assert_allclose(vals, vals[0], atol=1e-12)
+        row = rng.standard_normal(4)
+        out = gat_layer(Tensor(np.tile(row, (3, 1))), g.directed_edges(), Tensor(W), a_c, a_n,
+                        0.2, True)
+        np.testing.assert_allclose(out.values, np.tile(row @ W, (3, 1)), rtol=1e-12)
 
     def test_hand_computed_scalar_attention(self):
         # path 0-1-2, h=(0,1,2), W=1, scores e_ij = h_i + h_j, self-loops on
@@ -160,22 +163,6 @@ class TestGatAttentionOracle:
             np.testing.assert_allclose(got, want, rtol=1e-12,
                                        atol=1e-12 * np.abs(want).max())
 
-    def test_attention_weights_match_composite(self):
-        graph = _attention_graph("hub")
-        h, W, a_c, a_n = _attention_inputs(graph.n_nodes, 2, 3, seed=8)
-        edges = graph.directed_edges()
-        fused, composite = [], []
-        gat_layer(Tensor(h), edges, Tensor(W), [Tensor(a) for a in a_c],
-                  [Tensor(a) for a in a_n], 0.2, False, collect_attention=fused)
-        composite_gat_layer(Tensor(h), edges.dst, edges.src, graph.n_nodes, Tensor(W),
-                            [Tensor(a) for a in a_c], [Tensor(a) for a in a_n], 3, 0.2,
-                            False, collect_attention=composite)
-        assert len(fused) == len(composite) == 2
-        for (alpha, dst), (alpha_ref, dst_ref) in zip(fused, composite):
-            assert alpha.shape == alpha_ref.shape
-            np.testing.assert_allclose(alpha, alpha_ref, rtol=1e-12)
-            np.testing.assert_array_equal(dst, dst_ref)
-
     @pytest.mark.parametrize("average", [False, True])
     def test_gradients_match_finite_differences(self, average):
         graph = _attention_graph("isolated node")
@@ -223,7 +210,7 @@ class TestCnnEncoder:
     def test_zero_maps_zero_embedding(self):
         cfg = ModelConfig(seed=0, **TOY_CFG)
         model = CellScapeModel(16, 4, cfg)
-        z = model.encode_intrinsic(np.zeros((6, 4, 4)), training=True, update_running=False)
+        z = model.encode_intrinsic(np.zeros((6, 4, 4)), training=True)
         np.testing.assert_allclose(z.values, 0.0, atol=1e-12)
 
     def test_batch_permutation_equivariance(self):
@@ -232,8 +219,8 @@ class TestCnnEncoder:
         rng = np.random.default_rng(2)
         maps = rng.random((8, 4, 4))
         perm = rng.permutation(8)
-        z = model.encode_intrinsic(maps, training=True, update_running=False).values
-        zp = model.encode_intrinsic(maps[perm], training=True, update_running=False).values
+        z = model.encode_intrinsic(maps, training=True).values
+        zp = model.encode_intrinsic(maps[perm], training=True).values
         np.testing.assert_allclose(zp, z[perm], atol=1e-12)
 
     def test_small_grid_rejected(self):
@@ -460,14 +447,14 @@ def _conv_block_inputs(n, cin, cout, q, seed, masked=(1, 3)):
     return x, w, gamma, beta
 
 
-def _conv_block_pass(op, arrays, training, update_running, weights):
+def _conv_block_pass(op, arrays, training, weights):
     """Output, running statistics and the gradients of x, w, gamma and beta
     of ``op`` (the fused op or the composite chain) under loss sum(out * weights)."""
     x, w, gamma, beta = (Tensor(a.copy(), requires_grad=True) for a in arrays)
     state = ad.BatchNormState(w.shape[0])
     state.running_mean[:] = 0.3
     state.running_var[:] = 2.0
-    out = op(x, w, gamma, beta, state, training, update_running, 0.01)
+    out = op(x, w, gamma, beta, state, training, 0.01)
     ad.backward(ad.tensor_sum(out * weights))
     return [out.values, state.running_mean, state.running_var,
             x.grad, w.grad, gamma.grad, beta.grad]
@@ -483,27 +470,26 @@ def _assert_match(got_list, want_list):
 class TestConvBlockOracle:
     """The fused CNN block against conv2d -> batch_norm -> leaky_relu -> maxpool2."""
 
-    @pytest.mark.parametrize("training,update_running",
-                             [(True, True), (True, False), (False, False)])
+    # ids: training, then whether the running statistics move (exactly when training)
+    @pytest.mark.parametrize("training", [pytest.param(True, id="True-True"),
+                                          pytest.param(False, id="False-False")])
     @pytest.mark.parametrize("cin,q", [(1, 6), (1, 7), (3, 5), (3, 8)])
-    def test_values_and_gradients_match_composite(self, cin, q, training, update_running):
+    def test_values_and_gradients_match_composite(self, cin, q, training):
         arrays = _conv_block_inputs(6, cin, 4, q, seed=cin * 10 + q)
         weights = np.random.default_rng(q).standard_normal((6, 4, q // 2, q // 2))
-        fused = _conv_block_pass(ad.conv_block, arrays, training, update_running, weights)
-        reference = _conv_block_pass(composite_conv_block, arrays, training, update_running,
-                                     weights)
+        fused = _conv_block_pass(ad.conv_block, arrays, training, weights)
+        reference = _conv_block_pass(composite_conv_block, arrays, training, weights)
         _assert_match(fused, reference)
-        if not update_running:
-            np.testing.assert_array_equal(fused[1], 0.3)
-            np.testing.assert_array_equal(fused[2], 2.0)
+        moved = not (np.all(fused[1] == 0.3) and np.all(fused[2] == 2.0))
+        assert moved == training
 
     @pytest.mark.parametrize("training", [True, False])
     def test_every_cell_masked(self, training):
         # every window of every map ties; the gradient goes to each window's first entry
         arrays = _conv_block_inputs(4, 1, 3, 6, seed=2, masked=range(4))
         weights = np.random.default_rng(3).standard_normal((4, 3, 3, 3))
-        fused = _conv_block_pass(ad.conv_block, arrays, training, True, weights)
-        reference = _conv_block_pass(composite_conv_block, arrays, training, True, weights)
+        fused = _conv_block_pass(ad.conv_block, arrays, training, weights)
+        reference = _conv_block_pass(composite_conv_block, arrays, training, weights)
         _assert_match(fused, reference)
 
     def test_two_layer_model_matches_composite(self):
@@ -515,7 +501,7 @@ class TestConvBlockOracle:
         names = [name for name in model.params if name.startswith("cnn.")]
         states = copy.deepcopy(model.bn_states)
 
-        z = model.encode_intrinsic(maps, training=True, update_running=True)
+        z = model.encode_intrinsic(maps, training=True)
         ad.backward(ad.tensor_sum(z * weights))
         fused = [z.values, *(model.params[k].grad for k in names),
                  *(s.running_mean for s in model.bn_states.values()),
@@ -527,7 +513,7 @@ class TestConvBlockOracle:
             x = composite_conv_block(x, model.params[f"cnn.{i}.w"],
                                      model.params[f"cnn.{i}.gamma"],
                                      model.params[f"cnn.{i}.beta"], states[f"cnn.{i}"],
-                                     True, True, 0.01)
+                                     True, 0.01)
         z_ref = ad.matmul(ad.reshape(x, (10, -1)), model.params["cnn.fc.w"]) \
             + model.params["cnn.fc.b"]
         ad.backward(ad.tensor_sum(z_ref * weights))
@@ -542,13 +528,13 @@ class TestConvBlockOracle:
         # no masked cells: a tied window is a kink that central differences straddle
         arrays = _conv_block_inputs(3, 2, 2, 5, seed=9, masked=())
         weights = np.random.default_rng(10).standard_normal((3, 2, 2, 2))
-        analytic = _conv_block_pass(ad.conv_block, arrays, training, False, weights)[3:]
+        analytic = _conv_block_pass(ad.conv_block, arrays, training, weights)[3:]
         state = ad.BatchNormState(2)
         state.running_mean[:] = 0.3
         state.running_var[:] = 2.0
 
         def loss():
-            out = ad.conv_block(*(Tensor(a) for a in arrays), state, training, False, 0.01)
+            out = ad.conv_block(*(Tensor(a) for a in arrays), state, training, 0.01)
             return float((out.values * weights).sum())
 
         numeric = finite_difference_grads(loss, list(arrays), h=1e-6)
@@ -561,20 +547,19 @@ class TestModelGradients:
         ds, graph, layout = toy_dataset(n=12, p=16, seed=7)
         cfg = ModelConfig(seed=7, **TOY_CFG)
         model = CellScapeModel(16, layout.q, cfg)
-        from cellscape.gene_map import mask_cells, render_maps
-
-        maps = render_maps(ds.X, layout)
-        batch = mask_cells(ds.X, maps, cfg.mask_ratio, seed=3)
-        feats = np.ascontiguousarray(batch.masked_features.T)
+        mask = mask_cells(ds.n_cells, cfg.mask_ratio, seed=3)
         x_full = np.ascontiguousarray(ds.X.T)
-        neighbors = neighbor_arrays(graph.directed_edges())
+        feats = x_full.copy()
+        feats[mask] = 0.0
+        maps = render_maps(ds.X, layout)
+        maps[mask] = 0.0
+        edges = graph.directed_edges()
+        neighbors = neighbor_arrays(edges)
 
         def total_loss():
-            out = model.forward(feats, batch.masked_maps, graph,
-                                training=True, update_running=False)
-            recon = sce_loss(x_full, out["x_hat"], batch.mask_set, cfg.gamma)
-            z = ad.l2_normalize_rows(out["z_fused"])
-            con = contrastive_loss(z, neighbors, cfg.tau)
+            _, _, z_fused = model.encode(feats, maps, edges, training=True)
+            recon = sce_loss(x_full, model.decode(z_fused, edges), mask, cfg.gamma)
+            con = contrastive_loss(ad.l2_normalize_rows(z_fused), neighbors, cfg.tau)
             return recon + con
 
         loss = total_loss()
@@ -623,6 +608,20 @@ class TestTraining:
         again = embed(model, ds, graph, layout)
         assert emb.Z.tobytes() == again.Z.tobytes()
 
+    def test_embed_runs_the_encoders_alone(self, monkeypatch):
+        ds, graph, layout = toy_dataset(seed=19)
+        cfg = ModelConfig(seed=19, epochs=3, **TOY_CFG)
+        model, emb, _ = train(ds, graph, layout, cfg)
+
+        def no_decoder(*args, **kwargs):
+            raise AssertionError("embed ran the decoder")
+
+        monkeypatch.setattr(CellScapeModel, "decode", no_decoder)
+        again = embed(model, ds, graph, layout)
+        assert emb.Z_spatial.tobytes() == again.Z_spatial.tobytes()
+        assert emb.Z_intrinsic.tobytes() == again.Z_intrinsic.tobytes()
+        assert emb.Z.tobytes() == again.Z.tobytes()
+
     def test_embed_deterministic(self):
         ds, graph, layout = toy_dataset(seed=15)
         cfg = ModelConfig(seed=15, epochs=2, **TOY_CFG)
@@ -662,49 +661,3 @@ class TestTraining:
         _, _, log = train(ds, graph, layout, cfg)
         assert [r["epoch"] for r in log] == [0, 1, 2]
         assert all(r["lr"] == cfg.learning_rate for r in log)
-
-
-class TestCheckpoint:
-    def test_round_trip_embeds_bit_for_bit(self, tmp_path):
-        ds, graph, layout = toy_dataset(seed=19)
-        cfg = ModelConfig(seed=19, epochs=3, **TOY_CFG)
-        model, emb, _ = train(ds, graph, layout, cfg)
-        path = tmp_path / "model.csk"
-        save_checkpoint(path, model)
-        back = embed(load_checkpoint(path), ds, graph, layout)
-        np.testing.assert_array_equal(back.Z_spatial, emb.Z_spatial)
-        np.testing.assert_array_equal(back.Z_intrinsic, emb.Z_intrinsic)
-        np.testing.assert_array_equal(back.Z, emb.Z)
-
-    @staticmethod
-    def _saved_as_version(tmp_path, version):
-        ds, graph, layout = toy_dataset(seed=20)
-        model = CellScapeModel(ds.n_genes, layout.q, ModelConfig(seed=20, **TOY_CFG))
-        path = tmp_path / "model.csk"
-        save_checkpoint(path, model)
-        blob = bytearray(path.read_bytes())
-        blob[4:8] = version.to_bytes(4, "little")
-        path.write_bytes(bytes(blob))
-        return path
-
-    def test_version_1_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
-            load_checkpoint(self._saved_as_version(tmp_path, 1))
-
-    def test_version_2_rejected(self, tmp_path):
-        # version 2 stored a convolution bias per CNN layer
-        with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
-            load_checkpoint(self._saved_as_version(tmp_path, 2))
-
-    def test_transposed_parameter_shape_rejected(self, tmp_path):
-        ds, graph, layout = toy_dataset(seed=22)
-        model = CellScapeModel(ds.n_genes, layout.q, ModelConfig(seed=22, **TOY_CFG))
-        assert model.params["encoder.0.W"].shape == (16, 8)
-        path = tmp_path / "model.csk"
-        save_checkpoint(path, model)
-        blob = path.read_bytes()
-        entry = b'{"name": "encoder.0.W", "shape": [16, 8]}'
-        assert blob.count(entry) == 1
-        path.write_bytes(blob.replace(entry, b'{"name": "encoder.0.W", "shape": [8, 16]}'))
-        with pytest.raises(ValueError, match=r"encoder\.0\.W has shape \[8, 16\]"):
-            load_checkpoint(path)
