@@ -1,6 +1,12 @@
 """Downstream domain analyses: transition connectivity, rank-sum marker
 genes, cell-type composition, and gene-set enrichment
-against user-supplied collections."""
+against user-supplied collections.
+
+The statistical tests use numpy and the standard library alone: midranks
+come from one ``np.unique`` per gene and the hypergeometric tail is summed
+in exact integers. This keeps scipy's statistics subpackage, slow to import
+and used by no fit, out of every process that imports cellscape.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import hypergeom, rankdata
 
 from .cluster import DomainLabels
 from .spatial_graph import SpatialGraph
@@ -122,6 +127,17 @@ def transition_graph(labels, g: SpatialGraph) -> TransitionGraph:
 # marker genes
 # ---------------------------------------------------------------------------
 
+def _midranks(row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-based ranks of ``row`` with ties given their mean rank, and the size
+    of each tie group in increasing order of value.
+
+    One ``np.unique`` sorts the row: a value whose c copies end at sorted
+    position s has rank s - (c - 1) / 2.
+    """
+    _, inverse, counts = np.unique(row, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse], counts
+
+
 def _exact_rank_sum_two_sided(ranks: np.ndarray, n1: int, u_obs: float) -> float:
     total = lower = upper = 0
     offset = n1 * (n1 + 1) / 2.0
@@ -152,9 +168,12 @@ def wilcoxon_dge(X: np.ndarray, labels, domain, gene_names=None,
                  pseudocount: float = 1e-9) -> list[GeneRecord]:
     """Per-gene rank-sum test of the domain against all other cells.
 
-    Midrank ties; exact enumeration when both group sizes are at most 8,
-    otherwise the tie-corrected normal approximation with continuity
-    correction. Returns records sorted by adjusted p then descending |lfc|.
+    Tied values share their midrank (``_midranks``), whose tie-group
+    counts also give the tie term sum(c^3 - c). Ranks are half-integers, so
+    rank sums are exact in float64. The p-value is exact, by enumeration,
+    when both group sizes are at most 8, and otherwise the tie-corrected
+    normal approximation with continuity correction. Returns records sorted
+    by adjusted p then descending |lfc|.
     """
     X = np.asarray(X, dtype=np.float64)
     lab = _label_array(labels)
@@ -175,15 +194,14 @@ def wilcoxon_dge(X: np.ndarray, labels, domain, gene_names=None,
     lfcs = np.empty(X.shape[0])
     fracs = np.empty(X.shape[0])
     for gi, row in enumerate(X):
-        ranks = rankdata(row, method="average")
+        ranks, counts = _midranks(row)
         u = ranks[in_group].sum() - n1 * (n1 + 1) / 2.0
-        if row.min() == row.max():
+        if counts.size == 1:
             p = 1.0
         elif exact:
             p = _exact_rank_sum_two_sided(ranks, n1, u)
         else:
-            _, tie_counts = np.unique(row, return_counts=True)
-            tie_term = float((tie_counts.astype(np.float64) ** 3 - tie_counts).sum())
+            tie_term = float((counts.astype(np.float64) ** 3 - counts).sum())
             p = _normal_two_sided(u, n1, n2, tie_term)
         stats[gi] = u
         pvals[gi] = p
@@ -232,11 +250,25 @@ def composition(labels, type_labels) -> CompositionMatrix:
 # gene-set enrichment
 # ---------------------------------------------------------------------------
 
+def _hypergeom_upper_tail(k: int, M: int, K: int, N: int) -> float:
+    """P(X >= k) for X the successes in N draws without replacement from M
+    items of which K are successes.
+
+    The tail is summed in exact integers and divided once; Python rounds an
+    int / int true division correctly, so the result is the exact tail
+    rounded to float64, however small. At k = 0 the sum is C(M, N) itself,
+    so the tail is exactly 1.0.
+    """
+    tail = sum(math.comb(K, i) * math.comb(M - K, N - i) for i in range(k, min(K, N) + 1))
+    return tail / math.comb(M, N)
+
+
 def geneset_enrichment(markers, universe, gene_sets: dict) -> list[EnrichmentRecord]:
     """One-sided hypergeometric over-representation of markers in each set.
 
-    Sets are intersected with the universe before testing; p-values are
-    BH-adjusted across sets.
+    Sets are intersected with the universe before testing. Each p-value is
+    the exact upper tail P(overlap >= k), and p-values are BH-adjusted
+    across sets.
     """
     universe = set(universe)
     if not universe:
@@ -252,9 +284,8 @@ def geneset_enrichment(markers, universe, gene_sets: dict) -> list[EnrichmentRec
     for name, genes in gene_sets.items():
         members = set(genes) & universe
         k = len(members & markers)
-        p = float(hypergeom.sf(k - 1, M, len(members), n_draw)) if members else 1.0
         records.append((name, k, len(members)))
-        pvals.append(min(1.0, p))
+        pvals.append(_hypergeom_upper_tail(k, M, len(members), n_draw))
     adj = benjamini_hochberg(pvals) if pvals else np.empty(0)
     out = [
         EnrichmentRecord(name, k, size, p, a)
@@ -265,7 +296,11 @@ def geneset_enrichment(markers, universe, gene_sets: dict) -> list[EnrichmentRec
 
 
 def read_gmt(path) -> dict[str, list[str]]:
-    """GMT gene-set file: ``set_name<TAB>description<TAB>gene...`` per line."""
+    """GMT gene-set file: ``set_name<TAB>description<TAB>gene...`` per line.
+
+    Set names must be unique: a repeated name raises rather than replacing
+    the earlier set.
+    """
     sets: dict[str, list[str]] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -275,6 +310,9 @@ def read_gmt(path) -> dict[str, list[str]]:
             fields = line.split("\t")
             if len(fields) < 3:
                 raise ValueError(f"{path}: line {lineno}: expected name, description, genes")
+            if fields[0] in sets:
+                raise ValueError(f"{path}: line {lineno}: gene set {fields[0]!r} "
+                                 "repeats an earlier line")
             sets[fields[0]] = [g for g in fields[2:] if g]
     return sets
 

@@ -16,6 +16,7 @@ import itertools
 import math
 import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -184,6 +185,27 @@ def contingency_hom(y_true, y_pred) -> float:
     return 1.0 - cond / hy
 
 
+def midranks(values) -> tuple[list[float], int]:
+    """1-based ranks with ties given the mean of the positions they span, and
+    the tie term sum(t^3 - t) over the tie groups, by a loop over the sorted
+    order."""
+    order = sorted(range(len(values)), key=lambda i: values[i])
+    ranks = [0.0] * len(values)
+    tie_term = 0
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        mid = (i + j) / 2.0 + 1.0
+        for k in range(i, j + 1):
+            ranks[order[k]] = mid
+        t = j - i + 1
+        tie_term += t ** 3 - t
+        i = j + 1
+    return ranks, tie_term
+
+
 def exact_rank_sum_pvalue(a, b) -> tuple[float, float]:
     """Exact two-sided/one-sided rank-sum p via full enumeration with midranks.
 
@@ -192,17 +214,7 @@ def exact_rank_sum_pvalue(a, b) -> tuple[float, float]:
     """
     pooled = list(a) + list(b)
     n1 = len(a)
-    order = sorted(range(len(pooled)), key=lambda i: pooled[i])
-    ranks = [0.0] * len(pooled)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        mid = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = mid
-        i = j + 1
+    ranks, _ = midranks(pooled)
     u_obs = sum(ranks[:n1]) - n1 * (n1 + 1) / 2.0
     total = 0
     lower = 0
@@ -220,12 +232,13 @@ def exact_rank_sum_pvalue(a, b) -> tuple[float, float]:
 
 
 def exact_hypergeom_upper_tail(k: int, universe: int, set_size: int, draws: int) -> float:
-    """P(X >= k) for a hypergeometric draw, by exact PMF summation."""
-    total = 0.0
+    """P(X >= k) for a hypergeometric draw: the PMF terms summed as exact
+    fractions, rounded to float once at the end."""
     denom = math.comb(universe, draws)
-    for kk in range(k, min(set_size, draws) + 1):
-        total += math.comb(set_size, kk) * math.comb(universe - set_size, draws - kk) / denom
-    return min(1.0, total)
+    total = sum(Fraction(math.comb(set_size, kk) * math.comb(universe - set_size, draws - kk),
+                         denom)
+                for kk in range(k, min(set_size, draws) + 1))
+    return float(total)
 
 
 def pearson_corr(x, y) -> float:

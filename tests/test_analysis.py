@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from cellscape.analysis import (
+    _exact_rank_sum_two_sided,
+    _midranks,
+    _normal_two_sided,
+    benjamini_hochberg,
     composition,
     geneset_enrichment,
     read_gmt,
@@ -12,7 +16,7 @@ from cellscape.analysis import (
 )
 from cellscape.spatial_graph import SpatialGraph, build_knn_graph
 
-from oracles import exact_hypergeom_upper_tail, exact_rank_sum_pvalue
+from oracles import exact_hypergeom_upper_tail, exact_rank_sum_pvalue, midranks
 
 
 def graph_from_pairs(n, pairs):
@@ -117,6 +121,54 @@ class TestWilcoxon:
         assert adj == sorted(adj)
         assert 0.0 <= recs[0].fraction_expressing <= 1.0
 
+    @pytest.mark.parametrize("row", [
+        [3.0, 1.0, 3.0, 3.0, 2.0, 1.0, 3.0, 3.0],     # heavy ties
+        [4.0] * 7,                                   # all equal
+        [-2.5, 0.0, -2.5, -7.0, 1e-300, -1e-300],    # negatives and signed tiny values
+        [5.0],                                       # n = 1
+        list(np.random.default_rng(6).integers(-3, 4, 200).astype(float)),
+    ])
+    def test_midranks_match_reference_loop(self, row):
+        from scipy.stats import rankdata  # the previous implementation's ranks
+
+        ranks, counts = _midranks(np.array(row))
+        expected, tie_term = midranks(row)
+        np.testing.assert_array_equal(ranks, expected)
+        np.testing.assert_array_equal(ranks, rankdata(row, method="average"))
+        assert float((counts.astype(np.float64) ** 3 - counts).sum()) == tie_term
+
+    @pytest.mark.parametrize("n1,n2", [(4, 7), (30, 45)], ids=["exact", "normal"])
+    def test_records_bit_identical_to_rankdata_reference(self, n1, n2):
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(7)
+        X = rng.poisson(1.5, (40, n1 + n2)).astype(np.float64)
+        X[:10] = np.round(rng.normal(0.0, 2.0, (10, n1 + n2)), 1)  # signed, tied
+        X[10] = 3.0                                                 # constant gene
+        X[11, :n1] += 4.0                                           # a marker
+        labels = np.array([1] * n1 + [0] * n2)
+        in_group = labels == 1
+        exact = max(n1, n2) <= 8
+        stats, pvals = [], []
+        for row in X:
+            ranks = rankdata(row, method="average")
+            u = ranks[in_group].sum() - n1 * (n1 + 1) / 2.0
+            if row.min() == row.max():
+                p = 1.0
+            elif exact:
+                p = _exact_rank_sum_two_sided(ranks, n1, u)
+            else:
+                _, ties = np.unique(row, return_counts=True)
+                p = _normal_two_sided(u, n1, n2, float((ties.astype(np.float64) ** 3 - ties).sum()))
+            stats.append(u)
+            pvals.append(p)
+        adj = benjamini_hochberg(pvals)
+        got = {r.gene: r for r in wilcoxon_dge(X, labels, 1)}
+        for gi in range(X.shape[0]):
+            rec = got[f"g{gi}"]
+            assert (rec.statistic, rec.p_value, rec.adj_p_value) == (stats[gi], pvals[gi], adj[gi])
+        assert got["g10"].p_value == 1.0
+
     def test_empty_groups_rejected(self):
         X = np.ones((2, 3))
         with pytest.raises(ValueError, match="no cells"):
@@ -182,6 +234,35 @@ class TestEnrichment:
             expected = exact_hypergeom_upper_tail(k, m, len(gene_set), len(markers))
             assert rec.p_value == pytest.approx(expected, abs=1e-12)
 
+    @staticmethod
+    def tail(k, M, K, N):
+        """Enrichment p of a K-gene set holding k of the N markers in an
+        M-gene universe."""
+        genes = [f"g{i}" for i in range(M)]
+        gene_set = genes[:k] + genes[N:N + K - k]
+        return geneset_enrichment(genes[:N], genes, {"s": gene_set})[0].p_value
+
+    def test_tail_matches_fraction_oracle(self):
+        rng = np.random.default_rng(8)
+        # tails near 1e-258, 1e-230 and 1e-217, one that underflows, and the
+        # largest sum (1,500 terms)
+        cases = [(150, 3000, 150, 150), (140, 3000, 150, 140), (130, 3000, 140, 130),
+                 (300, 3000, 300, 300), (60, 2000, 80, 70), (1500, 3000, 1500, 1500),
+                 (800, 3000, 1500, 1500), (1, 3000, 1, 1)]
+        for _ in range(40):
+            M = int(rng.integers(1, 3001))
+            K, N = (int(v) for v in rng.integers(1, M + 1, 2))
+            cases.append((int(rng.integers(max(0, K + N - M), min(K, N) + 1)), M, K, N))
+        expected = [exact_hypergeom_upper_tail(*case) for case in cases]
+        assert sum(1e-300 < e < 1e-200 for e in expected) == 3
+        for case, e in zip(cases, expected):
+            # relative 1e-13 wherever float64 has full precision
+            assert self.tail(*case) == pytest.approx(e, rel=1e-13, abs=1e-300), case
+
+    def test_tail_is_one_at_zero_overlap(self):
+        for M, K, N in [(3000, 1500, 1500), (3000, 2990, 5), (10, 0, 4), (7, 3, 7)]:
+            assert self.tail(0, M, K, N) == 1.0
+
     def test_markers_outside_universe_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             geneset_enrichment(["gX"], ["g0", "g1"], {"s": ["g0"]})
@@ -195,3 +276,9 @@ class TestEnrichment:
         path.write_text("setA\tdesc\tg0\tg1\nsetB\tother\tg2\n")
         sets = read_gmt(path)
         assert sets == {"setA": ["g0", "g1"], "setB": ["g2"]}
+
+    def test_gmt_repeated_set_name_rejected(self, tmp_path):
+        path = tmp_path / "sets.gmt"
+        path.write_text("setA\tdesc\tg0\tg1\nsetB\tother\tg3\nsetA\tagain\tg2\n")
+        with pytest.raises(ValueError, match=r"sets\.gmt: line 3: gene set 'setA'"):
+            read_gmt(path)

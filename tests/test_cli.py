@@ -113,3 +113,24 @@ def test_integrate_segment_analyze(tmp_path, capsys):
     assert read_rows(out / "samples.csv")[1:] == \
         [[cid, f"sample{int(cid[1])}"] for cid, _ in rows]
     check_markers(out / "markers.csv", {label for _, label in rows})
+
+
+def test_analyze_writes_enrichment(tmp_path, capsys):
+    out = str(tmp_path)
+    common = ["--output-dir", out, "--seed", "0"]
+    assert main(["simulate", *common, "--n-cells", "400", "--n-genes", "60"]) == 0
+    assert main(["train", *common, "--expression", str(tmp_path / "expression.csv"),
+                 "--coords", str(tmp_path / "coords.csv"), "--epochs", "1"]) == 0
+    genes = [row[0] for row in read_rows(tmp_path / "expression.csv")[1:]]
+    gmt = tmp_path / "blocks.gmt"
+    gmt.write_text("".join(f"block{i // 10}\tgenes\t" + "\t".join(genes[i:i + 10]) + "\n"
+                           for i in range(0, len(genes), 10)))
+    assert main(["analyze", *common, "--gene-sets", str(gmt)]) == 0
+
+    header, *rows = read_rows(tmp_path / "enrichment.csv")
+    assert header == ["set_name", "overlap", "set_size", "p_value", "adj_p_value"]
+    assert sorted(row[0] for row in rows) == [f"block{i}" for i in range(6)]
+    for _, overlap, size, p, adj in rows:
+        assert 0 <= int(overlap) <= int(size) == 10
+        assert 0.0 <= float(p) <= 1.0
+        assert float(p) <= float(adj) <= 1.0

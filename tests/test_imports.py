@@ -1,6 +1,11 @@
-"""Every module under ``src/cellscape`` and ``tests`` reads each name it imports."""
+"""Every module under ``src/cellscape`` and ``tests`` reads each name it
+imports, and importing the package leaves the heavy statistics subpackage
+unloaded."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +48,12 @@ def test_scan_flags_an_unused_import():
               "from typing import Sequence\n"
               "def f(x: Sequence[int]) -> None:\n    return np.sum(x)\n")
     assert unused_imports(source) == ["os (line 2)", "dataclass (line 4)", "field (line 4)"]
+
+
+def test_package_import_skips_scipy_stats():
+    # a fresh interpreter: this test session may already hold scipy.stats
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, cellscape, cellscape.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"
