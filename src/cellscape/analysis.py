@@ -164,59 +164,65 @@ def _normal_two_sided(u: float, n1: int, n2: int, tie_term: float) -> float:
     return min(1.0, math.erfc(abs(z) / math.sqrt(2.0)))
 
 
-def wilcoxon_dge(X: np.ndarray, labels, domain, gene_names=None,
-                 pseudocount: float = 1e-9) -> list[GeneRecord]:
-    """Per-gene rank-sum test of the domain against all other cells.
+def wilcoxon_dge(X: np.ndarray, labels, domains, gene_names=None,
+                 pseudocount: float = 1e-9) -> list[list[GeneRecord]]:
+    """Per-gene rank-sum test of each domain against all other cells: one
+    record list per entry of ``domains``, in that order.
 
-    Tied values share their midrank (``_midranks``), whose tie-group
-    counts also give the tie term sum(c^3 - c). Ranks are half-integers, so
-    rank sums are exact in float64. The p-value is exact, by enumeration,
-    when both group sizes are at most 8, and otherwise the tie-corrected
-    normal approximation with continuity correction. Returns records sorted
-    by adjusted p then descending |lfc|.
+    Genes are ranked one at a time, and each gene's midranks
+    (``_midranks``) serve every domain; their tie-group counts also give
+    the tie term sum(c^3 - c). Ranks are half-integers, so rank sums are
+    exact in float64. The p-value is exact, by enumeration, when both group
+    sizes are at most 8, and otherwise the tie-corrected normal
+    approximation with continuity correction. Each list is sorted by
+    adjusted p then descending |lfc|.
     """
     X = np.asarray(X, dtype=np.float64)
     lab = _label_array(labels)
     if lab.shape[0] != X.shape[1]:
         raise ValueError(f"{lab.shape[0]} labels for {X.shape[1]} cells")
-    in_group = lab == domain
-    n1 = int(in_group.sum())
-    n2 = int((~in_group).sum())
-    if n1 == 0:
-        raise ValueError(f"domain {domain!r} has no cells")
-    if n2 == 0:
-        raise ValueError(f"domain {domain!r} covers every cell; no comparison group")
+    groups = []
+    for domain in domains:
+        in_group = lab == domain
+        n1 = int(in_group.sum())
+        if n1 == 0:
+            raise ValueError(f"domain {domain!r} has no cells")
+        if n1 == lab.shape[0]:
+            raise ValueError(f"domain {domain!r} covers every cell; no comparison group")
+        groups.append((in_group, ~in_group, n1, lab.shape[0] - n1))
     names = gene_names if gene_names is not None else [f"g{i}" for i in range(X.shape[0])]
-    exact = max(n1, n2) <= 8
 
-    stats = np.empty(X.shape[0])
-    pvals = np.empty(X.shape[0])
-    lfcs = np.empty(X.shape[0])
-    fracs = np.empty(X.shape[0])
+    shape = (len(groups), X.shape[0])
+    stats, pvals, lfcs, fracs = (np.empty(shape) for _ in range(4))
     for gi, row in enumerate(X):
         ranks, counts = _midranks(row)
-        u = ranks[in_group].sum() - n1 * (n1 + 1) / 2.0
-        if counts.size == 1:
-            p = 1.0
-        elif exact:
-            p = _exact_rank_sum_two_sided(ranks, n1, u)
-        else:
-            tie_term = float((counts.astype(np.float64) ** 3 - counts).sum())
-            p = _normal_two_sided(u, n1, n2, tie_term)
-        stats[gi] = u
-        pvals[gi] = p
-        mean_in = max(row[in_group].mean(), 0.0)
-        mean_out = max(row[~in_group].mean(), 0.0)
-        lfcs[gi] = math.log2((mean_in + pseudocount) / (mean_out + pseudocount))
-        fracs[gi] = float((row[in_group] > 0).mean())
+        tie_term = float((counts.astype(np.float64) ** 3 - counts).sum())
+        for di, (in_group, out_group, n1, n2) in enumerate(groups):
+            u = ranks[in_group].sum() - n1 * (n1 + 1) / 2.0
+            if counts.size == 1:
+                p = 1.0
+            elif max(n1, n2) <= 8:
+                p = _exact_rank_sum_two_sided(ranks, n1, u)
+            else:
+                p = _normal_two_sided(u, n1, n2, tie_term)
+            stats[di, gi] = u
+            pvals[di, gi] = p
+            mean_in = max(row[in_group].mean(), 0.0)
+            mean_out = max(row[out_group].mean(), 0.0)
+            lfcs[di, gi] = math.log2((mean_in + pseudocount) / (mean_out + pseudocount))
+            fracs[di, gi] = float((row[in_group] > 0).mean())
 
-    adj = benjamini_hochberg(pvals)
-    records = [
-        GeneRecord(names[gi], stats[gi], pvals[gi], adj[gi], lfcs[gi], fracs[gi])
-        for gi in range(X.shape[0])
-    ]
-    records.sort(key=lambda rec: (rec.adj_p_value, -abs(rec.log2_fold_change)))
-    return records
+    tables = []
+    for di in range(len(groups)):
+        adj = benjamini_hochberg(pvals[di])
+        records = [
+            GeneRecord(names[gi], stats[di, gi], pvals[di, gi], adj[gi], lfcs[di, gi],
+                       fracs[di, gi])
+            for gi in range(X.shape[0])
+        ]
+        records.sort(key=lambda rec: (rec.adj_p_value, -abs(rec.log2_fold_change)))
+        tables.append(records)
+    return tables
 
 
 # ---------------------------------------------------------------------------

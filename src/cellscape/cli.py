@@ -208,8 +208,9 @@ def cmd_analyze(cfg: PipelineConfig, args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["domain", "gene", "statistic", "p_value", "adj_p_value",
                         "log2_fold_change", "fraction_expressing"])
-        for domain in sorted(set(domains)):
-            records = wilcoxon_dge(X, domain_arr, domain, gene_names=gene_names)
+        domain_ids = sorted(set(domains))
+        tables = wilcoxon_dge(X, domain_arr, domain_ids, gene_names=gene_names)
+        for domain, records in zip(domain_ids, tables):
             kept = [
                 r for r in records
                 if r.adj_p_value < cfg.analysis.marker_adj_p

@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dtrtri
-from scipy.spatial import cKDTree
+
+from .spatial_graph import nearest_neighbors
 
 
 @dataclass
@@ -200,8 +201,9 @@ def gmm_cluster(Zp: np.ndarray, K: int, seed: int, n_restarts: int = 5,
 
 
 def refine_labels(labels: np.ndarray, coords: np.ndarray, r: int = 15) -> DomainLabels:
-    """One synchronous pass of majority voting among each cell's r nearest
-    spatial neighbors (self excluded); vote ties keep the original label."""
+    """One synchronous pass of majority voting among each cell's r
+    ``nearest_neighbors`` (ties in distance to the lower index; a cell's
+    coordinate twin votes, the cell never); vote ties keep the original label."""
     labels = np.asarray(labels)
     coords = np.asarray(coords, dtype=np.float64)
     n = labels.shape[0]
@@ -211,14 +213,10 @@ def refine_labels(labels: np.ndarray, coords: np.ndarray, r: int = 15) -> Domain
         raise ValueError(f"r={r} must be smaller than the number of cells n={n}")
     if coords.shape != (2, n):
         raise ValueError(f"coords must be 2 x {n}")
-    tree = cKDTree(coords.T)
-    _, idx = tree.query(coords.T, k=r + 1)
-    neighbor_idx = idx[:, 1:]
     uniq, dense = np.unique(labels, return_inverse=True)
     K = uniq.size
     votes = np.zeros((n, K), dtype=np.int64)
-    rows = np.repeat(np.arange(n), r)
-    np.add.at(votes, (rows, dense[neighbor_idx.ravel()]), 1)
+    np.add.at(votes, (np.repeat(np.arange(n), r), dense[nearest_neighbors(coords, r)].ravel()), 1)
     n_winners = (votes == votes.max(axis=1, keepdims=True)).sum(axis=1)
     # ties (including zero votes) keep the original label
     refined = np.where(n_winners == 1, votes.argmax(axis=1), dense)

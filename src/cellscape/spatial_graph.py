@@ -1,7 +1,7 @@
-"""Cell-cell spatial graph construction: exact kNN with union symmetrization
-(over points of any dimension, so embeddings too), Delaunay triangulation
-with degenerate-input fallback, and block-diagonal merging of per-sample
-graphs."""
+"""Cell-cell spatial graphs over one exact neighbour search
+(``nearest_neighbors``, for points of any dimension, so embeddings too): kNN
+with union symmetrization, Delaunay triangulation with degenerate-input
+fallback, and block-diagonal merging of per-sample graphs."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
+from scipy.spatial import Delaunay, QhullError, cKDTree
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,7 @@ class SpatialGraph:
         return self.edges.shape[0]
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_nodes, dtype=np.int64)
-        if self.edges.size:
-            np.add.at(deg, self.edges[:, 0], 1)
-            np.add.at(deg, self.edges[:, 1], 1)
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.n_nodes)
 
     def directed_edges(self) -> DirectedEdges:
         """The graph's attention pairs, built on first use and cached."""
@@ -69,10 +65,9 @@ class SpatialGraph:
         return self._directed
 
 
-def _finalize(n: int, pair_set: set[tuple[int, int]], coords: np.ndarray) -> SpatialGraph:
-    if not pair_set:
-        return SpatialGraph(n, np.empty((0, 2), dtype=np.int64), np.empty(0))
-    edges = np.array(sorted(pair_set), dtype=np.int64)
+def _finalize(n: int, pairs: np.ndarray, coords: np.ndarray) -> SpatialGraph:
+    """The graph of the (m, 2) ``pairs``, each edge once, weighted by length."""
+    edges = np.unique(np.sort(pairs, axis=1), axis=0).reshape(-1, 2)
     diffs = coords[:, edges[:, 0]] - coords[:, edges[:, 1]]
     weights = np.sqrt((diffs * diffs).sum(axis=0))
     return SpatialGraph(n, edges, weights)
@@ -94,42 +89,58 @@ def _check_coords(coords) -> np.ndarray:
     return coords
 
 
-def build_knn_graph(coords, k: int, chunk: int = 512) -> SpatialGraph:
-    """Union-symmetrized k-nearest-neighbor graph over d x n points, with
-    deterministic tie-break.
+# cKDTree may round a distance differently from the exact recomputation
+_ROUNDING_MARGIN = 1.0 + 1e-10
 
-    Exact blockwise distances; equidistant candidates are ordered by cell
-    index, and exact coordinate duplicates raise a warning.
+
+def nearest_neighbors(points, k: int) -> np.ndarray:
+    """Each point's k nearest others, shape (n, k), for d x n ``points``.
+
+    ``cKDTree`` proposes candidates, k + 2 per point and then doubling until
+    the last one lies strictly beyond the k-th other point, so every tie at
+    the boundary is a candidate. They are ordered by (distance, index), the
+    distance recomputed as sqrt(sum((p_j - p_i)**2)). A point is dropped by
+    its index: a coordinate twin is a neighbour, the point itself never is.
     """
-    coords = _check_points(coords)
-    n = coords.shape[1]
+    pts = np.ascontiguousarray(_check_points(points).T)
+    n = pts.shape[0]
     if k <= 0:
         raise ValueError("k must be positive")
     if k >= n:
         raise ValueError(f"k={k} must be smaller than the number of cells n={n}")
+    tree = cKDTree(pts)
+    out = np.empty((n, k), dtype=np.int64)
+    rows, width = np.arange(n), k + 2
+    while rows.size:
+        width = min(width, n)
+        dist, cand = tree.query(pts[rows], k=width)
+        done = (dist[:, -1] > dist[:, k] * _ROUNDING_MARGIN) | (width == n)
+        own, cand = rows[done], cand[done]
+        diff = pts[cand] - pts[own, None, :]
+        exact = np.sqrt((diff * diff).sum(axis=2))
+        ranked = np.take_along_axis(cand, np.lexsort((cand, exact), axis=1), axis=1)
+        out[own] = ranked[ranked != own[:, None]].reshape(own.size, width - 1)[:, :k]
+        rows, width = rows[~done], 2 * width
+    return out
 
-    pts = coords.T
-    _, dup_counts = np.unique(pts, axis=0, return_counts=True)
-    if np.any(dup_counts > 1):
-        warnings.warn(
-            "duplicate coordinates present; neighbor ties broken by cell index",
-            RuntimeWarning,
-        )
 
-    pairs: set[tuple[int, int]] = set()
-    sq = (pts * pts).sum(axis=1)
-    col = np.arange(n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block = sq[start:stop, None] - 2.0 * pts[start:stop] @ pts.T + sq[None, :]
-        block[col[start:stop] - start, col[start:stop]] = np.inf  # mask self
-        # per-row order by (distance, index): lexsort keys minor-to-major
-        order = np.lexsort((np.broadcast_to(col, block.shape), block), axis=1)
-        for local, row in enumerate(order[:, :k]):
-            i = start + local
-            for j in row:
-                pairs.add((i, int(j)) if i < j else (int(j), i))
-    return _finalize(n, pairs, coords)
+def build_knn_graph(coords, k: int) -> SpatialGraph:
+    """Union-symmetrized kNN graph over d x n points: each point joins its k
+    ``nearest_neighbors``, ties to the lower index; duplicates raise a warning."""
+    coords = _check_points(coords)
+    n = coords.shape[1]
+    neighbors = nearest_neighbors(coords, k)
+    if np.unique(coords, axis=1).shape[1] < n:
+        warnings.warn("duplicate coordinates present; neighbor ties broken by cell index",
+                      RuntimeWarning)
+    return _finalize(n, np.column_stack([np.repeat(np.arange(n), k), neighbors.ravel()]),
+                     coords)
+
+
+def _path_pairs(pts: np.ndarray) -> np.ndarray:
+    """Consecutive cells in (x, y) order: the graph of degenerate input."""
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    return np.column_stack([order[:-1], order[1:]])
 
 
 def build_delaunay_graph(coords, prune_percentile: float | None = None) -> SpatialGraph:
@@ -141,17 +152,12 @@ def build_delaunay_graph(coords, prune_percentile: float | None = None) -> Spati
         raise ValueError(f"Delaunay construction needs at least 3 cells, got {n}")
 
     pts = coords.T
-    centered = pts - pts.mean(axis=0)
-    degenerate = np.linalg.matrix_rank(centered, tol=1e-12) < 2
-    pairs: set[tuple[int, int]] = set()
-    if degenerate:
+    if np.linalg.matrix_rank(pts - pts.mean(axis=0), tol=1e-12) < 2:
         warnings.warn(
             "all cells are collinear; using a coordinate-sorted path graph",
             RuntimeWarning,
         )
-        order = np.lexsort((pts[:, 1], pts[:, 0]))
-        for a, b in zip(order[:-1], order[1:]):
-            pairs.add((min(a, b), max(a, b)))
+        pairs = _path_pairs(pts)
     else:
         try:
             tri = Delaunay(pts)
@@ -160,14 +166,17 @@ def build_delaunay_graph(coords, prune_percentile: float | None = None) -> Spati
                 "triangulation failed on degenerate input; using a sorted path graph",
                 RuntimeWarning,
             )
-            order = np.lexsort((pts[:, 1], pts[:, 0]))
-            for a, b in zip(order[:-1], order[1:]):
-                pairs.add((min(a, b), max(a, b)))
+            pairs = _path_pairs(pts)
         else:
-            for simplex in tri.simplices:
-                for a in range(3):
-                    u, v = int(simplex[a]), int(simplex[(a + 1) % 3])
-                    pairs.add((min(u, v), max(u, v)))
+            pairs = tri.simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+            # a cell Qhull leaves out (a duplicate) joins the vertex Qhull
+            # names for it and that vertex's neighbours
+            joins = [pairs]
+            for cell, _, vertex in tri.coplanar:
+                indptr, neighbors = tri.vertex_neighbor_vertices  # cached by scipy
+                joined = np.append(neighbors[indptr[vertex]:indptr[vertex + 1]], vertex)
+                joins.append(np.column_stack([np.full_like(joined, cell), joined]))
+            pairs = np.concatenate(joins)
     g = _finalize(n, pairs, coords)
     if prune_percentile is not None:
         g = prune_long_edges(g, prune_percentile)
@@ -206,18 +215,10 @@ def choose_graph_method(coords) -> str:
     """'knn' for grid-regular coordinates (nearest-neighbor distances nearly
     constant), 'delaunay' for irregular layouts."""
     coords = _check_coords(coords)
-    n = coords.shape[1]
-    if n < 3:
+    if coords.shape[1] < 3:
         return "knn"
-    pts = coords.T
-    sq = (pts * pts).sum(axis=1)
-    nn = np.empty(n)
-    col = np.arange(n)
-    for start in range(0, n, 512):
-        stop = min(start + 512, n)
-        block = sq[start:stop, None] - 2.0 * pts[start:stop] @ pts.T + sq[None, :]
-        block[col[start:stop] - start, col[start:stop]] = np.inf
-        nn[start:stop] = np.sqrt(np.maximum(block.min(axis=1), 0.0))
+    diff = coords[:, nearest_neighbors(coords, 1)[:, 0]] - coords
+    nn = np.sqrt((diff * diff).sum(axis=0))
     mean = nn.mean()
     if mean == 0:
         return "knn"

@@ -430,16 +430,32 @@ def naive_gmm_cluster(X, K: int, seed: int, n_restarts: int = 5, max_iter: int =
     return resp.argmax(axis=1), resp, path, objectives
 
 
-def loop_refine_labels(labels, coords, r: int):
-    """Majority vote among each cell's r nearest neighbours (self excluded,
-    neighbours from ``cKDTree``), tallied and tie-checked cell by cell; a
-    tied vote keeps the cell's own label."""
-    from scipy.spatial import cKDTree
+def brute_force_neighbors(points, k: int) -> np.ndarray:
+    """Each point's k nearest others, point by point: every distance
+    sqrt(sum((p_j - p_i)**2)), a full sort on (distance, index), and the
+    point itself dropped by its index."""
+    pts = np.array(np.asarray(points, dtype=np.float64).T, order="C")
+    n = len(pts)
+    rows = []
+    for i in range(n):
+        dist = np.sqrt(((pts - pts[i]) ** 2).sum(axis=1))
+        order = np.lexsort((np.arange(n), dist))
+        rows.append(order[order != i][:k])
+    return np.array(rows)
 
+
+def brute_force_knn_edges(points, k: int) -> set[tuple[int, int]]:
+    """Union of each point's ``brute_force_neighbors``, as sorted pairs."""
+    return {(min(i, int(j)), max(i, int(j)))
+            for i, row in enumerate(brute_force_neighbors(points, k)) for j in row}
+
+
+def loop_refine_labels(labels, coords, r: int):
+    """Majority vote among each cell's r ``brute_force_neighbors``, tallied
+    and tie-checked cell by cell; a tied vote keeps the cell's own label."""
     labels = np.asarray(labels)
-    _, idx = cKDTree(coords.T).query(coords.T, k=r + 1)
     refined = labels.copy()
-    for i, neighbours in enumerate(idx[:, 1:]):
+    for i, neighbours in enumerate(brute_force_neighbors(coords, r)):
         counts = Counter(labels[neighbours].tolist())
         top = max(counts.values())
         winners = [label for label, c in counts.items() if c == top]

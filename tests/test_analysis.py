@@ -67,21 +67,21 @@ class TestWilcoxon:
     def test_separated_groups_exact_p(self):
         X = np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
         labels = np.array(["d", "d", "d", "rest", "rest", "rest"])
-        rec = wilcoxon_dge(X, labels, "d")[0]
+        rec = wilcoxon_dge(X, labels, ["d"])[0][0]
         assert rec.statistic == 0.0
         assert rec.p_value == pytest.approx(0.1)
 
     def test_identical_multisets_central(self):
         X = np.array([[5.0, 1.0, 3.0, 3.0, 1.0, 5.0]])
         labels = np.array([0, 0, 0, 1, 1, 1])
-        rec = wilcoxon_dge(X, labels, 0)[0]
+        rec = wilcoxon_dge(X, labels, [0])[0][0]
         assert rec.statistic == pytest.approx(4.5)  # n1*n2/2
         assert rec.p_value == pytest.approx(1.0)
 
     def test_constant_gene_convention(self):
         X = np.array([[2.0] * 6, [1, 2, 3, 4, 5, 6]])
         labels = np.array([0, 0, 0, 1, 1, 1])
-        recs = {r.gene: r for r in wilcoxon_dge(X, labels, 0)}
+        recs = {r.gene: r for r in wilcoxon_dge(X, labels, [0])[0]}
         assert recs["g0"].p_value == 1.0
         assert recs["g0"].log2_fold_change == pytest.approx(0.0)
 
@@ -95,7 +95,7 @@ class TestWilcoxon:
                 continue
             X = np.concatenate([a, b])[None, :]
             labels = np.array([0] * n1 + [1] * n2)
-            rec = wilcoxon_dge(X, labels, 0)[0]
+            rec = wilcoxon_dge(X, labels, [0])[0][0]
             expected, _ = exact_rank_sum_pvalue(a.tolist(), b.tolist())
             assert rec.p_value == pytest.approx(expected, abs=1e-12)
 
@@ -105,7 +105,7 @@ class TestWilcoxon:
         null = rng.normal(0, 1, 60)
         X = np.vstack([shifted, null])
         labels = np.array([0] * 30 + [1] * 30)
-        recs = {r.gene: r for r in wilcoxon_dge(X, labels, 0)}
+        recs = {r.gene: r for r in wilcoxon_dge(X, labels, [0])[0]}
         assert recs["g0"].p_value < 1e-6
         assert recs["g1"].p_value > 0.01
         assert recs["g0"].adj_p_value >= recs["g0"].p_value
@@ -115,7 +115,7 @@ class TestWilcoxon:
         X = rng.poisson(2.0, (5, 40)).astype(float)
         X[3, :20] += 10.0
         labels = np.array([0] * 20 + [1] * 20)
-        recs = wilcoxon_dge(X, labels, 0)
+        recs = wilcoxon_dge(X, labels, [0])[0]
         assert recs[0].gene == "g3"
         adj = [r.adj_p_value for r in recs]
         assert adj == sorted(adj)
@@ -147,34 +147,39 @@ class TestWilcoxon:
         X[10] = 3.0                                                 # constant gene
         X[11, :n1] += 4.0                                           # a marker
         labels = np.array([1] * n1 + [0] * n2)
-        in_group = labels == 1
-        exact = max(n1, n2) <= 8
-        stats, pvals = [], []
-        for row in X:
-            ranks = rankdata(row, method="average")
-            u = ranks[in_group].sum() - n1 * (n1 + 1) / 2.0
-            if row.min() == row.max():
-                p = 1.0
-            elif exact:
-                p = _exact_rank_sum_two_sided(ranks, n1, u)
-            else:
-                _, ties = np.unique(row, return_counts=True)
-                p = _normal_two_sided(u, n1, n2, float((ties.astype(np.float64) ** 3 - ties).sum()))
-            stats.append(u)
-            pvals.append(p)
-        adj = benjamini_hochberg(pvals)
-        got = {r.gene: r for r in wilcoxon_dge(X, labels, 1)}
-        for gi in range(X.shape[0]):
-            rec = got[f"g{gi}"]
-            assert (rec.statistic, rec.p_value, rec.adj_p_value) == (stats[gi], pvals[gi], adj[gi])
-        assert got["g10"].p_value == 1.0
+        tables = wilcoxon_dge(X, labels, [1, 0])  # both domains from one ranking pass
+        for domain, table in zip([1, 0], tables):
+            in_group = labels == domain
+            m1 = int(in_group.sum())
+            exact = max(m1, in_group.size - m1) <= 8
+            stats, pvals = [], []
+            for row in X:
+                ranks = rankdata(row, method="average")
+                u = ranks[in_group].sum() - m1 * (m1 + 1) / 2.0
+                if row.min() == row.max():
+                    p = 1.0
+                elif exact:
+                    p = _exact_rank_sum_two_sided(ranks, m1, u)
+                else:
+                    _, ties = np.unique(row, return_counts=True)
+                    p = _normal_two_sided(u, m1, in_group.size - m1,
+                                          float((ties.astype(np.float64) ** 3 - ties).sum()))
+                stats.append(u)
+                pvals.append(p)
+            adj = benjamini_hochberg(pvals)
+            got = {r.gene: r for r in table}
+            for gi in range(X.shape[0]):
+                rec = got[f"g{gi}"]
+                assert (rec.statistic, rec.p_value, rec.adj_p_value) == \
+                    (stats[gi], pvals[gi], adj[gi])
+            assert got["g10"].p_value == 1.0
 
     def test_empty_groups_rejected(self):
         X = np.ones((2, 3))
         with pytest.raises(ValueError, match="no cells"):
-            wilcoxon_dge(X, np.array([0, 0, 0]), 1)
+            wilcoxon_dge(X, np.array([0, 0, 0]), [1])
         with pytest.raises(ValueError, match="every cell"):
-            wilcoxon_dge(X, np.array([0, 0, 0]), 0)
+            wilcoxon_dge(X, np.array([0, 0, 0]), [0])
 
 
 class TestComposition:

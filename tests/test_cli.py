@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from collections import Counter
 
 import pytest
 import yaml
@@ -134,3 +135,30 @@ def test_analyze_writes_enrichment(tmp_path, capsys):
         assert 0 <= int(overlap) <= int(size) == 10
         assert 0.0 <= float(p) <= 1.0
         assert float(p) <= float(adj) <= 1.0
+
+
+def test_knn_graph_and_embedding_transitions(tmp_path, capsys):
+    out = str(tmp_path)
+    common = ["--output-dir", out, "--seed", "0"]
+    inputs = ["--expression", str(tmp_path / "expression.csv"),
+              "--coords", str(tmp_path / "coords.csv")]
+    assert main(["simulate", *common, "--n-cells", "200", "--n-genes", "30"]) == 0
+    assert main(["train", *common, *inputs, "--epochs", "1"]) == 0
+    assert main(["analyze", *common]) == 0
+    spatial = (tmp_path / "transition.txt").read_text()
+    assert main(["graph", *common, *inputs, "--method", "knn"]) == 0
+    header, *edges = (tmp_path / "graph.txt").read_text().splitlines()
+    assert header == "%n 200"
+    degree = Counter(int(cell) for line in edges for cell in line.split()[:2])
+    assert min(degree[cell] for cell in range(200)) >= 6  # graph.k
+    assert main(["analyze", *common, "--transition-source", "embedding"]) == 0
+
+    domains = sorted({label for _, label in read_rows(tmp_path / "labels.csv")[1:]})
+    header, *lines = (tmp_path / "transition.txt").read_text().splitlines()
+    assert header == f"%n {len(domains)}"
+    pairs = [line.split() for line in lines]
+    assert [(a, b) for a, b, _ in pairs] == \
+        [(a, b) for i, a in enumerate(domains) for b in domains[i + 1:]]
+    weights = [float(w) for *_, w in pairs]
+    assert all(0.0 <= w <= 1.0 for w in weights) and max(weights) == 1.0
+    assert (tmp_path / "transition.txt").read_text() != spatial

@@ -207,6 +207,17 @@ class TestRefine:
         expected = loop_refine_labels(labels, coords, r=4)
         np.testing.assert_array_equal(refine_labels(labels, coords, r=4).labels, expected)
 
+    def test_twins_and_distance_ties_match_loop(self):
+        # every cell has a coordinate twin with a label of its own, on a grid
+        # where the r-th voter ties with others: the twin votes, the cell
+        # itself never does, and ties go to the lower index
+        xs, ys = np.meshgrid(np.arange(10.0), np.arange(10.0))
+        grid = np.vstack([xs.ravel(), ys.ravel()])
+        coords = np.hstack([grid, grid])
+        labels = np.random.default_rng(15).integers(0, 3, 200)
+        expected = loop_refine_labels(labels, coords, r=4)
+        np.testing.assert_array_equal(refine_labels(labels, coords, r=4).labels, expected)
+
     def test_r_too_large(self):
         with pytest.raises(ValueError, match="r=5"):
             refine_labels(np.zeros(5, dtype=int), np.zeros((2, 5)), r=5)

@@ -1,23 +1,27 @@
 """Spatial graph construction checks, including a brute-force Delaunay oracle."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cellscape.config import PipelineConfig
 from cellscape.losses import neighbor_arrays
+from cellscape.pipeline import build_graph
 from cellscape.spatial_graph import (
     SpatialGraph,
     block_diagonal_merge,
     build_delaunay_graph,
     build_knn_graph,
     choose_graph_method,
+    nearest_neighbors,
     prune_long_edges,
     read_edge_list,
     write_edge_list,
 )
 
-from oracles import loop_neighbor_lists
+from oracles import brute_force_knn_edges, brute_force_neighbors, loop_neighbor_lists
 
 
 def brute_force_delaunay_edges(pts: np.ndarray) -> set[tuple[int, int]]:
@@ -49,16 +53,26 @@ def brute_force_delaunay_edges(pts: np.ndarray) -> set[tuple[int, int]]:
     return edges
 
 
-def brute_force_knn_edges(points: np.ndarray, k: int) -> set[tuple[int, int]]:
-    """Union of each point's k nearest others by (distance, index), from
-    per-pair Euclidean norms."""
-    n = points.shape[1]
-    edges = set()
-    for i in range(n):
-        dist = [(np.linalg.norm(points[:, i] - points[:, j]), j) for j in range(n) if j != i]
-        for _, j in sorted(dist)[:k]:
-            edges.add((min(i, j), max(i, j)))
-    return edges
+def square_grid(side: int, spacing: float) -> np.ndarray:
+    xs, ys = np.meshgrid(np.arange(side) * spacing, np.arange(side) * spacing)
+    return np.vstack([xs.ravel(), ys.ravel()])
+
+
+def hex_grid(side: int, scale: float) -> np.ndarray:
+    """Rows offset by 1/2 and sqrt(3)/2 apart: six neighbours at distance 1."""
+    cols, rows = np.meshgrid(np.arange(side), np.arange(side))
+    x = cols + 0.5 * (rows % 2)
+    y = rows * (np.sqrt(3.0) / 2.0)
+    return np.vstack([x.ravel(), y.ravel()]) * scale
+
+
+# every cell has equidistant neighbours; the scales make the tied distances
+# differ from their true values in the last bits
+LATTICES = {
+    "square-0.1": square_grid(20, 0.1),
+    "hex-100": hex_grid(20, 100.0),
+    "hex-0.37": hex_grid(20, 0.37),
+}
 
 
 class TestKnn:
@@ -120,6 +134,33 @@ class TestKnn:
         for (i, j), w in zip(g.edges, g.weights):
             assert w == pytest.approx(np.linalg.norm(points[:, i] - points[:, j]), abs=1e-12)
 
+    @pytest.mark.parametrize("lattice", sorted(LATTICES))
+    @pytest.mark.parametrize("k", [1, 4, 6, 8])
+    def test_lattice_ties_match_oracle(self, lattice, k):
+        points = LATTICES[lattice]
+        edges = {tuple(e) for e in build_knn_graph(points, k=k).edges.tolist()}
+        assert edges == brute_force_knn_edges(points, k)
+
+    @pytest.mark.parametrize("kind", ["twins", "triplets", "hex-100"])
+    def test_nearest_neighbors_match_oracle(self, kind):
+        """Rows in (distance, index) order; a coordinate twin is a neighbour
+        at distance 0 and a point is never its own."""
+        rng = np.random.default_rng(11)
+        if kind == "hex-100":
+            points = LATTICES[kind]
+        else:
+            base = rng.random((2, 50))
+            points = np.hstack([base] * (2 if kind == "twins" else 3))
+        got = nearest_neighbors(points, 7)
+        np.testing.assert_array_equal(got, brute_force_neighbors(points, 7))
+        assert not np.any(got == np.arange(points.shape[1])[:, None])
+
+    def test_nearest_neighbors_rejects_bad_k(self):
+        with pytest.raises(ValueError, match="positive"):
+            nearest_neighbors(np.random.default_rng(0).random((2, 5)), 0)
+        with pytest.raises(ValueError, match="k=5"):
+            nearest_neighbors(np.random.default_rng(0).random((2, 5)), 5)
+
     def test_no_self_loops_no_duplicates(self):
         rng = np.random.default_rng(3)
         g = build_knn_graph(rng.random((2, 30)), k=5)
@@ -159,6 +200,18 @@ class TestDelaunay:
             pts = rng.random((18, 2))
             g = build_delaunay_graph(pts.T)
             assert {tuple(e) for e in g.edges} == brute_force_delaunay_edges(pts)
+
+    def test_duplicate_cell_joins_its_twin(self):
+        # Qhull leaves one of two equal points out of the triangulation
+        coords = np.random.default_rng(10).random((2, 300))
+        coords[:, 11] = coords[:, 10]
+        g = build_delaunay_graph(coords)
+        neighbours = loop_neighbor_lists(g.n_nodes, g.edges)
+        assert 11 in neighbours[10]
+        assert set(neighbours[10]) - {11} == set(neighbours[11]) - {10}
+        g = build_graph(coords, PipelineConfig())  # auto: Delaunay, pruned
+        neighbor_arrays(g.directed_edges())
+        assert g.degrees().min() >= 1
 
     def test_prune_long_edges(self):
         rng = np.random.default_rng(9)
@@ -240,6 +293,19 @@ class TestMethodChoiceAndIO:
     def test_irregular_prefers_delaunay(self):
         rng = np.random.default_rng(5)
         assert choose_graph_method(rng.random((2, 200))) == "delaunay"
+
+    @pytest.mark.parametrize("method", ["auto", "knn"])
+    def test_build_graph_memory_at_20k_cells(self, method):
+        coords = np.random.default_rng(12).random((2, 20000)) * 100
+        cfg = PipelineConfig()
+        cfg.graph.method = method
+        tracemalloc.start()
+        try:
+            build_graph(coords, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_edge_list_roundtrip(self, tmp_path):
         rng = np.random.default_rng(6)
