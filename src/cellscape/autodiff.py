@@ -72,9 +72,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.values)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.values.copy())
-
     def zero_grad(self) -> None:
         self.grad = None
         self._backward_done = False
@@ -86,9 +83,6 @@ class Tensor:
             self.grad = grad if own else np.array(grad, dtype=np.float64)
         else:
             self.grad += grad
-
-    def backward(self) -> None:
-        backward(self)
 
     # operator sugar -----------------------------------------------------
     def __add__(self, other):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -40,7 +41,7 @@ from .dataset import (
 )
 from .metrics import hom, nmi
 from .spatial_graph import build_knn_graph, read_edge_list, write_edge_list
-from .synth import SyntheticSpec, generate_tissue
+from .synth import generate_tissue
 from .training import write_embeddings_csv, write_training_log
 
 _DEFAULTS = PipelineConfig()
@@ -258,16 +259,7 @@ def cmd_integrate(cfg: PipelineConfig, args) -> int:
 
 def cmd_simulate(cfg: PipelineConfig, args) -> int:
     out = _outdir(cfg)
-    spec = SyntheticSpec(
-        n_cells=cfg.simulate.n_cells,
-        n_genes=cfg.simulate.n_genes,
-        n_domains=cfg.simulate.n_domains,
-        band_axis=cfg.simulate.band_axis,
-        program_strength=cfg.simulate.program_strength,
-        noise_sd=cfg.simulate.noise_sd,
-        seed=cfg.seed,
-    )
-    ds, truth = generate_tissue(spec)
+    ds, truth = generate_tissue(dataclasses.replace(cfg.simulate, seed=cfg.seed))
     write_dense_matrix(out / "expression.csv", ds.X, ds.gene_names, ds.cell_ids)
     write_coords(out / "coords.csv", ds.coords, ds.cell_ids)
     write_labels(out / "truth_labels.csv", ds.cell_ids, truth.labels.tolist(),

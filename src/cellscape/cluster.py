@@ -93,18 +93,21 @@ def _component_terms(diff: np.ndarray,
 
 # final log-likelihoods within this relative distance of the best count as tied
 _RESTART_RTOL = 1e-12
+EM_RESTARTS = 5     # k-means++ starts: more make a poor seeding less likely to win
+EM_MAX_ITER = 200   # cap per start; a start stops once EM_TOL is met
+EM_TOL = 1e-7       # stop when ll moves less than EM_TOL * (1 + |ll|)
+EM_REG = 1e-6       # covariance prior: keeps a component on few cells invertible
 
 
-def gmm_cluster(Zp: np.ndarray, K: int, seed: int, n_restarts: int = 5,
-                max_iter: int = 200, tol: float = 1e-7, reg: float = 1e-6,
+def gmm_cluster(Zp: np.ndarray, K: int, seed: int,
                 init_means: np.ndarray | None = None) -> DomainLabels:
-    """Full-covariance EM, best of ``n_restarts`` k-means++ starts by final
+    """Full-covariance EM, best of ``EM_RESTARTS`` k-means++ starts by final
     log-likelihood (the earliest restart within a relative 1e-12 of the
     best). Assignment is by maximum posterior responsibility.
 
-    ``reg`` acts as a fixed prior on each covariance: the M-step sets
-    ``cov_k = S_k + (lam / n_k) I`` with ``lam = reg * n / K`` (about
-    ``reg`` on balanced components), which maximizes the expected
+    ``EM_REG`` acts as a fixed prior on each covariance: the M-step sets
+    ``cov_k = S_k + (lam / n_k) I`` with ``lam = EM_REG * n / K`` (about
+    ``EM_REG`` on balanced components), which maximizes the expected
     log-likelihood minus ``(lam / 2) tr(cov_k^-1)``. EM therefore ascends
     ``ll - (lam / 2) sum_k tr(cov_k^-1)``, recorded per E-step as
     ``objective_path``; it must be non-decreasing across iterations (within
@@ -121,10 +124,10 @@ def gmm_cluster(Zp: np.ndarray, K: int, seed: int, n_restarts: int = 5,
     if n <= K:
         raise ValueError(f"need more cells than components, got n={n}, K={K}")
 
-    lam = reg * n / K
-    data_cov = np.cov(X, rowvar=False, ddof=1).reshape(d, d) + reg * np.eye(d)
+    lam = EM_REG * n / K
+    data_cov = np.cov(X, rowvar=False, ddof=1).reshape(d, d) + EM_REG * np.eye(d)
     finals = []
-    restarts = 1 if init_means is not None else n_restarts
+    restarts = 1 if init_means is not None else EM_RESTARTS
     for restart in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence([seed, restart]))
         if init_means is not None:
@@ -141,7 +144,7 @@ def gmm_cluster(Zp: np.ndarray, K: int, seed: int, n_restarts: int = 5,
         diff = X - means[:, None, :]
         prev_ll = prev_objective = -np.inf
         monotone_check = True
-        for _ in range(max_iter):
+        for _ in range(EM_MAX_ITER):
             logpdf, tr_inv = _component_terms(diff, covs)
             log_r = np.log(weights) + logpdf
             row_max = log_r.max(axis=1, keepdims=True)
@@ -156,7 +159,7 @@ def gmm_cluster(Zp: np.ndarray, K: int, seed: int, n_restarts: int = 5,
             objectives.append(objective)
             resp = np.exp(log_r - log_norm[:, None])
 
-            converged = np.isfinite(prev_ll) and abs(ll - prev_ll) < tol * (1.0 + abs(ll))
+            converged = np.isfinite(prev_ll) and abs(ll - prev_ll) < EM_TOL * (1.0 + abs(ll))
             prev_ll, prev_objective = ll, objective
             monotone_check = True
 

@@ -1,14 +1,22 @@
-"""Pipeline configuration: YAML file with per-section defaults, validated
-against the module preconditions. CLI flags override individual keys."""
+"""Pipeline configuration: one YAML section per stage, each section the type
+its stage takes (``model`` is ``network.ModelConfig``, ``simulate`` is
+``synth.SyntheticSpec``). ``load_config`` merges the YAML file, CLI flags
+and ``CELLSCAPE_SEED`` and builds each section once, so every type and value
+check runs at load, before any stage. The seed is set once, at the top level;
+``model_config_from`` and the simulate command hand it to their section."""
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
+
+from .network import ModelConfig
+from .synth import SyntheticSpec
 
 
 @dataclass
@@ -23,12 +31,22 @@ class PathsConfig:
     output_dir: str = "cellscape_out"
     samples: list[dict] = field(default_factory=list)  # [{expression, coords}, ...]
 
+    def __post_init__(self):
+        if not all(isinstance(s, dict) for s in self.samples):
+            raise ValueError("samples must be mappings {expression, coords}")
+
 
 @dataclass
 class PreprocessingConfig:
     target_sum: float = 1e4
     n_hvg: int = 3000
     combat: bool = False
+
+    def __post_init__(self):
+        if self.target_sum <= 0:
+            raise ValueError("target_sum must be positive")
+        if self.n_hvg < 1:
+            raise ValueError("n_hvg must be positive")
 
 
 @dataclass
@@ -37,26 +55,22 @@ class GraphConfig:
     k: int = 6
     prune_percentile: float = 99.0  # Delaunay long-edge pruning
 
+    def __post_init__(self):
+        if self.method not in ("knn", "delaunay", "auto"):
+            raise ValueError(f"method must be knn|delaunay|auto, got {self.method!r}")
+        if self.k < 1:
+            raise ValueError("k must be positive")
+        if not 0 < self.prune_percentile <= 100:
+            raise ValueError("prune_percentile must be in (0, 100]")
+
 
 @dataclass
 class LayoutConfig:
     swap_budget_factor: int = 20    # swap evaluations = factor * p^2
 
-
-@dataclass
-class ModelSection:
-    gat_layers: int = 2
-    attention_heads: int = 4
-    hidden_dim: int = 64
-    embed_dim: int = 32
-    cnn_channels: list[int] = field(default_factory=lambda: [4])
-    gamma: float = 3.0
-    tau: float = 0.1
-    mask_ratio: float = 0.3
-    epochs: int = 105
-    learning_rate: float = 1e-3
-    weight_decay: float = 1e-4
-    cci_only: bool = False
+    def __post_init__(self):
+        if self.swap_budget_factor < 0:
+            raise ValueError("swap_budget_factor must be non-negative")
 
 
 @dataclass
@@ -65,6 +79,14 @@ class ClusteringConfig:
     pca_dim: int = 30
     refine: bool = True
     refine_neighbors: int = 15
+
+    def __post_init__(self):
+        if self.n_domains < 2:
+            raise ValueError("n_domains must be at least 2")
+        if self.pca_dim < 1:
+            raise ValueError("pca_dim must be positive")
+        if self.refine_neighbors < 1:
+            raise ValueError("refine_neighbors must be positive")
 
 
 @dataclass
@@ -75,15 +97,11 @@ class AnalysisConfig:
     marker_min_lfc: float = 0.25
     top_markers: int = 5
 
-
-@dataclass
-class SimulateConfig:
-    n_cells: int = 2000
-    n_genes: int = 200
-    n_domains: int = 5
-    band_axis: str = "x"
-    program_strength: float = 5.0
-    noise_sd: float = 0.5
+    def __post_init__(self):
+        if self.transition_source not in ("spatial", "embedding"):
+            raise ValueError("transition_source must be spatial|embedding")
+        if self.embedding_knn < 1 or self.top_markers < 0:
+            raise ValueError("embedding_knn must be positive and top_markers non-negative")
 
 
 @dataclass
@@ -93,43 +111,58 @@ class PipelineConfig:
     preprocessing: PreprocessingConfig = field(default_factory=PreprocessingConfig)
     graph: GraphConfig = field(default_factory=GraphConfig)
     layout: LayoutConfig = field(default_factory=LayoutConfig)
-    model: ModelSection = field(default_factory=ModelSection)
+    model: ModelConfig = field(default_factory=ModelConfig)
     clustering: ClusteringConfig = field(default_factory=ClusteringConfig)
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
-    simulate: SimulateConfig = field(default_factory=SimulateConfig)
+    simulate: SyntheticSpec = field(default_factory=SyntheticSpec)
 
-    def validate(self) -> None:
-        if self.graph.method not in ("knn", "delaunay", "auto"):
-            raise ValueError(f"graph.method must be knn|delaunay|auto, got {self.graph.method!r}")
-        if self.graph.k < 1:
-            raise ValueError("graph.k must be positive")
-        if not 0 < self.graph.prune_percentile <= 100:
-            raise ValueError("graph.prune_percentile must be in (0, 100]")
-        if self.preprocessing.target_sum <= 0:
-            raise ValueError("preprocessing.target_sum must be positive")
-        if self.preprocessing.n_hvg < 1:
-            raise ValueError("preprocessing.n_hvg must be positive")
-        if not 0 < self.model.mask_ratio < 1:
-            raise ValueError("model.mask_ratio must lie in (0, 1)")
-        if self.clustering.n_domains < 2:
-            raise ValueError("clustering.n_domains must be at least 2")
-        if self.analysis.transition_source not in ("spatial", "embedding"):
-            raise ValueError("analysis.transition_source must be spatial|embedding")
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
     def output_dir(self) -> Path:
         return Path(self.paths.output_dir)
 
 
-_SECTIONS = {
-    "paths": PathsConfig,
-    "preprocessing": PreprocessingConfig,
-    "graph": GraphConfig,
-    "layout": LayoutConfig,
-    "model": ModelSection,
-    "clustering": ClusteringConfig,
-    "analysis": AnalysisConfig,
-    "simulate": SimulateConfig,
-}
+_SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(PipelineConfig)
+             if f.name != "seed"}
+
+
+def _typed(name: str, value, default):
+    """``value`` if its type is its default's: an int passes for a float (as
+    a float), a list of ints for ``cnn_channels``, a string or None for an
+    optional path; a bool passes only for a bool, and a float must be finite."""
+    want = str if default is None else type(default)
+    if want is float and type(value) is int:
+        value = float(value)
+    elif want is tuple and type(value) is list:
+        value = tuple(value)
+    ok = type(value) is want or (default is None and value is None)
+    if ok and want is float:
+        ok = math.isfinite(value)
+    if ok and want is tuple:
+        ok = all(type(v) is type(default[0]) for v in value)
+    if not ok:
+        what = ("a finite float" if want is float
+                else f"a list of {type(default[0]).__name__}" if want is tuple else want.__name__)
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _section(name: str, cls, block: dict):
+    """``cls`` built from ``block``, every key known and typed; a ``seed``
+    belongs to the top level only."""
+    defaults = cls()
+    keys = {f.name for f in dataclasses.fields(cls)} - {"seed"}
+    unknown = set(block) - keys
+    if unknown:
+        raise ValueError(f"unknown key(s) in {name!r}: {sorted(unknown)}")
+    values = {key: _typed(f"{name}.{key}", value, getattr(defaults, key))
+              for key, value in block.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
@@ -138,62 +171,38 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     data = {}
     if path is not None:
         with open(path) as fh:
-            data = yaml.safe_load(fh) or {}
+            try:
+                data = yaml.safe_load(fh) or {}
+            except yaml.YAMLError as exc:
+                raise ValueError(f"{path}: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError(f"{path}: config root must be a mapping")
-
-    cfg = PipelineConfig()
     unknown = set(data) - set(_SECTIONS) - {"seed"}
     if unknown:
         raise ValueError(f"unknown config section(s): {sorted(unknown)}")
-    if "seed" in data:
-        cfg.seed = int(data["seed"])
-    for section, cls in _SECTIONS.items():
-        block = data.get(section)
-        if block is None:
-            continue
+
+    blocks = {}
+    for section in _SECTIONS:
+        block = {} if data.get(section) is None else data[section]
         if not isinstance(block, dict):
             raise ValueError(f"config section {section!r} must be a mapping")
-        valid = {f.name for f in dataclasses.fields(cls)}
-        bad = set(block) - valid
-        if bad:
-            raise ValueError(f"unknown key(s) in {section!r}: {sorted(bad)}")
-        current = getattr(cfg, section)
-        for key, value in block.items():
-            setattr(current, key, value)
-
+        blocks[section] = dict(block)
+    seed = data.get("seed", 0)
     for dotted, value in (overrides or {}).items():
         if value is None:
             continue
         if "." in dotted:
             section, key = dotted.split(".", 1)
-            setattr(getattr(cfg, section), key, value)
+            blocks[section][key] = value
         else:
-            setattr(cfg, dotted, value)
+            seed = value
 
     env_seed = os.environ.get("CELLSCAPE_SEED")
     if env_seed is not None:
-        cfg.seed = int(env_seed)
-    cfg.validate()
-    return cfg
+        seed = int(env_seed)
+    sections = {name: _section(name, cls, blocks[name]) for name, cls in _SECTIONS.items()}
+    return PipelineConfig(seed=_typed("seed", seed, 0), **sections)
 
 
-def model_config_from(cfg: PipelineConfig):
-    from .network import ModelConfig
-
-    m = cfg.model
-    return ModelConfig(
-        gat_layers=m.gat_layers,
-        attention_heads=m.attention_heads,
-        hidden_dim=m.hidden_dim,
-        embed_dim=m.embed_dim,
-        cnn_channels=tuple(m.cnn_channels),
-        gamma=m.gamma,
-        tau=m.tau,
-        mask_ratio=m.mask_ratio,
-        epochs=m.epochs,
-        seed=cfg.seed,
-        learning_rate=m.learning_rate,
-        weight_decay=m.weight_decay,
-        cci_only=m.cci_only,
-    )
+def model_config_from(cfg: PipelineConfig) -> ModelConfig:
+    return dataclasses.replace(cfg.model, seed=cfg.seed)

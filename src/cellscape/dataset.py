@@ -24,11 +24,13 @@ class ExpressionDataset:
     cell_ids: list[str]
     batch_labels: list[str] | None = None
     type_labels: list[str] | None = None
-    raw_counts: np.ndarray | None = field(default=None, repr=False)
+    raw_counts: np.ndarray | None = field(default=None, repr=False)  # X itself if not given
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
         self.coords = np.asarray(self.coords, dtype=np.float64)
+        if self.raw_counts is None:
+            self.raw_counts = self.X
         self.validate()
 
     @property
@@ -60,26 +62,14 @@ class ExpressionDataset:
             if labels is not None and len(labels) != n:
                 raise ValueError(f"{what} labels length {len(labels)} != {n} cells")
 
-    def copy(self) -> "ExpressionDataset":
-        return replace(
-            self,
-            X=self.X.copy(),
-            coords=self.coords.copy(),
-            gene_names=list(self.gene_names),
-            cell_ids=list(self.cell_ids),
-            batch_labels=None if self.batch_labels is None else list(self.batch_labels),
-            type_labels=None if self.type_labels is None else list(self.type_labels),
-            raw_counts=None if self.raw_counts is None else self.raw_counts.copy(),
-        )
-
     def subset_genes(self, indices) -> "ExpressionDataset":
         """Dataset restricted to the given gene rows (raw counts follow)."""
         idx = np.asarray(indices, dtype=np.intp)
         return replace(
             self,
-            X=self.X[idx].copy(),
+            X=self.X[idx],
             gene_names=[self.gene_names[i] for i in idx],
-            raw_counts=None if self.raw_counts is None else self.raw_counts[idx].copy(),
+            raw_counts=self.raw_counts[idx],
         )
 
 
@@ -244,7 +234,6 @@ def load_dataset(expr_path, coords_path, format: str = "dense-csv",
         cell_ids=cell_ids,
         batch_labels=_resolve(batch_path),
         type_labels=_resolve(types_path),
-        raw_counts=X.copy(),
     )
 
 

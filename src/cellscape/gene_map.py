@@ -28,12 +28,6 @@ class GeneLayout:
         """Flat grid index r*q + s per gene."""
         return self.positions[:, 0] * self.q + self.positions[:, 1]
 
-    def grid(self) -> np.ndarray:
-        """(q, q) array of gene indices, -1 on padding cells."""
-        g = np.full((self.q, self.q), -1, dtype=np.int64)
-        g[self.positions[:, 0], self.positions[:, 1]] = np.arange(self.n_genes)
-        return g
-
 
 def _layout_objective(w: np.ndarray, positions: np.ndarray) -> float:
     diffs = positions[:, None, :] - positions[None, :, :]

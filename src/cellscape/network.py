@@ -11,6 +11,8 @@ from . import autodiff as ad
 from .autodiff import BatchNormState, Tensor
 from .spatial_graph import DirectedEdges
 
+ATTENTION_SLOPE = 0.2  # leaky-ReLU slope inside attention scores, as in the original GAT
+
 
 @dataclass
 class ModelConfig:
@@ -27,8 +29,6 @@ class ModelConfig:
     learning_rate: float = 1e-3
     weight_decay: float = 1e-4
     cci_only: bool = False
-    attention_slope: float = 0.2   # leaky-ReLU slope inside attention scores
-    max_contrastive_anchors: int = 4096
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -134,7 +134,7 @@ class CellScapeModel:
                 self.params[f"encoder.{layer}.W"],
                 [self.params[f"encoder.{layer}.{k}.a_center"] for k in range(cfg.attention_heads)],
                 [self.params[f"encoder.{layer}.{k}.a_neighbor"] for k in range(cfg.attention_heads)],
-                cfg.attention_slope, average=final,
+                ATTENTION_SLOPE, average=final,
             )
             if not final:
                 h = ad.elu(h)
@@ -172,5 +172,5 @@ class CellScapeModel:
             self.params["decoder.W"],
             [self.params["decoder.0.a_center"]],
             [self.params["decoder.0.a_neighbor"]],
-            self.cfg.attention_slope, average=True,
+            ATTENTION_SLOPE, average=True,
         )

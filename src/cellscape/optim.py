@@ -54,11 +54,14 @@ def adam_step(state: AdamState, params: dict[str, Tensor],
         p.values -= eta * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
 
 
-def lr_schedule(epoch: int, base_lr: float, halving_period: int = 50) -> float:
-    """Halve the base rate once per ``halving_period`` completed epochs."""
+HALVING_PERIOD = 50  # epochs per halving: the default 105 epochs see three rates
+
+
+def lr_schedule(epoch: int, base_lr: float) -> float:
+    """Halve the base rate once per ``HALVING_PERIOD`` completed epochs."""
     if epoch < 0:
         raise ValueError("epoch must be non-negative")
-    return base_lr * 0.5 ** (epoch // halving_period)
+    return base_lr * 0.5 ** (epoch // HALVING_PERIOD)
 
 
 # A task gradient whose norm is at most this fraction of the other's is

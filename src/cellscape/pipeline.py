@@ -131,8 +131,7 @@ def _merge_samples(samples: list[ExpressionDataset]) -> tuple[ExpressionDataset,
         gene_names=list(genes),
         cell_ids=[f"s{i}_{cid}" for i, s in enumerate(samples) for cid in s.cell_ids],
         batch_labels=names.tolist(),
-        raw_counts=np.hstack([s.X if s.raw_counts is None else s.raw_counts
-                              for s in samples]),
+        raw_counts=np.hstack([s.raw_counts for s in samples]),
     )
     return merged, names
 

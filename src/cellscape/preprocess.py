@@ -4,7 +4,7 @@ variable-gene selection, gene-gene correlation, and batch harmonization."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,20 +33,14 @@ def normalize_total(ds: ExpressionDataset, target: float = 1e4) -> ExpressionDat
     zero = np.flatnonzero(sums == 0)
     if zero.size:
         raise ValueError(f"cell {ds.cell_ids[zero[0]]!r} has zero total expression")
-    out = ds.copy()
-    if out.raw_counts is None:
-        out.raw_counts = ds.X.copy()
-    out.X = ds.X * (target / sums)
-    return out
+    return replace(ds, X=ds.X * (target / sums))
 
 
 def log1p_transform(ds: ExpressionDataset) -> ExpressionDataset:
     """Elementwise ln(1 + x)."""
     if np.any(ds.X < 0):
         raise ValueError("log1p_transform requires non-negative expression")
-    out = ds.copy()
-    out.X = np.log1p(ds.X)
-    return out
+    return replace(ds, X=np.log1p(ds.X))
 
 
 def select_hvg(ds: ExpressionDataset, n_top: int = 3000) -> np.ndarray:
@@ -57,8 +51,6 @@ def select_hvg(ds: ExpressionDataset, n_top: int = 3000) -> np.ndarray:
     sqrt(n_cells), and rank genes by the variance of the clipped values.
     Deterministic with ascending-index tie-break.
     """
-    if ds.raw_counts is None:
-        raise ValueError("select_hvg requires raw counts (load or preserve them first)")
     p, n = ds.raw_counts.shape
     if n_top > p:
         raise ValueError(f"n_top={n_top} exceeds gene count {p}")
@@ -124,7 +116,7 @@ def combat_correct(ds: ExpressionDataset) -> ExpressionDataset:
     batch_names = sorted(set(labels))
     if len(batch_names) < 2:
         warnings.warn("combat_correct: single batch, returning input unchanged", RuntimeWarning)
-        return ds.copy()
+        return ds
     batch_idx = np.array([batch_names.index(b) for b in labels])
     counts = np.bincount(batch_idx, minlength=len(batch_names))
     for name, c in zip(batch_names, counts):
@@ -153,6 +145,4 @@ def combat_correct(ds: ExpressionDataset) -> ExpressionDataset:
     corrected = scale[:, None] * adjusted + grand[:, None]
     corrected[~informative, :] = grand[~informative, None]
 
-    out = ds.copy()
-    out.X = corrected
-    return out
+    return replace(ds, X=corrected)

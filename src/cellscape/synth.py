@@ -61,6 +61,5 @@ def generate_tissue(spec: SyntheticSpec) -> tuple[ExpressionDataset, DomainLabel
         coords=coords,
         gene_names=[f"g{i}" for i in range(spec.n_genes)],
         cell_ids=[f"c{j}" for j in range(spec.n_cells)],
-        raw_counts=X.copy(),
     )
     return ds, DomainLabels(labels=domains, n_domains=spec.n_domains)

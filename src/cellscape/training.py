@@ -20,6 +20,8 @@ from .network import CellScapeModel, ModelConfig
 from .optim import AdamState, adam_step, lr_schedule, pcgrad
 from .spatial_graph import SpatialGraph
 
+MAX_CONTRASTIVE_ANCHORS = 4096  # sampled per epoch above this many cells: bounds the loss's work
+
 
 @dataclass
 class EmbeddingSet:
@@ -92,10 +94,10 @@ def train(ds: ExpressionDataset, graph: SpatialGraph, layout: GeneLayout | None,
 
         z_norm = ad.l2_normalize_rows(z_fused)
         anchors = None
-        if n > cfg.max_contrastive_anchors:
+        if n > MAX_CONTRASTIVE_ANCHORS:
             anchors = np.sort(
                 np.random.default_rng(anchor_seed).choice(
-                    n, size=cfg.max_contrastive_anchors, replace=False
+                    n, size=MAX_CONTRASTIVE_ANCHORS, replace=False
                 )
             )
         loss_con = contrastive_loss(z_norm, neighbors, cfg.tau, anchors=anchors)

@@ -1,0 +1,205 @@
+"""Config loading: a bad value stops the command at load, before any stage
+runs, with an ``error:`` line naming its key; YAML, flags and
+``CELLSCAPE_SEED`` merge in that order."""
+
+import dataclasses
+
+import pytest
+import yaml
+
+from cellscape import pipeline
+from cellscape.cli import main
+from cellscape.config import PipelineConfig, load_config, model_config_from
+
+# every value a YAML file or flag can set, with its default
+DEFAULTS = {
+    "seed": 0,
+    "paths.expression": None,
+    "paths.coords": None,
+    "paths.format": "dense-csv",
+    "paths.batch_labels": None,
+    "paths.type_labels": None,
+    "paths.truth_labels": None,
+    "paths.gene_sets": None,
+    "paths.output_dir": "cellscape_out",
+    "paths.samples": [],
+    "preprocessing.target_sum": 1e4,
+    "preprocessing.n_hvg": 3000,
+    "preprocessing.combat": False,
+    "graph.method": "auto",
+    "graph.k": 6,
+    "graph.prune_percentile": 99.0,
+    "layout.swap_budget_factor": 20,
+    "model.gat_layers": 2,
+    "model.attention_heads": 4,
+    "model.hidden_dim": 64,
+    "model.embed_dim": 32,
+    "model.cnn_channels": (4,),
+    "model.gamma": 3.0,
+    "model.tau": 0.1,
+    "model.mask_ratio": 0.3,
+    "model.epochs": 105,
+    "model.learning_rate": 1e-3,
+    "model.weight_decay": 1e-4,
+    "model.cci_only": False,
+    "clustering.n_domains": 5,
+    "clustering.pca_dim": 30,
+    "clustering.refine": True,
+    "clustering.refine_neighbors": 15,
+    "analysis.transition_source": "spatial",
+    "analysis.embedding_knn": 15,
+    "analysis.marker_adj_p": 0.05,
+    "analysis.marker_min_lfc": 0.25,
+    "analysis.top_markers": 5,
+    "simulate.n_cells": 2000,
+    "simulate.n_genes": 200,
+    "simulate.n_domains": 5,
+    "simulate.band_axis": "x",
+    "simulate.program_strength": 5.0,
+    "simulate.noise_sd": 0.5,
+}
+
+
+def settable(cfg: PipelineConfig) -> dict:
+    """``cfg`` as a flat ``{"section.key": value}`` table of the values a
+    config can set; the sections' own ``seed`` fields follow the top level."""
+    flat = {"seed": cfg.seed}
+    for f in dataclasses.fields(cfg):
+        if f.name != "seed":
+            for key, value in dataclasses.asdict(getattr(cfg, f.name)).items():
+                if key != "seed":
+                    flat[f"{f.name}.{key}"] = value
+    return flat
+
+
+def nested(flat: dict) -> dict:
+    data: dict = {}
+    for dotted, value in flat.items():
+        if "." in dotted:
+            section, key = dotted.split(".")
+            data.setdefault(section, {})[key] = list(value) if isinstance(value, tuple) else value
+        else:
+            data[dotted] = value
+    return data
+
+
+@pytest.fixture(autouse=True)
+def no_env_seed(monkeypatch):
+    monkeypatch.delenv("CELLSCAPE_SEED", raising=False)
+
+
+def write_yaml(path, data) -> str:
+    path.write_text(yaml.safe_dump(data))
+    return str(path)
+
+
+def test_defaults_are_the_literal_table():
+    assert len(DEFAULTS) == 44
+    assert settable(PipelineConfig()) == DEFAULTS
+
+
+def test_every_settable_value_loads_from_yaml(tmp_path):
+    cfg = load_config(write_yaml(tmp_path / "all.yaml", nested(DEFAULTS)))
+    assert cfg == PipelineConfig()
+
+
+def test_yaml_then_flag_then_environment(tmp_path, monkeypatch):
+    path = write_yaml(tmp_path / "c.yaml", {"seed": 3, "model": {"epochs": 4, "tau": 0.2}})
+    cfg = load_config(path)
+    assert (cfg.seed, cfg.model.epochs, cfg.model.tau) == (3, 4, 0.2)
+    cfg = load_config(path, overrides={"seed": 5, "model.epochs": 2, "model.tau": None})
+    assert (cfg.seed, cfg.model.epochs, cfg.model.tau) == (5, 2, 0.2)
+    monkeypatch.setenv("CELLSCAPE_SEED", "7")
+    assert load_config(path, overrides={"seed": 5}).seed == 7
+
+
+def test_int_loads_as_float_and_list_as_tuple(tmp_path):
+    cfg = load_config(write_yaml(tmp_path / "c.yaml", {
+        "preprocessing": {"target_sum": 100}, "model": {"cnn_channels": [4, 8]}}))
+    assert type(cfg.preprocessing.target_sum) is float
+    assert cfg.model.cnn_channels == (4, 8)
+
+
+def test_model_config_carries_the_top_level_seed():
+    cfg = load_config(overrides={"seed": 9, "model.epochs": 3})
+    mcfg = model_config_from(cfg)
+    assert mcfg.seed == 9 and cfg.model.seed == 0
+    assert mcfg == dataclasses.replace(cfg.model, seed=9)
+
+
+class StageReached(Exception):
+    pass
+
+
+@pytest.fixture
+def train_argv(tmp_path, monkeypatch):
+    """``train`` arguments on a small tissue whose preprocessing raises
+    ``StageReached``, so a command that gets past loading shows it."""
+    assert main(["simulate", "--output-dir", str(tmp_path / "data"),
+                 "--n-cells", "40", "--n-genes", "12", "--n-domains", "2"]) == 0
+
+    def stage(*args, **kwargs):
+        raise StageReached
+
+    monkeypatch.setattr(pipeline, "preprocess_dataset", stage)
+    return ["train", "--output-dir", str(tmp_path / "out"),
+            "--expression", str(tmp_path / "data" / "expression.csv"),
+            "--coords", str(tmp_path / "data" / "coords.csv")]
+
+
+def test_valid_config_reaches_the_stage(train_argv, tmp_path):
+    path = write_yaml(tmp_path / "ok.yaml", {"clustering": {"refine_neighbors": 1}})
+    with pytest.raises(StageReached):
+        main([*train_argv, "--config", path, "--tau", "0.5"])
+
+
+BAD = [
+    # flags, YAML, words the error line must contain
+    pytest.param(["--tau", "0"], None, ["model", "tau"], id="tau-flag"),
+    pytest.param([], {"clustering": {"refine_neighbors": 0}}, ["clustering", "refine_neighbors"],
+                 id="refine_neighbors"),
+    pytest.param([], {"clustering": {"pca_dim": 0}}, ["clustering", "pca_dim"], id="pca_dim"),
+    pytest.param([], {"layout": {"swap_budget_factor": -1}}, ["layout", "swap_budget_factor"],
+                 id="swap_budget_factor"),
+    pytest.param([], {"model": {"cnn_channels": 4}}, ["model.cnn_channels"], id="cnn_channels-int"),
+    pytest.param([], {"model": {"cnn_channels": [4, 8.5]}}, ["model.cnn_channels"],
+                 id="cnn_channels-float-entry"),
+    pytest.param([], {"model": {"epochs": 1.5}}, ["model.epochs"], id="epochs-float"),
+    pytest.param([], {"model": {"seed": 3}}, ["model", "seed"], id="model-seed"),
+    pytest.param([], {"model": {"attention_slope": 0.3}}, ["model", "attention_slope"],
+                 id="attention_slope"),
+    pytest.param([], {"simulate": {"seed": 1}}, ["simulate", "seed"], id="simulate-seed"),
+    pytest.param([], {"graph": {"k": True}}, ["graph.k"], id="k-bool"),
+    pytest.param([], {"preprocessing": {"combat": 1}}, ["preprocessing.combat"], id="combat-int"),
+    pytest.param(["--seed", "-1"], None, ["seed"], id="seed-negative"),
+    pytest.param([], {"model": {"tau": float("nan")}}, ["model.tau"], id="tau-nan"),
+    pytest.param([], {"analysis": {"top_markers": -1}}, ["analysis", "top_markers"],
+                 id="top_markers-negative"),
+]
+
+
+@pytest.mark.parametrize("flags, data, words", BAD)
+def test_bad_value_stops_at_load(train_argv, tmp_path, capsys, flags, data, words):
+    config = [] if data is None else ["--config", write_yaml(tmp_path / "bad.yaml", data)]
+    capsys.readouterr()
+    assert main([*train_argv, *config, *flags]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert all(word in err[0] for word in words), err[0]
+
+
+def test_unparsable_yaml_is_a_config_error(train_argv, tmp_path, capsys):
+    path = tmp_path / "broken.yaml"
+    path.write_text("model: [\n")
+    assert main([*train_argv, "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}")
+
+
+def test_simulate_reads_its_section(tmp_path):
+    path = write_yaml(tmp_path / "sim.yaml", {"simulate": {
+        "n_cells": 30, "n_genes": 9, "n_domains": 3, "band_axis": "y"}})
+    assert main(["simulate", "--config", path, "--output-dir", str(tmp_path)]) == 0
+    rows = (tmp_path / "expression.csv").read_text().splitlines()
+    assert len(rows) == 1 + 9 and rows[0].count(",") == 30
+    labels = (tmp_path / "truth_labels.csv").read_text().splitlines()[1:]
+    assert {line.split(",")[1] for line in labels} == {"0", "1", "2"}

@@ -86,6 +86,22 @@ class TestLoading:
         ds = load_dataset(path, coords)
         np.testing.assert_array_equal(ds.X, X)
 
+    def test_raw_counts_share_the_loaded_matrix(self, tmp_path):
+        # the loaded counts are held once; preprocessing builds new arrays
+        # and leaves them as loaded
+        expr = tmp_path / "expr.csv"
+        expr.write_text("gene_id,cA,cB\ng0,1,2\ng1,0,4\ng2,3,0\n")
+        coords = tmp_path / "coords.csv"
+        coords.write_text("cell_id,x,y\ncA,0,0\ncB,1,0\n")
+        ds = load_dataset(expr, coords)
+        assert ds.raw_counts is ds.X
+        out = log1p_transform(normalize_total(ds, target=10))
+        assert out.raw_counts is ds.X
+        np.testing.assert_array_equal(ds.X, [[1, 2], [0, 4], [3, 0]])
+        sub = out.subset_genes([0, 2])
+        assert not np.shares_memory(sub.X, out.X)
+        np.testing.assert_array_equal(sub.raw_counts, [[1, 2], [3, 0]])
+
 
 class TestNormalize:
     def test_already_normalized(self):

@@ -1,6 +1,7 @@
 """Network layers, losses, and training-loop behavior on toy problems."""
 
 import copy
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -638,10 +639,8 @@ class TestTraining:
         rng = np.random.default_rng(1)
         perm = rng.permutation(ds.n_cells)
         inv = {int(old): new for new, old in enumerate(perm)}
-        ds_p = ds.copy()
-        ds_p.X = ds.X[:, perm]
-        ds_p.coords = ds.coords[:, perm]
-        ds_p.cell_ids = [ds.cell_ids[i] for i in perm]
+        ds_p = dataclasses.replace(ds, X=ds.X[:, perm], coords=ds.coords[:, perm],
+                                   cell_ids=[ds.cell_ids[i] for i in perm], raw_counts=None)
         remapped = np.array(
             sorted(sorted((inv[int(i)], inv[int(j)])) for i, j in graph.edges)
         )
