@@ -199,7 +199,10 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
 
     env_seed = os.environ.get("CELLSCAPE_SEED")
     if env_seed is not None:
-        seed = int(env_seed)
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise ValueError(f"CELLSCAPE_SEED must be an integer, got {env_seed!r}") from None
     sections = {name: _section(name, cls, blocks[name]) for name, cls in _SECTIONS.items()}
     return PipelineConfig(seed=_typed("seed", seed, 0), **sections)
 

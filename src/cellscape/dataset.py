@@ -8,7 +8,7 @@ CSV (``cell_id,x,y``) and label CSV (``cell_id,label``).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,13 +24,10 @@ class ExpressionDataset:
     cell_ids: list[str]
     batch_labels: list[str] | None = None
     type_labels: list[str] | None = None
-    raw_counts: np.ndarray | None = field(default=None, repr=False)  # X itself if not given
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
         self.coords = np.asarray(self.coords, dtype=np.float64)
-        if self.raw_counts is None:
-            self.raw_counts = self.X
         self.validate()
 
     @property
@@ -63,14 +60,9 @@ class ExpressionDataset:
                 raise ValueError(f"{what} labels length {len(labels)} != {n} cells")
 
     def subset_genes(self, indices) -> "ExpressionDataset":
-        """Dataset restricted to the given gene rows (raw counts follow)."""
+        """Dataset restricted to the given gene rows, copied."""
         idx = np.asarray(indices, dtype=np.intp)
-        return replace(
-            self,
-            X=self.X[idx],
-            gene_names=[self.gene_names[i] for i in idx],
-            raw_counts=self.raw_counts[idx],
-        )
+        return replace(self, X=self.X[idx], gene_names=[self.gene_names[i] for i in idx])
 
 
 

@@ -72,40 +72,31 @@ def lr_schedule(epoch: int, base_lr: float) -> float:
 NOISE_RATIO = 1e-8
 
 
-def pcgrad(grad_list: list[np.ndarray], seed: int) -> list[np.ndarray]:
-    """Project away pairwise gradient conflicts between tasks.
+def pcgrad(grad_list: list[np.ndarray]) -> list[np.ndarray]:
+    """Project away the conflict between the two task gradients.
 
-    Each task gradient is checked against the other tasks' ORIGINAL gradients
-    in a seeded random order; on a negative dot product the conflicting
-    component is removed, unless the other gradient's norm is at most
-    ``NOISE_RATIO`` times this one's: projecting on noise would remove an
-    arbitrary direction. The caller applies the sum of the adjusted list.
+    Each gradient is checked against the other's ORIGINAL gradient; on a
+    negative dot product the conflicting component is removed, unless the
+    other gradient's norm is at most ``NOISE_RATIO`` times this one's:
+    projecting on noise would remove an arbitrary direction. A gradient that
+    is not projected comes back as given. The caller applies the sum of the
+    returned pair.
     """
-    if len(grad_list) < 2:
-        raise ValueError("pcgrad needs at least two task gradients")
-    length = grad_list[0].shape
-    for g in grad_list[1:]:
-        if g.shape != length:
-            raise ValueError("all task gradients must share one flattened shape")
-    originals = [g.astype(np.float64, copy=True) for g in grad_list]
-    sq_norms = [float(g @ g) for g in originals]
-    rng = np.random.default_rng(seed)
+    if len(grad_list) != 2:
+        raise ValueError(f"pcgrad takes exactly two task gradients, got {len(grad_list)}")
+    if grad_list[0].shape != grad_list[1].shape:
+        raise ValueError("both task gradients must share one flattened shape")
+    sq_norms = [float(g @ g) for g in grad_list]
     adjusted = []
-    for i, g in enumerate(originals):
-        gi = g.copy()
-        others = [j for j in range(len(originals)) if j != i]
-        rng.shuffle(others)
-        for j in others:
-            dot = float(gi @ originals[j])
-            if dot < 0.0:
-                if sq_norms[j] <= 1e-300:
-                    warnings.warn(
-                        f"pcgrad: skipping projection onto zero-norm task gradient {j}",
-                        RuntimeWarning,
-                    )
-                    continue
-                if sq_norms[j] <= NOISE_RATIO ** 2 * sq_norms[i]:
-                    continue
-                gi -= (dot / sq_norms[j]) * originals[j]
-        adjusted.append(gi)
+    for i, j in ((0, 1), (1, 0)):
+        g, other = grad_list[i], grad_list[j]
+        dot = float(g @ other)
+        if dot < 0.0 and sq_norms[j] <= 1e-300:
+            warnings.warn(
+                f"pcgrad: skipping projection onto zero-norm task gradient {j}",
+                RuntimeWarning,
+            )
+        elif dot < 0.0 and sq_norms[j] > NOISE_RATIO ** 2 * sq_norms[i]:
+            g = g - (dot / sq_norms[j]) * other
+        adjusted.append(g)
     return adjusted

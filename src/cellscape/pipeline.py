@@ -39,7 +39,7 @@ def preprocess_dataset(ds: ExpressionDataset,
     out = normalize_total(ds, target=cfg.preprocessing.target_sum)
     out = log1p_transform(out)
     n_hvg = min(cfg.preprocessing.n_hvg, ds.n_genes)
-    hvg = select_hvg(out, n_top=n_hvg)
+    hvg = select_hvg(ds.X, n_top=n_hvg)
     out = out.subset_genes(hvg)
     if cfg.preprocessing.combat and out.batch_labels is not None:
         out = combat_correct(out)
@@ -62,16 +62,15 @@ def make_layout(coexpr: CoexpressionMatrix, cfg: PipelineConfig) -> GeneLayout:
 
 
 def segment_embeddings(Z_spatial: np.ndarray, coords: np.ndarray,
-                       cfg: PipelineConfig, seed: int | None = None,
+                       cfg: PipelineConfig,
                        sample_labels: np.ndarray | list | None = None) -> DomainLabels:
     """PCA (skipped when the embedding is already narrow), GMM, then optional
     spatial majority-vote refinement. ``sample_labels`` gives each cell's
     sample when several samples share one coordinate frame; cells then vote
     only among neighbours from their own sample."""
-    seed = cfg.seed if seed is None else seed
     k = cfg.clustering.pca_dim
     reduced = Z_spatial if Z_spatial.shape[1] <= k else pca_reduce(Z_spatial, k=k)
-    result = gmm_cluster(reduced, K=cfg.clustering.n_domains, seed=seed)
+    result = gmm_cluster(reduced, K=cfg.clustering.n_domains, seed=cfg.seed)
     if not cfg.clustering.refine:
         return result
     n = len(result.labels)
@@ -86,16 +85,14 @@ def segment_embeddings(Z_spatial: np.ndarray, coords: np.ndarray,
     return dataclasses.replace(result, labels=labels)
 
 
-def baseline_pca_gmm(ds_raw: ExpressionDataset, cfg: PipelineConfig,
-                     seed: int | None = None) -> DomainLabels:
+def baseline_pca_gmm(ds_raw: ExpressionDataset, cfg: PipelineConfig) -> DomainLabels:
     """Non-spatial control: the same preprocessing, then PCA on expression
     followed by GMM (no graph, no refinement)."""
-    seed = cfg.seed if seed is None else seed
     ds_pre, _, _ = preprocess_dataset(ds_raw, cfg)
     X = ds_pre.X.T  # cells x genes
     k = min(cfg.clustering.pca_dim, min(X.shape) - 1)
     reduced = pca_reduce(X, k=k)
-    return gmm_cluster(reduced, K=cfg.clustering.n_domains, seed=seed)
+    return gmm_cluster(reduced, K=cfg.clustering.n_domains, seed=cfg.seed)
 
 
 @dataclasses.dataclass
@@ -131,7 +128,6 @@ def _merge_samples(samples: list[ExpressionDataset]) -> tuple[ExpressionDataset,
         gene_names=list(genes),
         cell_ids=[f"s{i}_{cid}" for i, s in enumerate(samples) for cid in s.cell_ids],
         batch_labels=names.tolist(),
-        raw_counts=np.hstack([s.raw_counts for s in samples]),
     )
     return merged, names
 

@@ -43,20 +43,20 @@ def log1p_transform(ds: ExpressionDataset) -> ExpressionDataset:
     return replace(ds, X=np.log1p(ds.X))
 
 
-def select_hvg(ds: ExpressionDataset, n_top: int = 3000) -> np.ndarray:
+def select_hvg(counts: np.ndarray, n_top: int = 3000) -> np.ndarray:
     """Indices of the most variable genes by clipped variance-stabilized dispersion.
 
-    Works on raw counts: fit a power-law trend of variance against mean in
-    log10 space, standardize counts by the fitted standard deviation, clip at
-    sqrt(n_cells), and rank genes by the variance of the clipped values.
+    Works on the raw (p, n) count matrix: fit a power-law trend of variance
+    against mean in log10 space, standardize counts by the fitted standard
+    deviation, clip at sqrt(n_cells), and rank genes by the variance of the
+    clipped values.
     Deterministic with ascending-index tie-break.
     """
-    p, n = ds.raw_counts.shape
+    p, n = counts.shape
     if n_top > p:
         raise ValueError(f"n_top={n_top} exceeds gene count {p}")
     if n_top <= 0:
         raise ValueError("n_top must be positive")
-    counts = ds.raw_counts
     mean = counts.mean(axis=1)
     var = counts.var(axis=1, ddof=1) if n > 1 else np.zeros(p)
     usable = (mean > 0) & (var > 0)

@@ -113,6 +113,14 @@ def test_yaml_then_flag_then_environment(tmp_path, monkeypatch):
     assert load_config(path, overrides={"seed": 5}).seed == 7
 
 
+def test_non_integer_env_seed_is_named(train_argv, monkeypatch, capsys):
+    monkeypatch.setenv("CELLSCAPE_SEED", "x")
+    capsys.readouterr()
+    assert main(train_argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "CELLSCAPE_SEED" in err[0], err
+
+
 def test_int_loads_as_float_and_list_as_tuple(tmp_path):
     cfg = load_config(write_yaml(tmp_path / "c.yaml", {
         "preprocessing": {"target_sum": 100}, "model": {"cnn_channels": [4, 8]}}))

@@ -40,7 +40,6 @@ class TestLoading:
         assert ds.gene_names == ["TP53", "GAPDH", "ACTB"]
         np.testing.assert_array_equal(ds.X, [[1, 2], [0, 4], [3, 0]])
         np.testing.assert_array_equal(ds.coords, [[0.0, 2.5], [1.0, 3.5]])
-        assert ds.raw_counts is not None
 
     def test_coord_count_mismatch(self, tmp_path):
         expr = tmp_path / "expr.csv"
@@ -86,21 +85,20 @@ class TestLoading:
         ds = load_dataset(path, coords)
         np.testing.assert_array_equal(ds.X, X)
 
-    def test_raw_counts_share_the_loaded_matrix(self, tmp_path):
-        # the loaded counts are held once; preprocessing builds new arrays
-        # and leaves them as loaded
+    def test_subset_genes_copies(self, tmp_path):
+        # preprocessing builds new arrays and leaves the loaded counts as
+        # loaded; the gene subset is a copy of its rows
         expr = tmp_path / "expr.csv"
         expr.write_text("gene_id,cA,cB\ng0,1,2\ng1,0,4\ng2,3,0\n")
         coords = tmp_path / "coords.csv"
         coords.write_text("cell_id,x,y\ncA,0,0\ncB,1,0\n")
         ds = load_dataset(expr, coords)
-        assert ds.raw_counts is ds.X
         out = log1p_transform(normalize_total(ds, target=10))
-        assert out.raw_counts is ds.X
         np.testing.assert_array_equal(ds.X, [[1, 2], [0, 4], [3, 0]])
         sub = out.subset_genes([0, 2])
         assert not np.shares_memory(sub.X, out.X)
-        np.testing.assert_array_equal(sub.raw_counts, [[1, 2], [3, 0]])
+        np.testing.assert_array_equal(sub.X, out.X[[0, 2]])
+        assert sub.gene_names == ["g0", "g2"]
 
 
 class TestNormalize:
@@ -130,11 +128,6 @@ class TestNormalize:
             X = rng.random((rng.integers(2, 8), rng.integers(2, 8))) + 0.01
             out = normalize_total(make_ds(X), target=1e4)
             np.testing.assert_allclose(out.X.sum(axis=0), 1e4, rtol=1e-9)
-
-    def test_raw_counts_preserved(self):
-        ds = make_ds([[1.0], [3.0]])
-        out = normalize_total(ds, target=10)
-        np.testing.assert_array_equal(out.raw_counts, [[1.0], [3.0]])
 
 
 class TestLog1p:
@@ -171,41 +164,35 @@ class TestSelectHVG:
 
     def test_constant_gene_never_selected(self):
         counts = np.array([[5.0] * 6, [1, 9, 2, 8, 3, 7], [4, 5, 4, 5, 4, 5]])
-        ds = make_ds(counts.copy(), raw_counts=counts)
-        idx = select_hvg(ds, n_top=2)
+        idx = select_hvg(counts, n_top=2)
         assert 0 not in idx
 
     def test_three_gene_oracle(self):
         counts = np.array(
             [[1.0, 1, 1, 1], [0, 10, 0, 10], [4, 6, 4, 6]], dtype=float
         )
-        ds = make_ds(counts.copy(), raw_counts=counts)
         scores = self._vst_scores(counts)
         assert scores[1] == max(scores)
-        idx = select_hvg(ds, n_top=1)
+        idx = select_hvg(counts, n_top=1)
         np.testing.assert_array_equal(idx, [1])
 
     def test_identity_when_all_selected(self):
         rng = np.random.default_rng(1)
         counts = rng.poisson(4.0, (5, 10)).astype(float)
-        ds = make_ds(counts.copy(), raw_counts=counts)
-        np.testing.assert_array_equal(select_hvg(ds, n_top=5), np.arange(5))
+        np.testing.assert_array_equal(select_hvg(counts, n_top=5), np.arange(5))
 
     def test_too_many_rejected(self):
         counts = np.ones((3, 4))
-        ds = make_ds(counts.copy(), raw_counts=counts)
         with pytest.raises(ValueError, match="exceeds"):
-            select_hvg(ds, n_top=4)
+            select_hvg(counts, n_top=4)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(2)
         counts = rng.poisson(np.linspace(1, 20, 8)[:, None], (8, 30)).astype(float)
-        ds = make_ds(counts.copy(), raw_counts=counts)
-        base = set(select_hvg(ds, n_top=3).tolist())
+        base = set(select_hvg(counts, n_top=3).tolist())
         perm = rng.permutation(8)
         permuted = counts[perm]
-        ds2 = make_ds(permuted.copy(), raw_counts=permuted)
-        selected = set(select_hvg(ds2, n_top=3).tolist())
+        selected = set(select_hvg(permuted, n_top=3).tolist())
         assert {int(perm[i]) for i in selected} == base
 
 

@@ -2,12 +2,14 @@
 
 import copy
 import dataclasses
+import gc
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from cellscape import autodiff as ad
+from cellscape import optim, training
 from cellscape.autodiff import Tensor
 from cellscape.dataset import ExpressionDataset
 from cellscape.gene_map import layout_genes, mask_cells, render_maps
@@ -41,11 +43,15 @@ def toy_dataset(n=20, p=16, seed=0):
         coords=coords,
         gene_names=[f"g{i}" for i in range(p)],
         cell_ids=[f"c{j}" for j in range(n)],
-        raw_counts=X.copy(),
     )
     graph = build_knn_graph(coords, k=3)
     layout = layout_genes(pearson_coexpression(ds), seed=seed)
     return ds, graph, layout
+
+
+def embed_inputs(ds, graph, layout):
+    """The features, maps and directed edges ``train`` prepares for ``embed``."""
+    return np.ascontiguousarray(ds.X.T), render_maps(ds.X, layout), graph.directed_edges()
 
 
 class TestGatLayer:
@@ -606,7 +612,7 @@ class TestTraining:
         cfg = ModelConfig(seed=14, epochs=0, **TOY_CFG)
         model, emb, log = train(ds, graph, layout, cfg)
         assert log == []
-        again = embed(model, ds, graph, layout)
+        again = embed(model, *embed_inputs(ds, graph, layout))
         assert emb.Z.tobytes() == again.Z.tobytes()
 
     def test_embed_runs_the_encoders_alone(self, monkeypatch):
@@ -618,16 +624,42 @@ class TestTraining:
             raise AssertionError("embed ran the decoder")
 
         monkeypatch.setattr(CellScapeModel, "decode", no_decoder)
-        again = embed(model, ds, graph, layout)
+        again = embed(model, *embed_inputs(ds, graph, layout))
         assert emb.Z_spatial.tobytes() == again.Z_spatial.tobytes()
         assert emb.Z_intrinsic.tobytes() == again.Z_intrinsic.tobytes()
         assert emb.Z.tobytes() == again.Z.tobytes()
+
+    def test_no_graph_outlives_its_epoch(self, monkeypatch):
+        # an epoch's masked inputs and autodiff graph are freed before the
+        # next epoch's forward and before embed: only the parameters are
+        # live tensors at those points
+        ds, graph, layout = toy_dataset(n=200, p=36, seed=20)
+        cfg = ModelConfig(seed=20, epochs=2, **TOY_CFG)
+        counts = []
+
+        def live_tensors():
+            return sum(isinstance(o, Tensor) for o in gc.get_objects())
+
+        def counting_schedule(epoch, base_lr):
+            if epoch > 0:
+                counts.append(live_tensors())
+            return optim.lr_schedule(epoch, base_lr)
+
+        def counting_embed(*args):
+            counts.append(live_tensors())
+            return embed(*args)
+
+        monkeypatch.setattr(training, "lr_schedule", counting_schedule)
+        monkeypatch.setattr(training, "embed", counting_embed)
+        gc.collect()
+        model, _, _ = train(ds, graph, layout, cfg)
+        assert counts == [len(model.params)] * 2
 
     def test_embed_deterministic(self):
         ds, graph, layout = toy_dataset(seed=15)
         cfg = ModelConfig(seed=15, epochs=2, **TOY_CFG)
         model, emb, _ = train(ds, graph, layout, cfg)
-        twice = embed(model, ds, graph, layout)
+        twice = embed(model, *embed_inputs(ds, graph, layout))
         assert emb.Z_spatial.tobytes() == twice.Z_spatial.tobytes()
         assert emb.Z.tobytes() == twice.Z.tobytes()
 
@@ -640,12 +672,12 @@ class TestTraining:
         perm = rng.permutation(ds.n_cells)
         inv = {int(old): new for new, old in enumerate(perm)}
         ds_p = dataclasses.replace(ds, X=ds.X[:, perm], coords=ds.coords[:, perm],
-                                   cell_ids=[ds.cell_ids[i] for i in perm], raw_counts=None)
+                                   cell_ids=[ds.cell_ids[i] for i in perm])
         remapped = np.array(
             sorted(sorted((inv[int(i)], inv[int(j)])) for i, j in graph.edges)
         )
         graph_p = SpatialGraph(graph.n_nodes, remapped, np.ones(len(remapped)))
-        emb_p = embed(model, ds_p, graph_p, layout)
+        emb_p = embed(model, *embed_inputs(ds_p, graph_p, layout))
         np.testing.assert_allclose(emb_p.Z_spatial, emb.Z_spatial[perm], atol=1e-9)
 
     def test_fused_rows_unit_norm(self):
