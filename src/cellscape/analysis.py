@@ -171,49 +171,56 @@ def wilcoxon_dge(X: np.ndarray, labels, domains, gene_names=None,
 
     Genes are ranked one at a time, and each gene's midranks
     (``_midranks``) serve every domain; their tie-group counts also give
-    the tie term sum(c^3 - c). Ranks are half-integers, so rank sums are
-    exact in float64. The p-value is exact, by enumeration, when both group
-    sizes are at most 8, and otherwise the tie-corrected normal
-    approximation with continuity correction. Each list is sorted by
-    adjusted p then descending |lfc|.
+    the tie term sum(c^3 - c). One product with the (n, 2D) indicator of
+    each domain and of its complement gives every domain's rank sum,
+    in- and out-group expression sums and detected-cell count. Ranks are
+    half-integers, so rank sums are exact in float64 in any order. The
+    p-value is exact, by enumeration, when both group sizes are at most 8,
+    and otherwise the tie-corrected normal approximation with continuity
+    correction. Each list is sorted by adjusted p then descending |lfc|.
     """
     X = np.asarray(X, dtype=np.float64)
     lab = _label_array(labels)
-    if lab.shape[0] != X.shape[1]:
-        raise ValueError(f"{lab.shape[0]} labels for {X.shape[1]} cells")
-    groups = []
-    for domain in domains:
-        in_group = lab == domain
-        n1 = int(in_group.sum())
-        if n1 == 0:
+    n = lab.shape[0]
+    if n != X.shape[1]:
+        raise ValueError(f"{n} labels for {X.shape[1]} cells")
+    in_group = np.stack([lab == domain for domain in domains], axis=1)
+    n1 = in_group.sum(axis=0)
+    for domain, size in zip(domains, n1):
+        if size == 0:
             raise ValueError(f"domain {domain!r} has no cells")
-        if n1 == lab.shape[0]:
+        if size == n:
             raise ValueError(f"domain {domain!r} covers every cell; no comparison group")
-        groups.append((in_group, ~in_group, n1, lab.shape[0] - n1))
+    n2 = n - n1
+    n_dom = len(domains)
+    indicator = np.concatenate([in_group, ~in_group], axis=1).astype(np.float64)
+    offset = n1 * (n1 + 1) / 2.0
     names = gene_names if gene_names is not None else [f"g{i}" for i in range(X.shape[0])]
 
-    shape = (len(groups), X.shape[0])
-    stats, pvals, lfcs, fracs = (np.empty(shape) for _ in range(4))
+    shape = (n_dom, X.shape[0])
+    stats, pvals, sum_in, sum_out, detected = (np.empty(shape) for _ in range(5))
     for gi, row in enumerate(X):
         ranks, counts = _midranks(row)
         tie_term = float((counts.astype(np.float64) ** 3 - counts).sum())
-        for di, (in_group, out_group, n1, n2) in enumerate(groups):
-            u = ranks[in_group].sum() - n1 * (n1 + 1) / 2.0
+        totals = np.stack((ranks, row, row > 0)) @ indicator
+        stats[:, gi] = totals[0, :n_dom] - offset
+        sum_in[:, gi], sum_out[:, gi] = totals[1, :n_dom], totals[1, n_dom:]
+        detected[:, gi] = totals[2, :n_dom]
+        for di in range(n_dom):
+            u = float(stats[di, gi])
             if counts.size == 1:
-                p = 1.0
-            elif max(n1, n2) <= 8:
-                p = _exact_rank_sum_two_sided(ranks, n1, u)
+                pvals[di, gi] = 1.0
+            elif max(n1[di], n2[di]) <= 8:
+                pvals[di, gi] = _exact_rank_sum_two_sided(ranks, int(n1[di]), u)
             else:
-                p = _normal_two_sided(u, n1, n2, tie_term)
-            stats[di, gi] = u
-            pvals[di, gi] = p
-            mean_in = max(row[in_group].mean(), 0.0)
-            mean_out = max(row[out_group].mean(), 0.0)
-            lfcs[di, gi] = math.log2((mean_in + pseudocount) / (mean_out + pseudocount))
-            fracs[di, gi] = float((row[in_group] > 0).mean())
+                pvals[di, gi] = _normal_two_sided(u, int(n1[di]), int(n2[di]), tie_term)
+    mean_in = np.maximum(sum_in / n1[:, None], 0.0)
+    mean_out = np.maximum(sum_out / n2[:, None], 0.0)
+    lfcs = np.log2((mean_in + pseudocount) / (mean_out + pseudocount))
+    fracs = detected / n1[:, None]
 
     tables = []
-    for di in range(len(groups)):
+    for di in range(n_dom):
         adj = benjamini_hochberg(pvals[di])
         records = [
             GeneRecord(names[gi], stats[di, gi], pvals[di, gi], adj[gi], lfcs[di, gi],

@@ -13,13 +13,21 @@ graph's CSR edge arrays, with the aggregation as a sparse product and the
 pair-score backward in blocks of edges, so no op holds an edges x features
 array; it returns the layer output only, its attention weights stay inside
 for the backward. A CNN block is one fused op, ``conv_block``: a bias-free 3x3
-convolution, batch normalization, leaky ReLU and 2x2 max pooling, computed
-channel-major on (C, N*H*W) rows, with the closed-form batch-norm backward
-and an int8 winner per pooling window. The neighbourhood contrastive loss
-is one fused op, ``contrastive``: it walks the anchors in blocks of
-``_ANCHOR_CHUNK``, reads each block's positive pairs from the sorted edge
-arrays and builds the (n, d) gradient during the forward, so no op holds an
-anchors x n array.
+convolution, batch normalization, leaky ReLU and 2x2 max pooling over cells
+in blocks of ``_CELL_BLOCK``, so no op holds an N*H*W x channels array.
+Training-mode batch norm keeps exact whole-batch statistics: one pass per
+block convolves, pools (the activation is monotone in gamma * conv, so its
+winners are known before the statistics) and merges the channel means and
+variances and the channel-patch co-moment over the blocks; normalization
+and activation then run on the winners alone. The backward keeps only what
+is output-sized (the int8 winner of each pooling window and the normalized
+value there) plus those statistics, which give the weight gradient in
+closed form; only an input that needs a gradient recomputes its blocks'
+convolutions (Chen et al. 2016's trade of compute for memory). The
+neighbourhood contrastive loss is one fused op, ``contrastive``: it walks
+the anchors in blocks of ``_ANCHOR_CHUNK``, reads each block's positive
+pairs from the sorted edge arrays and builds the (n, d) gradient during the
+forward, so no op holds an anchors x n array.
 
 ``slice_cols``, ``conv2d``, ``batch_norm``, ``maxpool2``, ``transpose``,
 ``exp``, ``log``, ``segment_sum`` and ``tensor_mean`` have no caller in the
@@ -691,20 +699,83 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool,
     return _make(values, (x, gamma, beta), backward_fn, "batch_norm")
 
 
+# Cells per block of conv_block: its largest buffers are the block's
+# (9 * cin, H * W * _CELL_BLOCK) patch matrix and (C, H * W * _CELL_BLOCK)
+# channels, never N * H * W wide.
+_CELL_BLOCK = 128
+
+
+def _pool_order(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each of the h * w positions in the order conv_block
+    lays them out: the top-left entry of every 2x2 pooling window, then the
+    top-right, bottom-left and bottom-right entries, then the trailing odd
+    row and column that pooling drops."""
+    rows, cols = np.indices((h, w))
+    hp, wp = h // 2, w // 2
+    dropped = np.ones((h, w), dtype=bool)
+    dropped[:2 * hp, :2 * wp] = False
+    corners = [(slice(r, 2 * hp, 2), slice(c, 2 * wp, 2)) for r in (0, 1) for c in (0, 1)]
+    return tuple(np.concatenate([*(a[s].ravel() for s in corners), a[dropped]])
+                 for a in (rows, cols))
+
+
+def _padded_block(x: np.ndarray, lo: int, hi: int, masked: np.ndarray) -> np.ndarray:
+    """Cells ``lo:hi`` of NCHW ``x`` as a zero-padded cell-last (C, H + 2,
+    W + 2, hi - lo) block; the cells in the sorted index array ``masked``
+    read as all-zero maps."""
+    _, c, h, w = x.shape
+    padded = np.zeros((c, h + 2, w + 2, hi - lo))
+    padded[:, 1:-1, 1:-1] = x[lo:hi].transpose(1, 2, 3, 0)
+    a, b = np.searchsorted(masked, (lo, hi))
+    padded[..., masked[a:b] - lo] = 0.0
+    return padded
+
+
+def _block_patches(padded: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(C * 9, P * B) patch matrix of a stride-1 3x3 "same" convolution of a
+    (C, H + 2, W + 2, B) padded cell-last block at the P output positions
+    (rows, cols): column p * B + b is cell b's patch at position p, with
+    rows ordered (channel, kernel row, kernel column) like ``w.reshape(cout, -1)``."""
+    dr, dc = np.divmod(np.arange(9), 3)
+    patches = padded[:, rows + dr[:, None], cols + dc[:, None]]      # (C, 9, P, B)
+    return patches.reshape(-1, rows.size * padded.shape[-1])
+
+
 def conv_block(x, w, gamma, beta, state: BatchNormState, training: bool,
-               slope: float) -> Tensor:
+               slope: float, masked=None) -> Tensor:
     """One CNN block in one op: stride-1 3x3 "same" convolution (no bias),
     batch normalization per channel, leaky ReLU, then 2x2 max pooling.
 
-    The same function as ``maxpool2(leaky_relu(batch_norm(conv2d(x, w, 0))))``.
-    Everything between the convolution and the pooling runs channel-major on
-    (C, N*H*W) rows, so the batch statistics are contiguous row reductions.
-    Each window's winner is the first maximum in window order, as in
-    ``maxpool2``: the all-zero maps of masked cells tie whole windows. The
+    The same function as ``maxpool2(leaky_relu(batch_norm(conv2d(x, w, 0))))``
+    with the cells indexed by ``masked`` read as all-zero maps (their input
+    gradient is zero), so training masks the maps without copying them. The
     output is (N, C, H//2, W//2); trailing odd rows and columns are dropped.
     With ``training`` the block normalizes by the batch statistics and moves
     the running ones in ``state`` towards them; otherwise it normalizes by
     the running statistics and leaves ``state`` alone.
+
+    The cells are walked in blocks of ``_CELL_BLOCK``, cell-last, with each
+    pooling window's four entries in four contiguous runs; a block's patch
+    matrix and convolution are the only buffers wider than the output. The
+    activation never falls as gamma * conv rises, so one pass pools gamma *
+    conv, keeping each window's winner (its first maximum in window order,
+    as in ``maxpool2``, so all-zero maps tie to the first entry) and the
+    convolution there; up to rounding that is the activation's winner. In
+    training the same pass merges, over the blocks, each channel's mean and
+    centred sum of squares, the patch mean s and the channel-patch co-moment
+    C = sum_p (y_p - mean) p^T = w G, with G the centred patch Gram matrix
+    (the pairwise update of Chan, Golub & LeVeque); normalization and
+    activation then run on the winners alone.
+
+    Kept for the backward: the output, the int8 winners and the normalized
+    value at each winner, plus s, C and the statistics. gamma and beta
+    gradients come from the winners. The weight gradient is the patches at
+    the winners times the upstream gradient, re-read from ``x`` one block at
+    a time, minus the batch-statistics terms, which are closed-form in s and
+    C; so the convolution is not recomputed for it. Only an input that
+    needs a gradient recomputes its block's convolution (in training, where
+    the batch-norm backward needs every position's normalized value) and
+    convolves the block's gradient with the flipped kernel.
     """
     x, w, gamma, beta = as_tensor(x), as_tensor(w), as_tensor(gamma), as_tensor(beta)
     cout, cin, kh, kw = w.shape
@@ -718,64 +789,128 @@ def conv_block(x, w, gamma, beta, state: BatchNormState, training: bool,
         raise ValueError(f"conv_block input spatial dims too small: {x.shape}")
     if not 0.0 <= slope <= 1.0:
         raise ValueError(f"conv_block leaky-ReLU slope must lie in [0, 1], got {slope}")
+    masked = np.asarray(() if masked is None else masked)
+    if masked.size and masked.dtype.kind not in "iu":
+        raise ValueError(f"conv_block masked cells must be indices, got dtype {masked.dtype}")
+    masked = np.unique(masked.astype(np.intp))
+    if masked.size and (masked[0] < 0 or masked[-1] >= n):
+        raise ValueError(f"conv_block masked cells must lie in [0, {n}), "
+                         f"got {masked[0]}..{masked[-1]}")
     m = n * h * wd
-    cols = _im2col(x.values, kh, kw, 1)                        # (cin * 9, m)
-    xhat = w.values.reshape(cout, -1) @ cols                   # (cout, m)
+    wm = w.values.reshape(cout, -1)
+    k = wm.shape[1]
+    rows, cols = _pool_order(h, wd)
+    windows = 4 * hp * wp                                      # positions that pooling reads
+    blocks = [(lo, min(lo + _CELL_BLOCK, n)) for lo in range(0, n, _CELL_BLOCK)]
+
+    # the activation leaky(gamma * (y - mu) * inv_std + beta) never falls as
+    # gamma * y rises (inv_std > 0, slope >= 0), so pooling gamma * y finds
+    # its winners before the batch statistics are known
+    winner = np.empty((cout, hp, wp, n), dtype=np.int8)
+    xhat_win = np.empty((cout, hp, wp, n))                     # y at the winners, for now
+    # batch statistics, merged over blocks: channel means and centred sums
+    # of squares, patch means and the channel-patch co-moment sum (y - mu) p^T
+    y_mean, m2, count = np.zeros(cout), np.zeros(cout), 0
+    p_mean, comoment = np.zeros(k), np.zeros((cout, k))
+    for lo, hi in blocks:
+        b = hi - lo
+        patches = _block_patches(_padded_block(x.values, lo, hi, masked), rows, cols)
+        y = wm @ patches                                       # (cout, h * wd * b)
+        # ">" keeps the first maximum, so the winner index 2 * row + column
+        # is maxpool2's argmax: compare within each row, then the row maxima
+        corners = y[:, :windows * b].reshape(cout, 4, hp, wp, b)
+        tl, tr, bl, br = np.moveaxis(corners * gamma.values[:, None, None, None, None], 1, 0)
+        right_top, right_bottom = tr > tl, br > bl
+        row_win = np.maximum(bl, br) > np.maximum(tl, tr)
+        block_winner = np.where(row_win, right_bottom, right_top).view(np.int8)
+        block_winner += 2 * row_win.view(np.int8)
+        winner[..., lo:hi] = block_winner
+        xhat_win[..., lo:hi] = np.where(row_win,
+                                        np.where(right_bottom, corners[:, 3], corners[:, 2]),
+                                        np.where(right_top, corners[:, 1], corners[:, 0]))
+        if training:
+            # pairwise update of Chan, Golub & LeVeque (1979); sum (y - mean) = 0
+            # within the block, so its co-moment needs no centred patches
+            size = y.shape[1]
+            block_mean = y.mean(axis=1)
+            y -= block_mean[:, None]
+            block_p_mean = patches.mean(axis=1)
+            shift, p_shift = block_mean - y_mean, block_p_mean - p_mean
+            weight = count * size / (count + size)
+            m2 += np.einsum("ij,ij->i", y, y) + shift * shift * weight
+            comoment += y @ patches.T + np.outer(shift, p_shift) * weight
+            count += size
+            y_mean += shift * (size / count)
+            p_mean += p_shift * (size / count)
 
     if training:
-        mu = xhat.mean(axis=1)
-        xhat -= mu[:, None]
-        var = np.einsum("ij,ij->i", xhat, xhat) / m
+        mu, var = y_mean, m2 / m
         state.running_mean += state.momentum * (mu - state.running_mean)
         state.running_var += state.momentum * (var * (m / max(m - 1, 1)) - state.running_var)
     else:
-        xhat -= state.running_mean[:, None]
-        var = state.running_var
+        mu, var = state.running_mean, state.running_var
     inv_std = 1.0 / np.sqrt(var + state.eps)
-    xhat *= inv_std[:, None]
-    act = xhat * gamma.values[:, None]
-    act += beta.values[:, None]
-    np.maximum(act, slope * act, out=act)                      # leaky ReLU, 0 <= slope <= 1
-
-    # pool the columns of each window's rows, then its rows; ">" keeps the
-    # first maximum, so the winner index 2 * row + column is maxpool2's argmax
-    win = act.reshape(cout, n, h, wd)[:, :, :2 * hp, :2 * wp].reshape(cout, n, hp, 2, wp, 2)
-    left, right = win[..., 0], win[..., 1]
-    col_max, col_win = np.maximum(left, right), right > left
-    top, bottom = col_max[:, :, :, 0], col_max[:, :, :, 1]
-    row_win = bottom > top
-    pooled = np.maximum(top, bottom)                           # (cout, n, hp, wp)
-    winner = (2 * row_win + np.where(row_win, col_win[:, :, :, 1], col_win[:, :, :, 0])
-              ).astype(np.int8)
+    xhat_win -= mu[:, None, None, None]
+    xhat_win *= inv_std[:, None, None, None]
+    values = np.empty((n, cout, hp, wp))
+    act = values.transpose(1, 2, 3, 0)
+    np.multiply(xhat_win, gamma.values[:, None, None, None], out=act)
+    act += beta.values[:, None, None, None]
+    np.multiply(act, slope, out=act, where=act < 0)            # leaky ReLU, 0 <= slope <= 1
 
     def backward_fn(g):
         # pooling, then leaky ReLU: the winner's sign is the pooled value's
-        g = g.transpose(1, 0, 2, 3)
-        g = np.where(pooled > 0, g, slope * g)
-        # flat position of each window's winner in the (cout, n, h, wd) activation
-        corner = (np.arange(cout * n)[:, None, None] * (h * wd)
-                  + np.arange(hp)[:, None] * (2 * wd) + np.arange(wp) * 2)
-        pos = winner.astype(np.intp).reshape(corner.shape)
-        dy = np.zeros((cout, m))
-        dy.reshape(-1)[(corner + (pos >> 1) * wd + (pos & 1)).reshape(-1)] = g.reshape(-1)
-        dbeta = dy.sum(axis=1)
-        dgamma = np.einsum("ij,ij->i", dy, xhat)
+        g = np.ascontiguousarray(g.transpose(1, 2, 3, 0))
+        np.multiply(g, slope, out=g, where=values.transpose(1, 2, 3, 0) <= 0)
+        dbeta = g.sum(axis=(1, 2, 3))
+        dgamma = np.einsum("chwn,chwn->c", g, xhat_win)
         if gamma.requires_grad:
             gamma._accumulate(dgamma, own=True)
         if beta.requires_grad:
             beta._accumulate(dbeta, own=True)
-        # batch-norm backward (Ioffe & Szegedy 2015), in place on dy
-        if training:
-            dy -= xhat * (dgamma / m)[:, None]
-            dy -= (dbeta / m)[:, None]
-        dy *= (gamma.values * inv_std)[:, None]
+        if not (w.requires_grad or x.requires_grad):
+            return
+        # batch-norm backward (Ioffe & Szegedy 2015): the convolution output's
+        # gradient is scale * (dy - xhat * dgamma / m - dbeta / m) in training
+        scale = gamma.values * inv_std
+        dy_patches = np.zeros((cout, k))                       # sum of dy * patch^T
+        dx = np.zeros(x.shape) if x.requires_grad else None
+        w_flip = w.values[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+        for lo, hi in blocks:
+            b = hi - lo
+            patches = _block_patches(_padded_block(x.values, lo, hi, masked), rows, cols)
+            dy = np.empty((cout, h * wd * b))
+            dy[:, windows * b:] = 0.0
+            corners = dy[:, :windows * b].reshape(cout, 4, hp, wp, b)
+            block_g, block_winner = g[..., lo:hi], winner[..., lo:hi]
+            for i in range(4):
+                np.multiply(block_g, block_winner == i, out=corners[:, i])
+            dy_patches += dy @ patches.T
+            if dx is not None:
+                if training:
+                    xhat = wm @ patches                        # recomputed
+                    xhat -= mu[:, None]
+                    xhat *= inv_std[:, None]
+                    dy -= xhat * (dgamma / m)[:, None]
+                    dy -= (dbeta / m)[:, None]
+                dy *= scale[:, None]
+                # the input gradient is dy convolved with the flipped kernel
+                padded = np.zeros((cout, h + 2, wd + 2, b))
+                padded[:, rows + 1, cols + 1] = dy.reshape(cout, -1, b)
+                block_dx = np.empty((cin, h, wd, b))
+                block_dx[:, rows, cols] = (w_flip @ _block_patches(padded, rows, cols)
+                                           ).reshape(cin, -1, b)
+                dx[lo:hi] = block_dx.transpose(3, 0, 1, 2)
         if w.requires_grad:
-            w._accumulate((dy @ cols.T).reshape(w.shape), own=True)
-        if x.requires_grad:
-            dy_nchw = dy.reshape(cout, n, h, wd).transpose(1, 0, 2, 3)
-            x._accumulate(_conv_input_grad(dy_nchw, w.values, 1), own=True)
+            if training:
+                # sum_p xhat_p p^T = inv_std * comoment and sum_p p^T = m * p_mean^T
+                dy_patches -= (dgamma * inv_std / m)[:, None] * comoment
+                dy_patches -= np.outer(dbeta, p_mean)
+            w._accumulate((scale[:, None] * dy_patches).reshape(w.shape), own=True)
+        if dx is not None:
+            dx[masked] = 0.0
+            x._accumulate(dx, own=True)
 
-    values = np.ascontiguousarray(pooled.transpose(1, 0, 2, 3))
     return _make(values, (x, w, gamma, beta), backward_fn, "conv_block")
 
 

@@ -140,29 +140,35 @@ class CellScapeModel:
                 h = ad.elu(h)
         return h
 
-    def encode_intrinsic(self, maps: np.ndarray, training: bool) -> Tensor:
+    def encode_intrinsic(self, maps: np.ndarray, training: bool,
+                         masked: np.ndarray | None = None) -> Tensor:
+        """CNN embedding of the (n, q, q) maps; the cells indexed by
+        ``masked`` read as all-zero maps."""
         n = maps.shape[0]
         x = Tensor(maps.reshape(n, 1, self.q, self.q))
         for i in range(len(self.cfg.cnn_channels)):
             x = ad.conv_block(
                 x, self.params[f"cnn.{i}.w"], self.params[f"cnn.{i}.gamma"],
                 self.params[f"cnn.{i}.beta"], self.bn_states[f"cnn.{i}"], training, 0.01,
+                masked if i == 0 else None,
             )
         flat = ad.reshape(x, (n, -1))
         return ad.matmul(flat, self.params["cnn.fc.w"]) + self.params["cnn.fc.b"]
 
     def encode(self, features: np.ndarray, maps: np.ndarray | None,
-               edges: DirectedEdges, training: bool) -> tuple[Tensor, Tensor | None, Tensor]:
+               edges: DirectedEdges, training: bool,
+               masked: np.ndarray | None = None) -> tuple[Tensor, Tensor | None, Tensor]:
         """Both encoders and the fusion on (n, p) cell features and (n, q, q)
         maps: ``(z_spatial, z_intrinsic, z_fused)`` as graph-connected
         tensors, ``z_intrinsic`` None with ``cci_only``. With ``training``
-        the CNN normalizes by batch statistics and updates its running ones."""
+        the CNN normalizes by batch statistics and updates its running ones.
+        The CNN reads the maps of the cells indexed by ``masked`` as zeros."""
         z_spatial = self.encode_spatial(Tensor(features), edges)
         if self.cfg.cci_only:
             z_intrinsic = None
             joint = z_spatial
         else:
-            z_intrinsic = self.encode_intrinsic(maps, training)
+            z_intrinsic = self.encode_intrinsic(maps, training, masked)
             joint = ad.concat([z_spatial, z_intrinsic], axis=1)
         return z_spatial, z_intrinsic, ad.matmul(joint, self.params["fusion.W"])
 

@@ -3,7 +3,7 @@ gradient surgery, Adam with the halving schedule, and mask-free embedding
 extraction by the encoders alone.
 
 ``train`` prepares the inputs once and runs one ``_step`` per epoch, so an
-epoch's masked copies and autodiff graph are freed before the next epoch's
+epoch's masked features and autodiff graph are freed before the next epoch's
 forward. ``embed`` takes the arrays ``train`` prepared: features, maps and
 directed edges."""
 
@@ -87,7 +87,8 @@ def _step(model: CellScapeModel, optimizer: AdamState, epoch: int, features: np.
     Returns the epoch's log record: the epoch, its learning rate, both
     losses, its wall time (``epoch_s``), each loss's gradient norm over all
     parameters and the fraction of parameter tensors that PCGrad changed.
-    The masked copies and the autodiff graph are locals, freed on return.
+    The masked feature copy and the autodiff graph are locals, freed on
+    return; the CNN reads the masked cells' maps as zeros, without a copy.
     """
     start = time.perf_counter()
     cfg = model.cfg
@@ -102,12 +103,8 @@ def _step(model: CellScapeModel, optimizer: AdamState, epoch: int, features: np.
     mask = mask_cells(n, cfg.mask_ratio, mask_seed)
     feats = features.copy()
     feats[mask] = 0.0
-    masked_maps = None
-    if maps is not None:
-        masked_maps = maps.copy()
-        masked_maps[mask] = 0.0
 
-    _, _, z_fused = model.encode(feats, masked_maps, edges, training=True)
+    _, _, z_fused = model.encode(feats, maps, edges, training=True, masked=mask)
     loss_recon = sce_loss(features, model.decode(z_fused, edges), mask, cfg.gamma)
 
     z_norm = ad.l2_normalize_rows(z_fused)

@@ -1,5 +1,7 @@
 """Transition graph, rank-sum markers, composition, and enrichment tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,43 @@ class TestWilcoxon:
                 assert (rec.statistic, rec.p_value, rec.adj_p_value) == \
                     (stats[gi], pvals[gi], adj[gi])
             assert got["g10"].p_value == 1.0
+
+    @pytest.mark.parametrize("sizes", [(3, 5, 4), (40, 25, 30, 35, 20)],
+                             ids=["exact", "normal"])
+    def test_one_indicator_product_matches_per_domain_loop(self, sizes):
+        # the per-(gene, domain) loop that the indicator product replaced:
+        # U and p bit-equal, fold change and detected fraction within 1e-12
+        rng = np.random.default_rng(8)
+        n = sum(sizes)
+        X = rng.poisson(1.0, (30, n)) * rng.gamma(2.0, 1.5, (30, n))
+        X[:5] = np.round(rng.normal(0.0, 2.0, (5, n)), 1)     # signed, tied
+        X[5] = 0.0                                            # never detected
+        labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        X[6, labels == 1] += 5.0                              # a marker
+        domains = [2, 0, 1] + list(range(3, len(sizes)))
+        tables = wilcoxon_dge(X, labels, domains)
+        for domain, table in zip(domains, tables):
+            in_group = labels == domain
+            n1, n2 = int(in_group.sum()), int((~in_group).sum())
+            got = {r.gene: r for r in table}
+            for gi, row in enumerate(X):
+                ranks, counts = _midranks(row)
+                u = ranks[in_group].sum() - n1 * (n1 + 1) / 2.0
+                if counts.size == 1:
+                    p = 1.0
+                elif max(n1, n2) <= 8:
+                    p = _exact_rank_sum_two_sided(ranks, n1, u)
+                else:
+                    p = _normal_two_sided(u, n1, n2,
+                                          float((counts.astype(np.float64) ** 3 - counts).sum()))
+                mean_in = max(row[in_group].mean(), 0.0)
+                mean_out = max(row[~in_group].mean(), 0.0)
+                lfc = math.log2((mean_in + 1e-9) / (mean_out + 1e-9))
+                rec = got[f"g{gi}"]
+                assert (rec.statistic, rec.p_value) == (u, p)
+                assert rec.log2_fold_change == pytest.approx(lfc, rel=1e-12, abs=1e-12)
+                assert rec.fraction_expressing == pytest.approx(
+                    float((row[in_group] > 0).mean()), rel=1e-12, abs=1e-12)
 
     def test_empty_groups_rejected(self):
         X = np.ones((2, 3))

@@ -175,11 +175,12 @@ class TestRender:
 
 class TestMask:
     """``mask_cells`` draws the masked cells; each training epoch zeroes
-    the features and the gene maps of those same cells."""
+    the features of those same cells and has the CNN read their gene maps
+    as zeros (``conv_block``'s ``masked``, checked in ``test_model``)."""
 
     def _epoch_inputs(self, monkeypatch, cci_only=False, n=12, p=16, q=4):
-        """X, the full maps, and the mask, features and maps of the one
-        training epoch."""
+        """X, the full maps, and the mask, features, maps and masked cells
+        that the one training epoch encodes."""
         rng = np.random.default_rng(9)
         X = rng.random((p, n)) + 0.5
         ds = ExpressionDataset(X=X, coords=rng.random((2, n)),
@@ -195,32 +196,36 @@ class TestMask:
             drawn.append(mask_cells(*args))
             return drawn[-1]
 
-        def encode(model, features, maps, *args, **kwargs):
-            seen.append((features.copy(), None if maps is None else maps.copy()))
-            return original_encode(model, features, maps, *args, **kwargs)
+        def encode(model, features, maps, edges, training, masked=None):
+            seen.append((features.copy(), None if maps is None else maps.copy(), masked))
+            return original_encode(model, features, maps, edges, training, masked)
 
         original_encode = CellScapeModel.encode
         monkeypatch.setattr(training, "mask_cells", draw)
         monkeypatch.setattr(CellScapeModel, "encode", encode)
         training.train(ds, build_knn_graph(ds.coords, k=3), layout, cfg)
         assert len(drawn) == 1 and len(seen) == 2  # the epoch, then the mask-free embed
-        features, maps = seen[0]
-        return X, render_maps(X, layout), drawn[0], features, maps
+        features, maps, masked = seen[0]
+        assert seen[1][2] is None  # embed masks nothing
+        return X, render_maps(X, layout), drawn[0], features, maps, masked
 
     def test_mask_count_and_zeroing(self, monkeypatch):
         mask = mask_cells(7, ratio=0.3, seed=0)
         assert mask.size == 3  # ceil(0.3 * 7)
         assert np.all(np.diff(mask) > 0) and 0 <= mask.min() and mask.max() < 7
-        _, _, mask, features, maps = self._epoch_inputs(monkeypatch)
+        _, full_maps, mask, features, maps, masked = self._epoch_inputs(monkeypatch)
         assert mask.size == 6
-        assert np.all(features[mask] == 0) and np.all(maps[mask] == 0)
+        assert np.all(features[mask] == 0)
+        # the maps go in whole, with the masked cells named beside them
+        np.testing.assert_array_equal(masked, mask)
+        np.testing.assert_array_equal(maps, full_maps)
         # the spatial-only branch draws the same cells and zeroes their features
-        _, _, cci_mask, cci_features, cci_maps = self._epoch_inputs(monkeypatch, cci_only=True)
+        _, _, cci_mask, cci_features, cci_maps, _ = self._epoch_inputs(monkeypatch, cci_only=True)
         np.testing.assert_array_equal(cci_mask, mask)
         assert np.all(cci_features[mask] == 0) and cci_maps is None
 
     def test_unmasked_untouched(self, monkeypatch):
-        X, full_maps, mask, features, maps = self._epoch_inputs(monkeypatch)
+        X, full_maps, mask, features, maps, _ = self._epoch_inputs(monkeypatch)
         kept = np.setdiff1d(np.arange(X.shape[1]), mask)
         np.testing.assert_array_equal(features[kept], X.T[kept])
         np.testing.assert_array_equal(maps[kept], full_maps[kept])
@@ -232,10 +237,10 @@ class TestMask:
         assert not np.array_equal(a, mask_cells(50, ratio=0.3, seed=43))
 
     def test_map_sum_conservation(self, monkeypatch):
-        X, _, mask, _, maps = self._epoch_inputs(monkeypatch)
+        X, _, mask, _, maps, masked = self._epoch_inputs(monkeypatch)
+        np.testing.assert_array_equal(masked, mask)
         for i in range(X.shape[1]):
-            expected = 0.0 if i in set(mask.tolist()) else X[:, i].sum()
-            assert maps[i].sum() == pytest.approx(expected)
+            assert maps[i].sum() == pytest.approx(X[:, i].sum())
 
     def test_ratio_bounds(self):
         for bad in (0.0, 1.0, -0.2, 1.5):

@@ -454,17 +454,20 @@ def _conv_block_inputs(n, cin, cout, q, seed, masked=(1, 3)):
     return x, w, gamma, beta
 
 
-def _conv_block_pass(op, arrays, training, weights):
-    """Output, running statistics and the gradients of x, w, gamma and beta
-    of ``op`` (the fused op or the composite chain) under loss sum(out * weights)."""
+def _conv_block_pass(op, arrays, training, weights, x_grad=True, **kwargs):
+    """Output, running statistics and the gradients of x (when ``x_grad``),
+    w, gamma and beta of ``op`` (the fused op or the composite chain) under
+    loss sum(out * weights)."""
     x, w, gamma, beta = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+    x.requires_grad = x_grad
     state = ad.BatchNormState(w.shape[0])
     state.running_mean[:] = 0.3
     state.running_var[:] = 2.0
-    out = op(x, w, gamma, beta, state, training, 0.01)
+    out = op(x, w, gamma, beta, state, training, 0.01, **kwargs)
     ad.backward(ad.tensor_sum(out * weights))
+    grads = [x.grad] if x_grad else []
     return [out.values, state.running_mean, state.running_var,
-            x.grad, w.grad, gamma.grad, beta.grad]
+            *grads, w.grad, gamma.grad, beta.grad]
 
 
 def _assert_match(got_list, want_list):
@@ -498,6 +501,87 @@ class TestConvBlockOracle:
         fused = _conv_block_pass(ad.conv_block, arrays, training, weights)
         reference = _conv_block_pass(composite_conv_block, arrays, training, weights)
         _assert_match(fused, reference)
+
+    # n spans three blocks, the last one partial; every cell of the middle
+    # block is masked, so every window there ties; one channel's gamma is
+    # negative and one is zero, where every window ties too
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("cin,x_grad,q", [(1, False, 7), (3, True, 6)])
+    def test_multi_block_matches_composite(self, cin, x_grad, q, training):
+        block = ad._CELL_BLOCK
+        n = 2 * block + block // 3
+        masked = [0, 5, *range(block, 2 * block), n - 1]
+        arrays = _conv_block_inputs(n, cin, 4, q, seed=20 + cin, masked=masked)
+        arrays[2][1] *= -1.0
+        arrays[2][2] = 0.0
+        weights = np.random.default_rng(cin).standard_normal((n, 4, q // 2, q // 2))
+        fused = _conv_block_pass(ad.conv_block, arrays, training, weights, x_grad)
+        reference = _conv_block_pass(composite_conv_block, arrays, training, weights, x_grad)
+        _assert_match(fused, reference)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_masked_cells_match_zeroed_copy(self, training):
+        # reading the masked cells as zeros is the zeroed copy that training
+        # used to make, bit for bit; a masked cell's input gradient is zero
+        block = ad._CELL_BLOCK
+        n = block + 9
+        arrays = _conv_block_inputs(n, 3, 4, 6, seed=31, masked=())
+        masked = np.array([2, *range(block - 3, block + 4), n - 1])
+        zeroed = (arrays[0].copy(), *arrays[1:])
+        zeroed[0][masked] = 0.0
+        weights = np.random.default_rng(32).standard_normal((n, 4, 3, 3))
+        got = _conv_block_pass(ad.conv_block, arrays, training, weights, masked=masked)
+        want = _conv_block_pass(ad.conv_block, zeroed, training, weights)
+        want[3][masked] = 0.0
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        assert np.all(got[3][masked] == 0) and np.any(got[3] != 0)
+
+    def test_model_masks_first_layer_like_zeroed_copy(self):
+        cfg = ModelConfig(seed=4, **{**TOY_CFG, "cnn_channels": (4, 8)})
+        model = CellScapeModel(36, 6, cfg)
+        twin = copy.deepcopy(model)
+        maps = np.random.default_rng(7).random((ad._CELL_BLOCK + 5, 6, 6))
+        masked = mask_cells(maps.shape[0], 0.3, seed=8)
+        zeroed = maps.copy()
+        zeroed[masked] = 0.0
+        z = model.encode_intrinsic(maps, True, masked)
+        z_twin = twin.encode_intrinsic(zeroed, True)
+        ad.backward(ad.tensor_sum(z * z.values))
+        ad.backward(ad.tensor_sum(z_twin * z_twin.values))
+        np.testing.assert_array_equal(z.values, z_twin.values)
+        for name, param in model.params.items():
+            if name.startswith("cnn."):
+                np.testing.assert_array_equal(param.grad, twin.params[name].grad)
+
+    def test_masked_indices_checked(self):
+        arrays = _conv_block_inputs(4, 1, 2, 4, seed=0, masked=())
+        state = ad.BatchNormState(2)
+        with pytest.raises(ValueError, match="masked"):
+            ad.conv_block(*arrays, state, True, 0.01, masked=[4])
+        with pytest.raises(ValueError, match="masked"):
+            ad.conv_block(*arrays, state, True, 0.01, masked=np.ones(4, dtype=bool))
+
+    def test_peak_memory_below_one_patch_matrix(self):
+        n, q, cout = 4000, 16, 4
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.random((n, 1, q, q)))
+        w, gamma, beta = (Tensor(a, requires_grad=True) for a in
+                          (rng.standard_normal((cout, 1, 3, 3)), np.ones(cout), np.zeros(cout)))
+        tracemalloc.start()
+        try:
+            out = ad.conv_block(x, w, gamma, beta, ad.BatchNormState(cout), True, 0.01)
+            ad.backward(ad.tensor_sum(out))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert w.grad is not None and x.grad is None
+        # a few output-sized arrays (output, winners, normalized winners, the
+        # upstream gradient and its leaky-ReLU copy) plus a few blocks'
+        # patches and channels, below the all-cells (9, n * q * q) patch matrix
+        block = (9 + cout) * ad._CELL_BLOCK * q * q * 8
+        bound = 5 * out.values.nbytes + 4 * block
+        assert peak < bound < 9 * n * q * q * 8, f"peak {peak / 2**20:.1f} MiB"
 
     def test_two_layer_model_matches_composite(self):
         cfg = ModelConfig(seed=4, **{**TOY_CFG, "cnn_channels": (4, 8)})
