@@ -1,9 +1,12 @@
 """Command-line entry point.
 
-Subcommands: preprocess, graph, train, segment, evaluate, analyze, integrate,
-simulate. All read one YAML config (``--config``) with flag overrides;
-``CELLSCAPE_SEED`` overrides the configured seed. Exit codes: 0 success,
-1 usage or configuration error, 2 numerical failure.
+Subcommands: preprocess, graph, train, segment, evaluate, analyze, simulate.
+All read one YAML config (``--config``) with flag overrides, each flag
+setting the config key that is its argparse dest; ``CELLSCAPE_SEED``
+overrides the configured seed. ``train`` fits every entry of
+``paths.samples`` jointly when that list is set, and otherwise the one sample
+of ``paths.expression`` and ``paths.coords``. Exit codes: 0 success, 1 usage
+or configuration error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import csv
 import dataclasses
 import json
 import sys
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +32,10 @@ from .analysis import (
     write_enrichment_table,
     write_transition_graph,
 )
-from .config import PipelineConfig, load_config
+from .config import GRAPH_METHODS, TRANSITION_SOURCES, PipelineConfig, load_config
 from .dataset import (
+    FORMATS,
+    load_cell_table,
     load_coords,
     load_dataset,
     load_dense_matrix,
@@ -59,13 +65,8 @@ def _require(path_value, what: str) -> Path:
 def _load_input_dataset(cfg: PipelineConfig):
     expr = _require(cfg.paths.expression, "paths.expression")
     coords = _require(cfg.paths.coords, "paths.coords")
-    return load_dataset(
-        expr,
-        coords,
-        format=cfg.paths.format,
-        batch_path=cfg.paths.batch_labels or None,
-        types_path=cfg.paths.type_labels or None,
-    )
+    return load_dataset(expr, coords, format=cfg.paths.format,
+                        batch_path=cfg.paths.batch_labels or None)
 
 
 def _outdir(cfg: PipelineConfig) -> Path:
@@ -80,17 +81,6 @@ def _read_artifact(path: Path, hint: str) -> Path:
     return path
 
 
-def _read_embeddings(path: Path) -> tuple[list[str], np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        ids, rows = [], []
-        for line in reader:
-            ids.append(line[0])
-            rows.append([float(v) for v in line[1:]])
-    return ids, np.array(rows)
-
-
 def _read_label_csv(path: Path) -> tuple[list[str], list[str]]:
     mapping = load_labels(path)
     return list(mapping.keys()), list(mapping.values())
@@ -100,7 +90,7 @@ def _read_label_csv(path: Path) -> tuple[list[str], list[str]]:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_preprocess(cfg: PipelineConfig, args) -> int:
+def cmd_preprocess(cfg: PipelineConfig) -> int:
     ds = _load_input_dataset(cfg)
     out = _outdir(cfg)
     ds_pre, hvg, coexpr = pipeline.preprocess_dataset(ds, cfg)
@@ -115,7 +105,7 @@ def cmd_preprocess(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def cmd_graph(cfg: PipelineConfig, args) -> int:
+def cmd_graph(cfg: PipelineConfig) -> int:
     ds = _load_input_dataset(cfg)
     out = _outdir(cfg)
     graph = pipeline.build_graph(ds.coords, cfg)
@@ -146,15 +136,22 @@ def _write_fit(out: Path, result: pipeline.Fit) -> None:
     write("labels.csv", write_labels, ids, result.labels.labels.tolist(), header="domain")
 
 
-def cmd_train(cfg: PipelineConfig, args) -> int:
-    ds = _load_input_dataset(cfg)
-    _write_fit(_outdir(cfg), pipeline.fit([ds], cfg))
+def cmd_train(cfg: PipelineConfig) -> int:
+    """Fit the samples of ``paths.samples`` jointly when that list is set,
+    else the one sample of ``paths.expression`` and ``paths.coords``."""
+    samples = [
+        load_dataset(_require(entry["expression"], f"paths.samples[{idx}].expression"),
+                     _require(entry["coords"], f"paths.samples[{idx}].coords"),
+                     format=entry.get("format", cfg.paths.format))
+        for idx, entry in enumerate(cfg.paths.samples)
+    ] or [_load_input_dataset(cfg)]
+    _write_fit(_outdir(cfg), pipeline.fit(samples, cfg))
     return 0
 
 
-def cmd_segment(cfg: PipelineConfig, args) -> int:
+def cmd_segment(cfg: PipelineConfig) -> int:
     out = _outdir(cfg)
-    ids, Z = _read_embeddings(_read_artifact(out / "embeddings_spatial.csv", "train"))
+    Z, ids = load_cell_table(_read_artifact(out / "embeddings_spatial.csv", "train"))
     coords, coord_ids = load_coords(_read_artifact(out / "cells.csv", "train"))
     sample_ids, samples = _read_label_csv(_read_artifact(out / "samples.csv", "train"))
     if coord_ids != ids or sample_ids != ids:
@@ -165,7 +162,7 @@ def cmd_segment(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def cmd_evaluate(cfg: PipelineConfig, args) -> int:
+def cmd_evaluate(cfg: PipelineConfig) -> int:
     out = _outdir(cfg)
     labels_path = _read_artifact(out / "labels.csv", "segment")
     truth_path = _require(cfg.paths.truth_labels, "paths.truth_labels")
@@ -184,7 +181,7 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def cmd_analyze(cfg: PipelineConfig, args) -> int:
+def cmd_analyze(cfg: PipelineConfig) -> int:
     out = _outdir(cfg)
     labels_path = _read_artifact(out / "labels.csv", "segment")
     expr_path = _read_artifact(out / "preprocessed_expression.csv", "train")
@@ -196,7 +193,7 @@ def cmd_analyze(cfg: PipelineConfig, args) -> int:
 
     if cfg.analysis.transition_source == "embedding":
         emb_path = _read_artifact(out / "embeddings_spatial.csv", "train")
-        _, Z = _read_embeddings(emb_path)
+        Z, _ = load_cell_table(emb_path)
         graph = build_knn_graph(Z.T, k=min(cfg.analysis.embedding_knn, len(ids) - 1))
     else:
         graph = read_edge_list(_read_artifact(out / "graph.txt", "train"))
@@ -243,21 +240,7 @@ def cmd_analyze(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def cmd_integrate(cfg: PipelineConfig, args) -> int:
-    if not cfg.paths.samples:
-        raise ValueError("config is missing paths.samples (list of {expression, coords})")
-    samples = []
-    for idx, entry in enumerate(cfg.paths.samples):
-        expr = _require(entry.get("expression"), f"paths.samples[{idx}].expression")
-        coords = _require(entry.get("coords"), f"paths.samples[{idx}].coords")
-        samples.append(
-            load_dataset(expr, coords, format=entry.get("format", cfg.paths.format))
-        )
-    _write_fit(_outdir(cfg), pipeline.fit(samples, cfg))
-    return 0
-
-
-def cmd_simulate(cfg: PipelineConfig, args) -> int:
+def cmd_simulate(cfg: PipelineConfig) -> int:
     out = _outdir(cfg)
     ds, truth = generate_tissue(dataclasses.replace(cfg.simulate, seed=cfg.seed))
     write_dense_matrix(out / "expression.csv", ds.X, ds.gene_names, ds.cell_ids)
@@ -273,14 +256,17 @@ def cmd_simulate(cfg: PipelineConfig, args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", default=None, help="YAML pipeline config file")
-    sub.add_argument("--seed", type=int, default=None,
-                     help=f"random seed (default: {_DEFAULTS.seed})")
-    sub.add_argument("--output-dir", default=None,
-                     help=f"artifact directory (default: {_DEFAULTS.paths.output_dir})")
-    sub.add_argument("--expression", default=None, help="expression matrix path")
-    sub.add_argument("--coords", default=None, help="coordinates CSV path")
+def _flag(p: argparse.ArgumentParser, flag: str, key: str, help: str, **kw) -> None:
+    """``flag`` sets the config value ``key``, which is also its dest; its
+    type and the default its help shows come from ``PipelineConfig()``."""
+    default = reduce(getattr, key.split("."), _DEFAULTS)
+    if isinstance(default, bool):
+        help += f" ({key}, default: {'on' if default else 'off'})"
+    else:
+        kw.update(type=str if default is None else type(default),
+                  metavar=flag[2:].replace("-", "_").upper())
+        help += f" ({key})" if default is None else f" ({key}, default: {default})"
+    p.add_argument(flag, dest=key, default=None, help=help, **kw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,115 +276,63 @@ def build_parser() -> argparse.ArgumentParser:
                     "for spatial transcriptomics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    d = _DEFAULTS
 
-    p = sub.add_parser("preprocess", help="normalize, select variable genes, correlate")
-    _add_common(p)
-    p.add_argument("--format", default=None, choices=["dense-csv", "sparse-triplet"],
-                   help=f"expression file format (default: {d.paths.format})")
-    p.add_argument("--target-sum", type=float, default=None,
-                   help=f"per-cell total after normalization (default: {d.preprocessing.target_sum})")
-    p.add_argument("--n-hvg", type=int, default=None,
-                   help=f"variable genes to keep (default: {d.preprocessing.n_hvg})")
-    p.add_argument("--combat", action="store_true", default=None,
-                   help="apply batch harmonization (default: off)")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", default=None, help="YAML pipeline config file")
+        _flag(p, "--seed", "seed", "random seed")
+        _flag(p, "--output-dir", "paths.output_dir", "artifact directory")
+        _flag(p, "--expression", "paths.expression", "expression matrix path")
+        _flag(p, "--coords", "paths.coords", "coordinates CSV path")
+        return p
 
-    p = sub.add_parser("graph", help="build the spatial cell graph")
-    _add_common(p)
-    p.add_argument("--method", default=None, choices=["knn", "delaunay", "auto"],
-                   help=f"construction method (default: {d.graph.method})")
-    p.add_argument("--k", type=int, default=None,
-                   help=f"neighbors for knn (default: {d.graph.k})")
-    p.add_argument("--prune-percentile", type=float, default=None,
-                   help=f"Delaunay long-edge cutoff (default: {d.graph.prune_percentile})")
+    p = command("preprocess", "normalize, select variable genes, correlate")
+    _flag(p, "--format", "paths.format", f"expression file format: {', '.join(FORMATS)}")
+    _flag(p, "--target-sum", "preprocessing.target_sum", "per-cell total after normalization")
+    _flag(p, "--n-hvg", "preprocessing.n_hvg", "variable genes to keep")
+    _flag(p, "--combat", "preprocessing.combat", "apply batch harmonization",
+          action="store_true")
 
-    p = sub.add_parser("train", help="train the model, write embeddings and domains")
-    _add_common(p)
-    p.add_argument("--epochs", type=int, default=None,
-                   help=f"training epochs (default: {d.model.epochs})")
-    p.add_argument("--cci-only", action="store_true", default=None,
-                   help="spatial-only variant, skips the gene-map branch (default: off)")
-    p.add_argument("--mask-ratio", type=float, default=None,
-                   help=f"masked cell fraction (default: {d.model.mask_ratio})")
-    p.add_argument("--tau", type=float, default=None,
-                   help=f"contrastive temperature (default: {d.model.tau})")
-    p.add_argument("--gamma", type=float, default=None,
-                   help=f"reconstruction exponent (default: {d.model.gamma})")
+    p = command("graph", "build the spatial cell graph")
+    _flag(p, "--method", "graph.method", f"construction method: {', '.join(GRAPH_METHODS)}")
+    _flag(p, "--k", "graph.k", "neighbors for knn")
+    _flag(p, "--prune-percentile", "graph.prune_percentile", "Delaunay long-edge cutoff")
 
-    p = sub.add_parser("segment", help="cluster spatial embeddings into domains")
-    _add_common(p)
-    p.add_argument("--n-domains", type=int, default=None,
-                   help=f"mixture components K (default: {d.clustering.n_domains})")
-    p.add_argument("--pca-dim", type=int, default=None,
-                   help=f"PCA dimensions before clustering (default: {d.clustering.pca_dim})")
-    p.add_argument("--no-refine", action="store_true", default=None,
-                   help="skip majority-vote refinement (default: refinement on)")
-    p.add_argument("--refine-neighbors", type=int, default=None,
-                   help=f"voters per cell (default: {d.clustering.refine_neighbors})")
+    p = command("train", "train on one sample or on every entry of paths.samples, "
+                         "write embeddings and domains")
+    _flag(p, "--epochs", "model.epochs", "training epochs")
+    _flag(p, "--cci-only", "model.cci_only",
+          "spatial-only variant, skips the gene-map branch", action="store_true")
+    _flag(p, "--mask-ratio", "model.mask_ratio", "masked cell fraction")
+    _flag(p, "--tau", "model.tau", "contrastive temperature")
+    _flag(p, "--gamma", "model.gamma", "reconstruction exponent")
+    _flag(p, "--n-domains", "clustering.n_domains", "mixture components K")
 
-    p = sub.add_parser("evaluate", help="score labels against truth annotations")
-    _add_common(p)
-    p.add_argument("--truth-labels", default=None, help="truth labels CSV path")
+    p = command("segment", "cluster spatial embeddings into domains")
+    _flag(p, "--n-domains", "clustering.n_domains", "mixture components K")
+    _flag(p, "--pca-dim", "clustering.pca_dim", "PCA dimensions before clustering")
+    _flag(p, "--no-refine", "clustering.refine", "skip majority-vote refinement",
+          action="store_false")
+    _flag(p, "--refine-neighbors", "clustering.refine_neighbors", "voters per cell")
 
-    p = sub.add_parser("analyze", help="markers, transitions, composition, enrichment")
-    _add_common(p)
-    p.add_argument("--gene-sets", default=None, help="GMT gene-set file")
-    p.add_argument("--type-labels", default=None, help="cell-type labels CSV")
-    p.add_argument("--transition-source", default=None, choices=["spatial", "embedding"],
-                   help=f"graph for domain transitions (default: {d.analysis.transition_source})")
+    p = command("evaluate", "score labels against truth annotations")
+    _flag(p, "--truth-labels", "paths.truth_labels", "truth labels CSV path")
 
-    p = sub.add_parser("integrate", help="multi-sample harmonization + joint training")
-    _add_common(p)
-    p.add_argument("--epochs", type=int, default=None,
-                   help=f"training epochs (default: {d.model.epochs})")
-    p.add_argument("--n-domains", type=int, default=None,
-                   help=f"mixture components K (default: {d.clustering.n_domains})")
+    p = command("analyze", "markers, transitions, composition, enrichment")
+    _flag(p, "--gene-sets", "paths.gene_sets", "GMT gene-set file")
+    _flag(p, "--type-labels", "paths.type_labels", "cell-type labels CSV")
+    _flag(p, "--transition-source", "analysis.transition_source",
+          f"graph for domain transitions: {', '.join(TRANSITION_SOURCES)}")
 
-    p = sub.add_parser("simulate", help="generate a banded synthetic tissue")
-    _add_common(p)
-    p.add_argument("--n-cells", type=int, default=None,
-                   help=f"cells to generate (default: {d.simulate.n_cells})")
-    p.add_argument("--n-genes", type=int, default=None,
-                   help=f"genes to generate (default: {d.simulate.n_genes})")
-    p.add_argument("--n-domains", type=int, default=None,
-                   help=f"bands (default: {d.simulate.n_domains})")
-    p.add_argument("--program-strength", type=float, default=None,
-                   help=f"domain program boost (default: {d.simulate.program_strength})")
-    p.add_argument("--noise-sd", type=float, default=None,
-                   help=f"additive noise sd (default: {d.simulate.noise_sd})")
+    p = command("simulate", "generate a banded synthetic tissue")
+    _flag(p, "--n-cells", "simulate.n_cells", "cells to generate")
+    _flag(p, "--n-genes", "simulate.n_genes", "genes to generate")
+    _flag(p, "--n-domains", "simulate.n_domains", "bands")
+    _flag(p, "--program-strength", "simulate.program_strength", "domain program boost")
+    _flag(p, "--noise-sd", "simulate.noise_sd", "additive noise sd")
 
     return parser
 
-
-_OVERRIDE_KEYS = {
-    "seed": "seed",
-    "output_dir": "paths.output_dir",
-    "expression": "paths.expression",
-    "coords": "paths.coords",
-    "format": "paths.format",
-    "truth_labels": "paths.truth_labels",
-    "gene_sets": "paths.gene_sets",
-    "type_labels": "paths.type_labels",
-    "target_sum": "preprocessing.target_sum",
-    "n_hvg": "preprocessing.n_hvg",
-    "combat": "preprocessing.combat",
-    "method": "graph.method",
-    "k": "graph.k",
-    "prune_percentile": "graph.prune_percentile",
-    "epochs": "model.epochs",
-    "cci_only": "model.cci_only",
-    "mask_ratio": "model.mask_ratio",
-    "tau": "model.tau",
-    "gamma": "model.gamma",
-    "n_domains": "clustering.n_domains",  # simulate.n_domains for simulate
-    "pca_dim": "clustering.pca_dim",
-    "refine_neighbors": "clustering.refine_neighbors",
-    "transition_source": "analysis.transition_source",
-    "n_cells": "simulate.n_cells",
-    "n_genes": "simulate.n_genes",
-    "program_strength": "simulate.program_strength",
-    "noise_sd": "simulate.noise_sd",
-}
 
 COMMANDS = {
     "preprocess": cmd_preprocess,
@@ -407,33 +341,18 @@ COMMANDS = {
     "segment": cmd_segment,
     "evaluate": cmd_evaluate,
     "analyze": cmd_analyze,
-    "integrate": cmd_integrate,
     "simulate": cmd_simulate,
 }
 
 
-def _collect_overrides(args: argparse.Namespace) -> dict:
-    overrides: dict = {}
-    for attr, dotted in _OVERRIDE_KEYS.items():
-        if not hasattr(args, attr):
-            continue
-        value = getattr(args, attr)
-        if value is None:
-            continue
-        if attr == "n_domains" and args.command == "simulate":
-            dotted = "simulate.n_domains"
-        overrides[dotted] = value
-    if getattr(args, "no_refine", None):
-        overrides["clustering.refine"] = False
-    return overrides
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, overrides=_collect_overrides(args))
-        return COMMANDS[args.command](cfg, args)
+        flags = vars(build_parser().parse_args(argv))
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return 1 if exc.code else 0
+    command, path = flags.pop("command"), flags.pop("config")
+    try:
+        return COMMANDS[command](load_config(path, overrides=flags))
     except (ValueError, FileNotFoundError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,8 +15,17 @@ from pathlib import Path
 
 import yaml
 
+from .dataset import FORMATS
 from .network import ModelConfig
 from .synth import SyntheticSpec
+
+GRAPH_METHODS = ("knn", "delaunay", "auto")
+TRANSITION_SOURCES = ("spatial", "embedding")
+
+
+def _one_of(name: str, value, allowed) -> None:
+    if value not in allowed:
+        raise ValueError(f"{name} must be {'|'.join(allowed)}, got {value!r}")
 
 
 @dataclass
@@ -29,11 +38,24 @@ class PathsConfig:
     truth_labels: str | None = None
     gene_sets: str | None = None
     output_dir: str = "cellscape_out"
-    samples: list[dict] = field(default_factory=list)  # [{expression, coords}, ...]
+    samples: list[dict] = field(default_factory=list)  # [{expression, coords[, format]}, ...]
 
     def __post_init__(self):
-        if not all(isinstance(s, dict) for s in self.samples):
-            raise ValueError("samples must be mappings {expression, coords}")
+        _one_of("format", self.format, FORMATS)
+        for idx, entry in enumerate(self.samples):
+            name = f"samples[{idx}]"
+            if not isinstance(entry, dict):
+                raise ValueError(f"{name} must be a mapping {{expression, coords[, format]}}")
+            unknown = set(entry) - {"expression", "coords", "format"}
+            if unknown:
+                raise ValueError(f"unknown key(s) in {name}: {sorted(unknown)}")
+            for key in ("expression", "coords"):
+                if type(entry.get(key)) is not str:
+                    raise ValueError(f"{name}.{key} must be a path, got {entry.get(key)!r}")
+            _one_of(f"{name}.format", entry.get("format", self.format), FORMATS)
+        if self.samples and (self.expression or self.coords or self.batch_labels):
+            raise ValueError("samples cannot be set together with expression, coords "
+                             "or batch_labels")
 
 
 @dataclass
@@ -51,13 +73,12 @@ class PreprocessingConfig:
 
 @dataclass
 class GraphConfig:
-    method: str = "auto"            # knn | delaunay | auto
+    method: str = "auto"            # one of GRAPH_METHODS
     k: int = 6
     prune_percentile: float = 99.0  # Delaunay long-edge pruning
 
     def __post_init__(self):
-        if self.method not in ("knn", "delaunay", "auto"):
-            raise ValueError(f"method must be knn|delaunay|auto, got {self.method!r}")
+        _one_of("method", self.method, GRAPH_METHODS)
         if self.k < 1:
             raise ValueError("k must be positive")
         if not 0 < self.prune_percentile <= 100:
@@ -91,15 +112,14 @@ class ClusteringConfig:
 
 @dataclass
 class AnalysisConfig:
-    transition_source: str = "spatial"   # spatial | embedding
+    transition_source: str = "spatial"   # one of TRANSITION_SOURCES
     embedding_knn: int = 15
     marker_adj_p: float = 0.05
     marker_min_lfc: float = 0.25
     top_markers: int = 5
 
     def __post_init__(self):
-        if self.transition_source not in ("spatial", "embedding"):
-            raise ValueError("transition_source must be spatial|embedding")
+        _one_of("transition_source", self.transition_source, TRANSITION_SOURCES)
         if self.embedding_knn < 1 or self.top_markers < 0:
             raise ValueError("embedding_knn must be positive and top_markers non-negative")
 

@@ -1,8 +1,9 @@
 """Expression dataset container and file I/O.
 
 Supported inputs: dense CSV (genes as rows, ``gene_id,cell_1,...``), sparse
-triplet text (``%shape p n`` header then ``row col value`` lines), coordinate
-CSV (``cell_id,x,y``) and label CSV (``cell_id,label``).
+triplet text (``%shape p n`` header then ``row col value`` lines), per-cell
+tables (``cell_id,v1,...,vk``: coordinates are ``cell_id,x,y``, embeddings
+one column per dimension) and label CSV (``cell_id,label``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ class ExpressionDataset:
     gene_names: list[str]
     cell_ids: list[str]
     batch_labels: list[str] | None = None
-    type_labels: list[str] | None = None
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -55,9 +55,8 @@ class ExpressionDataset:
             raise ValueError(f"{len(self.cell_ids)} cell ids for {n} matrix columns")
         _require_unique(self.gene_names, "gene")
         _require_unique(self.cell_ids, "cell")
-        for labels, what in ((self.batch_labels, "batch"), (self.type_labels, "type")):
-            if labels is not None and len(labels) != n:
-                raise ValueError(f"{what} labels length {len(labels)} != {n} cells")
+        if self.batch_labels is not None and len(self.batch_labels) != n:
+            raise ValueError(f"batch labels length {len(self.batch_labels)} != {n} cells")
 
     def subset_genes(self, indices) -> "ExpressionDataset":
         """Dataset restricted to the given gene rows, copied."""
@@ -136,27 +135,44 @@ def load_sparse_triplet(path) -> tuple[np.ndarray, list[str], list[str]]:
     return X, [f"g{i}" for i in range(p)], [f"c{j}" for j in range(n)]
 
 
-def load_coords(path) -> tuple[np.ndarray, list[str]]:
-    """Read ``cell_id,x,y`` CSV; returns (coords 2 x n, cell_ids)."""
+def load_cell_table(path, columns: int | None = None) -> tuple[np.ndarray, list[str]]:
+    """Read a per-cell CSV, a header then ``cell_id,v1,...,vk`` rows; returns
+    the (n, k) values and the cell ids. Every row has the header's width, and
+    ``columns``, when given, is the required k."""
     path = Path(path)
-    ids: list[str] = []
-    xy: list[tuple[float, float]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty coordinates file")
+        if header is None or len(header) < 2:
+            raise ValueError(f"{path}: expected a header row 'cell_id,v1,...'")
+        if columns is not None and len(header) != columns + 1:
+            raise ValueError(f"{path}: header has {len(header) - 1} value columns, "
+                             f"expected {columns}")
+        ids: list[str] = []
+        rows: list[list[float]] = []
+        seen: set[str] = set()
         for r, line in enumerate(reader, start=1):
             if not line:
                 continue
-            if len(line) != 3:
-                raise ValueError(f"{path}: row {r}: expected 'cell_id,x,y'")
-            ids.append(line[0].strip())
-            xy.append((_parse_float(line[1], r, 2, path), _parse_float(line[2], r, 3, path)))
-    if not ids:
-        raise ValueError(f"{path}: no coordinate rows")
-    _require_unique(ids, "cell")
-    return np.array(xy, dtype=np.float64).T, ids
+            if len(line) != len(header):
+                raise ValueError(
+                    f"{path}: row {r} has {len(line)} fields, header has {len(header)}"
+                )
+            cid = line[0].strip()
+            if cid in seen:
+                raise ValueError(f"{path}: row {r}: duplicate cell identifier: {cid!r}")
+            seen.add(cid)
+            ids.append(cid)
+            rows.append([_parse_float(tok, r, c + 1, path) for c, tok in enumerate(line[1:])])
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return np.array(rows, dtype=np.float64), ids
+
+
+def load_coords(path) -> tuple[np.ndarray, list[str]]:
+    """Read ``cell_id,x,y`` CSV; returns (coords 2 x n, cell_ids)."""
+    xy, ids = load_cell_table(path, columns=2)
+    return xy.T, ids
 
 
 def load_labels(path) -> dict[str, str]:
@@ -178,17 +194,18 @@ def load_labels(path) -> dict[str, str]:
     return out
 
 
+_READERS = {"dense-csv": load_dense_matrix, "sparse-triplet": load_sparse_triplet}
+FORMATS = tuple(_READERS)  # the expression formats ``load_dataset`` reads
+
+
 def load_dataset(expr_path, coords_path, format: str = "dense-csv",
-                 batch_path=None, types_path=None) -> ExpressionDataset:
-    """Load and cross-validate expression, coordinates, and optional labels."""
-    if format == "dense-csv":
-        X, gene_names, cell_ids = load_dense_matrix(expr_path)
-        named = True
-    elif format == "sparse-triplet":
-        X, gene_names, cell_ids = load_sparse_triplet(expr_path)
-        named = False
-    else:
+                 batch_path=None) -> ExpressionDataset:
+    """Load and cross-validate expression, coordinates, and optional batch
+    labels."""
+    if format not in _READERS:
         raise ValueError(f"unknown expression format {format!r}")
+    X, gene_names, cell_ids = _READERS[format](expr_path)
+    named = format == "dense-csv"  # sparse-triplet cell ids are synthesized
     if np.any(X < 0):
         bad = np.argwhere(X < 0)[0]
         raise ValueError(f"negative expression value at gene {bad[0]}, cell {bad[1]}")
@@ -210,23 +227,15 @@ def load_dataset(expr_path, coords_path, format: str = "dense-csv",
     else:
         cell_ids = coord_ids
 
-    def _resolve(path):
-        if path is None:
-            return None
-        mapping = load_labels(path)
+    batch_labels = None
+    if batch_path is not None:
+        mapping = load_labels(batch_path)
         missing = [c for c in cell_ids if c not in mapping]
         if missing:
-            raise ValueError(f"label file {path} missing cell id {missing[0]!r}")
-        return [mapping[c] for c in cell_ids]
-
-    return ExpressionDataset(
-        X=X,
-        coords=coords,
-        gene_names=gene_names,
-        cell_ids=cell_ids,
-        batch_labels=_resolve(batch_path),
-        type_labels=_resolve(types_path),
-    )
+            raise ValueError(f"label file {batch_path} missing cell id {missing[0]!r}")
+        batch_labels = [mapping[c] for c in cell_ids]
+    return ExpressionDataset(X=X, coords=coords, gene_names=gene_names,
+                             cell_ids=cell_ids, batch_labels=batch_labels)
 
 
 # ---------------------------------------------------------------------------

@@ -85,11 +85,11 @@ def test_train_writes_and_reports_exactly_its_artifacts(tmp_path, capsys, cci_on
     assert sorted(reported) == sorted(f"wrote {out / name}" for name in expected)
 
 
-def test_integrate_segment_analyze(tmp_path, capsys):
+def test_train_two_samples_segment_analyze(tmp_path, capsys):
     for name, seed in (("a", "1"), ("b", "2")):
         assert main(["simulate", "--output-dir", str(tmp_path / name), "--seed", seed,
                      "--n-cells", "200", "--n-genes", "40", "--n-domains", "3"]) == 0
-    config = tmp_path / "integrate.yaml"
+    config = tmp_path / "samples.yaml"
     config.write_text(yaml.safe_dump({
         "paths": {"samples": [
             {"expression": str(tmp_path / name / "expression.csv"),
@@ -101,7 +101,7 @@ def test_integrate_segment_analyze(tmp_path, capsys):
     }))
     out = tmp_path / "out"
     common = ["--config", str(config), "--output-dir", str(out), "--seed", "0"]
-    assert main(["integrate", *common]) == 0
+    assert main(["train", *common]) == 0
     integrated = read_rows(out / "labels.csv")
     assert main(["segment", *common]) == 0
     assert read_rows(out / "labels.csv") == integrated  # refined within each sample
@@ -162,3 +162,52 @@ def test_knn_graph_and_embedding_transitions(tmp_path, capsys):
     weights = [float(w) for *_, w in pairs]
     assert all(0.0 <= w <= 1.0 for w in weights) and max(weights) == 1.0
     assert (tmp_path / "transition.txt").read_text() != spatial
+
+
+def test_type_labels_are_read_by_analyze_only(tmp_path, capsys):
+    """A types file that lacks a cell does not stop ``train``; ``analyze``
+    counts that cell as ``unknown`` in ``composition.csv``."""
+    out = str(tmp_path)
+    common = ["--output-dir", out, "--seed", "0"]
+    assert main(["simulate", *common, "--n-cells", "200", "--n-genes", "30"]) == 0
+    truth = read_rows(tmp_path / "truth_labels.csv")
+    (tmp_path / "types.csv").write_text(
+        "".join(",".join(row) + "\n" for row in truth[:-1]))  # the last cell is missing
+    config = tmp_path / "types.yaml"
+    config.write_text(yaml.safe_dump({"paths": {"type_labels": str(tmp_path / "types.csv")}}))
+    common += ["--config", str(config)]
+    assert main(["train", *common, "--expression", str(tmp_path / "expression.csv"),
+                 "--coords", str(tmp_path / "coords.csv"), "--epochs", "1"]) == 0
+    assert main(["analyze", *common]) == 0
+
+    header, *rows = read_rows(tmp_path / "composition.csv")
+    assert sorted(header[1:]) == sorted({label for _, label in truth[1:-1]} | {"unknown"})
+    domains = {label for _, label in read_rows(tmp_path / "labels.csv")[1:]}
+    assert [row[0] for row in rows] == sorted(domains) + ["all"]
+    for row in rows:
+        assert math.isclose(sum(float(v) for v in row[1:]), 1.0)
+    assert float(rows[-1][header.index("unknown")]) == 1 / 200
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["integrate"], ["train", "--epochs", "x"], ["train", "--no-such-flag"],
+    ["segment", "--no-refine", "yes"], ["--seed", "1"],
+], ids=["no-command", "integrate-is-gone", "bad-type", "unknown-flag", "flag-value",
+        "flag-before-command"])
+def test_usage_error_exits_1(argv, capsys):
+    assert main(argv) == 1
+    assert "usage: cellscape" in capsys.readouterr().err
+
+
+def test_ragged_embeddings_are_named(tmp_path, capsys):
+    (tmp_path / "embeddings_spatial.csv").write_text("cell_id,dim_0,dim_1\nc0,1,2\nc1,3\n")
+    assert main(["segment", "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'embeddings_spatial.csv'}: row 2 has 2 fields, " \
+                  "header has 3\n"
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: cellscape" in capsys.readouterr().out
+

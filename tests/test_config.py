@@ -2,13 +2,14 @@
 runs, with an ``error:`` line naming its key; YAML, flags and
 ``CELLSCAPE_SEED`` merge in that order."""
 
+import argparse
 import dataclasses
 
 import pytest
 import yaml
 
 from cellscape import pipeline
-from cellscape.cli import main
+from cellscape.cli import COMMANDS, build_parser, main
 from cellscape.config import PipelineConfig, load_config, model_config_from
 
 # every value a YAML file or flag can set, with its default
@@ -183,6 +184,25 @@ BAD = [
     pytest.param([], {"model": {"tau": float("nan")}}, ["model.tau"], id="tau-nan"),
     pytest.param([], {"analysis": {"top_markers": -1}}, ["analysis", "top_markers"],
                  id="top_markers-negative"),
+    pytest.param([], {"graph": {"method": "grid"}}, ["graph", "method", "grid"], id="method"),
+    pytest.param([], {"analysis": {"transition_source": "umap"}},
+                 ["analysis", "transition_source", "umap"], id="transition_source"),
+    pytest.param([], {"paths": {"format": "bogus"}}, ["paths", "format", "bogus"], id="format"),
+    pytest.param([], {"paths": {"samples": ["a.csv"]}}, ["paths", "samples[0]"],
+                 id="samples-entry-not-mapping"),
+    pytest.param([], {"paths": {"samples": [{"expresion": "a.csv", "coords": "b.csv"}]}},
+                 ["paths", "samples[0]", "expresion"], id="samples-unknown-key"),
+    pytest.param([], {"paths": {"samples": [{"expression": 3, "coords": "b.csv"}]}},
+                 ["paths", "samples[0].expression"], id="samples-expression-int"),
+    pytest.param([], {"paths": {"samples": [{"expression": "a.csv"}]}},
+                 ["paths", "samples[0].coords"], id="samples-coords-missing"),
+    pytest.param([], {"paths": {"samples": [
+        {"expression": "a.csv", "coords": "b.csv"},
+        {"expression": "a.csv", "coords": "b.csv", "format": "bogus"}]}},
+                 ["paths", "samples[1].format", "bogus"], id="samples-format"),
+    # train_argv passes --expression and --coords
+    pytest.param([], {"paths": {"samples": [{"expression": "a.csv", "coords": "b.csv"}]}},
+                 ["paths", "samples", "expression"], id="samples-with-expression"),
 ]
 
 
@@ -211,3 +231,59 @@ def test_simulate_reads_its_section(tmp_path):
     assert len(rows) == 1 + 9 and rows[0].count(",") == 30
     labels = (tmp_path / "truth_labels.csv").read_text().splitlines()[1:]
     assert {line.split(",")[1] for line in labels} == {"0", "1", "2"}
+
+
+def flag_actions() -> list[tuple[str, argparse.Action]]:
+    """``(command, action)`` for every flag of every subcommand that sets a
+    config value (all but ``--help`` and ``--config``)."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name, action) for name, p in sub.choices.items() for action in p._actions
+            if action.dest not in ("help", "config")]
+
+
+CHOSEN = {"paths.format": "sparse-triplet", "graph.method": "knn",
+          "analysis.transition_source": "embedding"}
+
+
+def other_valid_value(key: str):
+    default = DEFAULTS[key]
+    if key in CHOSEN:
+        return CHOSEN[key]
+    if default is None:
+        return "elsewhere/file.csv"
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, str):
+        return default + "_other"
+    return default // 2 + 1 if isinstance(default, int) else default / 2
+
+
+@pytest.mark.parametrize("command, action", [
+    pytest.param(command, action, id=f"{command}{action.option_strings[0]}")
+    for command, action in flag_actions()
+])
+def test_each_flag_sets_the_key_its_dest_names(command, action):
+    key, value = action.dest, other_valid_value(action.dest)
+    argv = [command, action.option_strings[0]]
+    if action.nargs != 0:
+        argv.append(str(value))
+    flags = vars(build_parser().parse_args(argv))
+    assert flags.pop("command") == command and flags.pop("config") is None
+    assert settable(load_config(overrides=flags)) == {**DEFAULTS, key: value}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_shows_each_default_from_the_config(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    assert main([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    defaults = settable(PipelineConfig())
+    actions = [action for name, action in flag_actions() if name == command]
+    assert actions
+    for action in actions:
+        default = defaults[action.dest]
+        shown = ("on" if default else "off") if isinstance(default, bool) else default
+        expected = f"({action.dest})" if default is None else \
+            f"({action.dest}, default: {shown})"
+        assert expected in text, (action.option_strings, expected)

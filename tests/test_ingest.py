@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from cellscape.dataset import ExpressionDataset, load_dataset, write_dense_matrix
+from cellscape.dataset import (
+    ExpressionDataset,
+    load_cell_table,
+    load_dataset,
+    write_coords,
+    write_dense_matrix,
+)
+from cellscape.training import write_embeddings_csv
 from cellscape.preprocess import (
     combat_correct,
     log1p_transform,
@@ -99,6 +106,42 @@ class TestLoading:
         assert not np.shares_memory(sub.X, out.X)
         np.testing.assert_array_equal(sub.X, out.X[[0, 2]])
         assert sub.gene_names == ["g0", "g2"]
+
+
+class TestCellTable:
+    """Coordinates and embeddings share one ``cell_id,v1,...,vk`` reader."""
+
+    def test_embeddings_and_coords_roundtrip(self, tmp_path):
+        Z = np.random.default_rng(0).standard_normal((4, 3))
+        ids = [f"c{j}" for j in range(4)]
+        write_embeddings_csv(tmp_path / "emb.csv", Z, ids)
+        write_coords(tmp_path / "cells.csv", Z[:, :2].T, ids)
+        values, read_ids = load_cell_table(tmp_path / "emb.csv")
+        np.testing.assert_array_equal(values, Z)
+        assert read_ids == ids
+        values, read_ids = load_cell_table(tmp_path / "cells.csv", columns=2)
+        np.testing.assert_array_equal(values, Z[:, :2])
+        assert read_ids == ids
+
+    @pytest.mark.parametrize("text, message", [
+        ("cell_id,dim_0,dim_1\ncA,1,2\ncB,3\n", "row 2 has 2 fields, header has 3"),
+        ("cell_id,dim_0,dim_1\ncA,1,2\ncB,3,x\n", "non-numeric entry 'x' at row 2, column 2"),
+        ("cell_id,dim_0,dim_1\ncA,1,2\ncA,3,4\n", "row 2: duplicate cell identifier: 'cA'"),
+        ("cell_id,dim_0\n", "no data rows"),
+        ("cell_id\ncA\n", "expected a header row"),
+    ], ids=["ragged", "non-numeric", "duplicate-id", "empty", "no-values"])
+    def test_errors_name_file_row_and_column(self, tmp_path, text, message):
+        path = tmp_path / "emb.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_cell_table(path)
+        assert str(err.value).startswith(f"{path}: ") and message in str(err.value)
+
+    def test_coords_need_two_columns(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        path.write_text("cell_id,x,y,z\ncA,0,0,0\n")
+        with pytest.raises(ValueError, match="3 value columns, expected 2"):
+            load_cell_table(path, columns=2)
 
 
 class TestNormalize:
