@@ -13,12 +13,10 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import DomainLabels
 from .spatial_graph import SpatialGraph
 
 
@@ -60,12 +58,6 @@ class EnrichmentRecord:
     adj_p_value: float
 
 
-def _label_array(labels) -> np.ndarray:
-    if isinstance(labels, DomainLabels):
-        return np.asarray(labels.labels)
-    return np.asarray(labels)
-
-
 def benjamini_hochberg(p_values) -> np.ndarray:
     """Step-up FDR adjustment; returns adjusted p-values in input order."""
     p = np.asarray(p_values, dtype=np.float64)
@@ -91,14 +83,10 @@ def transition_graph(labels, g: SpatialGraph) -> TransitionGraph:
     d_a * d_b / (2|E|) with d the summed node degrees; the ratio matrix is
     scaled by its maximum.
     """
-    lab = _label_array(labels)
+    lab = np.asarray(labels)
     if lab.shape[0] != g.n_nodes:
         raise ValueError(f"{lab.shape[0]} labels for {g.n_nodes} graph nodes")
     domains, dense = np.unique(lab, return_inverse=True)
-    if isinstance(labels, DomainLabels) and labels.n_domains > domains.size:
-        raise ValueError(
-            f"{labels.n_domains - domains.size} declared domain(s) have no cells"
-        )
     D = domains.size
     conn = np.zeros((D, D))
     if D == 1 or g.n_edges == 0:
@@ -180,7 +168,7 @@ def wilcoxon_dge(X: np.ndarray, labels, domains, gene_names=None,
     correction. Each list is sorted by adjusted p then descending |lfc|.
     """
     X = np.asarray(X, dtype=np.float64)
-    lab = _label_array(labels)
+    lab = np.asarray(labels)
     n = lab.shape[0]
     if n != X.shape[1]:
         raise ValueError(f"{n} labels for {X.shape[1]} cells")
@@ -238,7 +226,7 @@ def wilcoxon_dge(X: np.ndarray, labels, domains, gene_names=None,
 
 def composition(labels, type_labels) -> CompositionMatrix:
     """Domain-wise cell-type proportions P plus tissue-wide proportions P_all."""
-    lab = _label_array(labels)
+    lab = np.asarray(labels)
     types = np.asarray(type_labels)
     if lab.shape[0] != types.shape[0]:
         raise ValueError(f"{lab.shape[0]} domain labels vs {types.shape[0]} type labels")
@@ -246,11 +234,6 @@ def composition(labels, type_labels) -> CompositionMatrix:
     type_ids, ti = np.unique(types, return_inverse=True)
     N = np.zeros((domain_ids.size, type_ids.size), dtype=np.int64)
     np.add.at(N, (di, ti), 1)
-    if isinstance(labels, DomainLabels) and labels.n_domains > domain_ids.size:
-        warnings.warn(
-            f"{labels.n_domains - domain_ids.size} empty domain(s) dropped from composition",
-            RuntimeWarning,
-        )
     row_tot = N.sum(axis=1, keepdims=True)
     P = N / row_tot
     P_all = N.sum(axis=0) / N.sum()

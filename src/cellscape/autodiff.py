@@ -30,9 +30,12 @@ pairs from the sorted edge arrays and builds the (n, d) gradient during the
 forward, so no op holds an anchors x n array.
 
 ``slice_cols``, ``conv2d``, ``batch_norm``, ``maxpool2``, ``transpose``,
-``exp``, ``log``, ``segment_sum`` and ``tensor_mean`` have no caller in the
-model. They stay because the composite and dense references in the tests
-are built from them and the benchmark tracer wraps them by name.
+``exp``, ``log`` and ``segment_sum`` have no caller in the model. They stay
+only because ``benchmark/spec.py::AUTODIFF_OPS`` names them, so the
+benchmark tracer wraps them by name (the composite and dense references in
+the tests are built from them too). The has-a-caller gate in
+``tests/test_imports.py`` counts those names as reads and nothing else
+does: an op dropped from ``AUTODIFF_OPS`` must be deleted here as well.
 """
 
 from __future__ import annotations
@@ -271,12 +274,6 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
             a._accumulate(np.broadcast_to(gg, a.shape).copy())
 
     return _make(values, (a,), backward_fn, "sum")
-
-
-def tensor_mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    count = a.size if axis is None else a.shape[axis]
-    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:

@@ -3,10 +3,13 @@
 Subcommands: preprocess, graph, train, segment, evaluate, analyze, simulate.
 All read one YAML config (``--config``) with flag overrides, each flag
 setting the config key that is its argparse dest; ``CELLSCAPE_SEED``
-overrides the configured seed. ``train`` fits every entry of
-``paths.samples`` jointly when that list is set, and otherwise the one sample
-of ``paths.expression`` and ``paths.coords``. Exit codes: 0 success, 1 usage
-or configuration error, 2 numerical failure.
+overrides the configured seed. Only ``preprocess``, ``graph`` and ``train``
+read input data, so only they take ``--expression`` and ``--coords``;
+``segment``, ``evaluate`` and ``analyze`` read the artifacts of ``train`` in
+the output directory, and ``simulate`` writes a tissue there. ``train`` fits
+every entry of ``paths.samples`` jointly when that list is set, and
+otherwise the one sample of ``paths.expression`` and ``paths.coords``. Exit
+codes: 0 success, 1 usage or configuration error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -35,20 +38,18 @@ from .analysis import (
 from .config import GRAPH_METHODS, TRANSITION_SOURCES, PipelineConfig, load_config
 from .dataset import (
     FORMATS,
-    load_cell_table,
     load_coords,
     load_dataset,
-    load_dense_matrix,
     load_labels,
-    write_coords,
-    write_dense_matrix,
+    load_table,
     write_gene_list,
     write_labels,
+    write_table,
 )
 from .metrics import hom, nmi
 from .spatial_graph import build_knn_graph, read_edge_list, write_edge_list
 from .synth import generate_tissue
-from .training import write_embeddings_csv, write_training_log
+from .training import write_training_log
 
 _DEFAULTS = PipelineConfig()
 
@@ -94,11 +95,11 @@ def cmd_preprocess(cfg: PipelineConfig) -> int:
     ds = _load_input_dataset(cfg)
     out = _outdir(cfg)
     ds_pre, hvg, coexpr = pipeline.preprocess_dataset(ds, cfg)
-    write_dense_matrix(out / "preprocessed_expression.csv", ds_pre.X,
-                       ds_pre.gene_names, ds_pre.cell_ids)
-    write_gene_list(out / "hvg_genes.txt", ds_pre.gene_names)
-    write_dense_matrix(out / "coexpression.csv", coexpr.C,
-                       ds_pre.gene_names, ds_pre.gene_names)
+    genes = ds_pre.gene_names
+    write_table(out / "preprocessed_expression.csv", ["gene_id", *ds_pre.cell_ids], genes,
+                ds_pre.X)
+    write_gene_list(out / "hvg_genes.txt", genes)
+    write_table(out / "coexpression.csv", ["gene_id", *genes], genes, coexpr.C)
     print(f"wrote {out / 'preprocessed_expression.csv'}")
     print(f"wrote {out / 'hvg_genes.txt'} ({len(hvg)} genes)")
     print(f"wrote {out / 'coexpression.csv'}")
@@ -124,14 +125,15 @@ def _write_fit(out: Path, result: pipeline.Fit) -> None:
         writer(out / name, *args, **kwargs)
         print(f"wrote {out / name}")
 
-    write("preprocessed_expression.csv", write_dense_matrix, ds.X, ds.gene_names, ids)
+    write("preprocessed_expression.csv", write_table, ["gene_id", *ids], ds.gene_names, ds.X)
     write("graph.txt", write_edge_list, result.graph)
-    write("embeddings_spatial.csv", write_embeddings_csv, emb.Z_spatial, ids)
-    if emb.Z_intrinsic is not None:
-        write("embeddings_intrinsic.csv", write_embeddings_csv, emb.Z_intrinsic, ids)
-    write("embeddings_fused.csv", write_embeddings_csv, emb.Z, ids)
+    for branch, Z in (("spatial", emb.Z_spatial), ("intrinsic", emb.Z_intrinsic),
+                      ("fused", emb.Z)):
+        if Z is not None:  # no intrinsic branch with cci_only
+            write(f"embeddings_{branch}.csv", write_table,
+                  ["cell_id", *(f"dim_{i}" for i in range(Z.shape[1]))], ids, Z)
     write("training_log.jsonl", write_training_log, result.log)
-    write("cells.csv", write_coords, ds.coords, ids)
+    write("cells.csv", write_table, ["cell_id", "x", "y"], ids, ds.coords.T)
     write("samples.csv", write_labels, ids, result.samples.tolist(), header="sample")
     write("labels.csv", write_labels, ids, result.labels.labels.tolist(), header="domain")
 
@@ -151,7 +153,7 @@ def cmd_train(cfg: PipelineConfig) -> int:
 
 def cmd_segment(cfg: PipelineConfig) -> int:
     out = _outdir(cfg)
-    Z, ids = load_cell_table(_read_artifact(out / "embeddings_spatial.csv", "train"))
+    Z, ids, _ = load_table(_read_artifact(out / "embeddings_spatial.csv", "train"))
     coords, coord_ids = load_coords(_read_artifact(out / "cells.csv", "train"))
     sample_ids, samples = _read_label_csv(_read_artifact(out / "samples.csv", "train"))
     if coord_ids != ids or sample_ids != ids:
@@ -172,8 +174,6 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
     if missing:
         raise ValueError(f"truth labels missing cell id {missing[0]!r}")
     truth = [truth_map[c] for c in pred_ids]
-    if len(truth) != len(pred):
-        raise ValueError(f"{len(pred)} predictions vs {len(truth)} truth labels")
     metrics = {"nmi": nmi(truth, pred), "hom": hom(truth, pred)}
     with open(out / "metrics.json", "w") as fh:
         json.dump(metrics, fh, indent=2)
@@ -186,14 +186,14 @@ def cmd_analyze(cfg: PipelineConfig) -> int:
     labels_path = _read_artifact(out / "labels.csv", "segment")
     expr_path = _read_artifact(out / "preprocessed_expression.csv", "train")
     ids, domains = _read_label_csv(labels_path)
-    X, gene_names, cell_ids = load_dense_matrix(expr_path)
+    X, gene_names, cell_ids = load_table(expr_path)
     if cell_ids != ids:
         raise ValueError("labels and expression artifacts disagree on cell ids")
     domain_arr = np.asarray(domains)
 
     if cfg.analysis.transition_source == "embedding":
         emb_path = _read_artifact(out / "embeddings_spatial.csv", "train")
-        Z, _ = load_cell_table(emb_path)
+        Z, _, _ = load_table(emb_path)
         graph = build_knn_graph(Z.T, k=min(cfg.analysis.embedding_knn, len(ids) - 1))
     else:
         graph = read_edge_list(_read_artifact(out / "graph.txt", "train"))
@@ -243,8 +243,8 @@ def cmd_analyze(cfg: PipelineConfig) -> int:
 def cmd_simulate(cfg: PipelineConfig) -> int:
     out = _outdir(cfg)
     ds, truth = generate_tissue(dataclasses.replace(cfg.simulate, seed=cfg.seed))
-    write_dense_matrix(out / "expression.csv", ds.X, ds.gene_names, ds.cell_ids)
-    write_coords(out / "coords.csv", ds.coords, ds.cell_ids)
+    write_table(out / "expression.csv", ["gene_id", *ds.cell_ids], ds.gene_names, ds.X)
+    write_table(out / "coords.csv", ["cell_id", "x", "y"], ds.cell_ids, ds.coords.T)
     write_labels(out / "truth_labels.csv", ds.cell_ids, truth.labels.tolist(),
                  header="domain")
     for name in ("expression.csv", "coords.csv", "truth_labels.csv"):
@@ -277,29 +277,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, help: str) -> argparse.ArgumentParser:
+    def command(name: str, help: str, inputs: bool = False) -> argparse.ArgumentParser:
+        """A subcommand's parser; ``inputs`` adds the input expression and
+        coordinate paths, for the subcommands that read them."""
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", default=None, help="YAML pipeline config file")
         _flag(p, "--seed", "seed", "random seed")
         _flag(p, "--output-dir", "paths.output_dir", "artifact directory")
-        _flag(p, "--expression", "paths.expression", "expression matrix path")
-        _flag(p, "--coords", "paths.coords", "coordinates CSV path")
+        if inputs:
+            _flag(p, "--expression", "paths.expression", "expression matrix path")
+            _flag(p, "--coords", "paths.coords", "coordinates CSV path")
         return p
 
-    p = command("preprocess", "normalize, select variable genes, correlate")
+    p = command("preprocess", "normalize, select variable genes, correlate", inputs=True)
     _flag(p, "--format", "paths.format", f"expression file format: {', '.join(FORMATS)}")
     _flag(p, "--target-sum", "preprocessing.target_sum", "per-cell total after normalization")
     _flag(p, "--n-hvg", "preprocessing.n_hvg", "variable genes to keep")
     _flag(p, "--combat", "preprocessing.combat", "apply batch harmonization",
           action="store_true")
 
-    p = command("graph", "build the spatial cell graph")
+    p = command("graph", "build the spatial cell graph", inputs=True)
     _flag(p, "--method", "graph.method", f"construction method: {', '.join(GRAPH_METHODS)}")
     _flag(p, "--k", "graph.k", "neighbors for knn")
     _flag(p, "--prune-percentile", "graph.prune_percentile", "Delaunay long-edge cutoff")
 
     p = command("train", "train on one sample or on every entry of paths.samples, "
-                         "write embeddings and domains")
+                         "write embeddings and domains", inputs=True)
     _flag(p, "--epochs", "model.epochs", "training epochs")
     _flag(p, "--cci-only", "model.cci_only",
           "spatial-only variant, skips the gene-map branch", action="store_true")

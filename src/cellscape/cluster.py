@@ -24,7 +24,7 @@ class DomainLabels:
     objective_path: list[float] = field(default_factory=list, repr=False)
 
 
-def pca_reduce(Z: np.ndarray, k: int = 30) -> np.ndarray:
+def pca_reduce(Z: np.ndarray, k: int) -> np.ndarray:
     """Project onto the top-k principal axes of the centered data.
 
     Components are ordered by decreasing eigenvalue; each axis is signed so
@@ -203,7 +203,7 @@ def gmm_cluster(Zp: np.ndarray, K: int, seed: int,
                         log_likelihood_path=path, objective_path=objectives)
 
 
-def refine_labels(labels: np.ndarray, coords: np.ndarray, r: int = 15) -> DomainLabels:
+def refine_labels(labels: np.ndarray, coords: np.ndarray, r: int) -> DomainLabels:
     """One synchronous pass of majority voting among each cell's r
     ``nearest_neighbors`` (ties in distance to the lower index; a cell's
     coordinate twin votes, the cell never); vote ties keep the original label."""

@@ -1,9 +1,10 @@
 """Expression dataset container and file I/O.
 
-Supported inputs: dense CSV (genes as rows, ``gene_id,cell_1,...``), sparse
-triplet text (``%shape p n`` header then ``row col value`` lines), per-cell
-tables (``cell_id,v1,...,vk``: coordinates are ``cell_id,x,y``, embeddings
-one column per dimension) and label CSV (``cell_id,label``).
+Supported inputs: per-row tables, a header then ``id,v1,...,vk`` rows, read
+by ``load_table`` and written by ``write_table`` (the dense expression CSV
+has genes as rows, ``gene_id,cell_1,...``; coordinates are ``cell_id,x,y``;
+embeddings have one column per dimension), sparse triplet text (``%shape p
+n`` header then ``row col value`` lines) and label CSV (``cell_id,label``).
 """
 
 from __future__ import annotations
@@ -82,17 +83,24 @@ def _parse_float(token: str, row: int, col: int, path) -> float:
         ) from None
 
 
-def load_dense_matrix(path) -> tuple[np.ndarray, list[str], list[str]]:
-    """Read a genes-as-rows dense CSV; returns (X, gene_names, cell_ids)."""
+def load_table(path, columns: int | None = None) -> tuple[np.ndarray, list[str], list[str]]:
+    """Read a per-row CSV, a header ``id,name_1,...,name_k`` then ``id,v1,...,vk``
+    rows; returns the (rows, k) values, the row ids and the k column names.
+    Every row has the header's width, row ids are unique, and ``columns``,
+    when given, is the required k."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or len(header) < 2:
-            raise ValueError(f"{path}: expected a header row 'gene_id,cell_1,...'")
-        cell_ids = [c.strip() for c in header[1:]]
-        gene_names: list[str] = []
+            raise ValueError(f"{path}: expected a header row 'id,v1,...'")
+        if columns is not None and len(header) != columns + 1:
+            raise ValueError(f"{path}: header has {len(header) - 1} value columns, "
+                             f"expected {columns}")
+        what = header[0].strip().removesuffix("_id")  # "cell" or "gene"
+        ids: list[str] = []
         rows: list[list[float]] = []
+        seen: set[str] = set()
         for r, line in enumerate(reader, start=1):
             if not line:
                 continue
@@ -100,13 +108,15 @@ def load_dense_matrix(path) -> tuple[np.ndarray, list[str], list[str]]:
                 raise ValueError(
                     f"{path}: row {r} has {len(line)} fields, header has {len(header)}"
                 )
-            gene_names.append(line[0].strip())
+            rid = line[0].strip()
+            if rid in seen:
+                raise ValueError(f"{path}: row {r}: duplicate {what} identifier: {rid!r}")
+            seen.add(rid)
+            ids.append(rid)
             rows.append([_parse_float(tok, r, c + 1, path) for c, tok in enumerate(line[1:])])
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    _require_unique(gene_names, "gene")
-    _require_unique(cell_ids, "cell")
-    return np.array(rows, dtype=np.float64), gene_names, cell_ids
+    return np.array(rows, dtype=np.float64), ids, [c.strip() for c in header[1:]]
 
 
 def load_sparse_triplet(path) -> tuple[np.ndarray, list[str], list[str]]:
@@ -135,43 +145,9 @@ def load_sparse_triplet(path) -> tuple[np.ndarray, list[str], list[str]]:
     return X, [f"g{i}" for i in range(p)], [f"c{j}" for j in range(n)]
 
 
-def load_cell_table(path, columns: int | None = None) -> tuple[np.ndarray, list[str]]:
-    """Read a per-cell CSV, a header then ``cell_id,v1,...,vk`` rows; returns
-    the (n, k) values and the cell ids. Every row has the header's width, and
-    ``columns``, when given, is the required k."""
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 2:
-            raise ValueError(f"{path}: expected a header row 'cell_id,v1,...'")
-        if columns is not None and len(header) != columns + 1:
-            raise ValueError(f"{path}: header has {len(header) - 1} value columns, "
-                             f"expected {columns}")
-        ids: list[str] = []
-        rows: list[list[float]] = []
-        seen: set[str] = set()
-        for r, line in enumerate(reader, start=1):
-            if not line:
-                continue
-            if len(line) != len(header):
-                raise ValueError(
-                    f"{path}: row {r} has {len(line)} fields, header has {len(header)}"
-                )
-            cid = line[0].strip()
-            if cid in seen:
-                raise ValueError(f"{path}: row {r}: duplicate cell identifier: {cid!r}")
-            seen.add(cid)
-            ids.append(cid)
-            rows.append([_parse_float(tok, r, c + 1, path) for c, tok in enumerate(line[1:])])
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return np.array(rows, dtype=np.float64), ids
-
-
 def load_coords(path) -> tuple[np.ndarray, list[str]]:
     """Read ``cell_id,x,y`` CSV; returns (coords 2 x n, cell_ids)."""
-    xy, ids = load_cell_table(path, columns=2)
+    xy, ids, _ = load_table(path, columns=2)
     return xy.T, ids
 
 
@@ -194,12 +170,11 @@ def load_labels(path) -> dict[str, str]:
     return out
 
 
-_READERS = {"dense-csv": load_dense_matrix, "sparse-triplet": load_sparse_triplet}
+_READERS = {"dense-csv": load_table, "sparse-triplet": load_sparse_triplet}
 FORMATS = tuple(_READERS)  # the expression formats ``load_dataset`` reads
 
 
-def load_dataset(expr_path, coords_path, format: str = "dense-csv",
-                 batch_path=None) -> ExpressionDataset:
+def load_dataset(expr_path, coords_path, format: str, batch_path=None) -> ExpressionDataset:
     """Load and cross-validate expression, coordinates, and optional batch
     labels."""
     if format not in _READERS:
@@ -242,20 +217,14 @@ def load_dataset(expr_path, coords_path, format: str = "dense-csv",
 # writers (same schemas the loaders consume)
 # ---------------------------------------------------------------------------
 
-def write_dense_matrix(path, X: np.ndarray, gene_names, cell_ids) -> None:
+def write_table(path, header, ids, rows) -> None:
+    """Write the ``header`` row, then one ``id,v1,...,vk`` row per id with the
+    values at full precision; ``load_table`` reads it back exactly."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["gene_id", *cell_ids])
-        for name, row in zip(gene_names, X):
-            writer.writerow([name, *(format(v, ".17g") for v in row)])
-
-
-def write_coords(path, coords: np.ndarray, cell_ids) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell_id", "x", "y"])
-        for cid, (x, y) in zip(cell_ids, coords.T):
-            writer.writerow([cid, format(x, ".17g"), format(y, ".17g")])
+        writer.writerow(header)
+        for rid, row in zip(ids, rows):
+            writer.writerow([rid, *(format(v, ".17g") for v in row)])
 
 
 def write_labels(path, cell_ids, labels, header: str = "label") -> None:

@@ -35,13 +35,11 @@ def _layout_objective(w: np.ndarray, positions: np.ndarray) -> float:
     return 0.5 * float((w * dist).sum())
 
 
-def layout_genes(coexpr: CoexpressionMatrix, seed: int,
-                 swap_budget: int | None = None) -> GeneLayout:
+def layout_genes(coexpr: CoexpressionMatrix, seed: int, *, swap_budget: int) -> GeneLayout:
     """Deterministic greedy seeding plus first-improvement pairwise swaps.
 
     Minimizes sum over gene pairs of clipped-positive correlation times grid
-    distance. ``swap_budget`` caps the number of swap evaluations
-    (default 20 p^2).
+    distance. ``swap_budget`` caps the number of swap evaluations.
 
     Both phases work on one table (Taillard 1991, robust taboo search for
     the QAP), ``M[g, c] = sum_k w[g, k] * dist(c, cell_of[k])``: the cost of
@@ -96,7 +94,7 @@ def layout_genes(coexpr: CoexpressionMatrix, seed: int,
     # candidate pairs are scored in chunks against the current layout and the
     # first improving swap in each chunk is applied (the rest of the chunk
     # still counts as spent evaluations)
-    budget = 20 * p * p if swap_budget is None else int(swap_budget)
+    budget = int(swap_budget)
     j = greedy_j
     if p > 1 and budget > 0 and w.any():
         rng = np.random.default_rng(seed)
@@ -123,16 +121,6 @@ def layout_genes(coexpr: CoexpressionMatrix, seed: int,
         j = _layout_objective(w, positions)  # from scratch, free of the table's float drift
 
     return GeneLayout(positions=positions, q=q, objective_value=j, greedy_objective=greedy_j)
-
-
-def render_map(x: np.ndarray, layout: GeneLayout) -> np.ndarray:
-    """Place a length-p vector onto the grid; padding cells stay zero."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (layout.n_genes,):
-        raise ValueError(f"expected vector of length {layout.n_genes}, got {x.shape}")
-    m = np.zeros((layout.q, layout.q), dtype=np.float64)
-    m[layout.positions[:, 0], layout.positions[:, 1]] = x
-    return m
 
 
 def render_maps(X: np.ndarray, layout: GeneLayout) -> np.ndarray:

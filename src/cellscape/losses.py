@@ -12,7 +12,7 @@ from .autodiff import Tensor
 from .spatial_graph import DirectedEdges
 
 
-def sce_loss(x: np.ndarray, x_hat: Tensor, mask_set: np.ndarray, gamma: float = 3.0) -> Tensor:
+def sce_loss(x: np.ndarray, x_hat: Tensor, mask_set: np.ndarray, gamma: float) -> Tensor:
     """Mean of (1 - cos(x, x_hat))^gamma over the masked cells.
 
     ``x`` holds the original (n, p) cell rows; ``x_hat`` the reconstruction.

@@ -13,10 +13,8 @@ from .autodiff import Tensor
 class AdamState:
     """Per-parameter Adam moments plus the shared hyperparameters."""
 
-    def __init__(self, params: dict[str, Tensor], learning_rate: float = 1e-3,
-                 weight_decay: float = 1e-4, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
-        self.learning_rate = learning_rate
+    def __init__(self, params: dict[str, Tensor], weight_decay: float,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.weight_decay = weight_decay
         self.beta1 = beta1
         self.beta2 = beta2
@@ -27,13 +25,9 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: dict[str, Tensor],
-              grads: dict[str, np.ndarray], lr: float | None = None) -> None:
-    """One update: decoupled weight decay first, then bias-corrected Adam.
-
-    ``lr`` overrides the stored base rate (used by the scheduler); weight decay
-    always scales with the effective rate.
-    """
-    eta = state.learning_rate if lr is None else lr
+              grads: dict[str, np.ndarray], lr: float) -> None:
+    """One update at learning rate ``lr``: decoupled weight decay first, then
+    bias-corrected Adam; weight decay scales with ``lr``."""
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
@@ -44,14 +38,14 @@ def adam_step(state: AdamState, params: dict[str, Tensor],
                 f"gradient shape {g.shape} does not match parameter '{name}' {p.values.shape}"
             )
         if state.weight_decay != 0.0:
-            p.values -= eta * state.weight_decay * p.values
+            p.values -= lr * state.weight_decay * p.values
         m = state.m[name]
         v = state.v[name]
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2
         v += (1.0 - state.beta2) * (g * g)
-        p.values -= eta * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        p.values -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
 
 
 HALVING_PERIOD = 50  # epochs per halving: the default 105 epochs see three rates

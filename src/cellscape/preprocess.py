@@ -23,7 +23,7 @@ class CoexpressionMatrix:
         return self.C.shape[0]
 
 
-def normalize_total(ds: ExpressionDataset, target: float = 1e4) -> ExpressionDataset:
+def normalize_total(ds: ExpressionDataset, target: float) -> ExpressionDataset:
     """Scale every cell column to ``target`` total expression."""
     if target <= 0:
         raise ValueError("target must be positive")
@@ -43,7 +43,7 @@ def log1p_transform(ds: ExpressionDataset) -> ExpressionDataset:
     return replace(ds, X=np.log1p(ds.X))
 
 
-def select_hvg(counts: np.ndarray, n_top: int = 3000) -> np.ndarray:
+def select_hvg(counts: np.ndarray, n_top: int) -> np.ndarray:
     """Indices of the most variable genes by clipped variance-stabilized dispersion.
 
     Works on the raw (p, n) count matrix: fit a power-law trend of variance

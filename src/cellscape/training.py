@@ -9,7 +9,6 @@ directed edges."""
 
 from __future__ import annotations
 
-import csv
 import json
 import time
 from dataclasses import dataclass
@@ -69,7 +68,7 @@ def train(ds: ExpressionDataset, graph: SpatialGraph, layout: GeneLayout | None,
         q = layout.q
 
     model = CellScapeModel(ds.n_genes, q, cfg)
-    optimizer = AdamState(model.params, cfg.learning_rate, cfg.weight_decay)
+    optimizer = AdamState(model.params, cfg.weight_decay)
     edges = graph.directed_edges()
     neighbors = neighbor_arrays(edges)
     log = [_step(model, optimizer, epoch, features, maps, edges, neighbors)
@@ -161,14 +160,6 @@ def embed(model: CellScapeModel, features: np.ndarray, maps: np.ndarray | None,
         Z_intrinsic=None if z_intrinsic is None else z_intrinsic.values,
         Z=ad.l2_normalize_rows(z_fused).values,
     )
-
-
-def write_embeddings_csv(path, Z: np.ndarray, cell_ids) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell_id", *(f"dim_{i}" for i in range(Z.shape[1]))])
-        for cid, row in zip(cell_ids, Z):
-            writer.writerow([cid, *(format(v, ".17g") for v in row)])
 
 
 def write_training_log(path, log: list[dict]) -> None:

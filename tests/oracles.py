@@ -115,7 +115,7 @@ def dense_contrastive_loss(z, neighbors, tau: float, anchors=None):
     flat = ad.reshape(sims, (n_anchors * n, 1))
     edge_terms = ad.exp(ad.gather_rows(flat, rows * n + cols) - shift[rows])
     numerator = ad.segment_sum(edge_terms, rows, n_anchors)
-    return ad.tensor_mean(ad.log(denominator) - ad.log(numerator))
+    return ad.tensor_sum(ad.log(denominator) - ad.log(numerator)) * (1.0 / n_anchors)
 
 
 def loop_neighbor_lists(n_nodes: int, edges):
@@ -253,7 +253,7 @@ def pearson_corr(x, y) -> float:
     return float((xc * yc).sum() / denom)
 
 
-def naive_gene_layout(C, seed: int, swap_budget: int | None = None):
+def naive_gene_layout(C, seed: int, swap_budget: int):
     """Greedy seeding plus chunked first-improvement swaps, by plain loops.
 
     Genes are placed one at a time: the heaviest row sum at the centre cell,
@@ -318,7 +318,7 @@ def naive_gene_layout(C, seed: int, swap_budget: int | None = None):
         placed.append(gene)
     greedy = objective(cell_of)
 
-    budget = 20 * p * p if swap_budget is None else swap_budget
+    budget = swap_budget
     if p > 1 and budget > 0 and any(x > 0 for row in w for x in row):
         rng = np.random.default_rng(seed)
         remaining = budget

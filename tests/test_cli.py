@@ -211,3 +211,14 @@ def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "usage: cellscape" in capsys.readouterr().out
 
+
+@pytest.mark.parametrize("command", ["segment", "evaluate", "analyze", "simulate"])
+def test_input_paths_are_usage_errors_where_unread(tmp_path, capsys, command):
+    # only preprocess, graph and train read --expression and --coords
+    out = tmp_path / "out"
+    argv = [command, "--output-dir", str(out), "--expression", str(tmp_path / "nowhere.csv")]
+    if command == "simulate":
+        argv += ["--n-cells", "50", "--n-genes", "10", "--n-domains", "2"]
+    assert main(argv) == 1
+    assert "unrecognized arguments: --expression" in capsys.readouterr().err
+    assert not out.exists()

@@ -7,14 +7,10 @@ import pytest
 
 from cellscape import training
 from cellscape.dataset import ExpressionDataset
-from cellscape.gene_map import (
-    GeneLayout,
-    layout_genes,
-    mask_cells,
-    render_map,
-    render_maps,
-)
+from cellscape.config import PipelineConfig
+from cellscape.gene_map import GeneLayout, layout_genes, mask_cells, render_maps
 from cellscape.network import CellScapeModel, ModelConfig
+from cellscape.pipeline import make_layout
 from cellscape.preprocess import CoexpressionMatrix
 from cellscape.spatial_graph import build_knn_graph
 from oracles import naive_gene_layout
@@ -23,6 +19,11 @@ from oracles import naive_gene_layout
 def cm(C):
     C = np.asarray(C, dtype=np.float64)
     return CoexpressionMatrix(C=C, constant_genes=np.zeros(len(C), dtype=bool))
+
+
+def default_layout(C, seed):
+    """``layout_genes`` at the configured ``swap_budget_factor * p^2`` swaps."""
+    return make_layout(cm(C), PipelineConfig(seed=seed))
 
 
 def brute_force_optimum(C, q):
@@ -44,7 +45,7 @@ def brute_force_optimum(C, q):
 
 class TestLayout:
     def test_single_gene(self):
-        layout = layout_genes(cm([[1.0]]), seed=0)
+        layout = default_layout([[1.0]], seed=0)
         assert layout.q == 1
         np.testing.assert_array_equal(layout.positions, [[0, 0]])
         assert layout.objective_value == 0.0
@@ -53,7 +54,7 @@ class TestLayout:
         C = np.eye(4)
         C[0, 1] = C[1, 0] = 0.9
         C[2, 3] = C[3, 2] = 0.9
-        layout = layout_genes(cm(C), seed=1)
+        layout = default_layout(C, seed=1)
         assert layout.q == 2
         d01 = np.linalg.norm((layout.positions[0] - layout.positions[1]).astype(float))
         d23 = np.linalg.norm((layout.positions[2] - layout.positions[3]).astype(float))
@@ -62,7 +63,7 @@ class TestLayout:
         assert layout.objective_value == pytest.approx(brute_force_optimum(C, 2))
 
     def test_zero_weights_any_layout_optimal(self):
-        layout = layout_genes(cm(np.eye(5)), seed=2)
+        layout = default_layout(np.eye(5), seed=2)
         assert layout.objective_value == 0.0
         # bijective placement
         cells = layout.cell_indices()
@@ -72,15 +73,15 @@ class TestLayout:
         C = np.eye(3)
         C[0, 1] = 0.5
         with pytest.raises(ValueError, match="symmetric"):
-            layout_genes(cm(C), seed=0)
+            default_layout(C, seed=0)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(3)
         base = rng.uniform(-1, 1, (9, 9))
         C = (base + base.T) / 2
         np.fill_diagonal(C, 1.0)
-        a = layout_genes(cm(C), seed=11)
-        b = layout_genes(cm(C), seed=11)
+        a = default_layout(C, seed=11)
+        b = default_layout(C, seed=11)
         np.testing.assert_array_equal(a.positions, b.positions)
         assert a.objective_value == b.objective_value
 
@@ -91,7 +92,7 @@ class TestLayout:
             base = rng.uniform(0, 1, (5, 5))
             C = (base + base.T) / 2
             np.fill_diagonal(C, 1.0)
-            layout = layout_genes(cm(C), seed=seed)
+            layout = default_layout(C, seed=seed)
             assert layout.objective_value <= layout.greedy_objective + 1e-12
             optimum = brute_force_optimum(C, layout.q)
             gaps.append(layout.objective_value - optimum)
@@ -111,7 +112,7 @@ class TestLayout:
             C = rng.uniform(-1.0, 0.1, (p, p))
             np.fill_diagonal(C, 1.0)
         C = (C + C.T) / 2
-        budget = None if p <= 50 else 2 * p * p  # the loop reference is O(p) per evaluation
+        budget = 20 * p * p if p <= 50 else 2 * p * p  # the loop reference is O(p) per evaluation
         layout = layout_genes(cm(C), seed=p, swap_budget=budget)
         positions, greedy_j, final_j = naive_gene_layout(C, seed=p, swap_budget=budget)
         np.testing.assert_array_equal(layout.positions, np.array(positions).reshape(p, 2))
@@ -122,9 +123,14 @@ class TestLayout:
     def test_grid_size_invariant(self):
         for p in (1, 2, 4, 5, 9, 10, 16, 17):
             C = np.eye(p)
-            layout = layout_genes(cm(C), seed=0)
+            layout = default_layout(C, seed=0)
             assert layout.q ** 2 >= p
             assert (layout.q - 1) ** 2 < p
+
+
+def render_one(x, layout):
+    """One cell's map: ``render_maps`` on a one-column matrix."""
+    return render_maps(np.asarray(x)[:, None], layout)[0]
 
 
 class TestRender:
@@ -136,33 +142,33 @@ class TestRender:
     def test_row_major_padding(self):
         layout = self._identity_layout(3, 2)
         np.testing.assert_array_equal(
-            render_map(np.array([5.0, 7.0, 9.0]), layout), [[5, 7], [9, 0]]
+            render_one(np.array([5.0, 7.0, 9.0]), layout), [[5, 7], [9, 0]]
         )
 
     def test_zero_vector(self):
         layout = self._identity_layout(3, 2)
-        np.testing.assert_array_equal(render_map(np.zeros(3), layout), np.zeros((2, 2)))
+        np.testing.assert_array_equal(render_one(np.zeros(3), layout), np.zeros((2, 2)))
 
     def test_permuted_layout(self):
         positions = np.array([[1, 1], [0, 0], [0, 1], [1, 0]])
         layout = GeneLayout(positions=positions, q=2, objective_value=0.0, greedy_objective=0.0)
         np.testing.assert_array_equal(
-            render_map(np.array([1.0, 2.0, 3.0, 4.0]), layout), [[2, 3], [4, 1]]
+            render_one(np.array([1.0, 2.0, 3.0, 4.0]), layout), [[2, 3], [4, 1]]
         )
 
     def test_length_mismatch(self):
         layout = self._identity_layout(3, 2)
-        with pytest.raises(ValueError, match="length 3"):
-            render_map(np.zeros(4), layout)
+        with pytest.raises(ValueError, match="expected 3 gene rows"):
+            render_one(np.zeros(4), layout)
 
     def test_linearity_and_conservation(self):
         rng = np.random.default_rng(7)
         layout = self._identity_layout(7, 3)
         x, y = rng.standard_normal(7), rng.standard_normal(7)
-        lhs = render_map(2.0 * x + 3.0 * y, layout)
-        rhs = 2.0 * render_map(x, layout) + 3.0 * render_map(y, layout)
+        lhs = render_one(2.0 * x + 3.0 * y, layout)
+        rhs = 2.0 * render_one(x, layout) + 3.0 * render_one(y, layout)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-        assert render_map(x, layout).sum() == pytest.approx(x.sum())
+        assert render_one(x, layout).sum() == pytest.approx(x.sum())
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(8)
@@ -170,7 +176,7 @@ class TestRender:
         X = rng.standard_normal((5, 4))
         batch = render_maps(X, layout)
         for i in range(4):
-            np.testing.assert_array_equal(batch[i], render_map(X[:, i], layout))
+            np.testing.assert_array_equal(batch[i], render_one(X[:, i], layout))
 
 
 class TestMask:

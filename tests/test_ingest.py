@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from cellscape.dataset import (
-    ExpressionDataset,
-    load_cell_table,
-    load_dataset,
-    write_coords,
-    write_dense_matrix,
-)
-from cellscape.training import write_embeddings_csv
+from cellscape.dataset import ExpressionDataset, load_dataset, load_table, write_table
 from cellscape.preprocess import (
     combat_correct,
     log1p_transform,
@@ -54,7 +47,7 @@ class TestLoading:
         coords = tmp_path / "coords.csv"
         coords.write_text("cell_id,x,y\ncA,0,0\ncB,1,0\ncC,2,0\n")
         with pytest.raises(ValueError) as err:
-            load_dataset(expr, coords)
+            load_dataset(expr, coords, format="dense-csv")
         assert "2" in str(err.value) and "3" in str(err.value)
 
     def test_sparse_triplet_densifies(self, tmp_path):
@@ -72,7 +65,16 @@ class TestLoading:
         coords = tmp_path / "coords.csv"
         coords.write_text("cell_id,x,y\ncA,0,0\n")
         with pytest.raises(ValueError, match="g0"):
-            load_dataset(expr, coords)
+            load_dataset(expr, coords, format="dense-csv")
+
+    def test_duplicate_cell_id_rejected(self, tmp_path):
+        # the table codec checks row ids; the dataset checks the cell columns
+        expr = tmp_path / "expr.csv"
+        expr.write_text("gene_id,cA,cA\ng0,1,2\n")
+        coords = tmp_path / "coords.csv"
+        coords.write_text("cell_id,x,y\ncA,0,0\ncB,1,0\n")
+        with pytest.raises(ValueError, match="duplicate cell identifier: 'cA'"):
+            load_dataset(expr, coords, format="dense-csv")
 
     def test_non_numeric_entry_located(self, tmp_path):
         expr = tmp_path / "expr.csv"
@@ -80,16 +82,16 @@ class TestLoading:
         coords = tmp_path / "coords.csv"
         coords.write_text("cell_id,x,y\ncA,0,0\ncB,1,0\n")
         with pytest.raises(ValueError, match="row 1.*column 2"):
-            load_dataset(expr, coords)
+            load_dataset(expr, coords, format="dense-csv")
 
     def test_dense_write_read_identity(self, tmp_path):
         rng = np.random.default_rng(0)
         X = rng.poisson(3.0, size=(4, 5)).astype(float)
         path = tmp_path / "m.csv"
-        write_dense_matrix(path, X, [f"g{i}" for i in range(4)], [f"c{j}" for j in range(5)])
+        write_table(path, ["gene_id", *(f"c{j}" for j in range(5))], [f"g{i}" for i in range(4)], X)
         coords = tmp_path / "coords.csv"
         coords.write_text("cell_id,x,y\n" + "".join(f"c{j},{j},0\n" for j in range(5)))
-        ds = load_dataset(path, coords)
+        ds = load_dataset(path, coords, format="dense-csv")
         np.testing.assert_array_equal(ds.X, X)
 
     def test_subset_genes_copies(self, tmp_path):
@@ -99,7 +101,7 @@ class TestLoading:
         expr.write_text("gene_id,cA,cB\ng0,1,2\ng1,0,4\ng2,3,0\n")
         coords = tmp_path / "coords.csv"
         coords.write_text("cell_id,x,y\ncA,0,0\ncB,1,0\n")
-        ds = load_dataset(expr, coords)
+        ds = load_dataset(expr, coords, format="dense-csv")
         out = log1p_transform(normalize_total(ds, target=10))
         np.testing.assert_array_equal(ds.X, [[1, 2], [0, 4], [3, 0]])
         sub = out.subset_genes([0, 2])
@@ -109,19 +111,20 @@ class TestLoading:
 
 
 class TestCellTable:
-    """Coordinates and embeddings share one ``cell_id,v1,...,vk`` reader."""
+    """Expression, coordinates and embeddings share one ``id,v1,...,vk``
+    table codec."""
 
     def test_embeddings_and_coords_roundtrip(self, tmp_path):
         Z = np.random.default_rng(0).standard_normal((4, 3))
         ids = [f"c{j}" for j in range(4)]
-        write_embeddings_csv(tmp_path / "emb.csv", Z, ids)
-        write_coords(tmp_path / "cells.csv", Z[:, :2].T, ids)
-        values, read_ids = load_cell_table(tmp_path / "emb.csv")
+        write_table(tmp_path / "emb.csv", ["cell_id", "dim_0", "dim_1", "dim_2"], ids, Z)
+        write_table(tmp_path / "cells.csv", ["cell_id", "x", "y"], ids, Z[:, :2])
+        values, read_ids, columns = load_table(tmp_path / "emb.csv")
         np.testing.assert_array_equal(values, Z)
-        assert read_ids == ids
-        values, read_ids = load_cell_table(tmp_path / "cells.csv", columns=2)
+        assert read_ids == ids and columns == ["dim_0", "dim_1", "dim_2"]
+        values, read_ids, columns = load_table(tmp_path / "cells.csv", columns=2)
         np.testing.assert_array_equal(values, Z[:, :2])
-        assert read_ids == ids
+        assert read_ids == ids and columns == ["x", "y"]
 
     @pytest.mark.parametrize("text, message", [
         ("cell_id,dim_0,dim_1\ncA,1,2\ncB,3\n", "row 2 has 2 fields, header has 3"),
@@ -134,14 +137,14 @@ class TestCellTable:
         path = tmp_path / "emb.csv"
         path.write_text(text)
         with pytest.raises(ValueError) as err:
-            load_cell_table(path)
+            load_table(path)
         assert str(err.value).startswith(f"{path}: ") and message in str(err.value)
 
     def test_coords_need_two_columns(self, tmp_path):
         path = tmp_path / "cells.csv"
         path.write_text("cell_id,x,y,z\ncA,0,0,0\n")
         with pytest.raises(ValueError, match="3 value columns, expected 2"):
-            load_cell_table(path, columns=2)
+            load_table(path, columns=2)
 
 
 class TestNormalize:
@@ -163,7 +166,7 @@ class TestNormalize:
     def test_zero_column_names_cell(self):
         ds = make_ds([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="c1"):
-            normalize_total(ds)
+            normalize_total(ds, target=1e4)
 
     def test_property_column_sums(self):
         rng = np.random.default_rng(7)

@@ -12,9 +12,11 @@ from cellscape import autodiff as ad
 from cellscape import optim, training
 from cellscape.autodiff import Tensor
 from cellscape.dataset import ExpressionDataset
-from cellscape.gene_map import layout_genes, mask_cells, render_maps
+from cellscape.config import PipelineConfig
+from cellscape.gene_map import mask_cells, render_maps
 from cellscape.losses import contrastive_loss, neighbor_arrays, sce_loss
 from cellscape.network import CellScapeModel, ModelConfig, gat_layer
+from cellscape.pipeline import make_layout
 from cellscape.preprocess import pearson_coexpression
 from cellscape.spatial_graph import SpatialGraph, build_delaunay_graph, build_knn_graph
 from cellscape.training import embed, train
@@ -45,7 +47,7 @@ def toy_dataset(n=20, p=16, seed=0):
         cell_ids=[f"c{j}" for j in range(n)],
     )
     graph = build_knn_graph(coords, k=3)
-    layout = layout_genes(pearson_coexpression(ds), seed=seed)
+    layout = make_layout(pearson_coexpression(ds), PipelineConfig(seed=seed))
     return ds, graph, layout
 
 
@@ -255,7 +257,8 @@ class TestSceLoss:
     def test_zero_norm_warns_and_contributes_one(self):
         x = np.array([[1.0, 1.0], [2.0, 0.0]])
         with pytest.warns(RuntimeWarning, match="zero norm"):
-            loss = sce_loss(x, Tensor(np.array([[0.0, 0.0], [2.0, 0.0]])), np.array([0, 1]))
+            loss = sce_loss(x, Tensor(np.array([[0.0, 0.0], [2.0, 0.0]])), np.array([0, 1]),
+                            gamma=3.0)
         assert loss.item() == pytest.approx(0.5)  # (1 + 0) / 2
 
     def test_bounds(self):
@@ -268,7 +271,7 @@ class TestSceLoss:
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            sce_loss(np.ones((2, 2)), Tensor(np.ones((2, 2))), np.array([], dtype=int))
+            sce_loss(np.ones((2, 2)), Tensor(np.ones((2, 2))), np.array([], dtype=int), gamma=3.0)
 
 
 def ring_neighbors(n):

@@ -12,22 +12,22 @@ from cellscape.optim import AdamState, adam_step, lr_schedule, pcgrad
 class TestAdam:
     def test_first_step_closed_form(self):
         p = {"w": Tensor(np.array([0.0]), requires_grad=True)}
-        state = AdamState(p, learning_rate=1e-3, weight_decay=0.0)
+        state = AdamState(p, weight_decay=0.0)
         g = np.array([2.0])
-        adam_step(state, p, {"w": g})
+        adam_step(state, p, {"w": g}, lr=1e-3)
         expected = -1e-3 * 2.0 / (np.sqrt(4.0) + 1e-8)
         assert abs(p["w"].values[0] - expected) < 1e-9
 
     def test_zero_grad_no_motion(self):
         p = {"w": Tensor(np.array([1.5, -2.0]), requires_grad=True)}
         state = AdamState(p, weight_decay=0.0)
-        adam_step(state, p, {"w": np.zeros(2)})
+        adam_step(state, p, {"w": np.zeros(2)}, lr=1e-3)
         np.testing.assert_array_equal(p["w"].values, [1.5, -2.0])
 
     def test_decay_only_closed_form(self):
         p = {"w": Tensor(np.array([1.0]), requires_grad=True)}
-        state = AdamState(p, learning_rate=1e-3, weight_decay=0.1)
-        adam_step(state, p, {"w": np.zeros(1)})
+        state = AdamState(p, weight_decay=0.1)
+        adam_step(state, p, {"w": np.zeros(1)}, lr=1e-3)
         assert p["w"].values[0] == pytest.approx(1.0 - 1e-4, abs=1e-15)
 
     def test_sign_descent_limit(self):
@@ -35,22 +35,22 @@ class TestAdam:
         rng = np.random.default_rng(3)
         g = rng.standard_normal(40)
         p = {"w": Tensor(np.zeros(40), requires_grad=True)}
-        state = AdamState(p, learning_rate=0.01, weight_decay=0.0, beta1=0.0, beta2=0.0)
-        adam_step(state, p, {"w": g.copy()})
+        state = AdamState(p, weight_decay=0.0, beta1=0.0, beta2=0.0)
+        adam_step(state, p, {"w": g.copy()}, lr=0.01)
         expected = -0.01 * g / (np.abs(g) + state.eps)
         np.testing.assert_allclose(p["w"].values, expected, atol=1e-9)
 
     def test_shape_mismatch_rejected(self):
         p = {"w": Tensor(np.zeros((2, 2)), requires_grad=True)}
-        state = AdamState(p)
+        state = AdamState(p, weight_decay=1e-4)
         with pytest.raises(ValueError, match="shape"):
-            adam_step(state, p, {"w": np.zeros(3)})
+            adam_step(state, p, {"w": np.zeros(3)}, lr=1e-3)
 
     def test_step_counter_increments(self):
         p = {"w": Tensor(np.zeros(1), requires_grad=True)}
-        state = AdamState(p)
+        state = AdamState(p, weight_decay=1e-4)
         for expected_t in (1, 2, 3):
-            adam_step(state, p, {"w": np.ones(1)})
+            adam_step(state, p, {"w": np.ones(1)}, lr=1e-3)
             assert state.t == expected_t
 
 
