@@ -369,7 +369,8 @@ def segment_sum(a, segment_ids, num_segments: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 # Edges per block of the edge-score backward: its temporaries are
-# _EDGE_CHUNK x width instead of E x width (E x n_genes in the decoder).
+# _EDGE_CHUNK x width instead of E x width, where width is the encoder's
+# hidden width or the embedding width (the decoder attends in the latter).
 _EDGE_CHUNK = 2048
 
 

@@ -4,7 +4,8 @@ Subcommands: preprocess, graph, train, segment, evaluate, analyze, simulate.
 All read one YAML config (``--config``) with flag overrides, each flag
 setting the config key that is its argparse dest; ``CELLSCAPE_SEED``
 overrides the configured seed. Only ``preprocess``, ``graph`` and ``train``
-read input data, so only they take ``--expression`` and ``--coords``;
+read input data, so only they take ``--expression``, ``--coords`` and
+``--format``;
 ``segment``, ``evaluate`` and ``analyze`` read the artifacts of ``train`` in
 the output directory, and ``simulate`` writes a tissue there. ``train`` fits
 every entry of ``paths.samples`` jointly when that list is set, and
@@ -279,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name: str, help: str, inputs: bool = False) -> argparse.ArgumentParser:
         """A subcommand's parser; ``inputs`` adds the input expression and
-        coordinate paths, for the subcommands that read them."""
+        coordinate paths and the expression format, for the subcommands that
+        read them."""
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", default=None, help="YAML pipeline config file")
         _flag(p, "--seed", "seed", "random seed")
@@ -287,10 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
         if inputs:
             _flag(p, "--expression", "paths.expression", "expression matrix path")
             _flag(p, "--coords", "paths.coords", "coordinates CSV path")
+            _flag(p, "--format", "paths.format",
+                  f"expression file format: {', '.join(FORMATS)}")
         return p
 
     p = command("preprocess", "normalize, select variable genes, correlate", inputs=True)
-    _flag(p, "--format", "paths.format", f"expression file format: {', '.join(FORMATS)}")
     _flag(p, "--target-sum", "preprocessing.target_sum", "per-cell total after normalization")
     _flag(p, "--n-hvg", "preprocessing.n_hvg", "variable genes to keep")
     _flag(p, "--combat", "preprocessing.combat", "apply batch harmonization",

@@ -35,6 +35,13 @@ def _layout_objective(w: np.ndarray, positions: np.ndarray) -> float:
     return 0.5 * float((w * dist).sum())
 
 
+def _add_outer(M: np.ndarray, u: np.ndarray, v: np.ndarray, buf: np.ndarray) -> None:
+    """``M += outer(u, v)`` through the preallocated ``buf`` of M's shape,
+    so a rank-1 update allocates nothing."""
+    np.multiply(u[:, None], v, out=buf)
+    M += buf
+
+
 def layout_genes(coexpr: CoexpressionMatrix, seed: int, *, swap_budget: int) -> GeneLayout:
     """Deterministic greedy seeding plus first-improvement pairwise swaps.
 
@@ -49,7 +56,7 @@ def layout_genes(coexpr: CoexpressionMatrix, seed: int, *, swap_budget: int) -> 
     objective by ``M[a, pb] - M[a, pa] + M[b, pa] - M[b, pb]
     + 2 w[a, b] dist(pa, pb)``. Each swap evaluation costs O(1); each
     placement and each accepted swap is a rank-1 O(p q^2) update of ``M``,
-    which holds p x q^2 floats.
+    which holds p x q^2 floats, written through one buffer of that size.
     """
     C = coexpr.C
     if C.shape[0] != C.shape[1] or not np.array_equal(C, C.T):
@@ -73,6 +80,7 @@ def layout_genes(coexpr: CoexpressionMatrix, seed: int, *, swap_budget: int) -> 
     cell_of = np.full(p, -1, dtype=np.int64)
     free = np.ones(q * q, dtype=bool)
     M = np.zeros((p, q * q))
+    buf = np.empty_like(M)
     attachment = np.zeros(p)  # sum of w to the placed genes; -inf once placed
     g = int(np.argmax(w.sum(axis=1)))
     cell = ((q - 1) // 2) * q + (q - 1) // 2
@@ -83,7 +91,7 @@ def layout_genes(coexpr: CoexpressionMatrix, seed: int, *, swap_budget: int) -> 
             cell = int(free_cells[int(np.argmin(M[g, free_cells]))])
         cell_of[g] = cell
         free[cell] = False
-        M += np.outer(w[:, g], grid_dist[cell])
+        _add_outer(M, w[:, g], grid_dist[cell], buf)
         attachment += w[:, g]
         attachment[g] = -np.inf
 
@@ -116,7 +124,7 @@ def layout_genes(coexpr: CoexpressionMatrix, seed: int, *, swap_budget: int) -> 
             if improving.size:
                 i = improving[0]
                 cell_of[a[i]], cell_of[b[i]] = pb[i], pa[i]
-                M += np.outer(w[:, a[i]] - w[:, b[i]], grid_dist[pb[i]] - grid_dist[pa[i]])
+                _add_outer(M, w[:, a[i]] - w[:, b[i]], grid_dist[pb[i]] - grid_dist[pa[i]], buf)
         positions = grid_rs[cell_of].copy()
         j = _layout_objective(w, positions)  # from scratch, free of the table's float drift
 
@@ -136,7 +144,7 @@ def render_maps(X: np.ndarray, layout: GeneLayout) -> np.ndarray:
 
 def mask_cells(n: int, ratio: float, seed: int) -> np.ndarray:
     """Sorted indices of ceil(ratio * n) seeded-random cells out of n; training
-    zeroes both the features and the gene maps of these cells."""
+    reads both the features and the gene maps of these cells as zeros."""
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"mask ratio must lie in (0, 1), got {ratio}")
     rng = np.random.default_rng(seed)

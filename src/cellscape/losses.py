@@ -15,7 +15,9 @@ from .spatial_graph import DirectedEdges
 def sce_loss(x: np.ndarray, x_hat: Tensor, mask_set: np.ndarray, gamma: float) -> Tensor:
     """Mean of (1 - cos(x, x_hat))^gamma over the masked cells.
 
-    ``x`` holds the original (n, p) cell rows; ``x_hat`` the reconstruction.
+    ``x`` holds the original (n, p) cell rows and ``mask_set`` indexes the
+    masked cells; ``x_hat`` holds their (len(mask_set), p) reconstructions,
+    row ``i`` for cell ``mask_set[i]`` (``CellScapeModel.decode``'s rows).
     A zero-norm vector in a masked pair contributes cos = 0 (loss 1) with a
     warning and is excluded from the gradient path.
     """
@@ -24,9 +26,11 @@ def sce_loss(x: np.ndarray, x_hat: Tensor, mask_set: np.ndarray, gamma: float) -
     mask = np.asarray(mask_set, dtype=np.intp)
     if mask.size == 0:
         raise ValueError("mask set is empty")
+    if x_hat.shape[0] != mask.size:
+        raise ValueError(f"expected {mask.size} reconstructed rows, got {x_hat.shape[0]}")
     x_m = np.asarray(x, dtype=np.float64)[mask]
     norm_x = np.sqrt((x_m * x_m).sum(axis=1))
-    norm_h = np.sqrt((x_hat.values[mask] * x_hat.values[mask]).sum(axis=1))
+    norm_h = np.sqrt((x_hat.values * x_hat.values).sum(axis=1))
     degenerate = (norm_x == 0.0) | (norm_h == 0.0)
     if np.any(degenerate):
         warnings.warn(
@@ -39,7 +43,7 @@ def sce_loss(x: np.ndarray, x_hat: Tensor, mask_set: np.ndarray, gamma: float) -
 
     if keep.size == 0:
         return Tensor(np.asarray(constant_part / n_terms))
-    rows = ad.gather_rows(x_hat, mask[keep])
+    rows = x_hat if keep.size == n_terms else ad.gather_rows(x_hat, keep)
     target = x_m[keep]
     dot = ad.tensor_sum(rows * target, axis=1, keepdims=True)
     norm_rows = ad.tensor_sum(rows * rows, axis=1, keepdims=True) ** 0.5

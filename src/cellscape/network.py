@@ -1,5 +1,12 @@
 """Dual-branch network: graph-attention encoder over the cell graph, CNN
-encoder over gene maps, linear fusion, and a graph-attention decoder."""
+encoder over gene maps, linear fusion, and a graph-attention decoder.
+
+Masking costs no copy of the inputs: the first GAT layer zeroes the masked
+cells' rows of its (n, width) projection, which is what a zeroed feature
+row would give, and the CNN reads their maps as zeros (``conv_block``'s
+``masked``). The decoder attends in the embedding space and projects onto
+the genes only the rows the reconstruction loss reads, so no (n, genes)
+array is built in training."""
 
 from __future__ import annotations
 
@@ -52,15 +59,6 @@ class ModelConfig:
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-limit, limit, shape), requires_grad=True)
-
-
-def gat_layer(h: Tensor, edges: DirectedEdges, W: Tensor, a_center: list[Tensor],
-              a_neighbor: list[Tensor], slope: float, average: bool) -> Tensor:
-    """One multi-head graph-attention layer: project by ``W``, then attend
-    over the graph's directed edges (self-loops included), one head per
-    ``a_center``/``a_neighbor`` pair. Heads are concatenated, or averaged
-    when ``average`` is set (final layers)."""
-    return ad.gat_attention(ad.matmul(h, W), a_center, a_neighbor, edges, slope, average)
 
 
 class CellScapeModel:
@@ -124,17 +122,27 @@ class CellScapeModel:
 
     # -- forward pieces ---------------------------------------------------
 
-    def encode_spatial(self, features: Tensor, edges: DirectedEdges) -> Tensor:
+    def encode_spatial(self, features: np.ndarray, edges: DirectedEdges,
+                       masked: np.ndarray | None = None) -> Tensor:
+        """GAT stack over the (n, p) features; the cells indexed by
+        ``masked`` read as all-zero feature rows. Each layer projects by its
+        ``W`` and attends over the graph's directed edges (self-loops
+        included); hidden layers concatenate their heads, the final layer
+        averages them."""
         cfg = self.cfg
-        h = features
+        h = Tensor(features)
         for layer in range(cfg.gat_layers):
             final = layer == cfg.gat_layers - 1
-            h = gat_layer(
-                h, edges,
-                self.params[f"encoder.{layer}.W"],
+            hw = ad.matmul(h, self.params[f"encoder.{layer}.W"])
+            if layer == 0 and masked is not None:
+                keep = np.ones((hw.shape[0], 1))
+                keep[masked] = 0.0
+                hw = hw * keep
+            h = ad.gat_attention(
+                hw,
                 [self.params[f"encoder.{layer}.{k}.a_center"] for k in range(cfg.attention_heads)],
                 [self.params[f"encoder.{layer}.{k}.a_neighbor"] for k in range(cfg.attention_heads)],
-                ATTENTION_SLOPE, average=final,
+                edges, ATTENTION_SLOPE, average=final,
             )
             if not final:
                 h = ad.elu(h)
@@ -162,8 +170,9 @@ class CellScapeModel:
         maps: ``(z_spatial, z_intrinsic, z_fused)`` as graph-connected
         tensors, ``z_intrinsic`` None with ``cci_only``. With ``training``
         the CNN normalizes by batch statistics and updates its running ones.
-        The CNN reads the maps of the cells indexed by ``masked`` as zeros."""
-        z_spatial = self.encode_spatial(Tensor(features), edges)
+        Both encoders read the cells indexed by ``masked`` as all-zero
+        features and maps; the arrays themselves are not copied."""
+        z_spatial = self.encode_spatial(features, edges, masked)
         if self.cfg.cci_only:
             z_intrinsic = None
             joint = z_spatial
@@ -172,11 +181,22 @@ class CellScapeModel:
             joint = ad.concat([z_spatial, z_intrinsic], axis=1)
         return z_spatial, z_intrinsic, ad.matmul(joint, self.params["fusion.W"])
 
-    def decode(self, z: Tensor, edges: DirectedEdges) -> Tensor:
-        return gat_layer(
-            z, edges,
-            self.params["decoder.W"],
-            [self.params["decoder.0.a_center"]],
-            [self.params["decoder.0.a_neighbor"]],
-            ATTENTION_SLOPE, average=True,
+    def decode(self, z: Tensor, edges: DirectedEdges, rows: np.ndarray) -> Tensor:
+        """Reconstruct the (len(rows), p) expression of the cells indexed by
+        ``rows`` from the (n, d) embedding ``z``.
+
+        The decoder is one single-head GAT layer with the linear (d, p)
+        weight ``W``, so it attends in the embedding space: the score
+        ``a . (W^T z_i)`` equals ``(W a) . z_i`` and the aggregate
+        ``sum_j alpha_ij W^T z_j`` equals ``W^T sum_j alpha_ij z_j``. Only
+        the requested rows are projected onto the genes, which is exact in
+        real arithmetic and holds no (n, p) array.
+        """
+        W = self.params["decoder.W"]
+        attended = ad.gat_attention(
+            z,
+            [ad.matmul(W, self.params["decoder.0.a_center"])],
+            [ad.matmul(W, self.params["decoder.0.a_neighbor"])],
+            edges, ATTENTION_SLOPE, average=True,
         )
+        return ad.matmul(ad.gather_rows(attended, rows), W)

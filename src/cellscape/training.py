@@ -3,9 +3,10 @@ gradient surgery, Adam with the halving schedule, and mask-free embedding
 extraction by the encoders alone.
 
 ``train`` prepares the inputs once and runs one ``_step`` per epoch, so an
-epoch's masked features and autodiff graph are freed before the next epoch's
-forward. ``embed`` takes the arrays ``train`` prepared: features, maps and
-directed edges."""
+epoch's autodiff graph is freed before the next epoch's forward. An epoch
+copies no input: the encoders read the masked cells as zeros and the
+decoder rebuilds only the masked rows. ``embed`` takes the arrays ``train``
+prepared: features, maps and directed edges."""
 
 from __future__ import annotations
 
@@ -51,13 +52,14 @@ def train(ds: ExpressionDataset, graph: SpatialGraph, layout: GeneLayout | None,
           cfg: ModelConfig) -> tuple[CellScapeModel, EmbeddingSet, list[dict]]:
     """Fit the dual-branch model; returns (model, embeddings, per-epoch log).
 
-    The inputs are prepared once: the (n, p) features, the (n, q, q) maps
-    (``None`` with ``cci_only``) and the graph's directed edges. Each epoch is
-    one ``_step``; ``embed`` then encodes the same arrays.
+    The inputs are prepared once: the (n, p) features (the transposed view
+    of ``ds.X``, not a copy), the (n, q, q) maps (``None`` with
+    ``cci_only``) and the graph's directed edges. Each epoch is one
+    ``_step``; ``embed`` then encodes the same arrays.
     """
     if graph.n_nodes != ds.n_cells:
         raise ValueError(f"graph has {graph.n_nodes} nodes but dataset has {ds.n_cells} cells")
-    features = np.ascontiguousarray(ds.X.T)
+    features = ds.X.T
     if cfg.cci_only:
         maps = None
         q = None
@@ -86,8 +88,9 @@ def _step(model: CellScapeModel, optimizer: AdamState, epoch: int, features: np.
     Returns the epoch's log record: the epoch, its learning rate, both
     losses, its wall time (``epoch_s``), each loss's gradient norm over all
     parameters and the fraction of parameter tensors that PCGrad changed.
-    The masked feature copy and the autodiff graph are locals, freed on
-    return; the CNN reads the masked cells' maps as zeros, without a copy.
+    The autodiff graph is a local, freed on return. Neither input is
+    copied: both encoders read the masked cells as zeros, and the decoder
+    reconstructs the masked rows alone.
     """
     start = time.perf_counter()
     cfg = model.cfg
@@ -100,11 +103,8 @@ def _step(model: CellScapeModel, optimizer: AdamState, epoch: int, features: np.
         int(s) for s in np.random.SeedSequence([cfg.seed, epoch]).generate_state(3))
 
     mask = mask_cells(n, cfg.mask_ratio, mask_seed)
-    feats = features.copy()
-    feats[mask] = 0.0
-
-    _, _, z_fused = model.encode(feats, maps, edges, training=True, masked=mask)
-    loss_recon = sce_loss(features, model.decode(z_fused, edges), mask, cfg.gamma)
+    _, _, z_fused = model.encode(features, maps, edges, training=True, masked=mask)
+    loss_recon = sce_loss(features, model.decode(z_fused, edges, mask), mask, cfg.gamma)
 
     z_norm = ad.l2_normalize_rows(z_fused)
     anchors = None

@@ -7,7 +7,10 @@ differences) and shares no code with the package under test, except
 the contrastive loss from the package's generic autodiff ops, which
 ``test_autodiff`` checks one by one, to serve as the references for the
 fused ``gat_attention`` and ``conv_block`` ops and for the edge-list
-``contrastive_loss``.
+``contrastive_loss``. ``gene_space_decoder`` is the decoder that attends
+over the (n, genes) projection, built on ``gat_attention`` (checked against
+``composite_gat_layer``), as the reference for the decoder that attends in
+the embedding space.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from cellscape import autodiff as ad
+from cellscape.network import ATTENTION_SLOPE
 
 
 def finite_difference_grads(loss_fn, params, h: float = 1e-5):
@@ -79,6 +83,17 @@ def composite_gat_layer(h, dst, src, n: int, W, a_center, a_neighbor, head_dim: 
             total = total + out
         return total * (1.0 / heads)
     return ad.concat(outputs, axis=1)
+
+
+def gene_space_decoder(model, z, edges, rows):
+    """The model's decoder the direct way: project every cell onto the genes
+    by ``decoder.W``, attend over that (n, genes) array with the decoder's
+    one head, then take the rows the reconstruction loss reads."""
+    full = ad.gat_attention(ad.matmul(z, model.params["decoder.W"]),
+                            [model.params["decoder.0.a_center"]],
+                            [model.params["decoder.0.a_neighbor"]],
+                            edges, ATTENTION_SLOPE, average=True)
+    return ad.gather_rows(full, rows)
 
 
 def composite_conv_block(x, w, gamma, beta, state, training: bool, slope: float):

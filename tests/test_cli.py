@@ -137,6 +137,23 @@ def test_analyze_writes_enrichment(tmp_path, capsys):
         assert float(p) <= float(adj) <= 1.0
 
 
+def test_graph_reads_a_sparse_triplet_sample(tmp_path, capsys):
+    # --format is a flag of every subcommand that reads the expression file
+    assert main(["simulate", "--output-dir", str(tmp_path), "--seed", "0",
+                 "--n-cells", "60", "--n-genes", "10", "--n-domains", "2"]) == 0
+    header, *rows = read_rows(tmp_path / "expression.csv")
+    triplets = [f"{g} {c} {value}" for g, row in enumerate(rows)
+                for c, value in enumerate(row[1:]) if float(value)]
+    sparse = tmp_path / "expression.txt"
+    sparse.write_text(f"%shape {len(rows)} {len(header) - 1}\n" + "\n".join(triplets) + "\n")
+    out = tmp_path / "out"
+    argv = ["graph", "--output-dir", str(out), "--expression", str(sparse),
+            "--coords", str(tmp_path / "coords.csv")]
+    assert main(argv) == 1  # read as the default dense-csv
+    assert main([*argv, "--format", "sparse-triplet"]) == 0
+    assert (out / "graph.txt").read_text().splitlines()[0] == "%n 60"
+
+
 def test_knn_graph_and_embedding_transitions(tmp_path, capsys):
     out = str(tmp_path)
     common = ["--output-dir", out, "--seed", "0"]

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cellscape import training
+from cellscape import gene_map, training
 from cellscape.dataset import ExpressionDataset
 from cellscape.config import PipelineConfig
 from cellscape.gene_map import GeneLayout, layout_genes, mask_cells, render_maps
@@ -120,6 +120,23 @@ class TestLayout:
         assert layout.greedy_objective == pytest.approx(greedy_j, rel=1e-12, abs=1e-12)
         assert layout.objective_value == pytest.approx(final_j, rel=1e-12, abs=1e-12)
 
+    def test_buffered_updates_match_fresh_outer_products(self, monkeypatch):
+        # every rank-1 update of the table goes through one preallocated
+        # buffer; a fresh np.outer per update gives the same layout, bit for bit
+        rng = np.random.default_rng(40)
+        C = np.corrcoef(rng.standard_normal((40, 45)))
+        C = (C + C.T) / 2
+        got = default_layout(C, seed=40)
+
+        def fresh_outer(M, u, v, buf):
+            M += np.outer(u, v)
+
+        monkeypatch.setattr(gene_map, "_add_outer", fresh_outer)
+        want = default_layout(C, seed=40)
+        np.testing.assert_array_equal(got.positions, want.positions)
+        assert got.greedy_objective == want.greedy_objective
+        assert got.objective_value == want.objective_value < got.greedy_objective
+
     def test_grid_size_invariant(self):
         for p in (1, 2, 4, 5, 9, 10, 16, 17):
             C = np.eye(p)
@@ -180,15 +197,21 @@ class TestRender:
 
 
 class TestMask:
-    """``mask_cells`` draws the masked cells; each training epoch zeroes
-    the features of those same cells and has the CNN read their gene maps
-    as zeros (``conv_block``'s ``masked``, checked in ``test_model``)."""
+    """``mask_cells`` draws the masked cells; each training epoch has both
+    encoders read those cells as zeros without copying the inputs: the
+    first GAT layer zeroes their projected rows, and the CNN reads their
+    gene maps as zeros (``conv_block``'s ``masked``, checked in
+    ``test_model``)."""
 
-    def _epoch_inputs(self, monkeypatch, cci_only=False, n=12, p=16, q=4):
-        """X, the full maps, and the mask, features, maps and masked cells
-        that the one training epoch encodes."""
+    _encode = staticmethod(CellScapeModel.encode)  # the unpatched method
+
+    def _epoch(self, monkeypatch, cci_only=False, X=None, n=12, p=16, q=4):
+        """One training epoch on ``X`` (seeded random by default): X, the
+        full maps, the drawn mask, and what the epoch encoded (features,
+        maps, masked cells), its fused embedding and its log record."""
         rng = np.random.default_rng(9)
-        X = rng.random((p, n)) + 0.5
+        drawn_X = rng.random((p, n)) + 0.5
+        X = drawn_X if X is None else X
         ds = ExpressionDataset(X=X, coords=rng.random((2, n)),
                                gene_names=[f"g{i}" for i in range(p)],
                                cell_ids=[f"c{j}" for j in range(n)])
@@ -203,38 +226,50 @@ class TestMask:
             return drawn[-1]
 
         def encode(model, features, maps, edges, training, masked=None):
-            seen.append((features.copy(), None if maps is None else maps.copy(), masked))
-            return original_encode(model, features, maps, edges, training, masked)
+            out = self._encode(model, features, maps, edges, training, masked)
+            seen.append(dict(features=features.copy(),
+                             maps=None if maps is None else maps.copy(),
+                             masked=masked, z_fused=out[2].values.copy()))
+            return out
 
-        original_encode = CellScapeModel.encode
         monkeypatch.setattr(training, "mask_cells", draw)
         monkeypatch.setattr(CellScapeModel, "encode", encode)
-        training.train(ds, build_knn_graph(ds.coords, k=3), layout, cfg)
+        _, _, log = training.train(ds, build_knn_graph(ds.coords, k=3), layout, cfg)
         assert len(drawn) == 1 and len(seen) == 2  # the epoch, then the mask-free embed
-        features, maps, masked = seen[0]
-        assert seen[1][2] is None  # embed masks nothing
-        return X, render_maps(X, layout), drawn[0], features, maps, masked
+        assert seen[1]["masked"] is None  # embed masks nothing
+        return dict(X=X, full_maps=render_maps(X, layout), mask=drawn[0], log=log[0],
+                    **seen[0])
 
     def test_mask_count_and_zeroing(self, monkeypatch):
         mask = mask_cells(7, ratio=0.3, seed=0)
         assert mask.size == 3  # ceil(0.3 * 7)
         assert np.all(np.diff(mask) > 0) and 0 <= mask.min() and mask.max() < 7
-        _, full_maps, mask, features, maps, masked = self._epoch_inputs(monkeypatch)
-        assert mask.size == 6
-        assert np.all(features[mask] == 0)
-        # the maps go in whole, with the masked cells named beside them
-        np.testing.assert_array_equal(masked, mask)
-        np.testing.assert_array_equal(maps, full_maps)
-        # the spatial-only branch draws the same cells and zeroes their features
-        _, _, cci_mask, cci_features, cci_maps, _ = self._epoch_inputs(monkeypatch, cci_only=True)
-        np.testing.assert_array_equal(cci_mask, mask)
-        assert np.all(cci_features[mask] == 0) and cci_maps is None
+        for cci_only in (False, True):
+            epoch = self._epoch(monkeypatch, cci_only)
+            X, mask = epoch["X"], epoch["mask"]
+            assert mask.size == 6
+            if cci_only:
+                assert epoch["maps"] is None
+            else:
+                # the maps go in whole, with the masked cells named beside them
+                np.testing.assert_array_equal(epoch["masked"], mask)
+                np.testing.assert_array_equal(epoch["maps"], epoch["full_maps"])
+            # the encoders read the masked cells as zeros: whatever they
+            # express, the epoch's embedding and contrastive loss are the
+            # same bit for bit; only the reconstruction target moves
+            changed = X.copy()
+            changed[:, mask] = 3.0 * X[:, mask][::-1] + 1.0
+            again = self._epoch(monkeypatch, cci_only, X=changed)
+            np.testing.assert_array_equal(again["mask"], mask)
+            assert again["z_fused"].tobytes() == epoch["z_fused"].tobytes()
+            assert again["log"]["loss_contrastive"] == epoch["log"]["loss_contrastive"]
+            assert again["log"]["loss_recon"] != epoch["log"]["loss_recon"]
 
     def test_unmasked_untouched(self, monkeypatch):
-        X, full_maps, mask, features, maps, _ = self._epoch_inputs(monkeypatch)
-        kept = np.setdiff1d(np.arange(X.shape[1]), mask)
-        np.testing.assert_array_equal(features[kept], X.T[kept])
-        np.testing.assert_array_equal(maps[kept], full_maps[kept])
+        epoch = self._epoch(monkeypatch)
+        kept = np.setdiff1d(np.arange(epoch["X"].shape[1]), epoch["mask"])
+        np.testing.assert_array_equal(epoch["features"][kept], epoch["X"].T[kept])
+        np.testing.assert_array_equal(epoch["maps"][kept], epoch["full_maps"][kept])
 
     def test_same_seed_same_mask(self):
         a = mask_cells(50, ratio=0.3, seed=42)
@@ -243,10 +278,10 @@ class TestMask:
         assert not np.array_equal(a, mask_cells(50, ratio=0.3, seed=43))
 
     def test_map_sum_conservation(self, monkeypatch):
-        X, _, mask, _, maps, masked = self._epoch_inputs(monkeypatch)
-        np.testing.assert_array_equal(masked, mask)
-        for i in range(X.shape[1]):
-            assert maps[i].sum() == pytest.approx(X[:, i].sum())
+        epoch = self._epoch(monkeypatch)
+        np.testing.assert_array_equal(epoch["masked"], epoch["mask"])
+        for i in range(epoch["X"].shape[1]):
+            assert epoch["maps"][i].sum() == pytest.approx(epoch["X"][:, i].sum())
 
     def test_ratio_bounds(self):
         for bad in (0.0, 1.0, -0.2, 1.5):

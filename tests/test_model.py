@@ -15,14 +15,15 @@ from cellscape.dataset import ExpressionDataset
 from cellscape.config import PipelineConfig
 from cellscape.gene_map import mask_cells, render_maps
 from cellscape.losses import contrastive_loss, neighbor_arrays, sce_loss
-from cellscape.network import CellScapeModel, ModelConfig, gat_layer
+from cellscape.network import CellScapeModel, ModelConfig
 from cellscape.pipeline import make_layout
 from cellscape.preprocess import pearson_coexpression
 from cellscape.spatial_graph import SpatialGraph, build_delaunay_graph, build_knn_graph
 from cellscape.training import embed, train
 
 from oracles import (composite_conv_block, composite_gat_layer, dense_contrastive_loss,
-                     finite_difference_grads, loop_neighbor_lists, relative_error)
+                     finite_difference_grads, gene_space_decoder, loop_neighbor_lists,
+                     relative_error)
 
 TOY_CFG = dict(
     gat_layers=2,
@@ -53,7 +54,13 @@ def toy_dataset(n=20, p=16, seed=0):
 
 def embed_inputs(ds, graph, layout):
     """The features, maps and directed edges ``train`` prepares for ``embed``."""
-    return np.ascontiguousarray(ds.X.T), render_maps(ds.X, layout), graph.directed_edges()
+    return ds.X.T, render_maps(ds.X, layout), graph.directed_edges()
+
+
+def gat_layer(h, edges, W, a_center, a_neighbor, slope, average):
+    """One graph-attention layer as the encoder runs it: project by ``W``,
+    then the fused attention op."""
+    return ad.gat_attention(ad.matmul(h, W), a_center, a_neighbor, edges, slope, average)
 
 
 class TestGatLayer:
@@ -191,8 +198,8 @@ class TestGatAttentionOracle:
             assert relative_error(got, want) < 1e-7
 
     def test_edge_score_backward_stays_within_a_chunk(self):
-        # a decoder-shaped layer (one head, wide output): the backward may
-        # hold chunk x width and n x width buffers, never an E x width one
+        # one head of wide output: the backward may hold chunk x width and
+        # n x width buffers, never an E x width one
         import tracemalloc
 
         graph = build_knn_graph(np.random.default_rng(3).random((2, 2000)), k=10)
@@ -636,23 +643,82 @@ class TestConvBlockOracle:
             assert relative_error(got, want) < 1e-6
 
 
+DECODER_PARAMS = ("decoder.W", "decoder.0.a_center", "decoder.0.a_neighbor")
+
+
+class TestDecoder:
+    """``decode`` attends in the embedding space and projects the masked
+    rows alone; the reference attends over the (n, genes) projection."""
+
+    def _decoder_pass(self, decoder, n_genes, embed_dim, loss_kind):
+        """Loss, reconstruction and the gradients of z and of the decoder's
+        parameters, for the reconstruction of the cells ``mask_cells`` draws."""
+        rng = np.random.default_rng(n_genes)
+        n = 50
+        model = CellScapeModel(n_genes, None, ModelConfig(seed=n_genes, embed_dim=embed_dim,
+                                                          cci_only=True))
+        edges = build_knn_graph(rng.random((2, n)), k=4).directed_edges()
+        rows = mask_cells(n, 0.3, seed=n_genes)
+        z = Tensor(rng.standard_normal((n, embed_dim)), requires_grad=True)
+        x_hat = decoder(model, z, edges, rows)
+        if loss_kind == "weighted":
+            loss = ad.tensor_sum(x_hat * rng.standard_normal(x_hat.shape))
+        else:
+            x = rng.random((n, n_genes))
+            x[rows[2]] = 0.0  # a zero-norm target: sce_loss's degenerate path
+            with pytest.warns(RuntimeWarning, match="1 masked pair"):
+                loss = sce_loss(x, x_hat, rows, gamma=3.0)
+        ad.backward(loss)
+        return [loss.values, x_hat.values, z.grad,
+                *(model.params[name].grad for name in DECODER_PARAMS)]
+
+    @pytest.mark.parametrize("loss_kind", ["weighted", "sce"])
+    @pytest.mark.parametrize("n_genes,embed_dim", [(16, 4), (100, 32)])
+    def test_matches_gene_space_decoder(self, n_genes, embed_dim, loss_kind):
+        got = self._decoder_pass(CellScapeModel.decode, n_genes, embed_dim, loss_kind)
+        want = self._decoder_pass(gene_space_decoder, n_genes, embed_dim, loss_kind)
+        assert got[1].shape == (15, n_genes)
+        _assert_match(got, want)
+
+    def test_builds_no_cells_by_genes_array(self):
+        # every op output between z and the reconstruction holds at most the
+        # masked rows x genes; the sizes make n x embed_dim fit under that
+        # bound and n x genes exceed it
+        n, n_genes, embed_dim = 60, 64, 8
+        rng = np.random.default_rng(0)
+        model = CellScapeModel(n_genes, None, ModelConfig(seed=0, embed_dim=embed_dim,
+                                                          cci_only=True))
+        edges = build_knn_graph(rng.random((2, n)), k=4).directed_edges()
+        rows = mask_cells(n, 0.3, seed=1)
+        z = Tensor(rng.standard_normal((n, embed_dim)), requires_grad=True)
+        out = model.decode(z, edges, rows)
+        sizes, seen, stack = [], set(), [out]
+        while stack:
+            t = stack.pop()
+            if t is z or id(t) in seen or not t._parents:  # z, parameters and constants
+                continue
+            seen.add(id(t))
+            sizes.append(t.size)
+            stack.extend(t._parents)
+        assert out.shape == (rows.size, n_genes)
+        assert len(sizes) >= 4
+        assert max(sizes) <= rows.size * n_genes < n * n_genes
+
+
 class TestModelGradients:
     def test_full_model_matches_finite_differences(self):
         ds, graph, layout = toy_dataset(n=12, p=16, seed=7)
         cfg = ModelConfig(seed=7, **TOY_CFG)
         model = CellScapeModel(16, layout.q, cfg)
         mask = mask_cells(ds.n_cells, cfg.mask_ratio, seed=3)
-        x_full = np.ascontiguousarray(ds.X.T)
-        feats = x_full.copy()
-        feats[mask] = 0.0
+        features = ds.X.T
         maps = render_maps(ds.X, layout)
-        maps[mask] = 0.0
         edges = graph.directed_edges()
         neighbors = neighbor_arrays(edges)
 
         def total_loss():
-            _, _, z_fused = model.encode(feats, maps, edges, training=True)
-            recon = sce_loss(x_full, model.decode(z_fused, edges), mask, cfg.gamma)
+            _, _, z_fused = model.encode(features, maps, edges, training=True, masked=mask)
+            recon = sce_loss(features, model.decode(z_fused, edges, mask), mask, cfg.gamma)
             con = contrastive_loss(ad.l2_normalize_rows(z_fused), neighbors, cfg.tau)
             return recon + con
 
