@@ -59,16 +59,14 @@ class EnrichmentRecord:
 
 
 def benjamini_hochberg(p_values) -> np.ndarray:
-    """Step-up FDR adjustment; returns adjusted p-values in input order."""
+    """Step-up FDR adjustment; returns adjusted p-values in input order: the
+    running minimum of ``p * m / rank`` from the largest p down."""
     p = np.asarray(p_values, dtype=np.float64)
     m = p.size
     order = np.argsort(p, kind="stable")
+    scaled = p[order] * m / np.arange(1, m + 1)
     adjusted = np.empty(m)
-    running = 1.0
-    for rank_from_end, idx in enumerate(order[::-1]):
-        rank = m - rank_from_end
-        running = min(running, p[idx] * m / rank)
-        adjusted[idx] = running
+    adjusted[order] = np.minimum.accumulate(scaled[::-1])[::-1]
     return np.clip(adjusted, 0.0, 1.0)
 
 
@@ -152,8 +150,12 @@ def _normal_two_sided(u: float, n1: int, n2: int, tie_term: float) -> float:
     return min(1.0, math.erfc(abs(z) / math.sqrt(2.0)))
 
 
-def wilcoxon_dge(X: np.ndarray, labels, domains, gene_names=None,
-                 pseudocount: float = 1e-9) -> list[list[GeneRecord]]:
+# added to both group means before the log fold change, so a gene absent
+# from one group gets a large finite change
+LFC_PSEUDOCOUNT = 1e-9
+
+
+def wilcoxon_dge(X: np.ndarray, labels, domains, gene_names=None) -> list[list[GeneRecord]]:
     """Per-gene rank-sum test of each domain against all other cells: one
     record list per entry of ``domains``, in that order.
 
@@ -204,7 +206,7 @@ def wilcoxon_dge(X: np.ndarray, labels, domains, gene_names=None,
                 pvals[di, gi] = _normal_two_sided(u, int(n1[di]), int(n2[di]), tie_term)
     mean_in = np.maximum(sum_in / n1[:, None], 0.0)
     mean_out = np.maximum(sum_out / n2[:, None], 0.0)
-    lfcs = np.log2((mean_in + pseudocount) / (mean_out + pseudocount))
+    lfcs = np.log2((mean_in + LFC_PSEUDOCOUNT) / (mean_out + LFC_PSEUDOCOUNT))
     fracs = detected / n1[:, None]
 
     tables = []
@@ -334,12 +336,3 @@ def write_transition_graph(path, tg: TransitionGraph) -> None:
             for b in range(a + 1, D):
                 fh.write(f"{tg.domains[a]} {tg.domains[b]} "
                          f"{format(tg.connectivity[a, b], '.17g')}\n")
-
-
-def write_composition(path, comp: CompositionMatrix) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["domain", *map(str, comp.types)])
-        for domain, row in zip(comp.domains, comp.P):
-            writer.writerow([domain, *(format(v, ".17g") for v in row)])
-        writer.writerow(["all", *(format(v, ".17g") for v in comp.P_all)])

@@ -2,9 +2,11 @@
 
 Tensors wrap float64 arrays and record the operations that produced them;
 ``backward`` walks the graph in reverse topological order and accumulates
-gradients into every reachable tensor with ``requires_grad=True``. Only the
-operations the training loop needs are implemented; all run on CPU numpy
-and scipy.sparse.
+gradients into every reachable tensor with ``requires_grad=True``. A leaf's
+``grad`` sums over every ``backward`` until its reader takes it off (sets it
+to None), as the training step does after each loss. The operations are
+those the training loop needs, plus the few listed at the end; all run on
+CPU numpy and scipy.sparse.
 
 Most ops are generic (elementwise, matmul, gathers, segment sums).
 Graph attention is one fused op, ``gat_attention``: per-pair scores, the
@@ -41,7 +43,7 @@ does: an op dropped from ``AUTODIFF_OPS`` must be deleted here as well.
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -82,10 +84,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.values)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-        self._backward_done = False
 
     def _accumulate(self, grad: np.ndarray, own: bool = False) -> None:
         # ``own=True`` promises the buffer is freshly allocated and never
@@ -520,24 +518,26 @@ def leaky_relu(a, slope: float = 0.01) -> Tensor:
     return _make(values, (a,), backward_fn, "leaky_relu")
 
 
-def elu(a, alpha: float = 1.0) -> Tensor:
+def elu(a) -> Tensor:
+    """ELU with alpha = 1: x above 0, exp(x) - 1 elsewhere."""
     a = as_tensor(a)
     positive = a.values > 0
-    expm = alpha * np.expm1(np.minimum(a.values, 0.0))
+    expm = np.expm1(np.minimum(a.values, 0.0))
     values = np.where(positive, a.values, expm)
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(g * np.where(positive, 1.0, expm + alpha), own=True)
+            a._accumulate(g * np.where(positive, 1.0, expm + 1.0), own=True)
 
     return _make(values, (a,), backward_fn, "elu")
 
 
-def l2_normalize_rows(a, eps: float = 1e-12) -> Tensor:
-    """Normalize each row to unit Euclidean norm (zero rows stay zero via eps)."""
+def l2_normalize_rows(a) -> Tensor:
+    """Normalize each row to unit Euclidean norm (norms are floored at
+    1e-12, so zero rows stay zero)."""
     a = as_tensor(a)
     norms = np.sqrt((a.values * a.values).sum(axis=1, keepdims=True))
-    safe = np.maximum(norms, eps)
+    safe = np.maximum(norms, 1e-12)
     values = a.values / safe
 
     def backward_fn(g):
@@ -643,11 +643,12 @@ def maxpool2(x) -> Tensor:
 class BatchNormState:
     """Running statistics for one batch-normalization layer."""
 
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
+    momentum = 0.1
+    eps = 1e-5
+
+    def __init__(self, num_features: int):
         self.running_mean = np.zeros(num_features, dtype=np.float64)
         self.running_var = np.ones(num_features, dtype=np.float64)
-        self.momentum = momentum
-        self.eps = eps
 
 
 def batch_norm(x, gamma, beta, state: BatchNormState, training: bool,
@@ -919,35 +920,29 @@ def conv_block(x, w, gamma, beta, state: BatchNormState, training: bool,
 def backward(loss: Tensor) -> None:
     """Reverse-mode gradient accumulation from a scalar loss.
 
-    Raises if the loss is not scalar, if the graph contains a cycle, or if
-    called twice on the same root without resetting gradients.
+    Raises if the loss is not scalar or if called twice on the same root.
+    An op's output is made after its parents, so the graph holds no cycle.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     if loss._backward_done:
-        raise RuntimeError("backward already ran for this tensor; reset gradients first")
+        raise RuntimeError("backward already ran for this tensor")
     loss._backward_done = True
 
     order: list[Tensor] = []
-    state: dict[int, int] = {}  # 1 = on stack, 2 = finished
+    finished: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
-            state[id(node)] = 2
+            finished.add(id(node))
             order.append(node)
             continue
-        mark = state.get(id(node))
-        if mark == 2:
+        if id(node) in finished:
             continue
-        if mark == 1:
-            raise RuntimeError("computation graph contains a cycle")
-        state[id(node)] = 1
         stack.append((node, True))
         for parent in node._parents:
-            if state.get(id(parent)) == 1:
-                raise RuntimeError("computation graph contains a cycle")
-            if state.get(id(parent)) != 2:
+            if id(parent) not in finished:
                 stack.append((parent, False))
 
     # reset op outputs (not leaves): a backward that stopped midway leaves
@@ -964,8 +959,3 @@ def backward(loss: Tensor) -> None:
             # consumed: free it now rather than holding a gradient per
             # intermediate tensor until the next backward
             node.grad = None
-
-
-def zero_grads(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.zero_grad()

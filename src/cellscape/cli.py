@@ -32,7 +32,6 @@ from .analysis import (
     read_gmt,
     transition_graph,
     wilcoxon_dge,
-    write_composition,
     write_enrichment_table,
     write_transition_graph,
 )
@@ -226,7 +225,8 @@ def cmd_analyze(cfg: PipelineConfig) -> int:
         type_map = load_labels(_require(cfg.paths.type_labels, "paths.type_labels"))
         types = [type_map.get(c, "unknown") for c in ids]
         comp = composition(domain_arr, np.asarray(types))
-        write_composition(out / "composition.csv", comp)
+        write_table(out / "composition.csv", ["domain", *comp.types],
+                    [*comp.domains, "all"], [*comp.P, comp.P_all])
         print(f"wrote {out / 'composition.csv'}")
 
     if cfg.paths.gene_sets:

@@ -70,7 +70,7 @@ def neighbor_arrays(edges: DirectedEdges) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def contrastive_loss(z: Tensor, neighbors: tuple[np.ndarray, np.ndarray, np.ndarray],
-                     tau: float, anchors: np.ndarray | None = None) -> Tensor:
+                     tau: float, anchors: np.ndarray) -> Tensor:
     """Multi-positive InfoNCE over spatial neighborhoods.
 
     ``neighbors`` is the ``(dst, src, degree)`` triple of ``neighbor_arrays``:
@@ -78,8 +78,8 @@ def contrastive_loss(z: Tensor, neighbors: tuple[np.ndarray, np.ndarray, np.ndar
     ``dst``. For each anchor the numerator pools similarities to its graph
     neighbors and the denominator pools similarities to every neighbor
     occurrence in the batch, computed in log-space with max-shift
-    stabilization. ``anchors`` restricts the averaged anchor set to the
-    given strictly increasing cell indices (defaults to every cell).
+    stabilization. The loss averages over ``anchors``, strictly increasing
+    cell indices in ``[0, n)`` (``np.arange(n)`` for every cell).
 
     The loss is one fused op, ``autodiff.contrastive``, which walks the
     anchors in blocks of ``autodiff._ANCHOR_CHUNK`` and builds the gradient
@@ -96,16 +96,14 @@ def contrastive_loss(z: Tensor, neighbors: tuple[np.ndarray, np.ndarray, np.ndar
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise ValueError("contrastive_loss expects unit-norm embedding rows")
 
-    if anchors is None:
-        anchor_idx, rows, cols = np.arange(n), dst, src
-    else:
-        anchor_idx = np.asarray(anchors, dtype=np.intp)
-        if anchor_idx.ndim != 1 or np.any(np.diff(anchor_idx) <= 0):
-            raise ValueError("anchors must be strictly increasing cell indices")
-        # anchor edges keep their (anchor, neighbor) order: dst is sorted and
-        # pos increases with the cell index
-        pos = np.full(n, -1, dtype=np.intp)
-        pos[anchor_idx] = np.arange(anchor_idx.size)
-        sel = pos[dst] >= 0
-        rows, cols = pos[dst[sel]], src[sel]
+    anchor_idx = np.asarray(anchors, dtype=np.intp)
+    if (anchor_idx.ndim != 1 or np.any(np.diff(anchor_idx) <= 0)
+            or (anchor_idx.size and (anchor_idx[0] < 0 or anchor_idx[-1] >= n))):
+        raise ValueError(f"anchors must be strictly increasing cell indices in [0, {n})")
+    # anchor edges keep their (anchor, neighbor) order: dst is sorted and
+    # pos increases with the cell index
+    pos = np.full(n, -1, dtype=np.intp)
+    pos[anchor_idx] = np.arange(anchor_idx.size)
+    sel = pos[dst] >= 0
+    rows, cols = pos[dst[sel]], src[sel]
     return ad.contrastive(z, anchor_idx, rows, cols, degree, tau)

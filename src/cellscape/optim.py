@@ -13,12 +13,12 @@ from .autodiff import Tensor
 class AdamState:
     """Per-parameter Adam moments plus the shared hyperparameters."""
 
-    def __init__(self, params: dict[str, Tensor], weight_decay: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: dict[str, Tensor], weight_decay: float):
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(p.values) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.values) for name, p in params.items()}

@@ -64,11 +64,13 @@ def make_layout(coexpr: CoexpressionMatrix, cfg: PipelineConfig) -> GeneLayout:
 def segment_embeddings(Z_spatial: np.ndarray, coords: np.ndarray,
                        cfg: PipelineConfig,
                        sample_labels: np.ndarray | list | None = None) -> DomainLabels:
-    """PCA (skipped when the embedding is already narrow), GMM, then optional
-    spatial majority-vote refinement. ``sample_labels`` gives each cell's
-    sample when several samples share one coordinate frame; cells then vote
-    only among neighbours from their own sample."""
-    k = cfg.clustering.pca_dim
+    """PCA to ``clustering.pca_dim`` dims, or to n - 1 on fewer cells (the
+    rank of n centred rows), skipped when the embedding is already that
+    narrow; GMM, then optional spatial majority-vote refinement.
+    ``sample_labels`` gives each cell's sample when several samples share
+    one coordinate frame; cells then vote only among neighbours from their
+    own sample."""
+    k = min(cfg.clustering.pca_dim, Z_spatial.shape[0] - 1)
     reduced = Z_spatial if Z_spatial.shape[1] <= k else pca_reduce(Z_spatial, k=k)
     result = gmm_cluster(reduced, K=cfg.clustering.n_domains, seed=cfg.seed)
     if not cfg.clustering.refine:

@@ -6,7 +6,7 @@ fallback, and block-diagonal merging of per-sample graphs."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import Delaunay, QhullError, cKDTree
@@ -30,7 +30,6 @@ class SpatialGraph:
     n_nodes: int
     edges: np.ndarray    # (E, 2) int, each row sorted i < j, rows unique + sorted
     weights: np.ndarray  # (E,) positive distances
-    _directed: DirectedEdges | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
@@ -52,17 +51,15 @@ class SpatialGraph:
         return np.bincount(self.edges.ravel(), minlength=self.n_nodes)
 
     def directed_edges(self) -> DirectedEdges:
-        """The graph's attention pairs, built on first use and cached."""
-        if self._directed is None:
-            loop = np.arange(self.n_nodes, dtype=np.int64)
-            dst = np.concatenate([self.edges[:, 0], self.edges[:, 1], loop])
-            src = np.concatenate([self.edges[:, 1], self.edges[:, 0], loop])
-            order = np.lexsort((src, dst))
-            dst, src = dst[order], src[order]
-            indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
-            np.cumsum(np.bincount(dst, minlength=self.n_nodes), out=indptr[1:])
-            self._directed = DirectedEdges(dst, src, indptr)
-        return self._directed
+        """The graph's attention pairs, built anew on each call."""
+        loop = np.arange(self.n_nodes, dtype=np.int64)
+        dst = np.concatenate([self.edges[:, 0], self.edges[:, 1], loop])
+        src = np.concatenate([self.edges[:, 1], self.edges[:, 0], loop])
+        order = np.lexsort((src, dst))
+        dst, src = dst[order], src[order]
+        indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(dst, minlength=self.n_nodes), out=indptr[1:])
+        return DirectedEdges(dst, src, indptr)
 
 
 def _finalize(n: int, pairs: np.ndarray, coords: np.ndarray) -> SpatialGraph:
@@ -143,9 +140,10 @@ def _path_pairs(pts: np.ndarray) -> np.ndarray:
     return np.column_stack([order[:-1], order[1:]])
 
 
-def build_delaunay_graph(coords, prune_percentile: float | None = None) -> SpatialGraph:
+def build_delaunay_graph(coords, prune_percentile: float) -> SpatialGraph:
     """Delaunay-triangulation graph; falls back to a sorted path on collinear
-    input. ``prune_percentile`` drops edges longer than that length percentile."""
+    input. ``prune_percentile`` drops edges longer than that length
+    percentile; 100 keeps every edge."""
     coords = _check_coords(coords)
     n = coords.shape[1]
     if n < 3:
@@ -177,10 +175,7 @@ def build_delaunay_graph(coords, prune_percentile: float | None = None) -> Spati
                 joined = np.append(neighbors[indptr[vertex]:indptr[vertex + 1]], vertex)
                 joins.append(np.column_stack([np.full_like(joined, cell), joined]))
             pairs = np.concatenate(joins)
-    g = _finalize(n, pairs, coords)
-    if prune_percentile is not None:
-        g = prune_long_edges(g, prune_percentile)
-    return g
+    return prune_long_edges(_finalize(n, pairs, coords), prune_percentile)
 
 
 def prune_long_edges(g: SpatialGraph, percentile: float) -> SpatialGraph:

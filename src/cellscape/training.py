@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import zero_grads
 from .dataset import ExpressionDataset
 from .gene_map import GeneLayout, mask_cells, render_maps
 from .losses import contrastive_loss, neighbor_arrays, sce_loss
@@ -37,11 +36,14 @@ class EmbeddingSet:
     Z: np.ndarray                    # (n, d) fused, rows unit-norm
 
 
-def _collect_grads(params: dict) -> dict[str, np.ndarray]:
-    return {
-        name: (np.zeros_like(p.values) if p.grad is None else p.grad.copy())
-        for name, p in params.items()
-    }
+def _take_grads(params: dict) -> dict[str, np.ndarray]:
+    """Each parameter's gradient, taken off the parameter (zeros where no
+    gradient reached it), so the next backward starts from none."""
+    grads = {}
+    for name, p in params.items():
+        grads[name] = np.zeros_like(p.values) if p.grad is None else p.grad
+        p.grad = None
+    return grads
 
 
 def _global_norm(grads: dict[str, np.ndarray]) -> float:
@@ -107,13 +109,11 @@ def _step(model: CellScapeModel, optimizer: AdamState, epoch: int, features: np.
     loss_recon = sce_loss(features, model.decode(z_fused, edges, mask), mask, cfg.gamma)
 
     z_norm = ad.l2_normalize_rows(z_fused)
-    anchors = None
     if n > MAX_CONTRASTIVE_ANCHORS:
-        anchors = np.sort(
-            np.random.default_rng(anchor_seed).choice(
-                n, size=MAX_CONTRASTIVE_ANCHORS, replace=False
-            )
-        )
+        anchors = np.sort(np.random.default_rng(anchor_seed).choice(
+            n, size=MAX_CONTRASTIVE_ANCHORS, replace=False))
+    else:
+        anchors = np.arange(n)
     loss_con = contrastive_loss(z_norm, neighbors, cfg.tau, anchors=anchors)
 
     recon_val = loss_recon.item()
@@ -125,11 +125,9 @@ def _step(model: CellScapeModel, optimizer: AdamState, epoch: int, features: np.
         )
 
     ad.backward(loss_recon)
-    grads_recon = _collect_grads(params)
-    zero_grads(params.values())
+    grads_recon = _take_grads(params)
     ad.backward(loss_con)
-    grads_con = _collect_grads(params)
-    zero_grads(params.values())
+    grads_con = _take_grads(params)
 
     combined = {}
     projected = 0

@@ -106,7 +106,7 @@ def composite_conv_block(x, w, gamma, beta, state, training: bool, slope: float)
     return ad.maxpool2(ad.leaky_relu(out, slope))
 
 
-def dense_contrastive_loss(z, neighbors, tau: float, anchors=None):
+def dense_contrastive_loss(z, neighbors, tau: float, anchors):
     """Multi-positive InfoNCE from per-cell neighbour lists over a dense
     n x n 0/1 adjacency; ``anchors`` selects adjacency rows."""
     n = z.shape[0]
@@ -115,12 +115,9 @@ def dense_contrastive_loss(z, neighbors, tau: float, anchors=None):
     for i, nb in enumerate(neighbors):
         adjacency[i, nb] = 1.0
         degree[nb] += 1.0
-    if anchors is None:
-        z_anchor = z
-    else:
-        anchors = np.asarray(anchors, dtype=np.intp)
-        z_anchor = ad.gather_rows(z, anchors)
-        adjacency = adjacency[anchors]
+    anchors = np.asarray(anchors, dtype=np.intp)
+    z_anchor = ad.gather_rows(z, anchors)
+    adjacency = adjacency[anchors]
     sims = ad.matmul(z_anchor * (1.0 / tau), ad.transpose(z))
     shift = sims.values.max(axis=1, keepdims=True)
     expsims = ad.exp(sims - shift)
@@ -254,6 +251,21 @@ def exact_hypergeom_upper_tail(k: int, universe: int, set_size: int, draws: int)
                          denom)
                 for kk in range(k, min(set_size, draws) + 1))
     return float(total)
+
+
+def loop_benjamini_hochberg(p_values) -> np.ndarray:
+    """Step-up FDR adjustment one p-value at a time, from the largest down:
+    the running minimum of p * m / rank, capped at 1, in input order."""
+    p = np.asarray(p_values, dtype=np.float64)
+    m = p.size
+    order = np.argsort(p, kind="stable")
+    adjusted = np.empty(m)
+    running = 1.0
+    for rank_from_end, idx in enumerate(order[::-1]):
+        rank = m - rank_from_end
+        running = min(running, p[idx] * m / rank)
+        adjusted[idx] = running
+    return np.clip(adjusted, 0.0, 1.0)
 
 
 def pearson_corr(x, y) -> float:

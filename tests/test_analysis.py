@@ -18,7 +18,12 @@ from cellscape.analysis import (
 )
 from cellscape.spatial_graph import SpatialGraph, build_knn_graph
 
-from oracles import exact_hypergeom_upper_tail, exact_rank_sum_pvalue, midranks
+from oracles import (
+    exact_hypergeom_upper_tail,
+    exact_rank_sum_pvalue,
+    loop_benjamini_hochberg,
+    midranks,
+)
 
 
 def graph_from_pairs(n, pairs):
@@ -219,6 +224,23 @@ class TestWilcoxon:
             wilcoxon_dge(X, np.array([0, 0, 0]), [1])
         with pytest.raises(ValueError, match="every cell"):
             wilcoxon_dge(X, np.array([0, 0, 0]), [0])
+
+
+class TestBenjaminiHochberg:
+    def test_matches_loop_oracle(self):
+        rng = np.random.default_rng(21)
+        for trial in range(2000):
+            m = int(rng.integers(0, 40))
+            p = rng.random(m)
+            if trial % 2:  # coarse values: ties, and ranks that cross 1 when scaled
+                p = np.round(p, 1)
+            np.testing.assert_array_equal(benjamini_hochberg(p), loop_benjamini_hochberg(p))
+
+    def test_known_values(self):
+        # sorted, p * 4 / rank = 0.04, 0.06, 0.16 / 3, 0.5; the minimum from
+        # the top down lowers rank 2's 0.06 to rank 3's 0.16 / 3
+        adj = benjamini_hochberg([0.01, 0.04, 0.03, 0.5])
+        np.testing.assert_allclose(adj, [0.04, 0.16 / 3, 0.16 / 3, 0.5], rtol=1e-15)
 
 
 class TestComposition:

@@ -171,12 +171,12 @@ class TestKnn:
 class TestDelaunay:
     def test_triangle(self):
         coords = np.array([[0.0, 1.0, 0.5], [0.0, 0.0, 1.0]])
-        g = build_delaunay_graph(coords)
+        g = build_delaunay_graph(coords, prune_percentile=100.0)
         assert {tuple(e) for e in g.edges} == {(0, 1), (0, 2), (1, 2)}
 
     def test_unit_square_five_edges(self):
         coords = np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
-        g = build_delaunay_graph(coords)
+        g = build_delaunay_graph(coords, prune_percentile=100.0)
         edge_set = {tuple(e) for e in g.edges}
         assert g.n_edges == 5
         perimeter = {(0, 1), (0, 2), (1, 3), (2, 3)}
@@ -187,25 +187,25 @@ class TestDelaunay:
     def test_collinear_fallback_path(self):
         coords = np.array([[0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0, 0.0]])
         with pytest.warns(RuntimeWarning, match="collinear"):
-            g = build_delaunay_graph(coords)
+            g = build_delaunay_graph(coords, prune_percentile=100.0)
         assert {tuple(e) for e in g.edges} == {(0, 1), (1, 2), (2, 3)}
 
     def test_too_few_points(self):
         with pytest.raises(ValueError, match="at least 3"):
-            build_delaunay_graph(np.array([[0.0, 1.0], [0.0, 1.0]]))
+            build_delaunay_graph(np.array([[0.0, 1.0], [0.0, 1.0]]), prune_percentile=100.0)
 
     def test_matches_brute_force_oracle(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
             pts = rng.random((18, 2))
-            g = build_delaunay_graph(pts.T)
+            g = build_delaunay_graph(pts.T, prune_percentile=100.0)
             assert {tuple(e) for e in g.edges} == brute_force_delaunay_edges(pts)
 
     def test_duplicate_cell_joins_its_twin(self):
         # Qhull leaves one of two equal points out of the triangulation
         coords = np.random.default_rng(10).random((2, 300))
         coords[:, 11] = coords[:, 10]
-        g = build_delaunay_graph(coords)
+        g = build_delaunay_graph(coords, prune_percentile=100.0)
         neighbours = loop_neighbor_lists(g.n_nodes, g.edges)
         assert 11 in neighbours[10]
         assert set(neighbours[10]) - {11} == set(neighbours[11]) - {10}
@@ -215,7 +215,7 @@ class TestDelaunay:
 
     def test_prune_long_edges(self):
         rng = np.random.default_rng(9)
-        g = build_delaunay_graph(rng.random((2, 60)))
+        g = build_delaunay_graph(rng.random((2, 60)), prune_percentile=100.0)
         pruned = prune_long_edges(g, 90.0)
         assert pruned.n_edges < g.n_edges
         assert pruned.weights.max() <= np.percentile(g.weights, 90.0)
@@ -264,7 +264,7 @@ class TestMergeAndNeighbors:
         if kind == "knn":
             g = build_knn_graph(rng.random((2, 300)), k=5)
         elif kind == "delaunay":
-            g = build_delaunay_graph(rng.random((2, 200)))
+            g = build_delaunay_graph(rng.random((2, 200)), prune_percentile=100.0)
         elif kind == "merged":
             g = block_diagonal_merge([build_knn_graph(rng.random((2, m)), k=2) for m in (8, 12)])
         elif kind == "edgeless":
@@ -324,7 +324,6 @@ class TestMethodChoiceAndIO:
         assert set(zip(edges.dst.tolist(), edges.src.tolist())) == {
             (0, 0), (0, 1), (1, 0), (1, 1), (2, 2),
         }
-        assert g.directed_edges() is edges
 
     def test_directed_edges_csr_order(self):
         g = build_knn_graph(np.random.default_rng(7).random((2, 50)), k=3)

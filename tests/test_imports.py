@@ -1,7 +1,7 @@
 """Every module under ``src/cellscape`` and ``tests`` reads each name it
-imports, every public name of the package has a caller, and importing the
-package loads none of its modules, so the heavy statistics subpackage stays
-unloaded."""
+imports, every public name of the package has a caller, every defaulted
+parameter has a caller that sets it, and importing the package loads none
+of its modules, so the heavy statistics subpackage stays unloaded."""
 
 import ast
 import os
@@ -74,15 +74,11 @@ def _package_module(node: ast.ImportFrom) -> str | None:
     return None
 
 
-def reads(source: str, module: str | None) -> set[tuple[str, str, str]]:
-    """``(module, name, reader)`` for each read of a package module's name:
-    a name imported from a cellscape module, an attribute of a cellscape
-    module alias or, if ``module`` is the source's own module, a name the
-    source binds. ``reader`` is the top-level definition holding the read,
-    "" at module level."""
-    tree = ast.parse(source)
-    imported: dict[str, tuple[str, str]] = {}   # local name -> (module, name)
-    aliases: dict[str, str] = {}                # local name -> module
+def _package_imports(tree: ast.Module) -> tuple[dict[str, tuple[str, str]], dict[str, str]]:
+    """``(imported, aliases)``: each local name bound to a cellscape
+    module's name, as ``(module, name)``, and each bound to a module."""
+    imported: dict[str, tuple[str, str]] = {}
+    aliases: dict[str, str] = {}
     for node in ast.walk(tree):
         if not isinstance(node, ast.ImportFrom) or (origin := _package_module(node)) is None:
             continue
@@ -91,6 +87,17 @@ def reads(source: str, module: str | None) -> set[tuple[str, str, str]]:
                 imported[alias.asname or alias.name] = (origin, alias.name)
             else:
                 aliases[alias.asname or alias.name] = alias.name
+    return imported, aliases
+
+
+def reads(source: str, module: str | None) -> set[tuple[str, str, str]]:
+    """``(module, name, reader)`` for each read of a package module's name:
+    a name imported from a cellscape module, an attribute of a cellscape
+    module alias or, if ``module`` is the source's own module, a name the
+    source binds. ``reader`` is the top-level definition holding the read,
+    "" at module level."""
+    tree = ast.parse(source)
+    imported, aliases = _package_imports(tree)
     found = set()
     for top in tree.body:
         reader = getattr(top, "name", "")
@@ -152,6 +159,189 @@ def test_scan_flags_an_unused_name():
     benchmark = "from cellscape import a\nprint(a.outside())\n"
     outside = {(m, name) for m, name, _ in reads(benchmark, None)}
     assert uncalled(modules, outside) == ["a.UNUSED", "a.Unused", "a.recursive", "b.main"]
+
+
+def _resolver(tree: ast.Module, module: str | None):
+    """Map a name read in ``tree`` to the ``module.name`` of the package
+    definition it means, or None: a name imported from a cellscape module, a
+    top-level definition of ``module`` itself, or an attribute of a
+    cellscape module alias."""
+    imported, aliases = _package_imports(tree)
+    own = {getattr(top, "name", None) for top in tree.body} - {None}
+
+    def resolve(node: ast.expr) -> str | None:
+        if isinstance(node, ast.Name):
+            if node.id in imported:
+                return ".".join(imported[node.id])
+            return f"{module}.{node.id}" if module is not None and node.id in own else None
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            return f"{aliases[node.value.id]}.{node.attr}"
+        return None
+
+    return resolve
+
+
+def _signature(fn: ast.FunctionDef, method: bool) -> tuple[list[str], list[str]]:
+    """``(positional, defaulted)`` parameter names of ``fn``, without
+    ``self`` for a method."""
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args][int(method):]
+    defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return positional, defaulted
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    decorators = (d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list)
+    return any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators)
+
+
+def _fields(cls: ast.ClassDef) -> tuple[list[str], list[str]]:
+    """``(positional, defaulted)`` constructor parameters of a dataclass:
+    its annotated fields in order, defaulted when they are assigned a value
+    (``field(...)`` only with a ``default`` or ``default_factory``)."""
+    positional, defaulted = [], []
+    for node in cls.body:
+        if not (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)):
+            continue
+        positional.append(node.target.id)
+        value = node.value
+        if (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id == "field"):
+            if any(k.arg in ("default", "default_factory") for k in value.keywords):
+                defaulted.append(node.target.id)
+        elif value is not None:
+            defaulted.append(node.target.id)
+    return positional, defaulted
+
+
+def signatures(source: str, module: str) -> dict[str, tuple[list[str], list[str]]]:
+    """``(positional, defaulted)`` parameters of each public function
+    (``module.f``), class constructor (``module.C``: ``__init__``'s, else a
+    dataclass's fields) and public method (``module.C.m``) of a module."""
+    found = {}
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            found[f"{module}.{node.name}"] = _signature(node, method=False)
+            continue
+        methods = {m.name: m for m in node.body if isinstance(m, ast.FunctionDef)}
+        if "__init__" in methods:
+            found[f"{module}.{node.name}"] = _signature(methods["__init__"], method=True)
+        elif _is_dataclass(node):
+            found[f"{module}.{node.name}"] = _fields(node)
+        for name, method in methods.items():
+            if not name.startswith("_"):
+                found[f"{module}.{node.name}.{name}"] = _signature(method, method=True)
+    return found
+
+
+def passed_parameters(source: str, module: str | None,
+                      sigs: dict[str, tuple[list[str], list[str]]]) -> dict[str, set[str]]:
+    """For each entry of ``sigs`` that a call in ``source`` reaches, the
+    parameters some such call passes, by position or keyword (a ``*args``
+    passes every positional one, a ``**kwargs`` every one). A call is
+    resolved through the source's imports; ``obj.m(...)`` on anything but a
+    module alias reaches every public method named ``m``."""
+    tree = ast.parse(source)
+    resolve = _resolver(tree, module)
+    methods: dict[str, list[str]] = {}
+    for target in sigs:
+        if target.count(".") == 2:
+            methods.setdefault(target.rsplit(".", 1)[1], []).append(target)
+    found: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        target = resolve(node.func)
+        if target in sigs:
+            targets = [target]
+        elif target is None and isinstance(node.func, ast.Attribute):
+            targets = methods.get(node.func.attr, [])
+        else:
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        for target in targets:
+            positional, defaulted = sigs[target]
+            given = found.setdefault(target, set())
+            given |= set(positional if starred else positional[:len(node.args)])
+            for keyword in node.keywords:
+                given |= set(positional + defaulted) if keyword.arg is None else {keyword.arg}
+    return found
+
+
+def unset_parameters(package: dict[str, str], outside: list[str],
+                     allowed: set[str]) -> list[str]:
+    """``target(parameter)`` for each defaulted parameter of ``package``'s
+    (module -> source) public definitions that no call in ``package`` or in
+    the ``outside`` sources passes, unless ``allowed`` names it or its
+    target. A definition that no call reaches is skipped: whether it has a
+    caller at all is the name gate's question."""
+    sigs = {}
+    for module, source in package.items():
+        sigs |= signatures(source, module)
+    passed: dict[str, set[str]] = {}
+    sources = [*package.items(), *((None, source) for source in outside)]
+    for module, source in sources:
+        for target, given in passed_parameters(source, module, sigs).items():
+            passed.setdefault(target, set()).update(given)
+    return sorted(f"{target}({name})" for target, given in passed.items()
+                  for name in sigs[target][1]
+                  if name not in given and target not in allowed
+                  and f"{target}({name})" not in allowed)
+
+
+def _section_types() -> set[str]:
+    """``module.Type`` of each ``PipelineConfig`` section."""
+    tree = ast.parse((SRC / "config.py").read_text())
+    resolve = _resolver(tree, "config")
+    config = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "PipelineConfig")
+    return {resolve(node.annotation) for node in config.body
+            if isinstance(node, ast.AnnAssign) and node.target.id != "seed"}
+
+
+def test_every_parameter_is_set_by_a_caller():
+    package = {p.stem: p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    outside = [path.read_text() for path in sorted((ROOT / "benchmark").glob("*.py"))]
+    allowed = {
+        # the console script calls main() bare; the tests pass argv
+        "cli.main(argv)",
+        # the tests pin the starting means to reach the collapsed-component
+        # reseed branch and to compare against the loop oracle
+        "cluster.gmm_cluster(init_means)",
+        # config._section fills every field of a section from YAML, as
+        # cls(**values), so a user's config file is its caller
+        *_section_types(),
+    }
+    assert unset_parameters(package, outside, allowed) == []
+
+
+def test_scan_flags_an_unset_parameter():
+    package = {
+        "a": ("from dataclasses import dataclass, field\n"
+              "def never(x, flag=False):\n    return x\n"
+              "def by_position(x, scale=1.0):\n    return x\n"
+              "def by_keyword(x, *, shift=0.0):\n    return x\n"
+              "def allowed(x, argv=None):\n    return x\n"
+              "def unreached(x, alpha=1.0):\n    return x\n"
+              "@dataclass\nclass Spec:\n    n: int\n    eps: float = 1e-9\n"
+              "    cache: list = field(default_factory=list)\n"
+              "class State:\n    def __init__(self, beta=0.9):\n        self.beta = beta\n"
+              "    def step(self, lr=0.1):\n        return lr\n"
+              "    def _private(self, unused=0):\n        return unused\n"),
+        "b": ("from . import a as alias\nfrom .a import Spec, never\n"
+              "def main():\n"
+              "    state = alias.State(0.5)\n"
+              "    state.step()\n"
+              "    return (never(1), alias.by_position(1, 2.0), alias.by_keyword(1, shift=1.0),\n"
+              "            alias.allowed(1), Spec(3, eps=1e-6))\n"),
+    }
+    benchmark = "from cellscape import a\na.State(0.5).step(lr=0.2)\n"
+    assert unset_parameters(package, [benchmark], {"a.allowed(argv)"}) == [
+        "a.Spec(cache)", "a.never(flag)"]
 
 
 def test_package_import_loads_no_module():

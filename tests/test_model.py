@@ -296,7 +296,7 @@ def unit_rows(rng, n, d):
 class TestContrastiveLoss:
     def test_two_cell_identical_embeddings(self):
         z = Tensor(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        loss = contrastive_loss(z, ring_neighbors(2), tau=1.0)
+        loss = contrastive_loss(z, ring_neighbors(2), tau=1.0, anchors=np.arange(2))
         assert loss.item() == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_two_cell_closed_form_monotone(self):
@@ -304,7 +304,7 @@ class TestContrastiveLoss:
         for s in (-0.5, 0.0, 0.4, 0.9):
             # rows unit-norm with dot product s
             z = Tensor(np.array([[1.0, 0.0], [s, np.sqrt(1 - s * s)]]))
-            loss = contrastive_loss(z, ring_neighbors(2), tau=1.0).item()
+            loss = contrastive_loss(z, ring_neighbors(2), tau=1.0, anchors=np.arange(2)).item()
             expected = -np.log(np.exp(s) / (np.exp(s) + np.exp(1.0)))
             assert loss == pytest.approx(expected, abs=1e-9)
             if previous is not None:
@@ -315,9 +315,9 @@ class TestContrastiveLoss:
         rng = np.random.default_rng(5)
         z = unit_rows(rng, 8, 4)
         nbrs = ring_neighbors(8)
-        base = contrastive_loss(Tensor(z), nbrs, tau=0.5).item()
+        base = contrastive_loss(Tensor(z), nbrs, tau=0.5, anchors=np.arange(8)).item()
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        rotated = contrastive_loss(Tensor(z @ q), nbrs, tau=0.5).item()
+        rotated = contrastive_loss(Tensor(z @ q), nbrs, tau=0.5, anchors=np.arange(8)).item()
         assert rotated == pytest.approx(base, abs=1e-9)
 
     def test_loss_non_negative(self):
@@ -325,7 +325,7 @@ class TestContrastiveLoss:
         nbrs = ring_neighbors(6)
         for _ in range(20):
             z = unit_rows(rng, 6, 3)
-            assert contrastive_loss(Tensor(z), nbrs, tau=0.3).item() >= 0.0
+            assert contrastive_loss(Tensor(z), nbrs, tau=0.3, anchors=np.arange(6)).item() >= 0.0
 
     def test_errors(self):
         z = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
@@ -333,16 +333,17 @@ class TestContrastiveLoss:
         with pytest.raises(ValueError, match="cell 1"):
             neighbor_arrays(isolated.directed_edges())
         with pytest.raises(ValueError, match="temperature"):
-            contrastive_loss(z, ring_neighbors(2), tau=0.0)
+            contrastive_loss(z, ring_neighbors(2), tau=0.0, anchors=np.arange(2))
         with pytest.raises(ValueError, match="unit-norm"):
-            contrastive_loss(z * 2.0, ring_neighbors(2), tau=1.0)
+            contrastive_loss(z * 2.0, ring_neighbors(2), tau=1.0, anchors=np.arange(2))
         with pytest.raises(ValueError, match="cover every"):
-            contrastive_loss(z, ring_neighbors(3), tau=1.0)
+            contrastive_loss(z, ring_neighbors(3), tau=1.0, anchors=np.arange(2))
 
-    @pytest.mark.parametrize("anchors", [[2, 1], [1, 1, 3], [[0, 1]]])
+    # -1 would alias cell 4 and 5 would index past the last cell
+    @pytest.mark.parametrize("anchors", [[2, 1], [1, 1, 3], [[0, 1]], [-1, 4], [0, 5]])
     def test_anchors_must_be_strictly_increasing(self, anchors):
         z = Tensor(unit_rows(np.random.default_rng(8), 5, 3))
-        with pytest.raises(ValueError, match="strictly increasing"):
+        with pytest.raises(ValueError, match=r"strictly increasing cell indices in \[0, 5\)"):
             contrastive_loss(z, ring_neighbors(5), tau=0.5, anchors=np.array(anchors))
 
     @pytest.mark.parametrize("with_anchors", [False, True], ids=["all", "anchors"])
@@ -353,7 +354,7 @@ class TestContrastiveLoss:
         # "exactly" up to summation order: the fused op sums in anchor blocks
         rng = np.random.default_rng(n)
         anchors = np.sort(rng.choice(n, size=max(1, n // 4), replace=False)) if with_anchors \
-            else None
+            else np.arange(n)
         _assert_match(*_contrastive_pair(kind, n, anchors, rng))
 
     @pytest.mark.parametrize("kind", ["knn", "delaunay"])
@@ -372,7 +373,7 @@ class TestContrastiveLoss:
         n = 12
         rng = np.random.default_rng(11)
         neighbors = neighbor_arrays(build_knn_graph(rng.random((2, n)), k=3).directed_edges())
-        anchors = np.array([0, 2, 3, 5, 7, 8, 9, 11]) if with_anchors else None
+        anchors = np.array([0, 2, 3, 5, 7, 8, 9, 11]) if with_anchors else np.arange(n)
         x_values = rng.standard_normal((n, 3))
 
         def loss(x):
@@ -413,14 +414,14 @@ class TestContrastiveLoss:
         rng = np.random.default_rng(10)
         graph = build_knn_graph(rng.random((2, n)), k=6)
         z = Tensor(unit_rows(rng, n, 32), requires_grad=True)
-        peak = _contrastive_peak(z, graph, anchors=None)
+        peak = _contrastive_peak(z, graph, anchors=np.arange(n))
         # a few anchor blocks, far below the n x n similarity matrix
         assert peak < 2 * ad._ANCHOR_CHUNK * n * 8 < n * n * 8, f"peak {peak / 2**20:.1f} MiB"
 
     def test_peak_memory_at_8k_cells(self):
         n, n_anchors = 8000, 4096
         rng = np.random.default_rng(13)
-        graph = build_delaunay_graph(rng.random((2, n)))
+        graph = build_delaunay_graph(rng.random((2, n)), prune_percentile=100.0)
         z = Tensor(unit_rows(rng, n, 32), requires_grad=True)
         anchors = np.sort(rng.choice(n, size=n_anchors, replace=False))
         peak = _contrastive_peak(z, graph, anchors)
@@ -431,7 +432,7 @@ def _contrastive_pair(kind, n, anchors, rng):
     """Loss value and z.grad of the fused loss and of the dense oracle."""
     coords = rng.random((2, n))
     graph = (build_knn_graph(coords, k=min(6, n - 1)) if kind == "knn"
-             else build_delaunay_graph(coords))
+             else build_delaunay_graph(coords, prune_percentile=100.0))
     z_values = unit_rows(rng, n, 8)
     z = Tensor(z_values.copy(), requires_grad=True)
     loss = contrastive_loss(z, neighbor_arrays(graph.directed_edges()), 0.3, anchors)
@@ -607,7 +608,8 @@ class TestConvBlockOracle:
         fused = [z.values, *(model.params[k].grad for k in names),
                  *(s.running_mean for s in model.bn_states.values()),
                  *(s.running_var for s in model.bn_states.values())]
-        ad.zero_grads(model.params.values())
+        for p in model.params.values():
+            p.grad = None
 
         x = Tensor(maps.reshape(10, 1, 6, 6))
         for i in range(2):
@@ -719,7 +721,8 @@ class TestModelGradients:
         def total_loss():
             _, _, z_fused = model.encode(features, maps, edges, training=True, masked=mask)
             recon = sce_loss(features, model.decode(z_fused, edges, mask), mask, cfg.gamma)
-            con = contrastive_loss(ad.l2_normalize_rows(z_fused), neighbors, cfg.tau)
+            con = contrastive_loss(ad.l2_normalize_rows(z_fused), neighbors, cfg.tau,
+                                   anchors=np.arange(ds.n_cells))
             return recon + con
 
         loss = total_loss()

@@ -60,3 +60,15 @@ def test_fit_refines_each_sample_alone():
     assert result.samples.tolist() == ["sample0"] * 150 + ["sample1"] * 150
     assert result.dataset.batch_labels == result.samples.tolist()
     assert result.dataset.cell_ids[0] == "s0_c0" and result.dataset.cell_ids[150] == "s1_c0"
+
+
+def test_fit_on_fewer_cells_than_pca_dim():
+    # 25 cells: PCA keeps n - 1 = 24 dims, not clustering.pca_dim = 30
+    ds = generate_tissue(SyntheticSpec(n_cells=25, n_genes=20, n_domains=2, seed=0))[0]
+    cfg = PipelineConfig()
+    cfg.model.epochs = 2
+    cfg.clustering.n_domains = 2
+    assert cfg.clustering.pca_dim > ds.n_cells
+    result = pipeline.fit([ds], cfg)
+    assert result.labels.labels.shape == (25,)
+    assert set(result.labels.labels.tolist()) <= {0, 1}
