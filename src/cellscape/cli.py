@@ -4,13 +4,15 @@ Subcommands: preprocess, graph, train, segment, evaluate, analyze, simulate.
 All read one YAML config (``--config``) with flag overrides, each flag
 setting the config key that is its argparse dest; ``CELLSCAPE_SEED``
 overrides the configured seed. Only ``preprocess``, ``graph`` and ``train``
-read input data, so only they take ``--expression``, ``--coords`` and
-``--format``;
-``segment``, ``evaluate`` and ``analyze`` read the artifacts of ``train`` in
-the output directory, and ``simulate`` writes a tissue there. ``train`` fits
-every entry of ``paths.samples`` jointly when that list is set, and
-otherwise the one sample of ``paths.expression`` and ``paths.coords``. Exit
-codes: 0 success, 1 usage or configuration error, 2 numerical failure.
+read input data. ``preprocess`` and ``train`` take ``--expression``,
+``--coords`` and ``--format``; ``graph`` reads the coordinate file alone,
+so it takes only ``--coords``, and node i of its graph is row i of that
+file. ``segment``, ``evaluate`` and ``analyze`` read the artifacts of
+``train`` in the output directory, and ``simulate`` writes a tissue there.
+``train`` fits every entry of ``paths.samples`` jointly when that list is
+set, and otherwise the one sample of ``paths.expression`` and
+``paths.coords``. Exit codes: 0 success, 1 usage or configuration error,
+2 numerical failure.
 """
 
 from __future__ import annotations
@@ -107,9 +109,9 @@ def cmd_preprocess(cfg: PipelineConfig) -> int:
 
 
 def cmd_graph(cfg: PipelineConfig) -> int:
-    ds = _load_input_dataset(cfg)
+    coords, _ = load_coords(_require(cfg.paths.coords, "paths.coords"))
     out = _outdir(cfg)
-    graph = pipeline.build_graph(ds.coords, cfg)
+    graph = pipeline.build_graph(coords, cfg)
     write_edge_list(out / "graph.txt", graph)
     print(f"wrote {out / 'graph.txt'} ({graph.n_nodes} nodes, {graph.n_edges} edges)")
     return 0
@@ -278,34 +280,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, help: str, inputs: bool = False) -> argparse.ArgumentParser:
-        """A subcommand's parser; ``inputs`` adds the input expression and
-        coordinate paths and the expression format, for the subcommands that
-        read them."""
+    input_flags = {
+        "--expression": ("paths.expression", "expression matrix path"),
+        "--coords": ("paths.coords", "coordinates CSV path"),
+        "--format": ("paths.format", f"expression file format: {', '.join(FORMATS)}"),
+    }
+    dataset = tuple(input_flags)
+
+    def command(name: str, help: str, inputs: tuple = ()) -> argparse.ArgumentParser:
+        """A subcommand's parser; ``inputs`` names the flags of
+        ``input_flags`` it takes, the input files it reads."""
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", default=None, help="YAML pipeline config file")
         _flag(p, "--seed", "seed", "random seed")
         _flag(p, "--output-dir", "paths.output_dir", "artifact directory")
-        if inputs:
-            _flag(p, "--expression", "paths.expression", "expression matrix path")
-            _flag(p, "--coords", "paths.coords", "coordinates CSV path")
-            _flag(p, "--format", "paths.format",
-                  f"expression file format: {', '.join(FORMATS)}")
+        for flag in inputs:
+            _flag(p, flag, *input_flags[flag])
         return p
 
-    p = command("preprocess", "normalize, select variable genes, correlate", inputs=True)
+    p = command("preprocess", "normalize, select variable genes, correlate", inputs=dataset)
     _flag(p, "--target-sum", "preprocessing.target_sum", "per-cell total after normalization")
     _flag(p, "--n-hvg", "preprocessing.n_hvg", "variable genes to keep")
     _flag(p, "--combat", "preprocessing.combat", "apply batch harmonization",
           action="store_true")
 
-    p = command("graph", "build the spatial cell graph", inputs=True)
+    p = command("graph", "build the spatial cell graph from the coordinates",
+                inputs=("--coords",))
     _flag(p, "--method", "graph.method", f"construction method: {', '.join(GRAPH_METHODS)}")
     _flag(p, "--k", "graph.k", "neighbors for knn")
     _flag(p, "--prune-percentile", "graph.prune_percentile", "Delaunay long-edge cutoff")
 
     p = command("train", "train on one sample or on every entry of paths.samples, "
-                         "write embeddings and domains", inputs=True)
+                         "write embeddings and domains", inputs=dataset)
     _flag(p, "--epochs", "model.epochs", "training epochs")
     _flag(p, "--cci-only", "model.cci_only",
           "spatial-only variant, skips the gene-map branch", action="store_true")
@@ -316,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("segment", "cluster spatial embeddings into domains")
     _flag(p, "--n-domains", "clustering.n_domains", "mixture components K")
-    _flag(p, "--pca-dim", "clustering.pca_dim", "PCA dimensions before clustering")
     _flag(p, "--no-refine", "clustering.refine", "skip majority-vote refinement",
           action="store_false")
     _flag(p, "--refine-neighbors", "clustering.refine_neighbors", "voters per cell")

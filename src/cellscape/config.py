@@ -97,17 +97,21 @@ class LayoutConfig:
 @dataclass
 class ClusteringConfig:
     n_domains: int = 5
-    pca_dim: int = 30
     refine: bool = True
     refine_neighbors: int = 15
 
     def __post_init__(self):
         if self.n_domains < 2:
             raise ValueError("n_domains must be at least 2")
-        if self.pca_dim < 1:
-            raise ValueError("pca_dim must be positive")
         if self.refine_neighbors < 1:
             raise ValueError("refine_neighbors must be positive")
+
+    @property
+    def pca_dim(self) -> int:
+        """The PCA width before the GMM: the domain count K. Not a setting;
+        every domain readout (the fit and its PCA+GMM controls) reads it
+        here."""
+        return self.n_domains
 
 
 @dataclass

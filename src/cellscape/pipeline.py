@@ -61,18 +61,25 @@ def make_layout(coexpr: CoexpressionMatrix, cfg: PipelineConfig) -> GeneLayout:
     return layout_genes(coexpr, seed=cfg.seed, swap_budget=budget)
 
 
+def _pca_gmm(X: np.ndarray, cfg: PipelineConfig) -> DomainLabels:
+    """A K-component GMM, K = ``clustering.n_domains``, on the cells x
+    features ``X`` reduced by PCA to ``clustering.pca_dim`` (= K) dims. An
+    ``X`` with at most K columns is clustered as it is, and so is one with
+    at most K cells, which ``gmm_cluster`` rejects by name."""
+    k = cfg.clustering.pca_dim
+    reduced = X if min(X.shape) <= k else pca_reduce(X, k=k)
+    return gmm_cluster(reduced, K=cfg.clustering.n_domains, seed=cfg.seed)
+
+
 def segment_embeddings(Z_spatial: np.ndarray, coords: np.ndarray,
                        cfg: PipelineConfig,
                        sample_labels: np.ndarray | list | None = None) -> DomainLabels:
-    """PCA to ``clustering.pca_dim`` dims, or to n - 1 on fewer cells (the
-    rank of n centred rows), skipped when the embedding is already that
-    narrow; GMM, then optional spatial majority-vote refinement.
+    """PCA to K = ``clustering.n_domains`` dims and a K-component GMM
+    (``_pca_gmm``), then optional spatial majority-vote refinement.
     ``sample_labels`` gives each cell's sample when several samples share
     one coordinate frame; cells then vote only among neighbours from their
     own sample."""
-    k = min(cfg.clustering.pca_dim, Z_spatial.shape[0] - 1)
-    reduced = Z_spatial if Z_spatial.shape[1] <= k else pca_reduce(Z_spatial, k=k)
-    result = gmm_cluster(reduced, K=cfg.clustering.n_domains, seed=cfg.seed)
+    result = _pca_gmm(Z_spatial, cfg)
     if not cfg.clustering.refine:
         return result
     n = len(result.labels)
@@ -88,13 +95,11 @@ def segment_embeddings(Z_spatial: np.ndarray, coords: np.ndarray,
 
 
 def baseline_pca_gmm(ds_raw: ExpressionDataset, cfg: PipelineConfig) -> DomainLabels:
-    """Non-spatial control: the same preprocessing, then PCA on expression
-    followed by GMM (no graph, no refinement)."""
+    """Non-spatial control: the same preprocessing, then the fit's own
+    readout, PCA to K dims and a K-component GMM (``_pca_gmm``), on the
+    expression (no graph, no refinement)."""
     ds_pre, _, _ = preprocess_dataset(ds_raw, cfg)
-    X = ds_pre.X.T  # cells x genes
-    k = min(cfg.clustering.pca_dim, min(X.shape) - 1)
-    reduced = pca_reduce(X, k=k)
-    return gmm_cluster(reduced, K=cfg.clustering.n_domains, seed=cfg.seed)
+    return _pca_gmm(ds_pre.X.T, cfg)  # cells x genes
 
 
 @dataclasses.dataclass

@@ -8,7 +8,11 @@ from collections import Counter
 import pytest
 import yaml
 
+from cellscape import pipeline
 from cellscape.cli import main
+from cellscape.config import PipelineConfig
+from cellscape.dataset import load_coords
+from cellscape.spatial_graph import write_edge_list
 
 MARKER_HEADER = ["domain", "gene", "statistic", "p_value", "adj_p_value",
                  "log2_fold_change", "fraction_expressing"]
@@ -35,10 +39,10 @@ def test_simulate_train_segment_evaluate(tmp_path, capsys):
     out = str(tmp_path)
     common = ["--output-dir", out, "--seed", "0"]
     assert main(["simulate", *common, "--n-cells", "400", "--n-genes", "60"]) == 0
-    inputs = ["--expression", str(tmp_path / "expression.csv"),
-              "--coords", str(tmp_path / "coords.csv")]
+    coords = ["--coords", str(tmp_path / "coords.csv")]
+    inputs = ["--expression", str(tmp_path / "expression.csv"), *coords]
     assert main(["preprocess", *common, *inputs]) == 0
-    assert main(["graph", *common, *inputs]) == 0
+    assert main(["graph", *common, *coords]) == 0
     for name in ("hvg_genes.txt", "coexpression.csv", "graph.txt"):
         assert (tmp_path / name).stat().st_size > 0, name
     assert main(["train", *common, *inputs, "--epochs", "3"]) == 0
@@ -137,7 +141,7 @@ def test_analyze_writes_enrichment(tmp_path, capsys):
         assert float(p) <= float(adj) <= 1.0
 
 
-def test_graph_reads_a_sparse_triplet_sample(tmp_path, capsys):
+def test_preprocess_reads_a_sparse_triplet_sample(tmp_path, capsys):
     # --format is a flag of every subcommand that reads the expression file
     assert main(["simulate", "--output-dir", str(tmp_path), "--seed", "0",
                  "--n-cells", "60", "--n-genes", "10", "--n-domains", "2"]) == 0
@@ -147,23 +151,35 @@ def test_graph_reads_a_sparse_triplet_sample(tmp_path, capsys):
     sparse = tmp_path / "expression.txt"
     sparse.write_text(f"%shape {len(rows)} {len(header) - 1}\n" + "\n".join(triplets) + "\n")
     out = tmp_path / "out"
-    argv = ["graph", "--output-dir", str(out), "--expression", str(sparse),
+    argv = ["preprocess", "--output-dir", str(out), "--expression", str(sparse),
             "--coords", str(tmp_path / "coords.csv")]
     assert main(argv) == 1  # read as the default dense-csv
     assert main([*argv, "--format", "sparse-triplet"]) == 0
-    assert (out / "graph.txt").read_text().splitlines()[0] == "%n 60"
+    assert read_rows(out / "preprocessed_expression.csv")[0] == \
+        ["gene_id", *(cid for cid, _, _ in read_rows(tmp_path / "coords.csv")[1:])]
+
+
+def test_graph_reads_the_coordinates_alone(tmp_path, capsys):
+    assert main(["simulate", "--output-dir", str(tmp_path), "--seed", "0",
+                 "--n-cells", "60", "--n-genes", "10", "--n-domains", "2"]) == 0
+    (tmp_path / "expression.csv").unlink()
+    out = tmp_path / "out"
+    assert main(["graph", "--output-dir", str(out), "--coords", str(tmp_path / "coords.csv")]) == 0
+    coords, _ = load_coords(tmp_path / "coords.csv")
+    write_edge_list(tmp_path / "expected.txt", pipeline.build_graph(coords, PipelineConfig()))
+    assert (out / "graph.txt").read_text() == (tmp_path / "expected.txt").read_text()
 
 
 def test_knn_graph_and_embedding_transitions(tmp_path, capsys):
     out = str(tmp_path)
     common = ["--output-dir", out, "--seed", "0"]
-    inputs = ["--expression", str(tmp_path / "expression.csv"),
-              "--coords", str(tmp_path / "coords.csv")]
+    coords = ["--coords", str(tmp_path / "coords.csv")]
+    inputs = ["--expression", str(tmp_path / "expression.csv"), *coords]
     assert main(["simulate", *common, "--n-cells", "200", "--n-genes", "30"]) == 0
     assert main(["train", *common, *inputs, "--epochs", "1"]) == 0
     assert main(["analyze", *common]) == 0
     spatial = (tmp_path / "transition.txt").read_text()
-    assert main(["graph", *common, *inputs, "--method", "knn"]) == 0
+    assert main(["graph", *common, *coords, "--method", "knn"]) == 0
     header, *edges = (tmp_path / "graph.txt").read_text().splitlines()
     assert header == "%n 200"
     degree = Counter(int(cell) for line in edges for cell in line.split()[:2])
@@ -208,9 +224,9 @@ def test_type_labels_are_read_by_analyze_only(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     [], ["integrate"], ["train", "--epochs", "x"], ["train", "--no-such-flag"],
-    ["segment", "--no-refine", "yes"], ["--seed", "1"],
+    ["segment", "--no-refine", "yes"], ["--seed", "1"], ["segment", "--pca-dim", "5"],
 ], ids=["no-command", "integrate-is-gone", "bad-type", "unknown-flag", "flag-value",
-        "flag-before-command"])
+        "flag-before-command", "pca-dim-is-gone"])
 def test_usage_error_exits_1(argv, capsys):
     assert main(argv) == 1
     assert "usage: cellscape" in capsys.readouterr().err
@@ -229,9 +245,9 @@ def test_help_exits_0(capsys):
     assert "usage: cellscape" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", ["segment", "evaluate", "analyze", "simulate"])
+@pytest.mark.parametrize("command", ["graph", "segment", "evaluate", "analyze", "simulate"])
 def test_input_paths_are_usage_errors_where_unread(tmp_path, capsys, command):
-    # only preprocess, graph and train read --expression and --coords
+    # only preprocess and train read --expression; graph reads --coords alone
     out = tmp_path / "out"
     argv = [command, "--output-dir", str(out), "--expression", str(tmp_path / "nowhere.csv")]
     if command == "simulate":

@@ -44,7 +44,6 @@ DEFAULTS = {
     "model.weight_decay": 1e-4,
     "model.cci_only": False,
     "clustering.n_domains": 5,
-    "clustering.pca_dim": 30,
     "clustering.refine": True,
     "clustering.refine_neighbors": 15,
     "analysis.transition_source": "spatial",
@@ -95,7 +94,7 @@ def write_yaml(path, data) -> str:
 
 
 def test_defaults_are_the_literal_table():
-    assert len(DEFAULTS) == 44
+    assert len(DEFAULTS) == 43
     assert settable(PipelineConfig()) == DEFAULTS
 
 
@@ -167,7 +166,9 @@ BAD = [
     pytest.param(["--tau", "0"], None, ["model", "tau"], id="tau-flag"),
     pytest.param([], {"clustering": {"refine_neighbors": 0}}, ["clustering", "refine_neighbors"],
                  id="refine_neighbors"),
-    pytest.param([], {"clustering": {"pca_dim": 0}}, ["clustering", "pca_dim"], id="pca_dim"),
+    # the PCA width is the domain count, not a setting
+    pytest.param([], {"clustering": {"pca_dim": 30}}, ["unknown", "clustering", "pca_dim"],
+                 id="pca_dim"),
     pytest.param([], {"layout": {"swap_budget_factor": -1}}, ["layout", "swap_budget_factor"],
                  id="swap_budget_factor"),
     pytest.param([], {"model": {"cnn_channels": 4}}, ["model.cnn_channels"], id="cnn_channels-int"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cellscape import pipeline
-from cellscape.cluster import refine_labels
+from cellscape.cluster import gmm_cluster, pca_reduce, refine_labels
 from cellscape.config import PipelineConfig, model_config_from
 from cellscape.synth import SyntheticSpec, generate_tissue
 from cellscape.training import train
@@ -62,13 +62,67 @@ def test_fit_refines_each_sample_alone():
     assert result.dataset.cell_ids[0] == "s0_c0" and result.dataset.cell_ids[150] == "s1_c0"
 
 
-def test_fit_on_fewer_cells_than_pca_dim():
-    # 25 cells: PCA keeps n - 1 = 24 dims, not clustering.pca_dim = 30
+def test_fit_on_25_cells():
     ds = generate_tissue(SyntheticSpec(n_cells=25, n_genes=20, n_domains=2, seed=0))[0]
     cfg = PipelineConfig()
     cfg.model.epochs = 2
     cfg.clustering.n_domains = 2
-    assert cfg.clustering.pca_dim > ds.n_cells
     result = pipeline.fit([ds], cfg)
     assert result.labels.labels.shape == (25,)
     assert set(result.labels.labels.tolist()) <= {0, 1}
+
+
+def k_domain_config(seed: int) -> PipelineConfig:
+    cfg = PipelineConfig(seed=seed)
+    cfg.clustering.n_domains = 3
+    return cfg
+
+
+def test_segment_reads_k_principal_components():
+    # the PCA width is the domain count; an embedding that narrow skips PCA
+    centres = np.random.default_rng(0).normal(scale=3.0, size=(3, 32))
+    Z = np.repeat(centres, 30, axis=0) + np.random.default_rng(1).normal(size=(90, 32))
+    cfg = k_domain_config(seed=5)
+    cfg.clustering.refine = False
+    assert cfg.clustering.pca_dim == 3
+    labels = pipeline.segment_embeddings(Z, np.zeros((2, 90)), cfg).labels
+    np.testing.assert_array_equal(labels, gmm_cluster(pca_reduce(Z, 3), 3, seed=5).labels)
+    narrow = Z[:, :3]
+    labels = pipeline.segment_embeddings(narrow, np.zeros((2, 90)), cfg).labels
+    np.testing.assert_array_equal(labels, gmm_cluster(narrow, 3, seed=5).labels)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_segment_names_too_few_cells(n):
+    cfg = k_domain_config(seed=0)
+    with pytest.raises(ValueError, match=f"need more cells than components, got n={n}, K=3"):
+        pipeline.segment_embeddings(np.ones((n, 32)), np.zeros((2, n)), cfg)
+
+
+def test_control_reads_k_principal_components_of_the_expression():
+    ds = generate_tissue(SyntheticSpec(n_cells=120, n_genes=40, n_domains=3, seed=2))[0]
+    cfg = k_domain_config(seed=2)
+    X = pipeline.preprocess_dataset(ds, cfg)[0].X.T
+    np.testing.assert_array_equal(pipeline.baseline_pca_gmm(ds, cfg).labels,
+                                  gmm_cluster(pca_reduce(X, 3), 3, seed=2).labels)
+
+
+def test_readouts_call_the_clustering_through_the_pipeline_module(monkeypatch):
+    # the benchmark's tracer times PCA and the GMM by patching these names
+    calls = []
+
+    def counted(name):
+        original = getattr(pipeline, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return call
+
+    for name in ("pca_reduce", "gmm_cluster"):
+        monkeypatch.setattr(pipeline, name, counted(name))
+    ds = generate_tissue(SyntheticSpec(n_cells=60, n_genes=20, n_domains=3, seed=3))[0]
+    cfg = k_domain_config(seed=3)
+    pipeline.baseline_pca_gmm(ds, cfg)
+    pipeline.segment_embeddings(np.random.default_rng(0).normal(size=(60, 8)), ds.coords, cfg)
+    assert calls == ["pca_reduce", "gmm_cluster"] * 2
