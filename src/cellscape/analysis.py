@@ -30,11 +30,10 @@ class TransitionGraph:
 
 @dataclass
 class CompositionMatrix:
-    """Domain x cell-type proportions with raw counts and tissue-wide totals."""
+    """Domain x cell-type proportions and tissue-wide proportions."""
 
     domains: list
     types: list
-    N: np.ndarray        # (D, T) counts
     P: np.ndarray        # (D, T), rows sum to 1
     P_all: np.ndarray    # (T,), sums to 1
 
@@ -240,7 +239,7 @@ def composition(labels, type_labels) -> CompositionMatrix:
     P = N / row_tot
     P_all = N.sum(axis=0) / N.sum()
     return CompositionMatrix(
-        domains=domain_ids.tolist(), types=type_ids.tolist(), N=N, P=P, P_all=P_all
+        domains=domain_ids.tolist(), types=type_ids.tolist(), P=P, P_all=P_all
     )
 
 

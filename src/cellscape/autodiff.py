@@ -97,9 +97,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return add(self, mul(other, -1.0))
 
@@ -109,17 +106,8 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(other, self)
-
     def __truediv__(self, other):
         return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __pow__(self, exponent):
         return power(self, exponent)
@@ -333,13 +321,10 @@ def gather_rows(a, index) -> Tensor:
     """Masked row selection: pick rows of ``a`` by integer index (with repeats)."""
     a = as_tensor(a)
     idx = np.asarray(index, dtype=np.intp)
-    order: list[np.ndarray] = []  # lazy argsort cache for the scatter-add
 
     def backward_fn(g):
         if a.requires_grad:
-            if not order:
-                order.append(np.argsort(idx, kind="stable"))
-            perm = order[0]
+            perm = np.argsort(idx, kind="stable")
             a._accumulate(_sorted_row_sums(g[perm], idx[perm], a.shape[0]), own=True)
 
     return _make(a.values[idx], (a,), backward_fn, "gather_rows")

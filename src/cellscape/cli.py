@@ -2,12 +2,12 @@
 
 Subcommands: preprocess, graph, train, segment, evaluate, analyze, simulate.
 All read one YAML config (``--config``) with flag overrides, each flag
-setting the config key that is its argparse dest; ``CELLSCAPE_SEED``
-overrides the configured seed. Only ``preprocess``, ``graph`` and ``train``
-read input data. ``preprocess`` and ``train`` take ``--expression``,
-``--coords`` and ``--format``; ``graph`` reads the coordinate file alone,
-so it takes only ``--coords``, and node i of its graph is row i of that
-file. ``segment``, ``evaluate`` and ``analyze`` read the artifacts of
+setting the config key that is its argparse dest (``--seed`` sets the
+seed); no environment variable is read. Only ``preprocess``, ``graph`` and
+``train`` read input data. ``preprocess`` and ``train`` take
+``--expression``, ``--coords`` and ``--format``; ``graph`` reads the
+coordinate file alone, so it takes only ``--coords``, and node i of its
+graph is row i of that file. ``segment``, ``evaluate`` and ``analyze`` read the artifacts of
 ``train`` in the output directory, and ``simulate`` writes a tissue there.
 ``train`` fits every entry of ``paths.samples`` jointly when that list is
 set, and otherwise the one sample of ``paths.expression`` and

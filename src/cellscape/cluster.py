@@ -14,11 +14,11 @@ from .spatial_graph import nearest_neighbors
 
 @dataclass
 class DomainLabels:
-    """Hard domain assignments with optional posterior responsibilities."""
+    """Hard domain assignments; from ``gmm_cluster`` also the per-E-step
+    log-likelihood and penalized objective paths."""
 
     labels: np.ndarray                      # (n,) ints in [0, n_domains)
     n_domains: int
-    posterior: np.ndarray | None = None     # (n, K), rows sum to 1
     log_likelihood_path: list[float] = field(default_factory=list, repr=False)
     # per E-step, the penalized log-likelihood EM ascends (see gmm_cluster)
     objective_path: list[float] = field(default_factory=list, repr=False)
@@ -199,8 +199,8 @@ def gmm_cluster(Zp: np.ndarray, K: int, seed: int,
         f for f in finals if f[0] >= top - _RESTART_RTOL * abs(top)
     )
     labels = resp.argmax(axis=1).astype(np.int64)
-    return DomainLabels(labels=labels, n_domains=K, posterior=resp,
-                        log_likelihood_path=path, objective_path=objectives)
+    return DomainLabels(labels=labels, n_domains=K, log_likelihood_path=path,
+                        objective_path=objectives)
 
 
 def refine_labels(labels: np.ndarray, coords: np.ndarray, r: int) -> DomainLabels:

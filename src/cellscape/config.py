@@ -1,15 +1,14 @@
 """Pipeline configuration: one YAML section per stage, each section the type
 its stage takes (``model`` is ``network.ModelConfig``, ``simulate`` is
-``synth.SyntheticSpec``). ``load_config`` merges the YAML file, CLI flags
-and ``CELLSCAPE_SEED`` and builds each section once, so every type and value
-check runs at load, before any stage. The seed is set once, at the top level;
+``synth.SyntheticSpec``). ``load_config`` merges the YAML file and CLI
+flags and builds each section once, so every type and value check runs at
+load, before any stage. The seed is set once, at the top level;
 ``model_config_from`` and the simulate command hand it to their section."""
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -190,8 +189,8 @@ def _section(name: str, cls, block: dict):
 
 
 def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
-    """Build a config from YAML (optional), flag overrides (optional), and the
-    CELLSCAPE_SEED environment variable (highest precedence for the seed)."""
+    """Build a config from YAML (optional) and flag overrides (optional),
+    which take precedence over it; the environment sets nothing."""
     data = {}
     if path is not None:
         with open(path) as fh:
@@ -220,13 +219,6 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
             blocks[section][key] = value
         else:
             seed = value
-
-    env_seed = os.environ.get("CELLSCAPE_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ValueError(f"CELLSCAPE_SEED must be an integer, got {env_seed!r}") from None
     sections = {name: _section(name, cls, blocks[name]) for name, cls in _SECTIONS.items()}
     return PipelineConfig(seed=_typed("seed", seed, 0), **sections)
 

@@ -29,12 +29,6 @@ class GeneLayout:
         return self.positions[:, 0] * self.q + self.positions[:, 1]
 
 
-def _layout_objective(w: np.ndarray, positions: np.ndarray) -> float:
-    diffs = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt((diffs.astype(np.float64) ** 2).sum(axis=2))
-    return 0.5 * float((w * dist).sum())
-
-
 def _add_outer(M: np.ndarray, u: np.ndarray, v: np.ndarray, buf: np.ndarray) -> None:
     """``M += outer(u, v)`` through the preallocated ``buf`` of M's shape,
     so a rank-1 update allocates nothing."""
@@ -65,8 +59,6 @@ def layout_genes(coexpr: CoexpressionMatrix, seed: int, *, swap_budget: int) -> 
     if p < 1:
         raise ValueError("need at least one gene")
     q = math.isqrt(p - 1) + 1 if p > 1 else 1
-    if q * q < p:  # pragma: no cover - isqrt guard
-        q += 1
 
     w = np.maximum(C, 0.0)
     np.fill_diagonal(w, 0.0)
@@ -95,8 +87,7 @@ def layout_genes(coexpr: CoexpressionMatrix, seed: int, *, swap_budget: int) -> 
         attachment += w[:, g]
         attachment[g] = -np.inf
 
-    positions = grid_rs[cell_of].copy()
-    greedy_j = _layout_objective(w, positions)
+    greedy_j = 0.5 * float((w * grid_dist[np.ix_(cell_of, cell_of)]).sum())
 
     # first-improvement pairwise swap hill climbing over a fixed budget;
     # candidate pairs are scored in chunks against the current layout and the
@@ -125,10 +116,11 @@ def layout_genes(coexpr: CoexpressionMatrix, seed: int, *, swap_budget: int) -> 
                 i = improving[0]
                 cell_of[a[i]], cell_of[b[i]] = pb[i], pa[i]
                 _add_outer(M, w[:, a[i]] - w[:, b[i]], grid_dist[pb[i]] - grid_dist[pa[i]], buf)
-        positions = grid_rs[cell_of].copy()
-        j = _layout_objective(w, positions)  # from scratch, free of the table's float drift
+        # from scratch, free of the table's float drift
+        j = 0.5 * float((w * grid_dist[np.ix_(cell_of, cell_of)]).sum())
 
-    return GeneLayout(positions=positions, q=q, objective_value=j, greedy_objective=greedy_j)
+    return GeneLayout(positions=grid_rs[cell_of], q=q, objective_value=j,
+                      greedy_objective=greedy_j)
 
 
 def render_maps(X: np.ndarray, layout: GeneLayout) -> np.ndarray:

@@ -66,7 +66,6 @@ class CellScapeModel:
 
     def __init__(self, n_genes: int, q: int | None, cfg: ModelConfig):
         self.cfg = cfg
-        self.n_genes = n_genes
         self.q = q
         self.params: dict[str, Tensor] = {}
         self.bn_states: dict[str, BatchNormState] = {}

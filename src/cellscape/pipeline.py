@@ -104,11 +104,11 @@ def baseline_pca_gmm(ds_raw: ExpressionDataset, cfg: PipelineConfig) -> DomainLa
 
 @dataclasses.dataclass
 class Fit:
-    """One run of the pipeline, as its callers read it."""
+    """One run of the pipeline, as its callers read it. The gene layout is
+    not kept: only training reads it."""
 
     dataset: ExpressionDataset      # preprocessed, the samples merged
     graph: SpatialGraph             # per-sample graphs, block-diagonal
-    layout: GeneLayout | None       # None with cci_only
     embeddings: EmbeddingSet
     log: list[dict]                 # one record per training epoch
     labels: DomainLabels
@@ -139,13 +139,33 @@ def _merge_samples(samples: list[ExpressionDataset]) -> tuple[ExpressionDataset,
     return merged, names
 
 
+def _check_segmentable(samples: list[ExpressionDataset], cfg: PipelineConfig) -> None:
+    """Raise if the segmentation at the end of ``fit`` cannot run on these
+    samples: the GMM needs more cells than ``clustering.n_domains``, and
+    refinement more cells in each sample than ``clustering.refine_neighbors``."""
+    n_cells = sum(s.n_cells for s in samples)
+    K = cfg.clustering.n_domains
+    if n_cells <= K:
+        raise ValueError(f"{n_cells} cells in total; clustering.n_domains={K} needs more")
+    if not cfg.clustering.refine:
+        return
+    r = cfg.clustering.refine_neighbors
+    for idx, sample in enumerate(samples):
+        if sample.n_cells <= r:
+            raise ValueError(f"sample{idx} has {sample.n_cells} cells; "
+                             f"clustering.refine_neighbors={r} needs more "
+                             "(or set clustering.refine to false)")
+
+
 def fit(samples: list[ExpressionDataset], cfg: PipelineConfig) -> Fit:
     """Raw samples to domain labels: preprocess, graph, gene layout, train,
-    segment, each once. Samples may share one coordinate frame: they share no
-    graph edge, and refinement votes only within a sample. With several
-    samples, ComBat runs with one batch per sample whatever
-    ``preprocessing.combat`` says."""
+    segment, each once; a tissue too small to segment is rejected before the
+    first stage. Samples may share one coordinate frame: they share no graph
+    edge, and refinement votes only within a sample. With several samples,
+    ComBat runs with one batch per sample whatever ``preprocessing.combat``
+    says."""
     ds, samples_of_cells = _merge_samples(samples)
+    _check_segmentable(samples, cfg)
     if len(samples) > 1:
         cfg = dataclasses.replace(
             cfg, preprocessing=dataclasses.replace(cfg.preprocessing, combat=True))
@@ -156,4 +176,4 @@ def fit(samples: list[ExpressionDataset], cfg: PipelineConfig) -> Fit:
     _, embeddings, log = train(pre, graph, layout, mcfg)
     labels = segment_embeddings(embeddings.Z_spatial, pre.coords, cfg,
                                 sample_labels=samples_of_cells)
-    return Fit(pre, graph, layout, embeddings, log, labels, samples_of_cells)
+    return Fit(pre, graph, embeddings, log, labels, samples_of_cells)

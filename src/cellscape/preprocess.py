@@ -13,10 +13,10 @@ from .dataset import ExpressionDataset
 
 @dataclass
 class CoexpressionMatrix:
-    """Symmetric gene-gene Pearson correlation with constant genes flagged."""
+    """Symmetric gene-gene Pearson correlation; a constant gene's
+    off-diagonal correlations are zero."""
 
     C: np.ndarray                  # (p, p), entries in [-1, 1], exact symmetry
-    constant_genes: np.ndarray     # boolean flags, correlations zeroed off-diagonal
 
     @property
     def n_genes(self) -> int:
@@ -83,7 +83,7 @@ def select_hvg(counts: np.ndarray, n_top: int) -> np.ndarray:
 def pearson_coexpression(ds: ExpressionDataset) -> CoexpressionMatrix:
     """Gene-gene Pearson correlation across cells, exactly symmetric.
 
-    Constant genes get zero off-diagonal correlation and are flagged.
+    Constant genes get zero off-diagonal correlation.
     """
     p, n = ds.X.shape
     if n < 2:
@@ -99,7 +99,7 @@ def pearson_coexpression(ds: ExpressionDataset) -> CoexpressionMatrix:
     upper = np.triu(C, k=1)
     C = upper + upper.T
     np.fill_diagonal(C, 1.0)
-    return CoexpressionMatrix(C=C, constant_genes=constant)
+    return CoexpressionMatrix(C=C)
 
 
 def combat_correct(ds: ExpressionDataset) -> ExpressionDataset:

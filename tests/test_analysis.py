@@ -266,7 +266,6 @@ class TestComposition:
         comp = composition(labels, types)
         np.testing.assert_allclose(comp.P.sum(axis=1), 1.0, atol=1e-12)
         assert comp.P_all.sum() == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_array_equal(comp.N.sum(), 100)
 
 
 class TestEnrichment:

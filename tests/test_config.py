@@ -1,6 +1,5 @@
 """Config loading: a bad value stops the command at load, before any stage
-runs, with an ``error:`` line naming its key; YAML, flags and
-``CELLSCAPE_SEED`` merge in that order."""
+runs, with an ``error:`` line naming its key; flags override YAML."""
 
 import argparse
 import dataclasses
@@ -83,11 +82,6 @@ def nested(flat: dict) -> dict:
     return data
 
 
-@pytest.fixture(autouse=True)
-def no_env_seed(monkeypatch):
-    monkeypatch.delenv("CELLSCAPE_SEED", raising=False)
-
-
 def write_yaml(path, data) -> str:
     path.write_text(yaml.safe_dump(data))
     return str(path)
@@ -103,22 +97,15 @@ def test_every_settable_value_loads_from_yaml(tmp_path):
     assert cfg == PipelineConfig()
 
 
-def test_yaml_then_flag_then_environment(tmp_path, monkeypatch):
+def test_yaml_then_flag(tmp_path, monkeypatch):
     path = write_yaml(tmp_path / "c.yaml", {"seed": 3, "model": {"epochs": 4, "tau": 0.2}})
     cfg = load_config(path)
     assert (cfg.seed, cfg.model.epochs, cfg.model.tau) == (3, 4, 0.2)
     cfg = load_config(path, overrides={"seed": 5, "model.epochs": 2, "model.tau": None})
     assert (cfg.seed, cfg.model.epochs, cfg.model.tau) == (5, 2, 0.2)
+    # the environment sets no value: only the file and the flags do
     monkeypatch.setenv("CELLSCAPE_SEED", "7")
-    assert load_config(path, overrides={"seed": 5}).seed == 7
-
-
-def test_non_integer_env_seed_is_named(train_argv, monkeypatch, capsys):
-    monkeypatch.setenv("CELLSCAPE_SEED", "x")
-    capsys.readouterr()
-    assert main(train_argv) == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "CELLSCAPE_SEED" in err[0], err
+    assert load_config(path, overrides={"seed": 5}).seed == 5
 
 
 def test_int_loads_as_float_and_list_as_tuple(tmp_path):

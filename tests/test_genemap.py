@@ -18,7 +18,7 @@ from oracles import naive_gene_layout
 
 def cm(C):
     C = np.asarray(C, dtype=np.float64)
-    return CoexpressionMatrix(C=C, constant_genes=np.zeros(len(C), dtype=bool))
+    return CoexpressionMatrix(C=C)
 
 
 def default_layout(C, seed):

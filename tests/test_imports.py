@@ -1,7 +1,8 @@
 """Every module under ``src/cellscape`` and ``tests`` reads each name it
 imports, every public name of the package has a caller, every defaulted
-parameter has a caller that sets it, and importing the package loads none
-of its modules, so the heavy statistics subpackage stays unloaded."""
+parameter has a caller that sets it, every stored attribute of a public
+class is read, and importing the package loads none of its modules, so the
+heavy statistics subpackage stays unloaded."""
 
 import ast
 import os
@@ -342,6 +343,77 @@ def test_scan_flags_an_unset_parameter():
     benchmark = "from cellscape import a\na.State(0.5).step(lr=0.2)\n"
     assert unset_parameters(package, [benchmark], {"a.allowed(argv)"}) == [
         "a.Spec(cache)", "a.never(flag)"]
+
+
+def stored_attributes(source: str, module: str) -> list[str]:
+    """``module.Class.name`` for each public attribute of each public class:
+    annotated or assigned class-body names, ``self.<name>`` stores in any
+    method, and public methods and properties."""
+    found = []
+    for cls in ast.parse(source).body:
+        if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+            continue
+        names = []
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names.append(node.target.id)
+            elif isinstance(node, ast.Assign):
+                names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.FunctionDef):
+                names.append(node.name)
+                names += [n.attr for n in ast.walk(node)
+                          if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                          and isinstance(n.value, ast.Name) and n.value.id == "self"]
+        found += [f"{module}.{cls.name}.{name}" for name in dict.fromkeys(names)
+                  if not name.startswith("_")]
+    return found
+
+
+def unread_attributes(package: dict[str, str], readers: list[str],
+                      allowed: set[str]) -> list[str]:
+    """Each stored attribute of ``package``'s (module -> source) public
+    classes that no ``<expr>.<name>`` load in ``readers`` reads, unless
+    ``allowed`` names it. A read resolves by name alone: ``x.n`` reads every
+    attribute ``n`` of every class."""
+    read = {node.attr for source in readers for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(target for module, source in package.items()
+                  for target in stored_attributes(source, module)
+                  if target.rsplit(".", 1)[1] not in read and target not in allowed)
+
+
+def test_every_stored_attribute_is_read():
+    package = {p.stem: p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    readers = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    readers += [p.read_text() for p in sorted((ROOT / "benchmark").glob("*.py"))]
+    allowed = {
+        # the tests compare the EM guard's penalized objective with the loop
+        # oracle's, the only direct check of its tr(cov^-1) term
+        "cluster.DomainLabels.objective_path",
+    }
+    assert unread_attributes(package, readers, allowed) == []
+
+
+def test_scan_flags_an_unread_attribute():
+    package = {
+        "a": ("from dataclasses import dataclass\n"
+              "@dataclass\nclass Record:\n    kept: int\n    unread: int\n"
+              "    LIMIT = 3\n"
+              "    @property\n    def size(self) -> int:\n        return self.kept\n"
+              "class State:\n    def __init__(self):\n        self.count = 0\n"
+              "        self.stale = 0\n        self._private = 0\n"
+              "    def step(self):\n        self.count += 1\n"
+              "    def never(self):\n        return 0\n"
+              "class _Hidden:\n    unused: int\n"),
+        "b": ("def main(record, state, other):\n"
+              "    state.step()\n"
+              "    return record.size + other.count + other.LIMIT\n"),
+    }
+    readers = list(package.values())
+    assert unread_attributes(package, readers, {"a.State.never"}) == [
+        "a.Record.unread", "a.State.stale"]
+    assert unread_attributes(package, readers, set()) == [
+        "a.Record.unread", "a.State.never", "a.State.stale"]
 
 
 def test_package_import_loads_no_module():

