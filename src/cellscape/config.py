@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
 from .dataset import FORMATS
 from .network import ModelConfig
 from .synth import SyntheticSpec
@@ -193,6 +191,8 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     which take precedence over it; the environment sets nothing."""
     data = {}
     if path is not None:
+        import yaml  # only a run with a config file pays for the import
+
         with open(path) as fh:
             try:
                 data = yaml.safe_load(fh) or {}

@@ -71,6 +71,20 @@ def _pca_gmm(X: np.ndarray, cfg: PipelineConfig) -> DomainLabels:
     return gmm_cluster(reduced, K=cfg.clustering.n_domains, seed=cfg.seed)
 
 
+def _check_refinable(cells_per_sample: dict[str, int], cfg: PipelineConfig) -> None:
+    """Raise if refinement is on and a sample has no more cells than
+    ``clustering.refine_neighbors``, the voters each cell draws from its
+    own sample."""
+    if not cfg.clustering.refine:
+        return
+    r = cfg.clustering.refine_neighbors
+    for name, n_cells in cells_per_sample.items():
+        if n_cells <= r:
+            raise ValueError(f"{name} has {n_cells} cells; "
+                             f"clustering.refine_neighbors={r} needs more "
+                             "(or set clustering.refine to false)")
+
+
 def segment_embeddings(Z_spatial: np.ndarray, coords: np.ndarray,
                        cfg: PipelineConfig,
                        sample_labels: np.ndarray | list | None = None) -> DomainLabels:
@@ -78,16 +92,18 @@ def segment_embeddings(Z_spatial: np.ndarray, coords: np.ndarray,
     (``_pca_gmm``), then optional spatial majority-vote refinement.
     ``sample_labels`` gives each cell's sample when several samples share
     one coordinate frame; cells then vote only among neighbours from their
-    own sample."""
+    own sample; without them every cell belongs to ``sample0``."""
     result = _pca_gmm(Z_spatial, cfg)
     if not cfg.clustering.refine:
         return result
     n = len(result.labels)
-    samples = np.zeros(n) if sample_labels is None else np.asarray(sample_labels)
+    samples = np.full(n, "sample0") if sample_labels is None else np.asarray(sample_labels)
     if samples.shape != (n,):
         raise ValueError(f"sample_labels must have one entry per cell ({n})")
+    names, sizes = np.unique(samples, return_counts=True)
+    _check_refinable(dict(zip(names.tolist(), sizes.tolist())), cfg)
     labels = result.labels.copy()
-    for sample in np.unique(samples):
+    for sample in names:
         cells = np.flatnonzero(samples == sample)
         labels[cells] = refine_labels(result.labels[cells], coords[:, cells],
                                       r=cfg.clustering.refine_neighbors).labels
@@ -142,19 +158,12 @@ def _merge_samples(samples: list[ExpressionDataset]) -> tuple[ExpressionDataset,
 def _check_segmentable(samples: list[ExpressionDataset], cfg: PipelineConfig) -> None:
     """Raise if the segmentation at the end of ``fit`` cannot run on these
     samples: the GMM needs more cells than ``clustering.n_domains``, and
-    refinement more cells in each sample than ``clustering.refine_neighbors``."""
+    refinement enough in each sample (``_check_refinable``)."""
     n_cells = sum(s.n_cells for s in samples)
     K = cfg.clustering.n_domains
     if n_cells <= K:
         raise ValueError(f"{n_cells} cells in total; clustering.n_domains={K} needs more")
-    if not cfg.clustering.refine:
-        return
-    r = cfg.clustering.refine_neighbors
-    for idx, sample in enumerate(samples):
-        if sample.n_cells <= r:
-            raise ValueError(f"sample{idx} has {sample.n_cells} cells; "
-                             f"clustering.refine_neighbors={r} needs more "
-                             "(or set clustering.refine to false)")
+    _check_refinable({f"sample{i}": s.n_cells for i, s in enumerate(samples)}, cfg)
 
 
 def fit(samples: list[ExpressionDataset], cfg: PipelineConfig) -> Fit:

@@ -222,6 +222,25 @@ def test_type_labels_are_read_by_analyze_only(tmp_path, capsys):
     assert float(rows[-1][header.index("unknown")]) == 1 / 200
 
 
+def test_segment_names_the_refine_setting_a_tiny_tissue_needs(tmp_path, capsys):
+    # 12 cells cannot give each cell 15 voters; segment says which setting
+    # to change, as train does, instead of failing inside the vote
+    out = str(tmp_path)
+    common = ["--output-dir", out, "--seed", "0"]
+    assert main(["simulate", *common, "--n-cells", "12", "--n-genes", "20",
+                 "--n-domains", "2"]) == 0
+    no_refine = tmp_path / "norefine.yaml"
+    no_refine.write_text(yaml.safe_dump({"clustering": {"refine": False}}))
+    assert main(["train", "--config", str(no_refine), *common, "--epochs", "2",
+                 "--n-domains", "2", "--expression", str(tmp_path / "expression.csv"),
+                 "--coords", str(tmp_path / "coords.csv")]) == 0
+    capsys.readouterr()
+    assert main(["segment", *common, "--n-domains", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: sample0 has 12 cells; clustering.refine_neighbors=15 needs more "
+        "(or set clustering.refine to false)\n")
+
+
 @pytest.mark.parametrize("argv", [
     [], ["integrate"], ["train", "--epochs", "x"], ["train", "--no-such-flag"],
     ["segment", "--no-refine", "yes"], ["--seed", "1"], ["segment", "--pca-dim", "5"],

@@ -10,10 +10,11 @@ from cellscape.dataset import ExpressionDataset
 from cellscape.config import PipelineConfig
 from cellscape.gene_map import GeneLayout, layout_genes, mask_cells, render_maps
 from cellscape.network import CellScapeModel, ModelConfig
-from cellscape.pipeline import make_layout
+from cellscape.pipeline import make_layout, preprocess_dataset
 from cellscape.preprocess import CoexpressionMatrix
 from cellscape.spatial_graph import build_knn_graph
-from oracles import naive_gene_layout
+from cellscape.synth import SyntheticSpec, generate_tissue
+from oracles import chunked_layout_genes, naive_gene_layout
 
 
 def cm(C):
@@ -24,6 +25,27 @@ def cm(C):
 def default_layout(C, seed):
     """``layout_genes`` at the configured ``swap_budget_factor * p^2`` swaps."""
     return make_layout(cm(C), PipelineConfig(seed=seed))
+
+
+def weight_matrix(kind: str, p: int, seed: int) -> np.ndarray:
+    """A symmetric p x p co-expression matrix: random correlations, a
+    block-diagonal one (genes in five programs, correlated within their
+    program and uncorrelated across, so that about a fifth of the weights
+    are positive, as in the synthetic tissues), the same scaled by 1e-9, so
+    that swap deltas lie near the -1e-12 acceptance threshold, or one
+    without a positive weight."""
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        return np.eye(p)
+    if kind == "faint":
+        return 1e-9 * weight_matrix("blocks", p, seed)
+    if kind == "correlation":
+        C = np.atleast_2d(np.corrcoef(rng.standard_normal((p, p + 5))))
+    else:
+        program = np.arange(p) * 5 // p
+        X = 2.0 * rng.standard_normal((program[-1] + 1, 60))[program] + rng.standard_normal((p, 60))
+        C = np.where(program[:, None] == program[None, :], np.atleast_2d(np.corrcoef(X)), 0.0)
+    return (C + C.T) / 2
 
 
 def brute_force_optimum(C, q):
@@ -120,22 +142,99 @@ class TestLayout:
         assert layout.greedy_objective == pytest.approx(greedy_j, rel=1e-12, abs=1e-12)
         assert layout.objective_value == pytest.approx(final_j, rel=1e-12, abs=1e-12)
 
-    def test_buffered_updates_match_fresh_outer_products(self, monkeypatch):
-        # every rank-1 update of the table goes through one preallocated
-        # buffer; a fresh np.outer per update gives the same layout, bit for bit
+    def test_row_updates_match_full_outer_products(self, monkeypatch):
+        # placements and swaps update only the table rows with a non-zero
+        # weight factor; the full rank-1 update gives the same layout
         rng = np.random.default_rng(40)
         C = np.corrcoef(rng.standard_normal((40, 45)))
         C = (C + C.T) / 2
         got = default_layout(C, seed=40)
 
-        def fresh_outer(M, u, v, buf):
+        def full_outer(M, u, v):
             M += np.outer(u, v)
 
-        monkeypatch.setattr(gene_map, "_add_outer", fresh_outer)
+        monkeypatch.setattr(gene_map, "_add_rows", full_outer)
         want = default_layout(C, seed=40)
         np.testing.assert_array_equal(got.positions, want.positions)
         assert got.greedy_objective == want.greedy_objective
         assert got.objective_value == want.objective_value < got.greedy_objective
+
+    @pytest.mark.parametrize("kind", ["correlation", "blocks", "faint", "zero"])
+    @pytest.mark.parametrize("budget", [0, 7, 777, 512 * 9 + 3, "20p^2"])
+    @pytest.mark.parametrize("p", [1, 2, 5, 17, 30, 64, 100, 256])
+    def test_matches_chunked_reference_bit_for_bit(self, p, budget, kind):
+        if budget == "20p^2":
+            budget = 20 * p * p
+        C = weight_matrix(kind, p, seed=p)
+        layout = layout_genes(cm(C), seed=p + 1, swap_budget=budget)
+        positions, greedy_j, final_j = chunked_layout_genes(C, seed=p + 1, swap_budget=budget)
+        np.testing.assert_array_equal(layout.positions, positions)
+        assert layout.greedy_objective == greedy_j
+        assert layout.objective_value == final_j
+
+    @pytest.mark.slow
+    def test_matches_chunked_reference_at_800_genes(self):
+        ds = generate_tissue(SyntheticSpec(n_cells=2000, n_genes=800, seed=3))[0]
+        cfg = PipelineConfig(seed=3)
+        coexpr = preprocess_dataset(ds, cfg)[2]
+        assert coexpr.n_genes == 800
+        layout = make_layout(coexpr, cfg)
+        positions, greedy_j, final_j = chunked_layout_genes(
+            coexpr.C, seed=3, swap_budget=cfg.layout.swap_budget_factor * 800 ** 2)
+        np.testing.assert_array_equal(layout.positions, positions)
+        assert layout.greedy_objective == greedy_j
+        assert layout.objective_value == final_j < greedy_j
+
+    def test_stops_drawing_once_no_swap_improves(self, monkeypatch):
+        # at 20 p^2 candidates the descent reaches a layout no swap improves
+        # and stops drawing; the layout it stops at is a true 2-opt optimum
+        drawn = []
+        draws = gene_map._draws
+
+        def counted(rng, p, budget):
+            for block in draws(rng, p, budget):
+                drawn.append(block.shape[0] * block.shape[2])
+                yield block
+
+        monkeypatch.setattr(gene_map, "_draws", counted)
+        p = 100
+        C = weight_matrix("blocks", p, seed=5)
+        layout = layout_genes(cm(C), seed=5, swap_budget=20 * p * p)
+        assert sum(drawn) < 20 * p * p
+        w = np.maximum(C, 0.0)
+        np.fill_diagonal(w, 0.0)
+        pos = layout.positions.astype(float)
+        D = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
+        assert 0.5 * (w * D).sum() == pytest.approx(layout.objective_value, rel=1e-12)
+        # swapping a and b changes the objective by sum_k (w[a, k] - w[b, k])
+        # (D[b, k] - D[a, k]) + 2 w[a, b] D[a, b], for every pair at once
+        G = w @ D
+        own = np.diag(G)
+        deltas = G - own[:, None] + G.T - own[None, :] + 2.0 * w * D
+        assert deltas.min() >= -1e-9
+
+    @pytest.mark.parametrize("kind", ["blocks", "faint"])
+    @pytest.mark.parametrize("p, budget, two_opt", [(30, 0, False), (100, 200_000, True)])
+    def test_two_opt_check_agrees_with_every_swap_delta(self, monkeypatch, kind, p, budget,
+                                                        two_opt):
+        # the check scores every ordered pair in row blocks (patched small,
+        # so that there are many); it must find an improving swap exactly
+        # when one exists, also when the improvement is near the threshold
+        monkeypatch.setattr(gene_map, "_ROW_BLOCK", 64)
+        C = weight_matrix(kind, p, seed=7)
+        w = np.maximum(C, 0.0)
+        np.fill_diagonal(w, 0.0)
+        layout = layout_genes(cm(C), seed=7, swap_budget=budget)
+        grid = np.stack(np.divmod(np.arange(layout.q ** 2), layout.q), axis=1).astype(float)
+        grid_dist = np.linalg.norm(grid[:, None, :] - grid[None, :, :], axis=2)
+        cell_of = layout.cell_indices()
+        D = grid_dist[np.ix_(cell_of, cell_of)]
+        G = w @ D
+        own = np.diag(G)
+        deltas = G - own[:, None] + G.T - own[None, :] + 2.0 * w * D
+        assert bool(deltas.min() >= -1e-12) is two_opt
+        M = w @ grid_dist[cell_of]  # the table of the layout, from scratch
+        assert gene_map._is_two_opt(M, w, grid_dist, cell_of) is two_opt
 
     def test_grid_size_invariant(self):
         for p in (1, 2, 4, 5, 9, 10, 16, 17):

@@ -431,3 +431,12 @@ def test_package_import_skips_scipy_stats():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_and_pipeline_import_skip_yaml():
+    # only ``load_config`` reads YAML, and only when it is given a file
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, cellscape.cli, cellscape.pipeline; print('yaml' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -90,6 +90,14 @@ def test_fit_rejects_a_tissue_too_small_to_segment_before_training(
         pipeline.fit([ds], cfg)
 
 
+def test_segment_rejects_a_sample_too_small_to_refine():
+    # the same check and message as fit's, per sample, before the vote
+    Z = np.random.default_rng(0).normal(size=(40, 4))
+    samples = ["sample0"] * 25 + ["sample1"] * 15
+    with pytest.raises(ValueError, match="sample1 has 15 cells; clustering.refine_neighbors=15"):
+        pipeline.segment_embeddings(Z, np.zeros((2, 40)), k_domain_config(seed=0), samples)
+
+
 def k_domain_config(seed: int) -> PipelineConfig:
     cfg = PipelineConfig(seed=seed)
     cfg.clustering.n_domains = 3
