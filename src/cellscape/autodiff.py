@@ -17,11 +17,13 @@ array; it returns the layer output only, its attention weights stay inside
 for the backward. A CNN block is one fused op, ``conv_block``: a bias-free 3x3
 convolution, batch normalization, leaky ReLU and 2x2 max pooling over cells
 in blocks of ``_CELL_BLOCK``, so no op holds an N*H*W x channels array.
-Training-mode batch norm keeps exact whole-batch statistics: one pass per
-block convolves, pools (the activation is monotone in gamma * conv, so its
-winners are known before the statistics) and merges the channel means and
-variances and the channel-patch co-moment over the blocks; normalization
-and activation then run on the winners alone. The backward keeps only what
+Its batch norm always uses the exact statistics of the batch at hand:
+the model trains full-batch and embeds the cells it trained on, so no
+running averages are kept. One pass per block convolves, pools (the
+activation is monotone in gamma * conv, so its winners are known before
+the statistics) and merges the channel means and variances and the
+channel-patch co-moment over the blocks; normalization and activation
+then run on the winners alone. The backward keeps only what
 is output-sized (the int8 winner of each pooling window and the normalized
 value there) plus those statistics, which give the weight gradient in
 closed form; only an input that needs a gradient recomputes its blocks'
@@ -626,7 +628,8 @@ def maxpool2(x) -> Tensor:
 
 
 class BatchNormState:
-    """Running statistics for one batch-normalization layer."""
+    """Running statistics for one layer of the reference ``batch_norm``;
+    the model's ``conv_block`` keeps none and reads only ``eps``."""
 
     momentum = 0.1
     eps = 1e-5
@@ -725,8 +728,7 @@ def _block_patches(padded: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np
     return patches.reshape(-1, rows.size * padded.shape[-1])
 
 
-def conv_block(x, w, gamma, beta, state: BatchNormState, training: bool,
-               slope: float, masked=None) -> Tensor:
+def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
     """One CNN block in one op: stride-1 3x3 "same" convolution (no bias),
     batch normalization per channel, leaky ReLU, then 2x2 max pooling.
 
@@ -734,9 +736,9 @@ def conv_block(x, w, gamma, beta, state: BatchNormState, training: bool,
     with the cells indexed by ``masked`` read as all-zero maps (their input
     gradient is zero), so training masks the maps without copying them. The
     output is (N, C, H//2, W//2); trailing odd rows and columns are dropped.
-    With ``training`` the block normalizes by the batch statistics and moves
-    the running ones in ``state`` towards them; otherwise it normalizes by
-    the running statistics and leaves ``state`` alone.
+    Batch normalization has one mode, ``batch_norm``'s training mode: every
+    call normalizes by the statistics of its own N cells, with the same
+    ``BatchNormState.eps``, and keeps no running averages.
 
     The cells are walked in blocks of ``_CELL_BLOCK``, cell-last, with each
     pooling window's four entries in four contiguous runs; a block's patch
@@ -744,8 +746,8 @@ def conv_block(x, w, gamma, beta, state: BatchNormState, training: bool,
     activation never falls as gamma * conv rises, so one pass pools gamma *
     conv, keeping each window's winner (its first maximum in window order,
     as in ``maxpool2``, so all-zero maps tie to the first entry) and the
-    convolution there; up to rounding that is the activation's winner. In
-    training the same pass merges, over the blocks, each channel's mean and
+    convolution there; up to rounding that is the activation's winner. The
+    same pass merges, over the blocks, each channel's mean and
     centred sum of squares, the patch mean s and the channel-patch co-moment
     C = sum_p (y_p - mean) p^T = w G, with G the centred patch Gram matrix
     (the pairwise update of Chan, Golub & LeVeque); normalization and
@@ -757,9 +759,9 @@ def conv_block(x, w, gamma, beta, state: BatchNormState, training: bool,
     the winners times the upstream gradient, re-read from ``x`` one block at
     a time, minus the batch-statistics terms, which are closed-form in s and
     C; so the convolution is not recomputed for it. Only an input that
-    needs a gradient recomputes its block's convolution (in training, where
-    the batch-norm backward needs every position's normalized value) and
-    convolves the block's gradient with the flipped kernel.
+    needs a gradient recomputes its block's convolution (the batch-norm
+    backward needs every position's normalized value) and convolves the
+    block's gradient with the flipped kernel.
     """
     x, w, gamma, beta = as_tensor(x), as_tensor(w), as_tensor(gamma), as_tensor(beta)
     cout, cin, kh, kw = w.shape
@@ -812,28 +814,22 @@ def conv_block(x, w, gamma, beta, state: BatchNormState, training: bool,
         xhat_win[..., lo:hi] = np.where(row_win,
                                         np.where(right_bottom, corners[:, 3], corners[:, 2]),
                                         np.where(right_top, corners[:, 1], corners[:, 0]))
-        if training:
-            # pairwise update of Chan, Golub & LeVeque (1979); sum (y - mean) = 0
-            # within the block, so its co-moment needs no centred patches
-            size = y.shape[1]
-            block_mean = y.mean(axis=1)
-            y -= block_mean[:, None]
-            block_p_mean = patches.mean(axis=1)
-            shift, p_shift = block_mean - y_mean, block_p_mean - p_mean
-            weight = count * size / (count + size)
-            m2 += np.einsum("ij,ij->i", y, y) + shift * shift * weight
-            comoment += y @ patches.T + np.outer(shift, p_shift) * weight
-            count += size
-            y_mean += shift * (size / count)
-            p_mean += p_shift * (size / count)
+        # pairwise update of Chan, Golub & LeVeque (1979); sum (y - mean) = 0
+        # within the block, so its co-moment needs no centred patches
+        size = y.shape[1]
+        block_mean = y.mean(axis=1)
+        y -= block_mean[:, None]
+        block_p_mean = patches.mean(axis=1)
+        shift, p_shift = block_mean - y_mean, block_p_mean - p_mean
+        weight = count * size / (count + size)
+        m2 += np.einsum("ij,ij->i", y, y) + shift * shift * weight
+        comoment += y @ patches.T + np.outer(shift, p_shift) * weight
+        count += size
+        y_mean += shift * (size / count)
+        p_mean += p_shift * (size / count)
 
-    if training:
-        mu, var = y_mean, m2 / m
-        state.running_mean += state.momentum * (mu - state.running_mean)
-        state.running_var += state.momentum * (var * (m / max(m - 1, 1)) - state.running_var)
-    else:
-        mu, var = state.running_mean, state.running_var
-    inv_std = 1.0 / np.sqrt(var + state.eps)
+    mu, var = y_mean, m2 / m
+    inv_std = 1.0 / np.sqrt(var + BatchNormState.eps)
     xhat_win -= mu[:, None, None, None]
     xhat_win *= inv_std[:, None, None, None]
     values = np.empty((n, cout, hp, wp))
@@ -855,7 +851,7 @@ def conv_block(x, w, gamma, beta, state: BatchNormState, training: bool,
         if not (w.requires_grad or x.requires_grad):
             return
         # batch-norm backward (Ioffe & Szegedy 2015): the convolution output's
-        # gradient is scale * (dy - xhat * dgamma / m - dbeta / m) in training
+        # gradient is scale * (dy - xhat * dgamma / m - dbeta / m)
         scale = gamma.values * inv_std
         dy_patches = np.zeros((cout, k))                       # sum of dy * patch^T
         dx = np.zeros(x.shape) if x.requires_grad else None
@@ -871,12 +867,11 @@ def conv_block(x, w, gamma, beta, state: BatchNormState, training: bool,
                 np.multiply(block_g, block_winner == i, out=corners[:, i])
             dy_patches += dy @ patches.T
             if dx is not None:
-                if training:
-                    xhat = wm @ patches                        # recomputed
-                    xhat -= mu[:, None]
-                    xhat *= inv_std[:, None]
-                    dy -= xhat * (dgamma / m)[:, None]
-                    dy -= (dbeta / m)[:, None]
+                xhat = wm @ patches                            # recomputed
+                xhat -= mu[:, None]
+                xhat *= inv_std[:, None]
+                dy -= xhat * (dgamma / m)[:, None]
+                dy -= (dbeta / m)[:, None]
                 dy *= scale[:, None]
                 # the input gradient is dy convolved with the flipped kernel
                 padded = np.zeros((cout, h + 2, wd + 2, b))
@@ -886,10 +881,9 @@ def conv_block(x, w, gamma, beta, state: BatchNormState, training: bool,
                                            ).reshape(cin, -1, b)
                 dx[lo:hi] = block_dx.transpose(3, 0, 1, 2)
         if w.requires_grad:
-            if training:
-                # sum_p xhat_p p^T = inv_std * comoment and sum_p p^T = m * p_mean^T
-                dy_patches -= (dgamma * inv_std / m)[:, None] * comoment
-                dy_patches -= np.outer(dbeta, p_mean)
+            # sum_p xhat_p p^T = inv_std * comoment and sum_p p^T = m * p_mean^T
+            dy_patches -= (dgamma * inv_std / m)[:, None] * comoment
+            dy_patches -= np.outer(dbeta, p_mean)
             w._accumulate((scale[:, None] * dy_patches).reshape(w.shape), own=True)
         if dx is not None:
             dx[masked] = 0.0

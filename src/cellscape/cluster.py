@@ -99,8 +99,7 @@ EM_TOL = 1e-7       # stop when ll moves less than EM_TOL * (1 + |ll|)
 EM_REG = 1e-6       # covariance prior: keeps a component on few cells invertible
 
 
-def gmm_cluster(Zp: np.ndarray, K: int, seed: int,
-                init_means: np.ndarray | None = None) -> DomainLabels:
+def gmm_cluster(Zp: np.ndarray, K: int, seed: int) -> DomainLabels:
     """Full-covariance EM, best of ``EM_RESTARTS`` k-means++ starts by final
     log-likelihood (the earliest restart within a relative 1e-12 of the
     best). Assignment is by maximum posterior responsibility.
@@ -113,9 +112,6 @@ def gmm_cluster(Zp: np.ndarray, K: int, seed: int,
     ``objective_path``; it must be non-decreasing across iterations (within
     1e-8), while the plain log-likelihood need not be when a component is
     near-degenerate.
-
-    ``init_means`` pins the starting means (single restart), for controlled
-    comparisons.
     """
     X = np.asarray(Zp, dtype=np.float64)
     n, d = X.shape
@@ -127,15 +123,9 @@ def gmm_cluster(Zp: np.ndarray, K: int, seed: int,
     lam = EM_REG * n / K
     data_cov = np.cov(X, rowvar=False, ddof=1).reshape(d, d) + EM_REG * np.eye(d)
     finals = []
-    restarts = 1 if init_means is not None else EM_RESTARTS
-    for restart in range(restarts):
+    for restart in range(EM_RESTARTS):
         rng = np.random.default_rng(np.random.SeedSequence([seed, restart]))
-        if init_means is not None:
-            means = np.asarray(init_means, dtype=np.float64).copy()
-            if means.shape != (K, d):
-                raise ValueError(f"init_means must have shape ({K}, {d})")
-        else:
-            means = _kmeanspp_means(X, K, rng)
+        means = _kmeanspp_means(X, K, rng)
         covs = np.repeat(data_cov[None], K, axis=0)
         weights = np.full(K, 1.0 / K)
 

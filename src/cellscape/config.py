@@ -83,15 +83,6 @@ class GraphConfig:
 
 
 @dataclass
-class LayoutConfig:
-    swap_budget_factor: int = 20    # swap evaluations = factor * p^2
-
-    def __post_init__(self):
-        if self.swap_budget_factor < 0:
-            raise ValueError("swap_budget_factor must be non-negative")
-
-
-@dataclass
 class ClusteringConfig:
     n_domains: int = 5
     refine: bool = True
@@ -131,7 +122,6 @@ class PipelineConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
     preprocessing: PreprocessingConfig = field(default_factory=PreprocessingConfig)
     graph: GraphConfig = field(default_factory=GraphConfig)
-    layout: LayoutConfig = field(default_factory=LayoutConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     clustering: ClusteringConfig = field(default_factory=ClusteringConfig)
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)

@@ -4,7 +4,9 @@ encoder over gene maps, linear fusion, and a graph-attention decoder.
 Masking costs no copy of the inputs: the first GAT layer zeroes the masked
 cells' rows of its (n, width) projection, which is what a zeroed feature
 row would give, and the CNN reads their maps as zeros (``conv_block``'s
-``masked``). The decoder attends in the embedding space and projects onto
+``masked``). The model is its parameters: training and embedding run the
+same forward pass, and the CNN normalizes by the statistics of the cells
+it encodes. The decoder attends in the embedding space and projects onto
 the genes only the rows the reconstruction loss reads, so no (n, genes)
 array is built in training."""
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import BatchNormState, Tensor
+from .autodiff import Tensor
 from .spatial_graph import DirectedEdges
 
 ATTENTION_SLOPE = 0.2  # leaky-ReLU slope inside attention scores, as in the original GAT
@@ -68,7 +70,6 @@ class CellScapeModel:
         self.cfg = cfg
         self.q = q
         self.params: dict[str, Tensor] = {}
-        self.bn_states: dict[str, BatchNormState] = {}
         rng = np.random.default_rng(cfg.seed)
         head_dim = cfg.hidden_dim // cfg.attention_heads
 
@@ -101,7 +102,6 @@ class CellScapeModel:
                 )
                 self.params[f"cnn.{i}.gamma"] = Tensor(np.ones(out_ch), requires_grad=True)
                 self.params[f"cnn.{i}.beta"] = Tensor(np.zeros(out_ch), requires_grad=True)
-                self.bn_states[f"cnn.{i}"] = BatchNormState(out_ch)
                 side //= 2
                 in_ch = out_ch
                 if side < 1:
@@ -147,8 +147,7 @@ class CellScapeModel:
                 h = ad.elu(h)
         return h
 
-    def encode_intrinsic(self, maps: np.ndarray, training: bool,
-                         masked: np.ndarray | None = None) -> Tensor:
+    def encode_intrinsic(self, maps: np.ndarray, masked: np.ndarray | None = None) -> Tensor:
         """CNN embedding of the (n, q, q) maps; the cells indexed by
         ``masked`` read as all-zero maps."""
         n = maps.shape[0]
@@ -156,27 +155,25 @@ class CellScapeModel:
         for i in range(len(self.cfg.cnn_channels)):
             x = ad.conv_block(
                 x, self.params[f"cnn.{i}.w"], self.params[f"cnn.{i}.gamma"],
-                self.params[f"cnn.{i}.beta"], self.bn_states[f"cnn.{i}"], training, 0.01,
-                masked if i == 0 else None,
+                self.params[f"cnn.{i}.beta"], 0.01, masked if i == 0 else None,
             )
         flat = ad.reshape(x, (n, -1))
         return ad.matmul(flat, self.params["cnn.fc.w"]) + self.params["cnn.fc.b"]
 
     def encode(self, features: np.ndarray, maps: np.ndarray | None,
-               edges: DirectedEdges, training: bool,
-               masked: np.ndarray | None = None) -> tuple[Tensor, Tensor | None, Tensor]:
+               edges: DirectedEdges, masked: np.ndarray | None = None
+               ) -> tuple[Tensor, Tensor | None, Tensor]:
         """Both encoders and the fusion on (n, p) cell features and (n, q, q)
         maps: ``(z_spatial, z_intrinsic, z_fused)`` as graph-connected
-        tensors, ``z_intrinsic`` None with ``cci_only``. With ``training``
-        the CNN normalizes by batch statistics and updates its running ones.
-        Both encoders read the cells indexed by ``masked`` as all-zero
-        features and maps; the arrays themselves are not copied."""
+        tensors, ``z_intrinsic`` None with ``cci_only``. Both encoders read
+        the cells indexed by ``masked`` as all-zero features and maps; the
+        arrays themselves are not copied."""
         z_spatial = self.encode_spatial(features, edges, masked)
         if self.cfg.cci_only:
             z_intrinsic = None
             joint = z_spatial
         else:
-            z_intrinsic = self.encode_intrinsic(maps, training, masked)
+            z_intrinsic = self.encode_intrinsic(maps, masked)
             joint = ad.concat([z_spatial, z_intrinsic], axis=1)
         return z_spatial, z_intrinsic, ad.matmul(joint, self.params["fusion.W"])
 

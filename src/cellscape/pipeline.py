@@ -29,6 +29,10 @@ from .spatial_graph import (
 )
 from .training import EmbeddingSet, train
 
+# gene-layout swap evaluations per squared panel width; the layout stops
+# earlier once no swap improves it
+SWAP_BUDGET_FACTOR = 20
+
 
 def preprocess_dataset(ds: ExpressionDataset,
                        cfg: PipelineConfig) -> tuple[ExpressionDataset, np.ndarray,
@@ -57,8 +61,8 @@ def build_graph(coords: np.ndarray, cfg: PipelineConfig) -> SpatialGraph:
 
 
 def make_layout(coexpr: CoexpressionMatrix, cfg: PipelineConfig) -> GeneLayout:
-    budget = cfg.layout.swap_budget_factor * coexpr.n_genes ** 2
-    return layout_genes(coexpr, seed=cfg.seed, swap_budget=budget)
+    return layout_genes(coexpr, seed=cfg.seed,
+                        swap_budget=SWAP_BUDGET_FACTOR * coexpr.n_genes ** 2)
 
 
 def _pca_gmm(X: np.ndarray, cfg: PipelineConfig) -> DomainLabels:

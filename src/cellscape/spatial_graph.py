@@ -29,7 +29,7 @@ class SpatialGraph:
 
     n_nodes: int
     edges: np.ndarray    # (E, 2) int, each row sorted i < j, rows unique + sorted
-    weights: np.ndarray  # (E,) positive distances
+    weights: np.ndarray  # (E,) non-negative distances: coordinate twins join at 0
 
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)

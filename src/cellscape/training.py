@@ -6,7 +6,9 @@ extraction by the encoders alone.
 epoch's autodiff graph is freed before the next epoch's forward. An epoch
 copies no input: the encoders read the masked cells as zeros and the
 decoder rebuilds only the masked rows. ``embed`` takes the arrays ``train``
-prepared: features, maps and directed edges."""
+prepared: features, maps and directed edges. There is one forward pass and
+no train/eval switch: ``embed`` is the training forward without a mask, so
+the CNN normalizes by the statistics of exactly the cells it trained on."""
 
 from __future__ import annotations
 
@@ -105,7 +107,7 @@ def _step(model: CellScapeModel, optimizer: AdamState, epoch: int, features: np.
         int(s) for s in np.random.SeedSequence([cfg.seed, epoch]).generate_state(3))
 
     mask = mask_cells(n, cfg.mask_ratio, mask_seed)
-    _, _, z_fused = model.encode(features, maps, edges, training=True, masked=mask)
+    _, _, z_fused = model.encode(features, maps, edges, masked=mask)
     loss_recon = sce_loss(features, model.decode(z_fused, edges, mask), mask, cfg.gamma)
 
     z_norm = ad.l2_normalize_rows(z_fused)
@@ -149,10 +151,11 @@ def _step(model: CellScapeModel, optimizer: AdamState, epoch: int, features: np.
 
 def embed(model: CellScapeModel, features: np.ndarray, maps: np.ndarray | None,
           edges: DirectedEdges) -> EmbeddingSet:
-    """Deterministic mask-free encoder pass (normalization in eval mode) over
-    the (n, p) features, the (n, q, q) maps or ``None``, and the graph's
-    directed edges; the decoder does not run."""
-    z_spatial, z_intrinsic, z_fused = model.encode(features, maps, edges, training=False)
+    """Deterministic mask-free encoder pass over the (n, p) features, the
+    (n, q, q) maps or ``None``, and the graph's directed edges; the decoder
+    does not run. It is a training forward without the mask: the CNN
+    normalizes by the statistics of these n cells."""
+    z_spatial, z_intrinsic, z_fused = model.encode(features, maps, edges)
     return EmbeddingSet(
         Z_spatial=z_spatial.values,
         Z_intrinsic=None if z_intrinsic is None else z_intrinsic.values,

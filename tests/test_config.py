@@ -29,7 +29,6 @@ DEFAULTS = {
     "graph.method": "auto",
     "graph.k": 6,
     "graph.prune_percentile": 99.0,
-    "layout.swap_budget_factor": 20,
     "model.gat_layers": 2,
     "model.attention_heads": 4,
     "model.hidden_dim": 64,
@@ -88,7 +87,7 @@ def write_yaml(path, data) -> str:
 
 
 def test_defaults_are_the_literal_table():
-    assert len(DEFAULTS) == 43
+    assert len(DEFAULTS) == 42
     assert settable(PipelineConfig()) == DEFAULTS
 
 
@@ -156,7 +155,8 @@ BAD = [
     # the PCA width is the domain count, not a setting
     pytest.param([], {"clustering": {"pca_dim": 30}}, ["unknown", "clustering", "pca_dim"],
                  id="pca_dim"),
-    pytest.param([], {"layout": {"swap_budget_factor": -1}}, ["layout", "swap_budget_factor"],
+    # the swap budget is the layout's constant, and no section holds it
+    pytest.param([], {"layout": {"swap_budget_factor": 20}}, ["unknown", "layout"],
                  id="swap_budget_factor"),
     pytest.param([], {"model": {"cnn_channels": 4}}, ["model.cnn_channels"], id="cnn_channels-int"),
     pytest.param([], {"model": {"cnn_channels": [4, 8.5]}}, ["model.cnn_channels"],

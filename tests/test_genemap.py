@@ -10,7 +10,7 @@ from cellscape.dataset import ExpressionDataset
 from cellscape.config import PipelineConfig
 from cellscape.gene_map import GeneLayout, layout_genes, mask_cells, render_maps
 from cellscape.network import CellScapeModel, ModelConfig
-from cellscape.pipeline import make_layout, preprocess_dataset
+from cellscape.pipeline import SWAP_BUDGET_FACTOR, make_layout, preprocess_dataset
 from cellscape.preprocess import CoexpressionMatrix
 from cellscape.spatial_graph import build_knn_graph
 from cellscape.synth import SyntheticSpec, generate_tissue
@@ -23,7 +23,7 @@ def cm(C):
 
 
 def default_layout(C, seed):
-    """``layout_genes`` at the configured ``swap_budget_factor * p^2`` swaps."""
+    """``layout_genes`` at the pipeline's ``SWAP_BUDGET_FACTOR * p^2`` swaps."""
     return make_layout(cm(C), PipelineConfig(seed=seed))
 
 
@@ -180,7 +180,7 @@ class TestLayout:
         assert coexpr.n_genes == 800
         layout = make_layout(coexpr, cfg)
         positions, greedy_j, final_j = chunked_layout_genes(
-            coexpr.C, seed=3, swap_budget=cfg.layout.swap_budget_factor * 800 ** 2)
+            coexpr.C, seed=3, swap_budget=SWAP_BUDGET_FACTOR * 800 ** 2)
         np.testing.assert_array_equal(layout.positions, positions)
         assert layout.greedy_objective == greedy_j
         assert layout.objective_value == final_j < greedy_j
@@ -324,8 +324,8 @@ class TestMask:
             drawn.append(mask_cells(*args))
             return drawn[-1]
 
-        def encode(model, features, maps, edges, training, masked=None):
-            out = self._encode(model, features, maps, edges, training, masked)
+        def encode(model, features, maps, edges, masked=None):
+            out = self._encode(model, features, maps, edges, masked)
             seen.append(dict(features=features.copy(),
                              maps=None if maps is None else maps.copy(),
                              masked=masked, z_fused=out[2].values.copy()))

@@ -310,9 +310,6 @@ def test_every_parameter_is_set_by_a_caller():
     allowed = {
         # the console script calls main() bare; the tests pass argv
         "cli.main(argv)",
-        # the tests pin the starting means to reach the collapsed-component
-        # reseed branch and to compare against the loop oracle
-        "cluster.gmm_cluster(init_means)",
         # config._section fills every field of a section from YAML, as
         # cls(**values), so a user's config file is its caller
         *_section_types(),

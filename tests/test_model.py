@@ -226,7 +226,7 @@ class TestCnnEncoder:
     def test_zero_maps_zero_embedding(self):
         cfg = ModelConfig(seed=0, **TOY_CFG)
         model = CellScapeModel(16, 4, cfg)
-        z = model.encode_intrinsic(np.zeros((6, 4, 4)), training=True)
+        z = model.encode_intrinsic(np.zeros((6, 4, 4)))
         np.testing.assert_allclose(z.values, 0.0, atol=1e-12)
 
     def test_batch_permutation_equivariance(self):
@@ -235,8 +235,8 @@ class TestCnnEncoder:
         rng = np.random.default_rng(2)
         maps = rng.random((8, 4, 4))
         perm = rng.permutation(8)
-        z = model.encode_intrinsic(maps, training=True).values
-        zp = model.encode_intrinsic(maps[perm], training=True).values
+        z = model.encode_intrinsic(maps).values
+        zp = model.encode_intrinsic(maps[perm]).values
         np.testing.assert_allclose(zp, z[perm], atol=1e-12)
 
     def test_small_grid_rejected(self):
@@ -465,20 +465,33 @@ def _conv_block_inputs(n, cin, cout, q, seed, masked=(1, 3)):
     return x, w, gamma, beta
 
 
-def _conv_block_pass(op, arrays, training, weights, x_grad=True, **kwargs):
-    """Output, running statistics and the gradients of x (when ``x_grad``),
-    w, gamma and beta of ``op`` (the fused op or the composite chain) under
-    loss sum(out * weights)."""
+def _composite(x, w, gamma, beta, slope):
+    """The composite chain in training mode, on a throwaway state: it
+    normalizes by the batch statistics, as the fused op always does."""
+    return composite_conv_block(x, w, gamma, beta, ad.BatchNormState(w.shape[0]), True, slope)
+
+
+def _conv_block_pass(op, arrays, weights, x_grad=True, **kwargs):
+    """Output and the gradients of x (when ``x_grad``), w, gamma and beta of
+    ``op`` (``ad.conv_block`` or ``_composite``) under loss sum(out * weights)."""
     x, w, gamma, beta = (Tensor(a.copy(), requires_grad=True) for a in arrays)
     x.requires_grad = x_grad
-    state = ad.BatchNormState(w.shape[0])
-    state.running_mean[:] = 0.3
-    state.running_var[:] = 2.0
-    out = op(x, w, gamma, beta, state, training, 0.01, **kwargs)
+    out = op(x, w, gamma, beta, 0.01, **kwargs)
     ad.backward(ad.tensor_sum(out * weights))
     grads = [x.grad] if x_grad else []
-    return [out.values, state.running_mean, state.running_var,
-            *grads, w.grad, gamma.grad, beta.grad]
+    return [out.values, *grads, w.grad, gamma.grad, beta.grad]
+
+
+def _composite_cnn(model, maps):
+    """``model.encode_intrinsic`` without a mask, rebuilt from the composite
+    chain in training mode (each block on a throwaway state), then the
+    reshape and ``cnn.fc`` on the model's parameters."""
+    n = maps.shape[0]
+    x = Tensor(maps.reshape(n, 1, model.q, model.q))
+    for i in range(len(model.cfg.cnn_channels)):
+        x = _composite(x, model.params[f"cnn.{i}.w"], model.params[f"cnn.{i}.gamma"],
+                       model.params[f"cnn.{i}.beta"], 0.01)
+    return ad.matmul(ad.reshape(x, (n, -1)), model.params["cnn.fc.w"]) + model.params["cnn.fc.b"]
 
 
 def _assert_match(got_list, want_list):
@@ -488,37 +501,45 @@ def _assert_match(got_list, want_list):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
+def _match_composite(arrays, weights, masked, pass_mask, x_grad=True):
+    """The fused op against the composite chain on ``arrays``, whose
+    ``masked`` cells hold zero maps. Handed ``masked``, as a training step
+    hands it, or not, as the embedding pass, the fused op gives the chain's
+    output and gradients, except that a cell it reads as masked has a zero
+    input gradient."""
+    kwargs = {"masked": np.asarray(masked, dtype=np.intp)} if pass_mask else {}
+    fused = _conv_block_pass(ad.conv_block, arrays, weights, x_grad, **kwargs)
+    reference = _conv_block_pass(_composite, arrays, weights, x_grad)
+    if pass_mask and x_grad:
+        reference[1][list(masked)] = 0.0
+    _assert_match(fused, reference)
+
+
 class TestConvBlockOracle:
     """The fused CNN block against conv2d -> batch_norm -> leaky_relu -> maxpool2."""
 
-    # ids: training, then whether the running statistics move (exactly when training)
-    @pytest.mark.parametrize("training", [pytest.param(True, id="True-True"),
-                                          pytest.param(False, id="False-False")])
+    # ids: whether the op is handed the zero-map cells as masked, then
+    # whether x takes a gradient
+    @pytest.mark.parametrize("pass_mask,x_grad", [(True, True), (False, False)])
     @pytest.mark.parametrize("cin,q", [(1, 6), (1, 7), (3, 5), (3, 8)])
-    def test_values_and_gradients_match_composite(self, cin, q, training):
+    def test_values_and_gradients_match_composite(self, cin, q, pass_mask, x_grad):
         arrays = _conv_block_inputs(6, cin, 4, q, seed=cin * 10 + q)
         weights = np.random.default_rng(q).standard_normal((6, 4, q // 2, q // 2))
-        fused = _conv_block_pass(ad.conv_block, arrays, training, weights)
-        reference = _conv_block_pass(composite_conv_block, arrays, training, weights)
-        _assert_match(fused, reference)
-        moved = not (np.all(fused[1] == 0.3) and np.all(fused[2] == 2.0))
-        assert moved == training
+        _match_composite(arrays, weights, (1, 3), pass_mask, x_grad)
 
-    @pytest.mark.parametrize("training", [True, False])
-    def test_every_cell_masked(self, training):
+    @pytest.mark.parametrize("pass_mask", [True, False])
+    def test_every_cell_masked(self, pass_mask):
         # every window of every map ties; the gradient goes to each window's first entry
         arrays = _conv_block_inputs(4, 1, 3, 6, seed=2, masked=range(4))
         weights = np.random.default_rng(3).standard_normal((4, 3, 3, 3))
-        fused = _conv_block_pass(ad.conv_block, arrays, training, weights)
-        reference = _conv_block_pass(composite_conv_block, arrays, training, weights)
-        _assert_match(fused, reference)
+        _match_composite(arrays, weights, range(4), pass_mask)
 
     # n spans three blocks, the last one partial; every cell of the middle
     # block is masked, so every window there ties; one channel's gamma is
     # negative and one is zero, where every window ties too
-    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("pass_mask", [True, False])
     @pytest.mark.parametrize("cin,x_grad,q", [(1, False, 7), (3, True, 6)])
-    def test_multi_block_matches_composite(self, cin, x_grad, q, training):
+    def test_multi_block_matches_composite(self, cin, x_grad, q, pass_mask):
         block = ad._CELL_BLOCK
         n = 2 * block + block // 3
         masked = [0, 5, *range(block, 2 * block), n - 1]
@@ -526,12 +547,10 @@ class TestConvBlockOracle:
         arrays[2][1] *= -1.0
         arrays[2][2] = 0.0
         weights = np.random.default_rng(cin).standard_normal((n, 4, q // 2, q // 2))
-        fused = _conv_block_pass(ad.conv_block, arrays, training, weights, x_grad)
-        reference = _conv_block_pass(composite_conv_block, arrays, training, weights, x_grad)
-        _assert_match(fused, reference)
+        _match_composite(arrays, weights, masked, pass_mask, x_grad)
 
-    @pytest.mark.parametrize("training", [True, False])
-    def test_masked_cells_match_zeroed_copy(self, training):
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_masked_cells_match_zeroed_copy(self, x_grad):
         # reading the masked cells as zeros is the zeroed copy that training
         # used to make, bit for bit; a masked cell's input gradient is zero
         block = ad._CELL_BLOCK
@@ -541,12 +560,13 @@ class TestConvBlockOracle:
         zeroed = (arrays[0].copy(), *arrays[1:])
         zeroed[0][masked] = 0.0
         weights = np.random.default_rng(32).standard_normal((n, 4, 3, 3))
-        got = _conv_block_pass(ad.conv_block, arrays, training, weights, masked=masked)
-        want = _conv_block_pass(ad.conv_block, zeroed, training, weights)
-        want[3][masked] = 0.0
+        got = _conv_block_pass(ad.conv_block, arrays, weights, x_grad, masked=masked)
+        want = _conv_block_pass(ad.conv_block, zeroed, weights, x_grad)
+        if x_grad:
+            want[1][masked] = 0.0
+            assert np.all(got[1][masked] == 0) and np.any(got[1] != 0)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
-        assert np.all(got[3][masked] == 0) and np.any(got[3] != 0)
 
     def test_model_masks_first_layer_like_zeroed_copy(self):
         cfg = ModelConfig(seed=4, **{**TOY_CFG, "cnn_channels": (4, 8)})
@@ -556,8 +576,8 @@ class TestConvBlockOracle:
         masked = mask_cells(maps.shape[0], 0.3, seed=8)
         zeroed = maps.copy()
         zeroed[masked] = 0.0
-        z = model.encode_intrinsic(maps, True, masked)
-        z_twin = twin.encode_intrinsic(zeroed, True)
+        z = model.encode_intrinsic(maps, masked)
+        z_twin = twin.encode_intrinsic(zeroed)
         ad.backward(ad.tensor_sum(z * z.values))
         ad.backward(ad.tensor_sum(z_twin * z_twin.values))
         np.testing.assert_array_equal(z.values, z_twin.values)
@@ -567,11 +587,10 @@ class TestConvBlockOracle:
 
     def test_masked_indices_checked(self):
         arrays = _conv_block_inputs(4, 1, 2, 4, seed=0, masked=())
-        state = ad.BatchNormState(2)
         with pytest.raises(ValueError, match="masked"):
-            ad.conv_block(*arrays, state, True, 0.01, masked=[4])
+            ad.conv_block(*arrays, 0.01, masked=[4])
         with pytest.raises(ValueError, match="masked"):
-            ad.conv_block(*arrays, state, True, 0.01, masked=np.ones(4, dtype=bool))
+            ad.conv_block(*arrays, 0.01, masked=np.ones(4, dtype=bool))
 
     def test_peak_memory_below_one_patch_matrix(self):
         n, q, cout = 4000, 16, 4
@@ -581,7 +600,7 @@ class TestConvBlockOracle:
                           (rng.standard_normal((cout, 1, 3, 3)), np.ones(cout), np.zeros(cout)))
         tracemalloc.start()
         try:
-            out = ad.conv_block(x, w, gamma, beta, ad.BatchNormState(cout), True, 0.01)
+            out = ad.conv_block(x, w, gamma, beta, 0.01)
             ad.backward(ad.tensor_sum(out))
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -601,46 +620,32 @@ class TestConvBlockOracle:
         maps[[2, 7]] = 0.0
         weights = np.random.default_rng(6).standard_normal((10, cfg.embed_dim))
         names = [name for name in model.params if name.startswith("cnn.")]
-        states = copy.deepcopy(model.bn_states)
 
-        z = model.encode_intrinsic(maps, training=True)
+        z = model.encode_intrinsic(maps)
         ad.backward(ad.tensor_sum(z * weights))
-        fused = [z.values, *(model.params[k].grad for k in names),
-                 *(s.running_mean for s in model.bn_states.values()),
-                 *(s.running_var for s in model.bn_states.values())]
+        fused = [z.values, *(model.params[k].grad for k in names)]
         for p in model.params.values():
             p.grad = None
 
-        x = Tensor(maps.reshape(10, 1, 6, 6))
-        for i in range(2):
-            x = composite_conv_block(x, model.params[f"cnn.{i}.w"],
-                                     model.params[f"cnn.{i}.gamma"],
-                                     model.params[f"cnn.{i}.beta"], states[f"cnn.{i}"],
-                                     True, 0.01)
-        z_ref = ad.matmul(ad.reshape(x, (10, -1)), model.params["cnn.fc.w"]) \
-            + model.params["cnn.fc.b"]
+        z_ref = _composite_cnn(model, maps)
         ad.backward(ad.tensor_sum(z_ref * weights))
-        reference = [z_ref.values, *(model.params[k].grad for k in names),
-                     *(s.running_mean for s in states.values()),
-                     *(s.running_var for s in states.values())]
+        reference = [z_ref.values, *(model.params[k].grad for k in names)]
         assert "cnn.1.w" in names and "cnn.0.b" not in model.params
         _assert_match(fused, reference)
 
-    @pytest.mark.parametrize("training", [True, False])
-    def test_gradients_match_finite_differences(self, training):
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_gradients_match_finite_differences(self, x_grad):
         # no masked cells: a tied window is a kink that central differences straddle
         arrays = _conv_block_inputs(3, 2, 2, 5, seed=9, masked=())
         weights = np.random.default_rng(10).standard_normal((3, 2, 2, 2))
-        analytic = _conv_block_pass(ad.conv_block, arrays, training, weights)[3:]
-        state = ad.BatchNormState(2)
-        state.running_mean[:] = 0.3
-        state.running_var[:] = 2.0
+        analytic = _conv_block_pass(ad.conv_block, arrays, weights, x_grad)[1:]
 
         def loss():
-            out = ad.conv_block(*(Tensor(a) for a in arrays), state, training, 0.01)
+            out = ad.conv_block(*(Tensor(a) for a in arrays), 0.01)
             return float((out.values * weights).sum())
 
-        numeric = finite_difference_grads(loss, list(arrays), h=1e-6)
+        numeric = finite_difference_grads(loss, list(arrays[0 if x_grad else 1:]), h=1e-6)
+        assert len(analytic) == len(numeric)
         for got, want in zip(analytic, numeric):
             assert relative_error(got, want) < 1e-6
 
@@ -719,7 +724,7 @@ class TestModelGradients:
         neighbors = neighbor_arrays(edges)
 
         def total_loss():
-            _, _, z_fused = model.encode(features, maps, edges, training=True, masked=mask)
+            _, _, z_fused = model.encode(features, maps, edges, masked=mask)
             recon = sce_loss(features, model.decode(z_fused, edges, mask), mask, cfg.gamma)
             con = contrastive_loss(ad.l2_normalize_rows(z_fused), neighbors, cfg.tau,
                                    anchors=np.arange(ds.n_cells))
@@ -817,7 +822,17 @@ class TestTraining:
         model, emb, _ = train(ds, graph, layout, cfg)
         twice = embed(model, *embed_inputs(ds, graph, layout))
         assert emb.Z_spatial.tobytes() == twice.Z_spatial.tobytes()
+        assert emb.Z_intrinsic.tobytes() == twice.Z_intrinsic.tobytes()
         assert emb.Z.tobytes() == twice.Z.tobytes()
+
+    def test_intrinsic_embedding_matches_composite_on_trained_parameters(self):
+        # embed normalizes each CNN block by the statistics of the cells it
+        # encodes, as a training forward does; no running average enters
+        ds, graph, layout = toy_dataset(seed=21)
+        cfg = ModelConfig(seed=21, epochs=4, **{**TOY_CFG, "cnn_channels": (2, 4)})
+        model, emb, _ = train(ds, graph, layout, cfg)
+        reference = _composite_cnn(model, render_maps(ds.X, layout))
+        _assert_match([emb.Z_intrinsic], [reference.values])
 
     def test_embed_permutation_equivariance(self):
         ds, graph, layout = toy_dataset(seed=16)
@@ -835,6 +850,8 @@ class TestTraining:
         graph_p = SpatialGraph(graph.n_nodes, remapped, np.ones(len(remapped)))
         emb_p = embed(model, *embed_inputs(ds_p, graph_p, layout))
         np.testing.assert_allclose(emb_p.Z_spatial, emb.Z_spatial[perm], atol=1e-9)
+        np.testing.assert_allclose(emb_p.Z_intrinsic, emb.Z_intrinsic[perm], atol=1e-9)
+        np.testing.assert_allclose(emb_p.Z, emb.Z[perm], atol=1e-9)
 
     def test_fused_rows_unit_norm(self):
         ds, graph, layout = toy_dataset(seed=17)
