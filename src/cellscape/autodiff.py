@@ -4,9 +4,12 @@ Tensors wrap float64 arrays and record the operations that produced them;
 ``backward`` walks the graph in reverse topological order and accumulates
 gradients into every reachable tensor with ``requires_grad=True``. A leaf's
 ``grad`` sums over every ``backward`` until its reader takes it off (sets it
-to None), as the training step does after each loss. The operations are
-those the training loop needs, plus the few listed at the end; all run on
-CPU numpy and scipy.sparse.
+to None). Seeded with a stack of upstream gradients, one per task, a single
+walk carries them all: the ops in ``_TASK_AXIS_OPS`` take a leading task
+axis in their backward, and each leaf ends with one gradient per task. The
+training step walks the encoders once per epoch this way, for both losses.
+The operations are those the training loop needs, plus the few listed at
+the end; all run on CPU numpy and scipy.sparse.
 
 Most ops are generic (elementwise, matmul, gathers, segment sums).
 Graph attention is one fused op, ``gat_attention``: per-pair scores, the
@@ -62,7 +65,8 @@ def _check_finite(arr: np.ndarray, where: str) -> None:
 class Tensor:
     """A dense float64 tensor with optional gradient tracking."""
 
-    __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward_fn", "_backward_done")
+    __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward_fn", "_op",
+                 "_backward_done")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
@@ -70,6 +74,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn: Callable[[np.ndarray], None] | None = None
+        self._op: str | None = None      # name of the op that made it, for ``backward``
         self._backward_done = False
 
     @property
@@ -88,8 +93,8 @@ class Tensor:
         return float(self.values)
 
     def _accumulate(self, grad: np.ndarray, own: bool = False) -> None:
-        # ``own=True`` promises the buffer is freshly allocated and never
-        # handed to another tensor, so first-touch can take it without a copy
+        # ``own=True`` promises that no other tensor holds the buffer or will
+        # read it, so first-touch can take it without a copy
         if self.grad is None:
             self.grad = grad if own else np.array(grad, dtype=np.float64)
         else:
@@ -130,15 +135,20 @@ def _make(values: np.ndarray, parents: Sequence[Tensor], backward_fn, where: str
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
+        out._op = where
     return out
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce a broadcasted gradient back to the original operand shape."""
-    extra = grad.ndim - len(shape)
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...], tasks: int) -> np.ndarray:
+    """Reduce a broadcasted gradient back to the operand's ``shape``. The
+    first ``tasks`` axes (1 under a task-stacked seed, else 0) hold the
+    tasks and are never summed: a bias added to every row of each task
+    keeps one gradient per task."""
+    extra = grad.ndim - tasks - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
+        grad = grad.sum(axis=tuple(range(tasks, tasks + extra)))
+    axes = tuple(tasks + i for i, s in enumerate(shape)
+                 if s == 1 and grad.shape[tasks + i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
@@ -153,10 +163,11 @@ def add(a, b) -> Tensor:
     values = a.values + b.values
 
     def backward_fn(g):
+        tasks = g.ndim - values.ndim
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
+            a._accumulate(_unbroadcast(g, a.shape, tasks))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+            b._accumulate(_unbroadcast(g, b.shape, tasks))
 
     return _make(values, (a, b), backward_fn, "add")
 
@@ -166,10 +177,11 @@ def mul(a, b) -> Tensor:
     values = a.values * b.values
 
     def backward_fn(g):
+        tasks = g.ndim - values.ndim
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.values, a.shape), own=True)
+            a._accumulate(_unbroadcast(g * b.values, a.shape, tasks), own=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.values, b.shape), own=True)
+            b._accumulate(_unbroadcast(g * a.values, b.shape, tasks), own=True)
 
     return _make(values, (a, b), backward_fn, "mul")
 
@@ -180,9 +192,10 @@ def div(a, b) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.values, a.shape), own=True)
+            a._accumulate(_unbroadcast(g / b.values, a.shape, 0), own=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.values / (b.values * b.values), b.shape), own=True)
+            b._accumulate(_unbroadcast(-g * a.values / (b.values * b.values), b.shape, 0),
+                          own=True)
 
     return _make(values, (a, b), backward_fn, "div")
 
@@ -206,6 +219,7 @@ def matmul(a, b) -> Tensor:
     values = a.values @ b.values
 
     def backward_fn(g):
+        # a (tasks, n, m) g runs one product per task against the shared operand
         if a.requires_grad:
             a._accumulate(g @ b.values.T, own=True)
         if b.requires_grad:
@@ -267,6 +281,7 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
 def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     values = np.concatenate([t.values for t in tensors], axis=axis)
+    axis %= values.ndim
     sizes = [t.shape[axis] for t in tensors]
 
     def backward_fn(g):
@@ -274,7 +289,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
         for t, s in zip(tensors, sizes):
             if t.requires_grad:
                 index = [slice(None)] * g.ndim
-                index[axis] = slice(offset, offset + s)
+                index[g.ndim - values.ndim + axis] = slice(offset, offset + s)
                 t._accumulate(g[tuple(index)])
             offset += s
 
@@ -283,12 +298,14 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
+    values = a.values.reshape(shape)
 
     def backward_fn(g):
+        # a view of g: the walk drops the output's gradient once this returns
         if a.requires_grad:
-            a._accumulate(g.reshape(a.shape))
+            a._accumulate(g.reshape(g.shape[:g.ndim - values.ndim] + a.shape), own=True)
 
-    return _make(a.values.reshape(shape), (a,), backward_fn, "reshape")
+    return _make(values, (a,), backward_fn, "reshape")
 
 
 def slice_cols(a, start: int, stop: int) -> Tensor:
@@ -372,6 +389,11 @@ def gat_attention(hw, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor], 
     sum_j alpha_ij hw_k[j] as one sparse product. Heads are concatenated, or
     averaged when ``average`` is set. The attention weights stay inside the
     op, for its backward.
+
+    Under a task-stacked seed the backward takes a (tasks, n, out) gradient
+    and runs once for all tasks: each block of edges gathers the senders'
+    features once for every task, and each head's sparse product carries
+    the tasks side by side as columns.
     """
     hw = as_tensor(hw)
     heads = len(a_center)
@@ -400,30 +422,52 @@ def gat_attention(hw, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor], 
         values = np.concatenate(outs, axis=1)
 
     def backward_fn(g):
-        # (n, heads, d), or (n, 1, d) shared by all heads when they are averaged
-        grads = (g * (1.0 / heads) if average else g).reshape(n, -1, d)
+        stacked = g.ndim == 3                  # (tasks, n, out) under a task-stacked seed
+        g = g if stacked else g[None]
+        tasks = g.shape[0]
+        # (tasks, n, heads, d), or (tasks, n, 1, d) shared by all heads when averaged
+        grads = (g * (1.0 / heads) if average else g).reshape(tasks, n, -1, d)
         # d loss / d alpha for every pair: <g_k[dst], hw_k[src]>, by blocks of edges
-        dalpha = np.empty_like(alpha)
+        # (one pair of gather buffers, reused by every block and task)
+        dscores = np.empty((tasks,) + alpha.shape)
+        senders = np.empty((min(_EDGE_CHUNK, dst.size), heads, d))
+        receivers = np.empty((senders.shape[0],) + grads.shape[2:])
         for lo in range(0, dst.size, _EDGE_CHUNK):
-            hi = lo + _EDGE_CHUNK
-            dalpha[lo:hi] = np.einsum("ehd,ehd->eh", grads[dst[lo:hi]], feats[src[lo:hi]])
-        # softmax, then leaky-ReLU backward; the segment maximum cancels
-        weighted = alpha * dalpha
-        dscores = weighted - alpha * np.add.reduceat(weighted, starts, axis=0)[dst]
+            hi = min(lo + _EDGE_CHUNK, dst.size)
+            np.take(feats, src[lo:hi], axis=0, out=senders[:hi - lo], mode="clip")
+            for t in range(tasks):
+                np.take(grads[t], dst[lo:hi], axis=0, out=receivers[:hi - lo], mode="clip")
+                np.einsum("ehd,ehd->eh", receivers[:hi - lo], senders[:hi - lo],
+                          out=dscores[t, lo:hi])
+        del senders, receivers
+        # softmax, then leaky-ReLU backward, in place; the segment maximum cancels
+        dscores *= alpha
+        dscores -= alpha * np.add.reduceat(dscores, starts, axis=1)[:, dst]
         dscores *= np.where(positive, 1.0, slope)
-        dcenter = np.add.reduceat(dscores, starts, axis=0)                  # (n, heads)
-        dneighbor = np.stack([np.bincount(src, weights=dscores[:, k], minlength=n)
-                              for k in range(heads)], axis=1)
+        dcenter = np.add.reduceat(dscores, starts, axis=1)               # (tasks, n, heads)
+        dneighbor = np.array([[np.bincount(src, weights=dscores[t, :, k], minlength=n)
+                               for k in range(heads)] for t in range(tasks)]).transpose(0, 2, 1)
+        del dscores                          # only the per-cell sums are read from here on
         if hw.requires_grad:
-            dfeats = dcenter[:, :, None] * ac + dneighbor[:, :, None] * an
-            per_head = np.broadcast_to(grads, (n, heads, d))
+            # head by head, so no temporary is wider than one head's (tasks, n, d)
+            dfeats = np.empty((tasks, n, heads, d))
             for k in range(heads):
-                dfeats[:, k] += adjacency[k].T @ np.ascontiguousarray(per_head[:, k])
-            hw._accumulate(dfeats.reshape(n, width), own=True)
+                if k == 0 or not average:
+                    # the head's (n, tasks * d) upstream rows, tasks side by side
+                    columns = grads[:, :, k].transpose(1, 0, 2).reshape(n, tasks * d)
+                product = adjacency[k].T @ columns
+                head = dfeats[:, :, k]
+                np.multiply(dcenter[:, :, k, None], ac[k], out=head)
+                head += dneighbor[:, :, k, None] * an[k]
+                head += product.reshape(n, tasks, d).transpose(1, 0, 2)
+            dfeats = dfeats.reshape(tasks, n, width)
+            hw._accumulate(dfeats if stacked else dfeats[0], own=True)
         for params, dscore in ((a_center, dcenter), (a_neighbor, dneighbor)):
             for k, a in enumerate(params):
                 if a.requires_grad:
-                    a._accumulate((feats[:, k].T @ dscore[:, k]).reshape(d, 1), own=True)
+                    da = np.stack([feats[:, k].T @ dscore[t, :, k] for t in range(tasks)])
+                    da = da.reshape(tasks, d, 1)
+                    a._accumulate(da if stacked else da[0], own=True)
 
     return _make(values, (hw, *a_center, *a_neighbor), backward_fn, "gat_attention")
 
@@ -762,6 +806,13 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
     needs a gradient recomputes its block's convolution (the batch-norm
     backward needs every position's normalized value) and convolves the
     block's gradient with the flipped kernel.
+
+    Under a task-stacked seed the backward takes a (tasks, N, C, H//2,
+    W//2) gradient and runs once for all tasks: each block's patches, its
+    pooling winners and, for an input gradient, its recomputed convolution
+    serve every task, and only the block's upstream gradient, its
+    weight-gradient product and its flipped-kernel convolution are made
+    task by task.
     """
     x, w, gamma, beta = as_tensor(x), as_tensor(w), as_tensor(gamma), as_tensor(beta)
     cout, cin, kh, kw = w.shape
@@ -839,39 +890,49 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
     np.multiply(act, slope, out=act, where=act < 0)            # leaky ReLU, 0 <= slope <= 1
 
     def backward_fn(g):
-        # pooling, then leaky ReLU: the winner's sign is the pooled value's
-        g = np.ascontiguousarray(g.transpose(1, 2, 3, 0))
-        np.multiply(g, slope, out=g, where=values.transpose(1, 2, 3, 0) <= 0)
-        dbeta = g.sum(axis=(1, 2, 3))
-        dgamma = np.einsum("chwn,chwn->c", g, xhat_win)
+        stacked = g.ndim == 5                  # (tasks, n, cout, hp, wp) under a task-stacked seed
+        g = g if stacked else g[None]
+        tasks = g.shape[0]
+        # pooling, then leaky ReLU: the winner's sign is the pooled value's; by
+        # blocks of cells, so the activation's slope is never an output-sized array
+        g = np.ascontiguousarray(g.transpose(0, 2, 3, 4, 1))        # (tasks, cout, hp, wp, n)
+        for lo, hi in blocks:
+            cells = g[..., lo:hi]
+            np.multiply(cells, np.where(act[..., lo:hi] > 0, 1.0, slope), out=cells)
+        dbeta = g.sum(axis=(2, 3, 4))                               # (tasks, cout)
+        dgamma = np.stack([np.einsum("chwn,chwn->c", task_g, xhat_win) for task_g in g])
         if gamma.requires_grad:
-            gamma._accumulate(dgamma, own=True)
+            gamma._accumulate(dgamma if stacked else dgamma[0], own=True)
         if beta.requires_grad:
-            beta._accumulate(dbeta, own=True)
+            beta._accumulate(dbeta if stacked else dbeta[0], own=True)
         if not (w.requires_grad or x.requires_grad):
             return
         # batch-norm backward (Ioffe & Szegedy 2015): the convolution output's
         # gradient is scale * (dy - xhat * dgamma / m - dbeta / m)
         scale = gamma.values * inv_std
-        dy_patches = np.zeros((cout, k))                       # sum of dy * patch^T
-        dx = np.zeros(x.shape) if x.requires_grad else None
+        dy_patches = np.zeros((tasks, cout, k))                # sum of dy * patch^T
+        dx = np.zeros((tasks,) + x.shape) if x.requires_grad else None
         w_flip = w.values[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
         for lo, hi in blocks:
             b = hi - lo
+            # shared by the tasks: the block's patches, its pooling winners and,
+            # for an input gradient, its recomputed normalized convolution
             patches = _block_patches(_padded_block(x.values, lo, hi, masked), rows, cols)
-            dy = np.empty((cout, h * wd * b))
-            dy[:, windows * b:] = 0.0
-            corners = dy[:, :windows * b].reshape(cout, 4, hp, wp, b)
-            block_g, block_winner = g[..., lo:hi], winner[..., lo:hi]
-            for i in range(4):
-                np.multiply(block_g, block_winner == i, out=corners[:, i])
-            dy_patches += dy @ patches.T
+            is_winner = winner[:, None, ..., lo:hi] == np.arange(4)[:, None, None, None]
             if dx is not None:
-                xhat = wm @ patches                            # recomputed
+                xhat = wm @ patches
                 xhat -= mu[:, None]
                 xhat *= inv_std[:, None]
-                dy -= xhat * (dgamma / m)[:, None]
-                dy -= (dbeta / m)[:, None]
+            dy = np.empty((cout, h * wd * b))                  # one task's at a time
+            for t in range(tasks):
+                dy[:, windows * b:] = 0.0
+                corners = dy[:, :windows * b].reshape(cout, 4, hp, wp, b)
+                np.multiply(g[t, :, None, ..., lo:hi], is_winner, out=corners)
+                dy_patches[t] += dy @ patches.T
+                if dx is None:
+                    continue
+                dy -= xhat * (dgamma[t] / m)[:, None]
+                dy -= (dbeta[t] / m)[:, None]
                 dy *= scale[:, None]
                 # the input gradient is dy convolved with the flipped kernel
                 padded = np.zeros((cout, h + 2, wd + 2, b))
@@ -879,15 +940,16 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
                 block_dx = np.empty((cin, h, wd, b))
                 block_dx[:, rows, cols] = (w_flip @ _block_patches(padded, rows, cols)
                                            ).reshape(cin, -1, b)
-                dx[lo:hi] = block_dx.transpose(3, 0, 1, 2)
+                dx[t, lo:hi] = block_dx.transpose(3, 0, 1, 2)
         if w.requires_grad:
             # sum_p xhat_p p^T = inv_std * comoment and sum_p p^T = m * p_mean^T
-            dy_patches -= (dgamma * inv_std / m)[:, None] * comoment
-            dy_patches -= np.outer(dbeta, p_mean)
-            w._accumulate((scale[:, None] * dy_patches).reshape(w.shape), own=True)
+            dy_patches -= (dgamma * inv_std / m)[..., None] * comoment
+            dy_patches -= dbeta[..., None] * p_mean
+            dw = (scale[:, None] * dy_patches).reshape((tasks,) + w.shape)
+            w._accumulate(dw if stacked else dw[0], own=True)
         if dx is not None:
-            dx[masked] = 0.0
-            x._accumulate(dx, own=True)
+            dx[:, masked] = 0.0
+            x._accumulate(dx if stacked else dx[0], own=True)
 
     return _make(values, (x, w, gamma, beta), backward_fn, "conv_block")
 
@@ -896,21 +958,41 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
 # backward driver
 # ---------------------------------------------------------------------------
 
-def backward(loss: Tensor) -> None:
-    """Reverse-mode gradient accumulation from a scalar loss.
+# The ops whose backward carries a leading task axis; only they may sit
+# between the root and the leaves of a task-stacked backward.
+_TASK_AXIS_OPS = frozenset(
+    {"add", "mul", "matmul", "concat", "reshape", "elu", "gat_attention", "conv_block"})
 
-    Raises if the loss is not scalar or if called twice on the same root.
-    An op's output is made after its parents, so the graph holds no cycle.
+
+def backward(root: Tensor, seed: np.ndarray | None = None) -> None:
+    """Reverse-mode gradient accumulation from ``root`` into every reachable
+    tensor with ``requires_grad=True``.
+
+    Without ``seed``, ``root`` is a scalar loss and the walk starts from
+    d loss / d loss = 1; each leaf's ``grad`` has the leaf's shape.
+
+    With ``seed`` of shape (tasks, *root.shape), one walk backpropagates
+    several upstream gradients at once: ``seed[t]`` is task t's gradient
+    at ``root``, every op's backward runs once for all tasks, and each
+    reached leaf's ``grad`` is (tasks, *leaf.shape), slice t being task
+    t's gradient. Only the ops in ``_TASK_AXIS_OPS`` carry the task axis;
+    a walk that reaches any other op raises before any backward runs.
+
+    Raises if ``root`` is not scalar without a seed, or if called twice on
+    the same root. An op's output is made after its parents, so the graph
+    holds no cycle.
     """
-    if loss.size != 1:
-        raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if loss._backward_done:
+    if seed is None and root.size != 1:
+        raise ValueError(f"backward requires a scalar loss, got shape {root.shape}")
+    if seed is not None and seed.shape[1:] != root.shape:
+        raise ValueError(f"seed of shape {seed.shape} does not stack gradients "
+                         f"of the root's shape {root.shape}")
+    if root._backward_done:
         raise RuntimeError("backward already ran for this tensor")
-    loss._backward_done = True
 
     order: list[Tensor] = []
     finished: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -928,9 +1010,13 @@ def backward(loss: Tensor) -> None:
     # unconsumed intermediate gradients that must not leak into this one
     for node in order:
         if node._backward_fn is not None:
+            if seed is not None and node._op not in _TASK_AXIS_OPS:
+                raise ValueError(f"a task-stacked backward reached '{node._op}', "
+                                 "whose backward has no task axis")
             node.grad = None
 
-    loss._accumulate(np.ones_like(loss.values))
+    root._backward_done = True
+    root._accumulate(np.ones_like(root.values) if seed is None else seed)
     for node in reversed(order):
         if node._backward_fn is not None and node.grad is not None:
             _check_finite(node.grad, "backward")

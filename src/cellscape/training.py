@@ -1,14 +1,21 @@
-"""Training loop: masked dual-branch encode and decode, per-loss backprop,
-gradient surgery, Adam with the halving schedule, and mask-free embedding
-extraction by the encoders alone.
+"""Training loop: masked dual-branch encode and decode, one task-stacked
+backward pass through the encoders for both objectives, gradient surgery,
+Adam with the halving schedule, and mask-free embedding extraction by the
+encoders alone.
 
 ``train`` prepares the inputs once and runs one ``_step`` per epoch, so an
 epoch's autodiff graph is freed before the next epoch's forward. An epoch
 copies no input: the encoders read the masked cells as zeros and the
-decoder rebuilds only the masked rows. ``embed`` takes the arrays ``train``
-prepared: features, maps and directed edges. There is one forward pass and
-no train/eval switch: ``embed`` is the training forward without a mask, so
-the CNN normalizes by the statistics of exactly the cells it trained on."""
+decoder rebuilds only the masked rows. Each loss backpropagates only down
+to the fused embedding; one backward then carries both losses' gradients
+there, stacked on a task axis, through the fusion, the CNN and the GAT
+encoder, so PCGrad gets each parameter's two task gradients from a single
+walk of the encoders.
+
+``embed`` takes the arrays ``train`` prepared: features, maps and directed
+edges. There is one forward pass and no train/eval switch: ``embed`` is the
+training forward without a mask, so the CNN normalizes by the statistics of
+exactly the cells it trained on."""
 
 from __future__ import annotations
 
@@ -19,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .autodiff import Tensor
 from .dataset import ExpressionDataset
 from .gene_map import GeneLayout, mask_cells, render_maps
 from .losses import contrastive_loss, neighbor_arrays, sce_loss
@@ -38,18 +46,10 @@ class EmbeddingSet:
     Z: np.ndarray                    # (n, d) fused, rows unit-norm
 
 
-def _take_grads(params: dict) -> dict[str, np.ndarray]:
-    """Each parameter's gradient, taken off the parameter (zeros where no
-    gradient reached it), so the next backward starts from none."""
-    grads = {}
-    for name, p in params.items():
-        grads[name] = np.zeros_like(p.values) if p.grad is None else p.grad
-        p.grad = None
-    return grads
-
-
-def _global_norm(grads: dict[str, np.ndarray]) -> float:
-    return float(np.sqrt(sum(float(g.ravel() @ g.ravel()) for g in grads.values())))
+def _global_norm(grads: dict[str, np.ndarray], task: int) -> float:
+    """Norm of one task's gradient over all parameters."""
+    return float(np.sqrt(sum(float(g[task].ravel() @ g[task].ravel())
+                             for g in grads.values())))
 
 
 def train(ds: ExpressionDataset, graph: SpatialGraph, layout: GeneLayout | None,
@@ -85,32 +85,91 @@ def train(ds: ExpressionDataset, graph: SpatialGraph, layout: GeneLayout | None,
 def _step(model: CellScapeModel, optimizer: AdamState, epoch: int, features: np.ndarray,
           maps: np.ndarray | None, edges: DirectedEdges,
           neighbors: tuple[np.ndarray, np.ndarray, np.ndarray]) -> dict:
-    """One epoch: resample the mask, evaluate both objectives on the masked
-    inputs, backpropagate them separately, merge per-parameter gradients with
-    gradient surgery, and apply one scheduled Adam step.
+    """One epoch: both objectives' per-parameter gradients from one
+    task-stacked walk of the encoders (``_task_gradients``), merged with
+    gradient surgery, then one scheduled Adam step.
 
     Returns the epoch's log record: the epoch, its learning rate, both
     losses, its wall time (``epoch_s``), each loss's gradient norm over all
     parameters and the fraction of parameter tensors that PCGrad changed.
-    The autodiff graph is a local, freed on return. Neither input is
-    copied: both encoders read the masked cells as zeros, and the decoder
-    reconstructs the masked rows alone.
     """
     start = time.perf_counter()
-    cfg = model.cfg
     params = model.params
-    n = features.shape[0]
-    lr = lr_schedule(epoch, cfg.learning_rate)
+    lr = lr_schedule(epoch, model.cfg.learning_rate)
+    recon_val, con_val, grads = _task_gradients(model, epoch, features, maps, edges, neighbors)
+
+    combined = {}
+    projected = 0
+    for name in params:
+        tasks = [grads[name][0].ravel(), grads[name][1].ravel()]
+        adjusted = pcgrad(tasks)
+        projected += any(not np.array_equal(a, t) for a, t in zip(adjusted, tasks))
+        combined[name] = (adjusted[0] + adjusted[1]).reshape(params[name].shape)
+    adam_step(optimizer, params, combined, lr=lr)
+
+    return {
+        "epoch": epoch, "lr": lr, "loss_recon": recon_val, "loss_contrastive": con_val,
+        "epoch_s": time.perf_counter() - start,
+        "grad_norm_recon": _global_norm(grads, 0),
+        "grad_norm_contrastive": _global_norm(grads, 1),
+        "pcgrad_projected_frac": projected / len(params),
+    }
+
+
+def _task_gradients(model: CellScapeModel, epoch: int, features: np.ndarray,
+                    maps: np.ndarray | None, edges: DirectedEdges,
+                    neighbors: tuple[np.ndarray, np.ndarray, np.ndarray]
+                    ) -> tuple[float, float, dict[str, np.ndarray]]:
+    """Resample the epoch's mask, evaluate both objectives on the masked
+    inputs and return ``(loss_recon, loss_contrastive, grads)``: each
+    parameter's (2, *shape) gradients, the reconstruction loss's first.
+
+    ``_loss_heads`` backpropagates each loss down to the fused embedding;
+    one backward from there walks the encoders once for both. The autodiff
+    graph is a local, freed on return. Neither input is copied: both
+    encoders read the masked cells as zeros, and the decoder reconstructs
+    the masked rows alone.
+    """
+    cfg = model.cfg
     # the middle word is unused; drawing three keeps the mask and anchor
     # seeds that every earlier seeded run used
     mask_seed, _, anchor_seed = (
         int(s) for s in np.random.SeedSequence([cfg.seed, epoch]).generate_state(3))
 
-    mask = mask_cells(n, cfg.mask_ratio, mask_seed)
+    mask = mask_cells(features.shape[0], cfg.mask_ratio, mask_seed)
     _, _, z_fused = model.encode(features, maps, edges, masked=mask)
-    loss_recon = sce_loss(features, model.decode(z_fused, edges, mask), mask, cfg.gamma)
+    recon_val, con_val, dz = _loss_heads(model, epoch, z_fused.values, features, edges,
+                                         neighbors, mask, anchor_seed)
+    ad.backward(z_fused, dz)
 
-    z_norm = ad.l2_normalize_rows(z_fused)
+    grads = {}
+    for name, p in model.params.items():
+        # a parameter-shaped gradient is the decoder's, from reconstruction alone
+        grads[name] = (np.stack([p.grad, np.zeros_like(p.grad)]) if p.grad.ndim == p.ndim
+                       else p.grad)
+        p.grad = None
+    return recon_val, con_val, grads
+
+
+def _loss_heads(model: CellScapeModel, epoch: int, z_fused: np.ndarray, features: np.ndarray,
+                edges: DirectedEdges, neighbors: tuple[np.ndarray, np.ndarray, np.ndarray],
+                mask: np.ndarray, anchor_seed: int) -> tuple[float, float, np.ndarray]:
+    """Both losses on the (n, d) fused embedding values and their gradients
+    there: ``(loss_recon, loss_contrastive, dz)`` with ``dz`` (2, n, d),
+    the reconstruction loss's first.
+
+    The losses read the embedding as a leaf, so each scalar backward stops
+    there: the reconstruction loss's runs through the decoder and leaves
+    the decoder's parameter gradients, the contrastive loss's runs through
+    the row normalization alone. The heads' graph is freed on return,
+    before the encoders' backward.
+    """
+    cfg = model.cfg
+    n = z_fused.shape[0]
+    z = Tensor(z_fused, requires_grad=True)
+    loss_recon = sce_loss(features, model.decode(z, edges, mask), mask, cfg.gamma)
+
+    z_norm = ad.l2_normalize_rows(z)
     if n > MAX_CONTRASTIVE_ANCHORS:
         anchors = np.sort(np.random.default_rng(anchor_seed).choice(
             n, size=MAX_CONTRASTIVE_ANCHORS, replace=False))
@@ -127,26 +186,9 @@ def _step(model: CellScapeModel, optimizer: AdamState, epoch: int, features: np.
         )
 
     ad.backward(loss_recon)
-    grads_recon = _take_grads(params)
+    dz_recon, z.grad = z.grad, None
     ad.backward(loss_con)
-    grads_con = _take_grads(params)
-
-    combined = {}
-    projected = 0
-    for name in params:
-        tasks = [grads_recon[name].ravel(), grads_con[name].ravel()]
-        adjusted = pcgrad(tasks)
-        projected += any(not np.array_equal(a, t) for a, t in zip(adjusted, tasks))
-        combined[name] = (adjusted[0] + adjusted[1]).reshape(params[name].shape)
-    adam_step(optimizer, params, combined, lr=lr)
-
-    return {
-        "epoch": epoch, "lr": lr, "loss_recon": recon_val, "loss_contrastive": con_val,
-        "epoch_s": time.perf_counter() - start,
-        "grad_norm_recon": _global_norm(grads_recon),
-        "grad_norm_contrastive": _global_norm(grads_con),
-        "pcgrad_projected_frac": projected / len(params),
-    }
+    return recon_val, con_val, np.stack([dz_recon, z.grad])
 
 
 def embed(model: CellScapeModel, features: np.ndarray, maps: np.ndarray | None,

@@ -10,9 +10,12 @@ fused ``gat_attention`` and ``conv_block`` ops and for the edge-list
 ``contrastive_loss``. ``gene_space_decoder`` is the decoder that attends
 over the (n, genes) projection, built on ``gat_attention`` (checked against
 ``composite_gat_layer``), as the reference for the decoder that attends in
-the embedding space. ``chunked_layout_genes`` is the gene layout's
-vectorised chunk-by-chunk loop, kept bit for bit as the reference for the
-faster ``layout_genes``; ``naive_gene_layout`` checks it by plain loops.
+the embedding space. ``two_pass_task_grads`` is the training step's
+gradients the two-pass way, one full backward per loss through the
+package's model and losses, as the reference for the task-stacked pass.
+``chunked_layout_genes`` is the gene layout's vectorised chunk-by-chunk
+loop, kept bit for bit as the reference for the faster ``layout_genes``;
+``naive_gene_layout`` checks it by plain loops.
 """
 
 from __future__ import annotations
@@ -25,7 +28,10 @@ from fractions import Fraction
 
 import numpy as np
 
+import cellscape.training
 from cellscape import autodiff as ad
+from cellscape.gene_map import mask_cells
+from cellscape.losses import contrastive_loss, sce_loss
 from cellscape.network import ATTENTION_SLOPE
 
 
@@ -96,6 +102,36 @@ def gene_space_decoder(model, z, edges, rows):
                             [model.params["decoder.0.a_neighbor"]],
                             edges, ATTENTION_SLOPE, average=True)
     return ad.gather_rows(full, rows)
+
+
+def two_pass_task_grads(model, epoch: int, features, maps, edges, neighbors):
+    """Each parameter's (reconstruction, contrastive) gradient pair for
+    ``epoch``, as the training step took them before the task-stacked pass:
+    the same mask and anchors, one forward, then one full scalar backward
+    per loss, each walking the decoder and both encoders, with the
+    gradients taken off the parameters in between (zeros where a loss does
+    not reach)."""
+    cfg = model.cfg
+    n = features.shape[0]
+    mask_seed, _, anchor_seed = (
+        int(s) for s in np.random.SeedSequence([cfg.seed, epoch]).generate_state(3))
+    mask = mask_cells(n, cfg.mask_ratio, mask_seed)
+    _, _, z_fused = model.encode(features, maps, edges, masked=mask)
+    loss_recon = sce_loss(features, model.decode(z_fused, edges, mask), mask, cfg.gamma)
+    if n > cellscape.training.MAX_CONTRASTIVE_ANCHORS:
+        anchors = np.sort(np.random.default_rng(anchor_seed).choice(
+            n, size=cellscape.training.MAX_CONTRASTIVE_ANCHORS, replace=False))
+    else:
+        anchors = np.arange(n)
+    loss_con = contrastive_loss(ad.l2_normalize_rows(z_fused), neighbors, cfg.tau,
+                                anchors=anchors)
+    pairs = {name: [] for name in model.params}
+    for loss in (loss_recon, loss_con):
+        ad.backward(loss)
+        for name, p in model.params.items():
+            pairs[name].append(np.zeros_like(p.values) if p.grad is None else p.grad)
+            p.grad = None
+    return pairs
 
 
 def composite_conv_block(x, w, gamma, beta, state, training: bool, slope: float):

@@ -236,6 +236,40 @@ class TestBackwardContract:
         ad.backward(second)
         np.testing.assert_array_equal(w.grad, fresh_grad(1))
 
+    def test_task_stacked_seed_gives_each_task_its_scalar_gradient(self):
+        # one walk with a (2, ...) seed through every op that carries the
+        # task axis; the bias added to every row keeps one gradient per task
+        rng = np.random.default_rng(4)
+        x, w0, v0, b0 = (rng.standard_normal(s) for s in ((5, 4), (4, 3), (3, 2), (3,)))
+        keep = np.array([[1.0], [0.0], [1.0], [1.0], [0.0]])
+        upstream = rng.standard_normal((2, 5, 5))
+
+        def forward():
+            w, v, b = (ad.Tensor(a.copy(), requires_grad=True) for a in (w0, v0, b0))
+            h = ad.elu(ad.matmul(x, w) + b) * keep
+            joint = ad.concat([h, ad.matmul(h, v)], axis=1)
+            return ad.reshape(ad.reshape(joint, (25,)), (5, 5)), (w, v, b)
+
+        out, leaves = forward()
+        ad.backward(out, upstream)
+        for task in range(2):
+            task_out, task_leaves = forward()
+            ad.backward(ad.tensor_sum(task_out * upstream[task]))
+            for stacked, single in zip(leaves, task_leaves):
+                assert stacked.grad.shape == (2,) + single.shape
+                np.testing.assert_allclose(stacked.grad[task], single.grad, rtol=1e-12,
+                                           atol=1e-15)
+
+    def test_task_stacked_seed_checked(self):
+        w = ad.Tensor(np.ones((3, 2)), requires_grad=True)
+        with pytest.raises(ValueError, match="seed"):
+            ad.backward(w * 2.0, np.ones((2, 2, 3)))
+        # l2_normalize_rows reduces over its rows' last axis and has no task axis
+        out = ad.l2_normalize_rows(w * 2.0)
+        with pytest.raises(ValueError, match="l2_normalize_rows"):
+            ad.backward(out, np.ones((2, 3, 2)))
+        assert w.grad is None and not out._backward_done
+
     def test_property_random_expressions(self):
         # composite expression exercising most ops together, 20 random draws
         for trial in range(20):

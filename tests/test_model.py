@@ -23,7 +23,7 @@ from cellscape.training import embed, train
 
 from oracles import (composite_conv_block, composite_gat_layer, dense_contrastive_loss,
                      finite_difference_grads, gene_space_decoder, loop_neighbor_lists,
-                     relative_error)
+                     relative_error, two_pass_task_grads)
 
 TOY_CFG = dict(
     gat_layers=2,
@@ -741,6 +741,80 @@ class TestModelGradients:
         for name, g in zip(names, fd):
             err = relative_error(analytic[name], g)
             assert err < 1e-4, f"{name}: rel err {err}"
+
+
+def _step_inputs(ds, graph, layout, cfg):
+    """A fresh model and the epoch inputs ``train`` prepares for ``_step``."""
+    q = None if cfg.cci_only else layout.q
+    maps = None if cfg.cci_only else render_maps(ds.X, layout)
+    edges = graph.directed_edges()
+    return CellScapeModel(ds.n_genes, q, cfg), (ds.X.T, maps, edges, neighbor_arrays(edges))
+
+
+class TestTaskStackedGradients:
+    """One encoder walk per epoch carries both objectives' gradients."""
+
+    # ids: the toy model; a second CNN block, whose input takes a gradient;
+    # the spatial branch alone; fewer contrastive anchors than cells
+    @pytest.mark.parametrize("case", ["toy", "two-cnn-blocks", "cci-only", "sampled-anchors"])
+    def test_matches_two_pass_oracle(self, case, monkeypatch):
+        extra = {"two-cnn-blocks": {"cnn_channels": (2, 4)},
+                 "cci-only": {"cci_only": True}}.get(case, {})
+        ds, graph, layout = toy_dataset(n=30, p=36, seed=23)
+        if case == "sampled-anchors":
+            monkeypatch.setattr(training, "MAX_CONTRASTIVE_ANCHORS", 7)
+        cfg = ModelConfig(seed=23, **{**TOY_CFG, **extra})
+        model, inputs = _step_inputs(ds, graph, layout, cfg)
+        optimizer = optim.AdamState(model.params, cfg.weight_decay)
+        for epoch in range(2):
+            want = two_pass_task_grads(copy.deepcopy(model), epoch, *inputs)
+            _, _, got = training._task_gradients(model, epoch, *inputs)
+            for name, p in model.params.items():
+                assert got[name].shape == (2,) + p.shape, name
+                for task in range(2):
+                    reference = want[name][task]
+                    np.testing.assert_allclose(got[name][task], reference, rtol=1e-12,
+                                               atol=1e-12 * np.abs(reference).max(),
+                                               err_msg=f"{name}, task {task}")
+            # both objectives reach the encoder
+            assert np.abs(got["encoder.0.W"][0]).max() > 0
+            assert np.abs(got["encoder.0.W"][1]).max() > 0
+            # the next epoch's comparison runs on stepped parameters
+            training._step(model, optimizer, epoch, *inputs)
+
+    def test_one_epoch_runs_each_encoder_op_backward_once(self, monkeypatch):
+        # every encoder attention layer and CNN block runs its backward once,
+        # for both objectives at once; the decoder's attention runs its
+        # backward once, for the reconstruction loss alone
+        ds, graph, layout = toy_dataset(n=30, p=36, seed=24)
+        cfg = ModelConfig(seed=24, **{**TOY_CFG, "cnn_channels": (2, 4)})
+        model, inputs = _step_inputs(ds, graph, layout, cfg)
+        made = []   # (op, output, task counts its backward was called with)
+
+        def counting(op):
+            original = getattr(ad, op)
+
+            def wrapper(*args, **kwargs):
+                out = original(*args, **kwargs)
+                record = (op, out, [])
+                backward_fn = out._backward_fn
+
+                def counted(g):
+                    record[2].append(g.shape[0] if g.ndim > out.ndim else None)
+                    backward_fn(g)
+
+                out._backward_fn = counted
+                made.append(record)
+                return out
+
+            monkeypatch.setattr(ad, op, wrapper)
+
+        counting("gat_attention")
+        counting("conv_block")
+        training._step(model, optim.AdamState(model.params, cfg.weight_decay), 0, *inputs)
+        assert [op for op, _, _ in made] == ["gat_attention"] * 2 + ["conv_block"] * 2 + [
+            "gat_attention"]
+        assert [calls for _, _, calls in made] == [[2]] * 4 + [[None]]
 
 
 class TestTraining:
