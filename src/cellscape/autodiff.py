@@ -19,7 +19,7 @@ pair-score backward in blocks of edges, so no op holds an edges x features
 array; it returns the layer output only, its attention weights stay inside
 for the backward. A CNN block is one fused op, ``conv_block``: a bias-free 3x3
 convolution, batch normalization, leaky ReLU and 2x2 max pooling over cells
-in blocks of ``_CELL_BLOCK``, so no op holds an N*H*W x channels array.
+in blocks of ``_cell_blocks``, so no op holds an N*H*W x channels array.
 Its batch norm always uses the exact statistics of the batch at hand:
 the model trains full-batch and embeds the cells it trained on, so no
 running averages are kept. One pass per block convolves, pools (the
@@ -31,6 +31,9 @@ is output-sized (the int8 winner of each pooling window and the normalized
 value there) plus those statistics, which give the weight gradient in
 closed form; only an input that needs a gradient recomputes its blocks'
 convolutions (Chen et al. 2016's trade of compute for memory). The
+backward walks the same blocks, under a stacked upstream gradient too:
+apart from the input gradient it returns, no buffer it makes grows with
+N. The
 neighbourhood contrastive loss is one fused op, ``contrastive``: it walks
 the anchors in blocks of ``_ANCHOR_CHUNK``, reads each block's positive
 pairs from the sorted edge arrays and builds the (n, d) gradient during the
@@ -442,7 +445,13 @@ def gat_attention(hw, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor], 
         del senders, receivers
         # softmax, then leaky-ReLU backward, in place; the segment maximum cancels
         dscores *= alpha
-        dscores -= alpha * np.add.reduceat(dscores, starts, axis=1)[:, dst]
+        sums = np.add.reduceat(dscores, starts, axis=1)                  # (tasks, n, heads)
+        spread = np.empty(alpha.shape)                                   # one task's at a time
+        for t in range(tasks):
+            np.take(sums[t], dst, axis=0, out=spread, mode="clip")
+            spread *= alpha
+            dscores[t] -= spread
+        del sums, spread
         dscores *= np.where(positive, 1.0, slope)
         dcenter = np.add.reduceat(dscores, starts, axis=1)               # (tasks, n, heads)
         dneighbor = np.array([[np.bincount(src, weights=dscores[t, :, k], minlength=n)
@@ -553,12 +562,16 @@ def elu(a) -> Tensor:
     """ELU with alpha = 1: x above 0, exp(x) - 1 elsewhere."""
     a = as_tensor(a)
     positive = a.values > 0
-    expm = np.expm1(np.minimum(a.values, 0.0))
-    values = np.where(positive, a.values, expm)
+    values = np.minimum(a.values, 0.0)
+    np.expm1(values, out=values)
+    np.copyto(values, a.values, where=positive)
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(g * np.where(positive, 1.0, expm + 1.0), own=True)
+            # exp(x) = values + 1 below 0, so only the output and the mask are kept
+            deriv = values + 1.0
+            np.copyto(deriv, 1.0, where=positive)
+            a._accumulate(g * deriv, own=True)
 
     return _make(values, (a,), backward_fn, "elu")
 
@@ -731,9 +744,19 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool,
 
 
 # Cells per block of conv_block: its largest buffers are the block's
-# (9 * cin, H * W * _CELL_BLOCK) patch matrix and (C, H * W * _CELL_BLOCK)
-# channels, never N * H * W wide.
+# (9 * cin, H * W * b) patch matrix and (C, H * W * b) channels, never
+# N * H * W wide. A block spans about _BLOCK_POSITIONS map positions, within
+# 16 to _CELL_BLOCK cells: 128 cells on maps of up to 11 x 11, 64 at 16 x 16,
+# 16 from 32 x 32 on (smaller blocks cost more in per-block calls than
+# they save in cache misses).
 _CELL_BLOCK = 128
+_BLOCK_POSITIONS = 16384
+
+
+def _cell_blocks(n: int, h: int, w: int) -> list[tuple[int, int]]:
+    """The (lo, hi) cell ranges conv_block walks for n cells of h x w maps."""
+    size = min(_CELL_BLOCK, max(16, _BLOCK_POSITIONS // (h * w)))
+    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 def _pool_order(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
@@ -784,8 +807,8 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
     call normalizes by the statistics of its own N cells, with the same
     ``BatchNormState.eps``, and keeps no running averages.
 
-    The cells are walked in blocks of ``_CELL_BLOCK``, cell-last, with each
-    pooling window's four entries in four contiguous runs; a block's patch
+    The cells are walked in the blocks of ``_cell_blocks``, cell-last, with
+    each pooling window's four entries in four contiguous runs; a block's patch
     matrix and convolution are the only buffers wider than the output. The
     activation never falls as gamma * conv rises, so one pass pools gamma *
     conv, keeping each window's winner (its first maximum in window order,
@@ -798,21 +821,25 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
     activation then run on the winners alone.
 
     Kept for the backward: the output, the int8 winners and the normalized
-    value at each winner, plus s, C and the statistics. gamma and beta
-    gradients come from the winners. The weight gradient is the patches at
-    the winners times the upstream gradient, re-read from ``x`` one block at
-    a time, minus the batch-statistics terms, which are closed-form in s and
-    C; so the convolution is not recomputed for it. Only an input that
-    needs a gradient recomputes its block's convolution (the batch-norm
-    backward needs every position's normalized value) and convolves the
-    block's gradient with the flipped kernel.
+    value at each winner, plus s, C and the statistics. The backward walks
+    the same cell blocks and never copies the whole upstream gradient: each
+    block's slice is moved cell-last and through the leaky ReLU on its own.
+    One pass sums the gamma and beta gradients over the winners and, when
+    ``x`` needs no gradient (the maps, so the model's first block), the
+    weight gradient's product of the patches at the winners, re-read from
+    ``x``, with the upstream gradient. The weight gradient's batch-statistics
+    terms are closed-form in s and C, so the convolution is not recomputed
+    for it. Only an input that needs a gradient takes a second pass, since
+    it needs the gamma and beta totals: it recomputes each block's
+    convolution (the batch-norm backward needs every position's normalized
+    value) and convolves the block's gradient with the flipped kernel.
 
     Under a task-stacked seed the backward takes a (tasks, N, C, H//2,
     W//2) gradient and runs once for all tasks: each block's patches, its
     pooling winners and, for an input gradient, its recomputed convolution
-    serve every task, and only the block's upstream gradient, its
-    weight-gradient product and its flipped-kernel convolution are made
-    task by task.
+    serve every task, and only the block's weight-gradient product and its
+    flipped-kernel convolution are made task by task. Apart from the input
+    gradient it returns, its buffers are those of one block, whatever N.
     """
     x, w, gamma, beta = as_tensor(x), as_tensor(w), as_tensor(gamma), as_tensor(beta)
     cout, cin, kh, kw = w.shape
@@ -838,7 +865,7 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
     k = wm.shape[1]
     rows, cols = _pool_order(h, wd)
     windows = 4 * hp * wp                                      # positions that pooling reads
-    blocks = [(lo, min(lo + _CELL_BLOCK, n)) for lo in range(0, n, _CELL_BLOCK)]
+    blocks = _cell_blocks(n, h, wd)
 
     # the activation leaky(gamma * (y - mu) * inv_std + beta) never falls as
     # gamma * y rises (inv_std > 0, slope >= 0), so pooling gamma * y finds
@@ -893,30 +920,26 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
         stacked = g.ndim == 5                  # (tasks, n, cout, hp, wp) under a task-stacked seed
         g = g if stacked else g[None]
         tasks = g.shape[0]
-        # pooling, then leaky ReLU: the winner's sign is the pooled value's; by
-        # blocks of cells, so the activation's slope is never an output-sized array
-        g = np.ascontiguousarray(g.transpose(0, 2, 3, 4, 1))        # (tasks, cout, hp, wp, n)
-        for lo, hi in blocks:
-            cells = g[..., lo:hi]
-            np.multiply(cells, np.where(act[..., lo:hi] > 0, 1.0, slope), out=cells)
-        dbeta = g.sum(axis=(2, 3, 4))                               # (tasks, cout)
-        dgamma = np.stack([np.einsum("chwn,chwn->c", task_g, xhat_win) for task_g in g])
-        if gamma.requires_grad:
-            gamma._accumulate(dgamma if stacked else dgamma[0], own=True)
-        if beta.requires_grad:
-            beta._accumulate(dbeta if stacked else dbeta[0], own=True)
-        if not (w.requires_grad or x.requires_grad):
-            return
-        # batch-norm backward (Ioffe & Szegedy 2015): the convolution output's
-        # gradient is scale * (dy - xhat * dgamma / m - dbeta / m)
         scale = gamma.values * inv_std
+        dbeta, dgamma = np.zeros((tasks, cout)), np.zeros((tasks, cout))
         dy_patches = np.zeros((tasks, cout, k))                # sum of dy * patch^T
         dx = np.zeros((tasks,) + x.shape) if x.requires_grad else None
         w_flip = w.values[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
-        for lo, hi in blocks:
+
+        def block_grad(lo, hi):
+            # cells lo:hi of the upstream gradient, cell-last (tasks, cout, hp,
+            # wp, b), through the pooling and the leaky ReLU: the winner's sign
+            # is the pooled value's
+            cells = np.empty((tasks, cout, hp, wp, hi - lo))
+            np.multiply(g[:, lo:hi].transpose(0, 2, 3, 4, 1),
+                        np.where(act[..., lo:hi] > 0, 1.0, slope), out=cells)
+            return cells
+
+        def conv_grads(lo, hi, cells):
+            # the block's share of the weight gradient and, once dbeta and
+            # dgamma are complete, its input gradient; the patches, pooling
+            # winners and recomputed convolution serve every task
             b = hi - lo
-            # shared by the tasks: the block's patches, its pooling winners and,
-            # for an input gradient, its recomputed normalized convolution
             patches = _block_patches(_padded_block(x.values, lo, hi, masked), rows, cols)
             is_winner = winner[:, None, ..., lo:hi] == np.arange(4)[:, None, None, None]
             if dx is not None:
@@ -927,10 +950,13 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
             for t in range(tasks):
                 dy[:, windows * b:] = 0.0
                 corners = dy[:, :windows * b].reshape(cout, 4, hp, wp, b)
-                np.multiply(g[t, :, None, ..., lo:hi], is_winner, out=corners)
-                dy_patches[t] += dy @ patches.T
+                np.multiply(cells[t, :, None], is_winner, out=corners)
+                if w.requires_grad:
+                    dy_patches[t] += dy @ patches.T
                 if dx is None:
                     continue
+                # batch-norm backward (Ioffe & Szegedy 2015): the convolution
+                # output's gradient is scale * (dy - xhat * dgamma / m - dbeta / m)
                 dy -= xhat * (dgamma[t] / m)[:, None]
                 dy -= (dbeta[t] / m)[:, None]
                 dy *= scale[:, None]
@@ -941,6 +967,23 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
                 block_dx[:, rows, cols] = (w_flip @ _block_patches(padded, rows, cols)
                                            ).reshape(cin, -1, b)
                 dx[t, lo:hi] = block_dx.transpose(3, 0, 1, 2)
+
+        # one pass sums dbeta and dgamma and, when x needs no gradient, the
+        # weight-gradient product; the input gradient needs their batch
+        # totals, so only then a second pass reads the blocks again
+        for lo, hi in blocks:
+            cells = block_grad(lo, hi)
+            dbeta += cells.sum(axis=(2, 3, 4))
+            dgamma += np.einsum("tchwn,chwn->tc", cells, xhat_win[..., lo:hi])
+            if dx is None and w.requires_grad:
+                conv_grads(lo, hi, cells)
+        if gamma.requires_grad:
+            gamma._accumulate(dgamma if stacked else dgamma[0], own=True)
+        if beta.requires_grad:
+            beta._accumulate(dbeta if stacked else dbeta[0], own=True)
+        if dx is not None:
+            for lo, hi in blocks:
+                conv_grads(lo, hi, block_grad(lo, hi))
         if w.requires_grad:
             # sum_p xhat_p p^T = inv_std * comoment and sum_p p^T = m * p_mean^T
             dy_patches -= (dgamma * inv_std / m)[..., None] * comoment

@@ -67,28 +67,30 @@ def _kmeanspp_means(X: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarr
 
 def _component_terms(diff: np.ndarray,
                      covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log density of each cell under every component, shape (n, K), from
-    ``diff[k] = X - mean_k`` (K, n, d), and tr(cov_k^-1), shape (K,).
+    """Log density of each cell under every component, shape (K, n), from
+    the cell-last ``diff[k] = (X - mean_k)^T`` (K, d, n), and tr(cov_k^-1),
+    shape (K,).
 
     All of them come from one Cholesky factor L_k per component and its
     triangular inverse (LAPACK ``trtri``): the Mahalanobis term is
-    ||(x - mean_k) L_k^-T||^2, the log-determinant 2 sum log diag(L_k) and
+    ||L_k^-1 (x - mean_k)||^2, the log-determinant 2 sum log diag(L_k) and
     tr(cov_k^-1) = ||L_k^-1||_F^2. Sharing the factor makes them describe the
     same rounded covariance; the penalized objective is stationary in the
     covariance after an M-step, so its rounding then moves the objective
     only at second order even when the covariance is near-singular.
     """
-    d = diff.shape[2]
+    d = diff.shape[1]
     chol = np.linalg.cholesky(covs)
     factors = [dtrtri(c, lower=1) for c in chol]
     if any(info for _, info in factors):
         raise np.linalg.LinAlgError("singular Cholesky factor")
     inv_chol = np.stack([inv for inv, _ in factors])
-    whitened = diff @ inv_chol.transpose(0, 2, 1)
-    maha = np.einsum("knd,knd->nk", whitened, whitened)
+    whitened = inv_chol @ diff
+    whitened *= whitened
+    maha = whitened.sum(axis=1)
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
     tr_inv = (inv_chol * inv_chol).sum(axis=(1, 2))
-    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha), tr_inv
+    return -0.5 * (d * np.log(2.0 * np.pi) + logdet[:, None] + maha), tr_inv
 
 
 # final log-likelihoods within this relative distance of the best count as tied
@@ -131,14 +133,15 @@ def gmm_cluster(Zp: np.ndarray, K: int, seed: int) -> DomainLabels:
 
         path: list[float] = []
         objectives: list[float] = []
-        diff = X - means[:, None, :]
+        # cells last: every broadcast and product runs over n, not over d
+        diff = X.T - means[:, :, None]                         # (K, d, n)
         prev_ll = prev_objective = -np.inf
         monotone_check = True
         for _ in range(EM_MAX_ITER):
             logpdf, tr_inv = _component_terms(diff, covs)
-            log_r = np.log(weights) + logpdf
-            row_max = log_r.max(axis=1, keepdims=True)
-            log_norm = row_max[:, 0] + np.log(np.exp(log_r - row_max).sum(axis=1))
+            log_r = np.log(weights)[:, None] + logpdf                # (K, n)
+            col_max = log_r.max(axis=0)
+            log_norm = col_max + np.log(np.exp(log_r - col_max).sum(axis=0))
             ll = float(log_norm.sum())
             objective = ll - 0.5 * lam * float(tr_inv.sum())
             if monotone_check and objective < prev_objective - 1e-8:
@@ -147,20 +150,20 @@ def gmm_cluster(Zp: np.ndarray, K: int, seed: int) -> DomainLabels:
                 )
             path.append(ll)
             objectives.append(objective)
-            resp = np.exp(log_r - log_norm[:, None])
+            resp = np.exp(log_r - log_norm)
 
             converged = np.isfinite(prev_ll) and abs(ll - prev_ll) < EM_TOL * (1.0 + abs(ll))
             prev_ll, prev_objective = ll, objective
             monotone_check = True
 
-            nk = resp.sum(axis=0)
+            nk = resp.sum(axis=1)
             degenerate = np.flatnonzero(nk < 2.0)
             if degenerate.size:
                 for k in degenerate:
-                    dist = (diff[k] ** 2).sum(axis=1)
+                    dist = (diff[k] ** 2).sum(axis=0)
                     far = int(np.argmax(dist))
                     means[k] = X[far]
-                    diff[k] = X - means[k]
+                    diff[k] = X.T - means[k][:, None]
                     covs[k] = data_cov
                     weights[k] = 1.0 / K
                     warnings.warn(
@@ -174,9 +177,9 @@ def gmm_cluster(Zp: np.ndarray, K: int, seed: int) -> DomainLabels:
                 break
 
             weights = nk / n
-            means = (resp.T @ X) / nk[:, None]
-            diff = X - means[:, None, :]
-            scatter = (diff * resp.T[:, :, None]).transpose(0, 2, 1) @ diff
+            means = (resp @ X) / nk[:, None]
+            diff = X.T - means[:, :, None]
+            scatter = (diff * resp[:, None]) @ diff.transpose(0, 2, 1)
             covs = (scatter + lam * np.eye(d)) / nk[:, None, None]
 
         finals.append((prev_ll, resp, path, objectives))
@@ -188,7 +191,7 @@ def gmm_cluster(Zp: np.ndarray, K: int, seed: int) -> DomainLabels:
     _, resp, path, objectives = next(
         f for f in finals if f[0] >= top - _RESTART_RTOL * abs(top)
     )
-    labels = resp.argmax(axis=1).astype(np.int64)
+    labels = resp.argmax(axis=0).astype(np.int64)
     return DomainLabels(labels=labels, n_domains=K, log_likelihood_path=path,
                         objective_path=objectives)
 

@@ -1,5 +1,7 @@
 """Gradient checks for every differentiable op against central finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,21 @@ class TestNonlinearities:
         x = RNG.standard_normal((4, 4)) + 0.05  # keep clear of the kink
         check_op(lambda ts: ad.tensor_sum(ad.leaky_relu(ts[0], 0.2) ** 2), [x])
         check_op(lambda ts: ad.tensor_sum(ad.elu(ts[0]) ** 2), [x])
+
+    def test_elu_keeps_only_output_and_mask(self):
+        # the backward reads exp(x) below 0 as output + 1, so the forward
+        # keeps no exp(x) - 1 array beside its output and its sign mask
+        x = RNG.standard_normal((400, 64))
+        leaf = ad.Tensor(x, requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = ad.elu(leaf)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(out.values, np.where(x > 0, x, np.expm1(x)))
+        kept = out.values.nbytes + x.size          # float64 output, bool mask
+        assert held < kept + 4096, (held, kept)
 
     def test_l2_normalize(self):
         x = RNG.standard_normal((5, 4)) + 1.0

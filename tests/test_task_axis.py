@@ -2,7 +2,12 @@
 (concatenated and averaged heads) and the CNN block (with and without an
 input gradient), a (2, ...) upstream gradient gives each task the gradients
 a single-task backward gives it. The graphs hold a cell with no edge and a
-pair of coordinate twins; the masked sets are empty, partial or every cell."""
+pair of coordinate twins; the masked sets are empty, partial or every cell,
+and for the CNN block also one whole block of cells. The CNN block's
+stacked backward also matches the composite chain across block boundaries
+and holds no copy of the whole stacked gradient."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +19,8 @@ from cellscape.autodiff import Tensor
 from cellscape.network import ATTENTION_SLOPE
 from cellscape.spatial_graph import SpatialGraph, build_knn_graph
 
+from oracles import composite_conv_block
+
 DRAWS = settings(max_examples=30, deadline=None)
 MASKS = st.sampled_from(["empty", "partial", "all"])
 
@@ -23,6 +30,11 @@ def _masked(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
         return np.empty(0, dtype=np.intp)
     if kind == "all":
         return np.arange(n)
+    if kind == "block":
+        # every cell of the second block of ad._CELL_BLOCK cells, or of the
+        # only one
+        first = ad._CELL_BLOCK if n > ad._CELL_BLOCK else 0
+        return np.arange(first, min(first + ad._CELL_BLOCK, n))
     return np.sort(rng.choice(n, size=rng.integers(1, n) if n > 1 else 1, replace=False))
 
 
@@ -78,10 +90,14 @@ def test_gat_attention_tasks_match_single_task_backward(n, k, heads, head_dim, a
 
 
 @DRAWS
-@given(n=st.integers(1, 140), cin=st.integers(1, 3), cout=st.integers(1, 3),
-       q=st.integers(2, 7), x_grad=st.booleans(), mask=MASKS, seed=st.integers(0, 2**32 - 1))
+@given(n=st.integers(1, 3 * ad._CELL_BLOCK + 20), cin=st.integers(1, 3), cout=st.integers(1, 3),
+       q=st.integers(2, 7), x_grad=st.booleans(),
+       mask=st.sampled_from(["empty", "partial", "all", "block"]),
+       seed=st.integers(0, 2**32 - 1))
 def test_conv_block_tasks_match_single_task_backward(n, cin, cout, q, x_grad, mask, seed):
-    # up to 140 cells: two blocks of ad._CELL_BLOCK, the second partial
+    # up to three blocks of ad._CELL_BLOCK cells and part of a fourth (maps
+    # this small take whole blocks)
+    assert ad._cell_blocks(n, q, q)[0] == (0, min(n, ad._CELL_BLOCK))
     rng = np.random.default_rng(seed)
     maps = rng.standard_normal((n, cin, q, q))
     w0 = rng.standard_normal((cout, cin, 3, 3))
@@ -95,3 +111,66 @@ def test_conv_block_tasks_match_single_task_backward(n, cin, cout, q, x_grad, ma
         return out, ((x,) if x_grad else ()) + (w, gamma, beta)
 
     _assert_tasks_match(forward, rng.standard_normal((2, n, cout, q // 2, q // 2)))
+
+
+def _conv_block_arrays(n, cin, cout, q, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((n, cin, q, q)), rng.standard_normal((cout, cin, 3, 3)),
+            rng.random(cout) + 0.5, rng.standard_normal(cout))
+
+
+@pytest.mark.parametrize("x_grad", [False, True])
+def test_conv_block_stacked_matches_composite_across_blocks(x_grad):
+    # the beta and gamma gradients are summed block by block, so the block
+    # boundaries are where a stacked backward could part from the composite
+    # chain: three blocks, the middle one all masked (its windows tie), the
+    # last partial; each task's slice within 1e-12 of the chain's gradients
+    block = ad._CELL_BLOCK
+    n, cin, cout, q = 2 * block + block // 2 + 1, 2, 3, 6
+    assert len(ad._cell_blocks(n, q, q)) == 3
+    maps, w0, gamma0, beta0 = _conv_block_arrays(n, cin, cout, q, seed=41)
+    masked = np.array([1, *range(block, 2 * block), n - 2])
+    maps[masked] = 0.0
+    upstream = np.random.default_rng(42).standard_normal((2, n, cout, q // 2, q // 2))
+
+    def leaves():
+        return [Tensor(a, requires_grad=x_grad or i > 0)
+                for i, a in enumerate((maps, w0, gamma0, beta0))]
+
+    stacked = leaves()
+    ad.backward(ad.conv_block(*stacked, 0.01, masked), upstream)
+    for task in range(2):
+        chain = leaves()
+        out = composite_conv_block(*chain, ad.BatchNormState(cout), True, 0.01)
+        ad.backward(ad.tensor_sum(out * upstream[task]))
+        for got, want in zip(stacked, chain):
+            if not got.requires_grad:
+                continue
+            want = want.grad.copy()
+            if got is stacked[0]:
+                want[masked] = 0.0          # the op gives masked cells no input gradient
+            np.testing.assert_allclose(got.grad[task], want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+
+
+def test_conv_block_stacked_backward_copies_no_full_gradient():
+    # n = four blocks and three cells. The backward moves the stacked
+    # gradient cell-last one block at a time, so beside the driver's copy of
+    # the seed and one block's patch matrix and convolution gradient it
+    # holds less than half the seed; a cell-last copy of the whole stacked
+    # gradient alone is as large as the seed
+    n, cin, cout, q = 4 * ad._CELL_BLOCK + 3, 1, 16, 10
+    assert ad._cell_blocks(n, q, q)[0] == (0, ad._CELL_BLOCK)
+    maps, w0, gamma0, beta0 = _conv_block_arrays(n, cin, cout, q, seed=43)
+    w, gamma, beta = (Tensor(a, requires_grad=True) for a in (w0, gamma0, beta0))
+    out = ad.conv_block(Tensor(maps), w, gamma, beta, 0.01)
+    seed = np.random.default_rng(44).standard_normal((2,) + out.shape)
+    tracemalloc.start()
+    try:
+        ad.backward(out, seed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.grad.shape == (2,) + w.shape
+    block = (9 * cin + cout) * q * q * ad._CELL_BLOCK * 8
+    assert peak < seed.nbytes + seed.nbytes // 2 + block, f"peak {peak / 2**20:.2f} MiB"
