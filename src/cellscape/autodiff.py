@@ -43,7 +43,10 @@ forward, so no op holds an anchors x n array.
 ``exp``, ``log`` and ``segment_sum`` have no caller in the model. They stay
 only because ``benchmark/spec.py::AUTODIFF_OPS`` names them, so the
 benchmark tracer wraps them by name (the composite and dense references in
-the tests are built from them too). The has-a-caller gate in
+the tests are built from them too), and each takes only the form those
+references call: ``conv2d`` is a bias-free 3x3 "same" convolution,
+``batch_norm`` normalizes 4-D input by the statistics of the batch at hand,
+and ``segment_sum`` takes sorted ids. The has-a-caller gate in
 ``tests/test_imports.py`` counts those names as reads and nothing else
 does: an op dropped from ``AUTODIFF_OPS`` must be deleted here as well.
 """
@@ -353,14 +356,11 @@ def gather_rows(a, index) -> Tensor:
 
 
 def segment_sum(a, segment_ids, num_segments: int) -> Tensor:
-    """Sum rows of ``a`` into ``num_segments`` buckets given per-row segment ids."""
+    """Sum rows of ``a`` into ``num_segments`` buckets given per-row segment
+    ids, which must be sorted ascending."""
     a = as_tensor(a)
     seg = np.asarray(segment_ids, dtype=np.intp)
-    if seg.size and np.all(seg[1:] >= seg[:-1]):
-        values = _sorted_row_sums(a.values, seg, num_segments)
-    else:
-        values = np.zeros((num_segments,) + a.shape[1:], dtype=np.float64)
-        np.add.at(values, seg, a.values)
+    values = _sorted_row_sums(a.values, seg, num_segments)
 
     def backward_fn(g):
         if a.requires_grad:
@@ -596,62 +596,37 @@ def l2_normalize_rows(a) -> Tensor:
 # convolution, pooling, batch normalization
 # ---------------------------------------------------------------------------
 
-def _im2col(x: np.ndarray, kh: int, kw: int, pad: int) -> np.ndarray:
-    """Return the (C*kh*kw, N*Ho*Wo) patch matrix of a stride-1 convolution
-    of NCHW ``x``: channel-major, so the convolution is ``w.reshape(cout, -1)
-    @ cols`` and each copied run is one output row of one image."""
-    if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    n, c, h, w = x.shape
-    ho, wo = h - kh + 1, w - kw + 1
+def _conv_same(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stride-1 3x3 "same" convolution of NCHW ``x`` by ``w``, and its
+    (C * 9, N * H * W) patch matrix: channel-major, so the convolution is
+    ``w.reshape(cout, -1) @ cols`` and each copied run is one output row of
+    one image."""
+    x = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    n, c, h, wd = x.shape
     s0, s1, s2, s3 = x.strides
     windows = np.lib.stride_tricks.as_strided(
-        x, (c, kh, kw, n, ho, wo), (s1, s2, s3, s0, s2, s3), writeable=False
+        x, (c, 3, 3, n, h - 2, wd - 2), (s1, s2, s3, s0, s2, s3), writeable=False
     )
-    return np.ascontiguousarray(windows).reshape(c * kh * kw, n * ho * wo)
+    cols = np.ascontiguousarray(windows).reshape(c * 9, -1)
+    out = w.reshape(w.shape[0], -1) @ cols
+    return out.reshape(-1, n, h - 2, wd - 2).transpose(1, 0, 2, 3), cols
 
 
-def _conv_raw(x: np.ndarray, w: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
-    n, _, h, wd = x.shape
-    cout, _, kh, kw = w.shape
-    ho, wo = h + 2 * pad - kh + 1, wd + 2 * pad - kw + 1
-    cols = _im2col(x, kh, kw, pad)
-    out = w.reshape(cout, -1) @ cols
-    return out.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3), cols
-
-
-def _conv_input_grad(g: np.ndarray, w: np.ndarray, pad: int) -> np.ndarray:
-    """Input gradient of a stride-1 convolution: ``g`` convolved with the
-    rotated, channel-swapped kernel."""
-    w_rot = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    return _conv_raw(g, w_rot, w.shape[2] - 1 - pad)[0]
-
-
-def conv2d(x, w, b, padding: int | str = "same") -> Tensor:
-    """Stride-1 2D convolution, NCHW layout; ``padding`` is "same" or an int."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    cout, cin, kh, kw = w.shape
-    if x.ndim != 4 or x.shape[1] != cin:
-        raise ValueError(f"conv2d input shape {x.shape} incompatible with kernel {w.shape}")
-    if padding == "same":
-        if kh % 2 == 0 or kw % 2 == 0:
-            raise ValueError("'same' padding requires odd kernel size")
-        pad = (kh - 1) // 2
-    else:
-        pad = int(padding)
-    values, cols = _conv_raw(x.values, w.values, pad)
-    values = values + b.values.reshape(1, cout, 1, 1)
+def conv2d(x, w) -> Tensor:
+    """Stride-1 3x3 "same" convolution without bias, NCHW layout."""
+    x, w = as_tensor(x), as_tensor(w)
+    values, cols = _conv_same(x.values, w.values)
 
     def backward_fn(g):
-        g2 = g.transpose(1, 0, 2, 3).reshape(cout, -1)
-        if b.requires_grad:
-            b._accumulate(g2.sum(axis=1))
         if w.requires_grad:
+            g2 = g.transpose(1, 0, 2, 3).reshape(w.shape[0], -1)
             w._accumulate((g2 @ cols.T).reshape(w.shape), own=True)
         if x.requires_grad:
-            x._accumulate(_conv_input_grad(g, w.values, pad), own=True)
+            # g convolved with the rotated, channel-swapped kernel
+            w_rot = w.values[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            x._accumulate(_conv_same(g, w_rot)[0], own=True)
 
-    return _make(values, (x, w, b), backward_fn, "conv2d")
+    return _make(values, (x, w), backward_fn, "conv2d")
 
 
 def maxpool2(x) -> Tensor:
@@ -684,46 +659,21 @@ def maxpool2(x) -> Tensor:
     return _make(values, (x,), backward_fn, "maxpool2")
 
 
-class BatchNormState:
-    """Running statistics for one layer of the reference ``batch_norm``;
-    the model's ``conv_block`` keeps none and reads only ``eps``."""
-
-    momentum = 0.1
-    eps = 1e-5
-
-    def __init__(self, num_features: int):
-        self.running_mean = np.zeros(num_features, dtype=np.float64)
-        self.running_var = np.ones(num_features, dtype=np.float64)
+# batch normalization's eps, for conv_block and the reference batch_norm
+_BN_EPS = 1e-5
 
 
-def batch_norm(x, gamma, beta, state: BatchNormState, training: bool,
-               update_running: bool = True) -> Tensor:
-    """Batch normalization over (N,) or (N,H,W) per channel; NCHW or ND input."""
+def batch_norm(x, gamma, beta) -> Tensor:
+    """Batch normalization of NCHW ``x`` per channel, by the statistics of
+    the batch at hand."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    if x.ndim == 2:
-        axes, pshape = (0,), (1, -1)
-    elif x.ndim == 4:
-        axes, pshape = (0, 2, 3), (1, -1, 1, 1)
-    else:
-        raise ValueError(f"batch_norm expects 2D or 4D input, got {x.shape}")
-    gv = gamma.values.reshape(pshape)
-    bv = beta.values.reshape(pshape)
-    m = int(np.prod([x.shape[a] for a in axes]))
-
-    if training:
-        mu = x.values.mean(axis=axes, keepdims=True)
-        var = x.values.var(axis=axes, keepdims=True)
-        if update_running:
-            unbiased = var.reshape(-1) * (m / max(m - 1, 1))
-            state.running_mean += state.momentum * (mu.reshape(-1) - state.running_mean)
-            state.running_var += state.momentum * (unbiased - state.running_var)
-    else:
-        mu = state.running_mean.reshape(pshape)
-        var = state.running_var.reshape(pshape)
-
-    inv_std = 1.0 / np.sqrt(var + state.eps)
+    axes = (0, 2, 3)
+    gv = gamma.values.reshape(1, -1, 1, 1)
+    m = x.size // x.shape[1]
+    mu = x.values.mean(axis=axes, keepdims=True)
+    inv_std = 1.0 / np.sqrt(x.values.var(axis=axes, keepdims=True) + _BN_EPS)
     xhat = (x.values - mu) * inv_std
-    values = gv * xhat + bv
+    values = gv * xhat + beta.values.reshape(1, -1, 1, 1)
 
     def backward_fn(g):
         if gamma.requires_grad:
@@ -732,13 +682,9 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool,
             beta._accumulate(g.sum(axis=axes))
         if x.requires_grad:
             gxhat = g * gv
-            if training:
-                term = gxhat.sum(axis=axes, keepdims=True) + xhat * (gxhat * xhat).sum(
-                    axis=axes, keepdims=True
-                )
-                x._accumulate(inv_std * (gxhat - term / m), own=True)
-            else:
-                x._accumulate(gxhat * inv_std, own=True)
+            term = (gxhat.sum(axis=axes, keepdims=True)
+                    + xhat * (gxhat * xhat).sum(axis=axes, keepdims=True))
+            x._accumulate(inv_std * (gxhat - term / m), own=True)
 
     return _make(values, (x, gamma, beta), backward_fn, "batch_norm")
 
@@ -799,13 +745,13 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
     """One CNN block in one op: stride-1 3x3 "same" convolution (no bias),
     batch normalization per channel, leaky ReLU, then 2x2 max pooling.
 
-    The same function as ``maxpool2(leaky_relu(batch_norm(conv2d(x, w, 0))))``
+    The same function as ``maxpool2(leaky_relu(batch_norm(conv2d(x, w), gamma, beta)))``
     with the cells indexed by ``masked`` read as all-zero maps (their input
     gradient is zero), so training masks the maps without copying them. The
     output is (N, C, H//2, W//2); trailing odd rows and columns are dropped.
-    Batch normalization has one mode, ``batch_norm``'s training mode: every
-    call normalizes by the statistics of its own N cells, with the same
-    ``BatchNormState.eps``, and keeps no running averages.
+    Batch normalization has one mode, as in ``batch_norm``: every call
+    normalizes by the statistics of its own N cells, with the module
+    constant ``_BN_EPS`` as eps, and keeps no running averages.
 
     The cells are walked in the blocks of ``_cell_blocks``, cell-last, with
     each pooling window's four entries in four contiguous runs; a block's patch
@@ -832,13 +778,17 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
     for it. Only an input that needs a gradient takes a second pass, since
     it needs the gamma and beta totals: it recomputes each block's
     convolution (the batch-norm backward needs every position's normalized
-    value) and convolves the block's gradient with the flipped kernel.
+    value). Its input gradient is the adjoint of the forward's patch gather:
+    wm^T dy, with wm the (cout, 9 * cin) weight matrix and dy the
+    convolution's gradient, is the gradient of every patch entry, and each
+    of the nine kernel offsets adds its share back to the padded block where
+    the gather read it; no patch matrix of the gradient is built.
 
     Under a task-stacked seed the backward takes a (tasks, N, C, H//2,
     W//2) gradient and runs once for all tasks: each block's patches, its
     pooling winners and, for an input gradient, its recomputed convolution
     serve every task, and only the block's weight-gradient product and its
-    flipped-kernel convolution are made task by task. Apart from the input
+    patch-gather adjoint are made task by task. Apart from the input
     gradient it returns, its buffers are those of one block, whatever N.
     """
     x, w, gamma, beta = as_tensor(x), as_tensor(w), as_tensor(gamma), as_tensor(beta)
@@ -907,7 +857,7 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
         p_mean += p_shift * (size / count)
 
     mu, var = y_mean, m2 / m
-    inv_std = 1.0 / np.sqrt(var + BatchNormState.eps)
+    inv_std = 1.0 / np.sqrt(var + _BN_EPS)
     xhat_win -= mu[:, None, None, None]
     xhat_win *= inv_std[:, None, None, None]
     values = np.empty((n, cout, hp, wp))
@@ -924,7 +874,6 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
         dbeta, dgamma = np.zeros((tasks, cout)), np.zeros((tasks, cout))
         dy_patches = np.zeros((tasks, cout, k))                # sum of dy * patch^T
         dx = np.zeros((tasks,) + x.shape) if x.requires_grad else None
-        w_flip = w.values[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
 
         def block_grad(lo, hi):
             # cells lo:hi of the upstream gradient, cell-last (tasks, cout, hp,
@@ -946,6 +895,7 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
                 xhat = wm @ patches
                 xhat -= mu[:, None]
                 xhat *= inv_std[:, None]
+                grid = np.empty((cout, h, wd, b))              # dy in map order
             dy = np.empty((cout, h * wd * b))                  # one task's at a time
             for t in range(tasks):
                 dy[:, windows * b:] = 0.0
@@ -960,13 +910,16 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
                 dy -= xhat * (dgamma[t] / m)[:, None]
                 dy -= (dbeta[t] / m)[:, None]
                 dy *= scale[:, None]
-                # the input gradient is dy convolved with the flipped kernel
-                padded = np.zeros((cout, h + 2, wd + 2, b))
-                padded[:, rows + 1, cols + 1] = dy.reshape(cout, -1, b)
-                block_dx = np.empty((cin, h, wd, b))
-                block_dx[:, rows, cols] = (w_flip @ _block_patches(padded, rows, cols)
-                                           ).reshape(cin, -1, b)
-                dx[t, lo:hi] = block_dx.transpose(3, 0, 1, 2)
+                # the adjoint of the patch gather: wm.T @ dy is the gradient
+                # of each patch entry, added back where the gather read it,
+                # at the nine kernel offsets of the padded block
+                grid[:, rows, cols] = dy.reshape(cout, -1, b)
+                dpatches = (wm.T @ grid.reshape(cout, -1)).reshape(cin, 3, 3, h, wd, b)
+                dpadded = np.zeros((cin, h + 2, wd + 2, b))
+                for r in range(3):
+                    for c in range(3):
+                        dpadded[:, r:r + h, c:c + wd] += dpatches[:, r, c]
+                dx[t, lo:hi] = dpadded[:, 1:-1, 1:-1].transpose(3, 0, 1, 2)
 
         # one pass sums dbeta and dgamma and, when x needs no gradient, the
         # weight-gradient product; the input gradient needs their batch

@@ -56,6 +56,10 @@ class ModelConfig:
             raise ValueError("hidden_dim must be divisible by attention_heads")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be non-negative")
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int):

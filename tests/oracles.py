@@ -134,13 +134,10 @@ def two_pass_task_grads(model, epoch: int, features, maps, edges, neighbors):
     return pairs
 
 
-def composite_conv_block(x, w, gamma, beta, state, training: bool, slope: float):
+def composite_conv_block(x, w, gamma, beta, slope: float):
     """conv -> batch norm -> leaky ReLU -> 2x2 max pool from the generic
-    autodiff ops, with a zero convolution bias; the running statistics move
-    exactly when ``training`` is set."""
-    bias = ad.Tensor(np.zeros(w.shape[0]))
-    out = ad.conv2d(x, w, bias, "same")
-    out = ad.batch_norm(out, gamma, beta, state, training)
+    autodiff ops."""
+    out = ad.batch_norm(ad.conv2d(x, w), gamma, beta)
     return ad.maxpool2(ad.leaky_relu(out, slope))
 
 

@@ -128,8 +128,7 @@ class TestConvPoolNorm:
         x = np.zeros((1, 1, 8, 8))
         x[0, 0, 4, 4] = 1.0
         w = np.ones((1, 1, 3, 3))
-        b = np.zeros(1)
-        out = ad.conv2d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b), padding="same")
+        out = ad.conv2d(ad.Tensor(x), ad.Tensor(w))
         assert out.values.sum() == pytest.approx(9.0)
         pooled = ad.maxpool2(out)
         assert pooled.values.max() == pytest.approx(1.0)
@@ -137,25 +136,8 @@ class TestConvPoolNorm:
     def test_conv2d_grad(self):
         x = RNG.standard_normal((2, 2, 5, 5))
         w = RNG.standard_normal((3, 2, 3, 3)) * 0.5
-        b = RNG.standard_normal(3) * 0.1
         proj = RNG.standard_normal((2, 3, 5, 5))
-
-        def build(ts):
-            out = ad.conv2d(ts[0], ts[1], ts[2], padding="same")
-            return ad.tensor_sum(out * proj)
-
-        check_op(build, [x, w, b])
-
-    def test_conv2d_zero_padding_grad(self):
-        x = RNG.standard_normal((1, 1, 6, 6))
-        w = RNG.standard_normal((2, 1, 3, 3))
-        b = np.zeros(2)
-
-        def build(ts):
-            out = ad.conv2d(ts[0], ts[1], ts[2], padding=0)
-            return ad.tensor_sum(out ** 2)
-
-        check_op(build, [x, w, b])
+        check_op(lambda ts: ad.tensor_sum(ad.conv2d(ts[0], ts[1]) * proj), [x, w])
 
     def test_maxpool_grad(self):
         x = RNG.standard_normal((2, 2, 7, 7))  # odd size: margins dropped
@@ -167,37 +149,25 @@ class TestConvPoolNorm:
         gamma = np.abs(RNG.standard_normal(3)) + 0.5
         beta = RNG.standard_normal(3)
         proj = RNG.standard_normal((6, 3, 4, 4))
-        state = ad.BatchNormState(3)
+        check_op(lambda ts: ad.tensor_sum(ad.batch_norm(ts[0], ts[1], ts[2]) * proj),
+                 [x, gamma, beta], tol=1e-5)
 
-        def build(ts):
-            out = ad.batch_norm(ts[0], ts[1], ts[2], state, training=True, update_running=False)
-            return ad.tensor_sum(out * proj)
 
-        check_op(build, [x, gamma, beta], tol=1e-5)
+class TestDebugChecks:
+    """CELLSCAPE_DEBUG's non-finite checks, switched on through ``ad._DEBUG``."""
 
-    def test_batch_norm_eval_uses_running_stats(self):
-        state = ad.BatchNormState(2)
-        state.running_mean[:] = [1.0, -1.0]
-        state.running_var[:] = [4.0, 9.0]
-        x = np.array([[1.0, -1.0], [3.0, 2.0]])
-        out = ad.batch_norm(
-            ad.Tensor(x), ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)), state, training=False
-        )
-        expected = (x - state.running_mean) / np.sqrt(state.running_var + state.eps)
-        np.testing.assert_allclose(out.values, expected)
+    def test_forward_names_the_op(self, monkeypatch):
+        monkeypatch.setattr(ad, "_DEBUG", True)
+        with np.errstate(divide="ignore"), pytest.raises(FloatingPointError, match="log"):
+            ad.log(ad.Tensor(0.0))
 
-    def test_batch_norm_2d_grad(self):
-        x = RNG.standard_normal((8, 5))
-        gamma = np.ones(5)
-        beta = np.zeros(5)
-        state = ad.BatchNormState(5)
-        proj = RNG.standard_normal((8, 5))
-
-        def build(ts):
-            out = ad.batch_norm(ts[0], ts[1], ts[2], state, training=True, update_running=False)
-            return ad.tensor_sum(out * proj)
-
-        check_op(build, [x, gamma, beta], tol=1e-5)
+    def test_backward_names_the_walk(self, monkeypatch):
+        monkeypatch.setattr(ad, "_DEBUG", True)
+        w = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+        out = w * 2.0
+        with pytest.raises(FloatingPointError, match="backward"):
+            ad.backward(out, np.full((2, 2, 3), np.nan))
+        assert w.grad is None
 
 
 class TestBackwardContract:

@@ -170,6 +170,11 @@ BAD = [
     pytest.param([], {"preprocessing": {"combat": 1}}, ["preprocessing.combat"], id="combat-int"),
     pytest.param(["--seed", "-1"], None, ["seed"], id="seed-negative"),
     pytest.param([], {"model": {"tau": float("nan")}}, ["model.tau"], id="tau-nan"),
+    # a non-positive step or a negative decay would make Adam climb the loss
+    pytest.param([], {"model": {"learning_rate": -1.0}}, ["model", "learning_rate"],
+                 id="learning_rate-negative"),
+    pytest.param([], {"model": {"weight_decay": -1e-4}}, ["model", "weight_decay"],
+                 id="weight_decay-negative"),
     pytest.param([], {"analysis": {"top_markers": -1}}, ["analysis", "top_markers"],
                  id="top_markers-negative"),
     pytest.param([], {"graph": {"method": "grid"}}, ["graph", "method", "grid"], id="method"),

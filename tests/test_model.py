@@ -465,15 +465,9 @@ def _conv_block_inputs(n, cin, cout, q, seed, masked=(1, 3)):
     return x, w, gamma, beta
 
 
-def _composite(x, w, gamma, beta, slope):
-    """The composite chain in training mode, on a throwaway state: it
-    normalizes by the batch statistics, as the fused op always does."""
-    return composite_conv_block(x, w, gamma, beta, ad.BatchNormState(w.shape[0]), True, slope)
-
-
 def _conv_block_pass(op, arrays, weights, x_grad=True, **kwargs):
     """Output and the gradients of x (when ``x_grad``), w, gamma and beta of
-    ``op`` (``ad.conv_block`` or ``_composite``) under loss sum(out * weights)."""
+    ``op`` (``ad.conv_block`` or ``composite_conv_block``) under loss sum(out * weights)."""
     x, w, gamma, beta = (Tensor(a.copy(), requires_grad=True) for a in arrays)
     x.requires_grad = x_grad
     out = op(x, w, gamma, beta, 0.01, **kwargs)
@@ -484,13 +478,12 @@ def _conv_block_pass(op, arrays, weights, x_grad=True, **kwargs):
 
 def _composite_cnn(model, maps):
     """``model.encode_intrinsic`` without a mask, rebuilt from the composite
-    chain in training mode (each block on a throwaway state), then the
-    reshape and ``cnn.fc`` on the model's parameters."""
+    chain, then the reshape and ``cnn.fc`` on the model's parameters."""
     n = maps.shape[0]
     x = Tensor(maps.reshape(n, 1, model.q, model.q))
     for i in range(len(model.cfg.cnn_channels)):
-        x = _composite(x, model.params[f"cnn.{i}.w"], model.params[f"cnn.{i}.gamma"],
-                       model.params[f"cnn.{i}.beta"], 0.01)
+        x = composite_conv_block(x, model.params[f"cnn.{i}.w"], model.params[f"cnn.{i}.gamma"],
+                                 model.params[f"cnn.{i}.beta"], 0.01)
     return ad.matmul(ad.reshape(x, (n, -1)), model.params["cnn.fc.w"]) + model.params["cnn.fc.b"]
 
 
@@ -509,7 +502,7 @@ def _match_composite(arrays, weights, masked, pass_mask, x_grad=True):
     input gradient."""
     kwargs = {"masked": np.asarray(masked, dtype=np.intp)} if pass_mask else {}
     fused = _conv_block_pass(ad.conv_block, arrays, weights, x_grad, **kwargs)
-    reference = _conv_block_pass(_composite, arrays, weights, x_grad)
+    reference = _conv_block_pass(composite_conv_block, arrays, weights, x_grad)
     if pass_mask and x_grad:
         reference[1][list(masked)] = 0.0
     _assert_match(fused, reference)

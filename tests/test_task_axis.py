@@ -4,8 +4,9 @@ input gradient), a (2, ...) upstream gradient gives each task the gradients
 a single-task backward gives it. The graphs hold a cell with no edge and a
 pair of coordinate twins; the masked sets are empty, partial or every cell,
 and for the CNN block also one whole block of cells. The CNN block's
-stacked backward also matches the composite chain across block boundaries
-and holds no copy of the whole stacked gradient."""
+stacked backward also matches the composite chain, on the drawn inputs and
+across block boundaries, and holds no copy of the whole stacked gradient; its input gradient holds no
+patch matrix of the convolution gradient."""
 
 import tracemalloc
 
@@ -51,7 +52,8 @@ def _graph(n: int, k: int, rng: np.random.Generator) -> SpatialGraph:
 def _assert_tasks_match(forward, upstream):
     """``forward()`` builds fresh leaves and returns (output, leaves): one
     backward seeded with the (2, ...) ``upstream`` must give each leaf, in
-    slice t, the gradient of sum(output * upstream[t])."""
+    slice t, the gradient of sum(output * upstream[t]). Returns the stacked
+    leaves."""
     out, leaves = forward()
     ad.backward(out, upstream)
     for task in range(2):
@@ -61,6 +63,7 @@ def _assert_tasks_match(forward, upstream):
             assert stacked.grad.shape == (2,) + single.shape
             np.testing.assert_allclose(stacked.grad[task], single.grad, rtol=1e-12,
                                        atol=1e-12 * np.abs(single.grad).max())
+    return leaves
 
 
 @DRAWS
@@ -110,7 +113,19 @@ def test_conv_block_tasks_match_single_task_backward(n, cin, cout, q, x_grad, ma
         out = ad.conv_block(x, w, gamma, beta, 0.01, masked)
         return out, ((x,) if x_grad else ()) + (w, gamma, beta)
 
-    _assert_tasks_match(forward, rng.standard_normal((2, n, cout, q // 2, q // 2)))
+    upstream = rng.standard_normal((2, n, cout, q // 2, q // 2))
+    stacked = _assert_tasks_match(forward, upstream)
+    # task 0 against the composite chain on a copy with the masked maps zeroed
+    zeroed = maps.copy()
+    zeroed[masked] = 0.0
+    chain = [Tensor(a, requires_grad=True) for a in (zeroed, w0, gamma0, beta0)]
+    ad.backward(ad.tensor_sum(composite_conv_block(*chain, 0.01) * upstream[0]))
+    for got, want in zip(stacked, chain[0 if x_grad else 1:]):
+        want = want.grad.copy()
+        if x_grad and got is stacked[0]:
+            want[masked] = 0.0              # the op gives masked cells no input gradient
+        np.testing.assert_allclose(got.grad[0], want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
 
 
 def _conv_block_arrays(n, cin, cout, q, seed):
@@ -141,7 +156,7 @@ def test_conv_block_stacked_matches_composite_across_blocks(x_grad):
     ad.backward(ad.conv_block(*stacked, 0.01, masked), upstream)
     for task in range(2):
         chain = leaves()
-        out = composite_conv_block(*chain, ad.BatchNormState(cout), True, 0.01)
+        out = composite_conv_block(*chain, 0.01)
         ad.backward(ad.tensor_sum(out * upstream[task]))
         for got, want in zip(stacked, chain):
             if not got.requires_grad:
@@ -174,3 +189,27 @@ def test_conv_block_stacked_backward_copies_no_full_gradient():
     assert w.grad.shape == (2,) + w.shape
     block = (9 * cin + cout) * q * q * ad._CELL_BLOCK * 8
     assert peak < seed.nbytes + seed.nbytes // 2 + block, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_conv_block_input_gradient_makes_no_gradient_patch_matrix():
+    # a second block's input gradient is the adjoint of the forward's patch
+    # gather, made from one block's (9 * cin, H * W * b) patch gradient: beside
+    # the driver's copy of the seed and the stacked input gradient, the
+    # backward holds less than one block's (9 * cout, H * W * b) patch matrix
+    # of the convolution gradient, which a flipped-kernel convolution builds
+    n, cin, cout, q = 3 * ad._CELL_BLOCK + 5, 1, 16, 8
+    block = ad._cell_blocks(n, q, q)[0][1]
+    maps, w0, gamma0, beta0 = _conv_block_arrays(n, cin, cout, q, seed=45)
+    x = Tensor(maps, requires_grad=True)
+    w, gamma, beta = (Tensor(a, requires_grad=True) for a in (w0, gamma0, beta0))
+    out = ad.conv_block(x, w, gamma, beta, 0.01)
+    seed = np.random.default_rng(46).standard_normal((2,) + out.shape)
+    tracemalloc.start()
+    try:
+        ad.backward(out, seed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.grad.shape == (2,) + x.shape
+    gradient_patches = 9 * cout * q * q * block * 8
+    assert peak < seed.nbytes + x.grad.nbytes + gradient_patches, f"peak {peak / 2**20:.2f} MiB"
