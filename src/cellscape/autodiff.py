@@ -4,12 +4,13 @@ Tensors wrap float64 arrays and record the operations that produced them;
 ``backward`` walks the graph in reverse topological order and accumulates
 gradients into every reachable tensor with ``requires_grad=True``. A leaf's
 ``grad`` sums over every ``backward`` until its reader takes it off (sets it
-to None). Seeded with a stack of upstream gradients, one per task, a single
-walk carries them all: the ops in ``_TASK_AXIS_OPS`` take a leading task
-axis in their backward, and each leaf ends with one gradient per task. The
-training step walks the encoders once per epoch this way, for both losses.
-The operations are those the training loop needs, plus the few listed at
-the end; all run on CPU numpy and scipy.sparse.
+to None). Every gradient carries a leading task axis: a walk seeded with
+one upstream gradient per task carries them all, every op's backward takes
+a (tasks, *out.shape) gradient, and each leaf's ``grad`` is (tasks,
+*leaf.shape). A scalar loss is a walk of one task. The training step walks
+the encoders once per epoch with two tasks, one per loss. The operations
+are those the training loop needs, plus the few listed at the end; all run
+on CPU numpy and scipy.sparse.
 
 Most ops are generic (elementwise, matmul, gathers, segment sums).
 Graph attention is one fused op, ``gat_attention``: per-pair scores, the
@@ -31,13 +32,12 @@ is output-sized (the int8 winner of each pooling window and the normalized
 value there) plus those statistics, which give the weight gradient in
 closed form; only an input that needs a gradient recomputes its blocks'
 convolutions (Chen et al. 2016's trade of compute for memory). The
-backward walks the same blocks, under a stacked upstream gradient too:
-apart from the input gradient it returns, no buffer it makes grows with
-N. The
-neighbourhood contrastive loss is one fused op, ``contrastive``: it walks
-the anchors in blocks of ``_ANCHOR_CHUNK``, reads each block's positive
-pairs from the sorted edge arrays and builds the (n, d) gradient during the
-forward, so no op holds an anchors x n array.
+backward walks the same blocks for every task at once: apart from the input
+gradient it returns, no buffer it makes grows with N. The neighbourhood
+contrastive loss is one fused op, ``contrastive``: it walks the anchors in
+blocks of ``_ANCHOR_CHUNK``, reads each block's positive pairs from the
+sorted edge arrays and builds the (n, d) gradient during the forward, so no
+op holds an anchors x n array.
 
 ``slice_cols``, ``conv2d``, ``batch_norm``, ``maxpool2``, ``transpose``,
 ``exp``, ``log`` and ``segment_sum`` have no caller in the model. They stay
@@ -71,8 +71,7 @@ def _check_finite(arr: np.ndarray, where: str) -> None:
 class Tensor:
     """A dense float64 tensor with optional gradient tracking."""
 
-    __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward_fn", "_op",
-                 "_backward_done")
+    __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward_fn", "_backward_done")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
@@ -80,7 +79,6 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn: Callable[[np.ndarray], None] | None = None
-        self._op: str | None = None      # name of the op that made it, for ``backward``
         self._backward_done = False
 
     @property
@@ -110,9 +108,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
     def __rsub__(self, other):
         return add(other, mul(self, -1.0))
 
@@ -141,20 +136,17 @@ def _make(values: np.ndarray, parents: Sequence[Tensor], backward_fn, where: str
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
-        out._op = where
     return out
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...], tasks: int) -> np.ndarray:
-    """Reduce a broadcasted gradient back to the operand's ``shape``. The
-    first ``tasks`` axes (1 under a task-stacked seed, else 0) hold the
-    tasks and are never summed: a bias added to every row of each task
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Reduce a broadcasted (tasks, ...) gradient back to (tasks, *shape).
+    The task axis is never summed: a bias added to every row of each task
     keeps one gradient per task."""
-    extra = grad.ndim - tasks - len(shape)
+    extra = grad.ndim - 1 - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(tasks, tasks + extra)))
-    axes = tuple(tasks + i for i, s in enumerate(shape)
-                 if s == 1 and grad.shape[tasks + i] != 1)
+        grad = grad.sum(axis=tuple(range(1, 1 + extra)))
+    axes = tuple(1 + i for i, s in enumerate(shape) if s == 1 and grad.shape[1 + i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
@@ -169,11 +161,10 @@ def add(a, b) -> Tensor:
     values = a.values + b.values
 
     def backward_fn(g):
-        tasks = g.ndim - values.ndim
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape, tasks))
+            a._accumulate(_unbroadcast(g, a.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape, tasks))
+            b._accumulate(_unbroadcast(g, b.shape))
 
     return _make(values, (a, b), backward_fn, "add")
 
@@ -183,11 +174,10 @@ def mul(a, b) -> Tensor:
     values = a.values * b.values
 
     def backward_fn(g):
-        tasks = g.ndim - values.ndim
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.values, a.shape, tasks), own=True)
+            a._accumulate(_unbroadcast(g * b.values, a.shape), own=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.values, b.shape, tasks), own=True)
+            b._accumulate(_unbroadcast(g * a.values, b.shape), own=True)
 
     return _make(values, (a, b), backward_fn, "mul")
 
@@ -198,10 +188,9 @@ def div(a, b) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.values, a.shape, 0), own=True)
+            a._accumulate(_unbroadcast(g / b.values, a.shape), own=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.values / (b.values * b.values), b.shape, 0),
-                          own=True)
+            b._accumulate(_unbroadcast(-g * a.values / (b.values * b.values), b.shape), own=True)
 
     return _make(values, (a, b), backward_fn, "div")
 
@@ -225,7 +214,7 @@ def matmul(a, b) -> Tensor:
     values = a.values @ b.values
 
     def backward_fn(g):
-        # a (tasks, n, m) g runs one product per task against the shared operand
+        # one product per task of the (tasks, n, m) g against the shared operand
         if a.requires_grad:
             a._accumulate(g @ b.values.T, own=True)
         if b.requires_grad:
@@ -241,7 +230,7 @@ def transpose(a) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(g.T.copy(), own=True)
+            a._accumulate(g.transpose(0, 2, 1).copy(), own=True)
 
     return _make(a.values.T.copy(), (a,), backward_fn, "transpose")
 
@@ -268,18 +257,18 @@ def log(a) -> Tensor:
     return _make(values, (a,), backward_fn, "log")
 
 
-def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tensor_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     values = a.values.sum(axis=axis, keepdims=keepdims)
+    # the output's shape with the summed axes kept, which g reshapes to
+    summed = range(a.ndim) if axis is None else (axis % a.ndim,)
+    kept = tuple(1 if i in summed else s for i, s in enumerate(a.shape))
 
     def backward_fn(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(gg, a.shape).copy())
+        if a.requires_grad:
+            tasks = g.shape[:1]
+            a._accumulate(np.broadcast_to(g.reshape(tasks + kept), tasks + a.shape).copy(),
+                          own=True)
 
     return _make(values, (a,), backward_fn, "sum")
 
@@ -291,13 +280,9 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
 
     def backward_fn(g):
-        offset = 0
-        for t, s in zip(tensors, sizes):
+        for t, part in zip(tensors, np.split(g, np.cumsum(sizes)[:-1], axis=axis + 1)):
             if t.requires_grad:
-                index = [slice(None)] * g.ndim
-                index[g.ndim - values.ndim + axis] = slice(offset, offset + s)
-                t._accumulate(g[tuple(index)])
-            offset += s
+                t._accumulate(part)
 
     return _make(values, tensors, backward_fn, "concat")
 
@@ -309,7 +294,7 @@ def reshape(a, shape) -> Tensor:
     def backward_fn(g):
         # a view of g: the walk drops the output's gradient once this returns
         if a.requires_grad:
-            a._accumulate(g.reshape(g.shape[:g.ndim - values.ndim] + a.shape), own=True)
+            a._accumulate(g.reshape(g.shape[:1] + a.shape), own=True)
 
     return _make(values, (a,), backward_fn, "reshape")
 
@@ -321,24 +306,24 @@ def slice_cols(a, start: int, stop: int) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            full = np.zeros_like(a.values)
-            full[:, start:stop] = g
-            a._accumulate(full)
+            full = np.zeros(g.shape[:1] + a.shape)
+            full[..., start:stop] = g
+            a._accumulate(full, own=True)
 
     return _make(a.values[:, start:stop].copy(), (a,), backward_fn, "slice_cols")
 
 
-def _sorted_row_sums(rows: np.ndarray, sorted_ids: np.ndarray,
-                     num_segments: int) -> np.ndarray:
-    """Row sums grouped by pre-sorted integer ids (reduceat is much faster
-    than np.add.at for the edge-sized arrays used here)."""
-    out_shape = (num_segments,) + rows.shape[1:]
-    out = np.zeros(out_shape, dtype=np.float64)
+def _sorted_row_sums(rows: np.ndarray, sorted_ids: np.ndarray, num_segments: int,
+                     axis: int = 0) -> np.ndarray:
+    """Sums of ``rows`` along ``axis`` grouped by pre-sorted integer ids
+    (reduceat is much faster than np.add.at for the edge-sized arrays used
+    here)."""
+    out = np.zeros(rows.shape[:axis] + (num_segments,) + rows.shape[axis + 1:])
     if sorted_ids.size == 0:
         return out
     starts = np.flatnonzero(np.diff(sorted_ids)) + 1
     starts = np.concatenate(([0], starts))
-    out[sorted_ids[starts]] = np.add.reduceat(rows, starts, axis=0)
+    out[(slice(None),) * axis + (sorted_ids[starts],)] = np.add.reduceat(rows, starts, axis=axis)
     return out
 
 
@@ -350,7 +335,8 @@ def gather_rows(a, index) -> Tensor:
     def backward_fn(g):
         if a.requires_grad:
             perm = np.argsort(idx, kind="stable")
-            a._accumulate(_sorted_row_sums(g[perm], idx[perm], a.shape[0]), own=True)
+            a._accumulate(_sorted_row_sums(g[:, perm], idx[perm], a.shape[0], axis=1),
+                          own=True)
 
     return _make(a.values[idx], (a,), backward_fn, "gather_rows")
 
@@ -364,7 +350,7 @@ def segment_sum(a, segment_ids, num_segments: int) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(g[seg], own=True)
+            a._accumulate(g[:, seg], own=True)
 
     return _make(values, (a,), backward_fn, "segment_sum")
 
@@ -393,10 +379,10 @@ def gat_attention(hw, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor], 
     averaged when ``average`` is set. The attention weights stay inside the
     op, for its backward.
 
-    Under a task-stacked seed the backward takes a (tasks, n, out) gradient
-    and runs once for all tasks: each block of edges gathers the senders'
-    features once for every task, and each head's sparse product carries
-    the tasks side by side as columns.
+    The backward takes a (tasks, n, out) gradient and runs once for all
+    tasks: each block of edges gathers the senders' features once for every
+    task, and each head's sparse product carries the tasks side by side as
+    columns.
     """
     hw = as_tensor(hw)
     heads = len(a_center)
@@ -425,8 +411,6 @@ def gat_attention(hw, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor], 
         values = np.concatenate(outs, axis=1)
 
     def backward_fn(g):
-        stacked = g.ndim == 3                  # (tasks, n, out) under a task-stacked seed
-        g = g if stacked else g[None]
         tasks = g.shape[0]
         # (tasks, n, heads, d), or (tasks, n, 1, d) shared by all heads when averaged
         grads = (g * (1.0 / heads) if average else g).reshape(tasks, n, -1, d)
@@ -469,14 +453,12 @@ def gat_attention(hw, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor], 
                 np.multiply(dcenter[:, :, k, None], ac[k], out=head)
                 head += dneighbor[:, :, k, None] * an[k]
                 head += product.reshape(n, tasks, d).transpose(1, 0, 2)
-            dfeats = dfeats.reshape(tasks, n, width)
-            hw._accumulate(dfeats if stacked else dfeats[0], own=True)
+            hw._accumulate(dfeats.reshape(tasks, n, width), own=True)
         for params, dscore in ((a_center, dcenter), (a_neighbor, dneighbor)):
             for k, a in enumerate(params):
                 if a.requires_grad:
                     da = np.stack([feats[:, k].T @ dscore[t, :, k] for t in range(tasks)])
-                    da = da.reshape(tasks, d, 1)
-                    a._accumulate(da if stacked else da[0], own=True)
+                    a._accumulate(da.reshape(tasks, d, 1), own=True)
 
     return _make(values, (hw, *a_center, *a_neighbor), backward_fn, "gat_attention")
 
@@ -537,7 +519,7 @@ def contrastive(z, anchors: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     values = np.asarray(total / n_anchors)
 
     def backward_fn(g):
-        z._accumulate(g * grad, own=True)
+        z._accumulate(np.multiply.outer(g, grad), own=True)
 
     return _make(values, (z,), backward_fn, "contrastive")
 
@@ -586,7 +568,7 @@ def l2_normalize_rows(a) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            dots = (g * a.values).sum(axis=1, keepdims=True)
+            dots = (g * a.values).sum(axis=-1, keepdims=True)
             a._accumulate(g / safe - a.values * dots / (safe ** 3), own=True)
 
     return _make(values, (a,), backward_fn, "l2_normalize_rows")
@@ -618,13 +600,16 @@ def conv2d(x, w) -> Tensor:
     values, cols = _conv_same(x.values, w.values)
 
     def backward_fn(g):
+        tasks = g.shape[:1]
         if w.requires_grad:
-            g2 = g.transpose(1, 0, 2, 3).reshape(w.shape[0], -1)
-            w._accumulate((g2 @ cols.T).reshape(w.shape), own=True)
+            g2 = g.transpose(0, 2, 1, 3, 4).reshape(tasks + (w.shape[0], -1))
+            w._accumulate((g2 @ cols.T).reshape(tasks + w.shape), own=True)
         if x.requires_grad:
-            # g convolved with the rotated, channel-swapped kernel
+            # g convolved with the rotated, channel-swapped kernel, the tasks'
+            # images as one batch
             w_rot = w.values[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            x._accumulate(_conv_same(g, w_rot)[0], own=True)
+            gx = _conv_same(g.reshape((-1,) + g.shape[2:]), w_rot)[0]
+            x._accumulate(gx.reshape(tasks + x.shape), own=True)
 
     return _make(values, (x, w), backward_fn, "conv2d")
 
@@ -648,12 +633,11 @@ def maxpool2(x) -> Tensor:
     def backward_fn(g):
         if not x.requires_grad:
             return
-        g4 = np.zeros((n, c, hp, wp, 4), dtype=np.float64)
-        np.put_along_axis(g4, idx[..., None], g[..., None], axis=-1)
-        gx = np.zeros_like(x.values)
-        gx[:, :, : 2 * hp, : 2 * wp] = (
-            g4.reshape(n, c, hp, wp, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, 2 * hp, 2 * wp)
-        )
+        # each window's gradient at its winner, (tasks, n, c, hp, 2, wp, 2)
+        g4 = np.where(idx[..., None] == np.arange(4), g[..., None], 0.0)
+        g4 = g4.reshape(g.shape + (2, 2)).swapaxes(-3, -2)
+        gx = np.zeros(g.shape[:1] + x.shape)
+        gx[..., : 2 * hp, : 2 * wp] = g4.reshape(g.shape[:3] + (2 * hp, 2 * wp))
         x._accumulate(gx, own=True)
 
     return _make(values, (x,), backward_fn, "maxpool2")
@@ -676,14 +660,15 @@ def batch_norm(x, gamma, beta) -> Tensor:
     values = gv * xhat + beta.values.reshape(1, -1, 1, 1)
 
     def backward_fn(g):
+        task_axes = (1, 3, 4)                  # the forward's axes, behind the task axis
         if gamma.requires_grad:
-            gamma._accumulate((g * xhat).sum(axis=axes), own=True)
+            gamma._accumulate((g * xhat).sum(axis=task_axes), own=True)
         if beta.requires_grad:
-            beta._accumulate(g.sum(axis=axes))
+            beta._accumulate(g.sum(axis=task_axes), own=True)
         if x.requires_grad:
             gxhat = g * gv
-            term = (gxhat.sum(axis=axes, keepdims=True)
-                    + xhat * (gxhat * xhat).sum(axis=axes, keepdims=True))
+            term = (gxhat.sum(axis=task_axes, keepdims=True)
+                    + xhat * (gxhat * xhat).sum(axis=task_axes, keepdims=True))
             x._accumulate(inv_std * (gxhat - term / m), own=True)
 
     return _make(values, (x, gamma, beta), backward_fn, "batch_norm")
@@ -784,12 +769,12 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
     of the nine kernel offsets adds its share back to the padded block where
     the gather read it; no patch matrix of the gradient is built.
 
-    Under a task-stacked seed the backward takes a (tasks, N, C, H//2,
-    W//2) gradient and runs once for all tasks: each block's patches, its
-    pooling winners and, for an input gradient, its recomputed convolution
-    serve every task, and only the block's weight-gradient product and its
-    patch-gather adjoint are made task by task. Apart from the input
-    gradient it returns, its buffers are those of one block, whatever N.
+    The backward takes a (tasks, N, C, H//2, W//2) gradient and runs once
+    for all tasks: each block's patches, its pooling winners and, for an
+    input gradient, its recomputed convolution serve every task, and only
+    the block's weight-gradient product and its patch-gather adjoint are
+    made task by task. Apart from the input gradient it returns, its buffers
+    are those of one block, whatever N.
     """
     x, w, gamma, beta = as_tensor(x), as_tensor(w), as_tensor(gamma), as_tensor(beta)
     cout, cin, kh, kw = w.shape
@@ -867,8 +852,6 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
     np.multiply(act, slope, out=act, where=act < 0)            # leaky ReLU, 0 <= slope <= 1
 
     def backward_fn(g):
-        stacked = g.ndim == 5                  # (tasks, n, cout, hp, wp) under a task-stacked seed
-        g = g if stacked else g[None]
         tasks = g.shape[0]
         scale = gamma.values * inv_std
         dbeta, dgamma = np.zeros((tasks, cout)), np.zeros((tasks, cout))
@@ -931,9 +914,9 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
             if dx is None and w.requires_grad:
                 conv_grads(lo, hi, cells)
         if gamma.requires_grad:
-            gamma._accumulate(dgamma if stacked else dgamma[0], own=True)
+            gamma._accumulate(dgamma, own=True)
         if beta.requires_grad:
-            beta._accumulate(dbeta if stacked else dbeta[0], own=True)
+            beta._accumulate(dbeta, own=True)
         if dx is not None:
             for lo, hi in blocks:
                 conv_grads(lo, hi, block_grad(lo, hi))
@@ -941,11 +924,10 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
             # sum_p xhat_p p^T = inv_std * comoment and sum_p p^T = m * p_mean^T
             dy_patches -= (dgamma * inv_std / m)[..., None] * comoment
             dy_patches -= dbeta[..., None] * p_mean
-            dw = (scale[:, None] * dy_patches).reshape((tasks,) + w.shape)
-            w._accumulate(dw if stacked else dw[0], own=True)
+            w._accumulate((scale[:, None] * dy_patches).reshape((tasks,) + w.shape), own=True)
         if dx is not None:
             dx[:, masked] = 0.0
-            x._accumulate(dx if stacked else dx[0], own=True)
+            x._accumulate(dx, own=True)
 
     return _make(values, (x, w, gamma, beta), backward_fn, "conv_block")
 
@@ -954,33 +936,28 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
 # backward driver
 # ---------------------------------------------------------------------------
 
-# The ops whose backward carries a leading task axis; only they may sit
-# between the root and the leaves of a task-stacked backward.
-_TASK_AXIS_OPS = frozenset(
-    {"add", "mul", "matmul", "concat", "reshape", "elu", "gat_attention", "conv_block"})
-
-
 def backward(root: Tensor, seed: np.ndarray | None = None) -> None:
     """Reverse-mode gradient accumulation from ``root`` into every reachable
     tensor with ``requires_grad=True``.
 
-    Without ``seed``, ``root`` is a scalar loss and the walk starts from
-    d loss / d loss = 1; each leaf's ``grad`` has the leaf's shape.
+    ``seed`` of shape (tasks, *root.shape) stacks one upstream gradient per
+    task at ``root``: ``seed[t]`` is task t's. One walk carries them all:
+    every op's backward runs once for all tasks, and each reached leaf's
+    ``grad`` is (tasks, *leaf.shape), slice t being task t's gradient.
+    Without ``seed``, ``root`` is a scalar loss and the walk is one task
+    seeded with d loss / d loss = 1, so each leaf's ``grad`` is (1,
+    *leaf.shape).
 
-    With ``seed`` of shape (tasks, *root.shape), one walk backpropagates
-    several upstream gradients at once: ``seed[t]`` is task t's gradient
-    at ``root``, every op's backward runs once for all tasks, and each
-    reached leaf's ``grad`` is (tasks, *leaf.shape), slice t being task
-    t's gradient. Only the ops in ``_TASK_AXIS_OPS`` carry the task axis;
-    a walk that reaches any other op raises before any backward runs.
-
-    Raises if ``root`` is not scalar without a seed, or if called twice on
-    the same root. An op's output is made after its parents, so the graph
-    holds no cycle.
+    Raises if ``root`` is not scalar without a seed, if ``seed`` does not
+    stack gradients of the root's shape, or if called twice on the same
+    root. An op's output is made after its parents, so the graph holds no
+    cycle.
     """
-    if seed is None and root.size != 1:
-        raise ValueError(f"backward requires a scalar loss, got shape {root.shape}")
-    if seed is not None and seed.shape[1:] != root.shape:
+    if seed is None:
+        if root.size != 1:
+            raise ValueError(f"backward requires a scalar loss, got shape {root.shape}")
+        seed = np.ones((1,) + root.shape)
+    if seed.shape[1:] != root.shape:
         raise ValueError(f"seed of shape {seed.shape} does not stack gradients "
                          f"of the root's shape {root.shape}")
     if root._backward_done:
@@ -1006,13 +983,10 @@ def backward(root: Tensor, seed: np.ndarray | None = None) -> None:
     # unconsumed intermediate gradients that must not leak into this one
     for node in order:
         if node._backward_fn is not None:
-            if seed is not None and node._op not in _TASK_AXIS_OPS:
-                raise ValueError(f"a task-stacked backward reached '{node._op}', "
-                                 "whose backward has no task axis")
             node.grad = None
 
     root._backward_done = True
-    root._accumulate(np.ones_like(root.values) if seed is None else seed)
+    root._accumulate(seed)
     for node in reversed(order):
         if node._backward_fn is not None and node.grad is not None:
             _check_finite(node.grad, "backward")

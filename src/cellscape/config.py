@@ -114,6 +114,11 @@ class AnalysisConfig:
         _one_of("transition_source", self.transition_source, TRANSITION_SOURCES)
         if self.embedding_knn < 1 or self.top_markers < 0:
             raise ValueError("embedding_knn must be positive and top_markers non-negative")
+        # a marker needs adj_p < marker_adj_p and log2 fold change > marker_min_lfc
+        if not 0.0 < self.marker_adj_p <= 1.0:
+            raise ValueError(f"marker_adj_p must lie in (0, 1], got {self.marker_adj_p}")
+        if self.marker_min_lfc < 0:
+            raise ValueError(f"marker_min_lfc must be non-negative, got {self.marker_min_lfc}")
 
 
 @dataclass

@@ -36,8 +36,6 @@ def nmi(y_true, y_pred) -> float:
     h_pred = _entropy(cols, n)
     if h_true == 0.0 and h_pred == 0.0:
         return 1.0
-    if h_true + h_pred == 0.0:
-        return 1.0
     r, c = np.nonzero(table)
     cell = table[r, c].astype(np.float64)
     mi = float(

@@ -66,31 +66,30 @@ def lr_schedule(epoch: int, base_lr: float) -> float:
 NOISE_RATIO = 1e-8
 
 
-def pcgrad(grad_list: list[np.ndarray]) -> list[np.ndarray]:
-    """Project away the conflict between the two task gradients.
+def pcgrad(grads: np.ndarray) -> np.ndarray:
+    """Project away the conflict between the two task gradients of one
+    parameter, ``grads`` of shape (2, *shape).
 
-    Each gradient is checked against the other's ORIGINAL gradient; on a
-    negative dot product the conflicting component is removed, unless the
-    other gradient's norm is at most ``NOISE_RATIO`` times this one's:
-    projecting on noise would remove an arbitrary direction. A gradient that
-    is not projected comes back as given. The caller applies the sum of the
-    returned pair.
+    Each task's gradient, flattened, is checked against the other's
+    ORIGINAL gradient; on a negative dot product the conflicting component
+    is removed, unless the other gradient's norm is at most ``NOISE_RATIO``
+    times this one's: projecting on noise would remove an arbitrary
+    direction. Returns a new (2, *shape) array; a gradient that is not
+    projected comes back as given. The caller applies the sum of the two
+    tasks.
     """
-    if len(grad_list) != 2:
-        raise ValueError(f"pcgrad takes exactly two task gradients, got {len(grad_list)}")
-    if grad_list[0].shape != grad_list[1].shape:
-        raise ValueError("both task gradients must share one flattened shape")
-    sq_norms = [float(g @ g) for g in grad_list]
-    adjusted = []
+    if len(grads) != 2:
+        raise ValueError(f"pcgrad takes exactly two task gradients, got {len(grads)}")
+    flat = grads.reshape(2, -1)
+    sq_norms = [float(g @ g) for g in flat]
+    adjusted = grads.copy()
     for i, j in ((0, 1), (1, 0)):
-        g, other = grad_list[i], grad_list[j]
-        dot = float(g @ other)
+        dot = float(flat[i] @ flat[j])
         if dot < 0.0 and sq_norms[j] <= 1e-300:
             warnings.warn(
                 f"pcgrad: skipping projection onto zero-norm task gradient {j}",
                 RuntimeWarning,
             )
         elif dot < 0.0 and sq_norms[j] > NOISE_RATIO ** 2 * sq_norms[i]:
-            g = g - (dot / sq_norms[j]) * other
-        adjusted.append(g)
+            adjusted.reshape(2, -1)[i] -= (dot / sq_norms[j]) * flat[j]
     return adjusted

@@ -1,16 +1,15 @@
-"""Training loop: masked dual-branch encode and decode, one task-stacked
-backward pass through the encoders for both objectives, gradient surgery,
-Adam with the halving schedule, and mask-free embedding extraction by the
-encoders alone.
+"""Training loop: masked dual-branch encode and decode, one backward pass
+through the encoders for both objectives, gradient surgery, Adam with the
+halving schedule, and mask-free embedding extraction by the encoders alone.
 
 ``train`` prepares the inputs once and runs one ``_step`` per epoch, so an
 epoch's autodiff graph is freed before the next epoch's forward. An epoch
 copies no input: the encoders read the masked cells as zeros and the
 decoder rebuilds only the masked rows. Each loss backpropagates only down
 to the fused embedding; one backward then carries both losses' gradients
-there, stacked on a task axis, through the fusion, the CNN and the GAT
-encoder, so PCGrad gets each parameter's two task gradients from a single
-walk of the encoders.
+there, one task each, through the fusion, the CNN and the GAT encoder, so
+PCGrad gets each parameter's two task gradients from a single walk of the
+encoders.
 
 ``embed`` takes the arrays ``train`` prepared: features, maps and directed
 edges. There is one forward pass and no train/eval switch: ``embed`` is the
@@ -86,7 +85,7 @@ def _step(model: CellScapeModel, optimizer: AdamState, epoch: int, features: np.
           maps: np.ndarray | None, edges: DirectedEdges,
           neighbors: tuple[np.ndarray, np.ndarray, np.ndarray]) -> dict:
     """One epoch: both objectives' per-parameter gradients from one
-    task-stacked walk of the encoders (``_task_gradients``), merged with
+    two-task walk of the encoders (``_task_gradients``), merged with
     gradient surgery, then one scheduled Adam step.
 
     Returns the epoch's log record: the epoch, its learning rate, both
@@ -101,10 +100,9 @@ def _step(model: CellScapeModel, optimizer: AdamState, epoch: int, features: np.
     combined = {}
     projected = 0
     for name in params:
-        tasks = [grads[name][0].ravel(), grads[name][1].ravel()]
-        adjusted = pcgrad(tasks)
-        projected += any(not np.array_equal(a, t) for a, t in zip(adjusted, tasks))
-        combined[name] = (adjusted[0] + adjusted[1]).reshape(params[name].shape)
+        adjusted = pcgrad(grads[name])
+        projected += not np.array_equal(adjusted, grads[name])
+        combined[name] = adjusted[0] + adjusted[1]
     adam_step(optimizer, params, combined, lr=lr)
 
     return {
@@ -144,8 +142,8 @@ def _task_gradients(model: CellScapeModel, epoch: int, features: np.ndarray,
 
     grads = {}
     for name, p in model.params.items():
-        # a parameter-shaped gradient is the decoder's, from reconstruction alone
-        grads[name] = (np.stack([p.grad, np.zeros_like(p.grad)]) if p.grad.ndim == p.ndim
+        # a one-task gradient is the decoder's, from reconstruction alone
+        grads[name] = (np.concatenate([p.grad, np.zeros_like(p.grad)]) if len(p.grad) == 1
                        else p.grad)
         p.grad = None
     return recon_val, con_val, grads
@@ -158,11 +156,12 @@ def _loss_heads(model: CellScapeModel, epoch: int, z_fused: np.ndarray, features
     there: ``(loss_recon, loss_contrastive, dz)`` with ``dz`` (2, n, d),
     the reconstruction loss's first.
 
-    The losses read the embedding as a leaf, so each scalar backward stops
-    there: the reconstruction loss's runs through the decoder and leaves
-    the decoder's parameter gradients, the contrastive loss's runs through
-    the row normalization alone. The heads' graph is freed on return,
-    before the encoders' backward.
+    The losses read the embedding as a leaf, so each scalar backward, a
+    walk of one task, stops there: the reconstruction loss's runs through
+    the decoder and leaves the decoder's (1, *shape) parameter gradients,
+    the contrastive loss's runs through the row normalization alone. ``dz``
+    joins their two (1, n, d) gradients on the task axis. The heads' graph
+    is freed on return, before the encoders' backward.
     """
     cfg = model.cfg
     n = z_fused.shape[0]
@@ -188,7 +187,7 @@ def _loss_heads(model: CellScapeModel, epoch: int, z_fused: np.ndarray, features
     ad.backward(loss_recon)
     dz_recon, z.grad = z.grad, None
     ad.backward(loss_con)
-    return recon_val, con_val, np.stack([dz_recon, z.grad])
+    return recon_val, con_val, np.concatenate([dz_recon, z.grad])
 
 
 def embed(model: CellScapeModel, features: np.ndarray, maps: np.ndarray | None,

@@ -78,7 +78,7 @@ def composite_gat_layer(h, dst, src, n: int, W, a_center, a_neighbor, head_dim: 
         # per-receiver softmax, stabilized by the detached segment maximum
         seg_max = np.full((n, 1), -np.inf)
         np.maximum.at(seg_max, dst, e.values)
-        ex = ad.exp(e - seg_max[dst])
+        ex = ad.exp(e + (-seg_max[dst]))
         denom = ad.segment_sum(ex, dst, n)
         alpha = ex / ad.gather_rows(denom, dst)
         messages = ad.gather_rows(part, src) * alpha
@@ -129,7 +129,7 @@ def two_pass_task_grads(model, epoch: int, features, maps, edges, neighbors):
     for loss in (loss_recon, loss_con):
         ad.backward(loss)
         for name, p in model.params.items():
-            pairs[name].append(np.zeros_like(p.values) if p.grad is None else p.grad)
+            pairs[name].append(np.zeros_like(p.values) if p.grad is None else p.grad[0])
             p.grad = None
     return pairs
 
@@ -155,14 +155,14 @@ def dense_contrastive_loss(z, neighbors, tau: float, anchors):
     adjacency = adjacency[anchors]
     sims = ad.matmul(z_anchor * (1.0 / tau), ad.transpose(z))
     shift = sims.values.max(axis=1, keepdims=True)
-    expsims = ad.exp(sims - shift)
+    expsims = ad.exp(sims + (-shift))
     denominator = ad.matmul(expsims, degree[:, None])
     n_anchors = adjacency.shape[0]
     rows, cols = np.nonzero(adjacency)
     flat = ad.reshape(sims, (n_anchors * n, 1))
-    edge_terms = ad.exp(ad.gather_rows(flat, rows * n + cols) - shift[rows])
+    edge_terms = ad.exp(ad.gather_rows(flat, rows * n + cols) + (-shift[rows]))
     numerator = ad.segment_sum(edge_terms, rows, n_anchors)
-    return ad.tensor_sum(ad.log(denominator) - ad.log(numerator)) * (1.0 / n_anchors)
+    return ad.tensor_sum(ad.log(denominator) + ad.log(numerator) * -1.0) * (1.0 / n_anchors)
 
 
 def loop_neighbor_lists(n_nodes: int, edges):

@@ -177,6 +177,17 @@ BAD = [
                  id="weight_decay-negative"),
     pytest.param([], {"analysis": {"top_markers": -1}}, ["analysis", "top_markers"],
                  id="top_markers-negative"),
+    # markers are kept where adj_p < marker_adj_p: -1.0 keeps none, 5.0 keeps
+    # every gene past the fold-change filter; a negative fold change admits
+    # down-regulated genes
+    pytest.param([], {"analysis": {"marker_adj_p": -1.0}}, ["analysis", "marker_adj_p"],
+                 id="marker_adj_p-negative"),
+    pytest.param([], {"analysis": {"marker_adj_p": 0}}, ["analysis", "marker_adj_p"],
+                 id="marker_adj_p-zero"),
+    pytest.param([], {"analysis": {"marker_adj_p": 5.0}}, ["analysis", "marker_adj_p"],
+                 id="marker_adj_p-above-one"),
+    pytest.param([], {"analysis": {"marker_min_lfc": -3.0}}, ["analysis", "marker_min_lfc"],
+                 id="marker_min_lfc-negative"),
     pytest.param([], {"graph": {"method": "grid"}}, ["graph", "method", "grid"], id="method"),
     pytest.param([], {"analysis": {"transition_source": "umap"}},
                  ["analysis", "transition_source", "umap"], id="transition_source"),

@@ -74,20 +74,20 @@ class TestPCGrad:
     def test_orthogonal_unchanged_bit_exact(self):
         g1 = np.array([1.0, 0.0])
         g2 = np.array([0.0, 1.0])
-        out = pcgrad([g1, g2])
+        out = pcgrad(np.stack([g1, g2]))
         assert out[0].tobytes() == g1.tobytes()
         assert out[1].tobytes() == g2.tobytes()
 
     def test_worked_projection(self):
         g1 = np.array([1.0, 0.0])
         g2 = np.array([-1.0, 1.0])
-        out = pcgrad([g1, g2])
+        out = pcgrad(np.stack([g1, g2]))
         np.testing.assert_allclose(out[0], [0.5, 0.5], atol=1e-12)
         assert abs(out[0] @ g2) < 1e-12
 
     def test_full_cancellation(self):
         g1 = np.array([0.3, -0.7, 2.0])
-        out = pcgrad([g1, -g1])
+        out = pcgrad(np.stack([g1, -g1]))
         np.testing.assert_allclose(out[0], 0.0, atol=1e-12)
         np.testing.assert_allclose(out[1], 0.0, atol=1e-12)
 
@@ -96,7 +96,7 @@ class TestPCGrad:
         for _ in range(200):
             g1 = rng.standard_normal(8)
             g2 = rng.standard_normal(8)
-            out = pcgrad([g1, g2])
+            out = pcgrad(np.stack([g1, g2]))
             assert out[0] @ g2 >= -1e-10
             assert out[1] @ g1 >= -1e-10
 
@@ -109,17 +109,17 @@ class TestPCGrad:
             if g1 @ g2 <= 0:
                 continue
             count += 1
-            out = pcgrad([g1, g2])
+            out = pcgrad(np.stack([g1, g2]))
             assert out[0].tobytes() == g1.tobytes()
             assert out[1].tobytes() == g2.tobytes()
 
     def test_single_task_rejected(self):
         with pytest.raises(ValueError, match="exactly two"):
-            pcgrad([np.ones(3)])
+            pcgrad(np.ones((1, 3)))
 
     def test_three_tasks_rejected(self):
         with pytest.raises(ValueError, match="exactly two"):
-            pcgrad([np.ones(3)] * 3)
+            pcgrad(np.ones((3, 3)))
 
     def test_noise_norm_gradient_not_projected_on(self):
         # the other task's gradient is rounding noise (norm ~3e-17 of this
@@ -129,7 +129,7 @@ class TestPCGrad:
         assert g1 @ g2 < 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = pcgrad([g1, g2])
+            out = pcgrad(np.stack([g1, g2]))
         assert out[0].tobytes() == g1.tobytes()
         assert out[1] @ g1 >= 0.0
 
@@ -138,5 +138,5 @@ class TestPCGrad:
         g1 = np.array([1.0, 0.0])
         g2 = np.array([-1e-160, 0.0])
         with pytest.warns(RuntimeWarning, match="zero-norm"):
-            out = pcgrad([g1, g2])
+            out = pcgrad(np.stack([g1, g2]))
         np.testing.assert_array_equal(out[0], g1)

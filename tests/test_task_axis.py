@@ -1,4 +1,6 @@
-"""The task axis of a stacked backward, on drawn inputs: for graph attention
+"""The task axis that every backward carries. Every op in ``autodiff``,
+model op or reference op, walked with a (2, ...) seed gives each task the
+gradients of its own one-task walk. On drawn inputs, for graph attention
 (concatenated and averaged heads) and the CNN block (with and without an
 input gradient), a (2, ...) upstream gradient gives each task the gradients
 a single-task backward gives it. The graphs hold a cell with no edge and a
@@ -8,6 +10,7 @@ stacked backward also matches the composite chain, on the drawn inputs and
 across block boundaries, and holds no copy of the whole stacked gradient; its input gradient holds no
 patch matrix of the convolution gradient."""
 
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 
 from cellscape import autodiff as ad
 from cellscape.autodiff import Tensor
+from cellscape.losses import neighbor_arrays
 from cellscape.network import ATTENTION_SLOPE
 from cellscape.spatial_graph import SpatialGraph, build_knn_graph
 
@@ -39,14 +43,116 @@ def _masked(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
     return np.sort(rng.choice(n, size=rng.integers(1, n) if n > 1 else 1, replace=False))
 
 
-def _graph(n: int, k: int, rng: np.random.Generator) -> SpatialGraph:
-    """A kNN graph over n - 1 random cells, of which cells 0 and 1 share
-    their coordinates, plus cell n - 1 with no edge at all."""
-    coords = rng.random((2, n - 1))
+def _graph(n: int, k: int, rng: np.random.Generator, isolated: bool = True) -> SpatialGraph:
+    """A kNN graph over random cells, of which cells 0 and 1 share their
+    coordinates; with ``isolated``, the last of the n cells has no edge at
+    all."""
+    coords = rng.random((2, n - isolated))
     coords[:, 1] = coords[:, 0]
     with pytest.warns(RuntimeWarning, match="duplicate"):
-        knn = build_knn_graph(coords, k=min(k, n - 2))
+        knn = build_knn_graph(coords, k=min(k, n - 1 - isolated))
     return SpatialGraph(n, knn.edges, knn.weights)
+
+
+def _attention_case(rng, average):
+    edges = _graph(8, 3, rng).directed_edges()
+    heads, d = 2, 3
+
+    def attend(hw, *vectors):
+        return ad.gat_attention(hw, vectors[:heads], vectors[heads:], edges, ATTENTION_SLOPE,
+                                average)
+
+    return attend, [rng.standard_normal((8, heads * d)),
+                    *(rng.standard_normal((d, 1)) for _ in range(2 * heads))]
+
+
+def _contrastive_case(rng):
+    dst, src, degree = neighbor_arrays(_graph(8, 3, rng, isolated=False).directed_edges())
+    z = rng.standard_normal((8, 3))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return (lambda t: ad.contrastive(t, np.arange(8), dst, src, degree, 0.5)), [z]
+
+
+# op -> builders of (function of fresh leaves, the leaves' arrays); every
+# public op of autodiff has at least one
+OP_CASES = {
+    "add": [lambda rng: (ad.add, [rng.standard_normal((4, 3)), rng.standard_normal(3)])],
+    "mul": [lambda rng: (ad.mul, [rng.standard_normal((4, 3)), rng.standard_normal((4, 1))])],
+    "div": [lambda rng: (ad.div, [rng.standard_normal((4, 3)), rng.random((4, 3)) + 1.0])],
+    "power": [lambda rng: (lambda a: ad.power(a, 3.0), [rng.standard_normal((4, 3))])],
+    "matmul": [lambda rng: (ad.matmul, [rng.standard_normal((4, 3)),
+                                        rng.standard_normal((3, 2))])],
+    "transpose": [lambda rng: (ad.transpose, [rng.standard_normal((4, 3))])],
+    "exp": [lambda rng: (ad.exp, [rng.standard_normal((4, 3))])],
+    "log": [lambda rng: (ad.log, [rng.random((4, 3)) + 0.5])],
+    "tensor_sum": [
+        lambda rng: (ad.tensor_sum, [rng.standard_normal((4, 3))]),
+        lambda rng: (lambda a: ad.tensor_sum(a, axis=0), [rng.standard_normal((4, 3))]),
+        lambda rng: (lambda a: ad.tensor_sum(a, axis=-1, keepdims=True),
+                     [rng.standard_normal((4, 3))]),
+    ],
+    "concat": [
+        lambda rng: (lambda a, b: ad.concat([a, b], axis=1),
+                     [rng.standard_normal((4, 2)), rng.standard_normal((4, 3))]),
+        lambda rng: (lambda a, b: ad.concat([a, b], axis=0),
+                     [rng.standard_normal((1, 3)), rng.standard_normal((4, 3))]),
+    ],
+    "reshape": [lambda rng: (lambda a: ad.reshape(a, (2, 6)), [rng.standard_normal((4, 3))])],
+    "slice_cols": [lambda rng: (lambda a: ad.slice_cols(a, 1, 3),
+                                [rng.standard_normal((4, 5))])],
+    "gather_rows": [lambda rng: (lambda a: ad.gather_rows(a, [2, 0, 2, 3]),
+                                 [rng.standard_normal((4, 3))])],
+    "segment_sum": [lambda rng: (lambda a: ad.segment_sum(a, [0, 0, 1, 3, 3], 4),
+                                 [rng.standard_normal((5, 3))])],
+    "gat_attention": [lambda rng: _attention_case(rng, False),
+                      lambda rng: _attention_case(rng, True)],
+    "contrastive": [_contrastive_case],
+    "leaky_relu": [lambda rng: (lambda a: ad.leaky_relu(a, 0.2), [rng.standard_normal((4, 3))])],
+    "elu": [lambda rng: (ad.elu, [rng.standard_normal((4, 3))])],
+    "l2_normalize_rows": [lambda rng: (ad.l2_normalize_rows, [rng.standard_normal((4, 3))])],
+    "conv2d": [lambda rng: (ad.conv2d, [rng.standard_normal((2, 2, 5, 5)),
+                                        rng.standard_normal((3, 2, 3, 3))])],
+    "maxpool2": [lambda rng: (ad.maxpool2, [rng.standard_normal((2, 2, 5, 5))])],
+    "batch_norm": [lambda rng: (ad.batch_norm, [rng.standard_normal((3, 2, 4, 4)),
+                                                rng.random(2) + 0.5, rng.standard_normal(2)])],
+    "conv_block": [lambda rng: (lambda x, w, gamma, beta: ad.conv_block(x, w, gamma, beta,
+                                                                        0.01, [1]),
+                                [rng.standard_normal((5, 2, 6, 6)),
+                                 rng.standard_normal((3, 2, 3, 3)),
+                                 rng.random(3) + 0.5, rng.standard_normal(3)])],
+}
+
+
+def test_every_op_has_a_task_axis_case():
+    ops = {name for name, f in vars(ad).items()
+           if inspect.isfunction(f) and f.__module__ == ad.__name__ and not name.startswith("_")}
+    assert ops - {"as_tensor", "backward"} == set(OP_CASES)
+
+
+@pytest.mark.parametrize("op,case", [(op, i) for op, cases in OP_CASES.items()
+                                     for i in range(len(cases))])
+def test_every_op_carries_the_task_axis(op, case):
+    # one walk with a (2, ...) seed; each task's slice equals the one-task
+    # walk seeded with that task's upstream gradient alone, within 1e-12 of
+    # its largest entry
+    rng = np.random.default_rng(50 + case)
+    fn, arrays = OP_CASES[op][case](rng)
+
+    def forward():
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        return fn(*leaves), leaves
+
+    out, leaves = forward()
+    upstream = rng.standard_normal((2,) + out.shape)
+    ad.backward(out, upstream)
+    for task in range(2):
+        task_out, task_leaves = forward()
+        ad.backward(task_out, upstream[task:task + 1])
+        for stacked, single in zip(leaves, task_leaves):
+            assert stacked.grad.shape == (2,) + stacked.shape
+            assert single.grad.shape == (1,) + single.shape
+            np.testing.assert_allclose(stacked.grad[task], single.grad[0], rtol=0,
+                                       atol=1e-12 * np.abs(single.grad).max())
 
 
 def _assert_tasks_match(forward, upstream):
@@ -61,7 +167,7 @@ def _assert_tasks_match(forward, upstream):
         ad.backward(ad.tensor_sum(task_out * upstream[task]))
         for stacked, single in zip(leaves, task_leaves):
             assert stacked.grad.shape == (2,) + single.shape
-            np.testing.assert_allclose(stacked.grad[task], single.grad, rtol=1e-12,
+            np.testing.assert_allclose(stacked.grad[task], single.grad[0], rtol=1e-12,
                                        atol=1e-12 * np.abs(single.grad).max())
     return leaves
 
@@ -121,7 +227,7 @@ def test_conv_block_tasks_match_single_task_backward(n, cin, cout, q, x_grad, ma
     chain = [Tensor(a, requires_grad=True) for a in (zeroed, w0, gamma0, beta0)]
     ad.backward(ad.tensor_sum(composite_conv_block(*chain, 0.01) * upstream[0]))
     for got, want in zip(stacked, chain[0 if x_grad else 1:]):
-        want = want.grad.copy()
+        want = want.grad[0].copy()
         if x_grad and got is stacked[0]:
             want[masked] = 0.0              # the op gives masked cells no input gradient
         np.testing.assert_allclose(got.grad[0], want, rtol=1e-12,
@@ -161,7 +267,7 @@ def test_conv_block_stacked_matches_composite_across_blocks(x_grad):
         for got, want in zip(stacked, chain):
             if not got.requires_grad:
                 continue
-            want = want.grad.copy()
+            want = want.grad[0].copy()
             if got is stacked[0]:
                 want[masked] = 0.0          # the op gives masked cells no input gradient
             np.testing.assert_allclose(got.grad[task], want, rtol=1e-12,
