@@ -4,13 +4,13 @@ Tensors wrap float64 arrays and record the operations that produced them;
 ``backward`` walks the graph in reverse topological order and accumulates
 gradients into every reachable tensor with ``requires_grad=True``. A leaf's
 ``grad`` sums over every ``backward`` until its reader takes it off (sets it
-to None). Every gradient carries a leading task axis: a walk seeded with
-one upstream gradient per task carries them all, every op's backward takes
-a (tasks, *out.shape) gradient, and each leaf's ``grad`` is (tasks,
-*leaf.shape). A scalar loss is a walk of one task. The training step walks
-the encoders once per epoch with two tasks, one per loss. The operations
-are those the training loop needs, plus the few listed at the end; all run
-on CPU numpy and scipy.sparse.
+to None). Every gradient has the shape of what it differentiates: an op's
+backward takes a gradient of its output's shape, each leaf's ``grad`` has
+the leaf's shape, and a walk from a non-scalar root is seeded with a
+gradient of the root's shape. The training step walks the encoders once
+per epoch, seeded with the two losses' merged gradient at the fused
+embedding. The operations are those the training loop needs, plus the few
+listed at the end; all run on CPU numpy and scipy.sparse.
 
 Most ops are generic (elementwise, matmul, gathers, segment sums).
 Graph attention is one fused op, ``gat_attention``: per-pair scores, the
@@ -32,12 +32,12 @@ is output-sized (the int8 winner of each pooling window and the normalized
 value there) plus those statistics, which give the weight gradient in
 closed form; only an input that needs a gradient recomputes its blocks'
 convolutions (Chen et al. 2016's trade of compute for memory). The
-backward walks the same blocks for every task at once: apart from the input
-gradient it returns, no buffer it makes grows with N. The neighbourhood
-contrastive loss is one fused op, ``contrastive``: it walks the anchors in
-blocks of ``_ANCHOR_CHUNK``, reads each block's positive pairs from the
-sorted edge arrays and builds the (n, d) gradient during the forward, so no
-op holds an anchors x n array.
+backward walks the same blocks: apart from the input gradient it returns,
+no buffer it makes grows with N. The neighbourhood contrastive loss is one
+fused op, ``contrastive``: it walks the anchors in blocks of
+``_ANCHOR_CHUNK``, reads each block's positive pairs from the sorted edge
+arrays and builds the (n, d) gradient during the forward, so no op holds
+an anchors x n array.
 
 ``slice_cols``, ``conv2d``, ``batch_norm``, ``maxpool2``, ``transpose``,
 ``exp``, ``log`` and ``segment_sum`` have no caller in the model. They stay
@@ -140,13 +140,11 @@ def _make(values: np.ndarray, parents: Sequence[Tensor], backward_fn, where: str
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce a broadcasted (tasks, ...) gradient back to (tasks, *shape).
-    The task axis is never summed: a bias added to every row of each task
-    keeps one gradient per task."""
-    extra = grad.ndim - 1 - len(shape)
+    """Reduce a broadcasted gradient back to ``shape``."""
+    extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(1, 1 + extra)))
-    axes = tuple(1 + i for i, s in enumerate(shape) if s == 1 and grad.shape[1 + i] != 1)
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
@@ -214,7 +212,6 @@ def matmul(a, b) -> Tensor:
     values = a.values @ b.values
 
     def backward_fn(g):
-        # one product per task of the (tasks, n, m) g against the shared operand
         if a.requires_grad:
             a._accumulate(g @ b.values.T, own=True)
         if b.requires_grad:
@@ -230,7 +227,7 @@ def transpose(a) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(g.transpose(0, 2, 1).copy(), own=True)
+            a._accumulate(g.T.copy(), own=True)
 
     return _make(a.values.T.copy(), (a,), backward_fn, "transpose")
 
@@ -266,9 +263,7 @@ def tensor_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            tasks = g.shape[:1]
-            a._accumulate(np.broadcast_to(g.reshape(tasks + kept), tasks + a.shape).copy(),
-                          own=True)
+            a._accumulate(np.broadcast_to(g.reshape(kept), a.shape).copy(), own=True)
 
     return _make(values, (a,), backward_fn, "sum")
 
@@ -280,7 +275,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
 
     def backward_fn(g):
-        for t, part in zip(tensors, np.split(g, np.cumsum(sizes)[:-1], axis=axis + 1)):
+        for t, part in zip(tensors, np.split(g, np.cumsum(sizes)[:-1], axis=axis)):
             if t.requires_grad:
                 t._accumulate(part)
 
@@ -294,7 +289,7 @@ def reshape(a, shape) -> Tensor:
     def backward_fn(g):
         # a view of g: the walk drops the output's gradient once this returns
         if a.requires_grad:
-            a._accumulate(g.reshape(g.shape[:1] + a.shape), own=True)
+            a._accumulate(g.reshape(a.shape), own=True)
 
     return _make(values, (a,), backward_fn, "reshape")
 
@@ -306,24 +301,22 @@ def slice_cols(a, start: int, stop: int) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            full = np.zeros(g.shape[:1] + a.shape)
-            full[..., start:stop] = g
+            full = np.zeros(a.shape)
+            full[:, start:stop] = g
             a._accumulate(full, own=True)
 
     return _make(a.values[:, start:stop].copy(), (a,), backward_fn, "slice_cols")
 
 
-def _sorted_row_sums(rows: np.ndarray, sorted_ids: np.ndarray, num_segments: int,
-                     axis: int = 0) -> np.ndarray:
-    """Sums of ``rows`` along ``axis`` grouped by pre-sorted integer ids
-    (reduceat is much faster than np.add.at for the edge-sized arrays used
-    here)."""
-    out = np.zeros(rows.shape[:axis] + (num_segments,) + rows.shape[axis + 1:])
+def _sorted_row_sums(rows: np.ndarray, sorted_ids: np.ndarray, num_segments: int) -> np.ndarray:
+    """Sums of ``rows`` grouped by pre-sorted integer ids (reduceat is much
+    faster than np.add.at for the edge-sized arrays used here)."""
+    out = np.zeros((num_segments,) + rows.shape[1:])
     if sorted_ids.size == 0:
         return out
     starts = np.flatnonzero(np.diff(sorted_ids)) + 1
     starts = np.concatenate(([0], starts))
-    out[(slice(None),) * axis + (sorted_ids[starts],)] = np.add.reduceat(rows, starts, axis=axis)
+    out[sorted_ids[starts]] = np.add.reduceat(rows, starts, axis=0)
     return out
 
 
@@ -335,8 +328,7 @@ def gather_rows(a, index) -> Tensor:
     def backward_fn(g):
         if a.requires_grad:
             perm = np.argsort(idx, kind="stable")
-            a._accumulate(_sorted_row_sums(g[:, perm], idx[perm], a.shape[0], axis=1),
-                          own=True)
+            a._accumulate(_sorted_row_sums(g[perm], idx[perm], a.shape[0]), own=True)
 
     return _make(a.values[idx], (a,), backward_fn, "gather_rows")
 
@@ -350,7 +342,7 @@ def segment_sum(a, segment_ids, num_segments: int) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(g[:, seg], own=True)
+            a._accumulate(g[seg], own=True)
 
     return _make(values, (a,), backward_fn, "segment_sum")
 
@@ -378,11 +370,6 @@ def gat_attention(hw, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor], 
     sum_j alpha_ij hw_k[j] as one sparse product. Heads are concatenated, or
     averaged when ``average`` is set. The attention weights stay inside the
     op, for its backward.
-
-    The backward takes a (tasks, n, out) gradient and runs once for all
-    tasks: each block of edges gathers the senders' features once for every
-    task, and each head's sparse product carries the tasks side by side as
-    columns.
     """
     hw = as_tensor(hw)
     heads = len(a_center)
@@ -411,54 +398,43 @@ def gat_attention(hw, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor], 
         values = np.concatenate(outs, axis=1)
 
     def backward_fn(g):
-        tasks = g.shape[0]
-        # (tasks, n, heads, d), or (tasks, n, 1, d) shared by all heads when averaged
-        grads = (g * (1.0 / heads) if average else g).reshape(tasks, n, -1, d)
+        # (n, heads, d), or (n, 1, d) shared by all heads when averaged
+        grads = (g * (1.0 / heads) if average else g).reshape(n, -1, d)
         # d loss / d alpha for every pair: <g_k[dst], hw_k[src]>, by blocks of edges
-        # (one pair of gather buffers, reused by every block and task)
-        dscores = np.empty((tasks,) + alpha.shape)
+        # (one pair of gather buffers, reused by every block)
+        dscores = np.empty(alpha.shape)
         senders = np.empty((min(_EDGE_CHUNK, dst.size), heads, d))
-        receivers = np.empty((senders.shape[0],) + grads.shape[2:])
+        receivers = np.empty((senders.shape[0],) + grads.shape[1:])
         for lo in range(0, dst.size, _EDGE_CHUNK):
             hi = min(lo + _EDGE_CHUNK, dst.size)
             np.take(feats, src[lo:hi], axis=0, out=senders[:hi - lo], mode="clip")
-            for t in range(tasks):
-                np.take(grads[t], dst[lo:hi], axis=0, out=receivers[:hi - lo], mode="clip")
-                np.einsum("ehd,ehd->eh", receivers[:hi - lo], senders[:hi - lo],
-                          out=dscores[t, lo:hi])
+            np.take(grads, dst[lo:hi], axis=0, out=receivers[:hi - lo], mode="clip")
+            np.einsum("ehd,ehd->eh", receivers[:hi - lo], senders[:hi - lo], out=dscores[lo:hi])
         del senders, receivers
         # softmax, then leaky-ReLU backward, in place; the segment maximum cancels
         dscores *= alpha
-        sums = np.add.reduceat(dscores, starts, axis=1)                  # (tasks, n, heads)
-        spread = np.empty(alpha.shape)                                   # one task's at a time
-        for t in range(tasks):
-            np.take(sums[t], dst, axis=0, out=spread, mode="clip")
-            spread *= alpha
-            dscores[t] -= spread
-        del sums, spread
+        spread = np.add.reduceat(dscores, starts, axis=0)[dst]          # (E, heads)
+        spread *= alpha
+        dscores -= spread
+        del spread
         dscores *= np.where(positive, 1.0, slope)
-        dcenter = np.add.reduceat(dscores, starts, axis=1)               # (tasks, n, heads)
-        dneighbor = np.array([[np.bincount(src, weights=dscores[t, :, k], minlength=n)
-                               for k in range(heads)] for t in range(tasks)]).transpose(0, 2, 1)
+        dcenter = np.add.reduceat(dscores, starts, axis=0)               # (n, heads)
+        dneighbor = np.array([np.bincount(src, weights=dscores[:, k], minlength=n)
+                              for k in range(heads)]).T
         del dscores                          # only the per-cell sums are read from here on
         if hw.requires_grad:
-            # head by head, so no temporary is wider than one head's (tasks, n, d)
-            dfeats = np.empty((tasks, n, heads, d))
+            # head by head, so no temporary is wider than one head's (n, d)
+            dfeats = np.empty((n, heads, d))
             for k in range(heads):
-                if k == 0 or not average:
-                    # the head's (n, tasks * d) upstream rows, tasks side by side
-                    columns = grads[:, :, k].transpose(1, 0, 2).reshape(n, tasks * d)
-                product = adjacency[k].T @ columns
-                head = dfeats[:, :, k]
-                np.multiply(dcenter[:, :, k, None], ac[k], out=head)
-                head += dneighbor[:, :, k, None] * an[k]
-                head += product.reshape(n, tasks, d).transpose(1, 0, 2)
-            hw._accumulate(dfeats.reshape(tasks, n, width), own=True)
+                head = dfeats[:, k]
+                np.multiply(dcenter[:, k, None], ac[k], out=head)
+                head += dneighbor[:, k, None] * an[k]
+                head += adjacency[k].T @ grads[:, 0 if average else k]
+            hw._accumulate(dfeats.reshape(n, width), own=True)
         for params, dscore in ((a_center, dcenter), (a_neighbor, dneighbor)):
             for k, a in enumerate(params):
                 if a.requires_grad:
-                    da = np.stack([feats[:, k].T @ dscore[t, :, k] for t in range(tasks)])
-                    a._accumulate(da.reshape(tasks, d, 1), own=True)
+                    a._accumulate((feats[:, k].T @ dscore[:, k]).reshape(d, 1), own=True)
 
     return _make(values, (hw, *a_center, *a_neighbor), backward_fn, "gat_attention")
 
@@ -519,7 +495,7 @@ def contrastive(z, anchors: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     values = np.asarray(total / n_anchors)
 
     def backward_fn(g):
-        z._accumulate(np.multiply.outer(g, grad), own=True)
+        z._accumulate(g * grad, own=True)
 
     return _make(values, (z,), backward_fn, "contrastive")
 
@@ -600,16 +576,13 @@ def conv2d(x, w) -> Tensor:
     values, cols = _conv_same(x.values, w.values)
 
     def backward_fn(g):
-        tasks = g.shape[:1]
         if w.requires_grad:
-            g2 = g.transpose(0, 2, 1, 3, 4).reshape(tasks + (w.shape[0], -1))
-            w._accumulate((g2 @ cols.T).reshape(tasks + w.shape), own=True)
+            g2 = g.transpose(1, 0, 2, 3).reshape(w.shape[0], -1)
+            w._accumulate((g2 @ cols.T).reshape(w.shape), own=True)
         if x.requires_grad:
-            # g convolved with the rotated, channel-swapped kernel, the tasks'
-            # images as one batch
+            # g convolved with the rotated, channel-swapped kernel
             w_rot = w.values[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gx = _conv_same(g.reshape((-1,) + g.shape[2:]), w_rot)[0]
-            x._accumulate(gx.reshape(tasks + x.shape), own=True)
+            x._accumulate(_conv_same(g, w_rot)[0], own=True)
 
     return _make(values, (x, w), backward_fn, "conv2d")
 
@@ -633,11 +606,11 @@ def maxpool2(x) -> Tensor:
     def backward_fn(g):
         if not x.requires_grad:
             return
-        # each window's gradient at its winner, (tasks, n, c, hp, 2, wp, 2)
+        # each window's gradient at its winner, (n, c, hp, 2, wp, 2)
         g4 = np.where(idx[..., None] == np.arange(4), g[..., None], 0.0)
         g4 = g4.reshape(g.shape + (2, 2)).swapaxes(-3, -2)
-        gx = np.zeros(g.shape[:1] + x.shape)
-        gx[..., : 2 * hp, : 2 * wp] = g4.reshape(g.shape[:3] + (2 * hp, 2 * wp))
+        gx = np.zeros(x.shape)
+        gx[..., : 2 * hp, : 2 * wp] = g4.reshape(n, c, 2 * hp, 2 * wp)
         x._accumulate(gx, own=True)
 
     return _make(values, (x,), backward_fn, "maxpool2")
@@ -660,15 +633,14 @@ def batch_norm(x, gamma, beta) -> Tensor:
     values = gv * xhat + beta.values.reshape(1, -1, 1, 1)
 
     def backward_fn(g):
-        task_axes = (1, 3, 4)                  # the forward's axes, behind the task axis
         if gamma.requires_grad:
-            gamma._accumulate((g * xhat).sum(axis=task_axes), own=True)
+            gamma._accumulate((g * xhat).sum(axis=axes), own=True)
         if beta.requires_grad:
-            beta._accumulate(g.sum(axis=task_axes), own=True)
+            beta._accumulate(g.sum(axis=axes), own=True)
         if x.requires_grad:
             gxhat = g * gv
-            term = (gxhat.sum(axis=task_axes, keepdims=True)
-                    + xhat * (gxhat * xhat).sum(axis=task_axes, keepdims=True))
+            term = (gxhat.sum(axis=axes, keepdims=True)
+                    + xhat * (gxhat * xhat).sum(axis=axes, keepdims=True))
             x._accumulate(inv_std * (gxhat - term / m), own=True)
 
     return _make(values, (x, gamma, beta), backward_fn, "batch_norm")
@@ -767,14 +739,9 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
     wm^T dy, with wm the (cout, 9 * cin) weight matrix and dy the
     convolution's gradient, is the gradient of every patch entry, and each
     of the nine kernel offsets adds its share back to the padded block where
-    the gather read it; no patch matrix of the gradient is built.
-
-    The backward takes a (tasks, N, C, H//2, W//2) gradient and runs once
-    for all tasks: each block's patches, its pooling winners and, for an
-    input gradient, its recomputed convolution serve every task, and only
-    the block's weight-gradient product and its patch-gather adjoint are
-    made task by task. Apart from the input gradient it returns, its buffers
-    are those of one block, whatever N.
+    the gather read it; no patch matrix of the gradient is built. Apart from
+    the input gradient it returns, the backward's buffers are those of one
+    block, whatever N.
     """
     x, w, gamma, beta = as_tensor(x), as_tensor(w), as_tensor(gamma), as_tensor(beta)
     cout, cin, kh, kw = w.shape
@@ -852,65 +819,60 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
     np.multiply(act, slope, out=act, where=act < 0)            # leaky ReLU, 0 <= slope <= 1
 
     def backward_fn(g):
-        tasks = g.shape[0]
         scale = gamma.values * inv_std
-        dbeta, dgamma = np.zeros((tasks, cout)), np.zeros((tasks, cout))
-        dy_patches = np.zeros((tasks, cout, k))                # sum of dy * patch^T
-        dx = np.zeros((tasks,) + x.shape) if x.requires_grad else None
+        dbeta, dgamma = np.zeros(cout), np.zeros(cout)
+        dy_patches = np.zeros((cout, k))                       # sum of dy * patch^T
+        dx = np.zeros(x.shape) if x.requires_grad else None
 
         def block_grad(lo, hi):
-            # cells lo:hi of the upstream gradient, cell-last (tasks, cout, hp,
-            # wp, b), through the pooling and the leaky ReLU: the winner's sign
+            # cells lo:hi of the upstream gradient, cell-last (cout, hp, wp,
+            # b), through the pooling and the leaky ReLU: the winner's sign
             # is the pooled value's
-            cells = np.empty((tasks, cout, hp, wp, hi - lo))
-            np.multiply(g[:, lo:hi].transpose(0, 2, 3, 4, 1),
+            cells = np.empty((cout, hp, wp, hi - lo))
+            np.multiply(g[lo:hi].transpose(1, 2, 3, 0),
                         np.where(act[..., lo:hi] > 0, 1.0, slope), out=cells)
             return cells
 
         def conv_grads(lo, hi, cells):
             # the block's share of the weight gradient and, once dbeta and
-            # dgamma are complete, its input gradient; the patches, pooling
-            # winners and recomputed convolution serve every task
+            # dgamma are complete, its input gradient
             b = hi - lo
             patches = _block_patches(_padded_block(x.values, lo, hi, masked), rows, cols)
             is_winner = winner[:, None, ..., lo:hi] == np.arange(4)[:, None, None, None]
-            if dx is not None:
-                xhat = wm @ patches
-                xhat -= mu[:, None]
-                xhat *= inv_std[:, None]
-                grid = np.empty((cout, h, wd, b))              # dy in map order
-            dy = np.empty((cout, h * wd * b))                  # one task's at a time
-            for t in range(tasks):
-                dy[:, windows * b:] = 0.0
-                corners = dy[:, :windows * b].reshape(cout, 4, hp, wp, b)
-                np.multiply(cells[t, :, None], is_winner, out=corners)
-                if w.requires_grad:
-                    dy_patches[t] += dy @ patches.T
-                if dx is None:
-                    continue
-                # batch-norm backward (Ioffe & Szegedy 2015): the convolution
-                # output's gradient is scale * (dy - xhat * dgamma / m - dbeta / m)
-                dy -= xhat * (dgamma[t] / m)[:, None]
-                dy -= (dbeta[t] / m)[:, None]
-                dy *= scale[:, None]
-                # the adjoint of the patch gather: wm.T @ dy is the gradient
-                # of each patch entry, added back where the gather read it,
-                # at the nine kernel offsets of the padded block
-                grid[:, rows, cols] = dy.reshape(cout, -1, b)
-                dpatches = (wm.T @ grid.reshape(cout, -1)).reshape(cin, 3, 3, h, wd, b)
-                dpadded = np.zeros((cin, h + 2, wd + 2, b))
-                for r in range(3):
-                    for c in range(3):
-                        dpadded[:, r:r + h, c:c + wd] += dpatches[:, r, c]
-                dx[t, lo:hi] = dpadded[:, 1:-1, 1:-1].transpose(3, 0, 1, 2)
+            dy = np.zeros((cout, h * wd * b))
+            corners = dy[:, :windows * b].reshape(cout, 4, hp, wp, b)
+            np.multiply(cells[:, None], is_winner, out=corners)
+            if w.requires_grad:
+                dy_patches[...] += dy @ patches.T
+            if dx is None:
+                return
+            # batch-norm backward (Ioffe & Szegedy 2015): the convolution
+            # output's gradient is scale * (dy - xhat * dgamma / m - dbeta / m)
+            xhat = wm @ patches
+            xhat -= mu[:, None]
+            xhat *= inv_std[:, None]
+            dy -= xhat * (dgamma / m)[:, None]
+            dy -= (dbeta / m)[:, None]
+            dy *= scale[:, None]
+            # the adjoint of the patch gather: wm.T @ dy is the gradient of
+            # each patch entry, added back where the gather read it, at the
+            # nine kernel offsets of the padded block
+            grid = np.empty((cout, h, wd, b))                  # dy in map order
+            grid[:, rows, cols] = dy.reshape(cout, -1, b)
+            dpatches = (wm.T @ grid.reshape(cout, -1)).reshape(cin, 3, 3, h, wd, b)
+            dpadded = np.zeros((cin, h + 2, wd + 2, b))
+            for r in range(3):
+                for c in range(3):
+                    dpadded[:, r:r + h, c:c + wd] += dpatches[:, r, c]
+            dx[lo:hi] = dpadded[:, 1:-1, 1:-1].transpose(3, 0, 1, 2)
 
         # one pass sums dbeta and dgamma and, when x needs no gradient, the
         # weight-gradient product; the input gradient needs their batch
         # totals, so only then a second pass reads the blocks again
         for lo, hi in blocks:
             cells = block_grad(lo, hi)
-            dbeta += cells.sum(axis=(2, 3, 4))
-            dgamma += np.einsum("tchwn,chwn->tc", cells, xhat_win[..., lo:hi])
+            dbeta += cells.sum(axis=(1, 2, 3))
+            dgamma += np.einsum("chwn,chwn->c", cells, xhat_win[..., lo:hi])
             if dx is None and w.requires_grad:
                 conv_grads(lo, hi, cells)
         if gamma.requires_grad:
@@ -922,11 +884,11 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
                 conv_grads(lo, hi, block_grad(lo, hi))
         if w.requires_grad:
             # sum_p xhat_p p^T = inv_std * comoment and sum_p p^T = m * p_mean^T
-            dy_patches -= (dgamma * inv_std / m)[..., None] * comoment
-            dy_patches -= dbeta[..., None] * p_mean
-            w._accumulate((scale[:, None] * dy_patches).reshape((tasks,) + w.shape), own=True)
+            dy_patches -= (dgamma * inv_std / m)[:, None] * comoment
+            dy_patches -= dbeta[:, None] * p_mean
+            w._accumulate((scale[:, None] * dy_patches).reshape(w.shape), own=True)
         if dx is not None:
-            dx[:, masked] = 0.0
+            dx[masked] = 0.0
             x._accumulate(dx, own=True)
 
     return _make(values, (x, w, gamma, beta), backward_fn, "conv_block")
@@ -940,26 +902,21 @@ def backward(root: Tensor, seed: np.ndarray | None = None) -> None:
     """Reverse-mode gradient accumulation from ``root`` into every reachable
     tensor with ``requires_grad=True``.
 
-    ``seed`` of shape (tasks, *root.shape) stacks one upstream gradient per
-    task at ``root``: ``seed[t]`` is task t's. One walk carries them all:
-    every op's backward runs once for all tasks, and each reached leaf's
-    ``grad`` is (tasks, *leaf.shape), slice t being task t's gradient.
-    Without ``seed``, ``root`` is a scalar loss and the walk is one task
-    seeded with d loss / d loss = 1, so each leaf's ``grad`` is (1,
-    *leaf.shape).
+    ``seed``, of the root's shape, is the upstream gradient at ``root``.
+    Without it, ``root`` is a scalar loss, seeded with d loss / d loss = 1.
+    Each reached leaf's ``grad`` has the leaf's shape.
 
     Raises if ``root`` is not scalar without a seed, if ``seed`` does not
-    stack gradients of the root's shape, or if called twice on the same
-    root. An op's output is made after its parents, so the graph holds no
+    have the root's shape, or if called twice on the same root. An op's output is made after its parents, so the graph holds no
     cycle.
     """
     if seed is None:
         if root.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {root.shape}")
-        seed = np.ones((1,) + root.shape)
-    if seed.shape[1:] != root.shape:
-        raise ValueError(f"seed of shape {seed.shape} does not stack gradients "
-                         f"of the root's shape {root.shape}")
+        seed = np.ones(root.shape)
+    if seed.shape != root.shape:
+        raise ValueError(f"seed of shape {seed.shape} does not match "
+                         f"the root's shape {root.shape}")
     if root._backward_done:
         raise RuntimeError("backward already ran for this tensor")
 

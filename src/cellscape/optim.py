@@ -67,8 +67,8 @@ NOISE_RATIO = 1e-8
 
 
 def pcgrad(grads: np.ndarray) -> np.ndarray:
-    """Project away the conflict between the two task gradients of one
-    parameter, ``grads`` of shape (2, *shape).
+    """Project away the conflict between the two objectives' gradients at
+    the fused embedding, ``grads`` of shape (2, *shape).
 
     Each task's gradient, flattened, is checked against the other's
     ORIGINAL gradient; on a negative dot product the conflicting component

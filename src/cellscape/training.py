@@ -1,15 +1,17 @@
-"""Training loop: masked dual-branch encode and decode, one backward pass
-through the encoders for both objectives, gradient surgery, Adam with the
-halving schedule, and mask-free embedding extraction by the encoders alone.
+"""Training loop: masked dual-branch encode and decode, gradient surgery
+where the two objectives meet, one backward pass through the encoders,
+Adam with the halving schedule, and mask-free embedding extraction by the
+encoders alone.
 
 ``train`` prepares the inputs once and runs one ``_step`` per epoch, so an
 epoch's autodiff graph is freed before the next epoch's forward. An epoch
 copies no input: the encoders read the masked cells as zeros and the
 decoder rebuilds only the masked rows. Each loss backpropagates only down
-to the fused embedding; one backward then carries both losses' gradients
-there, one task each, through the fusion, the CNN and the GAT encoder, so
-PCGrad gets each parameter's two task gradients from a single walk of the
-encoders.
+to the fused embedding, the representation both objectives share. PCGrad
+(Yu et al. 2020) projects the conflict out of those two gradients, as
+MGDA-UB (Sener & Koltun 2018) takes the shared representation's gradient
+for the shared parameters'; one backward then carries their sum through
+the fusion, the CNN and the GAT encoder.
 
 ``embed`` takes the arrays ``train`` prepared: features, maps and directed
 edges. There is one forward pass and no train/eval switch: ``embed`` is the
@@ -45,12 +47,6 @@ class EmbeddingSet:
     Z: np.ndarray                    # (n, d) fused, rows unit-norm
 
 
-def _global_norm(grads: dict[str, np.ndarray], task: int) -> float:
-    """Norm of one task's gradient over all parameters."""
-    return float(np.sqrt(sum(float(g[task].ravel() @ g[task].ravel())
-                             for g in grads.values())))
-
-
 def train(ds: ExpressionDataset, graph: SpatialGraph, layout: GeneLayout | None,
           cfg: ModelConfig) -> tuple[CellScapeModel, EmbeddingSet, list[dict]]:
     """Fit the dual-branch model; returns (model, embeddings, per-epoch log).
@@ -84,51 +80,25 @@ def train(ds: ExpressionDataset, graph: SpatialGraph, layout: GeneLayout | None,
 def _step(model: CellScapeModel, optimizer: AdamState, epoch: int, features: np.ndarray,
           maps: np.ndarray | None, edges: DirectedEdges,
           neighbors: tuple[np.ndarray, np.ndarray, np.ndarray]) -> dict:
-    """One epoch: both objectives' per-parameter gradients from one
-    two-task walk of the encoders (``_task_gradients``), merged with
-    gradient surgery, then one scheduled Adam step.
+    """One epoch: resample the mask, evaluate both objectives, merge their
+    gradients at the fused embedding with gradient surgery, walk the
+    encoders once with the merged gradient, then take one scheduled Adam
+    step.
+
+    ``pcgrad`` projects the two (n, d) gradients ``_loss_heads`` returns,
+    flattened, and their sum seeds one backward through the fusion, the CNN
+    and the GAT encoder. The decoder's parameters keep the reconstruction
+    gradient ``_loss_heads`` left on them. The autodiff graph is a local,
+    freed on return. Neither input is copied: both encoders read the masked
+    cells as zeros, and the decoder reconstructs the masked rows alone.
 
     Returns the epoch's log record: the epoch, its learning rate, both
-    losses, its wall time (``epoch_s``), each loss's gradient norm over all
-    parameters and the fraction of parameter tensors that PCGrad changed.
+    losses, its wall time (``epoch_s``), the norm of each loss's gradient
+    at the fused embedding, their cosine and whether PCGrad projected.
     """
     start = time.perf_counter()
-    params = model.params
-    lr = lr_schedule(epoch, model.cfg.learning_rate)
-    recon_val, con_val, grads = _task_gradients(model, epoch, features, maps, edges, neighbors)
-
-    combined = {}
-    projected = 0
-    for name in params:
-        adjusted = pcgrad(grads[name])
-        projected += not np.array_equal(adjusted, grads[name])
-        combined[name] = adjusted[0] + adjusted[1]
-    adam_step(optimizer, params, combined, lr=lr)
-
-    return {
-        "epoch": epoch, "lr": lr, "loss_recon": recon_val, "loss_contrastive": con_val,
-        "epoch_s": time.perf_counter() - start,
-        "grad_norm_recon": _global_norm(grads, 0),
-        "grad_norm_contrastive": _global_norm(grads, 1),
-        "pcgrad_projected_frac": projected / len(params),
-    }
-
-
-def _task_gradients(model: CellScapeModel, epoch: int, features: np.ndarray,
-                    maps: np.ndarray | None, edges: DirectedEdges,
-                    neighbors: tuple[np.ndarray, np.ndarray, np.ndarray]
-                    ) -> tuple[float, float, dict[str, np.ndarray]]:
-    """Resample the epoch's mask, evaluate both objectives on the masked
-    inputs and return ``(loss_recon, loss_contrastive, grads)``: each
-    parameter's (2, *shape) gradients, the reconstruction loss's first.
-
-    ``_loss_heads`` backpropagates each loss down to the fused embedding;
-    one backward from there walks the encoders once for both. The autodiff
-    graph is a local, freed on return. Neither input is copied: both
-    encoders read the masked cells as zeros, and the decoder reconstructs
-    the masked rows alone.
-    """
     cfg = model.cfg
+    lr = lr_schedule(epoch, cfg.learning_rate)
     # the middle word is unused; drawing three keeps the mask and anchor
     # seeds that every earlier seeded run used
     mask_seed, _, anchor_seed = (
@@ -138,15 +108,26 @@ def _task_gradients(model: CellScapeModel, epoch: int, features: np.ndarray,
     _, _, z_fused = model.encode(features, maps, edges, masked=mask)
     recon_val, con_val, dz = _loss_heads(model, epoch, z_fused.values, features, edges,
                                          neighbors, mask, anchor_seed)
-    ad.backward(z_fused, dz)
+    adjusted = pcgrad(dz)
+    ad.backward(z_fused, adjusted[0] + adjusted[1])
 
     grads = {}
     for name, p in model.params.items():
-        # a one-task gradient is the decoder's, from reconstruction alone
-        grads[name] = (np.concatenate([p.grad, np.zeros_like(p.grad)]) if len(p.grad) == 1
-                       else p.grad)
-        p.grad = None
-    return recon_val, con_val, grads
+        grads[name], p.grad = p.grad, None
+    adam_step(optimizer, model.params, grads, lr=lr)
+
+    # the products pcgrad takes, so a projection implies a negative cosine
+    flat = dz.reshape(2, -1)
+    norm_recon, norm_con = (float(np.sqrt(g @ g)) for g in flat)
+    scale = norm_recon * norm_con
+    return {
+        "epoch": epoch, "lr": lr, "loss_recon": recon_val, "loss_contrastive": con_val,
+        "epoch_s": time.perf_counter() - start,
+        "grad_norm_recon": norm_recon,
+        "grad_norm_contrastive": norm_con,
+        "grad_cosine": float(flat[0] @ flat[1]) / scale if scale > 0.0 else 0.0,
+        "pcgrad_projected": not np.array_equal(adjusted, dz),
+    }
 
 
 def _loss_heads(model: CellScapeModel, epoch: int, z_fused: np.ndarray, features: np.ndarray,
@@ -156,12 +137,11 @@ def _loss_heads(model: CellScapeModel, epoch: int, z_fused: np.ndarray, features
     there: ``(loss_recon, loss_contrastive, dz)`` with ``dz`` (2, n, d),
     the reconstruction loss's first.
 
-    The losses read the embedding as a leaf, so each scalar backward, a
-    walk of one task, stops there: the reconstruction loss's runs through
-    the decoder and leaves the decoder's (1, *shape) parameter gradients,
-    the contrastive loss's runs through the row normalization alone. ``dz``
-    joins their two (1, n, d) gradients on the task axis. The heads' graph
-    is freed on return, before the encoders' backward.
+    The losses read the embedding as a leaf, so each scalar backward stops
+    there: the reconstruction loss's runs through the decoder and leaves the
+    decoder's parameter gradients, the contrastive loss's runs through the
+    row normalization alone. The heads' graph is freed on return, before the
+    encoders' backward.
     """
     cfg = model.cfg
     n = z_fused.shape[0]
@@ -187,7 +167,7 @@ def _loss_heads(model: CellScapeModel, epoch: int, z_fused: np.ndarray, features
     ad.backward(loss_recon)
     dz_recon, z.grad = z.grad, None
     ad.backward(loss_con)
-    return recon_val, con_val, np.concatenate([dz_recon, z.grad])
+    return recon_val, con_val, np.stack([dz_recon, z.grad])
 
 
 def embed(model: CellScapeModel, features: np.ndarray, maps: np.ndarray | None,

@@ -10,9 +10,10 @@ fused ``gat_attention`` and ``conv_block`` ops and for the edge-list
 ``contrastive_loss``. ``gene_space_decoder`` is the decoder that attends
 over the (n, genes) projection, built on ``gat_attention`` (checked against
 ``composite_gat_layer``), as the reference for the decoder that attends in
-the embedding space. ``two_pass_task_grads`` is the training step's
-gradients the two-pass way, one full backward per loss through the
-package's model and losses, as the reference for the task-stacked pass.
+the embedding space. ``fused_embedding_step_grads`` is the training
+step's gradients built the long way, each loss's gradient at the fused
+embedding from a backward of its own and a plain-loop PCGrad, as the
+reference for ``training._step``.
 ``chunked_layout_genes`` is the gene layout's vectorised chunk-by-chunk
 loop, kept bit for bit as the reference for the faster ``layout_genes``;
 ``naive_gene_layout`` checks it by plain loops.
@@ -104,34 +105,55 @@ def gene_space_decoder(model, z, edges, rows):
     return ad.gather_rows(full, rows)
 
 
-def two_pass_task_grads(model, epoch: int, features, maps, edges, neighbors):
-    """Each parameter's (reconstruction, contrastive) gradient pair for
-    ``epoch``, as the training step took them before the task-stacked pass:
-    the same mask and anchors, one forward, then one full scalar backward
-    per loss, each walking the decoder and both encoders, with the
-    gradients taken off the parameters in between (zeros where a loss does
-    not reach)."""
+def loop_pcgrad(g0, g1):
+    """PCGrad (Yu et al. 2020) on two gradients of one shape, by plain loops
+    over their entries: each is projected off the other's original when
+    their dot product is negative. Returns (the sum of the two, whether a
+    projection happened)."""
+    flat = [np.asarray(g, dtype=np.float64).ravel().tolist() for g in (g0, g1)]
+    adjusted = [list(f) for f in flat]
+    projected = False
+    for i, j in ((0, 1), (1, 0)):
+        dot = sum(a * b for a, b in zip(flat[i], flat[j]))
+        if dot < 0.0:
+            projected = True
+            ratio = dot / sum(b * b for b in flat[j])
+            adjusted[i] = [a - ratio * b for a, b in zip(adjusted[i], flat[j])]
+    total = np.array([a + b for a, b in zip(*adjusted)]).reshape(np.shape(g0))
+    return total, projected
+
+
+def fused_embedding_step_grads(model, epoch: int, features, maps, edges, neighbors):
+    """Every parameter's gradient in training epoch ``epoch`` and whether
+    PCGrad projected: the same mask and anchors as the step, one forward of
+    the encoders, then each loss on its own leaf copy of the fused
+    embedding with a scalar backward of its own, giving its (n, d) gradient
+    there (and, for the reconstruction loss, the decoder's gradients);
+    ``loop_pcgrad`` merges the two, and one backward seeded with the merged
+    gradient walks the encoders."""
     cfg = model.cfg
     n = features.shape[0]
     mask_seed, _, anchor_seed = (
         int(s) for s in np.random.SeedSequence([cfg.seed, epoch]).generate_state(3))
     mask = mask_cells(n, cfg.mask_ratio, mask_seed)
-    _, _, z_fused = model.encode(features, maps, edges, masked=mask)
-    loss_recon = sce_loss(features, model.decode(z_fused, edges, mask), mask, cfg.gamma)
     if n > cellscape.training.MAX_CONTRASTIVE_ANCHORS:
         anchors = np.sort(np.random.default_rng(anchor_seed).choice(
             n, size=cellscape.training.MAX_CONTRASTIVE_ANCHORS, replace=False))
     else:
         anchors = np.arange(n)
-    loss_con = contrastive_loss(ad.l2_normalize_rows(z_fused), neighbors, cfg.tau,
-                                anchors=anchors)
-    pairs = {name: [] for name in model.params}
-    for loss in (loss_recon, loss_con):
-        ad.backward(loss)
-        for name, p in model.params.items():
-            pairs[name].append(np.zeros_like(p.values) if p.grad is None else p.grad[0])
-            p.grad = None
-    return pairs
+    _, _, z_fused = model.encode(features, maps, edges, masked=mask)
+
+    z_recon = ad.Tensor(z_fused.values.copy(), requires_grad=True)
+    ad.backward(sce_loss(features, model.decode(z_recon, edges, mask), mask, cfg.gamma))
+    z_con = ad.Tensor(z_fused.values.copy(), requires_grad=True)
+    ad.backward(contrastive_loss(ad.l2_normalize_rows(z_con), neighbors, cfg.tau,
+                                 anchors=anchors))
+    merged, projected = loop_pcgrad(z_recon.grad, z_con.grad)
+    ad.backward(z_fused, merged)
+    grads = {name: p.grad for name, p in model.params.items()}
+    for p in model.params.values():
+        p.grad = None
+    return grads, projected
 
 
 def composite_conv_block(x, w, gamma, beta, slope: float):

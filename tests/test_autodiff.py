@@ -24,8 +24,8 @@ def check_op(build_loss, arrays, tol=1e-6, h=1e-5):
 
     fd = finite_difference_grads(numeric_loss, [t.values for t in tensors], h=h)
     for t, g in zip(tensors, fd):
-        assert t.grad.shape == (1,) + t.shape
-        assert relative_error(t.grad[0], g) < tol
+        assert t.grad.shape == t.shape
+        assert relative_error(t.grad, g) < tol
 
 
 class TestBasicOps:
@@ -33,13 +33,13 @@ class TestBasicOps:
         w = ad.Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
         loss = ad.tensor_sum(w)
         ad.backward(loss)
-        np.testing.assert_array_equal(w.grad[0], np.ones(3))
+        np.testing.assert_array_equal(w.grad, np.ones(3))
 
     def test_sum_of_square(self):
         w = ad.Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
         loss = ad.tensor_sum(w * w)
         ad.backward(loss)
-        np.testing.assert_allclose(w.grad[0], [2.0, -4.0, 6.0])
+        np.testing.assert_allclose(w.grad, [2.0, -4.0, 6.0])
 
     def test_add_broadcast(self):
         check_op(
@@ -166,7 +166,7 @@ class TestDebugChecks:
         w = ad.Tensor(np.ones((2, 3)), requires_grad=True)
         out = w * 2.0
         with pytest.raises(FloatingPointError, match="backward"):
-            ad.backward(out, np.full((2, 2, 3), np.nan))
+            ad.backward(out, np.full((2, 3), np.nan))
         assert w.grad is None
 
 
@@ -189,7 +189,7 @@ class TestBackwardContract:
         loss = ad.tensor_sum(shared * shared + shared)
         ad.backward(loss)
         # d/dw (9w^2 + 3w) = 18w + 3
-        np.testing.assert_allclose(w.grad[0], [39.0])
+        np.testing.assert_allclose(w.grad, [39.0])
 
     def test_consumed_gradients_freed_and_forward_reusable(self):
         rng = np.random.default_rng(3)
@@ -224,8 +224,9 @@ class TestBackwardContract:
         np.testing.assert_array_equal(w.grad, fresh_grad(1))
 
     def test_task_stacked_seed_gives_each_task_its_scalar_gradient(self):
-        # one walk with a (2, ...) seed through every op that carries the
-        # task axis; the bias added to every row keeps one gradient per task
+        # a seed that sums two tasks' upstream gradients gives each leaf the
+        # sum of the tasks' scalar gradients, as training's one walk of the
+        # two losses' merged gradient does; the bias is added to every row
         rng = np.random.default_rng(4)
         x, w0, v0, b0 = (rng.standard_normal(s) for s in ((5, 4), (4, 3), (3, 2), (3,)))
         keep = np.array([[1.0], [0.0], [1.0], [1.0], [0.0]])
@@ -238,20 +239,22 @@ class TestBackwardContract:
             return ad.reshape(ad.reshape(joint, (25,)), (5, 5)), (w, v, b)
 
         out, leaves = forward()
-        ad.backward(out, upstream)
+        ad.backward(out, upstream[0] + upstream[1])
+        want = [np.zeros(leaf.shape) for leaf in leaves]
         for task in range(2):
             task_out, task_leaves = forward()
             ad.backward(ad.tensor_sum(task_out * upstream[task]))
-            for stacked, single in zip(leaves, task_leaves):
-                assert stacked.grad.shape == (2,) + single.shape
-                np.testing.assert_allclose(stacked.grad[task], single.grad[0], rtol=1e-12,
-                                           atol=1e-15)
+            for total, single in zip(want, task_leaves):
+                total += single.grad
+        for seeded, total in zip(leaves, want):
+            assert seeded.grad.shape == seeded.shape
+            np.testing.assert_allclose(seeded.grad, total, rtol=1e-12, atol=1e-15)
 
     def test_task_stacked_seed_checked(self):
         w = ad.Tensor(np.ones((3, 2)), requires_grad=True)
         out = w * 2.0
         with pytest.raises(ValueError, match="seed"):
-            ad.backward(out, np.ones((2, 2, 3)))
+            ad.backward(out, np.ones((2, 3)))
         assert w.grad is None and not out._backward_done
 
     def test_property_random_expressions(self):

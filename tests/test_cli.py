@@ -63,11 +63,14 @@ def test_simulate_train_segment_evaluate(tmp_path, capsys):
     assert [r["epoch"] for r in log] == [0, 1, 2]
     for r in log:
         assert set(r) == {"epoch", "lr", "loss_recon", "loss_contrastive", "epoch_s",
-                          "grad_norm_recon", "grad_norm_contrastive", "pcgrad_projected_frac"}
+                          "grad_norm_recon", "grad_norm_contrastive", "grad_cosine",
+                          "pcgrad_projected"}
         assert r["epoch_s"] > 0.0
         assert math.isfinite(r["grad_norm_recon"]) and r["grad_norm_recon"] > 0.0
         assert math.isfinite(r["grad_norm_contrastive"]) and r["grad_norm_contrastive"] > 0.0
-        assert 0.0 <= r["pcgrad_projected_frac"] <= 1.0
+        assert math.isfinite(r["grad_cosine"]) and -1.0 <= r["grad_cosine"] <= 1.0
+        assert isinstance(r["pcgrad_projected"], bool)
+        assert not r["pcgrad_projected"] or r["grad_cosine"] < 0.0
 
 
 @pytest.mark.parametrize("cci_only", [False, True], ids=["dual", "cci-only"])

@@ -1,4 +1,4 @@
-"""The quality gate of ROADMAP item 1: on the banded tissue the domains are
+"""The quality gate of ROADMAP item 4: on the banded tissue the domains are
 spatial, so the spatial model's fit must score at least its own non-spatial
 control, PCA+GMM on the expression under the same ``clustering`` section.
 
@@ -28,14 +28,14 @@ REGIMES = {
     "strong": (SyntheticSpec(n_cells=800, n_genes=100, program_strength=10.0), 0.05),
 }
 
-MISSED = ("ROADMAP item 1: on development seeds 0-2 the fit's mean NMI is {:.2f} against "
+MISSED = ("ROADMAP item 4: on development seeds 0-2 the fit's mean NMI is {:.2f} against "
           "the control's {:.2f}, short of this bound")
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("regime", [
     pytest.param("weak", marks=pytest.mark.xfail(strict=True, reason=MISSED.format(0.28, 0.44))),
-    pytest.param("strong", marks=pytest.mark.xfail(strict=True, reason=MISSED.format(0.73, 1.00))),
+    pytest.param("strong", marks=pytest.mark.xfail(strict=True, reason=MISSED.format(0.70, 1.00))),
 ])
 def test_fit_scores_at_least_its_non_spatial_control(regime):
     spec, margin = REGIMES[regime]

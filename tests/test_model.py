@@ -23,7 +23,7 @@ from cellscape.training import embed, train
 
 from oracles import (composite_conv_block, composite_gat_layer, dense_contrastive_loss,
                      finite_difference_grads, gene_space_decoder, loop_neighbor_lists,
-                     relative_error, two_pass_task_grads)
+                     relative_error, fused_embedding_step_grads)
 
 TOY_CFG = dict(
     gat_layers=2,
@@ -156,8 +156,8 @@ def _attention_pass(layer, graph, arrays, average, weights):
         out = composite_gat_layer(h, edges.dst, edges.src, graph.n_nodes, W, a_c, a_n,
                                   a_c[0].shape[0], 0.2, average)
     ad.backward(ad.tensor_sum(out * weights))
-    return [out.values, h.grad[0], W.grad[0], *(a.grad[0] for a in a_c),
-            *(a.grad[0] for a in a_n)]
+    return [out.values, h.grad, W.grad, *(a.grad for a in a_c),
+            *(a.grad for a in a_n)]
 
 
 class TestGatAttentionOracle:
@@ -384,7 +384,7 @@ class TestContrastiveLoss:
         ad.backward(loss(x))
         numeric = finite_difference_grads(lambda: loss(Tensor(x_values)).item(), [x_values],
                                           h=1e-6)[0]
-        assert relative_error(x.grad[0], numeric) < 1e-7
+        assert relative_error(x.grad, numeric) < 1e-7
 
     def test_no_gradient_input(self):
         n = 600
@@ -441,7 +441,7 @@ def _contrastive_pair(kind, n, anchors, rng):
     z_ref = Tensor(z_values.copy(), requires_grad=True)
     ref = dense_contrastive_loss(z_ref, loop_neighbor_lists(n, graph.edges), 0.3, anchors)
     ad.backward(ref)
-    return [loss.values, z.grad[0]], [ref.values, z_ref.grad[0]]
+    return [loss.values, z.grad], [ref.values, z_ref.grad]
 
 
 def _contrastive_peak(z, graph, anchors):
@@ -473,8 +473,8 @@ def _conv_block_pass(op, arrays, weights, x_grad=True, **kwargs):
     x.requires_grad = x_grad
     out = op(x, w, gamma, beta, 0.01, **kwargs)
     ad.backward(ad.tensor_sum(out * weights))
-    grads = [x.grad[0]] if x_grad else []
-    return [out.values, *grads, w.grad[0], gamma.grad[0], beta.grad[0]]
+    grads = [x.grad] if x_grad else []
+    return [out.values, *grads, w.grad, gamma.grad, beta.grad]
 
 
 def _composite_cnn(model, maps):
@@ -670,8 +670,8 @@ class TestDecoder:
             with pytest.warns(RuntimeWarning, match="1 masked pair"):
                 loss = sce_loss(x, x_hat, rows, gamma=3.0)
         ad.backward(loss)
-        return [loss.values, x_hat.values, z.grad[0],
-                *(model.params[name].grad[0] for name in DECODER_PARAMS)]
+        return [loss.values, x_hat.values, z.grad,
+                *(model.params[name].grad for name in DECODER_PARAMS)]
 
     @pytest.mark.parametrize("loss_kind", ["weighted", "sce"])
     @pytest.mark.parametrize("n_genes,embed_dim", [(16, 4), (100, 32)])
@@ -726,7 +726,7 @@ class TestModelGradients:
 
         loss = total_loss()
         ad.backward(loss)
-        analytic = {k: p.grad[0].copy() for k, p in model.params.items() if p.grad is not None}
+        analytic = {k: p.grad.copy() for k, p in model.params.items() if p.grad is not None}
         assert set(analytic) == set(model.params)
 
         names = list(model.params)
@@ -746,12 +746,18 @@ def _step_inputs(ds, graph, layout, cfg):
 
 
 class TestTaskStackedGradients:
-    """One encoder walk per epoch carries both objectives' gradients."""
+    """One encoder walk per epoch carries both objectives' gradients, merged
+    by PCGrad at the fused embedding."""
 
     # ids: the toy model; a second CNN block, whose input takes a gradient;
-    # the spatial branch alone; fewer contrastive anchors than cells
-    @pytest.mark.parametrize("case", ["toy", "two-cnn-blocks", "cci-only", "sampled-anchors"])
-    def test_matches_two_pass_oracle(self, case, monkeypatch):
+    # the spatial branch alone; fewer contrastive anchors than cells. Each
+    # with whether PCGrad projects in epochs 0 and 1: both kinds of epoch
+    # are covered
+    @pytest.mark.parametrize("case,projects", [
+        ("toy", [True, True]), ("two-cnn-blocks", [False, False]),
+        ("cci-only", [True, False]), ("sampled-anchors", [True, True]),
+    ], ids=["toy", "two-cnn-blocks", "cci-only", "sampled-anchors"])
+    def test_matches_two_pass_oracle(self, case, projects, monkeypatch):
         extra = {"two-cnn-blocks": {"cnn_channels": (2, 4)},
                  "cci-only": {"cci_only": True}}.get(case, {})
         ds, graph, layout = toy_dataset(n=30, p=36, seed=23)
@@ -760,30 +766,36 @@ class TestTaskStackedGradients:
         cfg = ModelConfig(seed=23, **{**TOY_CFG, **extra})
         model, inputs = _step_inputs(ds, graph, layout, cfg)
         optimizer = optim.AdamState(model.params, cfg.weight_decay)
+        stepped = []
+
+        def taking_adam_step(state, params, grads, lr):
+            stepped.append(grads)
+            optim.adam_step(state, params, grads, lr)
+
+        monkeypatch.setattr(training, "adam_step", taking_adam_step)
         for epoch in range(2):
-            want = two_pass_task_grads(copy.deepcopy(model), epoch, *inputs)
-            _, _, got = training._task_gradients(model, epoch, *inputs)
-            for name, p in model.params.items():
-                assert got[name].shape == (2,) + p.shape, name
-                for task in range(2):
-                    reference = want[name][task]
-                    np.testing.assert_allclose(got[name][task], reference, rtol=1e-12,
-                                               atol=1e-12 * np.abs(reference).max(),
-                                               err_msg=f"{name}, task {task}")
-            # both objectives reach the encoder
-            assert np.abs(got["encoder.0.W"][0]).max() > 0
-            assert np.abs(got["encoder.0.W"][1]).max() > 0
-            # the next epoch's comparison runs on stepped parameters
-            training._step(model, optimizer, epoch, *inputs)
+            want, projected = fused_embedding_step_grads(copy.deepcopy(model), epoch, *inputs)
+            record = training._step(model, optimizer, epoch, *inputs)
+            assert record["pcgrad_projected"] == projected == projects[epoch]
+            got = stepped[-1]
+            assert set(got) == set(want) == set(model.params)
+            # within 1e-12 of the step's largest gradient entry: an attention
+            # vector's gradient that vanishes in theory is rounding noise
+            scale = max(np.abs(g).max() for g in want.values())
+            for name, reference in want.items():
+                assert got[name].shape == model.params[name].shape, name
+                np.testing.assert_allclose(got[name], reference, rtol=1e-12,
+                                           atol=1e-12 * scale, err_msg=name)
 
     def test_one_epoch_runs_each_encoder_op_backward_once(self, monkeypatch):
-        # every encoder attention layer and CNN block runs its backward once,
-        # for both objectives at once; the decoder's attention runs its
-        # backward once, for the reconstruction loss alone: a one-task walk
+        # every encoder attention layer and CNN block and the decoder's
+        # attention run their backward once, each with a gradient of its
+        # output's shape: the decoder's for the reconstruction loss alone,
+        # the encoders' for both losses merged
         ds, graph, layout = toy_dataset(n=30, p=36, seed=24)
         cfg = ModelConfig(seed=24, **{**TOY_CFG, "cnn_channels": (2, 4)})
         model, inputs = _step_inputs(ds, graph, layout, cfg)
-        made = []   # (op, task counts its backward was called with)
+        made = []   # (op, whether each backward call's gradient had the output's shape)
 
         def counting(op):
             original = getattr(ad, op)
@@ -794,7 +806,7 @@ class TestTaskStackedGradients:
                 backward_fn = out._backward_fn
 
                 def counted(g):
-                    record[1].append(g.shape[0])
+                    record[1].append(g.shape == out.shape)
                     backward_fn(g)
 
                 out._backward_fn = counted
@@ -808,7 +820,7 @@ class TestTaskStackedGradients:
         training._step(model, optim.AdamState(model.params, cfg.weight_decay), 0, *inputs)
         assert [op for op, _ in made] == ["gat_attention"] * 2 + ["conv_block"] * 2 + [
             "gat_attention"]
-        assert [calls for _, calls in made] == [[2]] * 4 + [[1]]
+        assert [calls for _, calls in made] == [[True]] * 5
 
 
 class TestTraining:

@@ -1,13 +1,17 @@
-"""The task axis that every backward carries. Every op in ``autodiff``,
-model op or reference op, walked with a (2, ...) seed gives each task the
-gradients of its own one-task walk. On drawn inputs, for graph attention
-(concatenated and averaged heads) and the CNN block (with and without an
-input gradient), a (2, ...) upstream gradient gives each task the gradients
-a single-task backward gives it. The graphs hold a cell with no edge and a
-pair of coordinate twins; the masked sets are empty, partial or every cell,
-and for the CNN block also one whole block of cells. The CNN block's
-stacked backward also matches the composite chain, on the drawn inputs and
-across block boundaries, and holds no copy of the whole stacked gradient; its input gradient holds no
+"""Two tasks' gradients in one walk. Training merges the two objectives'
+gradients at the fused embedding and walks the encoders once with their
+sum, which gives every parameter the sum of the two objectives' own walks
+only because every backward is linear in its upstream gradient. So every
+op in ``autodiff``, model op or reference op, walked with a seed that sums
+two tasks' upstream gradients gives each leaf, in the leaf's shape, the sum
+of the gradients of the two tasks' own walks. On drawn inputs, for graph
+attention (concatenated and averaged heads) and the CNN block (with and
+without an input gradient), the summed walk matches the two tasks' scalar
+backwards. The graphs hold a cell with no edge and a pair of coordinate
+twins; the masked sets are empty, partial or every cell, and for the CNN
+block also one whole block of cells. The CNN block's backward also matches
+the composite chain, on the drawn inputs and across block boundaries, and
+holds no copy of the whole upstream gradient; its input gradient holds no
 patch matrix of the convolution gradient."""
 
 import inspect
@@ -132,9 +136,9 @@ def test_every_op_has_a_task_axis_case():
 @pytest.mark.parametrize("op,case", [(op, i) for op, cases in OP_CASES.items()
                                      for i in range(len(cases))])
 def test_every_op_carries_the_task_axis(op, case):
-    # one walk with a (2, ...) seed; each task's slice equals the one-task
-    # walk seeded with that task's upstream gradient alone, within 1e-12 of
-    # its largest entry
+    # one walk seeded with the sum of two tasks' upstream gradients; each
+    # leaf's gradient equals the sum of the two tasks' own walks, within
+    # 1e-12 of its largest entry
     rng = np.random.default_rng(50 + case)
     fn, arrays = OP_CASES[op][case](rng)
 
@@ -144,31 +148,38 @@ def test_every_op_carries_the_task_axis(op, case):
 
     out, leaves = forward()
     upstream = rng.standard_normal((2,) + out.shape)
-    ad.backward(out, upstream)
+    ad.backward(out, np.asarray(upstream[0] + upstream[1]))
+    want = [np.zeros(leaf.shape) for leaf in leaves]
     for task in range(2):
         task_out, task_leaves = forward()
-        ad.backward(task_out, upstream[task:task + 1])
-        for stacked, single in zip(leaves, task_leaves):
-            assert stacked.grad.shape == (2,) + stacked.shape
-            assert single.grad.shape == (1,) + single.shape
-            np.testing.assert_allclose(stacked.grad[task], single.grad[0], rtol=0,
-                                       atol=1e-12 * np.abs(single.grad).max())
+        ad.backward(task_out, np.asarray(upstream[task]))
+        for total, single in zip(want, task_leaves):
+            total += single.grad
+    for seeded, total in zip(leaves, want):
+        assert seeded.grad.shape == seeded.shape
+        np.testing.assert_allclose(seeded.grad, total, rtol=0, atol=1e-12 * np.abs(total).max())
 
 
 def _assert_tasks_match(forward, upstream):
     """``forward()`` builds fresh leaves and returns (output, leaves): one
-    backward seeded with the (2, ...) ``upstream`` must give each leaf, in
-    slice t, the gradient of sum(output * upstream[t]). Returns the stacked
+    backward seeded with ``upstream[0] + upstream[1]`` must give each leaf
+    the gradient of sum(output * upstream[0]) plus that of sum(output *
+    upstream[1]), each from a scalar backward of its own, within 1e-12 of the
+    walk's largest gradient entry (an attention vector's gradient that
+    vanishes in theory is rounding noise in both). Returns the seeded walk's
     leaves."""
     out, leaves = forward()
-    ad.backward(out, upstream)
+    ad.backward(out, upstream[0] + upstream[1])
+    want = [np.zeros(leaf.shape) for leaf in leaves]
     for task in range(2):
         task_out, task_leaves = forward()
         ad.backward(ad.tensor_sum(task_out * upstream[task]))
-        for stacked, single in zip(leaves, task_leaves):
-            assert stacked.grad.shape == (2,) + single.shape
-            np.testing.assert_allclose(stacked.grad[task], single.grad[0], rtol=1e-12,
-                                       atol=1e-12 * np.abs(single.grad).max())
+        for total, single in zip(want, task_leaves):
+            total += single.grad
+    scale = max(np.abs(total).max() for total in want)
+    for seeded, total in zip(leaves, want):
+        assert seeded.grad.shape == seeded.shape
+        np.testing.assert_allclose(seeded.grad, total, rtol=1e-12, atol=1e-12 * scale)
     return leaves
 
 
@@ -220,17 +231,17 @@ def test_conv_block_tasks_match_single_task_backward(n, cin, cout, q, x_grad, ma
         return out, ((x,) if x_grad else ()) + (w, gamma, beta)
 
     upstream = rng.standard_normal((2, n, cout, q // 2, q // 2))
-    stacked = _assert_tasks_match(forward, upstream)
-    # task 0 against the composite chain on a copy with the masked maps zeroed
+    seeded = _assert_tasks_match(forward, upstream)
+    # against the composite chain on a copy with the masked maps zeroed
     zeroed = maps.copy()
     zeroed[masked] = 0.0
     chain = [Tensor(a, requires_grad=True) for a in (zeroed, w0, gamma0, beta0)]
-    ad.backward(ad.tensor_sum(composite_conv_block(*chain, 0.01) * upstream[0]))
-    for got, want in zip(stacked, chain[0 if x_grad else 1:]):
-        want = want.grad[0].copy()
-        if x_grad and got is stacked[0]:
+    ad.backward(ad.tensor_sum(composite_conv_block(*chain, 0.01) * (upstream[0] + upstream[1])))
+    for got, want in zip(seeded, chain[0 if x_grad else 1:]):
+        want = want.grad.copy()
+        if x_grad and got is seeded[0]:
             want[masked] = 0.0              # the op gives masked cells no input gradient
-        np.testing.assert_allclose(got.grad[0], want, rtol=1e-12,
+        np.testing.assert_allclose(got.grad, want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
 
 
@@ -243,56 +254,54 @@ def _conv_block_arrays(n, cin, cout, q, seed):
 @pytest.mark.parametrize("x_grad", [False, True])
 def test_conv_block_stacked_matches_composite_across_blocks(x_grad):
     # the beta and gamma gradients are summed block by block, so the block
-    # boundaries are where a stacked backward could part from the composite
+    # boundaries are where the op's backward could part from the composite
     # chain: three blocks, the middle one all masked (its windows tie), the
-    # last partial; each task's slice within 1e-12 of the chain's gradients
+    # last partial; every gradient within 1e-12 of the chain's
     block = ad._CELL_BLOCK
     n, cin, cout, q = 2 * block + block // 2 + 1, 2, 3, 6
     assert len(ad._cell_blocks(n, q, q)) == 3
     maps, w0, gamma0, beta0 = _conv_block_arrays(n, cin, cout, q, seed=41)
     masked = np.array([1, *range(block, 2 * block), n - 2])
     maps[masked] = 0.0
-    upstream = np.random.default_rng(42).standard_normal((2, n, cout, q // 2, q // 2))
+    upstream = np.random.default_rng(42).standard_normal((n, cout, q // 2, q // 2))
 
     def leaves():
         return [Tensor(a, requires_grad=x_grad or i > 0)
                 for i, a in enumerate((maps, w0, gamma0, beta0))]
 
-    stacked = leaves()
-    ad.backward(ad.conv_block(*stacked, 0.01, masked), upstream)
-    for task in range(2):
-        chain = leaves()
-        out = composite_conv_block(*chain, 0.01)
-        ad.backward(ad.tensor_sum(out * upstream[task]))
-        for got, want in zip(stacked, chain):
-            if not got.requires_grad:
-                continue
-            want = want.grad[0].copy()
-            if got is stacked[0]:
-                want[masked] = 0.0          # the op gives masked cells no input gradient
-            np.testing.assert_allclose(got.grad[task], want, rtol=1e-12,
-                                       atol=1e-12 * np.abs(want).max())
+    fused = leaves()
+    ad.backward(ad.conv_block(*fused, 0.01, masked), upstream)
+    chain = leaves()
+    ad.backward(ad.tensor_sum(composite_conv_block(*chain, 0.01) * upstream))
+    for got, want in zip(fused, chain):
+        if not got.requires_grad:
+            continue
+        want = want.grad.copy()
+        if got is fused[0]:
+            want[masked] = 0.0              # the op gives masked cells no input gradient
+        np.testing.assert_allclose(got.grad, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
 
 
 def test_conv_block_stacked_backward_copies_no_full_gradient():
-    # n = four blocks and three cells. The backward moves the stacked
+    # n = four blocks and three cells. The backward moves the upstream
     # gradient cell-last one block at a time, so beside the driver's copy of
     # the seed and one block's patch matrix and convolution gradient it
-    # holds less than half the seed; a cell-last copy of the whole stacked
-    # gradient alone is as large as the seed
+    # holds less than half the seed; a cell-last copy of the whole gradient
+    # alone is as large as the seed
     n, cin, cout, q = 4 * ad._CELL_BLOCK + 3, 1, 16, 10
     assert ad._cell_blocks(n, q, q)[0] == (0, ad._CELL_BLOCK)
     maps, w0, gamma0, beta0 = _conv_block_arrays(n, cin, cout, q, seed=43)
     w, gamma, beta = (Tensor(a, requires_grad=True) for a in (w0, gamma0, beta0))
     out = ad.conv_block(Tensor(maps), w, gamma, beta, 0.01)
-    seed = np.random.default_rng(44).standard_normal((2,) + out.shape)
+    seed = np.random.default_rng(44).standard_normal(out.shape)
     tracemalloc.start()
     try:
         ad.backward(out, seed)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert w.grad.shape == (2,) + w.shape
+    assert w.grad.shape == w.shape
     block = (9 * cin + cout) * q * q * ad._CELL_BLOCK * 8
     assert peak < seed.nbytes + seed.nbytes // 2 + block, f"peak {peak / 2**20:.2f} MiB"
 
@@ -300,22 +309,22 @@ def test_conv_block_stacked_backward_copies_no_full_gradient():
 def test_conv_block_input_gradient_makes_no_gradient_patch_matrix():
     # a second block's input gradient is the adjoint of the forward's patch
     # gather, made from one block's (9 * cin, H * W * b) patch gradient: beside
-    # the driver's copy of the seed and the stacked input gradient, the
-    # backward holds less than one block's (9 * cout, H * W * b) patch matrix
-    # of the convolution gradient, which a flipped-kernel convolution builds
+    # the driver's copy of the seed and the input gradient, the backward
+    # holds less than one block's (9 * cout, H * W * b) patch matrix of the
+    # convolution gradient, which a flipped-kernel convolution builds
     n, cin, cout, q = 3 * ad._CELL_BLOCK + 5, 1, 16, 8
     block = ad._cell_blocks(n, q, q)[0][1]
     maps, w0, gamma0, beta0 = _conv_block_arrays(n, cin, cout, q, seed=45)
     x = Tensor(maps, requires_grad=True)
     w, gamma, beta = (Tensor(a, requires_grad=True) for a in (w0, gamma0, beta0))
     out = ad.conv_block(x, w, gamma, beta, 0.01)
-    seed = np.random.default_rng(46).standard_normal((2,) + out.shape)
+    seed = np.random.default_rng(46).standard_normal(out.shape)
     tracemalloc.start()
     try:
         ad.backward(out, seed)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert x.grad.shape == (2,) + x.shape
+    assert x.grad.shape == x.shape
     gradient_patches = 9 * cout * q * q * block * 8
     assert peak < seed.nbytes + x.grad.nbytes + gradient_patches, f"peak {peak / 2**20:.2f} MiB"
