@@ -16,11 +16,15 @@ Most ops are generic (elementwise, matmul, gathers, segment sums).
 Graph attention is one fused op, ``gat_attention``: per-pair scores, the
 per-receiver softmax and the aggregation for every head run over the
 graph's CSR edge arrays, with the aggregation as a sparse product and the
-pair-score backward in blocks of edges, so no op holds an edges x features
-array; it returns the layer output only, its attention weights stay inside
-for the backward. A CNN block is one fused op, ``conv_block``: a bias-free 3x3
-convolution, batch normalization, leaky ReLU and 2x2 max pooling over cells
-in blocks of ``_cell_blocks``, so no op holds an N*H*W x channels array.
+pair-score backward in blocks of a fixed number of entries, so no op holds
+an edges x features array. It returns the layer output only and keeps, for
+the backward, only its attention weights and their scores' signs: each
+head's sparse matrix is built where a product needs it, in the forward and
+again in the backward. Like the CNN block, it reads the cells it is handed
+as masked as zero rows, so masking copies nothing. A CNN block is one fused
+op, ``conv_block``: a bias-free 3x3 convolution, batch normalization, leaky
+ReLU and 2x2 max pooling over cells in blocks of ``_cell_blocks``, so no op
+holds an N*H*W x channels array.
 Its batch norm always uses the exact statistics of the batch at hand:
 the model trains full-batch and embeds the cells it trained on, so no
 running averages are kept. One pass per block convolves, pools (the
@@ -351,14 +355,30 @@ def segment_sum(a, segment_ids, num_segments: int) -> Tensor:
 # graph attention
 # ---------------------------------------------------------------------------
 
-# Edges per block of the edge-score backward: its temporaries are
-# _EDGE_CHUNK x width instead of E x width, where width is the encoder's
-# hidden width or the embedding width (the decoder attends in the latter).
-_EDGE_CHUNK = 2048
+# Entries per block of the edge-score backward's two gather buffers
+# together (512 KiB of float64): a block takes _EDGE_ENTRIES // (senders'
+# width + receivers' width) edges, so the buffers stay this size whatever the
+# layer's width. The first encoder layer (64-wide senders and receivers)
+# walks 512 edges a block, the final one (128-wide senders, 32-wide averaged
+# receivers) 409 and the decoder (32 and 32) 1,024.
+_EDGE_ENTRIES = 1 << 16
+
+
+def _masked_cells(masked, n: int, op: str) -> np.ndarray:
+    """The sorted unique cell indices of ``masked`` (``None`` for none),
+    checked to lie in [0, n)."""
+    masked = np.asarray(() if masked is None else masked)
+    if masked.size and masked.dtype.kind not in "iu":
+        raise ValueError(f"{op} masked cells must be indices, got dtype {masked.dtype}")
+    masked = np.unique(masked.astype(np.intp))
+    if masked.size and (masked[0] < 0 or masked[-1] >= n):
+        raise ValueError(f"{op} masked cells must lie in [0, {n}), "
+                         f"got {masked[0]}..{masked[-1]}")
+    return masked
 
 
 def gat_attention(hw, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor], edges,
-                  slope: float, average: bool) -> Tensor:
+                  slope: float, average: bool, masked=None) -> Tensor:
     """Multi-head graph attention (Velickovic et al. 2018) over projected
     features ``hw`` (n, heads * d), all heads in one op.
 
@@ -368,27 +388,49 @@ def gat_attention(hw, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor], 
     (i <- j) as leaky_relu(hw_k[i] . a_center[k] + hw_k[j] . a_neighbor[k]),
     softmax-normalizes the scores per receiver and aggregates
     sum_j alpha_ij hw_k[j] as one sparse product. Heads are concatenated, or
-    averaged when ``average`` is set. The attention weights stay inside the
-    op, for its backward.
+    averaged when ``average`` is set. The rows of ``hw`` indexed by
+    ``masked`` read as zeros (their input gradient is zero), so training
+    masks the projection without copying it.
+
+    The forward keeps only its output, the (E, heads) attention weights and
+    their scores' signs for the backward; each head's sparse matrix is built
+    where a product needs it, in the forward and again in the backward.
     """
     hw = as_tensor(hw)
     heads = len(a_center)
     n, width = hw.shape
     d = width // heads
+    masked = _masked_cells(masked, n, "gat_attention")
     dst, src, indptr = edges.dst, edges.src, edges.indptr
     starts = indptr[:-1]
     feats = hw.values.reshape(n, heads, d)
     ac = np.stack([a.values.reshape(d) for a in a_center])
     an = np.stack([a.values.reshape(d) for a in a_neighbor])
+    # pairs whose sender is masked: its zero row adds nothing to the aggregate
+    silent = None
+    if masked.size:
+        silent = np.zeros(n, dtype=bool)
+        silent[masked] = True
+        silent = silent[src]
 
-    raw = (np.einsum("nhd,hd->nh", feats, ac)[dst]
-           + np.einsum("nhd,hd->nh", feats, an)[src])           # (E, heads)
+    center = np.einsum("nhd,hd->nh", feats, ac)
+    neighbor = np.einsum("nhd,hd->nh", feats, an)
+    center[masked] = 0.0
+    neighbor[masked] = 0.0
+    raw = center[dst] + neighbor[src]                            # (E, heads)
     positive = raw > 0
     scores = np.where(positive, raw, slope * raw)
     ex = np.exp(scores - np.maximum.reduceat(scores, starts, axis=0)[dst])
     alpha = ex / np.add.reduceat(ex, starts, axis=0)[dst]
-    adjacency = [csr_matrix((alpha[:, k], src, indptr), shape=(n, n)) for k in range(heads)]
-    outs = [adjacency[k] @ feats[:, k] for k in range(heads)]
+
+    def adjacency(k):
+        # head k's (n, n) attention matrix, receivers by senders
+        weights = np.array(alpha[:, k])
+        if silent is not None:
+            weights[silent] = 0.0
+        return csr_matrix((weights, src, indptr), shape=(n, n))
+
+    outs = [adjacency(k) @ feats[:, k] for k in range(heads)]
     if average:
         values = outs[0]
         for out in outs[1:]:
@@ -402,15 +444,18 @@ def gat_attention(hw, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor], 
         grads = (g * (1.0 / heads) if average else g).reshape(n, -1, d)
         # d loss / d alpha for every pair: <g_k[dst], hw_k[src]>, by blocks of edges
         # (one pair of gather buffers, reused by every block)
+        step = max(1, _EDGE_ENTRIES // (width + grads.shape[1] * d))
         dscores = np.empty(alpha.shape)
-        senders = np.empty((min(_EDGE_CHUNK, dst.size), heads, d))
+        senders = np.empty((min(step, dst.size), heads, d))
         receivers = np.empty((senders.shape[0],) + grads.shape[1:])
-        for lo in range(0, dst.size, _EDGE_CHUNK):
-            hi = min(lo + _EDGE_CHUNK, dst.size)
+        for lo in range(0, dst.size, step):
+            hi = min(lo + step, dst.size)
             np.take(feats, src[lo:hi], axis=0, out=senders[:hi - lo], mode="clip")
             np.take(grads, dst[lo:hi], axis=0, out=receivers[:hi - lo], mode="clip")
             np.einsum("ehd,ehd->eh", receivers[:hi - lo], senders[:hi - lo], out=dscores[lo:hi])
         del senders, receivers
+        if silent is not None:
+            dscores[silent] = 0.0
         # softmax, then leaky-ReLU backward, in place; the segment maximum cancels
         dscores *= alpha
         spread = np.add.reduceat(dscores, starts, axis=0)[dst]          # (E, heads)
@@ -422,6 +467,9 @@ def gat_attention(hw, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor], 
         dneighbor = np.array([np.bincount(src, weights=dscores[:, k], minlength=n)
                               for k in range(heads)]).T
         del dscores                          # only the per-cell sums are read from here on
+        # a masked row reads as zero, so it neither scores nor takes a gradient
+        dcenter[masked] = 0.0
+        dneighbor[masked] = 0.0
         if hw.requires_grad:
             # head by head, so no temporary is wider than one head's (n, d)
             dfeats = np.empty((n, heads, d))
@@ -429,7 +477,8 @@ def gat_attention(hw, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor], 
                 head = dfeats[:, k]
                 np.multiply(dcenter[:, k, None], ac[k], out=head)
                 head += dneighbor[:, k, None] * an[k]
-                head += adjacency[k].T @ grads[:, 0 if average else k]
+                head += adjacency(k).T @ grads[:, 0 if average else k]
+            dfeats[masked] = 0.0
             hw._accumulate(dfeats.reshape(n, width), own=True)
         for params, dscore in ((a_center, dcenter), (a_neighbor, dneighbor)):
             for k, a in enumerate(params):
@@ -755,13 +804,7 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
         raise ValueError(f"conv_block input spatial dims too small: {x.shape}")
     if not 0.0 <= slope <= 1.0:
         raise ValueError(f"conv_block leaky-ReLU slope must lie in [0, 1], got {slope}")
-    masked = np.asarray(() if masked is None else masked)
-    if masked.size and masked.dtype.kind not in "iu":
-        raise ValueError(f"conv_block masked cells must be indices, got dtype {masked.dtype}")
-    masked = np.unique(masked.astype(np.intp))
-    if masked.size and (masked[0] < 0 or masked[-1] >= n):
-        raise ValueError(f"conv_block masked cells must lie in [0, {n}), "
-                         f"got {masked[0]}..{masked[-1]}")
+    masked = _masked_cells(masked, n, "conv_block")
     m = n * h * wd
     wm = w.values.reshape(cout, -1)
     k = wm.shape[1]

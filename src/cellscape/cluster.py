@@ -65,11 +65,11 @@ def _kmeanspp_means(X: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarr
     return means
 
 
-def _component_terms(diff: np.ndarray,
-                     covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log density of each cell under every component, shape (K, n), from
-    the cell-last ``diff[k] = (X - mean_k)^T`` (K, d, n), and tr(cov_k^-1),
-    shape (K,).
+def _component_terms(diff: np.ndarray, covs: np.ndarray,
+                     out: np.ndarray) -> np.ndarray:
+    """Log density of each cell under every component into ``out``, shape
+    (K, n), from the cell-last ``diff[k] = (X - mean_k)^T`` (K, d, n);
+    returns tr(cov_k^-1), shape (K,).
 
     All of them come from one Cholesky factor L_k per component and its
     triangular inverse (LAPACK ``trtri``): the Mahalanobis term is
@@ -86,11 +86,11 @@ def _component_terms(diff: np.ndarray,
         raise np.linalg.LinAlgError("singular Cholesky factor")
     inv_chol = np.stack([inv for inv, _ in factors])
     whitened = inv_chol @ diff
-    whitened *= whitened
-    maha = whitened.sum(axis=1)
+    np.einsum("kdn,kdn->kn", whitened, whitened, out=out)
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    tr_inv = (inv_chol * inv_chol).sum(axis=(1, 2))
-    return -0.5 * (d * np.log(2.0 * np.pi) + logdet[:, None] + maha), tr_inv
+    out += (d * np.log(2.0 * np.pi) + logdet)[:, None]
+    out *= -0.5
+    return (inv_chol * inv_chol).sum(axis=(1, 2))
 
 
 # final log-likelihoods within this relative distance of the best count as tied
@@ -124,6 +124,8 @@ def gmm_cluster(Zp: np.ndarray, K: int, seed: int) -> DomainLabels:
 
     lam = EM_REG * n / K
     data_cov = np.cov(X, rowvar=False, ddof=1).reshape(d, d) + EM_REG * np.eye(d)
+    # cells last: every broadcast and product runs over n, not over d
+    XT = np.ascontiguousarray(X.T)                                   # (d, n)
     finals = []
     for restart in range(EM_RESTARTS):
         rng = np.random.default_rng(np.random.SeedSequence([seed, restart]))
@@ -133,15 +135,21 @@ def gmm_cluster(Zp: np.ndarray, K: int, seed: int) -> DomainLabels:
 
         path: list[float] = []
         objectives: list[float] = []
-        # cells last: every broadcast and product runs over n, not over d
-        diff = X.T - means[:, :, None]                         # (K, d, n)
+        diff = XT - means[:, :, None]                           # (K, d, n)
+        weighted = np.empty_like(diff)
+        # the E-step's buffers: log r (K, n), and the log-sum-exp's work,
+        # which ends as the responsibilities
+        log_r = np.empty((K, n))
+        resp = np.empty((K, n))
         prev_ll = prev_objective = -np.inf
         monotone_check = True
         for _ in range(EM_MAX_ITER):
-            logpdf, tr_inv = _component_terms(diff, covs)
-            log_r = np.log(weights)[:, None] + logpdf                # (K, n)
+            tr_inv = _component_terms(diff, covs, out=log_r)
+            log_r += np.log(weights)[:, None]
             col_max = log_r.max(axis=0)
-            log_norm = col_max + np.log(np.exp(log_r - col_max).sum(axis=0))
+            np.subtract(log_r, col_max, out=resp)
+            np.exp(resp, out=resp)
+            log_norm = col_max + np.log(resp.sum(axis=0))
             ll = float(log_norm.sum())
             objective = ll - 0.5 * lam * float(tr_inv.sum())
             if monotone_check and objective < prev_objective - 1e-8:
@@ -150,7 +158,8 @@ def gmm_cluster(Zp: np.ndarray, K: int, seed: int) -> DomainLabels:
                 )
             path.append(ll)
             objectives.append(objective)
-            resp = np.exp(log_r - log_norm)
+            np.subtract(log_r, log_norm, out=resp)
+            np.exp(resp, out=resp)
 
             converged = np.isfinite(prev_ll) and abs(ll - prev_ll) < EM_TOL * (1.0 + abs(ll))
             prev_ll, prev_objective = ll, objective
@@ -163,7 +172,7 @@ def gmm_cluster(Zp: np.ndarray, K: int, seed: int) -> DomainLabels:
                     dist = (diff[k] ** 2).sum(axis=0)
                     far = int(np.argmax(dist))
                     means[k] = X[far]
-                    diff[k] = X.T - means[k][:, None]
+                    np.subtract(XT, means[k][:, None], out=diff[k])
                     covs[k] = data_cov
                     weights[k] = 1.0 / K
                     warnings.warn(
@@ -178,8 +187,9 @@ def gmm_cluster(Zp: np.ndarray, K: int, seed: int) -> DomainLabels:
 
             weights = nk / n
             means = (resp @ X) / nk[:, None]
-            diff = X.T - means[:, :, None]
-            scatter = (diff * resp[:, None]) @ diff.transpose(0, 2, 1)
+            np.subtract(XT, means[:, :, None], out=diff)
+            np.multiply(diff, resp[:, None], out=weighted)
+            scatter = weighted @ diff.transpose(0, 2, 1)
             covs = (scatter + lam * np.eye(d)) / nk[:, None, None]
 
         finals.append((prev_ll, resp, path, objectives))

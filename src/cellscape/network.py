@@ -1,14 +1,15 @@
 """Dual-branch network: graph-attention encoder over the cell graph, CNN
 encoder over gene maps, linear fusion, and a graph-attention decoder.
 
-Masking costs no copy of the inputs: the first GAT layer zeroes the masked
-cells' rows of its (n, width) projection, which is what a zeroed feature
-row would give, and the CNN reads their maps as zeros (``conv_block``'s
-``masked``). The model is its parameters: training and embedding run the
-same forward pass, and the CNN normalizes by the statistics of the cells
-it encodes. The decoder attends in the embedding space and projects onto
-the genes only the rows the reconstruction loss reads, so no (n, genes)
-array is built in training."""
+Masking costs no copy of the inputs or of what the model computes from
+them: the first GAT layer reads the masked cells' rows of its (n, width)
+projection as zeros (``gat_attention``'s ``masked``), which is what a zeroed
+feature row would give, and the CNN reads their maps as zeros
+(``conv_block``'s ``masked``). The model is its parameters: training and
+embedding run the same forward pass, and the CNN normalizes by the
+statistics of the cells it encodes. The decoder attends in the embedding
+space and projects onto the genes only the rows the reconstruction loss
+reads, so no (n, genes) array is built in training."""
 
 from __future__ import annotations
 
@@ -136,16 +137,11 @@ class CellScapeModel:
         h = Tensor(features)
         for layer in range(cfg.gat_layers):
             final = layer == cfg.gat_layers - 1
-            hw = ad.matmul(h, self.params[f"encoder.{layer}.W"])
-            if layer == 0 and masked is not None:
-                keep = np.ones((hw.shape[0], 1))
-                keep[masked] = 0.0
-                hw = hw * keep
             h = ad.gat_attention(
-                hw,
+                ad.matmul(h, self.params[f"encoder.{layer}.W"]),
                 [self.params[f"encoder.{layer}.{k}.a_center"] for k in range(cfg.attention_heads)],
                 [self.params[f"encoder.{layer}.{k}.a_neighbor"] for k in range(cfg.attention_heads)],
-                edges, ATTENTION_SLOPE, average=final,
+                edges, ATTENTION_SLOPE, average=final, masked=masked if layer == 0 else None,
             )
             if not final:
                 h = ad.elu(h)

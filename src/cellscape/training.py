@@ -7,7 +7,9 @@ encoders alone.
 epoch's autodiff graph is freed before the next epoch's forward. An epoch
 copies no input: the encoders read the masked cells as zeros and the
 decoder rebuilds only the masked rows. Each loss backpropagates only down
-to the fused embedding, the representation both objectives share. PCGrad
+to the fused embedding, the representation both objectives share, and one
+loss head's graph is alive at a time: the reconstruction head's graph is
+freed after its backward, before the contrastive head is built. PCGrad
 (Yu et al. 2020) projects the conflict out of those two gradients, as
 MGDA-UB (Sener & Koltun 2018) takes the shared representation's gradient
 for the shared parameters'; one backward then carries their sum through
@@ -140,34 +142,37 @@ def _loss_heads(model: CellScapeModel, epoch: int, z_fused: np.ndarray, features
     The losses read the embedding as a leaf, so each scalar backward stops
     there: the reconstruction loss's runs through the decoder and leaves the
     decoder's parameter gradients, the contrastive loss's runs through the
-    row normalization alone. The heads' graph is freed on return, before the
-    encoders' backward.
+    row normalization alone. One head's graph is alive at a time: the
+    reconstruction head's backward runs, and its graph is freed, before the
+    contrastive head is built. A non-finite loss raises as soon as it is
+    computed, before its backward, so before any parameter update.
     """
     cfg = model.cfg
     n = z_fused.shape[0]
     z = Tensor(z_fused, requires_grad=True)
-    loss_recon = sce_loss(features, model.decode(z, edges, mask), mask, cfg.gamma)
+    loss = sce_loss(features, model.decode(z, edges, mask), mask, cfg.gamma)
+    recon_val = _finite(loss, "recon", epoch)
+    ad.backward(loss)
+    dz_recon, z.grad = z.grad, None
+    del loss                 # the last reference to the reconstruction head's graph
 
-    z_norm = ad.l2_normalize_rows(z)
     if n > MAX_CONTRASTIVE_ANCHORS:
         anchors = np.sort(np.random.default_rng(anchor_seed).choice(
             n, size=MAX_CONTRASTIVE_ANCHORS, replace=False))
     else:
         anchors = np.arange(n)
-    loss_con = contrastive_loss(z_norm, neighbors, cfg.tau, anchors=anchors)
-
-    recon_val = loss_recon.item()
-    con_val = loss_con.item()
-    if not (np.isfinite(recon_val) and np.isfinite(con_val)):
-        raise RuntimeError(
-            f"non-finite loss at epoch {epoch}: "
-            f"recon={recon_val}, contrastive={con_val}"
-        )
-
-    ad.backward(loss_recon)
-    dz_recon, z.grad = z.grad, None
-    ad.backward(loss_con)
+    loss = contrastive_loss(ad.l2_normalize_rows(z), neighbors, cfg.tau, anchors=anchors)
+    con_val = _finite(loss, "contrastive", epoch)
+    ad.backward(loss)
     return recon_val, con_val, np.stack([dz_recon, z.grad])
+
+
+def _finite(loss: Tensor, name: str, epoch: int) -> float:
+    """The scalar ``loss`` as a float; raises if it is not finite."""
+    value = loss.item()
+    if not np.isfinite(value):
+        raise RuntimeError(f"non-finite loss at epoch {epoch}: {name}={value}")
+    return value
 
 
 def embed(model: CellScapeModel, features: np.ndarray, maps: np.ndarray | None,

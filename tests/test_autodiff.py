@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cellscape import autodiff as ad
+from cellscape.spatial_graph import build_knn_graph
 
 from oracles import finite_difference_grads, relative_error
 
@@ -113,6 +114,36 @@ class TestNonlinearities:
         np.testing.assert_array_equal(out.values, np.where(x > 0, x, np.expm1(x)))
         kept = out.values.nbytes + x.size          # float64 output, bool mask
         assert held < kept + 4096, (held, kept)
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    def test_gat_attention_keeps_only_weights_and_signs(self, masked):
+        # each head's sparse matrix is built where a product needs it, so
+        # the forward keeps only its output, the (E, heads) attention weights
+        # and their scores' signs, besides the stacked attention vectors and
+        # a few hundred bytes of objects a node holds; handed a mask, also
+        # the masked cells and a flag per pair for a masked sender. Each
+        # head's sparse matrix would add 12 bytes a pair.
+        n, heads, d = 400, 4, 16
+        edges = build_knn_graph(RNG.random((2, n)), k=6).directed_edges()
+        hw = ad.Tensor(RNG.standard_normal((n, heads * d)), requires_grad=True)
+        vectors = [ad.Tensor(RNG.standard_normal((d, 1)), requires_grad=True)
+                   for _ in range(2 * heads)]
+        cells = np.arange(0, n, 3) if masked else None
+        # a first call fills numpy's and scipy's lazy caches
+        ad.gat_attention(hw, vectors[:heads], vectors[heads:], edges, 0.2, False, masked=cells)
+        tracemalloc.start()
+        try:
+            out = ad.gat_attention(hw, vectors[:heads], vectors[heads:], edges, 0.2, False,
+                                   masked=cells)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        pairs = edges.dst.size
+        # float64 output, weights and vectors, bool signs
+        kept = out.values.nbytes + pairs * heads * 9 + 2 * heads * d * 8
+        if masked:
+            kept += cells.nbytes + pairs
+        assert held < kept + 8192, (held, kept)
 
     def test_l2_normalize(self):
         x = RNG.standard_normal((5, 4)) + 1.0

@@ -9,7 +9,8 @@ graphs often give, and what is left of it is rounding noise.
 
 ``gat_attention`` is drawn over cell counts, head counts and widths,
 concatenated or averaged heads, graphs with a cell that has no edge and a
-pair of coordinate twins, and masked projection rows. ``contrastive_loss``
+pair of coordinate twins, and masked cells, handed to the op as ``masked``
+(a training step's form) or as zero feature rows (the composite's form). ``contrastive_loss``
 is drawn over cell counts, widths and temperatures, graphs with coordinate
 twins, and anchor sets of a single cell, of some cells and of every cell.
 """
@@ -39,30 +40,38 @@ def _assert_match(got_list, want_list):
 @DRAWS
 @given(n=st.integers(4, 24), k=st.integers(1, 4), heads=st.integers(1, 3),
        head_dim=st.integers(1, 4), average=st.booleans(), mask=MASKS,
-       seed=st.integers(0, 2**32 - 1))
-def test_gat_attention_matches_composite(n, k, heads, head_dim, average, mask, seed):
+       pass_mask=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_gat_attention_matches_composite(n, k, heads, head_dim, average, mask, pass_mask,
+                                         seed):
     rng = np.random.default_rng(seed)
     edges = _graph(n, k, rng).directed_edges()
     arrays = [rng.standard_normal((n, 3)), rng.standard_normal((3, heads * head_dim)),
               *(rng.standard_normal((head_dim, 1)) for _ in range(2 * heads))]
     weights = rng.standard_normal((n, head_dim if average else heads * head_dim))
-    # masked cells read as zero rows of the projection, as the encoder masks
-    # them; the composite layer projects zeroed rows of h instead
+    masked = _masked(mask, n, rng)
     keep = np.ones((n, 1))
-    keep[_masked(mask, n, rng)] = 0.0
+    keep[masked] = 0.0
 
     def run(fused):
         h, W, *vectors = (Tensor(a, requires_grad=True) for a in arrays)
-        if fused:
-            out = ad.gat_attention(ad.matmul(h, W) * keep, vectors[:heads], vectors[heads:],
-                                   edges, ATTENTION_SLOPE, average)
-        else:
+        if not fused:
             out = composite_gat_layer(h * keep, edges.dst, edges.src, n, W, vectors[:heads],
                                       vectors[heads:], head_dim, ATTENTION_SLOPE, average)
+        elif pass_mask:
+            # handed the mask, as a training step hands it, the op reads the
+            # masked rows of the projection as zeros
+            out = ad.gat_attention(ad.matmul(h, W), vectors[:heads], vectors[heads:], edges,
+                                   ATTENTION_SLOPE, average, masked=masked)
+        else:
+            out = ad.gat_attention(ad.matmul(h * keep, W), vectors[:heads], vectors[heads:],
+                                   edges, ATTENTION_SLOPE, average)
         ad.backward(ad.tensor_sum(out * weights))
         return [out.values, h.grad, W.grad, *(v.grad for v in vectors)]
 
-    _assert_match(run(fused=True), run(fused=False))
+    fused = run(fused=True)
+    # a masked row takes a zero input gradient
+    assert not np.any(fused[1][masked])
+    _assert_match(fused, run(fused=False))
 
 
 @DRAWS

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -61,6 +62,17 @@ def gat_layer(h, edges, W, a_center, a_neighbor, slope, average):
     """One graph-attention layer as the encoder runs it: project by ``W``,
     then the fused attention op."""
     return ad.gat_attention(ad.matmul(h, W), a_center, a_neighbor, edges, slope, average)
+
+
+def _assert_match(got_list, want_list):
+    # floored at the largest entry of any array the pass returns: single
+    # entries can cancel, and so can a whole array whose true value is zero
+    # (an attention vector's gradient when every pair score of a head lies
+    # on one side of the leaky ReLU's kink)
+    scale = max(np.abs(want).max() for want in want_list)
+    for got, want in zip(got_list, want_list):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
 
 class TestGatLayer:
@@ -127,8 +139,10 @@ def _attention_graph(kind: str) -> SpatialGraph:
         spokes = [(0, j) for j in range(1, 25)]
         return SpatialGraph(25, np.array(spokes + [(3, 4), (7, 9)]), np.ones(26))
     if kind == "several chunks":
+        # more than three edge blocks at the narrowest width the oracle
+        # draws, one averaged head of 3: 3 sender and 3 receiver entries an edge
         g = build_knn_graph(rng.random((2, 1600)), k=4)
-        assert g.directed_edges().dst.size > 3 * ad._EDGE_CHUNK
+        assert g.directed_edges().dst.size > 3 * (ad._EDGE_ENTRIES // 6)
         return g
     raise ValueError(kind)
 
@@ -167,18 +181,16 @@ class TestGatAttentionOracle:
                                       "several chunks"])
     @pytest.mark.parametrize("average", [False, True])
     @pytest.mark.parametrize("heads", [1, 2, 4])
-    def test_values_and_gradients_match_composite(self, kind, heads, average):
+    def test_values_and_gradients_match_composite(self, monkeypatch, kind, heads, average):
+        # blocks of 2,048 edges at the narrowest width, fewer at wider ones
+        monkeypatch.setattr(ad, "_EDGE_ENTRIES", 6 * 2048)
         graph = _attention_graph(kind)
         arrays = _attention_inputs(graph.n_nodes, heads, 3, seed=heads)
         out_width = 3 if average else 3 * heads
         weights = np.random.default_rng(5).standard_normal((graph.n_nodes, out_width))
         fused = _attention_pass("fused", graph, arrays, average, weights)
         reference = _attention_pass("composite", graph, arrays, average, weights)
-        # relative to each array's largest entry: single entries can cancel
-        for got, want in zip(fused, reference):
-            assert got.shape == want.shape
-            np.testing.assert_allclose(got, want, rtol=1e-12,
-                                       atol=1e-12 * np.abs(want).max())
+        _assert_match(fused, reference)
 
     @pytest.mark.parametrize("average", [False, True])
     def test_gradients_match_finite_differences(self, average):
@@ -213,7 +225,9 @@ class TestGatAttentionOracle:
         out = gat_layer(Tensor(rng.standard_normal((n, 8))), edges, W, a_c, a_n, 0.2, True)
         loss = ad.tensor_sum(out * rng.standard_normal((n, width)))
         edge_by_width = edges.dst.size * width * 8
-        assert edges.dst.size > 4 * ad._EDGE_CHUNK
+        # more than four blocks of edges, each gathering width-wide senders
+        # and (averaged) receivers
+        assert edges.dst.size > 4 * (ad._EDGE_ENTRIES // (2 * width))
         tracemalloc.start()
         try:
             ad.backward(loss)
@@ -486,13 +500,6 @@ def _composite_cnn(model, maps):
         x = composite_conv_block(x, model.params[f"cnn.{i}.w"], model.params[f"cnn.{i}.gamma"],
                                  model.params[f"cnn.{i}.beta"], 0.01)
     return ad.matmul(ad.reshape(x, (n, -1)), model.params["cnn.fc.w"]) + model.params["cnn.fc.b"]
-
-
-def _assert_match(got_list, want_list):
-    # relative to each array's largest entry: single entries can cancel
-    for got, want in zip(got_list, want_list):
-        assert got.shape == want.shape
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 def _match_composite(arrays, weights, masked, pass_mask, x_grad=True):
@@ -821,6 +828,45 @@ class TestTaskStackedGradients:
         assert [op for op, _ in made] == ["gat_attention"] * 2 + ["conv_block"] * 2 + [
             "gat_attention"]
         assert [calls for _, calls in made] == [[True]] * 5
+
+
+    def test_reconstruction_graph_freed_before_contrastive_head(self, monkeypatch):
+        # one loss head's graph at a time: when the contrastive loss is
+        # built, no tensor of the reconstruction head is alive. Tensors take
+        # no weak reference, so watch the decoder output's values, which its
+        # tensor alone holds
+        ds, graph, layout = toy_dataset(n=30, p=36, seed=25)
+        cfg = ModelConfig(seed=25, **TOY_CFG)
+        model, inputs = _step_inputs(ds, graph, layout, cfg)
+        decoded, alive = [], []
+
+        def watched_sce(x, x_hat, *args, **kwargs):
+            decoded.append(weakref.ref(x_hat.values))
+            return sce_loss(x, x_hat, *args, **kwargs)
+
+        def watched_contrastive(*args, **kwargs):
+            alive.append(decoded[-1]() is not None)
+            return contrastive_loss(*args, **kwargs)
+
+        monkeypatch.setattr(training, "sce_loss", watched_sce)
+        monkeypatch.setattr(training, "contrastive_loss", watched_contrastive)
+        training._step(model, optim.AdamState(model.params, cfg.weight_decay), 0, *inputs)
+        assert alive == [False]
+
+    @pytest.mark.parametrize("head", ["sce_loss", "contrastive_loss"])
+    def test_non_finite_loss_raises_before_any_update(self, monkeypatch, head):
+        ds, graph, layout = toy_dataset(n=30, p=36, seed=26)
+        cfg = ModelConfig(seed=26, **TOY_CFG)
+        model, inputs = _step_inputs(ds, graph, layout, cfg)
+        before = {name: p.values.copy() for name, p in model.params.items()}
+        # a leaf, not an op's output, so that CELLSCAPE_DEBUG's per-op check
+        # does not raise first
+        monkeypatch.setattr(training, head, lambda *args, **kwargs: Tensor(np.nan))
+        name = "recon" if head == "sce_loss" else "contrastive"
+        with pytest.raises(RuntimeError, match=f"non-finite loss at epoch 0: {name}=nan"):
+            training._step(model, optim.AdamState(model.params, cfg.weight_decay), 0, *inputs)
+        for key, values in before.items():
+            np.testing.assert_array_equal(model.params[key].values, values, err_msg=key)
 
 
 class TestTraining:
