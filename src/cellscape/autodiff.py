@@ -769,28 +769,31 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
     same pass merges, over the blocks, each channel's mean and
     centred sum of squares, the patch mean s and the channel-patch co-moment
     C = sum_p (y_p - mean) p^T = w G, with G the centred patch Gram matrix
-    (the pairwise update of Chan, Golub & LeVeque); normalization and
-    activation then run on the winners alone.
+    (the pairwise update of Chan, Golub & LeVeque). The convolution at each
+    winner goes straight into the output, where normalization, gamma, beta
+    and the activation then run in place on the winners alone.
 
-    Kept for the backward: the output, the int8 winners and the normalized
-    value at each winner, plus s, C and the statistics. The backward walks
-    the same cell blocks and never copies the whole upstream gradient: each
-    block's slice is moved cell-last and through the leaky ReLU on its own.
-    One pass sums the gamma and beta gradients over the winners and, when
-    ``x`` needs no gradient (the maps, so the model's first block), the
-    weight gradient's product of the patches at the winners, re-read from
-    ``x``, with the upstream gradient. The weight gradient's batch-statistics
-    terms are closed-form in s and C, so the convolution is not recomputed
-    for it. Only an input that needs a gradient takes a second pass, since
-    it needs the gamma and beta totals: it recomputes each block's
-    convolution (the batch-norm backward needs every position's normalized
-    value). Its input gradient is the adjoint of the forward's patch gather:
-    wm^T dy, with wm the (cout, 9 * cin) weight matrix and dy the
-    convolution's gradient, is the gradient of every patch entry, and each
-    of the nine kernel offsets adds its share back to the padded block where
-    the gather read it; no patch matrix of the gradient is built. Apart from
-    the input gradient it returns, the backward's buffers are those of one
-    block, whatever N.
+    Kept for the backward: the output and the int8 winners, plus s, C and the
+    statistics; no normalized value is kept. The backward walks the same cell
+    blocks and never copies the whole upstream gradient: each block's slice is
+    moved cell-last and through the leaky ReLU on its own. One pass sums the
+    beta gradient and D = sum_p dy_p p^T, the product of the patches, re-read
+    from ``x``, with dy, the batch-norm output's gradient (the upstream
+    gradient through the pooling and the leaky ReLU, zero off the winners).
+    The gamma gradient is closed-form in D (Ioffe & Szegedy 2015): sum_p dy_p
+    xhat_p = inv_std * (sum_k wm[:, k] * D[:, k] - mu * dbeta), with wm the
+    (cout, 9 * cin) weight matrix, since y = wm p. So are the weight
+    gradient's batch-statistics terms, in s and C, so the convolution is not
+    recomputed for either. Only an input that needs a gradient takes a second
+    pass, since it needs the gamma and beta totals: it gathers each block's
+    patches again and recomputes its convolution (the batch-norm backward
+    needs every position's normalized value). Its input gradient is the
+    adjoint of the forward's patch gather: wm^T dy', with dy' the
+    convolution's gradient, is the gradient of every patch entry, and each of
+    the nine kernel offsets adds its share back to the padded block where the
+    gather read it; no patch matrix of the gradient is built. Apart from the
+    input gradient it returns, the backward's buffers are those of one block,
+    whatever N.
     """
     x, w, gamma, beta = as_tensor(x), as_tensor(w), as_tensor(gamma), as_tensor(beta)
     cout, cin, kh, kw = w.shape
@@ -814,9 +817,11 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
 
     # the activation leaky(gamma * (y - mu) * inv_std + beta) never falls as
     # gamma * y rises (inv_std > 0, slope >= 0), so pooling gamma * y finds
-    # its winners before the batch statistics are known
+    # its winners before the batch statistics are known; the output holds y
+    # at the winners until they are
     winner = np.empty((cout, hp, wp, n), dtype=np.int8)
-    xhat_win = np.empty((cout, hp, wp, n))                     # y at the winners, for now
+    values = np.empty((n, cout, hp, wp))
+    act = values.transpose(1, 2, 3, 0)                         # cell-last view
     # batch statistics, merged over blocks: channel means and centred sums
     # of squares, patch means and the channel-patch co-moment sum (y - mu) p^T
     y_mean, m2, count = np.zeros(cout), np.zeros(cout), 0
@@ -834,9 +839,9 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
         block_winner = np.where(row_win, right_bottom, right_top).view(np.int8)
         block_winner += 2 * row_win.view(np.int8)
         winner[..., lo:hi] = block_winner
-        xhat_win[..., lo:hi] = np.where(row_win,
-                                        np.where(right_bottom, corners[:, 3], corners[:, 2]),
-                                        np.where(right_top, corners[:, 1], corners[:, 0]))
+        act[..., lo:hi] = np.where(row_win,
+                                   np.where(right_bottom, corners[:, 3], corners[:, 2]),
+                                   np.where(right_top, corners[:, 1], corners[:, 0]))
         # pairwise update of Chan, Golub & LeVeque (1979); sum (y - mean) = 0
         # within the block, so its co-moment needs no centred patches
         size = y.shape[1]
@@ -853,42 +858,39 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
 
     mu, var = y_mean, m2 / m
     inv_std = 1.0 / np.sqrt(var + _BN_EPS)
-    xhat_win -= mu[:, None, None, None]
-    xhat_win *= inv_std[:, None, None, None]
-    values = np.empty((n, cout, hp, wp))
-    act = values.transpose(1, 2, 3, 0)
-    np.multiply(xhat_win, gamma.values[:, None, None, None], out=act)
-    act += beta.values[:, None, None, None]
-    np.multiply(act, slope, out=act, where=act < 0)            # leaky ReLU, 0 <= slope <= 1
+    # normalize, scale and shift the winners in place
+    values -= mu[:, None, None]
+    values *= inv_std[:, None, None]
+    values *= gamma.values[:, None, None]
+    values += beta.values[:, None, None]
+    np.multiply(values, slope, out=values, where=values < 0)   # leaky ReLU, 0 <= slope <= 1
 
     def backward_fn(g):
         scale = gamma.values * inv_std
-        dbeta, dgamma = np.zeros(cout), np.zeros(cout)
-        dy_patches = np.zeros((cout, k))                       # sum of dy * patch^T
+        dbeta = np.zeros(cout)
+        dy_patches = np.zeros((cout, k))                       # D = sum of dy * patch^T
         dx = np.zeros(x.shape) if x.requires_grad else None
 
         def block_grad(lo, hi):
             # cells lo:hi of the upstream gradient, cell-last (cout, hp, wp,
             # b), through the pooling and the leaky ReLU: the winner's sign
-            # is the pooled value's
-            cells = np.empty((cout, hp, wp, hi - lo))
+            # is the pooled value's; and the block's patches with the
+            # convolution's gradient dy, zero off the winners
+            b = hi - lo
+            cells = np.empty((cout, hp, wp, b))
             np.multiply(g[lo:hi].transpose(1, 2, 3, 0),
                         np.where(act[..., lo:hi] > 0, 1.0, slope), out=cells)
-            return cells
-
-        def conv_grads(lo, hi, cells):
-            # the block's share of the weight gradient and, once dbeta and
-            # dgamma are complete, its input gradient
-            b = hi - lo
             patches = _block_patches(_padded_block(x.values, lo, hi, masked), rows, cols)
             is_winner = winner[:, None, ..., lo:hi] == np.arange(4)[:, None, None, None]
             dy = np.zeros((cout, h * wd * b))
             corners = dy[:, :windows * b].reshape(cout, 4, hp, wp, b)
             np.multiply(cells[:, None], is_winner, out=corners)
-            if w.requires_grad:
-                dy_patches[...] += dy @ patches.T
-            if dx is None:
-                return
+            return cells, patches, dy
+
+        def input_grad(lo, hi):
+            # the block's input gradient, once dbeta and dgamma are complete
+            b = hi - lo
+            _, patches, dy = block_grad(lo, hi)
             # batch-norm backward (Ioffe & Szegedy 2015): the convolution
             # output's gradient is scale * (dy - xhat * dgamma / m - dbeta / m)
             xhat = wm @ patches
@@ -909,22 +911,22 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
                     dpadded[:, r:r + h, c:c + wd] += dpatches[:, r, c]
             dx[lo:hi] = dpadded[:, 1:-1, 1:-1].transpose(3, 0, 1, 2)
 
-        # one pass sums dbeta and dgamma and, when x needs no gradient, the
-        # weight-gradient product; the input gradient needs their batch
-        # totals, so only then a second pass reads the blocks again
+        # one pass sums dbeta and D; the input gradient needs the dbeta and
+        # dgamma totals, so only then a second pass reads the blocks again
         for lo, hi in blocks:
-            cells = block_grad(lo, hi)
+            cells, patches, dy = block_grad(lo, hi)
             dbeta += cells.sum(axis=(1, 2, 3))
-            dgamma += np.einsum("chwn,chwn->c", cells, xhat_win[..., lo:hi])
-            if dx is None and w.requires_grad:
-                conv_grads(lo, hi, cells)
+            dy_patches += dy @ patches.T
+            del cells, patches, dy                             # one block's buffers at a time
+        # sum_p dy_p y_p = sum_k wm[:, k] D[:, k] and sum_p dy_p = dbeta
+        dgamma = inv_std * (np.einsum("ck,ck->c", wm, dy_patches) - mu * dbeta)
         if gamma.requires_grad:
             gamma._accumulate(dgamma, own=True)
         if beta.requires_grad:
             beta._accumulate(dbeta, own=True)
         if dx is not None:
             for lo, hi in blocks:
-                conv_grads(lo, hi, block_grad(lo, hi))
+                input_grad(lo, hi)
         if w.requires_grad:
             # sum_p xhat_p p^T = inv_std * comoment and sum_p p^T = m * p_mean^T
             dy_patches -= (dgamma * inv_std / m)[:, None] * comoment

@@ -12,8 +12,10 @@ loss head's graph is alive at a time: the reconstruction head's graph is
 freed after its backward, before the contrastive head is built. PCGrad
 (Yu et al. 2020) projects the conflict out of those two gradients, as
 MGDA-UB (Sener & Koltun 2018) takes the shared representation's gradient
-for the shared parameters'; one backward then carries their sum through
-the fusion, the CNN and the GAT encoder.
+for the shared parameters'. The epoch's log figures (both gradient norms,
+their cosine, whether PCGrad projected) are read there, and the per-loss
+gradients are freed; one backward then carries their projected sum alone
+through the fusion, the CNN and the GAT encoder.
 
 ``embed`` takes the arrays ``train`` prepared: features, maps and directed
 edges. There is one forward pass and no train/eval switch: ``embed`` is the
@@ -89,10 +91,13 @@ def _step(model: CellScapeModel, optimizer: AdamState, epoch: int, features: np.
 
     ``pcgrad`` projects the two (n, d) gradients ``_loss_heads`` returns,
     flattened, and their sum seeds one backward through the fusion, the CNN
-    and the GAT encoder. The decoder's parameters keep the reconstruction
-    gradient ``_loss_heads`` left on them. The autodiff graph is a local,
-    freed on return. Neither input is copied: both encoders read the masked
-    cells as zeros, and the decoder reconstructs the masked rows alone.
+    and the GAT encoder. The log figures are read before that walk, and the
+    per-loss gradients and their projections are freed, so the walk holds
+    the merged gradient alone. The decoder's parameters keep the
+    reconstruction gradient ``_loss_heads`` left on them. The autodiff
+    graph is a local, freed on return. Neither input is copied: both
+    encoders read the masked cells as zeros, and the decoder reconstructs
+    the masked rows alone.
 
     Returns the epoch's log record: the epoch, its learning rate, both
     losses, its wall time (``epoch_s``), the norm of each loss's gradient
@@ -111,24 +116,29 @@ def _step(model: CellScapeModel, optimizer: AdamState, epoch: int, features: np.
     recon_val, con_val, dz = _loss_heads(model, epoch, z_fused.values, features, edges,
                                          neighbors, mask, anchor_seed)
     adjusted = pcgrad(dz)
-    ad.backward(z_fused, adjusted[0] + adjusted[1])
+    # the log figures, from the products pcgrad takes, so a projection
+    # implies a negative cosine; then both (2, n, d) per-loss gradients go,
+    # and the encoders' walk holds only their merged sum
+    flat = dz.reshape(2, -1)
+    norm_recon, norm_con = (float(np.sqrt(g @ g)) for g in flat)
+    scale = norm_recon * norm_con
+    cosine = float(flat[0] @ flat[1]) / scale if scale > 0.0 else 0.0
+    projected = not np.array_equal(adjusted, dz)
+    merged = adjusted[0] + adjusted[1]
+    del dz, flat, adjusted
+    ad.backward(z_fused, merged)
 
     grads = {}
     for name, p in model.params.items():
         grads[name], p.grad = p.grad, None
     adam_step(optimizer, model.params, grads, lr=lr)
-
-    # the products pcgrad takes, so a projection implies a negative cosine
-    flat = dz.reshape(2, -1)
-    norm_recon, norm_con = (float(np.sqrt(g @ g)) for g in flat)
-    scale = norm_recon * norm_con
     return {
         "epoch": epoch, "lr": lr, "loss_recon": recon_val, "loss_contrastive": con_val,
         "epoch_s": time.perf_counter() - start,
         "grad_norm_recon": norm_recon,
         "grad_norm_contrastive": norm_con,
-        "grad_cosine": float(flat[0] @ flat[1]) / scale if scale > 0.0 else 0.0,
-        "pcgrad_projected": not np.array_equal(adjusted, dz),
+        "grad_cosine": cosine,
+        "pcgrad_projected": projected,
     }
 
 

@@ -94,6 +94,17 @@ class TestBasicOps:
         check_op(build, [RNG.standard_normal((3, 4))])
 
 
+def _held_after(call):
+    """``call()``'s result and the bytes of traced memory it left allocated."""
+    tracemalloc.start()
+    try:
+        out = call()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held
+
+
 class TestNonlinearities:
     def test_leaky_relu_elu(self):
         x = RNG.standard_normal((4, 4)) + 0.05  # keep clear of the kink
@@ -105,12 +116,7 @@ class TestNonlinearities:
         # keeps no exp(x) - 1 array beside its output and its sign mask
         x = RNG.standard_normal((400, 64))
         leaf = ad.Tensor(x, requires_grad=True)
-        tracemalloc.start()
-        try:
-            out = ad.elu(leaf)
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, held = _held_after(lambda: ad.elu(leaf))
         np.testing.assert_array_equal(out.values, np.where(x > 0, x, np.expm1(x)))
         kept = out.values.nbytes + x.size          # float64 output, bool mask
         assert held < kept + 4096, (held, kept)
@@ -131,19 +137,34 @@ class TestNonlinearities:
         cells = np.arange(0, n, 3) if masked else None
         # a first call fills numpy's and scipy's lazy caches
         ad.gat_attention(hw, vectors[:heads], vectors[heads:], edges, 0.2, False, masked=cells)
-        tracemalloc.start()
-        try:
-            out = ad.gat_attention(hw, vectors[:heads], vectors[heads:], edges, 0.2, False,
-                                   masked=cells)
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, held = _held_after(lambda: ad.gat_attention(
+            hw, vectors[:heads], vectors[heads:], edges, 0.2, False, masked=cells))
         pairs = edges.dst.size
         # float64 output, weights and vectors, bool signs
         kept = out.values.nbytes + pairs * heads * 9 + 2 * heads * d * 8
         if masked:
             kept += cells.nbytes + pairs
         assert held < kept + 8192, (held, kept)
+
+    def test_conv_block_keeps_only_output_and_winners(self):
+        # the winners' convolution is normalized in place in the output and
+        # the gamma gradient is closed-form in the backward's patch product,
+        # so beside its output and the int8 winners the forward keeps only
+        # the pooling order's rows and columns, the patch mean, the (cout,
+        # 9 * cin) co-moment, the channel statistics and the objects a node
+        # holds. A float64 array of the output's size would add 819,200
+        # bytes here
+        n, cout, q = 400, 4, 16
+        maps = RNG.standard_normal((n, 1, q, q))
+        w, gamma, beta = (ad.Tensor(a, requires_grad=True) for a in (
+            RNG.standard_normal((cout, 1, 3, 3)), RNG.random(cout) + 0.5,
+            RNG.standard_normal(cout)))
+        # a first call fills numpy's lazy caches
+        ad.conv_block(maps, w, gamma, beta, 0.01)
+        out, held = _held_after(lambda: ad.conv_block(maps, w, gamma, beta, 0.01))
+        # float64 output, int8 winners, the positions' rows and columns
+        kept = out.values.nbytes + out.size + 2 * q * q * np.dtype(np.intp).itemsize
+        assert held < kept + 16384, (held, kept)
 
     def test_l2_normalize(self):
         x = RNG.standard_normal((5, 4)) + 1.0

@@ -470,9 +470,9 @@ def _contrastive_peak(z, graph, anchors):
     return peak
 
 
-def _conv_block_inputs(n, cin, cout, q, seed, masked=(1, 3)):
+def _conv_block_inputs(n, cin, cout, q, seed, masked=(1, 3), offset=0.0):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, cin, q, q))
+    x = rng.standard_normal((n, cin, q, q)) + offset
     x[list(masked)] = 0.0       # masked cells: all-zero maps, whole windows tie
     w = rng.standard_normal((cout, cin, 3, 3))
     gamma = rng.random(cout) + 0.5
@@ -520,11 +520,17 @@ class TestConvBlockOracle:
     """The fused CNN block against conv2d -> batch_norm -> leaky_relu -> maxpool2."""
 
     # ids: whether the op is handed the zero-map cells as masked, then
-    # whether x takes a gradient
+    # whether x takes a gradient. The maps of the last case share a large
+    # offset, so each channel's convolution mean is up to three times its
+    # spread (the zero padding at the map edges keeps the spread large), and
+    # the gamma gradient's closed form subtracts mu * dbeta from a sum
+    # sum_p dy_p y_p of the same size
     @pytest.mark.parametrize("pass_mask,x_grad", [(True, True), (False, False)])
-    @pytest.mark.parametrize("cin,q", [(1, 6), (1, 7), (3, 5), (3, 8)])
-    def test_values_and_gradients_match_composite(self, cin, q, pass_mask, x_grad):
-        arrays = _conv_block_inputs(6, cin, 4, q, seed=cin * 10 + q)
+    @pytest.mark.parametrize("cin,q,offset", [(1, 6, 0.0), (1, 7, 0.0), (3, 5, 0.0),
+                                              (3, 8, 0.0), (3, 8, 100.0)],
+                             ids=["1-6", "1-7", "3-5", "3-8", "3-8-offset"])
+    def test_values_and_gradients_match_composite(self, cin, q, offset, pass_mask, x_grad):
+        arrays = _conv_block_inputs(6, cin, 4, q, seed=cin * 10 + q, offset=offset)
         weights = np.random.default_rng(q).standard_normal((6, 4, q // 2, q // 2))
         _match_composite(arrays, weights, (1, 3), pass_mask, x_grad)
 
@@ -852,6 +858,33 @@ class TestTaskStackedGradients:
         monkeypatch.setattr(training, "contrastive_loss", watched_contrastive)
         training._step(model, optim.AdamState(model.params, cfg.weight_decay), 0, *inputs)
         assert alive == [False]
+
+    def test_per_loss_gradients_freed_before_encoder_walk(self, monkeypatch):
+        # the log figures are read before the encoders' walk, so neither the
+        # (2, n, d) per-loss gradients pcgrad receives nor the projections
+        # it returns are alive when the merged gradient seeds the walk
+        ds, graph, layout = toy_dataset(n=30, p=36, seed=27)
+        cfg = ModelConfig(seed=27, **TOY_CFG)
+        model, inputs = _step_inputs(ds, graph, layout, cfg)
+        watched, alive = [], []
+        backward = ad.backward
+
+        def watched_pcgrad(grads):
+            adjusted = optim.pcgrad(grads)
+            watched.extend([weakref.ref(grads), weakref.ref(adjusted)])
+            return adjusted
+
+        def watched_backward(root, seed=None):
+            if seed is not None:
+                alive.append([ref() is not None for ref in watched])
+            backward(root, seed)
+
+        monkeypatch.setattr(training, "pcgrad", watched_pcgrad)
+        monkeypatch.setattr(ad, "backward", watched_backward)
+        record = training._step(model, optim.AdamState(model.params, cfg.weight_decay), 0,
+                                *inputs)
+        assert alive == [[False, False]]
+        assert record["grad_norm_recon"] > 0.0 and record["grad_norm_contrastive"] > 0.0
 
     @pytest.mark.parametrize("head", ["sce_loss", "contrastive_loss"])
     def test_non_finite_loss_raises_before_any_update(self, monkeypatch, head):
