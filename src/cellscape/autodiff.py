@@ -12,52 +12,67 @@ per epoch, seeded with the two losses' merged gradient at the fused
 embedding. The operations are those the training loop needs, plus the few
 listed at the end; all run on CPU numpy and scipy.sparse.
 
-Most ops are generic (elementwise, matmul, gathers, segment sums).
-Graph attention is one fused op, ``gat_attention``: per-pair scores, the
-per-receiver softmax and the aggregation for every head run over the
-graph's CSR edge arrays, with the aggregation as a sparse product and the
-pair-score backward in blocks of a fixed number of entries, so no op holds
-an edges x features array. It returns the layer output only and keeps, for
-the backward, only its attention weights and their scores' signs: each
-head's sparse matrix is built where a product needs it, in the forward and
+Most ops are generic (elementwise, matmul, gathers, segment sums); the
+model calls four of them (``matmul``, ``concat``, ``gather_rows`` and
+``l2_normalize_rows``) and four fused ops, each of which keeps for its
+backward only what that backward reads and rebuilds what is cheap to
+rebuild (Chen et al. 2016's trade of compute for memory).
+
+Graph attention is one fused op, ``gat_attention``: it projects the layer
+input by the layer's weight, then per-pair scores, the per-receiver
+softmax and the aggregation for every head run over the graph's CSR edge
+arrays, with the aggregation as a sparse product and the pair-score
+backward in blocks of a fixed number of entries, so no op holds an edges x
+features array. A hidden layer's ELU runs inside the op. It returns the
+layer output only and keeps, for the backward, only its attention weights,
+their scores' signs and the ELU's sign mask: the projection and each head's
+sparse matrix are built where a product needs them, in the forward and
 again in the backward. Like the CNN block, it reads the cells it is handed
-as masked as zero rows, so masking copies nothing. A CNN block is one fused
-op, ``conv_block``: a bias-free 3x3 convolution, batch normalization, leaky
-ReLU and 2x2 max pooling over cells in blocks of ``_cell_blocks``, so no op
-holds an N*H*W x channels array.
-Its batch norm always uses the exact statistics of the batch at hand:
-the model trains full-batch and embeds the cells it trained on, so no
-running averages are kept. One pass per block convolves, pools (the
-activation is monotone in gamma * conv, so its winners are known before
-the statistics) and merges the channel means and variances and the
-channel-patch co-moment over the blocks; normalization and activation
-then run on the winners alone. The backward keeps only what
-is output-sized (the int8 winner of each pooling window and the normalized
-value there) plus those statistics, which give the weight gradient in
-closed form; only an input that needs a gradient recomputes its blocks'
-convolutions (Chen et al. 2016's trade of compute for memory). The
-backward walks the same blocks: apart from the input gradient it returns,
-no buffer it makes grows with N. The neighbourhood contrastive loss is one
-fused op, ``contrastive``: it walks the anchors in blocks of
+as masked as zero rows, so masking copies nothing.
+
+A CNN block is one fused op, ``conv_block``: a bias-free 3x3 convolution,
+batch normalization, leaky ReLU and 2x2 max pooling over cells in blocks of
+``_cell_blocks``, so no op holds an N*H*W x channels array; the last block
+also applies the linear head. Its batch norm always uses the exact
+statistics of the batch at hand: the model trains full-batch and embeds the
+cells it trained on, so no running averages are kept. One pass per block
+convolves, pools (the activation is monotone in gamma * conv, so its
+winners are known before the statistics) and merges the channel means and
+variances and the channel-patch co-moment over the blocks; normalization
+and activation then run on the winners alone. The backward keeps only the
+pooled output and the int8 winner of each pooling window plus those
+statistics, which give the weight gradient in closed form; only an input
+that needs a gradient recomputes its blocks' convolutions. The backward
+walks the same blocks, and takes each block's pooled gradient through the
+head there: apart from the input gradient it returns, no buffer it makes
+grows with N.
+
+Both losses are fused ops. ``sce``, the masked reconstruction's scaled
+cosine error, has a closed-form gradient: it keeps per-row scalars and
+gathers its target rows again in the backward. ``contrastive``, the
+neighbourhood contrastive loss, walks the anchors in blocks of
 ``_ANCHOR_CHUNK``, reads each block's positive pairs from the sorted edge
 arrays and builds the (n, d) gradient during the forward, so no op holds
 an anchors x n array.
 
-``slice_cols``, ``conv2d``, ``batch_norm``, ``maxpool2``, ``transpose``,
-``exp``, ``log`` and ``segment_sum`` have no caller in the model. They stay
-only because ``benchmark/spec.py::AUTODIFF_OPS`` names them, so the
-benchmark tracer wraps them by name (the composite and dense references in
-the tests are built from them too), and each takes only the form those
-references call: ``conv2d`` is a bias-free 3x3 "same" convolution,
-``batch_norm`` normalizes 4-D input by the statistics of the batch at hand,
-and ``segment_sum`` takes sorted ids. The has-a-caller gate in
-``tests/test_imports.py`` counts those names as reads and nothing else
-does: an op dropped from ``AUTODIFF_OPS`` must be deleted here as well.
+``add``, ``mul``, ``div``, ``power``, ``tensor_sum``, ``reshape``,
+``leaky_relu``, ``elu``, ``slice_cols``, ``conv2d``, ``batch_norm``,
+``maxpool2``, ``transpose``, ``exp``, ``log`` and ``segment_sum`` have no
+caller in the model. They stay only because
+``benchmark/spec.py::AUTODIFF_OPS`` names them, so the benchmark tracer
+wraps them by name (the composite and dense references in the tests are
+built from them too), and each takes only the form those references call:
+``conv2d`` is a bias-free 3x3 "same" convolution, ``batch_norm`` normalizes
+4-D input by the statistics of the batch at hand, and ``segment_sum`` takes
+sorted ids. The has-a-caller gate in ``tests/test_imports.py`` counts those
+names as reads and nothing else does: an op dropped from ``AUTODIFF_OPS``
+must be deleted here as well.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 from typing import Callable, Sequence
 
 import numpy as np
@@ -377,33 +392,47 @@ def _masked_cells(masked, n: int, op: str) -> np.ndarray:
     return masked
 
 
-def gat_attention(hw, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor], edges,
-                  slope: float, average: bool, masked=None) -> Tensor:
-    """Multi-head graph attention (Velickovic et al. 2018) over projected
-    features ``hw`` (n, heads * d), all heads in one op.
+def gat_attention(h, W, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor], edges,
+                  slope: float, average: bool, masked=None, apply_elu: bool = False) -> Tensor:
+    """Multi-head graph attention (Velickovic et al. 2018) of the layer
+    input ``h`` (n, f) projected by ``W`` (f, heads * d), all heads in one
+    op; with ``W`` None, ``h`` is itself the (n, heads * d) projection (the
+    decoder attends in the embedding space).
 
     ``edges`` holds the attention pairs in CSR order: ``dst`` and ``src``
     arrays sorted by receiver and row pointers ``indptr`` with every row
-    non-empty (``spatial_graph.DirectedEdges``). Head ``k`` scores pair
-    (i <- j) as leaky_relu(hw_k[i] . a_center[k] + hw_k[j] . a_neighbor[k]),
-    softmax-normalizes the scores per receiver and aggregates
-    sum_j alpha_ij hw_k[j] as one sparse product. Heads are concatenated, or
-    averaged when ``average`` is set. The rows of ``hw`` indexed by
-    ``masked`` read as zeros (their input gradient is zero), so training
-    masks the projection without copying it.
+    non-empty (``spatial_graph.DirectedEdges``). With ``hw = h @ W``, head
+    ``k`` scores pair (i <- j) as leaky_relu(hw_k[i] . a_center[k] +
+    hw_k[j] . a_neighbor[k]), softmax-normalizes the scores per receiver and
+    aggregates sum_j alpha_ij hw_k[j] as one sparse product. Heads are
+    concatenated, or averaged when ``average`` is set; ``apply_elu`` then
+    applies an ELU (alpha = 1), as a hidden layer does. The rows of ``hw``
+    indexed by ``masked`` read as zeros (their input gradient is zero), so
+    training masks the projection without copying it.
 
     The forward keeps only its output, the (E, heads) attention weights and
-    their scores' signs for the backward; each head's sparse matrix is built
-    where a product needs it, in the forward and again in the backward.
+    their scores' signs for the backward, plus the ELU's sign mask; each
+    head's sparse matrix is built where a product needs it, in the forward
+    and again in the backward. The projection ``h @ W`` is not kept either:
+    the backward computes it again, with the same product, from ``h`` and
+    ``W`` (Chen et al. 2016's trade of compute for memory), and frees it
+    before it builds the projection's gradient. Below 0 the ELU's
+    derivative, exp(x), is its output + 1, so no pre-activation is kept.
     """
-    hw = as_tensor(hw)
+    h = as_tensor(h)
+    W = None if W is None else as_tensor(W)
     heads = len(a_center)
-    n, width = hw.shape
+
+    def project() -> np.ndarray:
+        return h.values if W is None else h.values @ W.values
+
+    feats = project()
+    n, width = feats.shape
     d = width // heads
+    feats = feats.reshape(n, heads, d)
     masked = _masked_cells(masked, n, "gat_attention")
     dst, src, indptr = edges.dst, edges.src, edges.indptr
     starts = indptr[:-1]
-    feats = hw.values.reshape(n, heads, d)
     ac = np.stack([a.values.reshape(d) for a in a_center])
     an = np.stack([a.values.reshape(d) for a in a_neighbor])
     # pairs whose sender is masked: its zero row adds nothing to the aggregate
@@ -422,6 +451,7 @@ def gat_attention(hw, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor], 
     scores = np.where(positive, raw, slope * raw)
     ex = np.exp(scores - np.maximum.reduceat(scores, starts, axis=0)[dst])
     alpha = ex / np.add.reduceat(ex, starts, axis=0)[dst]
+    del center, neighbor, raw, scores, ex
 
     def adjacency(k):
         # head k's (n, n) attention matrix, receivers by senders
@@ -431,6 +461,7 @@ def gat_attention(hw, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor], 
         return csr_matrix((weights, src, indptr), shape=(n, n))
 
     outs = [adjacency(k) @ feats[:, k] for k in range(heads)]
+    del feats
     if average:
         values = outs[0]
         for out in outs[1:]:
@@ -438,10 +469,25 @@ def gat_attention(hw, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor], 
         values *= 1.0 / heads
     else:
         values = np.concatenate(outs, axis=1)
+    del outs
+    rising = None
+    if apply_elu:
+        # as ``elu``: the output and its sign mask are all the backward reads
+        rising = values > 0
+        activated = np.minimum(values, 0.0)
+        np.expm1(activated, out=activated)
+        np.copyto(activated, values, where=rising)
+        values = activated
 
     def backward_fn(g):
+        if rising is not None:
+            deriv = values + 1.0
+            np.copyto(deriv, 1.0, where=rising)
+            g = g * deriv
+            del deriv
         # (n, heads, d), or (n, 1, d) shared by all heads when averaged
         grads = (g * (1.0 / heads) if average else g).reshape(n, -1, d)
+        feats = project().reshape(n, heads, d)
         # d loss / d alpha for every pair: <g_k[dst], hw_k[src]>, by blocks of edges
         # (one pair of gather buffers, reused by every block)
         step = max(1, _EDGE_ENTRIES // (width + grads.shape[1] * d))
@@ -470,22 +516,34 @@ def gat_attention(hw, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor], 
         # a masked row reads as zero, so it neither scores nor takes a gradient
         dcenter[masked] = 0.0
         dneighbor[masked] = 0.0
-        if hw.requires_grad:
-            # head by head, so no temporary is wider than one head's (n, d)
-            dfeats = np.empty((n, heads, d))
-            for k in range(heads):
-                head = dfeats[:, k]
-                np.multiply(dcenter[:, k, None], ac[k], out=head)
-                head += dneighbor[:, k, None] * an[k]
-                head += adjacency(k).T @ grads[:, 0 if average else k]
-            dfeats[masked] = 0.0
-            hw._accumulate(dfeats.reshape(n, width), own=True)
         for params, dscore in ((a_center, dcenter), (a_neighbor, dneighbor)):
             for k, a in enumerate(params):
                 if a.requires_grad:
                     a._accumulate((feats[:, k].T @ dscore[:, k]).reshape(d, 1), own=True)
+        # the projection is read no more: its gradient is built without it
+        del feats
+        weight_grad = W is not None and W.requires_grad
+        if not (h.requires_grad or weight_grad):
+            return
+        # head by head, so no temporary is wider than one head's (n, d)
+        dfeats = np.empty((n, heads, d))
+        for k in range(heads):
+            head = dfeats[:, k]
+            np.multiply(dcenter[:, k, None], ac[k], out=head)
+            head += dneighbor[:, k, None] * an[k]
+            head += adjacency(k).T @ grads[:, 0 if average else k]
+        dfeats[masked] = 0.0
+        dfeats = dfeats.reshape(n, width)
+        if W is None:
+            h._accumulate(dfeats, own=True)
+            return
+        if h.requires_grad:
+            h._accumulate(dfeats @ W.values.T, own=True)
+        if weight_grad:
+            W._accumulate(h.values.T @ dfeats, own=True)
 
-    return _make(values, (hw, *a_center, *a_neighbor), backward_fn, "gat_attention")
+    parents = (h, *a_center, *a_neighbor) if W is None else (h, W, *a_center, *a_neighbor)
+    return _make(values, parents, backward_fn, "gat_attention")
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +605,72 @@ def contrastive(z, anchors: np.ndarray, rows: np.ndarray, cols: np.ndarray,
         z._accumulate(g * grad, own=True)
 
     return _make(values, (z,), backward_fn, "contrastive")
+
+
+# ---------------------------------------------------------------------------
+# scaled cosine error
+# ---------------------------------------------------------------------------
+
+def sce(x_hat, x: np.ndarray, rows: np.ndarray, gamma: float) -> Tensor:
+    """Scaled cosine error (Hou et al. 2022): the mean over i of
+    (1 - cos(x_hat[i], x[rows[i]]))^gamma, for ``gamma`` > 0.
+
+    ``x_hat`` (m, p) holds the reconstructions of the cells ``rows`` indexes
+    in ``x`` (n, p). A pair with a zero-norm vector contributes cos = 0 (a
+    term of 1) with a warning and takes no gradient. A term whose 1 - cos
+    rounds to 0 or below is clamped to 0, and its gradient is exactly 0
+    whatever ``gamma``.
+
+    The gradient is closed-form, row by row: with u = 1 - cos, d u^gamma /
+    d cos = -gamma u^(gamma - 1), and cos = dot / (|x_hat| |x|) with dot =
+    <x_hat, x> and |x_hat| = (|x_hat|^2)^0.5. The forward keeps only per-row
+    scalars (the dot product, |x_hat|^2, |x|, the norms' product, u and
+    which terms take a gradient); the backward gathers the target rows from
+    ``x`` again, so no (m, p) array is held between the two.
+    """
+    x_hat = as_tensor(x_hat)
+    x = np.asarray(x, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.intp)
+    xh = x_hat.values
+    m = rows.size
+    target = x[rows]
+    dot = (xh * target).sum(axis=1)
+    squares = (xh * xh).sum(axis=1)
+    norm_x = np.sqrt((target * target).sum(axis=1))
+    norms = squares ** 0.5 * norm_x
+    degenerate = norms == 0.0
+    n_degenerate = int(degenerate.sum())
+    if n_degenerate:
+        warnings.warn(f"sce: {n_degenerate} masked pair(s) with zero norm use cos=0",
+                      RuntimeWarning, stacklevel=3)
+    cos = np.zeros(m)
+    np.divide(dot, norms, out=cos, where=~degenerate)
+    u = 1.0 - cos
+    live = (u > 0.0) & ~degenerate           # the terms that take a gradient
+    terms = np.where(u > 0.0, u, 0.0) ** gamma
+    total = np.sum(terms[~degenerate] if n_degenerate else terms) + float(n_degenerate)
+    values = np.asarray(total * (1.0 / m))
+
+    def backward_fn(g):
+        # on the live rows alone: elsewhere every factor is exactly 0
+        i = np.flatnonzero(live)
+        dcos = -(g * (1.0 / m) * gamma) * u[i] ** (gamma - 1.0)     # d loss / d cos
+        ddot = np.zeros(m)
+        ddot[i] = dcos / norms[i]                                    # d loss / d dot
+        dnorm = -dcos * dot[i] / (norms[i] * norms[i]) * norm_x[i]   # d loss / d |x_hat|
+        dsquares = np.zeros(m)
+        dsquares[i] = dnorm * 0.5 * squares[i] ** -0.5              # d loss / d |x_hat|^2
+        # d dot / d x_hat = x, d |x_hat|^2 / d x_hat = 2 x_hat: the second
+        # term is added twice, not doubled, and after the first, as a
+        # composite of generic ops adds them, so the two agree bit for bit
+        grad = x[rows]                   # the target rows, gathered again
+        grad *= ddot[:, None]
+        half = xh * dsquares[:, None]
+        grad += half
+        grad += half
+        x_hat._accumulate(grad, own=True)
+
+    return _make(values, (x_hat,), backward_fn, "sce")
 
 
 # ---------------------------------------------------------------------------
@@ -747,17 +871,21 @@ def _block_patches(padded: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np
     return patches.reshape(-1, rows.size * padded.shape[-1])
 
 
-def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
+def conv_block(x, w, gamma, beta, slope: float, masked=None,
+               head: tuple[Tensor, Tensor] | None = None) -> Tensor:
     """One CNN block in one op: stride-1 3x3 "same" convolution (no bias),
     batch normalization per channel, leaky ReLU, then 2x2 max pooling.
 
     The same function as ``maxpool2(leaky_relu(batch_norm(conv2d(x, w), gamma, beta)))``
     with the cells indexed by ``masked`` read as all-zero maps (their input
     gradient is zero), so training masks the maps without copying them. The
-    output is (N, C, H//2, W//2); trailing odd rows and columns are dropped.
-    Batch normalization has one mode, as in ``batch_norm``: every call
-    normalizes by the statistics of its own N cells, with the module
-    constant ``_BN_EPS`` as eps, and keeps no running averages.
+    pooled output is (N, C, H//2, W//2); trailing odd rows and columns are
+    dropped. Handed ``head``, the linear head ``(fc_w, fc_b)`` of the CNN's
+    last block, the op returns ``pooled.reshape(N, -1) @ fc_w + fc_b``, the
+    (N, embed) embedding, instead. Batch normalization has one mode, as in
+    ``batch_norm``: every call normalizes by the statistics of its own N
+    cells, with the module constant ``_BN_EPS`` as eps, and keeps no running
+    averages.
 
     The cells are walked in the blocks of ``_cell_blocks``, cell-last, with
     each pooling window's four entries in four contiguous runs; a block's patch
@@ -773,10 +901,14 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
     winner goes straight into the output, where normalization, gamma, beta
     and the activation then run in place on the winners alone.
 
-    Kept for the backward: the output and the int8 winners, plus s, C and the
-    statistics; no normalized value is kept. The backward walks the same cell
-    blocks and never copies the whole upstream gradient: each block's slice is
-    moved cell-last and through the leaky ReLU on its own. One pass sums the
+    Kept for the backward: the pooled output and the int8 winners, plus s, C
+    and the statistics; no normalized value is kept. The backward walks the
+    same cell blocks and never copies the whole upstream gradient: each
+    block's slice is moved cell-last and through the leaky ReLU on its own.
+    With the head, a block's pooled gradient is formed there, as its slice
+    of the upstream gradient times fc_w^T, so no (N, C * H//2 * W//2)
+    gradient exists; fc_w's gradient is the one full product pooled^T g
+    over all cells, and fc_b's the column sums of g. One pass sums the
     beta gradient and D = sum_p dy_p p^T, the product of the patches, re-read
     from ``x``, with dy, the batch-norm output's gradient (the upstream
     gradient through the pooling and the leaky ReLU, zero off the winners).
@@ -796,6 +928,7 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
     whatever N.
     """
     x, w, gamma, beta = as_tensor(x), as_tensor(w), as_tensor(gamma), as_tensor(beta)
+    head = () if head is None else tuple(as_tensor(t) for t in head)
     cout, cin, kh, kw = w.shape
     if (kh, kw) != (3, 3):
         raise ValueError(f"conv_block expects a 3x3 kernel, got {w.shape}")
@@ -864,6 +997,11 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
     values *= gamma.values[:, None, None]
     values += beta.values[:, None, None]
     np.multiply(values, slope, out=values, where=values < 0)   # leaky ReLU, 0 <= slope <= 1
+    pooled = values
+    if head:
+        fc_w, fc_b = head
+        values = pooled.reshape(n, -1) @ fc_w.values
+        values += fc_b.values
 
     def backward_fn(g):
         scale = gamma.values * inv_std
@@ -877,8 +1015,12 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
             # is the pooled value's; and the block's patches with the
             # convolution's gradient dy, zero off the winners
             b = hi - lo
+            upstream = g[lo:hi]
+            if head:
+                # the block's pooled gradient, through the linear head
+                upstream = (upstream @ fc_w.values.T).reshape(b, cout, hp, wp)
             cells = np.empty((cout, hp, wp, b))
-            np.multiply(g[lo:hi].transpose(1, 2, 3, 0),
+            np.multiply(upstream.transpose(1, 2, 3, 0),
                         np.where(act[..., lo:hi] > 0, 1.0, slope), out=cells)
             patches = _block_patches(_padded_block(x.values, lo, hi, masked), rows, cols)
             is_winner = winner[:, None, ..., lo:hi] == np.arange(4)[:, None, None, None]
@@ -935,8 +1077,13 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None) -> Tensor:
         if dx is not None:
             dx[masked] = 0.0
             x._accumulate(dx, own=True)
+        if head:
+            if fc_w.requires_grad:
+                fc_w._accumulate(pooled.reshape(n, -1).T @ g, own=True)
+            if fc_b.requires_grad:
+                fc_b._accumulate(g.sum(axis=0), own=True)
 
-    return _make(values, (x, w, gamma, beta), backward_fn, "conv_block")
+    return _make(values, (x, w, gamma, beta, *head), backward_fn, "conv_block")
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,6 @@ and the graph-neighborhood multi-positive contrastive loss."""
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from . import autodiff as ad
@@ -19,7 +17,13 @@ def sce_loss(x: np.ndarray, x_hat: Tensor, mask_set: np.ndarray, gamma: float) -
     masked cells; ``x_hat`` holds their (len(mask_set), p) reconstructions,
     row ``i`` for cell ``mask_set[i]`` (``CellScapeModel.decode``'s rows).
     A zero-norm vector in a masked pair contributes cos = 0 (loss 1) with a
-    warning and is excluded from the gradient path.
+    warning and is excluded from the gradient path; a term whose 1 - cos
+    rounds to 0 or below is clamped to 0 and takes a zero gradient.
+
+    The loss is one fused op, ``autodiff.sce``, with a closed-form gradient:
+    it keeps per-row scalars and gathers the target rows from ``x`` again
+    in its backward, so it holds no (masked, p) array of its own between
+    the two.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -28,29 +32,7 @@ def sce_loss(x: np.ndarray, x_hat: Tensor, mask_set: np.ndarray, gamma: float) -
         raise ValueError("mask set is empty")
     if x_hat.shape[0] != mask.size:
         raise ValueError(f"expected {mask.size} reconstructed rows, got {x_hat.shape[0]}")
-    x_m = np.asarray(x, dtype=np.float64)[mask]
-    norm_x = np.sqrt((x_m * x_m).sum(axis=1))
-    norm_h = np.sqrt((x_hat.values * x_hat.values).sum(axis=1))
-    degenerate = (norm_x == 0.0) | (norm_h == 0.0)
-    if np.any(degenerate):
-        warnings.warn(
-            f"sce_loss: {int(degenerate.sum())} masked pair(s) with zero norm use cos=0",
-            RuntimeWarning,
-        )
-    keep = np.flatnonzero(~degenerate)
-    n_terms = mask.size
-    constant_part = float(degenerate.sum())  # each degenerate term is (1-0)^gamma = 1
-
-    if keep.size == 0:
-        return Tensor(np.asarray(constant_part / n_terms))
-    rows = x_hat if keep.size == n_terms else ad.gather_rows(x_hat, keep)
-    target = x_m[keep]
-    dot = ad.tensor_sum(rows * target, axis=1, keepdims=True)
-    norm_rows = ad.tensor_sum(rows * rows, axis=1, keepdims=True) ** 0.5
-    cos = dot / (norm_rows * norm_x[keep, None])
-    # clamp float fuzz at cos slightly above 1; true gradient there is 0 anyway
-    terms = ad.leaky_relu(1.0 - cos, 0.0) ** gamma
-    return (ad.tensor_sum(terms) + constant_part) * (1.0 / n_terms)
+    return ad.sce(x_hat, x, mask, gamma)
 
 
 def neighbor_arrays(edges: DirectedEdges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

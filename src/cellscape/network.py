@@ -1,6 +1,13 @@
 """Dual-branch network: graph-attention encoder over the cell graph, CNN
 encoder over gene maps, linear fusion, and a graph-attention decoder.
 
+Each encoder layer is one fused autodiff op that keeps for its backward
+only what that backward reads: a GAT layer (``gat_attention``) projects
+its input by its weight and applies the hidden layers' ELU itself, keeping
+neither the projection nor the pre-ELU output, and the CNN's last block
+(``conv_block``) applies the linear head itself, so its backward builds no
+full gradient of the pooled maps.
+
 Masking costs no copy of the inputs or of what the model computes from
 them: the first GAT layer reads the masked cells' rows of its (n, width)
 projection as zeros (``gat_attention``'s ``masked``), which is what a zeroed
@@ -129,36 +136,41 @@ class CellScapeModel:
     def encode_spatial(self, features: np.ndarray, edges: DirectedEdges,
                        masked: np.ndarray | None = None) -> Tensor:
         """GAT stack over the (n, p) features; the cells indexed by
-        ``masked`` read as all-zero feature rows. Each layer projects by its
-        ``W`` and attends over the graph's directed edges (self-loops
-        included); hidden layers concatenate their heads, the final layer
-        averages them."""
+        ``masked`` read as all-zero feature rows. Each layer is one
+        ``gat_attention`` op: it projects by its ``W`` and attends over the
+        graph's directed edges (self-loops included); hidden layers
+        concatenate their heads and apply an ELU, the final layer averages
+        them. No layer's projection or pre-ELU output is kept for the
+        backward, which computes the projection again."""
         cfg = self.cfg
         h = Tensor(features)
         for layer in range(cfg.gat_layers):
             final = layer == cfg.gat_layers - 1
             h = ad.gat_attention(
-                ad.matmul(h, self.params[f"encoder.{layer}.W"]),
+                h, self.params[f"encoder.{layer}.W"],
                 [self.params[f"encoder.{layer}.{k}.a_center"] for k in range(cfg.attention_heads)],
                 [self.params[f"encoder.{layer}.{k}.a_neighbor"] for k in range(cfg.attention_heads)],
                 edges, ATTENTION_SLOPE, average=final, masked=masked if layer == 0 else None,
+                apply_elu=not final,
             )
-            if not final:
-                h = ad.elu(h)
         return h
 
     def encode_intrinsic(self, maps: np.ndarray, masked: np.ndarray | None = None) -> Tensor:
         """CNN embedding of the (n, q, q) maps; the cells indexed by
-        ``masked`` read as all-zero maps."""
-        n = maps.shape[0]
-        x = Tensor(maps.reshape(n, 1, self.q, self.q))
-        for i in range(len(self.cfg.cnn_channels)):
+        ``masked`` read as all-zero maps. Each block is one ``conv_block``
+        op, and the last one applies the linear head ``cnn.fc`` too, so the
+        backward takes each cell block's pooled gradient through the head
+        where it is read and never builds the (n, C * H' * W') gradient of
+        the flattened maps."""
+        x = Tensor(maps.reshape(maps.shape[0], 1, self.q, self.q))
+        last = len(self.cfg.cnn_channels) - 1
+        for i in range(last + 1):
             x = ad.conv_block(
                 x, self.params[f"cnn.{i}.w"], self.params[f"cnn.{i}.gamma"],
                 self.params[f"cnn.{i}.beta"], 0.01, masked if i == 0 else None,
+                head=(self.params["cnn.fc.w"], self.params["cnn.fc.b"]) if i == last else None,
             )
-        flat = ad.reshape(x, (n, -1))
-        return ad.matmul(flat, self.params["cnn.fc.w"]) + self.params["cnn.fc.b"]
+        return x
 
     def encode(self, features: np.ndarray, maps: np.ndarray | None,
                edges: DirectedEdges, masked: np.ndarray | None = None
@@ -190,7 +202,7 @@ class CellScapeModel:
         """
         W = self.params["decoder.W"]
         attended = ad.gat_attention(
-            z,
+            z, None,
             [ad.matmul(W, self.params["decoder.0.a_center"])],
             [ad.matmul(W, self.params["decoder.0.a_neighbor"])],
             edges, ATTENTION_SLOPE, average=True,

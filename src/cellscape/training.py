@@ -6,7 +6,12 @@ encoders alone.
 ``train`` prepares the inputs once and runs one ``_step`` per epoch, so an
 epoch's autodiff graph is freed before the next epoch's forward. An epoch
 copies no input: the encoders read the masked cells as zeros and the
-decoder rebuilds only the masked rows. Each loss backpropagates only down
+decoder rebuilds only the masked rows. Between the forward and the
+backward the graph holds each layer's output and what its fused op keeps:
+no GAT layer's (n, heads * d) projection or pre-ELU output, and no (masked,
+p) products of the reconstruction loss, which keeps per-row scalars. The
+encoders' walk builds no (n, C * H' * W') gradient of the CNN's pooled
+maps. Each loss backpropagates only down
 to the fused embedding, the representation both objectives share, and one
 loss head's graph is alive at a time: the reconstruction head's graph is
 freed after its backward, before the contrastive head is built. PCGrad

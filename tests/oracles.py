@@ -2,12 +2,12 @@
 
 Everything here is deliberately naive (loops, enumeration, finite
 differences) and shares no code with the package under test, except
-``composite_gat_layer``, ``composite_conv_block`` and
-``dense_contrastive_loss``: they build graph attention, the CNN block and
-the contrastive loss from the package's generic autodiff ops, which
-``test_autodiff`` checks one by one, to serve as the references for the
-fused ``gat_attention`` and ``conv_block`` ops and for the edge-list
-``contrastive_loss``. ``gene_space_decoder`` is the decoder that attends
+``composite_gat_layer``, ``composite_conv_block``,
+``composite_sce_loss`` and ``dense_contrastive_loss``: they build graph
+attention, the CNN block and both losses from the package's generic
+autodiff ops, which ``test_autodiff`` checks one by one, to serve as the
+references for the fused ``gat_attention``, ``conv_block`` and ``sce`` ops
+and for the edge-list ``contrastive_loss``. ``gene_space_decoder`` is the decoder that attends
 over the (n, genes) projection, built on ``gat_attention`` (checked against
 ``composite_gat_layer``), as the reference for the decoder that attends in
 the embedding space. ``fused_embedding_step_grads`` is the training
@@ -98,7 +98,7 @@ def gene_space_decoder(model, z, edges, rows):
     """The model's decoder the direct way: project every cell onto the genes
     by ``decoder.W``, attend over that (n, genes) array with the decoder's
     one head, then take the rows the reconstruction loss reads."""
-    full = ad.gat_attention(ad.matmul(z, model.params["decoder.W"]),
+    full = ad.gat_attention(ad.matmul(z, model.params["decoder.W"]), None,
                             [model.params["decoder.0.a_center"]],
                             [model.params["decoder.0.a_neighbor"]],
                             edges, ATTENTION_SLOPE, average=True)
@@ -154,6 +154,38 @@ def fused_embedding_step_grads(model, epoch: int, features, maps, edges, neighbo
     for p in model.params.values():
         p.grad = None
     return grads, projected
+
+
+def composite_sce_loss(x, x_hat, mask_set, gamma: float):
+    """The scaled cosine error of ``losses.sce_loss`` from generic autodiff
+    ops: the mean over the masked cells of (1 - cos)^gamma. A zero-norm
+    pair is a constant term of 1, with a warning, and a pair whose 1 - cos
+    is 0 or below a constant term of 0; neither takes a gradient, so the
+    chain runs on the other rows alone. (A leaky-ReLU clamp in the chain
+    would give a clamped row the gradient 0 * 0 ** (gamma - 1), NaN below
+    gamma 1.)"""
+    mask = np.asarray(mask_set, dtype=np.intp)
+    x_m = np.asarray(x, dtype=np.float64)[mask]
+    norm_x = np.sqrt((x_m * x_m).sum(axis=1))
+    norm_h = np.sqrt((x_hat.values * x_hat.values).sum(axis=1))
+    degenerate = (norm_x == 0.0) | (norm_h == 0.0)
+    if np.any(degenerate):
+        warnings.warn(f"{int(degenerate.sum())} masked pair(s) with zero norm use cos=0",
+                      RuntimeWarning)
+
+    def cosines(idx):
+        rows = x_hat if idx.size == mask.size else ad.gather_rows(x_hat, idx)
+        dot = ad.tensor_sum(rows * x_m[idx], axis=1, keepdims=True)
+        norm_rows = ad.tensor_sum(rows * rows, axis=1, keepdims=True) ** 0.5
+        return dot / (norm_rows * norm_x[idx, None])
+
+    keep = np.flatnonzero(~degenerate)
+    live = keep[1.0 - cosines(keep).values[:, 0] > 0.0] if keep.size else keep
+    constant_part = float(degenerate.sum())
+    if live.size == 0:
+        return ad.Tensor(np.asarray(constant_part / mask.size))
+    terms = (1.0 - cosines(live)) ** gamma
+    return (ad.tensor_sum(terms) + constant_part) * (1.0 / mask.size)
 
 
 def composite_conv_block(x, w, gamma, beta, slope: float):

@@ -136,15 +136,57 @@ class TestNonlinearities:
                    for _ in range(2 * heads)]
         cells = np.arange(0, n, 3) if masked else None
         # a first call fills numpy's and scipy's lazy caches
-        ad.gat_attention(hw, vectors[:heads], vectors[heads:], edges, 0.2, False, masked=cells)
+        ad.gat_attention(hw, None, vectors[:heads], vectors[heads:], edges, 0.2, False,
+                         masked=cells)
         out, held = _held_after(lambda: ad.gat_attention(
-            hw, vectors[:heads], vectors[heads:], edges, 0.2, False, masked=cells))
+            hw, None, vectors[:heads], vectors[heads:], edges, 0.2, False, masked=cells))
         pairs = edges.dst.size
         # float64 output, weights and vectors, bool signs
         kept = out.values.nbytes + pairs * heads * 9 + 2 * heads * d * 8
         if masked:
             kept += cells.nbytes + pairs
         assert held < kept + 8192, (held, kept)
+
+    def test_gat_attention_keeps_no_projection_or_pre_activation(self):
+        # handed the layer input and W, the op computes the projection h @ W
+        # again in its backward, and applies the ELU in place of its output:
+        # it keeps what the projected form keeps plus the ELU's sign mask,
+        # and neither the (n, heads * d) projection nor the pre-ELU output,
+        # 204,800 bytes each here
+        n, heads, d, f = 400, 4, 16, 32
+        edges = build_knn_graph(RNG.random((2, n)), k=6).directed_edges()
+        h = ad.Tensor(RNG.standard_normal((n, f)), requires_grad=True)
+        W = ad.Tensor(RNG.standard_normal((f, heads * d)), requires_grad=True)
+        vectors = [ad.Tensor(RNG.standard_normal((d, 1)), requires_grad=True)
+                   for _ in range(2 * heads)]
+        cells = np.arange(0, n, 3)
+
+        def attend():
+            return ad.gat_attention(h, W, vectors[:heads], vectors[heads:], edges, 0.2, False,
+                                    masked=cells, apply_elu=True)
+
+        attend()                  # a first call fills numpy's and scipy's lazy caches
+        out, held = _held_after(attend)
+        pairs = edges.dst.size
+        # float64 output, weights and vectors, bool signs and ELU mask, the
+        # masked cells and a flag per pair for a masked sender
+        kept = (out.values.nbytes + out.size + pairs * heads * 9 + 2 * heads * d * 8
+                + cells.nbytes + pairs)
+        assert held < kept + 8192, (held, kept)
+
+    def test_sce_keeps_only_row_scalars(self):
+        # the backward gathers the target rows from x again, so beside its
+        # 0-d output the forward keeps five float64 scalars and a flag a
+        # row; a (masked, p) array would add 307,200 bytes here
+        n, m, p = 500, 150, 256
+        x = RNG.standard_normal((n, p))
+        rows = np.sort(RNG.choice(n, size=m, replace=False))
+        x_hat = ad.Tensor(RNG.standard_normal((m, p)), requires_grad=True)
+        ad.sce(x_hat, x, rows, 3.0)           # a first call fills numpy's lazy caches
+        out, held = _held_after(lambda: ad.sce(x_hat, x, rows, 3.0))
+        assert out.shape == ()
+        kept = m * (5 * 8 + 1)
+        assert held < kept + 4096, (held, kept)
 
     def test_conv_block_keeps_only_output_and_winners(self):
         # the winners' convolution is normalized in place in the output and

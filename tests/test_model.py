@@ -22,9 +22,9 @@ from cellscape.preprocess import pearson_coexpression
 from cellscape.spatial_graph import SpatialGraph, build_delaunay_graph, build_knn_graph
 from cellscape.training import embed, train
 
-from oracles import (composite_conv_block, composite_gat_layer, dense_contrastive_loss,
-                     finite_difference_grads, gene_space_decoder, loop_neighbor_lists,
-                     relative_error, fused_embedding_step_grads)
+from oracles import (composite_conv_block, composite_gat_layer, composite_sce_loss,
+                     dense_contrastive_loss, finite_difference_grads, gene_space_decoder,
+                     loop_neighbor_lists, relative_error, fused_embedding_step_grads)
 
 TOY_CFG = dict(
     gat_layers=2,
@@ -59,9 +59,9 @@ def embed_inputs(ds, graph, layout):
 
 
 def gat_layer(h, edges, W, a_center, a_neighbor, slope, average):
-    """One graph-attention layer as the encoder runs it: project by ``W``,
-    then the fused attention op."""
-    return ad.gat_attention(ad.matmul(h, W), a_center, a_neighbor, edges, slope, average)
+    """One graph-attention layer as the encoder's final layer runs it: the
+    fused op projects by ``W`` and attends."""
+    return ad.gat_attention(h, W, a_center, a_neighbor, edges, slope, average)
 
 
 def _assert_match(got_list, want_list):
@@ -192,6 +192,37 @@ class TestGatAttentionOracle:
         reference = _attention_pass("composite", graph, arrays, average, weights)
         _assert_match(fused, reference)
 
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    @pytest.mark.parametrize("average", [False, True])
+    def test_projection_and_elu_match_chain(self, average, masked):
+        # the op projects by W and applies the ELU itself, as the encoder's
+        # hidden layer runs it; the chain projects by matmul, attends over
+        # the projection and applies elu
+        graph = _attention_graph("isolated node")
+        n = graph.n_nodes
+        edges = graph.directed_edges()
+        arrays = _attention_inputs(n, 2, 3, seed=12)
+        cells = np.array([0, 4, n - 1]) if masked else None
+        weights = np.random.default_rng(13).standard_normal((n, 3 if average else 6))
+
+        def run(fused):
+            h, W = (Tensor(a.copy(), requires_grad=True) for a in arrays[:2])
+            a_c, a_n = ([Tensor(a.copy(), requires_grad=True) for a in vectors]
+                        for vectors in arrays[2:])
+            if fused:
+                out = ad.gat_attention(h, W, a_c, a_n, edges, 0.2, average, masked=cells,
+                                       apply_elu=True)
+            else:
+                out = ad.elu(ad.gat_attention(ad.matmul(h, W), None, a_c, a_n, edges, 0.2,
+                                              average, masked=cells))
+            ad.backward(ad.tensor_sum(out * weights))
+            return [out.values, h.grad, W.grad, *(a.grad for a in a_c + a_n)]
+
+        fused = run(fused=True)
+        if masked:
+            assert not np.any(fused[1][cells]) and np.any(fused[1])
+        _assert_match(fused, run(fused=False))
+
     @pytest.mark.parametrize("average", [False, True])
     def test_gradients_match_finite_differences(self, average):
         graph = _attention_graph("isolated node")
@@ -294,6 +325,44 @@ class TestSceLoss:
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             sce_loss(np.ones((2, 2)), Tensor(np.ones((2, 2))), np.array([], dtype=int), gamma=3.0)
+
+    def test_clamped_row_takes_zero_gradient_below_gamma_one(self):
+        # x_hat = 2 x gives cos = 1 exactly on the row (3, 4), so its term
+        # 1 - cos = 0 is clamped, and its gradient is 0 for every gamma,
+        # though gamma * 0 ** (gamma - 1) is infinite below 1. The second
+        # row is orthogonal: a term of 1 and a gradient of
+        # -gamma / 2 * x / (|x_hat| |x|) = -(1, 2) / 20
+        x = np.array([[3.0, 4.0], [1.0, 2.0]])
+        x_hat = Tensor(np.array([[6.0, 8.0], [2.0, -1.0]]), requires_grad=True)
+        loss = sce_loss(x, x_hat, np.array([0, 1]), gamma=0.5)
+        ad.backward(loss)
+        assert loss.item() == 0.5
+        np.testing.assert_array_equal(x_hat.grad[0], 0.0)
+        np.testing.assert_allclose(x_hat.grad[1], [-0.05, -0.1], rtol=1e-15)
+
+    # gamma below, at and above 1; the fifth masked pair has a zero-norm
+    # target and the third a zero-norm reconstruction (the warning path),
+    # the last is clamped (cos = 1 exactly, a single non-zero entry)
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 3.0])
+    def test_matches_composite_chain(self, gamma):
+        rng = np.random.default_rng(int(10 * gamma))
+        x = rng.standard_normal((12, 5))
+        mask = np.array([0, 2, 3, 5, 8, 11, 6])
+        x_hat_values = rng.standard_normal((mask.size, 5))
+        x[8] = 0.0
+        x_hat_values[2] = 0.0
+        x[6] = [0.0, 0.0, -3.0, 0.0, 0.0]
+        x_hat_values[6] = [0.0, 0.0, -1.5, 0.0, 0.0]
+        results = []
+        for loss_fn in (sce_loss, composite_sce_loss):
+            x_hat = Tensor(x_hat_values.copy(), requires_grad=True)
+            with pytest.warns(RuntimeWarning, match="2 masked pair"):
+                loss = loss_fn(x, x_hat, mask, gamma)
+            ad.backward(loss)
+            results.append([loss.values, x_hat.grad])
+        got, want = results
+        np.testing.assert_array_equal(got[1][[2, 4, 6]], 0.0)
+        _assert_match(got, want)
 
 
 def ring_neighbors(n):
@@ -620,6 +689,42 @@ class TestConvBlockOracle:
         bound = 5 * out.values.nbytes + 4 * block
         assert peak < bound < 9 * n * q * q * 8, f"peak {peak / 2**20:.1f} MiB"
 
+    # n spans two cell blocks, the second partial; masked or not, with one
+    # CNN block (whose input takes no gradient) and with two
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    @pytest.mark.parametrize("channels", [(4,), (4, 8)], ids=["one-block", "two-blocks"])
+    def test_head_matches_reshape_matmul_add(self, channels, masked):
+        # the last block applies the linear head cnn.fc itself and takes its
+        # pooled gradient block by block; the chain reshapes the last
+        # block's output and applies the head by matmul and add
+        cfg = ModelConfig(seed=6, **{**TOY_CFG, "cnn_channels": channels})
+        model = CellScapeModel(36, 6, cfg)
+        n = ad._CELL_BLOCK + 7
+        maps = np.random.default_rng(8).random((n, 1, 6, 6))
+        cells = mask_cells(n, 0.3, seed=9) if masked else None
+        weights = np.random.default_rng(10).standard_normal((n, cfg.embed_dim))
+        names = [name for name in model.params if name.startswith("cnn.")]
+        head = (model.params["cnn.fc.w"], model.params["cnn.fc.b"])
+        last = len(channels) - 1
+
+        def run(fused):
+            x = Tensor(maps)
+            for i in range(last + 1):
+                x = ad.conv_block(x, model.params[f"cnn.{i}.w"], model.params[f"cnn.{i}.gamma"],
+                                  model.params[f"cnn.{i}.beta"], 0.01, cells if i == 0 else None,
+                                  head=head if fused and i == last else None)
+            if not fused:
+                x = ad.matmul(ad.reshape(x, (n, -1)), head[0]) + head[1]
+            ad.backward(ad.tensor_sum(x * weights))
+            out = [x.values, *(model.params[k].grad for k in names)]
+            for p in model.params.values():
+                p.grad = None
+            return out
+
+        fused = run(fused=True)
+        assert fused[0].shape == (n, cfg.embed_dim) and "cnn.fc.w" in names
+        _assert_match(fused, run(fused=False))
+
     def test_two_layer_model_matches_composite(self):
         cfg = ModelConfig(seed=4, **{**TOY_CFG, "cnn_channels": (4, 8)})
         model = CellScapeModel(36, 6, cfg)
@@ -717,6 +822,84 @@ class TestDecoder:
         assert out.shape == (rows.size, n_genes)
         assert len(sizes) >= 4
         assert max(sizes) <= rows.size * n_genes < n * n_genes
+
+
+def _reachable_arrays(root):
+    """Every numpy array the graph under ``root`` holds: each tensor's
+    values, and whatever its backward closure holds, through nested
+    closures, tuples and lists, with each array's base."""
+    arrays, tensors, seen = [], [], set()
+
+    def visit(obj):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            tensors.append(obj)
+        elif isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            if isinstance(obj.base, np.ndarray):
+                visit(obj.base)
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                visit(item)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            for cell in obj.__closure__:
+                try:
+                    visit(cell.cell_contents)
+                except ValueError:          # a cell not yet assigned
+                    pass
+
+    visit(root)
+    while tensors:
+        t = tensors.pop()
+        visit(t.values)
+        visit(t._backward_fn)
+        visit(t._parents)
+    return arrays
+
+
+class TestEncoderKeeps:
+    """What the encoders' graph holds between the forward and the walk."""
+
+    def test_masked_encode_holds_no_projection_or_pre_activation(self):
+        # four heads of 6 in the hidden layer and of 5 in the final one, so
+        # (n, 24) arrays are the hidden layer's projection, its pre-ELU
+        # output and its output, and (n, 20) ones the final layer's
+        # projection; of those the graph holds the hidden output alone
+        ds, graph, layout = toy_dataset(n=30, p=36, seed=28)
+        cfg = ModelConfig(seed=28, **{**TOY_CFG, "attention_heads": 4, "hidden_dim": 24,
+                                      "embed_dim": 5})
+        model, (features, maps, edges, _) = _step_inputs(ds, graph, layout, cfg)
+        mask = mask_cells(ds.n_cells, cfg.mask_ratio, seed=29)
+        z_spatial, _, z_fused = model.encode(features, maps, edges, masked=mask)
+        hidden = z_spatial._parents[0].values
+        assert hidden.shape == (ds.n_cells, 24)
+        wide = [a for a in _reachable_arrays(z_fused)
+                if a.dtype == np.float64 and a.ndim >= 2 and a.shape[0] == ds.n_cells
+                and int(np.prod(a.shape[1:])) in (20, 24)]
+        assert wide and all(np.shares_memory(a, hidden) for a in wide)
+
+    def test_cnn_head_walk_holds_no_pooled_gradient(self):
+        # the head's gradient reaches the pooled cells one cell block at a
+        # time, so the walk never holds an (n, cout * hp * wp) array: its
+        # peak stays below one, at 32 blocks of 128 cells
+        cfg = ModelConfig(seed=30, **{**TOY_CFG, "cnn_channels": (16,)})
+        q = 10
+        model = CellScapeModel(q * q, q, cfg)
+        rng = np.random.default_rng(31)
+        n = 32 * ad._CELL_BLOCK
+        z = model.encode_intrinsic(rng.random((n, q, q)))
+        seed = rng.standard_normal(z.shape)
+        tracemalloc.start()
+        try:
+            ad.backward(z, seed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.params["cnn.fc.w"].grad.shape == (16 * 5 * 5, cfg.embed_dim)
+        pooled = n * 16 * (q // 2) ** 2 * 8
+        assert peak < pooled, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestModelGradients:
@@ -830,10 +1013,11 @@ class TestTaskStackedGradients:
 
         counting("gat_attention")
         counting("conv_block")
+        counting("sce")
         training._step(model, optim.AdamState(model.params, cfg.weight_decay), 0, *inputs)
         assert [op for op, _ in made] == ["gat_attention"] * 2 + ["conv_block"] * 2 + [
-            "gat_attention"]
-        assert [calls for _, calls in made] == [[True]] * 5
+            "gat_attention", "sce"]
+        assert [calls for _, calls in made] == [[True]] * 6
 
 
     def test_reconstruction_graph_freed_before_contrastive_head(self, monkeypatch):

@@ -5,8 +5,9 @@ only because every backward is linear in its upstream gradient. So every
 op in ``autodiff``, model op or reference op, walked with a seed that sums
 two tasks' upstream gradients gives each leaf, in the leaf's shape, the sum
 of the gradients of the two tasks' own walks. On drawn inputs, for graph
-attention (concatenated and averaged heads) and the CNN block (with and
-without an input gradient), the summed walk matches the two tasks' scalar
+attention (concatenated and averaged heads, with and without the hidden
+layer's ELU) and the CNN block (with and without an input gradient), the
+summed walk matches the two tasks' scalar
 backwards. The graphs hold a cell with no edge and a pair of coordinate
 twins; the masked sets are empty, partial or every cell, and for the CNN
 block also one whole block of cells. The CNN block's backward also matches
@@ -63,11 +64,37 @@ def _attention_case(rng, average):
     heads, d = 2, 3
 
     def attend(hw, *vectors):
-        return ad.gat_attention(hw, vectors[:heads], vectors[heads:], edges, ATTENTION_SLOPE,
-                                average)
+        return ad.gat_attention(hw, None, vectors[:heads], vectors[heads:], edges,
+                                ATTENTION_SLOPE, average)
 
     return attend, [rng.standard_normal((8, heads * d)),
                     *(rng.standard_normal((d, 1)) for _ in range(2 * heads))]
+
+
+def _projected_attention_case(rng):
+    # a hidden encoder layer: projection by W, masked cells, concatenated
+    # heads, then the ELU. Ten cells of four neighbours: each attention
+    # vector's gradient is far from the rounding noise it is in theory when
+    # every pair score of a head lies on one side of the leaky ReLU's kink
+    edges = _graph(10, 4, rng).directed_edges()
+    heads, d = 2, 3
+
+    def attend(h, W, *vectors):
+        return ad.gat_attention(h, W, vectors[:heads], vectors[heads:], edges, ATTENTION_SLOPE,
+                                False, masked=[1, 4], apply_elu=True)
+
+    return attend, [rng.standard_normal((10, 5)), rng.standard_normal((5, heads * d)),
+                    *(rng.standard_normal((d, 1)) for _ in range(2 * heads))]
+
+
+def _sce_case(rng):
+    # the last pair is clamped: a single non-zero entry, so cos = 1 exactly
+    x = rng.standard_normal((7, 4))
+    rows = np.array([0, 2, 3, 6])
+    x[6] = [0.0, 2.0, 0.0, 0.0]
+    x_hat = rng.standard_normal((4, 4))
+    x_hat[3] = [0.0, 5.0, 0.0, 0.0]
+    return (lambda t: ad.sce(t, x, rows, 2.5)), [x_hat]
 
 
 def _contrastive_case(rng):
@@ -109,8 +136,10 @@ OP_CASES = {
     "segment_sum": [lambda rng: (lambda a: ad.segment_sum(a, [0, 0, 1, 3, 3], 4),
                                  [rng.standard_normal((5, 3))])],
     "gat_attention": [lambda rng: _attention_case(rng, False),
-                      lambda rng: _attention_case(rng, True)],
+                      lambda rng: _attention_case(rng, True),
+                      _projected_attention_case],
     "contrastive": [_contrastive_case],
+    "sce": [_sce_case],
     "leaky_relu": [lambda rng: (lambda a: ad.leaky_relu(a, 0.2), [rng.standard_normal((4, 3))])],
     "elu": [lambda rng: (ad.elu, [rng.standard_normal((4, 3))])],
     "l2_normalize_rows": [lambda rng: (ad.l2_normalize_rows, [rng.standard_normal((4, 3))])],
@@ -123,7 +152,14 @@ OP_CASES = {
                                                                         0.01, [1]),
                                 [rng.standard_normal((5, 2, 6, 6)),
                                  rng.standard_normal((3, 2, 3, 3)),
-                                 rng.random(3) + 0.5, rng.standard_normal(3)])],
+                                 rng.random(3) + 0.5, rng.standard_normal(3)]),
+                   # the last block, with the linear head
+                   lambda rng: (lambda x, w, gamma, beta, fc_w, fc_b: ad.conv_block(
+                                    x, w, gamma, beta, 0.01, [1], head=(fc_w, fc_b)),
+                                [rng.standard_normal((5, 2, 6, 6)),
+                                 rng.standard_normal((3, 2, 3, 3)),
+                                 rng.random(3) + 0.5, rng.standard_normal(3),
+                                 rng.standard_normal((27, 4)), rng.standard_normal(4)])],
 }
 
 
@@ -185,24 +221,23 @@ def _assert_tasks_match(forward, upstream):
 
 @DRAWS
 @given(n=st.integers(4, 24), k=st.integers(1, 4), heads=st.integers(1, 3),
-       head_dim=st.integers(1, 4), average=st.booleans(), mask=MASKS,
+       head_dim=st.integers(1, 4), average=st.booleans(), apply_elu=st.booleans(), mask=MASKS,
        seed=st.integers(0, 2**32 - 1))
 def test_gat_attention_tasks_match_single_task_backward(n, k, heads, head_dim, average,
-                                                        mask, seed):
+                                                        apply_elu, mask, seed):
     rng = np.random.default_rng(seed)
     edges = _graph(n, k, rng).directed_edges()
     h = rng.standard_normal((n, 3))
     arrays = [rng.standard_normal((3, heads * head_dim)),
               *(rng.standard_normal((head_dim, 1)) for _ in range(2 * heads))]
     # masked cells read as zero rows of the projection, as the encoder masks them
-    keep = np.ones((n, 1))
-    keep[_masked(mask, n, rng)] = 0.0
+    masked = _masked(mask, n, rng)
 
     def forward():
         x = Tensor(h, requires_grad=True)
         W, *vectors = (Tensor(a, requires_grad=True) for a in arrays)
-        out = ad.gat_attention(ad.matmul(x, W) * keep, vectors[:heads], vectors[heads:], edges,
-                               ATTENTION_SLOPE, average)
+        out = ad.gat_attention(x, W, vectors[:heads], vectors[heads:], edges, ATTENTION_SLOPE,
+                               average, masked=masked, apply_elu=apply_elu)
         return out, (x, W, *vectors)
 
     width = head_dim if average else heads * head_dim
