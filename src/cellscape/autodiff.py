@@ -71,21 +71,11 @@ must be deleted here as well.
 
 from __future__ import annotations
 
-import os
 import warnings
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-
-# CELLSCAPE_DEBUG=1: NaN/Inf checks after every forward and backward step
-_DEBUG = bool(os.environ.get("CELLSCAPE_DEBUG"))
-
-
-def _check_finite(arr: np.ndarray, where: str) -> None:
-    if _DEBUG and not np.all(np.isfinite(arr)):
-        raise FloatingPointError(f"non-finite values produced by {where}")
-
 
 class Tensor:
     """A dense float64 tensor with optional gradient tracking."""
@@ -147,9 +137,8 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(values: np.ndarray, parents: Sequence[Tensor], backward_fn, where: str) -> Tensor:
+def _make(values: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     """Create an op output, recording the graph only if a parent needs grads."""
-    _check_finite(values, where)
     out = Tensor(values)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -183,7 +172,7 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.shape))
 
-    return _make(values, (a, b), backward_fn, "add")
+    return _make(values, (a, b), backward_fn)
 
 
 def mul(a, b) -> Tensor:
@@ -196,7 +185,7 @@ def mul(a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(g * a.values, b.shape), own=True)
 
-    return _make(values, (a, b), backward_fn, "mul")
+    return _make(values, (a, b), backward_fn)
 
 
 def div(a, b) -> Tensor:
@@ -209,7 +198,7 @@ def div(a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(-g * a.values / (b.values * b.values), b.shape), own=True)
 
-    return _make(values, (a, b), backward_fn, "div")
+    return _make(values, (a, b), backward_fn)
 
 
 def power(a, exponent: float) -> Tensor:
@@ -221,7 +210,7 @@ def power(a, exponent: float) -> Tensor:
         if a.requires_grad:
             a._accumulate(g * p * a.values ** (p - 1.0), own=True)
 
-    return _make(values, (a,), backward_fn, "power")
+    return _make(values, (a,), backward_fn)
 
 
 def matmul(a, b) -> Tensor:
@@ -236,7 +225,7 @@ def matmul(a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(a.values.T @ g, own=True)
 
-    return _make(values, (a, b), backward_fn, "matmul")
+    return _make(values, (a, b), backward_fn)
 
 
 def transpose(a) -> Tensor:
@@ -248,7 +237,7 @@ def transpose(a) -> Tensor:
         if a.requires_grad:
             a._accumulate(g.T.copy(), own=True)
 
-    return _make(a.values.T.copy(), (a,), backward_fn, "transpose")
+    return _make(a.values.T.copy(), (a,), backward_fn)
 
 
 def exp(a) -> Tensor:
@@ -259,7 +248,7 @@ def exp(a) -> Tensor:
         if a.requires_grad:
             a._accumulate(g * values, own=True)
 
-    return _make(values, (a,), backward_fn, "exp")
+    return _make(values, (a,), backward_fn)
 
 
 def log(a) -> Tensor:
@@ -270,7 +259,7 @@ def log(a) -> Tensor:
         if a.requires_grad:
             a._accumulate(g / a.values, own=True)
 
-    return _make(values, (a,), backward_fn, "log")
+    return _make(values, (a,), backward_fn)
 
 
 def tensor_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -284,7 +273,7 @@ def tensor_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
         if a.requires_grad:
             a._accumulate(np.broadcast_to(g.reshape(kept), a.shape).copy(), own=True)
 
-    return _make(values, (a,), backward_fn, "sum")
+    return _make(values, (a,), backward_fn)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
@@ -298,7 +287,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
             if t.requires_grad:
                 t._accumulate(part)
 
-    return _make(values, tensors, backward_fn, "concat")
+    return _make(values, tensors, backward_fn)
 
 
 def reshape(a, shape) -> Tensor:
@@ -310,7 +299,7 @@ def reshape(a, shape) -> Tensor:
         if a.requires_grad:
             a._accumulate(g.reshape(a.shape), own=True)
 
-    return _make(values, (a,), backward_fn, "reshape")
+    return _make(values, (a,), backward_fn)
 
 
 def slice_cols(a, start: int, stop: int) -> Tensor:
@@ -324,7 +313,7 @@ def slice_cols(a, start: int, stop: int) -> Tensor:
             full[:, start:stop] = g
             a._accumulate(full, own=True)
 
-    return _make(a.values[:, start:stop].copy(), (a,), backward_fn, "slice_cols")
+    return _make(a.values[:, start:stop].copy(), (a,), backward_fn)
 
 
 def _sorted_row_sums(rows: np.ndarray, sorted_ids: np.ndarray, num_segments: int) -> np.ndarray:
@@ -349,7 +338,7 @@ def gather_rows(a, index) -> Tensor:
             perm = np.argsort(idx, kind="stable")
             a._accumulate(_sorted_row_sums(g[perm], idx[perm], a.shape[0]), own=True)
 
-    return _make(a.values[idx], (a,), backward_fn, "gather_rows")
+    return _make(a.values[idx], (a,), backward_fn)
 
 
 def segment_sum(a, segment_ids, num_segments: int) -> Tensor:
@@ -363,7 +352,7 @@ def segment_sum(a, segment_ids, num_segments: int) -> Tensor:
         if a.requires_grad:
             a._accumulate(g[seg], own=True)
 
-    return _make(values, (a,), backward_fn, "segment_sum")
+    return _make(values, (a,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +532,7 @@ def gat_attention(h, W, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor]
             W._accumulate(h.values.T @ dfeats, own=True)
 
     parents = (h, *a_center, *a_neighbor) if W is None else (h, W, *a_center, *a_neighbor)
-    return _make(values, parents, backward_fn, "gat_attention")
+    return _make(values, parents, backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +593,7 @@ def contrastive(z, anchors: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     def backward_fn(g):
         z._accumulate(g * grad, own=True)
 
-    return _make(values, (z,), backward_fn, "contrastive")
+    return _make(values, (z,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +659,7 @@ def sce(x_hat, x: np.ndarray, rows: np.ndarray, gamma: float) -> Tensor:
         grad += half
         x_hat._accumulate(grad, own=True)
 
-    return _make(values, (x_hat,), backward_fn, "sce")
+    return _make(values, (x_hat,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +675,7 @@ def leaky_relu(a, slope: float = 0.01) -> Tensor:
         if a.requires_grad:
             a._accumulate(g * np.where(positive, 1.0, slope), own=True)
 
-    return _make(values, (a,), backward_fn, "leaky_relu")
+    return _make(values, (a,), backward_fn)
 
 
 def elu(a) -> Tensor:
@@ -704,7 +693,7 @@ def elu(a) -> Tensor:
             np.copyto(deriv, 1.0, where=positive)
             a._accumulate(g * deriv, own=True)
 
-    return _make(values, (a,), backward_fn, "elu")
+    return _make(values, (a,), backward_fn)
 
 
 def l2_normalize_rows(a) -> Tensor:
@@ -720,7 +709,7 @@ def l2_normalize_rows(a) -> Tensor:
             dots = (g * a.values).sum(axis=-1, keepdims=True)
             a._accumulate(g / safe - a.values * dots / (safe ** 3), own=True)
 
-    return _make(values, (a,), backward_fn, "l2_normalize_rows")
+    return _make(values, (a,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +746,7 @@ def conv2d(x, w) -> Tensor:
             w_rot = w.values[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             x._accumulate(_conv_same(g, w_rot)[0], own=True)
 
-    return _make(values, (x, w), backward_fn, "conv2d")
+    return _make(values, (x, w), backward_fn)
 
 
 def maxpool2(x) -> Tensor:
@@ -786,7 +775,7 @@ def maxpool2(x) -> Tensor:
         gx[..., : 2 * hp, : 2 * wp] = g4.reshape(n, c, 2 * hp, 2 * wp)
         x._accumulate(gx, own=True)
 
-    return _make(values, (x,), backward_fn, "maxpool2")
+    return _make(values, (x,), backward_fn)
 
 
 # batch normalization's eps, for conv_block and the reference batch_norm
@@ -816,7 +805,7 @@ def batch_norm(x, gamma, beta) -> Tensor:
                     + xhat * (gxhat * xhat).sum(axis=axes, keepdims=True))
             x._accumulate(inv_std * (gxhat - term / m), own=True)
 
-    return _make(values, (x, gamma, beta), backward_fn, "batch_norm")
+    return _make(values, (x, gamma, beta), backward_fn)
 
 
 # Cells per block of conv_block: its largest buffers are the block's
@@ -1083,7 +1072,7 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None,
             if fc_b.requires_grad:
                 fc_b._accumulate(g.sum(axis=0), own=True)
 
-    return _make(values, (x, w, gamma, beta, *head), backward_fn, "conv_block")
+    return _make(values, (x, w, gamma, beta, *head), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -1138,7 +1127,6 @@ def backward(root: Tensor, seed: np.ndarray | None = None) -> None:
     root._accumulate(seed)
     for node in reversed(order):
         if node._backward_fn is not None and node.grad is not None:
-            _check_finite(node.grad, "backward")
             node._backward_fn(node.grad)
             # consumed: free it now rather than holding a gradient per
             # intermediate tensor until the next backward

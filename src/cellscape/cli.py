@@ -3,9 +3,7 @@
 Subcommands: preprocess, graph, train, segment, evaluate, analyze, simulate.
 All read one YAML config (``--config``) with flag overrides, each flag
 setting the config key that is its argparse dest (``--seed`` sets the
-seed); no environment variable sets a config key. The one variable read,
-``CELLSCAPE_DEBUG``, switches on the autodiff's non-finite check after every
-op and backward step (a non-finite value raises); it changes no output. Only ``preprocess``, ``graph``
+seed); no environment variable is read. Only ``preprocess``, ``graph``
 and ``train`` read input data. ``preprocess`` and ``train`` take
 ``--expression``, ``--coords`` and ``--format``; ``graph`` reads the
 coordinate file alone, so it takes only ``--coords``, and node i of its
@@ -369,7 +367,7 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RuntimeError, FloatingPointError) as exc:
+    except RuntimeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -58,8 +58,8 @@ class ModelConfig:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         self.cnn_channels = tuple(int(c) for c in self.cnn_channels)
-        if not self.cci_only and any(c <= 0 for c in self.cnn_channels):
-            raise ValueError("cnn_channels must be positive")
+        if not self.cci_only and (not self.cnn_channels or min(self.cnn_channels) <= 0):
+            raise ValueError("cnn_channels must be a non-empty list of positive ints")
         if self.hidden_dim % self.attention_heads:
             raise ValueError("hidden_dim must be divisible by attention_heads")
         if self.epochs < 0:

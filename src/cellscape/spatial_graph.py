@@ -179,13 +179,22 @@ def build_delaunay_graph(coords, prune_percentile: float) -> SpatialGraph:
 
 
 def prune_long_edges(g: SpatialGraph, percentile: float) -> SpatialGraph:
-    """Drop edges longer than the given percentile of edge lengths (hull artifacts)."""
+    """Drop edges longer than the given percentile of edge lengths (hull
+    artifacts), but never a cell's last edge: a cell whose every edge is over
+    the cutoff keeps its shortest one (the first in edge order on a tie)."""
     if not 0 < percentile <= 100:
         raise ValueError("percentile must be in (0, 100]")
     if g.n_edges == 0 or percentile == 100:
         return g
-    cutoff = np.percentile(g.weights, percentile)
-    keep = g.weights <= cutoff
+    keep = g.weights <= np.percentile(g.weights, percentile)
+    # each edge listed at both its ends (entry 2e and 2e + 1), sorted by
+    # cell and then length: a cell's first entry is its shortest edge
+    ends = g.edges.ravel()
+    order = np.lexsort((np.repeat(g.weights, 2), ends))
+    cells = ends[order]
+    first = order[np.r_[True, cells[1:] != cells[:-1]]]
+    stranded = np.bincount(g.edges[keep].ravel(), minlength=g.n_nodes)[ends[first]] == 0
+    keep[first[stranded] // 2] = True
     return SpatialGraph(g.n_nodes, g.edges[keep], g.weights[keep])
 
 

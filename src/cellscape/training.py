@@ -102,7 +102,8 @@ def _step(model: CellScapeModel, optimizer: AdamState, epoch: int, features: np.
     reconstruction gradient ``_loss_heads`` left on them. The autodiff
     graph is a local, freed on return. Neither input is copied: both
     encoders read the masked cells as zeros, and the decoder reconstructs
-    the masked rows alone.
+    the masked rows alone. A non-finite parameter gradient raises before
+    ``adam_step``, so no parameter changes.
 
     Returns the epoch's log record: the epoch, its learning rate, both
     losses, its wall time (``epoch_s``), the norm of each loss's gradient
@@ -136,6 +137,8 @@ def _step(model: CellScapeModel, optimizer: AdamState, epoch: int, features: np.
     grads = {}
     for name, p in model.params.items():
         grads[name], p.grad = p.grad, None
+        if not np.isfinite(grads[name]).all():
+            raise RuntimeError(f"non-finite gradient at epoch {epoch}: {name}")
     adam_step(optimizer, model.params, grads, lr=lr)
     return {
         "epoch": epoch, "lr": lr, "loss_recon": recon_val, "loss_contrastive": con_val,

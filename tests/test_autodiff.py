@@ -247,23 +247,6 @@ class TestConvPoolNorm:
                  [x, gamma, beta], tol=1e-5)
 
 
-class TestDebugChecks:
-    """CELLSCAPE_DEBUG's non-finite checks, switched on through ``ad._DEBUG``."""
-
-    def test_forward_names_the_op(self, monkeypatch):
-        monkeypatch.setattr(ad, "_DEBUG", True)
-        with np.errstate(divide="ignore"), pytest.raises(FloatingPointError, match="log"):
-            ad.log(ad.Tensor(0.0))
-
-    def test_backward_names_the_walk(self, monkeypatch):
-        monkeypatch.setattr(ad, "_DEBUG", True)
-        w = ad.Tensor(np.ones((2, 3)), requires_grad=True)
-        out = w * 2.0
-        with pytest.raises(FloatingPointError, match="backward"):
-            ad.backward(out, np.full((2, 3), np.nan))
-        assert w.grad is None
-
-
 class TestBackwardContract:
     def test_non_scalar_loss_rejected(self):
         w = ad.Tensor(np.ones((2, 2)), requires_grad=True)

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 import yaml
 
-from cellscape import pipeline
+from cellscape import pipeline, training
 from cellscape.cli import main
 from cellscape.config import PipelineConfig
 from cellscape.dataset import load_coords
@@ -90,6 +90,20 @@ def test_train_writes_and_reports_exactly_its_artifacts(tmp_path, capsys, cci_on
     assert {path.name for path in out.iterdir()} == expected
     reported = capsys.readouterr().out.splitlines()
     assert sorted(reported) == sorted(f"wrote {out / name}" for name in expected)
+
+
+def test_non_finite_gradient_exits_2(tmp_path, capsys, monkeypatch):
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert main(["simulate", "--output-dir", str(data), "--seed", "0",
+                 "--n-cells", "200", "--n-genes", "30"]) == 0
+    monkeypatch.setattr(training, "pcgrad", lambda dz: dz * float("nan"))
+    capsys.readouterr()
+    assert main(["train", "--output-dir", str(out), "--seed", "0", "--epochs", "1",
+                 "--expression", str(data / "expression.csv"),
+                 "--coords", str(data / "coords.csv")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "numerical failure: non-finite gradient at epoch 0: "), err
 
 
 def test_train_two_samples_segment_analyze(tmp_path, capsys):

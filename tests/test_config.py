@@ -161,6 +161,8 @@ BAD = [
     pytest.param([], {"model": {"cnn_channels": 4}}, ["model.cnn_channels"], id="cnn_channels-int"),
     pytest.param([], {"model": {"cnn_channels": [4, 8.5]}}, ["model.cnn_channels"],
                  id="cnn_channels-float-entry"),
+    pytest.param([], {"model": {"cnn_channels": []}}, ["model", "cnn_channels"],
+                 id="cnn_channels-empty"),
     pytest.param([], {"model": {"epochs": 1.5}}, ["model.epochs"], id="epochs-float"),
     pytest.param([], {"model": {"seed": 3}}, ["model", "seed"], id="model-seed"),
     pytest.param([], {"model": {"attention_slope": 0.3}}, ["model", "attention_slope"],

@@ -220,6 +220,20 @@ class TestDelaunay:
         assert pruned.n_edges < g.n_edges
         assert pruned.weights.max() <= np.percentile(g.weights, 90.0)
 
+    def test_pruning_keeps_a_stray_cells_shortest_edge(self):
+        # every edge of a cell moved far outside the tissue is over the cutoff
+        coords = np.random.default_rng(11).random((2, 1000))
+        coords[:, 0] = 5.0
+        full = build_delaunay_graph(coords, prune_percentile=100.0)
+        g = build_graph(coords, PipelineConfig())  # auto: Delaunay, pruned
+        touching = (full.edges == 0).any(axis=1)
+        assert full.weights[touching].min() > np.percentile(full.weights, 99.0)
+        shortest = tuple(full.edges[touching][np.argmin(full.weights[touching])])
+        assert [tuple(e) for e in g.edges if 0 in e] == [shortest]
+        kept = full.weights <= np.percentile(full.weights, 99.0)
+        assert g.n_edges == kept.sum() + 1
+        neighbor_arrays(g.directed_edges())
+
 
 class TestMergeAndNeighbors:
     def _tiny(self, n, edge_pairs):

@@ -1070,17 +1070,23 @@ class TestTaskStackedGradients:
         assert alive == [[False, False]]
         assert record["grad_norm_recon"] > 0.0 and record["grad_norm_contrastive"] > 0.0
 
-    @pytest.mark.parametrize("head", ["sce_loss", "contrastive_loss"])
-    def test_non_finite_loss_raises_before_any_update(self, monkeypatch, head):
+    @pytest.mark.parametrize("head, message", [
+        ("sce_loss", "non-finite loss at epoch 0: recon=nan"),
+        ("contrastive_loss", "non-finite loss at epoch 0: contrastive=nan"),
+        # a NaN merged gradient reaches every encoder parameter; the guard
+        # names the first
+        ("pcgrad", "non-finite gradient at epoch 0: encoder.0.W"),
+    ], ids=["sce_loss", "contrastive_loss", "pcgrad"])
+    def test_non_finite_loss_raises_before_any_update(self, monkeypatch, head, message):
         ds, graph, layout = toy_dataset(n=30, p=36, seed=26)
         cfg = ModelConfig(seed=26, **TOY_CFG)
         model, inputs = _step_inputs(ds, graph, layout, cfg)
         before = {name: p.values.copy() for name, p in model.params.items()}
-        # a leaf, not an op's output, so that CELLSCAPE_DEBUG's per-op check
-        # does not raise first
-        monkeypatch.setattr(training, head, lambda *args, **kwargs: Tensor(np.nan))
-        name = "recon" if head == "sce_loss" else "contrastive"
-        with pytest.raises(RuntimeError, match=f"non-finite loss at epoch 0: {name}=nan"):
+        if head == "pcgrad":
+            monkeypatch.setattr(training, head, lambda dz: dz * np.nan)
+        else:
+            monkeypatch.setattr(training, head, lambda *args, **kwargs: Tensor(np.nan))
+        with pytest.raises(RuntimeError, match=message):
             training._step(model, optim.AdamState(model.params, cfg.weight_decay), 0, *inputs)
         for key, values in before.items():
             np.testing.assert_array_equal(model.params[key].values, values, err_msg=key)
