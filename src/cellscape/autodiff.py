@@ -23,12 +23,15 @@ input by the layer's weight, then per-pair scores, the per-receiver
 softmax and the aggregation for every head run over the graph's CSR edge
 arrays, with the aggregation as a sparse product and the pair-score
 backward in blocks of a fixed number of entries, so no op holds an edges x
-features array. A hidden layer's ELU runs inside the op. It returns the
-layer output only and keeps, for the backward, only its attention weights,
-their scores' signs and the ELU's sign mask: the projection and each head's
-sparse matrix are built where a product needs them, in the forward and
-again in the backward. Like the CNN block, it reads the cells it is handed
-as masked as zero rows, so masking copies nothing.
+features array. The heads' centre and neighbour attention vectors are the
+columns of two (d, heads) tensors, each taking its gradient once. A hidden
+layer's ELU runs inside the op. It returns the layer output only and
+keeps, for the backward, only its attention weights, their scores' signs
+and the ELU's sign mask: the projection and each head's sparse matrix are
+built where a product needs them, in the forward and again in the
+backward. Like the CNN block, it reads the cells it is handed as masked as
+zero rows: it zeroes those rows of each projection it builds, so masking
+copies no input and needs no other special case.
 
 A CNN block is one fused op, ``conv_block``: a bias-free 3x3 convolution,
 batch normalization, leaky ReLU and 2x2 max pooling over cells in blocks of
@@ -381,23 +384,26 @@ def _masked_cells(masked, n: int, op: str) -> np.ndarray:
     return masked
 
 
-def gat_attention(h, W, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor], edges,
-                  slope: float, average: bool, masked=None, apply_elu: bool = False) -> Tensor:
+def gat_attention(h, W, a_center: Tensor, a_neighbor: Tensor, edges, slope: float,
+                  average: bool, masked=None, apply_elu: bool = False) -> Tensor:
     """Multi-head graph attention (Velickovic et al. 2018) of the layer
     input ``h`` (n, f) projected by ``W`` (f, heads * d), all heads in one
     op; with ``W`` None, ``h`` is itself the (n, heads * d) projection (the
-    decoder attends in the embedding space).
+    decoder attends in the embedding space). ``a_center`` and
+    ``a_neighbor`` are (d, heads), column k being head k's vector.
 
     ``edges`` holds the attention pairs in CSR order: ``dst`` and ``src``
     arrays sorted by receiver and row pointers ``indptr`` with every row
     non-empty (``spatial_graph.DirectedEdges``). With ``hw = h @ W``, head
-    ``k`` scores pair (i <- j) as leaky_relu(hw_k[i] . a_center[k] +
-    hw_k[j] . a_neighbor[k]), softmax-normalizes the scores per receiver and
-    aggregates sum_j alpha_ij hw_k[j] as one sparse product. Heads are
+    ``k`` scores pair (i <- j) as leaky_relu(hw_k[i] . a_center[:, k] +
+    hw_k[j] . a_neighbor[:, k]), softmax-normalizes the scores per receiver
+    and aggregates sum_j alpha_ij hw_k[j] as one sparse product. Heads are
     concatenated, or averaged when ``average`` is set; ``apply_elu`` then
-    applies an ELU (alpha = 1), as a hidden layer does. The rows of ``hw``
-    indexed by ``masked`` read as zeros (their input gradient is zero), so
-    training masks the projection without copying it.
+    applies an ELU (alpha = 1), as a hidden layer does. The op zeroes the
+    rows of ``hw`` indexed by ``masked`` wherever it computes ``hw``, so
+    training masks the projection without copying the input: a zero row
+    scores 0, sends 0 and adds 0 to each attention vector's gradient, and
+    its input gradient is zero.
 
     The forward keeps only its output, the (E, heads) attention weights and
     their scores' signs for the backward, plus the ELU's sign mask; each
@@ -410,31 +416,29 @@ def gat_attention(h, W, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor]
     """
     h = as_tensor(h)
     W = None if W is None else as_tensor(W)
-    heads = len(a_center)
+    d, heads = a_center.shape
+    n = h.shape[0]
+    width = heads * d
+    masked = _masked_cells(masked, n, "gat_attention")
 
     def project() -> np.ndarray:
-        return h.values if W is None else h.values @ W.values
+        feats = h.values if W is None else h.values @ W.values
+        if masked.size:
+            if W is None:
+                feats = feats.copy()          # h's own values are not the op's to zero
+            feats[masked] = 0.0
+        return feats.reshape(n, heads, d)
 
     feats = project()
-    n, width = feats.shape
-    d = width // heads
-    feats = feats.reshape(n, heads, d)
-    masked = _masked_cells(masked, n, "gat_attention")
     dst, src, indptr = edges.dst, edges.src, edges.indptr
     starts = indptr[:-1]
-    ac = np.stack([a.values.reshape(d) for a in a_center])
-    an = np.stack([a.values.reshape(d) for a in a_neighbor])
-    # pairs whose sender is masked: its zero row adds nothing to the aggregate
-    silent = None
-    if masked.size:
-        silent = np.zeros(n, dtype=bool)
-        silent[masked] = True
-        silent = silent[src]
+    # (heads, d), row k being head k's vector; C-contiguous, because the
+    # score einsums' summation order, and so their rounding, follows the layout
+    ac = np.ascontiguousarray(a_center.values.T)
+    an = np.ascontiguousarray(a_neighbor.values.T)
 
     center = np.einsum("nhd,hd->nh", feats, ac)
     neighbor = np.einsum("nhd,hd->nh", feats, an)
-    center[masked] = 0.0
-    neighbor[masked] = 0.0
     raw = center[dst] + neighbor[src]                            # (E, heads)
     positive = raw > 0
     scores = np.where(positive, raw, slope * raw)
@@ -444,10 +448,7 @@ def gat_attention(h, W, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor]
 
     def adjacency(k):
         # head k's (n, n) attention matrix, receivers by senders
-        weights = np.array(alpha[:, k])
-        if silent is not None:
-            weights[silent] = 0.0
-        return csr_matrix((weights, src, indptr), shape=(n, n))
+        return csr_matrix((np.array(alpha[:, k]), src, indptr), shape=(n, n))
 
     outs = [adjacency(k) @ feats[:, k] for k in range(heads)]
     del feats
@@ -476,7 +477,7 @@ def gat_attention(h, W, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor]
             del deriv
         # (n, heads, d), or (n, 1, d) shared by all heads when averaged
         grads = (g * (1.0 / heads) if average else g).reshape(n, -1, d)
-        feats = project().reshape(n, heads, d)
+        feats = project()
         # d loss / d alpha for every pair: <g_k[dst], hw_k[src]>, by blocks of edges
         # (one pair of gather buffers, reused by every block)
         step = max(1, _EDGE_ENTRIES // (width + grads.shape[1] * d))
@@ -489,8 +490,6 @@ def gat_attention(h, W, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor]
             np.take(grads, dst[lo:hi], axis=0, out=receivers[:hi - lo], mode="clip")
             np.einsum("ehd,ehd->eh", receivers[:hi - lo], senders[:hi - lo], out=dscores[lo:hi])
         del senders, receivers
-        if silent is not None:
-            dscores[silent] = 0.0
         # softmax, then leaky-ReLU backward, in place; the segment maximum cancels
         dscores *= alpha
         spread = np.add.reduceat(dscores, starts, axis=0)[dst]          # (E, heads)
@@ -502,13 +501,10 @@ def gat_attention(h, W, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor]
         dneighbor = np.array([np.bincount(src, weights=dscores[:, k], minlength=n)
                               for k in range(heads)]).T
         del dscores                          # only the per-cell sums are read from here on
-        # a masked row reads as zero, so it neither scores nor takes a gradient
-        dcenter[masked] = 0.0
-        dneighbor[masked] = 0.0
-        for params, dscore in ((a_center, dcenter), (a_neighbor, dneighbor)):
-            for k, a in enumerate(params):
-                if a.requires_grad:
-                    a._accumulate((feats[:, k].T @ dscore[:, k]).reshape(d, 1), own=True)
+        for a, dscore in ((a_center, dcenter), (a_neighbor, dneighbor)):
+            if a.requires_grad:
+                a._accumulate(np.stack([feats[:, k].T @ dscore[:, k] for k in range(heads)],
+                                       axis=1), own=True)
         # the projection is read no more: its gradient is built without it
         del feats
         weight_grad = W is not None and W.requires_grad
@@ -531,7 +527,7 @@ def gat_attention(h, W, a_center: Sequence[Tensor], a_neighbor: Sequence[Tensor]
         if weight_grad:
             W._accumulate(h.values.T @ dfeats, own=True)
 
-    parents = (h, *a_center, *a_neighbor) if W is None else (h, W, *a_center, *a_neighbor)
+    parents = (h, a_center, a_neighbor) if W is None else (h, W, a_center, a_neighbor)
     return _make(values, parents, backward_fn)
 
 

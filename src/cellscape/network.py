@@ -8,15 +8,14 @@ neither the projection nor the pre-ELU output, and the CNN's last block
 (``conv_block``) applies the linear head itself, so its backward builds no
 full gradient of the pooled maps.
 
-Masking costs no copy of the inputs or of what the model computes from
-them: the first GAT layer reads the masked cells' rows of its (n, width)
-projection as zeros (``gat_attention``'s ``masked``), which is what a zeroed
-feature row would give, and the CNN reads their maps as zeros
-(``conv_block``'s ``masked``). The model is its parameters: training and
-embedding run the same forward pass, and the CNN normalizes by the
-statistics of the cells it encodes. The decoder attends in the embedding
-space and projects onto the genes only the rows the reconstruction loss
-reads, so no (n, genes) array is built in training."""
+Masking costs no copy of the inputs: the first GAT layer zeroes the masked
+cells' rows of the (n, width) projection it computes (``gat_attention``'s
+``masked``), which is what a zeroed feature row would give, and the CNN
+reads their maps as zeros (``conv_block``'s ``masked``). The model is its
+parameters: training and embedding run the same forward pass, and the CNN
+normalizes by the statistics of the cells it encodes. The decoder attends
+in the embedding space and projects onto the genes only the rows the
+reconstruction loss reads, so no (n, genes) array is built in training."""
 
 from __future__ import annotations
 
@@ -92,13 +91,12 @@ class CellScapeModel:
             out_dim = cfg.embed_dim if final else head_dim
             width = cfg.attention_heads * out_dim
             self.params[f"encoder.{layer}.W"] = _glorot(rng, (in_dim, width), in_dim, width)
-            for head in range(cfg.attention_heads):
-                self.params[f"encoder.{layer}.{head}.a_center"] = _glorot(
-                    rng, (out_dim, 1), out_dim, 1
-                )
-                self.params[f"encoder.{layer}.{head}.a_neighbor"] = _glorot(
-                    rng, (out_dim, 1), out_dim, 1
-                )
+            # head by head, its centre vector and then its neighbour vector,
+            # each a (d, 1) draw; column k of each (d, heads) tensor is head k
+            pairs = _glorot(rng, (cfg.attention_heads, 2, out_dim), out_dim, 1).values
+            for i, role in enumerate(("a_center", "a_neighbor")):
+                self.params[f"encoder.{layer}.{role}"] = Tensor(pairs[:, i].T.copy(),
+                                                                requires_grad=True)
             in_dim = out_dim if final else width
 
         if not cfg.cci_only:
@@ -136,22 +134,22 @@ class CellScapeModel:
     def encode_spatial(self, features: np.ndarray, edges: DirectedEdges,
                        masked: np.ndarray | None = None) -> Tensor:
         """GAT stack over the (n, p) features; the cells indexed by
-        ``masked`` read as all-zero feature rows. Each layer is one
+        ``masked`` read as all-zero feature rows, because the first layer
+        zeroes their rows of its projection. Each layer is one
         ``gat_attention`` op: it projects by its ``W`` and attends over the
-        graph's directed edges (self-loops included); hidden layers
-        concatenate their heads and apply an ELU, the final layer averages
-        them. No layer's projection or pre-ELU output is kept for the
-        backward, which computes the projection again."""
+        graph's directed edges (self-loops included) with its (d, heads)
+        ``a_center`` and ``a_neighbor``, column k being head k's vector;
+        hidden layers concatenate their heads and apply an ELU, the final
+        layer averages them. No layer's projection or pre-ELU output is kept
+        for the backward, which computes the projection again."""
         cfg = self.cfg
         h = Tensor(features)
         for layer in range(cfg.gat_layers):
             final = layer == cfg.gat_layers - 1
             h = ad.gat_attention(
-                h, self.params[f"encoder.{layer}.W"],
-                [self.params[f"encoder.{layer}.{k}.a_center"] for k in range(cfg.attention_heads)],
-                [self.params[f"encoder.{layer}.{k}.a_neighbor"] for k in range(cfg.attention_heads)],
-                edges, ATTENTION_SLOPE, average=final, masked=masked if layer == 0 else None,
-                apply_elu=not final,
+                h, self.params[f"encoder.{layer}.W"], self.params[f"encoder.{layer}.a_center"],
+                self.params[f"encoder.{layer}.a_neighbor"], edges, ATTENTION_SLOPE,
+                average=final, masked=masked if layer == 0 else None, apply_elu=not final,
             )
         return h
 
@@ -202,9 +200,8 @@ class CellScapeModel:
         """
         W = self.params["decoder.W"]
         attended = ad.gat_attention(
-            z, None,
-            [ad.matmul(W, self.params["decoder.0.a_center"])],
-            [ad.matmul(W, self.params["decoder.0.a_neighbor"])],
-            edges, ATTENTION_SLOPE, average=True,
+            z, None, ad.matmul(W, self.params["decoder.0.a_center"]),
+            ad.matmul(W, self.params["decoder.0.a_neighbor"]), edges, ATTENTION_SLOPE,
+            average=True,
         )
         return ad.matmul(ad.gather_rows(attended, rows), W)

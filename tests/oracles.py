@@ -44,16 +44,16 @@ def finite_difference_grads(loss_fn, params, h: float = 1e-5):
     grads = []
     for p in params:
         g = np.zeros_like(p)
-        flat = p.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
+        # by index, not through p.reshape(-1): that is a copy, not p, when
+        # p is not C-contiguous (a transpose), and the steps would miss p
+        for i in np.ndindex(p.shape):
+            orig = p[i]
+            p[i] = orig + h
             up = loss_fn()
-            flat[i] = orig - h
+            p[i] = orig - h
             down = loss_fn()
-            flat[i] = orig
-            gflat[i] = (up - down) / (2.0 * h)
+            p[i] = orig
+            g[i] = (up - down) / (2.0 * h)
         grads.append(g)
     return grads
 
@@ -63,16 +63,17 @@ def composite_gat_layer(h, dst, src, n: int, W, a_center, a_neighbor, head_dim: 
     """Multi-head graph attention head by head, from generic autodiff ops.
 
     ``dst``/``src`` list each attention pair (receiver, sender) including
-    self-loops; softmax normalizes per receiver. Heads are concatenated, or
-    averaged when ``average`` is set.
+    self-loops; softmax normalizes per receiver. ``a_center`` and
+    ``a_neighbor`` are (head_dim, heads), column k being head k's vector.
+    Heads are concatenated, or averaged when ``average`` is set.
     """
-    heads = len(a_center)
+    heads = a_center.shape[1]
     hw = ad.matmul(h, W)
     outputs = []
     for head in range(heads):
         part = ad.slice_cols(hw, head * head_dim, (head + 1) * head_dim)
-        score_c = ad.matmul(part, a_center[head])
-        score_n = ad.matmul(part, a_neighbor[head])
+        score_c = ad.matmul(part, ad.slice_cols(a_center, head, head + 1))
+        score_n = ad.matmul(part, ad.slice_cols(a_neighbor, head, head + 1))
         e = ad.leaky_relu(
             ad.gather_rows(score_c, dst) + ad.gather_rows(score_n, src), slope
         )
@@ -99,8 +100,8 @@ def gene_space_decoder(model, z, edges, rows):
     by ``decoder.W``, attend over that (n, genes) array with the decoder's
     one head, then take the rows the reconstruction loss reads."""
     full = ad.gat_attention(ad.matmul(z, model.params["decoder.W"]), None,
-                            [model.params["decoder.0.a_center"]],
-                            [model.params["decoder.0.a_neighbor"]],
+                            model.params["decoder.0.a_center"],
+                            model.params["decoder.0.a_neighbor"],
                             edges, ATTENTION_SLOPE, average=True)
     return ad.gather_rows(full, rows)
 

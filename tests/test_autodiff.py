@@ -125,26 +125,25 @@ class TestNonlinearities:
     def test_gat_attention_keeps_only_weights_and_signs(self, masked):
         # each head's sparse matrix is built where a product needs it, so
         # the forward keeps only its output, the (E, heads) attention weights
-        # and their scores' signs, besides the stacked attention vectors and
-        # a few hundred bytes of objects a node holds; handed a mask, also
-        # the masked cells and a flag per pair for a masked sender. Each
-        # head's sparse matrix would add 12 bytes a pair.
+        # and their scores' signs, besides the (heads, d) attention vectors
+        # and a few hundred bytes of objects a node holds; handed a mask,
+        # also the masked cells, whose projection rows it zeroes where it
+        # builds them. Each head's sparse matrix would add 12 bytes a pair.
         n, heads, d = 400, 4, 16
         edges = build_knn_graph(RNG.random((2, n)), k=6).directed_edges()
         hw = ad.Tensor(RNG.standard_normal((n, heads * d)), requires_grad=True)
-        vectors = [ad.Tensor(RNG.standard_normal((d, 1)), requires_grad=True)
-                   for _ in range(2 * heads)]
+        a_c, a_n = (ad.Tensor(np.ascontiguousarray(v.T), requires_grad=True)
+                    for v in RNG.standard_normal((2, heads, d)))
         cells = np.arange(0, n, 3) if masked else None
         # a first call fills numpy's and scipy's lazy caches
-        ad.gat_attention(hw, None, vectors[:heads], vectors[heads:], edges, 0.2, False,
-                         masked=cells)
+        ad.gat_attention(hw, None, a_c, a_n, edges, 0.2, False, masked=cells)
         out, held = _held_after(lambda: ad.gat_attention(
-            hw, None, vectors[:heads], vectors[heads:], edges, 0.2, False, masked=cells))
+            hw, None, a_c, a_n, edges, 0.2, False, masked=cells))
         pairs = edges.dst.size
         # float64 output, weights and vectors, bool signs
         kept = out.values.nbytes + pairs * heads * 9 + 2 * heads * d * 8
         if masked:
-            kept += cells.nbytes + pairs
+            kept += cells.nbytes
         assert held < kept + 8192, (held, kept)
 
     def test_gat_attention_keeps_no_projection_or_pre_activation(self):
@@ -157,21 +156,21 @@ class TestNonlinearities:
         edges = build_knn_graph(RNG.random((2, n)), k=6).directed_edges()
         h = ad.Tensor(RNG.standard_normal((n, f)), requires_grad=True)
         W = ad.Tensor(RNG.standard_normal((f, heads * d)), requires_grad=True)
-        vectors = [ad.Tensor(RNG.standard_normal((d, 1)), requires_grad=True)
-                   for _ in range(2 * heads)]
+        a_c, a_n = (ad.Tensor(np.ascontiguousarray(v.T), requires_grad=True)
+                    for v in RNG.standard_normal((2, heads, d)))
         cells = np.arange(0, n, 3)
 
         def attend():
-            return ad.gat_attention(h, W, vectors[:heads], vectors[heads:], edges, 0.2, False,
-                                    masked=cells, apply_elu=True)
+            return ad.gat_attention(h, W, a_c, a_n, edges, 0.2, False, masked=cells,
+                                    apply_elu=True)
 
         attend()                  # a first call fills numpy's and scipy's lazy caches
         out, held = _held_after(attend)
         pairs = edges.dst.size
-        # float64 output, weights and vectors, bool signs and ELU mask, the
-        # masked cells and a flag per pair for a masked sender
+        # float64 output, weights and vectors, bool signs and ELU mask, and
+        # the masked cells
         kept = (out.values.nbytes + out.size + pairs * heads * 9 + 2 * heads * d * 8
-                + cells.nbytes + pairs)
+                + cells.nbytes)
         assert held < kept + 8192, (held, kept)
 
     def test_sce_keeps_only_row_scalars(self):

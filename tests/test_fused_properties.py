@@ -10,7 +10,9 @@ graphs often give, and what is left of it is rounding noise.
 ``gat_attention`` is drawn over cell counts, head counts and widths,
 concatenated or averaged heads, graphs with a cell that has no edge and a
 pair of coordinate twins, and masked cells, handed to the op as ``masked``
-(a training step's form) or as zero feature rows (the composite's form). ``contrastive_loss``
+(a training step's form) or as zero feature rows (the composite's form).
+Two fixed examples hand it every cell masked, and a receiver whose every
+sender is masked. ``contrastive_loss``
 is drawn over cell counts, widths and temperatures, graphs with coordinate
 twins, and anchor sets of a single cell, of some cells and of every cell.
 ``sce_loss`` is drawn over exponents from 0.25 to 4, widths and masked
@@ -22,7 +24,7 @@ path) and clamped pairs, whose 1 - cos is 0 exactly and whose gradient is
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cellscape import autodiff as ad
@@ -48,32 +50,42 @@ def _assert_match(got_list, want_list):
 @given(n=st.integers(4, 24), k=st.integers(1, 4), heads=st.integers(1, 3),
        head_dim=st.integers(1, 4), average=st.booleans(), mask=MASKS,
        pass_mask=st.booleans(), seed=st.integers(0, 2**32 - 1))
+# every cell masked: every projection row is zero
+@example(n=9, k=3, heads=2, head_dim=3, average=False, mask="all", pass_mask=True, seed=3)
+# cell 0 and every cell it receives from masked, so one receiver's every
+# sender is masked while the other receivers keep unmasked senders
+@example(n=12, k=3, heads=3, head_dim=2, average=True, mask="senders of cell 0",
+         pass_mask=True, seed=4)
 def test_gat_attention_matches_composite(n, k, heads, head_dim, average, mask, pass_mask,
                                          seed):
     rng = np.random.default_rng(seed)
     edges = _graph(n, k, rng).directed_edges()
+    # the attention vectors are (head_dim, heads), column k being head k's
     arrays = [rng.standard_normal((n, 3)), rng.standard_normal((3, heads * head_dim)),
-              *(rng.standard_normal((head_dim, 1)) for _ in range(2 * heads))]
+              *(rng.standard_normal((heads, head_dim)).T for _ in range(2))]
     weights = rng.standard_normal((n, head_dim if average else heads * head_dim))
-    masked = _masked(mask, n, rng)
+    if mask == "senders of cell 0":
+        masked = edges.src[edges.indptr[0]:edges.indptr[1]]
+        assert 0 in masked and masked.size < n - 1
+    else:
+        masked = _masked(mask, n, rng)
     keep = np.ones((n, 1))
     keep[masked] = 0.0
 
     def run(fused):
-        h, W, *vectors = (Tensor(a, requires_grad=True) for a in arrays)
+        h, W, a_c, a_n = (Tensor(a, requires_grad=True) for a in arrays)
         if not fused:
-            out = composite_gat_layer(h * keep, edges.dst, edges.src, n, W, vectors[:heads],
-                                      vectors[heads:], head_dim, ATTENTION_SLOPE, average)
+            out = composite_gat_layer(h * keep, edges.dst, edges.src, n, W, a_c, a_n, head_dim,
+                                      ATTENTION_SLOPE, average)
         elif pass_mask:
             # handed the mask, as a training step hands it, the op reads the
             # masked rows of the projection as zeros
-            out = ad.gat_attention(h, W, vectors[:heads], vectors[heads:], edges,
-                                   ATTENTION_SLOPE, average, masked=masked)
+            out = ad.gat_attention(h, W, a_c, a_n, edges, ATTENTION_SLOPE, average,
+                                   masked=masked)
         else:
-            out = ad.gat_attention(h * keep, W, vectors[:heads], vectors[heads:], edges,
-                                   ATTENTION_SLOPE, average)
+            out = ad.gat_attention(h * keep, W, a_c, a_n, edges, ATTENTION_SLOPE, average)
         ad.backward(ad.tensor_sum(out * weights))
-        return [out.values, h.grad, W.grad, *(v.grad for v in vectors)]
+        return [out.values, h.grad, W.grad, a_c.grad, a_n.grad]
 
     fused = run(fused=True)
     # a masked row takes a zero input gradient

@@ -89,12 +89,12 @@ class TestGatLayer:
         W = np.zeros((6, 8))                  # two heads of width 4
         W[:5, [0, 1, 2, 4, 5, 6]] = rng.standard_normal((5, 6))
         W[5, [3, 7]] = 1.0
-        a_c = rng.standard_normal((2, 4, 1))
-        a_n = rng.standard_normal((2, 4, 1))
-        a_c[:, 3] = a_n[:, 3] = 0.0
+        a_c = rng.standard_normal((2, 4)).T      # column k is head k's vector
+        a_n = rng.standard_normal((2, 4)).T
+        a_c[3] = a_n[3] = 0.0
         for average in (True, False):
-            out = gat_layer(Tensor(h), g.directed_edges(), Tensor(W),
-                            [Tensor(a) for a in a_c], [Tensor(a) for a in a_n], 0.2, average)
+            out = gat_layer(Tensor(h), g.directed_edges(), Tensor(W), Tensor(a_c), Tensor(a_n),
+                            0.2, average)
             sums = out.values[:, 3::4]
             np.testing.assert_allclose(sums, 1.0, atol=1e-12)
             assert np.ptp(out.values[:, :3]) > 0.1  # the other columns do vary
@@ -104,8 +104,8 @@ class TestGatLayer:
         g = self._path_graph()
         rng = np.random.default_rng(1)
         W = rng.standard_normal((4, 3))
-        a_c = [Tensor(rng.standard_normal((3, 1)))]
-        a_n = [Tensor(rng.standard_normal((3, 1)))]
+        a_c = Tensor(rng.standard_normal((3, 1)))
+        a_n = Tensor(rng.standard_normal((3, 1)))
         row = rng.standard_normal(4)
         out = gat_layer(Tensor(np.tile(row, (3, 1))), g.directed_edges(), Tensor(W), a_c, a_n,
                         0.2, True)
@@ -117,13 +117,48 @@ class TestGatLayer:
         out = gat_layer(
             Tensor(np.array([[0.0], [1.0], [2.0]])), g.directed_edges(),
             Tensor(np.array([[1.0]])),
-            [Tensor(np.array([[1.0]]))],
-            [Tensor(np.array([[1.0]]))],
+            Tensor(np.array([[1.0]])),
+            Tensor(np.array([[1.0]])),
             0.2, average=True,
         )
         e = np.exp(1.0)
         expected = (e**2 + 2 * e**3) / (e + e**2 + e**3)
         assert out.values[1, 0] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 3001])
+def test_attention_columns_keep_the_per_head_draw_order(seed):
+    # column k of a layer's (d, heads) attention tensors is the (d, 1)
+    # Glorot draw that head k's own vectors took: the layer's W, then head by
+    # head its centre vector and its neighbour vector. Drawing each tensor as
+    # one (d, heads) block would move every seeded output.
+    cfg = ModelConfig(seed=seed)
+    n_genes, q = 100, 10
+    model = CellScapeModel(n_genes, q, cfg)
+    assert len(model.params) == 15
+    rng = np.random.default_rng(seed)
+
+    def draw(shape, fan_in, fan_out):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, shape)
+
+    in_dim, heads = n_genes, cfg.attention_heads
+    for layer in range(cfg.gat_layers):
+        final = layer == cfg.gat_layers - 1
+        d = cfg.embed_dim if final else cfg.hidden_dim // heads
+        width = heads * d
+        np.testing.assert_array_equal(model.params[f"encoder.{layer}.W"].values,
+                                      draw((in_dim, width), in_dim, width))
+        for role in ("a_center", "a_neighbor"):
+            assert model.params[f"encoder.{layer}.{role}"].shape == (d, heads)
+        for k in range(heads):
+            for role in ("a_center", "a_neighbor"):
+                np.testing.assert_array_equal(
+                    model.params[f"encoder.{layer}.{role}"].values[:, k:k + 1],
+                    draw((d, 1), d, 1), err_msg=f"layer {layer} head {k} {role}")
+        in_dim = d if final else width
+    # the draws after the encoder start where they did
+    np.testing.assert_array_equal(model.params["cnn.0.w"].values, draw((4, 1, 3, 3), 9, 36))
 
 
 def _attention_graph(kind: str) -> SpatialGraph:
@@ -149,29 +184,25 @@ def _attention_graph(kind: str) -> SpatialGraph:
 
 def _attention_inputs(n, heads, head_dim, seed, in_dim=5):
     rng = np.random.default_rng(seed)
+    # the attention vectors are (head_dim, heads), column k being head k's
     return (rng.standard_normal((n, in_dim)),
             rng.standard_normal((in_dim, heads * head_dim)),
-            [rng.standard_normal((head_dim, 1)) for _ in range(heads)],
-            [rng.standard_normal((head_dim, 1)) for _ in range(heads)])
+            rng.standard_normal((heads, head_dim)).T,
+            rng.standard_normal((heads, head_dim)).T)
 
 
 def _attention_pass(layer, graph, arrays, average, weights):
     """Value of ``layer`` and the gradients of sum(out * weights) with
-    respect to h, W and every attention vector."""
-    h, W, a_c, a_n = arrays
-    h = Tensor(h.copy(), requires_grad=True)
-    W = Tensor(W.copy(), requires_grad=True)
-    a_c = [Tensor(a.copy(), requires_grad=True) for a in a_c]
-    a_n = [Tensor(a.copy(), requires_grad=True) for a in a_n]
+    respect to h, W and both attention tensors."""
+    h, W, a_c, a_n = (Tensor(a.copy(), requires_grad=True) for a in arrays)
     if layer == "fused":
         out = gat_layer(h, graph.directed_edges(), W, a_c, a_n, 0.2, average)
     else:
         edges = graph.directed_edges()
         out = composite_gat_layer(h, edges.dst, edges.src, graph.n_nodes, W, a_c, a_n,
-                                  a_c[0].shape[0], 0.2, average)
+                                  a_c.shape[0], 0.2, average)
     ad.backward(ad.tensor_sum(out * weights))
-    return [out.values, h.grad, W.grad, *(a.grad for a in a_c),
-            *(a.grad for a in a_n)]
+    return [out.values, h.grad, W.grad, a_c.grad, a_n.grad]
 
 
 class TestGatAttentionOracle:
@@ -206,9 +237,7 @@ class TestGatAttentionOracle:
         weights = np.random.default_rng(13).standard_normal((n, 3 if average else 6))
 
         def run(fused):
-            h, W = (Tensor(a.copy(), requires_grad=True) for a in arrays[:2])
-            a_c, a_n = ([Tensor(a.copy(), requires_grad=True) for a in vectors]
-                        for vectors in arrays[2:])
+            h, W, a_c, a_n = (Tensor(a.copy(), requires_grad=True) for a in arrays)
             if fused:
                 out = ad.gat_attention(h, W, a_c, a_n, edges, 0.2, average, masked=cells,
                                        apply_elu=True)
@@ -216,7 +245,7 @@ class TestGatAttentionOracle:
                 out = ad.elu(ad.gat_attention(ad.matmul(h, W), None, a_c, a_n, edges, 0.2,
                                               average, masked=cells))
             ad.backward(ad.tensor_sum(out * weights))
-            return [out.values, h.grad, W.grad, *(a.grad for a in a_c + a_n)]
+            return [out.values, h.grad, W.grad, a_c.grad, a_n.grad]
 
         fused = run(fused=True)
         if masked:
@@ -232,12 +261,12 @@ class TestGatAttentionOracle:
         edges = graph.directed_edges()
 
         def loss():
-            out = gat_layer(Tensor(h), edges, Tensor(W), [Tensor(a) for a in a_c],
-                            [Tensor(a) for a in a_n], 0.2, average)
+            out = gat_layer(Tensor(h), edges, Tensor(W), Tensor(a_c), Tensor(a_n), 0.2,
+                            average)
             return float((out.values * weights).sum())
 
         analytic = _attention_pass("fused", graph, arrays, average, weights)[1:]
-        numeric = finite_difference_grads(loss, [h, W, *a_c, *a_n], h=1e-5)
+        numeric = finite_difference_grads(loss, [h, W, a_c, a_n], h=1e-5)
         for got, want in zip(analytic, numeric):
             assert relative_error(got, want) < 1e-7
 
@@ -251,8 +280,8 @@ class TestGatAttentionOracle:
         n, width = graph.n_nodes, 64
         rng = np.random.default_rng(4)
         W = Tensor(rng.standard_normal((8, width)), requires_grad=True)
-        a_c = [Tensor(rng.standard_normal((width, 1)), requires_grad=True)]
-        a_n = [Tensor(rng.standard_normal((width, 1)), requires_grad=True)]
+        a_c = Tensor(rng.standard_normal((width, 1)), requires_grad=True)
+        a_n = Tensor(rng.standard_normal((width, 1)), requires_grad=True)
         out = gat_layer(Tensor(rng.standard_normal((n, 8))), edges, W, a_c, a_n, 0.2, True)
         loss = ad.tensor_sum(out * rng.standard_normal((n, width)))
         edge_by_width = edges.dst.size * width * 8

@@ -63,12 +63,11 @@ def _attention_case(rng, average):
     edges = _graph(8, 3, rng).directed_edges()
     heads, d = 2, 3
 
-    def attend(hw, *vectors):
-        return ad.gat_attention(hw, None, vectors[:heads], vectors[heads:], edges,
-                                ATTENTION_SLOPE, average)
+    def attend(hw, a_c, a_n):
+        return ad.gat_attention(hw, None, a_c, a_n, edges, ATTENTION_SLOPE, average)
 
     return attend, [rng.standard_normal((8, heads * d)),
-                    *(rng.standard_normal((d, 1)) for _ in range(2 * heads))]
+                    *(rng.standard_normal((heads, d)).T for _ in range(2))]
 
 
 def _projected_attention_case(rng):
@@ -79,12 +78,12 @@ def _projected_attention_case(rng):
     edges = _graph(10, 4, rng).directed_edges()
     heads, d = 2, 3
 
-    def attend(h, W, *vectors):
-        return ad.gat_attention(h, W, vectors[:heads], vectors[heads:], edges, ATTENTION_SLOPE,
-                                False, masked=[1, 4], apply_elu=True)
+    def attend(h, W, a_c, a_n):
+        return ad.gat_attention(h, W, a_c, a_n, edges, ATTENTION_SLOPE, False, masked=[1, 4],
+                                apply_elu=True)
 
     return attend, [rng.standard_normal((10, 5)), rng.standard_normal((5, heads * d)),
-                    *(rng.standard_normal((d, 1)) for _ in range(2 * heads))]
+                    *(rng.standard_normal((heads, d)).T for _ in range(2))]
 
 
 def _sce_case(rng):
@@ -229,16 +228,16 @@ def test_gat_attention_tasks_match_single_task_backward(n, k, heads, head_dim, a
     edges = _graph(n, k, rng).directed_edges()
     h = rng.standard_normal((n, 3))
     arrays = [rng.standard_normal((3, heads * head_dim)),
-              *(rng.standard_normal((head_dim, 1)) for _ in range(2 * heads))]
+              *(rng.standard_normal((heads, head_dim)).T for _ in range(2))]
     # masked cells read as zero rows of the projection, as the encoder masks them
     masked = _masked(mask, n, rng)
 
     def forward():
         x = Tensor(h, requires_grad=True)
-        W, *vectors = (Tensor(a, requires_grad=True) for a in arrays)
-        out = ad.gat_attention(x, W, vectors[:heads], vectors[heads:], edges, ATTENTION_SLOPE,
-                               average, masked=masked, apply_elu=apply_elu)
-        return out, (x, W, *vectors)
+        W, a_c, a_n = (Tensor(a, requires_grad=True) for a in arrays)
+        out = ad.gat_attention(x, W, a_c, a_n, edges, ATTENTION_SLOPE, average, masked=masked,
+                               apply_elu=apply_elu)
+        return out, (x, W, a_c, a_n)
 
     width = head_dim if average else heads * head_dim
     _assert_tasks_match(forward, rng.standard_normal((2, n, width)))
