@@ -29,26 +29,24 @@ layer's ELU runs inside the op. It returns the layer output only and
 keeps, for the backward, only its attention weights, their scores' signs
 and the ELU's sign mask: the projection and each head's sparse matrix are
 built where a product needs them, in the forward and again in the
-backward. Like the CNN block, it reads the cells it is handed as masked as
+backward. Like the CNN, it reads the cells it is handed as masked as
 zero rows: it zeroes those rows of each projection it builds, so masking
 copies no input and needs no other special case.
 
-A CNN block is one fused op, ``conv_block``: a bias-free 3x3 convolution,
-batch normalization, leaky ReLU and 2x2 max pooling over cells in blocks of
-``_cell_blocks``, so no op holds an N*H*W x channels array; the last block
-also applies the linear head. Its batch norm always uses the exact
-statistics of the batch at hand: the model trains full-batch and embeds the
-cells it trained on, so no running averages are kept. One pass per block
-convolves, pools (the activation is monotone in gamma * conv, so its
-winners are known before the statistics) and merges the channel means and
-variances and the channel-patch co-moment over the blocks; normalization
-and activation then run on the winners alone. The backward keeps only the
-pooled output and the int8 winner of each pooling window plus those
-statistics, which give the weight gradient in closed form; only an input
-that needs a gradient recomputes its blocks' convolutions. The backward
-walks the same blocks, and takes each block's pooled gradient through the
-head there: apart from the input gradient it returns, no buffer it makes
-grows with N.
+The CNN is one fused op, ``conv_block``: a bias-free 3x3 convolution,
+batch normalization, leaky ReLU, 2x2 max pooling and the linear head over
+cells in blocks of ``_cell_blocks``, so no op holds an N*H*W x channels
+array. Its batch norm always uses the exact statistics of the batch at
+hand: the model trains full-batch and embeds the cells it trained on, so
+no running averages are kept. One pass per block convolves, pools (the
+activation is monotone in gamma * conv, so its winners are known before the
+statistics) and merges the channel means and variances and the
+channel-patch co-moment over the blocks; normalization and activation then
+run on the winners alone. The backward keeps only the pooled maps and the
+int8 winner of each pooling window plus those statistics, which give the
+weight gradient in closed form; the maps take no gradient. The backward
+walks the same blocks once and takes each block's pooled gradient through
+the head there, so no buffer it makes grows with N.
 
 Both losses are fused ops. ``sce``, the masked reconstruction's scaled
 cosine error, has a closed-form gradient: it keeps per-row scalars and
@@ -776,6 +774,9 @@ def maxpool2(x) -> Tensor:
 
 # batch normalization's eps, for conv_block and the reference batch_norm
 _BN_EPS = 1e-5
+# conv_block's leaky-ReLU slope; pooling before the batch statistics needs
+# 0 <= slope <= 1
+_CNN_SLOPE = 0.01
 
 
 def batch_norm(x, gamma, beta) -> Tensor:
@@ -856,21 +857,20 @@ def _block_patches(padded: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np
     return patches.reshape(-1, rows.size * padded.shape[-1])
 
 
-def conv_block(x, w, gamma, beta, slope: float, masked=None,
-               head: tuple[Tensor, Tensor] | None = None) -> Tensor:
-    """One CNN block in one op: stride-1 3x3 "same" convolution (no bias),
-    batch normalization per channel, leaky ReLU, then 2x2 max pooling.
+def conv_block(maps, w, gamma, beta, fc_w, fc_b, masked=None) -> Tensor:
+    """The CNN in one op: stride-1 3x3 "same" convolution (no bias) of the
+    NCHW ``maps``, batch normalization per channel, leaky ReLU, 2x2 max
+    pooling and the linear head ``(fc_w, fc_b)``.
 
-    The same function as ``maxpool2(leaky_relu(batch_norm(conv2d(x, w), gamma, beta)))``
-    with the cells indexed by ``masked`` read as all-zero maps (their input
-    gradient is zero), so training masks the maps without copying them. The
-    pooled output is (N, C, H//2, W//2); trailing odd rows and columns are
-    dropped. Handed ``head``, the linear head ``(fc_w, fc_b)`` of the CNN's
-    last block, the op returns ``pooled.reshape(N, -1) @ fc_w + fc_b``, the
-    (N, embed) embedding, instead. Batch normalization has one mode, as in
-    ``batch_norm``: every call normalizes by the statistics of its own N
-    cells, with the module constant ``_BN_EPS`` as eps, and keeps no running
-    averages.
+    The same function as ``maxpool2(leaky_relu(batch_norm(conv2d(maps, w),
+    gamma, beta)))`` flattened to (N, C * H//2 * W//2), times ``fc_w``, plus
+    ``fc_b``: the (N, embed) embedding, with the cells indexed by ``masked``
+    read as all-zero maps, so training masks the maps without copying them.
+    The maps are a plain array and take no gradient. Pooling drops trailing
+    odd rows and columns, and the leaky ReLU's slope is the module constant
+    ``_CNN_SLOPE``. Batch normalization has one mode, as in ``batch_norm``:
+    every call normalizes by the statistics of its own N cells, with the
+    module constant ``_BN_EPS`` as eps, and keeps no running averages.
 
     The cells are walked in the blocks of ``_cell_blocks``, cell-last, with
     each pooling window's four entries in four contiguous runs; a block's patch
@@ -883,48 +883,38 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None,
     centred sum of squares, the patch mean s and the channel-patch co-moment
     C = sum_p (y_p - mean) p^T = w G, with G the centred patch Gram matrix
     (the pairwise update of Chan, Golub & LeVeque). The convolution at each
-    winner goes straight into the output, where normalization, gamma, beta
-    and the activation then run in place on the winners alone.
+    winner goes straight into the pooled maps, where normalization, gamma,
+    beta and the activation then run in place on the winners alone.
 
-    Kept for the backward: the pooled output and the int8 winners, plus s, C
-    and the statistics; no normalized value is kept. The backward walks the
-    same cell blocks and never copies the whole upstream gradient: each
-    block's slice is moved cell-last and through the leaky ReLU on its own.
-    With the head, a block's pooled gradient is formed there, as its slice
-    of the upstream gradient times fc_w^T, so no (N, C * H//2 * W//2)
+    Kept for the backward: the pooled maps and the int8 winners, plus s, C
+    and the statistics; no normalized value is kept. The backward is one
+    walk over the same cell blocks. Each block's pooled gradient is formed
+    there, as its slice of the upstream gradient times fc_w^T, then moved
+    cell-last and through the leaky ReLU, so no (N, C * H//2 * W//2)
     gradient exists; fc_w's gradient is the one full product pooled^T g
-    over all cells, and fc_b's the column sums of g. One pass sums the
-    beta gradient and D = sum_p dy_p p^T, the product of the patches, re-read
-    from ``x``, with dy, the batch-norm output's gradient (the upstream
-    gradient through the pooling and the leaky ReLU, zero off the winners).
-    The gamma gradient is closed-form in D (Ioffe & Szegedy 2015): sum_p dy_p
-    xhat_p = inv_std * (sum_k wm[:, k] * D[:, k] - mu * dbeta), with wm the
-    (cout, 9 * cin) weight matrix, since y = wm p. So are the weight
+    over all cells, and fc_b's the column sums of g. The walk sums the beta
+    gradient and D = sum_p dy_p p^T, the product of the patches, re-read
+    from ``maps``, with dy, the batch-norm output's gradient (the pooled
+    gradient through the leaky ReLU and the pooling, zero off the winners).
+    The gamma gradient is closed-form in D (Ioffe & Szegedy 2015): sum_p
+    dy_p xhat_p = inv_std * (sum_k wm[:, k] * D[:, k] - mu * dbeta), with wm
+    the (cout, 9 * cin) weight matrix, since y = wm p. So are the weight
     gradient's batch-statistics terms, in s and C, so the convolution is not
-    recomputed for either. Only an input that needs a gradient takes a second
-    pass, since it needs the gamma and beta totals: it gathers each block's
-    patches again and recomputes its convolution (the batch-norm backward
-    needs every position's normalized value). Its input gradient is the
-    adjoint of the forward's patch gather: wm^T dy', with dy' the
-    convolution's gradient, is the gradient of every patch entry, and each of
-    the nine kernel offsets adds its share back to the padded block where the
-    gather read it; no patch matrix of the gradient is built. Apart from the
-    input gradient it returns, the backward's buffers are those of one block,
+    recomputed for either. The backward's buffers are those of one block,
     whatever N.
     """
-    x, w, gamma, beta = as_tensor(x), as_tensor(w), as_tensor(gamma), as_tensor(beta)
-    head = () if head is None else tuple(as_tensor(t) for t in head)
+    w, gamma, beta = as_tensor(w), as_tensor(gamma), as_tensor(beta)
+    fc_w, fc_b = as_tensor(fc_w), as_tensor(fc_b)
+    maps = np.asarray(maps, dtype=np.float64)
     cout, cin, kh, kw = w.shape
     if (kh, kw) != (3, 3):
         raise ValueError(f"conv_block expects a 3x3 kernel, got {w.shape}")
-    if x.ndim != 4 or x.shape[1] != cin:
-        raise ValueError(f"conv_block input shape {x.shape} incompatible with kernel {w.shape}")
-    n, _, h, wd = x.shape
+    if maps.ndim != 4 or maps.shape[1] != cin:
+        raise ValueError(f"conv_block maps shape {maps.shape} incompatible with kernel {w.shape}")
+    n, _, h, wd = maps.shape
     hp, wp = h // 2, wd // 2
     if hp == 0 or wp == 0:
-        raise ValueError(f"conv_block input spatial dims too small: {x.shape}")
-    if not 0.0 <= slope <= 1.0:
-        raise ValueError(f"conv_block leaky-ReLU slope must lie in [0, 1], got {slope}")
+        raise ValueError(f"conv_block maps spatial dims too small: {maps.shape}")
     masked = _masked_cells(masked, n, "conv_block")
     m = n * h * wd
     wm = w.values.reshape(cout, -1)
@@ -935,18 +925,18 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None,
 
     # the activation leaky(gamma * (y - mu) * inv_std + beta) never falls as
     # gamma * y rises (inv_std > 0, slope >= 0), so pooling gamma * y finds
-    # its winners before the batch statistics are known; the output holds y
-    # at the winners until they are
+    # its winners before the batch statistics are known; the pooled maps
+    # hold y at the winners until they are
     winner = np.empty((cout, hp, wp, n), dtype=np.int8)
-    values = np.empty((n, cout, hp, wp))
-    act = values.transpose(1, 2, 3, 0)                         # cell-last view
+    pooled = np.empty((n, cout, hp, wp))
+    act = pooled.transpose(1, 2, 3, 0)                         # cell-last view
     # batch statistics, merged over blocks: channel means and centred sums
     # of squares, patch means and the channel-patch co-moment sum (y - mu) p^T
     y_mean, m2, count = np.zeros(cout), np.zeros(cout), 0
     p_mean, comoment = np.zeros(k), np.zeros((cout, k))
     for lo, hi in blocks:
         b = hi - lo
-        patches = _block_patches(_padded_block(x.values, lo, hi, masked), rows, cols)
+        patches = _block_patches(_padded_block(maps, lo, hi, masked), rows, cols)
         y = wm @ patches                                       # (cout, h * wd * b)
         # ">" keeps the first maximum, so the winner index 2 * row + column
         # is maxpool2's argmax: compare within each row, then the row maxima
@@ -977,69 +967,35 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None,
     mu, var = y_mean, m2 / m
     inv_std = 1.0 / np.sqrt(var + _BN_EPS)
     # normalize, scale and shift the winners in place
-    values -= mu[:, None, None]
-    values *= inv_std[:, None, None]
-    values *= gamma.values[:, None, None]
-    values += beta.values[:, None, None]
-    np.multiply(values, slope, out=values, where=values < 0)   # leaky ReLU, 0 <= slope <= 1
-    pooled = values
-    if head:
-        fc_w, fc_b = head
-        values = pooled.reshape(n, -1) @ fc_w.values
-        values += fc_b.values
+    pooled -= mu[:, None, None]
+    pooled *= inv_std[:, None, None]
+    pooled *= gamma.values[:, None, None]
+    pooled += beta.values[:, None, None]
+    np.multiply(pooled, _CNN_SLOPE, out=pooled, where=pooled < 0)   # leaky ReLU
+    values = pooled.reshape(n, -1) @ fc_w.values
+    values += fc_b.values
 
     def backward_fn(g):
-        scale = gamma.values * inv_std
         dbeta = np.zeros(cout)
         dy_patches = np.zeros((cout, k))                       # D = sum of dy * patch^T
-        dx = np.zeros(x.shape) if x.requires_grad else None
 
         def block_grad(lo, hi):
-            # cells lo:hi of the upstream gradient, cell-last (cout, hp, wp,
-            # b), through the pooling and the leaky ReLU: the winner's sign
-            # is the pooled value's; and the block's patches with the
-            # convolution's gradient dy, zero off the winners
+            # cells lo:hi of the pooled gradient, through the linear head,
+            # cell-last (cout, hp, wp, b) and through the leaky ReLU (the
+            # winner's sign is the pooled value's); and the block's patches
+            # with the convolution's gradient dy, zero off the winners
             b = hi - lo
-            upstream = g[lo:hi]
-            if head:
-                # the block's pooled gradient, through the linear head
-                upstream = (upstream @ fc_w.values.T).reshape(b, cout, hp, wp)
+            upstream = (g[lo:hi] @ fc_w.values.T).reshape(b, cout, hp, wp)
             cells = np.empty((cout, hp, wp, b))
             np.multiply(upstream.transpose(1, 2, 3, 0),
-                        np.where(act[..., lo:hi] > 0, 1.0, slope), out=cells)
-            patches = _block_patches(_padded_block(x.values, lo, hi, masked), rows, cols)
+                        np.where(act[..., lo:hi] > 0, 1.0, _CNN_SLOPE), out=cells)
+            patches = _block_patches(_padded_block(maps, lo, hi, masked), rows, cols)
             is_winner = winner[:, None, ..., lo:hi] == np.arange(4)[:, None, None, None]
             dy = np.zeros((cout, h * wd * b))
             corners = dy[:, :windows * b].reshape(cout, 4, hp, wp, b)
             np.multiply(cells[:, None], is_winner, out=corners)
             return cells, patches, dy
 
-        def input_grad(lo, hi):
-            # the block's input gradient, once dbeta and dgamma are complete
-            b = hi - lo
-            _, patches, dy = block_grad(lo, hi)
-            # batch-norm backward (Ioffe & Szegedy 2015): the convolution
-            # output's gradient is scale * (dy - xhat * dgamma / m - dbeta / m)
-            xhat = wm @ patches
-            xhat -= mu[:, None]
-            xhat *= inv_std[:, None]
-            dy -= xhat * (dgamma / m)[:, None]
-            dy -= (dbeta / m)[:, None]
-            dy *= scale[:, None]
-            # the adjoint of the patch gather: wm.T @ dy is the gradient of
-            # each patch entry, added back where the gather read it, at the
-            # nine kernel offsets of the padded block
-            grid = np.empty((cout, h, wd, b))                  # dy in map order
-            grid[:, rows, cols] = dy.reshape(cout, -1, b)
-            dpatches = (wm.T @ grid.reshape(cout, -1)).reshape(cin, 3, 3, h, wd, b)
-            dpadded = np.zeros((cin, h + 2, wd + 2, b))
-            for r in range(3):
-                for c in range(3):
-                    dpadded[:, r:r + h, c:c + wd] += dpatches[:, r, c]
-            dx[lo:hi] = dpadded[:, 1:-1, 1:-1].transpose(3, 0, 1, 2)
-
-        # one pass sums dbeta and D; the input gradient needs the dbeta and
-        # dgamma totals, so only then a second pass reads the blocks again
         for lo, hi in blocks:
             cells, patches, dy = block_grad(lo, hi)
             dbeta += cells.sum(axis=(1, 2, 3))
@@ -1051,24 +1007,18 @@ def conv_block(x, w, gamma, beta, slope: float, masked=None,
             gamma._accumulate(dgamma, own=True)
         if beta.requires_grad:
             beta._accumulate(dbeta, own=True)
-        if dx is not None:
-            for lo, hi in blocks:
-                input_grad(lo, hi)
         if w.requires_grad:
             # sum_p xhat_p p^T = inv_std * comoment and sum_p p^T = m * p_mean^T
             dy_patches -= (dgamma * inv_std / m)[:, None] * comoment
             dy_patches -= dbeta[:, None] * p_mean
+            scale = gamma.values * inv_std
             w._accumulate((scale[:, None] * dy_patches).reshape(w.shape), own=True)
-        if dx is not None:
-            dx[masked] = 0.0
-            x._accumulate(dx, own=True)
-        if head:
-            if fc_w.requires_grad:
-                fc_w._accumulate(pooled.reshape(n, -1).T @ g, own=True)
-            if fc_b.requires_grad:
-                fc_b._accumulate(g.sum(axis=0), own=True)
+        if fc_w.requires_grad:
+            fc_w._accumulate(pooled.reshape(n, -1).T @ g, own=True)
+        if fc_b.requires_grad:
+            fc_b._accumulate(g.sum(axis=0), own=True)
 
-    return _make(values, (x, w, gamma, beta, *head), backward_fn)
+    return _make(values, (w, gamma, beta, fc_w, fc_b), backward_fn)
 
 
 # ---------------------------------------------------------------------------

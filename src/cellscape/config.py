@@ -146,21 +146,16 @@ _SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(PipelineConfi
 
 def _typed(name: str, value, default):
     """``value`` if its type is its default's: an int passes for a float (as
-    a float), a list of ints for ``cnn_channels``, a string or None for an
-    optional path; a bool passes only for a bool, and a float must be finite."""
+    a float), a string or None for an optional path; a bool passes only for
+    a bool, and a float must be finite."""
     want = str if default is None else type(default)
     if want is float and type(value) is int:
         value = float(value)
-    elif want is tuple and type(value) is list:
-        value = tuple(value)
     ok = type(value) is want or (default is None and value is None)
     if ok and want is float:
         ok = math.isfinite(value)
-    if ok and want is tuple:
-        ok = all(type(v) is type(default[0]) for v in value)
     if not ok:
-        what = ("a finite float" if want is float
-                else f"a list of {type(default[0]).__name__}" if want is tuple else want.__name__)
+        what = "a finite float" if want is float else want.__name__
         raise ValueError(f"{name} must be {what}, got {value!r}")
     return value
 

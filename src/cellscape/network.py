@@ -4,8 +4,8 @@ encoder over gene maps, linear fusion, and a graph-attention decoder.
 Each encoder layer is one fused autodiff op that keeps for its backward
 only what that backward reads: a GAT layer (``gat_attention``) projects
 its input by its weight and applies the hidden layers' ELU itself, keeping
-neither the projection nor the pre-ELU output, and the CNN's last block
-(``conv_block``) applies the linear head itself, so its backward builds no
+neither the projection nor the pre-ELU output, and the CNN, one block
+(``conv_block``), applies the linear head itself, so its backward builds no
 full gradient of the pooled maps.
 
 Masking costs no copy of the inputs: the first GAT layer zeroes the masked
@@ -36,7 +36,7 @@ class ModelConfig:
     attention_heads: int = 4
     hidden_dim: int = 64          # total width of hidden GAT layers (concat of heads)
     embed_dim: int = 32            # spatial, intrinsic, and fused embedding width
-    cnn_channels: tuple[int, ...] = (4,)
+    cnn_channels: int = 4          # channels of the one CNN block
     gamma: float = 3.0             # reconstruction-loss exponent
     tau: float = 0.1               # contrastive temperature
     mask_ratio: float = 0.3
@@ -53,12 +53,9 @@ class ModelConfig:
             raise ValueError("tau must be positive")
         if not 0.0 < self.mask_ratio < 1.0:
             raise ValueError("mask_ratio must lie in (0, 1)")
-        for name in ("gat_layers", "attention_heads", "hidden_dim", "embed_dim"):
+        for name in ("gat_layers", "attention_heads", "hidden_dim", "embed_dim", "cnn_channels"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        self.cnn_channels = tuple(int(c) for c in self.cnn_channels)
-        if not self.cci_only and (not self.cnn_channels or min(self.cnn_channels) <= 0):
-            raise ValueError("cnn_channels must be a non-empty list of positive ints")
         if self.hidden_dim % self.attention_heads:
             raise ValueError("hidden_dim must be divisible by attention_heads")
         if self.epochs < 0:
@@ -104,19 +101,11 @@ class CellScapeModel:
                 raise ValueError("gene-map grid size required unless cci_only")
             if q < 4:
                 raise ValueError(f"gene-map grid q={q} below the receptive-field minimum 4")
-            side = q
-            in_ch = 1
-            for i, out_ch in enumerate(cfg.cnn_channels):
-                self.params[f"cnn.{i}.w"] = _glorot(
-                    rng, (out_ch, in_ch, 3, 3), in_ch * 9, out_ch * 9
-                )
-                self.params[f"cnn.{i}.gamma"] = Tensor(np.ones(out_ch), requires_grad=True)
-                self.params[f"cnn.{i}.beta"] = Tensor(np.zeros(out_ch), requires_grad=True)
-                side //= 2
-                in_ch = out_ch
-                if side < 1:
-                    raise ValueError("gene map too small for the configured CNN depth")
-            flat = in_ch * side * side
+            channels = cfg.cnn_channels
+            self.params["cnn.w"] = _glorot(rng, (channels, 1, 3, 3), 9, channels * 9)
+            self.params["cnn.gamma"] = Tensor(np.ones(channels), requires_grad=True)
+            self.params["cnn.beta"] = Tensor(np.zeros(channels), requires_grad=True)
+            flat = channels * (q // 2) ** 2
             self.params["cnn.fc.w"] = _glorot(rng, (flat, cfg.embed_dim), flat, cfg.embed_dim)
             self.params["cnn.fc.b"] = Tensor(np.zeros(cfg.embed_dim), requires_grad=True)
 
@@ -155,20 +144,14 @@ class CellScapeModel:
 
     def encode_intrinsic(self, maps: np.ndarray, masked: np.ndarray | None = None) -> Tensor:
         """CNN embedding of the (n, q, q) maps; the cells indexed by
-        ``masked`` read as all-zero maps. Each block is one ``conv_block``
-        op, and the last one applies the linear head ``cnn.fc`` too, so the
-        backward takes each cell block's pooled gradient through the head
-        where it is read and never builds the (n, C * H' * W') gradient of
-        the flattened maps."""
-        x = Tensor(maps.reshape(maps.shape[0], 1, self.q, self.q))
-        last = len(self.cfg.cnn_channels) - 1
-        for i in range(last + 1):
-            x = ad.conv_block(
-                x, self.params[f"cnn.{i}.w"], self.params[f"cnn.{i}.gamma"],
-                self.params[f"cnn.{i}.beta"], 0.01, masked if i == 0 else None,
-                head=(self.params["cnn.fc.w"], self.params["cnn.fc.b"]) if i == last else None,
-            )
-        return x
+        ``masked`` read as all-zero maps. The CNN is one ``conv_block`` op,
+        which applies the linear head ``cnn.fc`` too, so the backward takes
+        each cell block's pooled gradient through the head where it is read
+        and never builds the (n, C * q//2 * q//2) gradient of the flattened
+        maps."""
+        p = self.params
+        return ad.conv_block(maps.reshape(maps.shape[0], 1, self.q, self.q), p["cnn.w"],
+                             p["cnn.gamma"], p["cnn.beta"], p["cnn.fc.w"], p["cnn.fc.b"], masked)
 
     def encode(self, features: np.ndarray, maps: np.ndarray | None,
                edges: DirectedEdges, masked: np.ndarray | None = None

@@ -2,9 +2,9 @@
 
 Everything here is deliberately naive (loops, enumeration, finite
 differences) and shares no code with the package under test, except
-``composite_gat_layer``, ``composite_conv_block``,
+``composite_gat_layer``, ``composite_conv_block``, ``composite_cnn``,
 ``composite_sce_loss`` and ``dense_contrastive_loss``: they build graph
-attention, the CNN block and both losses from the package's generic
+attention, the CNN and both losses from the package's generic
 autodiff ops, which ``test_autodiff`` checks one by one, to serve as the
 references for the fused ``gat_attention``, ``conv_block`` and ``sce`` ops
 and for the edge-list ``contrastive_loss``. ``gene_space_decoder`` is the decoder that attends
@@ -194,6 +194,14 @@ def composite_conv_block(x, w, gamma, beta, slope: float):
     autodiff ops."""
     out = ad.batch_norm(ad.conv2d(x, w), gamma, beta)
     return ad.maxpool2(ad.leaky_relu(out, slope))
+
+
+def composite_cnn(maps, w, gamma, beta, fc_w, fc_b):
+    """``composite_conv_block`` of the NCHW array ``maps`` at the CNN's
+    leaky-ReLU slope 0.01, flattened and through the linear head ``(fc_w,
+    fc_b)`` by ``reshape``, ``matmul`` and ``add``."""
+    pooled = composite_conv_block(ad.Tensor(maps), w, gamma, beta, 0.01)
+    return ad.matmul(ad.reshape(pooled, (maps.shape[0], -1)), fc_w) + fc_b
 
 
 def dense_contrastive_loss(z, neighbors, tau: float, anchors):

@@ -188,23 +188,28 @@ class TestNonlinearities:
         assert held < kept + 4096, (held, kept)
 
     def test_conv_block_keeps_only_output_and_winners(self):
-        # the winners' convolution is normalized in place in the output and
-        # the gamma gradient is closed-form in the backward's patch product,
-        # so beside its output and the int8 winners the forward keeps only
-        # the pooling order's rows and columns, the patch mean, the (cout,
-        # 9 * cin) co-moment, the channel statistics and the objects a node
-        # holds. A float64 array of the output's size would add 819,200
-        # bytes here
-        n, cout, q = 400, 4, 16
+        # the winners' convolution is normalized in place in the pooled maps
+        # and the gamma gradient is closed-form in the backward's patch
+        # product, so beside its output, the pooled maps the head's gradient
+        # reads and the int8 winners the forward keeps only the pooling
+        # order's rows and columns, the patch mean, the (cout, 9 * cin)
+        # co-moment, the channel statistics and the objects a node holds. A
+        # float64 array of the pooled maps' size would add 819,200 bytes here
+        n, cout, q, embed = 400, 4, 16, 8
         maps = RNG.standard_normal((n, 1, q, q))
         w, gamma, beta = (ad.Tensor(a, requires_grad=True) for a in (
             RNG.standard_normal((cout, 1, 3, 3)), RNG.random(cout) + 0.5,
             RNG.standard_normal(cout)))
+        rng = np.random.default_rng(0)
+        fc_w, fc_b = (ad.Tensor(a, requires_grad=True) for a in (
+            rng.standard_normal((cout * (q // 2) ** 2, embed)), rng.standard_normal(embed)))
         # a first call fills numpy's lazy caches
-        ad.conv_block(maps, w, gamma, beta, 0.01)
-        out, held = _held_after(lambda: ad.conv_block(maps, w, gamma, beta, 0.01))
-        # float64 output, int8 winners, the positions' rows and columns
-        kept = out.values.nbytes + out.size + 2 * q * q * np.dtype(np.intp).itemsize
+        ad.conv_block(maps, w, gamma, beta, fc_w, fc_b)
+        out, held = _held_after(lambda: ad.conv_block(maps, w, gamma, beta, fc_w, fc_b))
+        # float64 output and pooled maps, int8 winners, the positions' rows
+        # and columns
+        pooled = n * cout * (q // 2) ** 2
+        kept = out.values.nbytes + 9 * pooled + 2 * q * q * np.dtype(np.intp).itemsize
         assert held < kept + 16384, (held, kept)
 
     def test_l2_normalize(self):

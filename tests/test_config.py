@@ -33,7 +33,7 @@ DEFAULTS = {
     "model.attention_heads": 4,
     "model.hidden_dim": 64,
     "model.embed_dim": 32,
-    "model.cnn_channels": (4,),
+    "model.cnn_channels": 4,
     "model.gamma": 3.0,
     "model.tau": 0.1,
     "model.mask_ratio": 0.3,
@@ -75,7 +75,7 @@ def nested(flat: dict) -> dict:
     for dotted, value in flat.items():
         if "." in dotted:
             section, key = dotted.split(".")
-            data.setdefault(section, {})[key] = list(value) if isinstance(value, tuple) else value
+            data.setdefault(section, {})[key] = value
         else:
             data[dotted] = value
     return data
@@ -107,11 +107,9 @@ def test_yaml_then_flag(tmp_path, monkeypatch):
     assert load_config(path, overrides={"seed": 5}).seed == 5
 
 
-def test_int_loads_as_float_and_list_as_tuple(tmp_path):
-    cfg = load_config(write_yaml(tmp_path / "c.yaml", {
-        "preprocessing": {"target_sum": 100}, "model": {"cnn_channels": [4, 8]}}))
+def test_int_loads_as_float(tmp_path):
+    cfg = load_config(write_yaml(tmp_path / "c.yaml", {"preprocessing": {"target_sum": 100}}))
     assert type(cfg.preprocessing.target_sum) is float
-    assert cfg.model.cnn_channels == (4, 8)
 
 
 def test_model_config_carries_the_top_level_seed():
@@ -158,11 +156,20 @@ BAD = [
     # the swap budget is the layout's constant, and no section holds it
     pytest.param([], {"layout": {"swap_budget_factor": 20}}, ["unknown", "layout"],
                  id="swap_budget_factor"),
-    pytest.param([], {"model": {"cnn_channels": 4}}, ["model.cnn_channels"], id="cnn_channels-int"),
+    # the CNN is one block: cnn_channels is its channel count, a positive
+    # int, checked with or without the CNN branch
+    pytest.param([], {"model": {"cnn_channels": [4, 8]}}, ["model", "cnn_channels"],
+                 id="cnn_channels-list"),
     pytest.param([], {"model": {"cnn_channels": [4, 8.5]}}, ["model.cnn_channels"],
                  id="cnn_channels-float-entry"),
     pytest.param([], {"model": {"cnn_channels": []}}, ["model", "cnn_channels"],
                  id="cnn_channels-empty"),
+    pytest.param([], {"model": {"cnn_channels": 0}}, ["model", "cnn_channels"],
+                 id="cnn_channels-zero"),
+    pytest.param([], {"model": {"cnn_channels": 0, "cci_only": True}},
+                 ["model", "cnn_channels"], id="cnn_channels-zero-cci-only"),
+    pytest.param([], {"model": {"cnn_channels": 4.5}}, ["model", "cnn_channels"],
+                 id="cnn_channels-float"),
     pytest.param([], {"model": {"epochs": 1.5}}, ["model.epochs"], id="epochs-float"),
     pytest.param([], {"model": {"seed": 3}}, ["model", "seed"], id="model-seed"),
     pytest.param([], {"model": {"attention_slope": 0.3}}, ["model", "attention_slope"],

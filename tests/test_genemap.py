@@ -317,7 +317,7 @@ class TestMask:
         positions = np.stack(np.divmod(np.arange(p), q), axis=1)
         layout = GeneLayout(positions=positions, q=q, objective_value=0.0, greedy_objective=0.0)
         cfg = ModelConfig(gat_layers=1, attention_heads=1, hidden_dim=4, embed_dim=4,
-                          cnn_channels=(2,), mask_ratio=0.5, epochs=1, cci_only=cci_only)
+                          cnn_channels=2, mask_ratio=0.5, epochs=1, cci_only=cci_only)
         drawn, seen = [], []
 
         def draw(*args):

@@ -6,17 +6,13 @@ op in ``autodiff``, model op or reference op, walked with a seed that sums
 two tasks' upstream gradients gives each leaf, in the leaf's shape, the sum
 of the gradients of the two tasks' own walks. On drawn inputs, for graph
 attention (concatenated and averaged heads, with and without the hidden
-layer's ELU) and the CNN block (with and without an input gradient), the
-summed walk matches the two tasks' scalar
-backwards. The graphs hold a cell with no edge and a pair of coordinate
-twins; the masked sets are empty, partial or every cell, and for the CNN
-block also one whole block of cells. The CNN block's backward also matches
-the composite chain, on the drawn inputs and across block boundaries, and
-holds no copy of the whole upstream gradient; its input gradient holds no
-patch matrix of the convolution gradient."""
+layer's ELU) and the CNN (its block and linear head), the summed walk
+matches the two tasks' scalar backwards. The graphs hold a cell with no
+edge and a pair of coordinate twins; the masked sets are empty, partial or
+every cell, and for the CNN also one whole block of cells. The CNN's
+summed walk also matches the composite chain on the drawn inputs."""
 
 import inspect
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +25,7 @@ from cellscape.losses import neighbor_arrays
 from cellscape.network import ATTENTION_SLOPE
 from cellscape.spatial_graph import SpatialGraph, build_knn_graph
 
-from oracles import composite_conv_block
+from oracles import composite_cnn
 
 DRAWS = settings(max_examples=30, deadline=None)
 MASKS = st.sampled_from(["empty", "partial", "all"])
@@ -96,6 +92,18 @@ def _sce_case(rng):
     return (lambda t: ad.sce(t, x, rows, 2.5)), [x_hat]
 
 
+def _conv_block_case(rng, cin, q, masked):
+    # the maps are a plain array the op takes no gradient for
+    maps = rng.standard_normal((5, cin, q, q))
+
+    def cnn(w, gamma, beta, fc_w, fc_b):
+        return ad.conv_block(maps, w, gamma, beta, fc_w, fc_b, masked)
+
+    return cnn, [rng.standard_normal((3, cin, 3, 3)), rng.random(3) + 0.5,
+                 rng.standard_normal(3), rng.standard_normal((3 * (q // 2) ** 2, 4)),
+                 rng.standard_normal(4)]
+
+
 def _contrastive_case(rng):
     dst, src, degree = neighbor_arrays(_graph(8, 3, rng, isolated=False).directed_edges())
     z = rng.standard_normal((8, 3))
@@ -147,18 +155,8 @@ OP_CASES = {
     "maxpool2": [lambda rng: (ad.maxpool2, [rng.standard_normal((2, 2, 5, 5))])],
     "batch_norm": [lambda rng: (ad.batch_norm, [rng.standard_normal((3, 2, 4, 4)),
                                                 rng.random(2) + 0.5, rng.standard_normal(2)])],
-    "conv_block": [lambda rng: (lambda x, w, gamma, beta: ad.conv_block(x, w, gamma, beta,
-                                                                        0.01, [1]),
-                                [rng.standard_normal((5, 2, 6, 6)),
-                                 rng.standard_normal((3, 2, 3, 3)),
-                                 rng.random(3) + 0.5, rng.standard_normal(3)]),
-                   # the last block, with the linear head
-                   lambda rng: (lambda x, w, gamma, beta, fc_w, fc_b: ad.conv_block(
-                                    x, w, gamma, beta, 0.01, [1], head=(fc_w, fc_b)),
-                                [rng.standard_normal((5, 2, 6, 6)),
-                                 rng.standard_normal((3, 2, 3, 3)),
-                                 rng.random(3) + 0.5, rng.standard_normal(3),
-                                 rng.standard_normal((27, 4)), rng.standard_normal(4)])],
+    "conv_block": [lambda rng: _conv_block_case(rng, 2, 6, [1]),
+                   lambda rng: _conv_block_case(rng, 1, 7, None)],
 }
 
 
@@ -245,120 +243,31 @@ def test_gat_attention_tasks_match_single_task_backward(n, k, heads, head_dim, a
 
 @DRAWS
 @given(n=st.integers(1, 3 * ad._CELL_BLOCK + 20), cin=st.integers(1, 3), cout=st.integers(1, 3),
-       q=st.integers(2, 7), x_grad=st.booleans(),
+       q=st.integers(2, 7), embed=st.integers(1, 3),
        mask=st.sampled_from(["empty", "partial", "all", "block"]),
        seed=st.integers(0, 2**32 - 1))
-def test_conv_block_tasks_match_single_task_backward(n, cin, cout, q, x_grad, mask, seed):
+def test_conv_block_tasks_match_single_task_backward(n, cin, cout, q, embed, mask, seed):
     # up to three blocks of ad._CELL_BLOCK cells and part of a fourth (maps
     # this small take whole blocks)
     assert ad._cell_blocks(n, q, q)[0] == (0, min(n, ad._CELL_BLOCK))
     rng = np.random.default_rng(seed)
     maps = rng.standard_normal((n, cin, q, q))
-    w0 = rng.standard_normal((cout, cin, 3, 3))
-    gamma0, beta0 = rng.random(cout) + 0.5, rng.standard_normal(cout)
+    arrays = (rng.standard_normal((cout, cin, 3, 3)), rng.random(cout) + 0.5,
+              rng.standard_normal(cout), rng.standard_normal((cout * (q // 2) ** 2, embed)),
+              rng.standard_normal(embed))
     masked = _masked(mask, n, rng)
 
     def forward():
-        x = Tensor(maps, requires_grad=x_grad)
-        w, gamma, beta = (Tensor(a, requires_grad=True) for a in (w0, gamma0, beta0))
-        out = ad.conv_block(x, w, gamma, beta, 0.01, masked)
-        return out, ((x,) if x_grad else ()) + (w, gamma, beta)
+        params = [Tensor(a, requires_grad=True) for a in arrays]
+        return ad.conv_block(maps, *params, masked), params
 
-    upstream = rng.standard_normal((2, n, cout, q // 2, q // 2))
+    upstream = rng.standard_normal((2, n, embed))
     seeded = _assert_tasks_match(forward, upstream)
     # against the composite chain on a copy with the masked maps zeroed
     zeroed = maps.copy()
     zeroed[masked] = 0.0
-    chain = [Tensor(a, requires_grad=True) for a in (zeroed, w0, gamma0, beta0)]
-    ad.backward(ad.tensor_sum(composite_conv_block(*chain, 0.01) * (upstream[0] + upstream[1])))
-    for got, want in zip(seeded, chain[0 if x_grad else 1:]):
-        want = want.grad.copy()
-        if x_grad and got is seeded[0]:
-            want[masked] = 0.0              # the op gives masked cells no input gradient
-        np.testing.assert_allclose(got.grad, want, rtol=1e-12,
-                                   atol=1e-12 * np.abs(want).max())
-
-
-def _conv_block_arrays(n, cin, cout, q, seed):
-    rng = np.random.default_rng(seed)
-    return (rng.standard_normal((n, cin, q, q)), rng.standard_normal((cout, cin, 3, 3)),
-            rng.random(cout) + 0.5, rng.standard_normal(cout))
-
-
-@pytest.mark.parametrize("x_grad", [False, True])
-def test_conv_block_stacked_matches_composite_across_blocks(x_grad):
-    # the beta and gamma gradients are summed block by block, so the block
-    # boundaries are where the op's backward could part from the composite
-    # chain: three blocks, the middle one all masked (its windows tie), the
-    # last partial; every gradient within 1e-12 of the chain's
-    block = ad._CELL_BLOCK
-    n, cin, cout, q = 2 * block + block // 2 + 1, 2, 3, 6
-    assert len(ad._cell_blocks(n, q, q)) == 3
-    maps, w0, gamma0, beta0 = _conv_block_arrays(n, cin, cout, q, seed=41)
-    masked = np.array([1, *range(block, 2 * block), n - 2])
-    maps[masked] = 0.0
-    upstream = np.random.default_rng(42).standard_normal((n, cout, q // 2, q // 2))
-
-    def leaves():
-        return [Tensor(a, requires_grad=x_grad or i > 0)
-                for i, a in enumerate((maps, w0, gamma0, beta0))]
-
-    fused = leaves()
-    ad.backward(ad.conv_block(*fused, 0.01, masked), upstream)
-    chain = leaves()
-    ad.backward(ad.tensor_sum(composite_conv_block(*chain, 0.01) * upstream))
-    for got, want in zip(fused, chain):
-        if not got.requires_grad:
-            continue
-        want = want.grad.copy()
-        if got is fused[0]:
-            want[masked] = 0.0              # the op gives masked cells no input gradient
-        np.testing.assert_allclose(got.grad, want, rtol=1e-12,
-                                   atol=1e-12 * np.abs(want).max())
-
-
-def test_conv_block_stacked_backward_copies_no_full_gradient():
-    # n = four blocks and three cells. The backward moves the upstream
-    # gradient cell-last one block at a time, so beside the driver's copy of
-    # the seed and one block's patch matrix and convolution gradient it
-    # holds less than half the seed; a cell-last copy of the whole gradient
-    # alone is as large as the seed
-    n, cin, cout, q = 4 * ad._CELL_BLOCK + 3, 1, 16, 10
-    assert ad._cell_blocks(n, q, q)[0] == (0, ad._CELL_BLOCK)
-    maps, w0, gamma0, beta0 = _conv_block_arrays(n, cin, cout, q, seed=43)
-    w, gamma, beta = (Tensor(a, requires_grad=True) for a in (w0, gamma0, beta0))
-    out = ad.conv_block(Tensor(maps), w, gamma, beta, 0.01)
-    seed = np.random.default_rng(44).standard_normal(out.shape)
-    tracemalloc.start()
-    try:
-        ad.backward(out, seed)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert w.grad.shape == w.shape
-    block = (9 * cin + cout) * q * q * ad._CELL_BLOCK * 8
-    assert peak < seed.nbytes + seed.nbytes // 2 + block, f"peak {peak / 2**20:.2f} MiB"
-
-
-def test_conv_block_input_gradient_makes_no_gradient_patch_matrix():
-    # a second block's input gradient is the adjoint of the forward's patch
-    # gather, made from one block's (9 * cin, H * W * b) patch gradient: beside
-    # the driver's copy of the seed and the input gradient, the backward
-    # holds less than one block's (9 * cout, H * W * b) patch matrix of the
-    # convolution gradient, which a flipped-kernel convolution builds
-    n, cin, cout, q = 3 * ad._CELL_BLOCK + 5, 1, 16, 8
-    block = ad._cell_blocks(n, q, q)[0][1]
-    maps, w0, gamma0, beta0 = _conv_block_arrays(n, cin, cout, q, seed=45)
-    x = Tensor(maps, requires_grad=True)
-    w, gamma, beta = (Tensor(a, requires_grad=True) for a in (w0, gamma0, beta0))
-    out = ad.conv_block(x, w, gamma, beta, 0.01)
-    seed = np.random.default_rng(46).standard_normal(out.shape)
-    tracemalloc.start()
-    try:
-        ad.backward(out, seed)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert x.grad.shape == x.shape
-    gradient_patches = 9 * cout * q * q * block * 8
-    assert peak < seed.nbytes + x.grad.nbytes + gradient_patches, f"peak {peak / 2**20:.2f} MiB"
+    chain = [Tensor(a, requires_grad=True) for a in arrays]
+    ad.backward(ad.tensor_sum(composite_cnn(zeroed, *chain) * (upstream[0] + upstream[1])))
+    for got, want in zip(seeded, chain):
+        np.testing.assert_allclose(got.grad, want.grad, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want.grad).max())
