@@ -1,18 +1,18 @@
 """Command-line entry point.
 
-Subcommands: preprocess, graph, train, segment, evaluate, analyze, simulate.
-All read one YAML config (``--config``) with flag overrides, each flag
-setting the config key that is its argparse dest (``--seed`` sets the
-seed); no environment variable is read. Only ``preprocess``, ``graph``
-and ``train`` read input data. ``preprocess`` and ``train`` take
-``--expression``, ``--coords`` and ``--format``; ``graph`` reads the
-coordinate file alone, so it takes only ``--coords``, and node i of its
-graph is row i of that file. ``segment``, ``evaluate`` and ``analyze`` read the artifacts of
-``train`` in the output directory, and ``simulate`` writes a tissue there.
-``train`` fits every entry of ``paths.samples`` jointly when that list is
-set, and otherwise the one sample of ``paths.expression`` and
-``paths.coords``. Exit codes: 0 success, 1 usage or configuration error,
-2 numerical failure.
+Subcommands: train, segment, evaluate, analyze, simulate. All read one YAML
+config (``--config``) with flag overrides, each flag setting the config key
+that is its argparse dest (``--seed`` sets the seed); no environment
+variable is read. Only ``train`` reads input data: ``--expression``,
+``--coords`` and ``--format`` name the one sample it fits, and it takes the
+flags of every stage it runs (preprocessing, the cell graph, the model and
+the segmentation), so its artifacts come from one fit. It fits every entry
+of ``paths.samples`` jointly when that list is set, and harmonizes batches
+with ComBat when the data carries them (``paths.batch_labels``, or one
+batch per sample). ``segment``, ``evaluate`` and ``analyze`` read the
+artifacts of ``train`` in the output directory, and ``simulate`` writes a
+tissue there. Exit codes: 0 success, 1 usage or configuration error, 2
+numerical failure.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .dataset import (
     load_dataset,
     load_labels,
     load_table,
-    write_gene_list,
     write_labels,
     write_table,
 )
@@ -63,13 +62,6 @@ def _require(path_value, what: str) -> Path:
     if not path.exists():
         raise ValueError(f"{what} file not found: {path}")
     return path
-
-
-def _load_input_dataset(cfg: PipelineConfig):
-    expr = _require(cfg.paths.expression, "paths.expression")
-    coords = _require(cfg.paths.coords, "paths.coords")
-    return load_dataset(expr, coords, format=cfg.paths.format,
-                        batch_path=cfg.paths.batch_labels or None)
 
 
 def _outdir(cfg: PipelineConfig) -> Path:
@@ -92,30 +84,6 @@ def _read_label_csv(path: Path) -> tuple[list[str], list[str]]:
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
-
-def cmd_preprocess(cfg: PipelineConfig) -> int:
-    ds = _load_input_dataset(cfg)
-    out = _outdir(cfg)
-    ds_pre, hvg, coexpr = pipeline.preprocess_dataset(ds, cfg)
-    genes = ds_pre.gene_names
-    write_table(out / "preprocessed_expression.csv", ["gene_id", *ds_pre.cell_ids], genes,
-                ds_pre.X)
-    write_gene_list(out / "hvg_genes.txt", genes)
-    write_table(out / "coexpression.csv", ["gene_id", *genes], genes, coexpr.C)
-    print(f"wrote {out / 'preprocessed_expression.csv'}")
-    print(f"wrote {out / 'hvg_genes.txt'} ({len(hvg)} genes)")
-    print(f"wrote {out / 'coexpression.csv'}")
-    return 0
-
-
-def cmd_graph(cfg: PipelineConfig) -> int:
-    coords, _ = load_coords(_require(cfg.paths.coords, "paths.coords"))
-    out = _outdir(cfg)
-    graph = pipeline.build_graph(coords, cfg)
-    write_edge_list(out / "graph.txt", graph)
-    print(f"wrote {out / 'graph.txt'} ({graph.n_nodes} nodes, {graph.n_edges} edges)")
-    return 0
-
 
 def _write_fit(out: Path, result: pipeline.Fit) -> None:
     """The artifacts of one fit, each reported as it is written; ``segment``
@@ -148,7 +116,9 @@ def cmd_train(cfg: PipelineConfig) -> int:
                      _require(entry["coords"], f"paths.samples[{idx}].coords"),
                      format=entry.get("format", cfg.paths.format))
         for idx, entry in enumerate(cfg.paths.samples)
-    ] or [_load_input_dataset(cfg)]
+    ] or [load_dataset(_require(cfg.paths.expression, "paths.expression"),
+                       _require(cfg.paths.coords, "paths.coords"), format=cfg.paths.format,
+                       batch_path=cfg.paths.batch_labels or None)]
     _write_fit(_outdir(cfg), pipeline.fit(samples, cfg))
     return 0
 
@@ -280,38 +250,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    input_flags = {
-        "--expression": ("paths.expression", "expression matrix path"),
-        "--coords": ("paths.coords", "coordinates CSV path"),
-        "--format": ("paths.format", f"expression file format: {', '.join(FORMATS)}"),
-    }
-    dataset = tuple(input_flags)
-
-    def command(name: str, help: str, inputs: tuple = ()) -> argparse.ArgumentParser:
-        """A subcommand's parser; ``inputs`` names the flags of
-        ``input_flags`` it takes, the input files it reads."""
+    def command(name: str, help: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", default=None, help="YAML pipeline config file")
         _flag(p, "--seed", "seed", "random seed")
         _flag(p, "--output-dir", "paths.output_dir", "artifact directory")
-        for flag in inputs:
-            _flag(p, flag, *input_flags[flag])
         return p
 
-    p = command("preprocess", "normalize, select variable genes, correlate", inputs=dataset)
+    p = command("train", "preprocess, build the cell graph, lay out genes, train and "
+                         "segment one sample or every entry of paths.samples")
+    _flag(p, "--expression", "paths.expression", "expression matrix path")
+    _flag(p, "--coords", "paths.coords", "coordinates CSV path")
+    _flag(p, "--format", "paths.format", f"expression file format: {', '.join(FORMATS)}")
     _flag(p, "--target-sum", "preprocessing.target_sum", "per-cell total after normalization")
     _flag(p, "--n-hvg", "preprocessing.n_hvg", "variable genes to keep")
-    _flag(p, "--combat", "preprocessing.combat", "apply batch harmonization",
-          action="store_true")
-
-    p = command("graph", "build the spatial cell graph from the coordinates",
-                inputs=("--coords",))
-    _flag(p, "--method", "graph.method", f"construction method: {', '.join(GRAPH_METHODS)}")
+    _flag(p, "--method", "graph.method", f"graph construction: {', '.join(GRAPH_METHODS)}")
     _flag(p, "--k", "graph.k", "neighbors for knn")
     _flag(p, "--prune-percentile", "graph.prune_percentile", "Delaunay long-edge cutoff")
-
-    p = command("train", "train on one sample or on every entry of paths.samples, "
-                         "write embeddings and domains", inputs=dataset)
     _flag(p, "--epochs", "model.epochs", "training epochs")
     _flag(p, "--cci-only", "model.cci_only",
           "spatial-only variant, skips the gene-map branch", action="store_true")
@@ -319,6 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     _flag(p, "--tau", "model.tau", "contrastive temperature")
     _flag(p, "--gamma", "model.gamma", "reconstruction exponent")
     _flag(p, "--n-domains", "clustering.n_domains", "mixture components K")
+    _flag(p, "--no-refine", "clustering.refine", "skip majority-vote refinement",
+          action="store_false")
+    _flag(p, "--refine-neighbors", "clustering.refine_neighbors", "voters per cell")
 
     p = command("segment", "cluster spatial embeddings into domains")
     _flag(p, "--n-domains", "clustering.n_domains", "mixture components K")
@@ -346,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 COMMANDS = {
-    "preprocess": cmd_preprocess,
-    "graph": cmd_graph,
     "train": cmd_train,
     "segment": cmd_segment,
     "evaluate": cmd_evaluate,

@@ -59,7 +59,6 @@ class PathsConfig:
 class PreprocessingConfig:
     target_sum: float = 1e4
     n_hvg: int = 3000
-    combat: bool = False
 
     def __post_init__(self):
         if self.target_sum <= 0:

@@ -233,9 +233,3 @@ def write_labels(path, cell_ids, labels, header: str = "label") -> None:
         writer.writerow(["cell_id", header])
         for cid, lab in zip(cell_ids, labels):
             writer.writerow([cid, lab])
-
-
-def write_gene_list(path, gene_names) -> None:
-    with open(path, "w") as fh:
-        for name in gene_names:
-            fh.write(f"{name}\n")

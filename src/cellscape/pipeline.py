@@ -38,14 +38,15 @@ def preprocess_dataset(ds: ExpressionDataset,
                        cfg: PipelineConfig) -> tuple[ExpressionDataset, np.ndarray,
                                                      CoexpressionMatrix]:
     """Normalize, log-transform, subset to variable genes (selected on raw
-    counts, capped at the panel size), optionally harmonize batches, and
-    compute gene co-expression on the result."""
+    counts, capped at the panel size), harmonize batches with ComBat when
+    ``ds`` carries batch labels, and compute gene co-expression on the
+    result."""
     out = normalize_total(ds, target=cfg.preprocessing.target_sum)
     out = log1p_transform(out)
     n_hvg = min(cfg.preprocessing.n_hvg, ds.n_genes)
     hvg = select_hvg(ds.X, n_top=n_hvg)
     out = out.subset_genes(hvg)
-    if cfg.preprocessing.combat and out.batch_labels is not None:
+    if out.batch_labels is not None:
         out = combat_correct(out)
     coexpr = pearson_coexpression(out)
     return out, hvg, coexpr
@@ -174,14 +175,10 @@ def fit(samples: list[ExpressionDataset], cfg: PipelineConfig) -> Fit:
     """Raw samples to domain labels: preprocess, graph, gene layout, train,
     segment, each once; a tissue too small to segment is rejected before the
     first stage. Samples may share one coordinate frame: they share no graph
-    edge, and refinement votes only within a sample. With several samples,
-    ComBat runs with one batch per sample whatever ``preprocessing.combat``
-    says."""
+    edge, and refinement votes only within a sample. Several samples are
+    harmonized with one batch per sample (``_merge_samples``)."""
     ds, samples_of_cells = _merge_samples(samples)
     _check_segmentable(samples, cfg)
-    if len(samples) > 1:
-        cfg = dataclasses.replace(
-            cfg, preprocessing=dataclasses.replace(cfg.preprocessing, combat=True))
     pre, _, coexpr = preprocess_dataset(ds, cfg)
     graph = block_diagonal_merge([build_graph(s.coords, cfg) for s in samples])
     mcfg = model_config_from(cfg)

@@ -1,17 +1,20 @@
 """The command-line chains on tiny simulated tissues."""
 
 import csv
+import dataclasses
 import json
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 import yaml
 
 from cellscape import pipeline, training
 from cellscape.cli import main
 from cellscape.config import PipelineConfig
-from cellscape.dataset import load_coords
+from cellscape.dataset import load_coords, load_dataset, load_table
+from cellscape.preprocess import combat_correct, log1p_transform, normalize_total, select_hvg
 from cellscape.spatial_graph import write_edge_list
 
 MARKER_HEADER = ["domain", "gene", "statistic", "p_value", "adj_p_value",
@@ -39,12 +42,8 @@ def test_simulate_train_segment_evaluate(tmp_path, capsys):
     out = str(tmp_path)
     common = ["--output-dir", out, "--seed", "0"]
     assert main(["simulate", *common, "--n-cells", "400", "--n-genes", "60"]) == 0
-    coords = ["--coords", str(tmp_path / "coords.csv")]
-    inputs = ["--expression", str(tmp_path / "expression.csv"), *coords]
-    assert main(["preprocess", *common, *inputs]) == 0
-    assert main(["graph", *common, *coords]) == 0
-    for name in ("hvg_genes.txt", "coexpression.csv", "graph.txt"):
-        assert (tmp_path / name).stat().st_size > 0, name
+    inputs = ["--expression", str(tmp_path / "expression.csv"),
+              "--coords", str(tmp_path / "coords.csv")]
     assert main(["train", *common, *inputs, "--epochs", "3"]) == 0
     assert main(["analyze", *common]) == 0
     assert main(["segment", *common]) == 0
@@ -137,6 +136,35 @@ def test_train_two_samples_segment_analyze(tmp_path, capsys):
     check_markers(out / "markers.csv", {label for _, label in rows})
 
 
+@pytest.mark.parametrize("batch_file", [False, True], ids=["unbatched", "batched"])
+def test_train_harmonizes_exactly_when_given_batch_labels(tmp_path, capsys, batch_file):
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert main(["simulate", "--output-dir", str(data), "--seed", "0",
+                 "--n-cells", "60", "--n-genes", "10", "--n-domains", "2"]) == 0
+    cell_ids = [row[0] for row in read_rows(data / "coords.csv")[1:]]
+    batches = tmp_path / "batches.csv"
+    batches.write_text("cell_id,batch\n" + "".join(f"{cid},b{i % 2}\n"
+                                                  for i, cid in enumerate(cell_ids)))
+    config = tmp_path / "batches.yaml"
+    config.write_text(yaml.safe_dump(
+        {"paths": {"batch_labels": str(batches)}} if batch_file else {}))
+    assert main(["train", "--config", str(config), "--output-dir", str(out), "--seed", "0",
+                 "--expression", str(data / "expression.csv"),
+                 "--coords", str(data / "coords.csv"), "--epochs", "1",
+                 "--n-domains", "2"]) == 0
+
+    ds = load_dataset(data / "expression.csv", data / "coords.csv", format="dense-csv",
+                      batch_path=batches)
+    cfg = PipelineConfig().preprocessing
+    uncorrected = log1p_transform(normalize_total(ds, target=cfg.target_sum)).subset_genes(
+        select_hvg(ds.X, n_top=min(cfg.n_hvg, ds.n_genes)))
+    expected = combat_correct(uncorrected) if batch_file else uncorrected
+    X, genes, ids = load_table(out / "preprocessed_expression.csv")
+    assert (genes, ids) == (expected.gene_names, expected.cell_ids)
+    np.testing.assert_array_equal(X, expected.X)
+    assert not np.array_equal(combat_correct(uncorrected).X, uncorrected.X)
+
+
 def test_analyze_writes_enrichment(tmp_path, capsys):
     out = str(tmp_path)
     common = ["--output-dir", out, "--seed", "0"]
@@ -158,8 +186,8 @@ def test_analyze_writes_enrichment(tmp_path, capsys):
         assert float(p) <= float(adj) <= 1.0
 
 
-def test_preprocess_reads_a_sparse_triplet_sample(tmp_path, capsys):
-    # --format is a flag of every subcommand that reads the expression file
+def test_train_reads_a_sparse_triplet_sample(tmp_path, capsys):
+    # --format names the layout of the expression file train reads
     assert main(["simulate", "--output-dir", str(tmp_path), "--seed", "0",
                  "--n-cells", "60", "--n-genes", "10", "--n-domains", "2"]) == 0
     header, *rows = read_rows(tmp_path / "expression.csv")
@@ -168,39 +196,43 @@ def test_preprocess_reads_a_sparse_triplet_sample(tmp_path, capsys):
     sparse = tmp_path / "expression.txt"
     sparse.write_text(f"%shape {len(rows)} {len(header) - 1}\n" + "\n".join(triplets) + "\n")
     out = tmp_path / "out"
-    argv = ["preprocess", "--output-dir", str(out), "--expression", str(sparse),
-            "--coords", str(tmp_path / "coords.csv")]
+    argv = ["train", "--output-dir", str(out), "--expression", str(sparse),
+            "--coords", str(tmp_path / "coords.csv"), "--epochs", "1", "--n-domains", "2"]
     assert main(argv) == 1  # read as the default dense-csv
     assert main([*argv, "--format", "sparse-triplet"]) == 0
     assert read_rows(out / "preprocessed_expression.csv")[0] == \
         ["gene_id", *(cid for cid, _, _ in read_rows(tmp_path / "coords.csv")[1:])]
 
 
-def test_graph_reads_the_coordinates_alone(tmp_path, capsys):
+@pytest.mark.parametrize("method", [[], ["--method", "knn"]], ids=["default", "knn"])
+def test_train_graph_is_built_from_the_coordinates(tmp_path, capsys, method):
     assert main(["simulate", "--output-dir", str(tmp_path), "--seed", "0",
                  "--n-cells", "60", "--n-genes", "10", "--n-domains", "2"]) == 0
-    (tmp_path / "expression.csv").unlink()
     out = tmp_path / "out"
-    assert main(["graph", "--output-dir", str(out), "--coords", str(tmp_path / "coords.csv")]) == 0
-    coords, _ = load_coords(tmp_path / "coords.csv")
-    write_edge_list(tmp_path / "expected.txt", pipeline.build_graph(coords, PipelineConfig()))
+    assert main(["train", "--output-dir", str(out), "--expression",
+                 str(tmp_path / "expression.csv"), "--coords", str(tmp_path / "coords.csv"),
+                 "--epochs", "1", "--n-domains", "2", *method]) == 0
+    coords, _ = load_coords(out / "cells.csv")
+    cfg = PipelineConfig()
+    if method:
+        cfg = dataclasses.replace(cfg, graph=dataclasses.replace(cfg.graph, method="knn"))
+    write_edge_list(tmp_path / "expected.txt", pipeline.build_graph(coords, cfg))
     assert (out / "graph.txt").read_text() == (tmp_path / "expected.txt").read_text()
 
 
 def test_knn_graph_and_embedding_transitions(tmp_path, capsys):
     out = str(tmp_path)
     common = ["--output-dir", out, "--seed", "0"]
-    coords = ["--coords", str(tmp_path / "coords.csv")]
-    inputs = ["--expression", str(tmp_path / "expression.csv"), *coords]
+    inputs = ["--expression", str(tmp_path / "expression.csv"),
+              "--coords", str(tmp_path / "coords.csv")]
     assert main(["simulate", *common, "--n-cells", "200", "--n-genes", "30"]) == 0
-    assert main(["train", *common, *inputs, "--epochs", "1"]) == 0
-    assert main(["analyze", *common]) == 0
-    spatial = (tmp_path / "transition.txt").read_text()
-    assert main(["graph", *common, *coords, "--method", "knn"]) == 0
+    assert main(["train", *common, *inputs, "--epochs", "1", "--method", "knn"]) == 0
     header, *edges = (tmp_path / "graph.txt").read_text().splitlines()
     assert header == "%n 200"
     degree = Counter(int(cell) for line in edges for cell in line.split()[:2])
     assert min(degree[cell] for cell in range(200)) >= 6  # graph.k
+    assert main(["analyze", *common]) == 0
+    spatial = (tmp_path / "transition.txt").read_text()
     assert main(["analyze", *common, "--transition-source", "embedding"]) == 0
 
     domains = sorted({label for _, label in read_rows(tmp_path / "labels.csv")[1:]})
@@ -261,8 +293,10 @@ def test_segment_names_the_refine_setting_a_tiny_tissue_needs(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     [], ["integrate"], ["train", "--epochs", "x"], ["train", "--no-such-flag"],
     ["segment", "--no-refine", "yes"], ["--seed", "1"], ["segment", "--pca-dim", "5"],
+    ["preprocess"], ["graph", "--method", "knn"], ["train", "--combat"],
 ], ids=["no-command", "integrate-is-gone", "bad-type", "unknown-flag", "flag-value",
-        "flag-before-command", "pca-dim-is-gone"])
+        "flag-before-command", "pca-dim-is-gone", "preprocess-is-gone", "graph-is-gone",
+        "combat-is-gone"])
 def test_usage_error_exits_1(argv, capsys):
     assert main(argv) == 1
     assert "usage: cellscape" in capsys.readouterr().err
@@ -281,9 +315,9 @@ def test_help_exits_0(capsys):
     assert "usage: cellscape" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", ["graph", "segment", "evaluate", "analyze", "simulate"])
+@pytest.mark.parametrize("command", ["segment", "evaluate", "analyze", "simulate"])
 def test_input_paths_are_usage_errors_where_unread(tmp_path, capsys, command):
-    # only preprocess and train read --expression; graph reads --coords alone
+    # only train reads --expression
     out = tmp_path / "out"
     argv = [command, "--output-dir", str(out), "--expression", str(tmp_path / "nowhere.csv")]
     if command == "simulate":

@@ -25,7 +25,6 @@ DEFAULTS = {
     "paths.samples": [],
     "preprocessing.target_sum": 1e4,
     "preprocessing.n_hvg": 3000,
-    "preprocessing.combat": False,
     "graph.method": "auto",
     "graph.k": 6,
     "graph.prune_percentile": 99.0,
@@ -87,7 +86,7 @@ def write_yaml(path, data) -> str:
 
 
 def test_defaults_are_the_literal_table():
-    assert len(DEFAULTS) == 42
+    assert len(DEFAULTS) == 41
     assert settable(PipelineConfig()) == DEFAULTS
 
 
@@ -176,7 +175,10 @@ BAD = [
                  id="attention_slope"),
     pytest.param([], {"simulate": {"seed": 1}}, ["simulate", "seed"], id="simulate-seed"),
     pytest.param([], {"graph": {"k": True}}, ["graph.k"], id="k-bool"),
-    pytest.param([], {"preprocessing": {"combat": 1}}, ["preprocessing.combat"], id="combat-int"),
+    # ComBat runs exactly when the data carries batch labels, and no key
+    # switches it
+    pytest.param([], {"preprocessing": {"combat": True}}, ["unknown", "preprocessing", "combat"],
+                 id="combat-is-gone"),
     pytest.param(["--seed", "-1"], None, ["seed"], id="seed-negative"),
     pytest.param([], {"model": {"tau": float("nan")}}, ["model.tau"], id="tau-nan"),
     # a non-positive step or a negative decay would make Adam climb the loss
