@@ -274,11 +274,34 @@ def other_valid_value(key: str):
     return default // 2 + 1 if isinstance(default, int) else default / 2
 
 
+# The preprocess and graph commands are gone: train runs both stages and
+# takes every flag they took, each setting the same key. The table is
+# literal because the cases read from the parser cannot see a flag go.
+FORMER_COMMANDS = {
+    "preprocess": ["--coords", "--expression", "--format", "--n-hvg", "--output-dir",
+                   "--seed", "--target-sum"],
+    "graph": ["--coords", "--k", "--method", "--output-dir", "--prune-percentile", "--seed"],
+}
+
+
+def train_actions(former: str) -> list:
+    """``train``'s action for each flag of the ``former`` command, None
+    where ``train`` lacks it."""
+    train = {action.option_strings[0]: action
+             for name, action in flag_actions() if name == "train"}
+    return [train.get(flag) for flag in FORMER_COMMANDS[former]]
+
+
 @pytest.mark.parametrize("command, action", [
-    pytest.param(command, action, id=f"{command}{action.option_strings[0]}")
-    for command, action in flag_actions()
+    *(pytest.param(command, action, id=f"{command}{action.option_strings[0]}")
+      for command, action in flag_actions()),
+    *(pytest.param(former, action, id=f"{former}{flag}")
+      for former in FORMER_COMMANDS
+      for flag, action in zip(FORMER_COMMANDS[former], train_actions(former))),
 ])
 def test_each_flag_sets_the_key_its_dest_names(command, action):
+    assert action is not None, f"train lost a flag of the {command} command"
+    command = "train" if command in FORMER_COMMANDS else command
     key, value = action.dest, other_valid_value(action.dest)
     argv = [command, action.option_strings[0]]
     if action.nargs != 0:
@@ -288,13 +311,18 @@ def test_each_flag_sets_the_key_its_dest_names(command, action):
     assert settable(load_config(overrides=flags)) == {**DEFAULTS, key: value}
 
 
-@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("command", [*COMMANDS, *FORMER_COMMANDS])
 def test_help_shows_each_default_from_the_config(command, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "200")
+    if command in FORMER_COMMANDS:
+        actions = train_actions(command)
+        assert None not in actions, f"train lost a flag of the {command} command"
+        command = "train"
+    else:
+        actions = [action for name, action in flag_actions() if name == command]
     assert main([command, "--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())
     defaults = settable(PipelineConfig())
-    actions = [action for name, action in flag_actions() if name == command]
     assert actions
     for action in actions:
         default = defaults[action.dest]
