@@ -8,8 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .preprocess import CoexpressionMatrix
-
 
 @dataclass
 class GeneLayout:
@@ -109,11 +107,13 @@ def _swap_descent(M: np.ndarray, w: np.ndarray, grid_dist: np.ndarray,
             width = min(2 * width, _MAX_BLOCK)
 
 
-def layout_genes(coexpr: CoexpressionMatrix, seed: int, *, swap_budget: int) -> GeneLayout:
+def layout_genes(coexpr: np.ndarray, seed: int, *, swap_budget: int) -> GeneLayout:
     """Deterministic greedy seeding plus first-improvement pairwise swaps.
 
-    Minimizes sum over gene pairs of clipped-positive correlation times grid
-    distance. ``swap_budget`` caps the number of swap evaluations.
+    ``coexpr`` is a (p, p) gene-gene correlation, exactly symmetric
+    (``preprocess.pearson_coexpression``). The layout minimizes the sum over
+    gene pairs of clipped-positive correlation times grid distance.
+    ``swap_budget`` caps the number of swap evaluations.
 
     Both phases work on one table (Taillard 1991, robust taboo search for
     the QAP), ``M[g, c] = sum_k w[g, k] * dist(c, cell_of[k])``: the cost of
@@ -148,7 +148,7 @@ def layout_genes(coexpr: CoexpressionMatrix, seed: int, *, swap_budget: int) -> 
       (``_is_two_opt``). If none improves, no later candidate can, since
       only a swap changes the layout, and the rest of the budget is skipped.
     """
-    C = coexpr.C
+    C = coexpr
     if C.shape[0] != C.shape[1] or not np.array_equal(C, C.T):
         raise ValueError("co-expression matrix must be square and exactly symmetric")
     p = C.shape[0]

@@ -12,14 +12,7 @@ from .cluster import DomainLabels, gmm_cluster, pca_reduce, refine_labels
 from .config import PipelineConfig, model_config_from
 from .dataset import ExpressionDataset
 from .gene_map import GeneLayout, layout_genes
-from .preprocess import (
-    CoexpressionMatrix,
-    combat_correct,
-    log1p_transform,
-    normalize_total,
-    pearson_coexpression,
-    select_hvg,
-)
+from .preprocess import combat_correct, normalize_total, pearson_coexpression, select_hvg
 from .spatial_graph import (
     SpatialGraph,
     block_diagonal_merge,
@@ -34,22 +27,28 @@ from .training import EmbeddingSet, train
 SWAP_BUDGET_FACTOR = 20
 
 
-def preprocess_dataset(ds: ExpressionDataset,
-                       cfg: PipelineConfig) -> tuple[ExpressionDataset, np.ndarray,
-                                                     CoexpressionMatrix]:
-    """Normalize, log-transform, subset to variable genes (selected on raw
-    counts, capped at the panel size), harmonize batches with ComBat when
-    ``ds`` carries batch labels, and compute gene co-expression on the
-    result."""
+def preprocess_expression(ds: ExpressionDataset,
+                          cfg: PipelineConfig) -> tuple[ExpressionDataset, np.ndarray]:
+    """Normalize, subset to the variable genes (selected on raw counts,
+    capped at the panel size), log-transform, and harmonize batches with
+    ComBat when ``ds`` carries batch labels. Returns the result and the
+    variable genes' indices into ``ds``."""
     out = normalize_total(ds, target=cfg.preprocessing.target_sum)
-    out = log1p_transform(out)
-    n_hvg = min(cfg.preprocessing.n_hvg, ds.n_genes)
-    hvg = select_hvg(ds.X, n_top=n_hvg)
+    hvg = select_hvg(ds.X, n_top=min(cfg.preprocessing.n_hvg, ds.n_genes))
     out = out.subset_genes(hvg)
+    out = dataclasses.replace(out, X=np.log1p(out.X))
     if out.batch_labels is not None:
         out = combat_correct(out)
-    coexpr = pearson_coexpression(out)
-    return out, hvg, coexpr
+    return out, hvg
+
+
+def preprocess_dataset(ds: ExpressionDataset,
+                       cfg: PipelineConfig) -> tuple[ExpressionDataset, np.ndarray, np.ndarray]:
+    """``preprocess_expression`` plus the gene co-expression of its result,
+    the preprocessing stage as the benchmark times it; ``fit`` builds the
+    co-expression only for the gene layout."""
+    out, hvg = preprocess_expression(ds, cfg)
+    return out, hvg, pearson_coexpression(out)
 
 
 def build_graph(coords: np.ndarray, cfg: PipelineConfig) -> SpatialGraph:
@@ -61,9 +60,11 @@ def build_graph(coords: np.ndarray, cfg: PipelineConfig) -> SpatialGraph:
     return build_delaunay_graph(coords, prune_percentile=cfg.graph.prune_percentile)
 
 
-def make_layout(coexpr: CoexpressionMatrix, cfg: PipelineConfig) -> GeneLayout:
+def make_layout(coexpr: np.ndarray, cfg: PipelineConfig) -> GeneLayout:
+    """The gene layout of the (p, p) co-expression ``coexpr``
+    (``pearson_coexpression``) at ``SWAP_BUDGET_FACTOR * p**2`` swaps."""
     return layout_genes(coexpr, seed=cfg.seed,
-                        swap_budget=SWAP_BUDGET_FACTOR * coexpr.n_genes ** 2)
+                        swap_budget=SWAP_BUDGET_FACTOR * len(coexpr) ** 2)
 
 
 def _pca_gmm(X: np.ndarray, cfg: PipelineConfig) -> DomainLabels:
@@ -118,8 +119,8 @@ def segment_embeddings(Z_spatial: np.ndarray, coords: np.ndarray,
 def baseline_pca_gmm(ds_raw: ExpressionDataset, cfg: PipelineConfig) -> DomainLabels:
     """Non-spatial control: the same preprocessing, then the fit's own
     readout, PCA to K dims and a K-component GMM (``_pca_gmm``), on the
-    expression (no graph, no refinement)."""
-    ds_pre, _, _ = preprocess_dataset(ds_raw, cfg)
+    expression (no graph, no gene layout, no refinement)."""
+    ds_pre, _ = preprocess_expression(ds_raw, cfg)
     return _pca_gmm(ds_pre.X.T, cfg)  # cells x genes
 
 
@@ -172,17 +173,18 @@ def _check_segmentable(samples: list[ExpressionDataset], cfg: PipelineConfig) ->
 
 
 def fit(samples: list[ExpressionDataset], cfg: PipelineConfig) -> Fit:
-    """Raw samples to domain labels: preprocess, graph, gene layout, train,
+    """Raw samples to domain labels: preprocess, graph, gene layout (its
+    co-expression built only when the intrinsic branch reads it), train,
     segment, each once; a tissue too small to segment is rejected before the
     first stage. Samples may share one coordinate frame: they share no graph
     edge, and refinement votes only within a sample. Several samples are
     harmonized with one batch per sample (``_merge_samples``)."""
     ds, samples_of_cells = _merge_samples(samples)
     _check_segmentable(samples, cfg)
-    pre, _, coexpr = preprocess_dataset(ds, cfg)
+    pre, _ = preprocess_expression(ds, cfg)
     graph = block_diagonal_merge([build_graph(s.coords, cfg) for s in samples])
     mcfg = model_config_from(cfg)
-    layout = None if mcfg.cci_only else make_layout(coexpr, cfg)
+    layout = None if mcfg.cci_only else make_layout(pearson_coexpression(pre), cfg)
     _, embeddings, log = train(pre, graph, layout, mcfg)
     labels = segment_embeddings(embeddings.Z_spatial, pre.coords, cfg,
                                 sample_labels=samples_of_cells)

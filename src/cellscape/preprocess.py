@@ -1,26 +1,17 @@
-"""Expression preprocessing: library-size normalization, log transform,
-variable-gene selection, gene-gene correlation, and batch harmonization."""
+"""Expression preprocessing: library-size normalization, variable-gene
+selection on the raw counts, batch harmonization by per-batch
+standardization (ComBat without shrinkage), and the gene-gene correlation
+that the gene layout reads. The log transform is ``np.log1p`` on the
+normalized, non-negative values (``pipeline.preprocess_expression``)."""
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .dataset import ExpressionDataset
-
-
-@dataclass
-class CoexpressionMatrix:
-    """Symmetric gene-gene Pearson correlation; a constant gene's
-    off-diagonal correlations are zero."""
-
-    C: np.ndarray                  # (p, p), entries in [-1, 1], exact symmetry
-
-    @property
-    def n_genes(self) -> int:
-        return self.C.shape[0]
 
 
 def normalize_total(ds: ExpressionDataset, target: float) -> ExpressionDataset:
@@ -34,13 +25,6 @@ def normalize_total(ds: ExpressionDataset, target: float) -> ExpressionDataset:
     if zero.size:
         raise ValueError(f"cell {ds.cell_ids[zero[0]]!r} has zero total expression")
     return replace(ds, X=ds.X * (target / sums))
-
-
-def log1p_transform(ds: ExpressionDataset) -> ExpressionDataset:
-    """Elementwise ln(1 + x)."""
-    if np.any(ds.X < 0):
-        raise ValueError("log1p_transform requires non-negative expression")
-    return replace(ds, X=np.log1p(ds.X))
 
 
 def select_hvg(counts: np.ndarray, n_top: int) -> np.ndarray:
@@ -80,10 +64,12 @@ def select_hvg(counts: np.ndarray, n_top: int) -> np.ndarray:
     return np.sort(order[:n_top])
 
 
-def pearson_coexpression(ds: ExpressionDataset) -> CoexpressionMatrix:
-    """Gene-gene Pearson correlation across cells, exactly symmetric.
+def pearson_coexpression(ds: ExpressionDataset) -> np.ndarray:
+    """The (p, p) gene-gene Pearson correlation across cells.
 
-    Constant genes get zero off-diagonal correlation.
+    The result is exactly symmetric, its entries lie in [-1, 1] and its
+    diagonal is 1. A constant gene has no correlation: its off-diagonal
+    entries are 0.
     """
     p, n = ds.X.shape
     if n < 2:
@@ -99,16 +85,24 @@ def pearson_coexpression(ds: ExpressionDataset) -> CoexpressionMatrix:
     upper = np.triu(C, k=1)
     C = upper + upper.T
     np.fill_diagonal(C, 1.0)
-    return CoexpressionMatrix(C=C)
+    return C
 
 
 def combat_correct(ds: ExpressionDataset) -> ExpressionDataset:
-    """Remove per-gene location/scale batch effects.
+    """Remove per-gene location and scale batch effects: ComBat (Johnson,
+    Li & Rabinovic 2007) with the batch moments removed exactly, no
+    empirical-Bayes shrinkage.
 
-    Standardizes each gene, estimates per-batch additive (gamma) and
-    multiplicative (delta^2) effects, and back-transforms. The batch moments
-    are removed exactly, with no empirical-Bayes shrinkage, which makes
-    post-correction batch means identical per gene.
+    Without shrinkage ComBat's standardize, estimate, adjust and
+    back-transform steps reduce to a closed form. Per gene, a value ``x``
+    of batch b becomes ``grand + pooled_sd * (x - mean_b) / sd_b``:
+    ``grand`` is the cell-weighted mean of the batch means, ``pooled_sd``
+    the pooled within-batch standard deviation (ddof 0) and ``mean_b`` and
+    ``sd_b`` the batch's own mean and standard deviation (ddof 1). A gene
+    that is exactly constant within a batch (such as one the sample never
+    detected) takes the value ``grand`` in that batch. So every gene's
+    corrected batch means are equal, and each batch's standard deviation
+    is ``pooled_sd`` or 0.
     """
     if ds.batch_labels is None:
         raise ValueError("combat_correct requires batch labels")
@@ -124,25 +118,14 @@ def combat_correct(ds: ExpressionDataset) -> ExpressionDataset:
             raise ValueError(f"batch {name!r} has {c} cell(s); need at least 2 per batch")
 
     X = ds.X
-    n = X.shape[1]
-    n_batches = len(batch_names)
-    members = [np.flatnonzero(batch_idx == b) for b in range(n_batches)]
-
+    members = [np.flatnonzero(batch_idx == b) for b in range(len(batch_names))]
     batch_means = np.stack([X[:, m].mean(axis=1) for m in members], axis=1)  # (p, B)
-    grand = batch_means @ (counts / n)
+    grand = batch_means @ (counts / X.shape[1])
     resid = X - batch_means[:, batch_idx]
-    var_pooled = (resid * resid).mean(axis=1)
+    pooled_sd = np.sqrt((resid * resid).mean(axis=1))
 
-    informative = var_pooled > 0
-    scale = np.where(informative, np.sqrt(var_pooled), 1.0)
-    Z = (X - grand[:, None]) / scale[:, None]
-
-    gamma = np.stack([Z[:, m].mean(axis=1) for m in members], axis=1)
-    delta2 = np.stack([Z[:, m].var(axis=1, ddof=1) for m in members], axis=1)
-
-    delta2 = np.where(delta2 > 0, delta2, 1.0)
-    adjusted = (Z - gamma[:, batch_idx]) / np.sqrt(delta2)[:, batch_idx]
-    corrected = scale[:, None] * adjusted + grand[:, None]
-    corrected[~informative, :] = grand[~informative, None]
-
-    return replace(ds, X=corrected)
+    scale = np.zeros_like(batch_means)  # pooled_sd / sd_b, 0 where constant
+    for b, m in enumerate(members):
+        varies = np.ptp(X[:, m], axis=1) > 0
+        scale[varies, b] = pooled_sd[varies] / X[np.ix_(varies, m)].std(axis=1, ddof=1)
+    return replace(ds, X=grand[:, None] + scale[:, batch_idx] * resid)

@@ -16,7 +16,9 @@ embedding from a backward of its own and a plain-loop PCGrad, as the
 reference for ``training._step``.
 ``chunked_layout_genes`` is the gene layout's vectorised chunk-by-chunk
 loop, kept bit for bit as the reference for the faster ``layout_genes``;
-``naive_gene_layout`` checks it by plain loops.
+``naive_gene_layout`` checks it by plain loops. ``four_step_combat`` is
+ComBat's standardize, estimate, adjust and back-transform steps without
+shrinkage, the reference for the closed form of ``combat_correct``.
 """
 
 from __future__ import annotations
@@ -376,6 +378,40 @@ def pearson_corr(x, y) -> float:
     if denom == 0.0:
         return 0.0
     return float((xc * yc).sum() / denom)
+
+
+def four_step_combat(X, batch_labels):
+    """ComBat without empirical-Bayes shrinkage, step by step, on a (p, n)
+    matrix and one batch label per cell: standardize each gene by the
+    cell-weighted grand mean and the pooled within-batch deviation (ddof 0),
+    estimate each batch's additive (gamma) and multiplicative (delta^2,
+    ddof 1) effect on the standardized values, remove them, and
+    back-transform. A gene without within-batch variance maps to its grand
+    mean; a batch whose standardized variance is 0 is not rescaled."""
+    X = np.asarray(X, dtype=np.float64)
+    labels = np.asarray(batch_labels)
+    names = sorted(set(labels.tolist()))
+    members = [np.flatnonzero(labels == b) for b in names]
+    counts = np.array([len(m) for m in members])
+    batch_idx = np.empty(X.shape[1], dtype=np.int64)
+    for b, m in enumerate(members):
+        batch_idx[m] = b
+
+    batch_means = np.stack([X[:, m].mean(axis=1) for m in members], axis=1)
+    grand = batch_means @ (counts / X.shape[1])
+    resid = X - batch_means[:, batch_idx]
+    var_pooled = (resid * resid).mean(axis=1)
+    informative = var_pooled > 0
+    scale = np.where(informative, np.sqrt(var_pooled), 1.0)
+    Z = (X - grand[:, None]) / scale[:, None]
+
+    gamma = np.stack([Z[:, m].mean(axis=1) for m in members], axis=1)
+    delta2 = np.stack([Z[:, m].var(axis=1, ddof=1) for m in members], axis=1)
+    delta2 = np.where(delta2 > 0, delta2, 1.0)
+    adjusted = (Z - gamma[:, batch_idx]) / np.sqrt(delta2)[:, batch_idx]
+    corrected = scale[:, None] * adjusted + grand[:, None]
+    corrected[~informative, :] = grand[~informative, None]
+    return corrected
 
 
 def chunked_layout_genes(C, seed: int, swap_budget: int):

@@ -14,7 +14,7 @@ from cellscape import pipeline, training
 from cellscape.cli import main
 from cellscape.config import PipelineConfig
 from cellscape.dataset import load_coords, load_dataset, load_table
-from cellscape.preprocess import combat_correct, log1p_transform, normalize_total, select_hvg
+from cellscape.preprocess import combat_correct, normalize_total, select_hvg
 from cellscape.spatial_graph import write_edge_list
 
 MARKER_HEADER = ["domain", "gene", "statistic", "p_value", "adj_p_value",
@@ -156,8 +156,9 @@ def test_train_harmonizes_exactly_when_given_batch_labels(tmp_path, capsys, batc
     ds = load_dataset(data / "expression.csv", data / "coords.csv", format="dense-csv",
                       batch_path=batches)
     cfg = PipelineConfig().preprocessing
-    uncorrected = log1p_transform(normalize_total(ds, target=cfg.target_sum)).subset_genes(
+    normalized = normalize_total(ds, target=cfg.target_sum).subset_genes(
         select_hvg(ds.X, n_top=min(cfg.n_hvg, ds.n_genes)))
+    uncorrected = dataclasses.replace(normalized, X=np.log1p(normalized.X))
     expected = combat_correct(uncorrected) if batch_file else uncorrected
     X, genes, ids = load_table(out / "preprocessed_expression.csv")
     assert (genes, ids) == (expected.gene_names, expected.cell_ids)

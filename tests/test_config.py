@@ -132,7 +132,7 @@ def train_argv(tmp_path, monkeypatch):
     def stage(*args, **kwargs):
         raise StageReached
 
-    monkeypatch.setattr(pipeline, "preprocess_dataset", stage)
+    monkeypatch.setattr(pipeline, "preprocess_expression", stage)
     return ["train", "--output-dir", str(tmp_path / "out"),
             "--expression", str(tmp_path / "data" / "expression.csv"),
             "--coords", str(tmp_path / "data" / "coords.csv")]

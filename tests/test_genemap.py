@@ -10,21 +10,16 @@ from cellscape.dataset import ExpressionDataset
 from cellscape.config import PipelineConfig
 from cellscape.gene_map import GeneLayout, layout_genes, mask_cells, render_maps
 from cellscape.network import CellScapeModel, ModelConfig
-from cellscape.pipeline import SWAP_BUDGET_FACTOR, make_layout, preprocess_dataset
-from cellscape.preprocess import CoexpressionMatrix
+from cellscape.pipeline import SWAP_BUDGET_FACTOR, make_layout, preprocess_expression
+from cellscape.preprocess import pearson_coexpression
 from cellscape.spatial_graph import build_knn_graph
 from cellscape.synth import SyntheticSpec, generate_tissue
 from oracles import chunked_layout_genes, naive_gene_layout
 
 
-def cm(C):
-    C = np.asarray(C, dtype=np.float64)
-    return CoexpressionMatrix(C=C)
-
-
 def default_layout(C, seed):
     """``layout_genes`` at the pipeline's ``SWAP_BUDGET_FACTOR * p^2`` swaps."""
-    return make_layout(cm(C), PipelineConfig(seed=seed))
+    return make_layout(np.asarray(C, dtype=np.float64), PipelineConfig(seed=seed))
 
 
 def weight_matrix(kind: str, p: int, seed: int) -> np.ndarray:
@@ -135,7 +130,7 @@ class TestLayout:
             np.fill_diagonal(C, 1.0)
         C = (C + C.T) / 2
         budget = 20 * p * p if p <= 50 else 2 * p * p  # the loop reference is O(p) per evaluation
-        layout = layout_genes(cm(C), seed=p, swap_budget=budget)
+        layout = layout_genes(C, seed=p, swap_budget=budget)
         positions, greedy_j, final_j = naive_gene_layout(C, seed=p, swap_budget=budget)
         np.testing.assert_array_equal(layout.positions, np.array(positions).reshape(p, 2))
         # the objectives are summed in a different order
@@ -166,7 +161,7 @@ class TestLayout:
         if budget == "20p^2":
             budget = 20 * p * p
         C = weight_matrix(kind, p, seed=p)
-        layout = layout_genes(cm(C), seed=p + 1, swap_budget=budget)
+        layout = layout_genes(C, seed=p + 1, swap_budget=budget)
         positions, greedy_j, final_j = chunked_layout_genes(C, seed=p + 1, swap_budget=budget)
         np.testing.assert_array_equal(layout.positions, positions)
         assert layout.greedy_objective == greedy_j
@@ -176,11 +171,11 @@ class TestLayout:
     def test_matches_chunked_reference_at_800_genes(self):
         ds = generate_tissue(SyntheticSpec(n_cells=2000, n_genes=800, seed=3))[0]
         cfg = PipelineConfig(seed=3)
-        coexpr = preprocess_dataset(ds, cfg)[2]
-        assert coexpr.n_genes == 800
+        coexpr = pearson_coexpression(preprocess_expression(ds, cfg)[0])
+        assert coexpr.shape == (800, 800)
         layout = make_layout(coexpr, cfg)
         positions, greedy_j, final_j = chunked_layout_genes(
-            coexpr.C, seed=3, swap_budget=SWAP_BUDGET_FACTOR * 800 ** 2)
+            coexpr, seed=3, swap_budget=SWAP_BUDGET_FACTOR * 800 ** 2)
         np.testing.assert_array_equal(layout.positions, positions)
         assert layout.greedy_objective == greedy_j
         assert layout.objective_value == final_j < greedy_j
@@ -199,7 +194,7 @@ class TestLayout:
         monkeypatch.setattr(gene_map, "_draws", counted)
         p = 100
         C = weight_matrix("blocks", p, seed=5)
-        layout = layout_genes(cm(C), seed=5, swap_budget=20 * p * p)
+        layout = layout_genes(C, seed=5, swap_budget=20 * p * p)
         assert sum(drawn) < 20 * p * p
         w = np.maximum(C, 0.0)
         np.fill_diagonal(w, 0.0)
@@ -224,7 +219,7 @@ class TestLayout:
         C = weight_matrix(kind, p, seed=7)
         w = np.maximum(C, 0.0)
         np.fill_diagonal(w, 0.0)
-        layout = layout_genes(cm(C), seed=7, swap_budget=budget)
+        layout = layout_genes(C, seed=7, swap_budget=budget)
         grid = np.stack(np.divmod(np.arange(layout.q ** 2), layout.q), axis=1).astype(float)
         grid_dist = np.linalg.norm(grid[:, None, :] - grid[None, :, :], axis=2)
         cell_of = layout.cell_indices()

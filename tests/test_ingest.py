@@ -1,18 +1,17 @@
 """Loading, preprocessing, correlation, and batch-correction behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from cellscape import pipeline
+from cellscape.config import PipelineConfig
 from cellscape.dataset import ExpressionDataset, load_dataset, load_table, write_table
-from cellscape.preprocess import (
-    combat_correct,
-    log1p_transform,
-    normalize_total,
-    pearson_coexpression,
-    select_hvg,
-)
+from cellscape.preprocess import combat_correct, normalize_total, pearson_coexpression, select_hvg
+from cellscape.synth import SyntheticSpec, generate_tissue
 
-from oracles import pearson_corr
+from oracles import four_step_combat, pearson_corr
 
 
 def make_ds(X, coords=None, **kw):
@@ -102,7 +101,7 @@ class TestLoading:
         coords = tmp_path / "coords.csv"
         coords.write_text("cell_id,x,y\ncA,0,0\ncB,1,0\n")
         ds = load_dataset(expr, coords, format="dense-csv")
-        out = log1p_transform(normalize_total(ds, target=10))
+        out = normalize_total(ds, target=10)
         np.testing.assert_array_equal(ds.X, [[1, 2], [0, 4], [3, 0]])
         sub = out.subset_genes([0, 2])
         assert not np.shares_memory(sub.X, out.X)
@@ -175,18 +174,12 @@ class TestNormalize:
             out = normalize_total(make_ds(X), target=1e4)
             np.testing.assert_allclose(out.X.sum(axis=0), 1e4, rtol=1e-9)
 
-
-class TestLog1p:
-    def test_values(self):
-        ds = make_ds([[0.0], [np.e - 1.0], [9.0]])
-        out = log1p_transform(ds)
-        np.testing.assert_allclose(out.X[:, 0], [0.0, 1.0, np.log(10.0)], atol=1e-15)
-
     def test_negative_rejected(self):
+        # the log transform after it relies on this check
         ds = make_ds([[1.0], [1.0]])
         ds.X[0, 0] = -0.5
         with pytest.raises(ValueError, match="non-negative"):
-            log1p_transform(ds)
+            normalize_total(ds, target=1e4)
 
 
 class TestSelectHVG:
@@ -245,42 +238,42 @@ class TestSelectHVG:
 class TestPearson:
     def test_exact_cases(self):
         X = np.array([[1.0, 2, 3], [2, 4, 6], [1, 0, 1], [3, 2, 1]])
-        cm = pearson_coexpression(make_ds(X))
-        assert cm.C[0, 1] == pytest.approx(1.0)
-        assert cm.C[0, 2] == pytest.approx(0.0, abs=1e-15)
-        assert cm.C[0, 3] == pytest.approx(-1.0)
+        C = pearson_coexpression(make_ds(X))
+        assert C[0, 1] == pytest.approx(1.0)
+        assert C[0, 2] == pytest.approx(0.0, abs=1e-15)
+        assert C[0, 3] == pytest.approx(-1.0)
 
     def test_exact_symmetry_and_bounds(self):
         rng = np.random.default_rng(5)
         X = rng.random((20, 15))
-        cm = pearson_coexpression(make_ds(X))
-        assert np.array_equal(cm.C, cm.C.T)
-        assert np.all(np.abs(cm.C) <= 1.0 + 1e-12)
-        np.testing.assert_array_equal(np.diag(cm.C), 1.0)
+        C = pearson_coexpression(make_ds(X))
+        assert np.array_equal(C, C.T)
+        assert np.all(np.abs(C) <= 1.0 + 1e-12)
+        np.testing.assert_array_equal(np.diag(C), 1.0)
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(6)
         X = rng.random((6, 12))
-        base = pearson_coexpression(make_ds(X)).C
+        base = pearson_coexpression(make_ds(X))
         scaled = X * rng.uniform(0.5, 3.0, (6, 1)) + rng.uniform(-2, 2, (6, 1))
-        again = pearson_coexpression(make_ds(np.abs(scaled) + 1)).C
+        again = pearson_coexpression(make_ds(np.abs(scaled) + 1))
         # affine map with positive slope applied per gene preserves correlations
         shifted = X * 2.5 + 7.0
-        np.testing.assert_allclose(pearson_coexpression(make_ds(shifted)).C, base, atol=1e-10)
+        np.testing.assert_allclose(pearson_coexpression(make_ds(shifted)), base, atol=1e-10)
 
     def test_matches_covariance_oracle(self):
         rng = np.random.default_rng(8)
         X = rng.random((5, 9))
-        cm = pearson_coexpression(make_ds(X))
+        C = pearson_coexpression(make_ds(X))
         for u in range(5):
             for v in range(5):
-                assert cm.C[u, v] == pytest.approx(pearson_corr(X[u], X[v]), abs=1e-10)
+                assert C[u, v] == pytest.approx(pearson_corr(X[u], X[v]), abs=1e-10)
 
     def test_constant_gene_flagged(self):
         X = np.array([[1.0, 1, 1], [1, 2, 3]])
-        cm = pearson_coexpression(make_ds(X))
-        assert cm.C[0, 1] == 0.0 and cm.C[1, 0] == 0.0
-        assert cm.C[0, 0] == 1.0
+        C = pearson_coexpression(make_ds(X))
+        assert C[0, 1] == 0.0 and C[1, 0] == 0.0
+        assert C[0, 0] == 1.0
 
     def test_single_cell_rejected(self):
         with pytest.raises(ValueError, match="2 cells"):
@@ -327,3 +320,60 @@ class TestCombat:
         ds = make_ds(X, batch_labels=["A", "A", "A", "B"])
         with pytest.raises(ValueError, match="'B'"):
             combat_correct(ds)
+
+    @staticmethod
+    def _assert_equal_batch_means(X, batches):
+        # one tolerance per gene: 1e-9 of its largest magnitude
+        atol = 1e-9 * np.abs(X).max(axis=1)
+        means = [X[:, batches == b].mean(axis=1) for b in np.unique(batches)]
+        for other in means[1:]:
+            assert np.all(np.abs(other - means[0]) <= atol), np.abs(other - means[0]) / atol
+
+    def test_gene_constant_in_one_batch_maps_to_the_grand_mean(self):
+        # gene 0 is absent from batch A and gene 1 constant there; their
+        # batch-A values become the grand mean, so the batch means agree
+        rng = np.random.default_rng(13)
+        for n_a, n_b in [(20, 30), (7, 5), (40, 40), (3, 9)]:
+            X = rng.poisson(4.0, (5, n_a + n_b)).astype(float)
+            X[:, :n_a] = np.log1p(X[:, :n_a] * 1.7)
+            X[0, :n_a] = 0.0
+            X[1, :n_a] = 2.0
+            out = combat_correct(self._two_batch_ds(X, n_a))
+            batches = np.array(out.batch_labels)
+            self._assert_equal_batch_means(out.X, batches)
+            grand = (n_a * X[:, :n_a].mean(axis=1) + n_b * X[:, n_a:].mean(axis=1)) / (n_a + n_b)
+            np.testing.assert_allclose(out.X[:2, :n_a], np.repeat(grand[:2, None], n_a, axis=1),
+                                       rtol=1e-14)
+
+    def test_gene_absent_from_one_sample_of_a_merged_fit(self):
+        # the two-sample console chain's tissues, with gene g0 never
+        # detected in the first sample
+        a, _ = generate_tissue(SyntheticSpec(n_cells=200, n_genes=40, n_domains=3, seed=1))
+        b, _ = generate_tissue(SyntheticSpec(n_cells=200, n_genes=40, n_domains=3, seed=2))
+        X = a.X.copy()
+        X[a.gene_names.index("g0")] = 0.0
+        ds, samples = pipeline._merge_samples([dataclasses.replace(a, X=X), b])
+        pre, _ = pipeline.preprocess_expression(ds, PipelineConfig())
+        self._assert_equal_batch_means(pre.X, samples)
+        g0 = pre.X[pre.gene_names.index("g0")]
+        np.testing.assert_array_equal(g0[:200], g0[0])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_four_step_reference(self, seed):
+        # random batch counts, sizes, shifts and scales; no gene is
+        # constant within a batch
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(50):
+            n_batches = int(rng.integers(2, 5))
+            sizes = rng.integers(2, 25, n_batches)
+            p = int(rng.integers(1, 12))
+            blocks = [rng.normal(rng.normal(0, 5, (p, 1)), rng.uniform(0.01, 4, (p, 1)), (p, k))
+                      for k in sizes]
+            X = np.hstack(blocks)
+            labels = [f"b{i}" for i, k in enumerate(sizes) for _ in range(k)]
+            perm = rng.permutation(X.shape[1])
+            X, labels = X[:, perm], [labels[j] for j in perm]
+            out = combat_correct(make_ds(X, batch_labels=labels))
+            expected = four_step_combat(X, labels)
+            atol = 1e-12 * np.abs(X).max(axis=1, keepdims=True)
+            assert np.all(np.abs(out.X - expected) <= atol)

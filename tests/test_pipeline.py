@@ -33,6 +33,35 @@ def test_fit_equals_the_stage_chain(cci_only):
     assert set(result.samples) == {"sample0"}
 
 
+def test_coexpression_is_built_only_for_the_gene_layout(monkeypatch):
+    # the non-spatial control and the spatial branch alone read no gene
+    # layout, so they never build the (p, p) co-expression matrix
+    ds = generate_tissue(SyntheticSpec(n_cells=90, n_genes=30, n_domains=3, seed=6))[0]
+    cfg = PipelineConfig(seed=6)
+    cfg.model.epochs = 1
+    cfg.clustering.n_domains = 3
+    build = pipeline.pearson_coexpression
+
+    def unread(pre):
+        raise AssertionError("co-expression built for a fit without a gene layout")
+
+    monkeypatch.setattr(pipeline, "pearson_coexpression", unread)
+    pipeline.baseline_pca_gmm(ds, cfg)
+    cfg.model.cci_only = True
+    pipeline.fit([ds], cfg)
+
+    calls = []
+
+    def counted(pre):
+        calls.append(pre.n_genes)
+        return build(pre)
+
+    monkeypatch.setattr(pipeline, "pearson_coexpression", counted)
+    cfg.model.cci_only = False
+    pipeline.fit([ds], cfg)
+    assert calls == [30]
+
+
 def test_fit_refines_each_sample_alone():
     # two samples in the same unit-square frame with bands on different
     # axes: a cell's nearest neighbours in the stacked coordinates include
@@ -128,7 +157,7 @@ def test_segment_names_too_few_cells(n):
 def test_control_reads_k_principal_components_of_the_expression():
     ds = generate_tissue(SyntheticSpec(n_cells=120, n_genes=40, n_domains=3, seed=2))[0]
     cfg = k_domain_config(seed=2)
-    X = pipeline.preprocess_dataset(ds, cfg)[0].X.T
+    X = pipeline.preprocess_expression(ds, cfg)[0].X.T
     np.testing.assert_array_equal(pipeline.baseline_pca_gmm(ds, cfg).labels,
                                   gmm_cluster(pca_reduce(X, 3), 3, seed=2).labels)
 
