@@ -1,6 +1,7 @@
 """Minimal reverse-mode automatic differentiation over dense numpy buffers.
 
-Tensors wrap float64 arrays and record the operations that produced them;
+Tensors wrap arrays of the module constant ``DTYPE`` (float32), or, for a
+scalar such as a loss, float64, and record the operations that produced them;
 ``backward`` walks the graph in reverse topological order and accumulates
 gradients into every reachable tensor with ``requires_grad=True``. A leaf's
 ``grad`` sums over every ``backward`` until its reader takes it off (sets it
@@ -11,6 +12,17 @@ gradient of the root's shape. The training step walks the encoders once
 per epoch, seeded with the two losses' merged gradient at the fused
 embedding. The operations are those the training loop needs, plus the few
 listed at the end; all run on CPU numpy and scipy.sparse.
+
+Training computes in ``DTYPE``: parameters, activations, gradients and the
+arrays the fused ops build are all ``DTYPE``, and an op casts a plain array
+input (maps, targets, degrees) to it, which is no copy when the caller cast
+it once. Sums whose rounding grows with the number of cells accumulate in
+float64 (Micikevicius et al. 2018's mixed precision): the loss scalars, the
+CNN's batch statistics and co-moments and its backward's sums over the
+cells, and the contrastive loss's per-anchor denominator. A float64 operand in a
+product with ``DTYPE`` arrays would promote the product, so each op casts
+its float64 per-row or per-channel factors to ``DTYPE`` before they meet
+an array that grows with the cells.
 
 Most ops are generic (elementwise, matmul, gathers, segment sums); the
 model calls four of them (``matmul``, ``concat``, ``gather_rows`` and
@@ -78,13 +90,21 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.sparse import csr_matrix
 
+# The compute dtype of training: every non-scalar tensor, gradient and
+# fused-op buffer. A module constant, not a setting; tests that compare
+# against float64 references set it to float64 for their duration.
+DTYPE = np.float32
+
+
 class Tensor:
-    """A dense float64 tensor with optional gradient tracking."""
+    """A dense tensor with optional gradient tracking: ``DTYPE`` values, or
+    float64 for a 0-d tensor, a loss or a scalar operand."""
 
     __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward_fn", "_backward_done")
 
     def __init__(self, values, requires_grad: bool = False):
-        self.values = np.asarray(values, dtype=np.float64)
+        values = np.asarray(values)
+        self.values = values.astype(np.float64 if values.ndim == 0 else DTYPE, copy=False)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -108,9 +128,10 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray, own: bool = False) -> None:
         # ``own=True`` promises that no other tensor holds the buffer or will
-        # read it, so first-touch can take it without a copy
+        # read it, so first-touch can take it without a copy; a copy takes
+        # the tensor's dtype
         if self.grad is None:
-            self.grad = grad if own else np.array(grad, dtype=np.float64)
+            self.grad = grad if own else np.array(grad, dtype=self.values.dtype)
         else:
             self.grad += grad
 
@@ -272,7 +293,8 @@ def tensor_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(np.broadcast_to(g.reshape(kept), a.shape).copy(), own=True)
+            a._accumulate(np.broadcast_to(g.reshape(kept), a.shape).astype(a.values.dtype),
+                          own=True)
 
     return _make(values, (a,), backward_fn)
 
@@ -310,7 +332,7 @@ def slice_cols(a, start: int, stop: int) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            full = np.zeros(a.shape)
+            full = np.zeros(a.shape, dtype=a.values.dtype)
             full[:, start:stop] = g
             a._accumulate(full, own=True)
 
@@ -320,7 +342,7 @@ def slice_cols(a, start: int, stop: int) -> Tensor:
 def _sorted_row_sums(rows: np.ndarray, sorted_ids: np.ndarray, num_segments: int) -> np.ndarray:
     """Sums of ``rows`` grouped by pre-sorted integer ids (reduceat is much
     faster than np.add.at for the edge-sized arrays used here)."""
-    out = np.zeros((num_segments,) + rows.shape[1:])
+    out = np.zeros((num_segments,) + rows.shape[1:], dtype=rows.dtype)
     if sorted_ids.size == 0:
         return out
     starts = np.flatnonzero(np.diff(sorted_ids)) + 1
@@ -361,7 +383,7 @@ def segment_sum(a, segment_ids, num_segments: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 # Entries per block of the edge-score backward's two gather buffers
-# together (512 KiB of float64): a block takes _EDGE_ENTRIES // (senders'
+# together (256 KiB of float32): a block takes _EDGE_ENTRIES // (senders'
 # width + receivers' width) edges, so the buffers stay this size whatever the
 # layer's width. The first encoder layer (64-wide senders and receivers)
 # walks 512 edges a block, the final one (128-wide senders, 32-wide averaged
@@ -479,9 +501,9 @@ def gat_attention(h, W, a_center: Tensor, a_neighbor: Tensor, edges, slope: floa
         # d loss / d alpha for every pair: <g_k[dst], hw_k[src]>, by blocks of edges
         # (one pair of gather buffers, reused by every block)
         step = max(1, _EDGE_ENTRIES // (width + grads.shape[1] * d))
-        dscores = np.empty(alpha.shape)
-        senders = np.empty((min(step, dst.size), heads, d))
-        receivers = np.empty((senders.shape[0],) + grads.shape[1:])
+        dscores = np.empty(alpha.shape, dtype=DTYPE)
+        senders = np.empty((min(step, dst.size), heads, d), dtype=DTYPE)
+        receivers = np.empty((senders.shape[0],) + grads.shape[1:], dtype=DTYPE)
         for lo in range(0, dst.size, step):
             hi = min(lo + step, dst.size)
             np.take(feats, src[lo:hi], axis=0, out=senders[:hi - lo], mode="clip")
@@ -494,10 +516,11 @@ def gat_attention(h, W, a_center: Tensor, a_neighbor: Tensor, edges, slope: floa
         spread *= alpha
         dscores -= spread
         del spread
-        dscores *= np.where(positive, 1.0, slope)
+        np.multiply(dscores, slope, out=dscores, where=~positive)
         dcenter = np.add.reduceat(dscores, starts, axis=0)               # (n, heads)
+        # bincount sums its weights in float64
         dneighbor = np.array([np.bincount(src, weights=dscores[:, k], minlength=n)
-                              for k in range(heads)]).T
+                              for k in range(heads)], dtype=DTYPE).T
         del dscores                          # only the per-cell sums are read from here on
         for a, dscore in ((a_center, dcenter), (a_neighbor, dneighbor)):
             if a.requires_grad:
@@ -509,7 +532,7 @@ def gat_attention(h, W, a_center: Tensor, a_neighbor: Tensor, edges, slope: floa
         if not (h.requires_grad or weight_grad):
             return
         # head by head, so no temporary is wider than one head's (n, d)
-        dfeats = np.empty((n, heads, d))
+        dfeats = np.empty((n, heads, d), dtype=DTYPE)
         for k in range(heads):
             head = dfeats[:, k]
             np.multiply(dcenter[:, k, None], ac[k], out=head)
@@ -549,13 +572,15 @@ def contrastive(z, anchors: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     ``s_aj = <z_a, z_j> / tau`` and ``deg = degree``; the loss is their mean.
 
     The forward walks the anchors in blocks of ``_ANCHOR_CHUNK``. Each block
-    exponentiates its row-max-shifted similarities in one buffer and, when
-    ``z`` needs a gradient, turns that buffer into d loss / d similarity and
-    adds both matmul terms to one cached (n, d) gradient; the backward only
-    scales it. No anchors x n array is ever held.
+    exponentiates its row-max-shifted similarities in one buffer, weights
+    them by degree in place and sums each row, a sum over all n cells, in
+    float64; when ``z`` needs a gradient, it turns that buffer into d loss /
+    d similarity and adds both matmul terms to one cached (n, d) gradient;
+    the backward only scales it. No anchors x n array is ever held.
     """
     z = as_tensor(z)
     zv = z.values
+    degree = np.asarray(degree, dtype=DTYPE)
     n_anchors = anchors.size
     inv_tau = 1.0 / tau
     grad = np.zeros_like(zv) if z.requires_grad else None
@@ -568,16 +593,16 @@ def contrastive(z, anchors: np.ndarray, rows: np.ndarray, cols: np.ndarray,
         ex = scaled @ zv.T                                     # (block, n)
         ex -= ex.max(axis=1, keepdims=True)                    # detached stabilizer
         np.exp(ex, out=ex)
-        den = ex @ degree
         e0, e1 = np.searchsorted(rows, (lo, hi))
         r, c = rows[e0:e1] - lo, cols[e0:e1]
         pair = ex[r, c]
         num = _sorted_row_sums(pair, r, hi - lo)
+        ex *= degree
+        den = ex.sum(axis=1, dtype=np.float64)
         total += float(np.sum(np.log(den) - np.log(num)))
         if grad is not None:
             # d loss / d similarity, in place: (exp * deg / den - [pair] exp / num) / m
-            ex *= degree
-            ex /= (n_anchors * den)[:, None]
+            ex /= (n_anchors * den).astype(DTYPE)[:, None]
             ex[r, c] -= pair / (n_anchors * num[r])
             grad[block] += (ex @ zv) * inv_tau
             grad += ex.T @ scaled
@@ -585,7 +610,7 @@ def contrastive(z, anchors: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     values = np.asarray(total / n_anchors)
 
     def backward_fn(g):
-        z._accumulate(g * grad, own=True)
+        z._accumulate(float(g) * grad, own=True)
 
     return _make(values, (z,), backward_fn)
 
@@ -609,17 +634,20 @@ def sce(x_hat, x: np.ndarray, rows: np.ndarray, gamma: float) -> Tensor:
     <x_hat, x> and |x_hat| = (|x_hat|^2)^0.5. The forward keeps only per-row
     scalars (the dot product, |x_hat|^2, |x|, the norms' product, u and
     which terms take a gradient); the backward gathers the target rows from
-    ``x`` again, so no (m, p) array is held between the two.
+    ``x`` again, so no (m, p) array is held between the two. The row sums
+    over the genes run in ``DTYPE``; the per-row scalars and the sum over
+    the m cells are float64, and the two per-row factors of the gradient
+    are cast to ``DTYPE`` before they scale (m, p) rows.
     """
     x_hat = as_tensor(x_hat)
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=DTYPE)
     rows = np.asarray(rows, dtype=np.intp)
     xh = x_hat.values
     m = rows.size
     target = x[rows]
-    dot = (xh * target).sum(axis=1)
-    squares = (xh * xh).sum(axis=1)
-    norm_x = np.sqrt((target * target).sum(axis=1))
+    dot = (xh * target).sum(axis=1).astype(np.float64)
+    squares = (xh * xh).sum(axis=1).astype(np.float64)
+    norm_x = np.sqrt((target * target).sum(axis=1).astype(np.float64))
     norms = squares ** 0.5 * norm_x
     degenerate = norms == 0.0
     n_degenerate = int(degenerate.sum())
@@ -647,8 +675,8 @@ def sce(x_hat, x: np.ndarray, rows: np.ndarray, gamma: float) -> Tensor:
         # term is added twice, not doubled, and after the first, as a
         # composite of generic ops adds them, so the two agree bit for bit
         grad = x[rows]                   # the target rows, gathered again
-        grad *= ddot[:, None]
-        half = xh * dsquares[:, None]
+        grad *= ddot.astype(DTYPE)[:, None]
+        half = xh * dsquares.astype(DTYPE)[:, None]
         grad += half
         grad += half
         x_hat._accumulate(grad, own=True)
@@ -667,7 +695,7 @@ def leaky_relu(a, slope: float = 0.01) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(g * np.where(positive, 1.0, slope), own=True)
+            a._accumulate(g * np.where(positive, 1.0, slope).astype(DTYPE), own=True)
 
     return _make(values, (a,), backward_fn)
 
@@ -690,13 +718,18 @@ def elu(a) -> Tensor:
     return _make(values, (a,), backward_fn)
 
 
+def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` with each row scaled to unit Euclidean norm, in ``x``'s dtype,
+    and the (rows, 1) norms it divided by, floored at 1e-12 so zero rows
+    stay zero."""
+    safe = np.maximum(np.sqrt((x * x).sum(axis=1, keepdims=True)), 1e-12)
+    return x / safe, safe
+
+
 def l2_normalize_rows(a) -> Tensor:
-    """Normalize each row to unit Euclidean norm (norms are floored at
-    1e-12, so zero rows stay zero)."""
+    """Normalize each row to unit Euclidean norm, as ``unit_rows``."""
     a = as_tensor(a)
-    norms = np.sqrt((a.values * a.values).sum(axis=1, keepdims=True))
-    safe = np.maximum(norms, 1e-12)
-    values = a.values / safe
+    values, safe = unit_rows(a.values)
 
     def backward_fn(g):
         if a.requires_grad:
@@ -765,7 +798,7 @@ def maxpool2(x) -> Tensor:
         # each window's gradient at its winner, (n, c, hp, 2, wp, 2)
         g4 = np.where(idx[..., None] == np.arange(4), g[..., None], 0.0)
         g4 = g4.reshape(g.shape + (2, 2)).swapaxes(-3, -2)
-        gx = np.zeros(x.shape)
+        gx = np.zeros(x.shape, dtype=DTYPE)
         gx[..., : 2 * hp, : 2 * wp] = g4.reshape(n, c, 2 * hp, 2 * wp)
         x._accumulate(gx, own=True)
 
@@ -840,7 +873,7 @@ def _padded_block(x: np.ndarray, lo: int, hi: int, masked: np.ndarray) -> np.nda
     W + 2, hi - lo) block; the cells in the sorted index array ``masked``
     read as all-zero maps."""
     _, c, h, w = x.shape
-    padded = np.zeros((c, h + 2, w + 2, hi - lo))
+    padded = np.zeros((c, h + 2, w + 2, hi - lo), dtype=x.dtype)
     padded[:, 1:-1, 1:-1] = x[lo:hi].transpose(1, 2, 3, 0)
     a, b = np.searchsorted(masked, (lo, hi))
     padded[..., masked[a:b] - lo] = 0.0
@@ -905,7 +938,7 @@ def conv_block(maps, w, gamma, beta, fc_w, fc_b, masked=None) -> Tensor:
     """
     w, gamma, beta = as_tensor(w), as_tensor(gamma), as_tensor(beta)
     fc_w, fc_b = as_tensor(fc_w), as_tensor(fc_b)
-    maps = np.asarray(maps, dtype=np.float64)
+    maps = np.asarray(maps, dtype=DTYPE)
     cout, cin, kh, kw = w.shape
     if (kh, kw) != (3, 3):
         raise ValueError(f"conv_block expects a 3x3 kernel, got {w.shape}")
@@ -928,7 +961,7 @@ def conv_block(maps, w, gamma, beta, fc_w, fc_b, masked=None) -> Tensor:
     # its winners before the batch statistics are known; the pooled maps
     # hold y at the winners until they are
     winner = np.empty((cout, hp, wp, n), dtype=np.int8)
-    pooled = np.empty((n, cout, hp, wp))
+    pooled = np.empty((n, cout, hp, wp), dtype=DTYPE)
     act = pooled.transpose(1, 2, 3, 0)                         # cell-last view
     # batch statistics, merged over blocks: channel means and centred sums
     # of squares, patch means and the channel-patch co-moment sum (y - mu) p^T
@@ -966,9 +999,10 @@ def conv_block(maps, w, gamma, beta, fc_w, fc_b, masked=None) -> Tensor:
 
     mu, var = y_mean, m2 / m
     inv_std = 1.0 / np.sqrt(var + _BN_EPS)
-    # normalize, scale and shift the winners in place
-    pooled -= mu[:, None, None]
-    pooled *= inv_std[:, None, None]
+    # normalize, scale and shift the winners in place, the float64
+    # statistics cast to DTYPE
+    pooled -= mu.astype(DTYPE)[:, None, None]
+    pooled *= inv_std.astype(DTYPE)[:, None, None]
     pooled *= gamma.values[:, None, None]
     pooled += beta.values[:, None, None]
     np.multiply(pooled, _CNN_SLOPE, out=pooled, where=pooled < 0)   # leaky ReLU
@@ -976,6 +1010,7 @@ def conv_block(maps, w, gamma, beta, fc_w, fc_b, masked=None) -> Tensor:
     values += fc_b.values
 
     def backward_fn(g):
+        # float64 sums over the cells
         dbeta = np.zeros(cout)
         dy_patches = np.zeros((cout, k))                       # D = sum of dy * patch^T
 
@@ -986,12 +1021,11 @@ def conv_block(maps, w, gamma, beta, fc_w, fc_b, masked=None) -> Tensor:
             # with the convolution's gradient dy, zero off the winners
             b = hi - lo
             upstream = (g[lo:hi] @ fc_w.values.T).reshape(b, cout, hp, wp)
-            cells = np.empty((cout, hp, wp, b))
-            np.multiply(upstream.transpose(1, 2, 3, 0),
-                        np.where(act[..., lo:hi] > 0, 1.0, _CNN_SLOPE), out=cells)
+            cells = np.ascontiguousarray(upstream.transpose(1, 2, 3, 0))
+            np.multiply(cells, _CNN_SLOPE, out=cells, where=act[..., lo:hi] <= 0)
             patches = _block_patches(_padded_block(maps, lo, hi, masked), rows, cols)
             is_winner = winner[:, None, ..., lo:hi] == np.arange(4)[:, None, None, None]
-            dy = np.zeros((cout, h * wd * b))
+            dy = np.zeros((cout, h * wd * b), dtype=DTYPE)
             corners = dy[:, :windows * b].reshape(cout, 4, hp, wp, b)
             np.multiply(cells[:, None], is_winner, out=corners)
             return cells, patches, dy
@@ -1004,19 +1038,19 @@ def conv_block(maps, w, gamma, beta, fc_w, fc_b, masked=None) -> Tensor:
         # sum_p dy_p y_p = sum_k wm[:, k] D[:, k] and sum_p dy_p = dbeta
         dgamma = inv_std * (np.einsum("ck,ck->c", wm, dy_patches) - mu * dbeta)
         if gamma.requires_grad:
-            gamma._accumulate(dgamma, own=True)
+            gamma._accumulate(dgamma.astype(DTYPE), own=True)
         if beta.requires_grad:
-            beta._accumulate(dbeta, own=True)
+            beta._accumulate(dbeta.astype(DTYPE), own=True)
         if w.requires_grad:
             # sum_p xhat_p p^T = inv_std * comoment and sum_p p^T = m * p_mean^T
             dy_patches -= (dgamma * inv_std / m)[:, None] * comoment
             dy_patches -= dbeta[:, None] * p_mean
             scale = gamma.values * inv_std
-            w._accumulate((scale[:, None] * dy_patches).reshape(w.shape), own=True)
+            w._accumulate((scale[:, None] * dy_patches).reshape(w.shape).astype(DTYPE), own=True)
         if fc_w.requires_grad:
             fc_w._accumulate(pooled.reshape(n, -1).T @ g, own=True)
         if fc_b.requires_grad:
-            fc_b._accumulate(g.sum(axis=0), own=True)
+            fc_b._accumulate(g.sum(axis=0, dtype=np.float64).astype(DTYPE), own=True)
 
     return _make(values, (w, gamma, beta, fc_w, fc_b), backward_fn)
 

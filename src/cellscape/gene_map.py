@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
+
 
 @dataclass
 class GeneLayout:
@@ -196,12 +198,14 @@ def layout_genes(coexpr: np.ndarray, seed: int, *, swap_budget: int) -> GeneLayo
 
 
 def render_maps(X: np.ndarray, layout: GeneLayout) -> np.ndarray:
-    """Batched rendering of a (p, n) matrix into (n, q, q) maps."""
-    X = np.asarray(X, dtype=np.float64)
+    """Batched rendering of a (p, n) matrix into (n, q, q) maps, written in
+    training's compute dtype ``autodiff.DTYPE``, so no float64 copy of the
+    maps is made."""
+    X = np.asarray(X)
     if X.shape[0] != layout.n_genes:
         raise ValueError(f"expected {layout.n_genes} gene rows, got {X.shape[0]}")
     n = X.shape[1]
-    flat = np.zeros((n, layout.q * layout.q), dtype=np.float64)
+    flat = np.zeros((n, layout.q * layout.q), dtype=ad.DTYPE)
     flat[:, layout.cell_indices()] = X.T
     return flat.reshape(n, layout.q, layout.q)
 

@@ -40,15 +40,24 @@ def neighbor_arrays(edges: DirectedEdges) -> tuple[np.ndarray, np.ndarray, np.nd
 
     ``dst, src`` are the graph's directed edges without self-loops, sorted
     by (anchor, neighbor); ``degree`` counts each cell's occurrences across
-    all neighbor sets (its graph degree), as float64.
+    all neighbor sets (its graph degree), in ``autodiff.DTYPE``, which holds
+    counts exactly.
     """
     empty = np.flatnonzero(np.diff(edges.indptr) == 1)  # a row holding only its self-loop
     if empty.size:
         raise ValueError(f"cell {empty[0]} has an empty neighbor set")
     keep = edges.dst != edges.src
     dst, src = edges.dst[keep], edges.src[keep]
-    degree = np.bincount(src, minlength=len(edges.indptr) - 1).astype(np.float64)
+    degree = np.bincount(src, minlength=len(edges.indptr) - 1).astype(ad.DTYPE)
     return dst, src, degree
+
+
+def _unit_norm_tolerance(z: np.ndarray) -> float:
+    """How far from 1 the float64 norm of a row of ``l2_normalize_rows``
+    may lie. Its rounding in ``z``'s dtype is under (d / 2 + 2) eps / 2 for
+    a row of d entries; the check allows (d + 2) eps, and never less than
+    the 1e-9 that float64 rows have always been held to."""
+    return max(1e-9, (z.shape[1] + 2) * float(np.finfo(z.dtype).eps))
 
 
 def contrastive_loss(z: Tensor, neighbors: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -74,8 +83,9 @@ def contrastive_loss(z: Tensor, neighbors: tuple[np.ndarray, np.ndarray, np.ndar
     n = z.shape[0]
     if degree.shape[0] != n:
         raise ValueError("neighbor arrays must cover every embedding row")
-    norms = np.sqrt((z.values * z.values).sum(axis=1))
-    if np.any(np.abs(norms - 1.0) > 1e-9):
+    zv = z.values
+    norms = np.sqrt(np.einsum("ij,ij->i", zv, zv, dtype=np.float64))
+    if np.any(np.abs(norms - 1.0) > _unit_norm_tolerance(zv)):
         raise ValueError("contrastive_loss expects unit-norm embedding rows")
 
     anchor_idx = np.asarray(anchors, dtype=np.intp)

@@ -72,7 +72,9 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_o
 
 
 class CellScapeModel:
-    """Parameters of the dual-branch network plus its encoder and decoder passes."""
+    """Parameters of the dual-branch network plus its encoder and decoder
+    passes. Each parameter is drawn in float64 from the seeded stream and
+    held, like every training array, in ``autodiff.DTYPE``."""
 
     def __init__(self, n_genes: int, q: int | None, cfg: ModelConfig):
         self.cfg = cfg

@@ -58,12 +58,12 @@ def lr_schedule(epoch: int, base_lr: float) -> float:
     return base_lr * 0.5 ** (epoch // HALVING_PERIOD)
 
 
-# A task gradient whose norm is at most this fraction of the other's is
-# treated as noise and not projected on. Rounding noise in a gradient summed
-# over k terms reaches about eps * k of the terms' size (~2e-11 at k = 1e5
-# cells x pixels); a real gradient below the ratio is under 1e-8 of the
-# summed update, too small for its conflict to be worth a projection.
-NOISE_RATIO = 1e-8
+def task_gram(grads: np.ndarray) -> np.ndarray:
+    """The (2, 2) Gram matrix of the two flattened task gradients in
+    ``grads`` (2, *shape), summed in float64 whatever their dtype: the
+    squared norms on the diagonal, their dot product off it."""
+    flat = grads.reshape(2, -1)
+    return np.einsum("ik,jk->ij", flat, flat, dtype=np.float64)
 
 
 def pcgrad(grads: np.ndarray) -> np.ndarray:
@@ -71,25 +71,33 @@ def pcgrad(grads: np.ndarray) -> np.ndarray:
     the fused embedding, ``grads`` of shape (2, *shape).
 
     Each task's gradient, flattened, is checked against the other's
-    ORIGINAL gradient; on a negative dot product the conflicting component
-    is removed, unless the other gradient's norm is at most ``NOISE_RATIO``
-    times this one's: projecting on noise would remove an arbitrary
-    direction. Returns a new (2, *shape) array; a gradient that is not
+    ORIGINAL gradient; on a negative dot product (``task_gram``'s, in
+    float64) the conflicting component is removed, unless the other
+    gradient's norm is at most sqrt(eps) times this one's, eps being the
+    gradients' dtype's: projecting on noise would remove an arbitrary
+    direction. Rounding noise in a gradient summed over k terms grows like
+    eps * sqrt(k) of the terms' size (eps * k at worst), so sqrt(eps) (1.5e-8
+    in float64, 3.5e-4 in float32) screens noise of sums up to k = 1 / eps
+    terms (2,900 at worst in float32); a real gradient below it adds under
+    sqrt(eps) to the summed update, too little for its conflict to be worth
+    a projection. Returns a new (2, *shape) array; a gradient that is not
     projected comes back as given. The caller applies the sum of the two
     tasks.
     """
     if len(grads) != 2:
         raise ValueError(f"pcgrad takes exactly two task gradients, got {len(grads)}")
     flat = grads.reshape(2, -1)
-    sq_norms = [float(g @ g) for g in flat]
+    gram = task_gram(grads)
+    sq_norms = [float(gram[0, 0]), float(gram[1, 1])]
+    dot = float(gram[0, 1])
+    noise_ratio_sq = float(np.finfo(grads.dtype).eps)
     adjusted = grads.copy()
     for i, j in ((0, 1), (1, 0)):
-        dot = float(flat[i] @ flat[j])
         if dot < 0.0 and sq_norms[j] <= 1e-300:
             warnings.warn(
                 f"pcgrad: skipping projection onto zero-norm task gradient {j}",
                 RuntimeWarning,
             )
-        elif dot < 0.0 and sq_norms[j] > NOISE_RATIO ** 2 * sq_norms[i]:
+        elif dot < 0.0 and sq_norms[j] > noise_ratio_sq * sq_norms[i]:
             adjusted.reshape(2, -1)[i] -= (dot / sq_norms[j]) * flat[j]
     return adjusted

@@ -22,6 +22,10 @@ their cosine, whether PCGrad projected) are read there, and the per-loss
 gradients are freed; one backward then carries their projected sum alone
 through the fusion, the CNN and the GAT encoder.
 
+Training computes in ``autodiff.DTYPE`` (float32): ``train`` casts the
+features once and renders the maps in it, and ``embed`` hands float64
+embeddings to the stages after it.
+
 ``embed`` takes the arrays ``train`` prepared: features, maps and directed
 edges. There is one forward pass and no train/eval switch: ``embed`` is the
 training forward without a mask, so the CNN normalizes by the statistics of
@@ -41,7 +45,7 @@ from .dataset import ExpressionDataset
 from .gene_map import GeneLayout, mask_cells, render_maps
 from .losses import contrastive_loss, neighbor_arrays, sce_loss
 from .network import CellScapeModel, ModelConfig
-from .optim import AdamState, adam_step, lr_schedule, pcgrad
+from .optim import AdamState, adam_step, lr_schedule, pcgrad, task_gram
 from .spatial_graph import DirectedEdges, SpatialGraph
 
 MAX_CONTRASTIVE_ANCHORS = 4096  # sampled per epoch above this many cells: bounds the loss's work
@@ -49,7 +53,8 @@ MAX_CONTRASTIVE_ANCHORS = 4096  # sampled per epoch above this many cells: bound
 
 @dataclass
 class EmbeddingSet:
-    """Per-cell embeddings from both branches plus the fused representation."""
+    """Per-cell float64 embeddings from both branches plus the fused
+    representation."""
 
     Z_spatial: np.ndarray            # (n, d)
     Z_intrinsic: np.ndarray | None   # (n, d), absent in cci_only mode
@@ -60,14 +65,14 @@ def train(ds: ExpressionDataset, graph: SpatialGraph, layout: GeneLayout | None,
           cfg: ModelConfig) -> tuple[CellScapeModel, EmbeddingSet, list[dict]]:
     """Fit the dual-branch model; returns (model, embeddings, per-epoch log).
 
-    The inputs are prepared once: the (n, p) features (the transposed view
-    of ``ds.X``, not a copy), the (n, q, q) maps (``None`` with
-    ``cci_only``) and the graph's directed edges. Each epoch is one
-    ``_step``; ``embed`` then encodes the same arrays.
+    The inputs are prepared once, in ``autodiff.DTYPE``: the (n, p)
+    features (a C-ordered copy of ``ds.X`` transposed and cast), the (n, q,
+    q) maps (``None`` with ``cci_only``) and the graph's directed edges.
+    Each epoch is one ``_step``; ``embed`` then encodes the same arrays.
     """
     if graph.n_nodes != ds.n_cells:
         raise ValueError(f"graph has {graph.n_nodes} nodes but dataset has {ds.n_cells} cells")
-    features = ds.X.T
+    features = np.ascontiguousarray(ds.X.T, dtype=ad.DTYPE)
     if cfg.cci_only:
         maps = None
         q = None
@@ -122,16 +127,16 @@ def _step(model: CellScapeModel, optimizer: AdamState, epoch: int, features: np.
     recon_val, con_val, dz = _loss_heads(model, epoch, z_fused.values, features, edges,
                                          neighbors, mask, anchor_seed)
     adjusted = pcgrad(dz)
-    # the log figures, from the products pcgrad takes, so a projection
-    # implies a negative cosine; then both (2, n, d) per-loss gradients go,
-    # and the encoders' walk holds only their merged sum
-    flat = dz.reshape(2, -1)
-    norm_recon, norm_con = (float(np.sqrt(g @ g)) for g in flat)
+    # the log figures, from the float64 products pcgrad takes, so a
+    # projection implies a negative cosine; then both (2, n, d) per-loss
+    # gradients go, and the encoders' walk holds only their merged sum
+    gram = task_gram(dz)
+    norm_recon, norm_con = (float(np.sqrt(gram[i, i])) for i in (0, 1))
     scale = norm_recon * norm_con
-    cosine = float(flat[0] @ flat[1]) / scale if scale > 0.0 else 0.0
+    cosine = float(gram[0, 1]) / scale if scale > 0.0 else 0.0
     projected = not np.array_equal(adjusted, dz)
     merged = adjusted[0] + adjusted[1]
-    del dz, flat, adjusted
+    del dz, adjusted
     ad.backward(z_fused, merged)
 
     grads = {}
@@ -198,12 +203,14 @@ def embed(model: CellScapeModel, features: np.ndarray, maps: np.ndarray | None,
     """Deterministic mask-free encoder pass over the (n, p) features, the
     (n, q, q) maps or ``None``, and the graph's directed edges; the decoder
     does not run. It is a training forward without the mask: the CNN
-    normalizes by the statistics of these n cells."""
+    normalizes by the statistics of these n cells. The three embeddings are
+    float64: the fused rows are cast before they are normalized, so they
+    have unit norm to float64 rounding."""
     z_spatial, z_intrinsic, z_fused = model.encode(features, maps, edges)
     return EmbeddingSet(
-        Z_spatial=z_spatial.values,
-        Z_intrinsic=None if z_intrinsic is None else z_intrinsic.values,
-        Z=ad.l2_normalize_rows(z_fused).values,
+        Z_spatial=z_spatial.values.astype(np.float64),
+        Z_intrinsic=None if z_intrinsic is None else z_intrinsic.values.astype(np.float64),
+        Z=ad.unit_rows(z_fused.values.astype(np.float64))[0],
     )
 
 

@@ -11,6 +11,7 @@ from cellscape.spatial_graph import build_knn_graph
 from oracles import finite_difference_grads, relative_error
 
 RNG = np.random.default_rng(20240817)
+ITEM = np.dtype(ad.DTYPE).itemsize      # bytes of one entry of a training array
 
 
 def check_op(build_loss, arrays, tol=1e-6, h=1e-5):
@@ -42,12 +43,14 @@ class TestBasicOps:
         ad.backward(loss)
         np.testing.assert_allclose(w.grad, [2.0, -4.0, 6.0])
 
+    @pytest.mark.usefixtures("float64")
     def test_add_broadcast(self):
         check_op(
             lambda ts: ad.tensor_sum((ts[0] + ts[1]) * (ts[0] + ts[1])),
             [RNG.standard_normal((4, 3)), RNG.standard_normal(3)],
         )
 
+    @pytest.mark.usefixtures("float64")
     def test_mul_div_power(self):
         check_op(
             lambda ts: ad.tensor_sum(ts[0] * ts[1] / (ts[1] * ts[1] + 2.0)),
@@ -55,18 +58,21 @@ class TestBasicOps:
         )
         check_op(lambda ts: ad.tensor_sum(ts[0] ** 3), [RNG.standard_normal(5)])
 
+    @pytest.mark.usefixtures("float64")
     def test_matmul_transpose(self):
         check_op(
             lambda ts: ad.tensor_sum(ad.matmul(ts[0], ad.transpose(ts[1])) ** 2),
             [RNG.standard_normal((4, 3)), RNG.standard_normal((5, 3))],
         )
 
+    @pytest.mark.usefixtures("float64")
     def test_exp_log(self):
         check_op(
             lambda ts: ad.tensor_sum(ad.log(ad.exp(ts[0]) + 1.0)),
             [RNG.standard_normal((2, 6))],
         )
 
+    @pytest.mark.usefixtures("float64")
     def test_reductions_and_reshape(self):
         check_op(
             lambda ts: ad.tensor_sum(ad.tensor_sum(ad.reshape(ts[0], (6, 2)) ** 2, axis=0)
@@ -74,6 +80,7 @@ class TestBasicOps:
             [RNG.standard_normal((3, 4))],
         )
 
+    @pytest.mark.usefixtures("float64")
     def test_concat_slice(self):
         def build(ts):
             joined = ad.concat([ts[0], ts[1]], axis=1)
@@ -82,6 +89,7 @@ class TestBasicOps:
 
         check_op(build, [RNG.standard_normal((3, 2)), RNG.standard_normal((3, 4))])
 
+    @pytest.mark.usefixtures("float64")
     def test_gather_segment(self):
         idx = np.array([0, 2, 2, 1])
         seg = np.array([0, 0, 1, 1])
@@ -106,6 +114,7 @@ def _held_after(call):
 
 
 class TestNonlinearities:
+    @pytest.mark.usefixtures("float64")
     def test_leaky_relu_elu(self):
         x = RNG.standard_normal((4, 4)) + 0.05  # keep clear of the kink
         check_op(lambda ts: ad.tensor_sum(ad.leaky_relu(ts[0], 0.2) ** 2), [x])
@@ -114,11 +123,11 @@ class TestNonlinearities:
     def test_elu_keeps_only_output_and_mask(self):
         # the backward reads exp(x) below 0 as output + 1, so the forward
         # keeps no exp(x) - 1 array beside its output and its sign mask
-        x = RNG.standard_normal((400, 64))
+        x = RNG.standard_normal((400, 64)).astype(ad.DTYPE)
         leaf = ad.Tensor(x, requires_grad=True)
         out, held = _held_after(lambda: ad.elu(leaf))
         np.testing.assert_array_equal(out.values, np.where(x > 0, x, np.expm1(x)))
-        kept = out.values.nbytes + x.size          # float64 output, bool mask
+        kept = out.values.nbytes + x.size          # DTYPE output, bool mask
         assert held < kept + 4096, (held, kept)
 
     @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
@@ -140,8 +149,8 @@ class TestNonlinearities:
         out, held = _held_after(lambda: ad.gat_attention(
             hw, None, a_c, a_n, edges, 0.2, False, masked=cells))
         pairs = edges.dst.size
-        # float64 output, weights and vectors, bool signs
-        kept = out.values.nbytes + pairs * heads * 9 + 2 * heads * d * 8
+        # DTYPE output, weights and vectors, bool signs
+        kept = out.values.nbytes + pairs * heads * (ITEM + 1) + 2 * heads * d * ITEM
         if masked:
             kept += cells.nbytes
         assert held < kept + 8192, (held, kept)
@@ -167,18 +176,19 @@ class TestNonlinearities:
         attend()                  # a first call fills numpy's and scipy's lazy caches
         out, held = _held_after(attend)
         pairs = edges.dst.size
-        # float64 output, weights and vectors, bool signs and ELU mask, and
+        # DTYPE output, weights and vectors, bool signs and ELU mask, and
         # the masked cells
-        kept = (out.values.nbytes + out.size + pairs * heads * 9 + 2 * heads * d * 8
+        kept = (out.values.nbytes + out.size + pairs * heads * (ITEM + 1) + 2 * heads * d * ITEM
                 + cells.nbytes)
         assert held < kept + 8192, (held, kept)
 
     def test_sce_keeps_only_row_scalars(self):
         # the backward gathers the target rows from x again, so beside its
         # 0-d output the forward keeps five float64 scalars and a flag a
-        # row; a (masked, p) array would add 307,200 bytes here
+        # row; a (masked, p) array would add 153,600 bytes here. x comes in
+        # the compute dtype, as training casts it once, so the op copies none
         n, m, p = 500, 150, 256
-        x = RNG.standard_normal((n, p))
+        x = RNG.standard_normal((n, p)).astype(ad.DTYPE)
         rows = np.sort(RNG.choice(n, size=m, replace=False))
         x_hat = ad.Tensor(RNG.standard_normal((m, p)), requires_grad=True)
         ad.sce(x_hat, x, rows, 3.0)           # a first call fills numpy's lazy caches
@@ -194,9 +204,10 @@ class TestNonlinearities:
         # reads and the int8 winners the forward keeps only the pooling
         # order's rows and columns, the patch mean, the (cout, 9 * cin)
         # co-moment, the channel statistics and the objects a node holds. A
-        # float64 array of the pooled maps' size would add 819,200 bytes here
+        # DTYPE array of the pooled maps' size would add 409,600 bytes here.
+        # The maps come in the compute dtype, as training renders them
         n, cout, q, embed = 400, 4, 16, 8
-        maps = RNG.standard_normal((n, 1, q, q))
+        maps = RNG.standard_normal((n, 1, q, q)).astype(ad.DTYPE)
         w, gamma, beta = (ad.Tensor(a, requires_grad=True) for a in (
             RNG.standard_normal((cout, 1, 3, 3)), RNG.random(cout) + 0.5,
             RNG.standard_normal(cout)))
@@ -206,12 +217,13 @@ class TestNonlinearities:
         # a first call fills numpy's lazy caches
         ad.conv_block(maps, w, gamma, beta, fc_w, fc_b)
         out, held = _held_after(lambda: ad.conv_block(maps, w, gamma, beta, fc_w, fc_b))
-        # float64 output and pooled maps, int8 winners, the positions' rows
+        # DTYPE output and pooled maps, int8 winners, the positions' rows
         # and columns
         pooled = n * cout * (q // 2) ** 2
-        kept = out.values.nbytes + 9 * pooled + 2 * q * q * np.dtype(np.intp).itemsize
+        kept = out.values.nbytes + (ITEM + 1) * pooled + 2 * q * q * np.dtype(np.intp).itemsize
         assert held < kept + 16384, (held, kept)
 
+    @pytest.mark.usefixtures("float64")
     def test_l2_normalize(self):
         x = RNG.standard_normal((5, 4)) + 1.0
         proj = RNG.standard_normal((5, 4))
@@ -231,17 +243,20 @@ class TestConvPoolNorm:
         pooled = ad.maxpool2(out)
         assert pooled.values.max() == pytest.approx(1.0)
 
+    @pytest.mark.usefixtures("float64")
     def test_conv2d_grad(self):
         x = RNG.standard_normal((2, 2, 5, 5))
         w = RNG.standard_normal((3, 2, 3, 3)) * 0.5
         proj = RNG.standard_normal((2, 3, 5, 5))
         check_op(lambda ts: ad.tensor_sum(ad.conv2d(ts[0], ts[1]) * proj), [x, w])
 
+    @pytest.mark.usefixtures("float64")
     def test_maxpool_grad(self):
         x = RNG.standard_normal((2, 2, 7, 7))  # odd size: margins dropped
         proj = RNG.standard_normal((2, 2, 3, 3))
         check_op(lambda ts: ad.tensor_sum(ad.maxpool2(ts[0]) * proj), [x], h=1e-6)
 
+    @pytest.mark.usefixtures("float64")
     def test_batch_norm_train_grad(self):
         x = RNG.standard_normal((6, 3, 4, 4))
         gamma = np.abs(RNG.standard_normal(3)) + 0.5
@@ -304,6 +319,7 @@ class TestBackwardContract:
         ad.backward(second)
         np.testing.assert_array_equal(w.grad, fresh_grad(1))
 
+    @pytest.mark.usefixtures("float64")
     def test_task_stacked_seed_gives_each_task_its_scalar_gradient(self):
         # a seed that sums two tasks' upstream gradients gives each leaf the
         # sum of the tasks' scalar gradients, as training's one walk of the
@@ -338,6 +354,7 @@ class TestBackwardContract:
             ad.backward(out, np.ones((2, 3)))
         assert w.grad is None and not out._backward_done
 
+    @pytest.mark.usefixtures("float64")
     def test_property_random_expressions(self):
         # composite expression exercising most ops together, 20 random draws
         for trial in range(20):

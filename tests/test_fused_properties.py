@@ -24,6 +24,7 @@ path) and clamped pairs, whose 1 - cos is 0 exactly and whose gradient is
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +36,9 @@ from cellscape.network import ATTENTION_SLOPE
 from oracles import (composite_gat_layer, composite_sce_loss, dense_contrastive_loss,
                      loop_neighbor_lists)
 from test_task_axis import MASKS, _graph, _masked
+
+# against float64 references, at their 1e-12 tolerances
+pytestmark = pytest.mark.usefixtures("float64")
 
 DRAWS = settings(max_examples=30, deadline=None)
 

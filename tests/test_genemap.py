@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cellscape import gene_map, training
+from cellscape import autodiff as ad, gene_map, training
 from cellscape.dataset import ExpressionDataset
 from cellscape.config import PipelineConfig
 from cellscape.gene_map import GeneLayout, layout_genes, mask_cells, render_maps
@@ -278,7 +278,11 @@ class TestRender:
         x, y = rng.standard_normal(7), rng.standard_normal(7)
         lhs = render_one(2.0 * x + 3.0 * y, layout)
         rhs = 2.0 * render_one(x, layout) + 3.0 * render_one(y, layout)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+        # the maps are written in the compute dtype, so each side rounds
+        # every entry once or twice there (1e-12 when it is float64)
+        eps = np.finfo(ad.DTYPE).eps
+        np.testing.assert_allclose(lhs, rhs, rtol=0,
+                                   atol=max(1e-12, 4 * eps * (2 * np.abs(x) + 3 * np.abs(y)).max()))
         assert render_one(x, layout).sum() == pytest.approx(x.sum())
 
     def test_batched_matches_single(self):
@@ -362,7 +366,9 @@ class TestMask:
     def test_unmasked_untouched(self, monkeypatch):
         epoch = self._epoch(monkeypatch)
         kept = np.setdiff1d(np.arange(epoch["X"].shape[1]), epoch["mask"])
-        np.testing.assert_array_equal(epoch["features"][kept], epoch["X"].T[kept])
+        # the features are X transposed and cast once to the compute dtype
+        np.testing.assert_array_equal(epoch["features"][kept],
+                                      epoch["X"].T[kept].astype(ad.DTYPE))
         np.testing.assert_array_equal(epoch["maps"][kept], epoch["full_maps"][kept])
 
     def test_same_seed_same_mask(self):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cellscape import autodiff as ad
 from cellscape.config import PipelineConfig
 from cellscape.losses import neighbor_arrays
 from cellscape.pipeline import build_graph
@@ -294,7 +295,7 @@ class TestMergeAndNeighbors:
         dst, src, degree = neighbor_arrays(g.directed_edges())
         np.testing.assert_array_equal(dst, np.repeat(np.arange(g.n_nodes), sizes))
         np.testing.assert_array_equal(src, np.concatenate(expected))
-        assert degree.dtype == np.float64
+        assert degree.dtype == ad.DTYPE
         np.testing.assert_array_equal(degree, g.degrees())
 
 

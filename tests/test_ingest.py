@@ -255,9 +255,10 @@ class TestPearson:
         rng = np.random.default_rng(6)
         X = rng.random((6, 12))
         base = pearson_coexpression(make_ds(X))
-        scaled = X * rng.uniform(0.5, 3.0, (6, 1)) + rng.uniform(-2, 2, (6, 1))
-        again = pearson_coexpression(make_ds(np.abs(scaled) + 1))
-        # affine map with positive slope applied per gene preserves correlations
+        # an affine map with a positive slope and shift of its own per gene
+        # preserves correlations (the values stay positive, as counts are)
+        scaled = X * rng.uniform(0.5, 3.0, (6, 1)) + rng.uniform(0.1, 2.0, (6, 1))
+        np.testing.assert_allclose(pearson_coexpression(make_ds(scaled)), base, atol=1e-10)
         shifted = X * 2.5 + 7.0
         np.testing.assert_allclose(pearson_coexpression(make_ds(shifted)), base, atol=1e-10)
 

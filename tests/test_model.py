@@ -26,6 +26,8 @@ from oracles import (composite_cnn, composite_gat_layer, composite_sce_loss,
                      dense_contrastive_loss, finite_difference_grads, gene_space_decoder,
                      loop_neighbor_lists, relative_error, fused_embedding_step_grads)
 
+ITEM = np.dtype(ad.DTYPE).itemsize      # bytes of one entry of a training array
+
 TOY_CFG = dict(
     gat_layers=2,
     attention_heads=2,
@@ -55,7 +57,15 @@ def toy_dataset(n=20, p=16, seed=0):
 
 def embed_inputs(ds, graph, layout):
     """The features, maps and directed edges ``train`` prepares for ``embed``."""
-    return ds.X.T, render_maps(ds.X, layout), graph.directed_edges()
+    return (np.ascontiguousarray(ds.X.T, dtype=ad.DTYPE), render_maps(ds.X, layout),
+            graph.directed_edges())
+
+
+def rounding(want: np.ndarray) -> float:
+    """The absolute tolerance between two runs in the compute dtype that
+    differ only in the order of their sums: 16 of its eps times the largest
+    entry of ``want`` (measured deviations reach 2 eps in float32)."""
+    return 16 * float(np.finfo(ad.DTYPE).eps) * float(np.abs(want).max())
 
 
 def gat_layer(h, edges, W, a_center, a_neighbor, slope, average):
@@ -75,6 +85,7 @@ def _assert_match(got_list, want_list):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
 
+@pytest.mark.usefixtures("float64")
 class TestGatLayer:
     def _path_graph(self):
         return SpatialGraph(3, np.array([[0, 1], [1, 2]]), np.ones(2))
@@ -139,8 +150,9 @@ def test_attention_columns_keep_the_per_head_draw_order(seed):
     rng = np.random.default_rng(seed)
 
     def draw(shape, fan_in, fan_out):
+        # float64 draws, cast to the compute dtype as every parameter is
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, shape)
+        return rng.uniform(-limit, limit, shape).astype(ad.DTYPE)
 
     in_dim, heads = n_genes, cfg.attention_heads
     for layer in range(cfg.gat_layers):
@@ -212,6 +224,7 @@ class TestGatAttentionOracle:
                                       "several chunks"])
     @pytest.mark.parametrize("average", [False, True])
     @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.usefixtures("float64")
     def test_values_and_gradients_match_composite(self, monkeypatch, kind, heads, average):
         # blocks of 2,048 edges at the narrowest width, fewer at wider ones
         monkeypatch.setattr(ad, "_EDGE_ENTRIES", 6 * 2048)
@@ -253,6 +266,7 @@ class TestGatAttentionOracle:
         _assert_match(fused, run(fused=False))
 
     @pytest.mark.parametrize("average", [False, True])
+    @pytest.mark.usefixtures("float64")
     def test_gradients_match_finite_differences(self, average):
         graph = _attention_graph("isolated node")
         arrays = _attention_inputs(graph.n_nodes, 2, 3, seed=11, in_dim=4)
@@ -284,7 +298,7 @@ class TestGatAttentionOracle:
         a_n = Tensor(rng.standard_normal((width, 1)), requires_grad=True)
         out = gat_layer(Tensor(rng.standard_normal((n, 8))), edges, W, a_c, a_n, 0.2, True)
         loss = ad.tensor_sum(out * rng.standard_normal((n, width)))
-        edge_by_width = edges.dst.size * width * 8
+        edge_by_width = edges.dst.size * width * ITEM
         # more than four blocks of edges, each gathering width-wide senders
         # and (averaged) receivers
         assert edges.dst.size > 4 * (ad._EDGE_ENTRIES // (2 * width))
@@ -312,7 +326,7 @@ class TestCnnEncoder:
         perm = rng.permutation(8)
         z = model.encode_intrinsic(maps).values
         zp = model.encode_intrinsic(maps[perm]).values
-        np.testing.assert_allclose(zp, z[perm], atol=1e-12)
+        np.testing.assert_allclose(zp, z[perm], rtol=0, atol=rounding(z))
 
     def test_small_grid_rejected(self):
         cfg = ModelConfig(seed=0, **TOY_CFG)
@@ -355,6 +369,7 @@ class TestSceLoss:
         with pytest.raises(ValueError, match="empty"):
             sce_loss(np.ones((2, 2)), Tensor(np.ones((2, 2))), np.array([], dtype=int), gamma=3.0)
 
+    @pytest.mark.usefixtures("float64")
     def test_clamped_row_takes_zero_gradient_below_gamma_one(self):
         # x_hat = 2 x gives cos = 1 exactly on the row (3, 4), so its term
         # 1 - cos = 0 is clamped, and its gradient is 0 for every gamma,
@@ -373,6 +388,7 @@ class TestSceLoss:
     # target and the third a zero-norm reconstruction (the warning path),
     # the last is clamped (cos = 1 exactly, a single non-zero entry)
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 3.0])
+    @pytest.mark.usefixtures("float64")
     def test_matches_composite_chain(self, gamma):
         rng = np.random.default_rng(int(10 * gamma))
         x = rng.standard_normal((12, 5))
@@ -412,6 +428,7 @@ class TestContrastiveLoss:
         loss = contrastive_loss(z, ring_neighbors(2), tau=1.0, anchors=np.arange(2))
         assert loss.item() == pytest.approx(np.log(2.0), abs=1e-12)
 
+    @pytest.mark.usefixtures("float64")
     def test_two_cell_closed_form_monotone(self):
         previous = None
         for s in (-0.5, 0.0, 0.4, 0.9):
@@ -431,7 +448,7 @@ class TestContrastiveLoss:
         base = contrastive_loss(Tensor(z), nbrs, tau=0.5, anchors=np.arange(8)).item()
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         rotated = contrastive_loss(Tensor(z @ q), nbrs, tau=0.5, anchors=np.arange(8)).item()
-        assert rotated == pytest.approx(base, abs=1e-9)
+        assert rotated == pytest.approx(base, abs=rounding(base))
 
     def test_loss_non_negative(self):
         rng = np.random.default_rng(6)
@@ -463,6 +480,7 @@ class TestContrastiveLoss:
     @pytest.mark.parametrize("kind,n", [("knn", 2), ("knn", 50), ("knn", 800),
                                         ("delaunay", 3), ("delaunay", 50),
                                         ("delaunay", 800)])
+    @pytest.mark.usefixtures("float64")
     def test_matches_dense_oracle_exactly(self, kind, n, with_anchors):
         # "exactly" up to summation order: the fused op sums in anchor blocks
         rng = np.random.default_rng(n)
@@ -472,6 +490,7 @@ class TestContrastiveLoss:
 
     @pytest.mark.parametrize("kind", ["knn", "delaunay"])
     @pytest.mark.parametrize("extra", [0, 1], ids=["chunk", "chunk+1"])
+    @pytest.mark.usefixtures("float64")
     def test_matches_dense_oracle_at_chunk_edges(self, kind, extra):
         n = 800
         rng = np.random.default_rng(extra)
@@ -479,6 +498,7 @@ class TestContrastiveLoss:
         _assert_match(*_contrastive_pair(kind, n, anchors, rng))
 
     @pytest.mark.parametrize("with_anchors", [False, True], ids=["all", "anchors"])
+    @pytest.mark.usefixtures("float64")
     def test_gradient_matches_finite_differences(self, monkeypatch, with_anchors):
         # a small chunk so that the anchors span several blocks; the loss
         # takes unit rows, so differentiate through the row normalization
@@ -503,7 +523,7 @@ class TestContrastiveLoss:
         rng = np.random.default_rng(12)
         dst, src, degree = neighbor_arrays(build_knn_graph(rng.random((2, n)), k=6)
                                            .directed_edges())
-        z_values = unit_rows(rng, n, 1024)
+        z_values = unit_rows(rng, n, 1024).astype(ad.DTYPE)
 
         def traced(requires_grad):
             tracemalloc.start()
@@ -520,7 +540,7 @@ class TestContrastiveLoss:
         assert plain.item() == tracked.item()
         assert not plain.requires_grad and plain._backward_fn is None
         # the cached (n, d) gradient is the only buffer that size
-        assert plain_peak < n * 1024 * 8 < tracked_peak
+        assert plain_peak < n * 1024 * ITEM < tracked_peak
 
     def test_peak_memory_below_one_dense_adjacency(self):
         n = 2000
@@ -529,7 +549,7 @@ class TestContrastiveLoss:
         z = Tensor(unit_rows(rng, n, 32), requires_grad=True)
         peak = _contrastive_peak(z, graph, anchors=np.arange(n))
         # a few anchor blocks, far below the n x n similarity matrix
-        assert peak < 2 * ad._ANCHOR_CHUNK * n * 8 < n * n * 8, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < 2 * ad._ANCHOR_CHUNK * n * ITEM < n * n * ITEM, f"peak {peak / 2**20:.1f} MiB"
 
     def test_peak_memory_at_8k_cells(self):
         n, n_anchors = 8000, 4096
@@ -632,12 +652,14 @@ class TestConvBlockOracle:
     @pytest.mark.parametrize("cin,q,offset", [(1, 6, 0.0), (1, 7, 0.0), (3, 5, 0.0),
                                               (3, 8, 0.0), (3, 8, 100.0)],
                              ids=["1-6", "1-7", "3-5", "3-8", "3-8-offset"])
+    @pytest.mark.usefixtures("float64")
     def test_values_and_gradients_match_composite(self, cin, q, offset, pass_mask, stale):
         arrays = _conv_block_inputs(6, cin, 4, q, seed=cin * 10 + q, offset=offset)
         weights = np.random.default_rng(q).standard_normal((6, 3))
         _match_composite(arrays, weights, (1, 3), pass_mask, stale)
 
     @pytest.mark.parametrize("pass_mask", [True, False])
+    @pytest.mark.usefixtures("float64")
     def test_every_cell_masked(self, pass_mask):
         # every window of every map ties; the gradient goes to each window's first entry
         arrays = _conv_block_inputs(4, 1, 3, 6, seed=2, masked=range(4))
@@ -650,6 +672,7 @@ class TestConvBlockOracle:
     # is negative and one is zero, where every window ties too
     @pytest.mark.parametrize("pass_mask", [True, False])
     @pytest.mark.parametrize("cin,stale,q", [(1, False, 7), (3, True, 6)])
+    @pytest.mark.usefixtures("float64")
     def test_multi_block_matches_composite(self, cin, stale, q, pass_mask):
         block = ad._CELL_BLOCK
         n = 2 * block + block // 3
@@ -705,7 +728,7 @@ class TestConvBlockOracle:
     def test_peak_memory_below_one_patch_matrix(self):
         n, q, cout = 4000, 16, 4
         rng = np.random.default_rng(11)
-        maps = rng.random((n, 1, q, q))
+        maps = rng.random((n, 1, q, q)).astype(ad.DTYPE)      # as training renders them
         w, gamma, beta, fc_w, fc_b = (Tensor(a, requires_grad=True) for a in (
             rng.standard_normal((cout, 1, 3, 3)), np.ones(cout), np.zeros(cout),
             rng.standard_normal((cout * (q // 2) ** 2, 4)), np.zeros(4)))
@@ -720,15 +743,16 @@ class TestConvBlockOracle:
         # a few arrays of the pooled maps' size (the pooled maps, winners,
         # normalized winners and the head's output) plus a few blocks'
         # patches and channels, below the all-cells (9, n * q * q) patch matrix
-        pooled = n * cout * (q // 2) ** 2 * 8
-        block = (9 + cout) * ad._CELL_BLOCK * q * q * 8
+        pooled = n * cout * (q // 2) ** 2 * ITEM
+        block = (9 + cout) * ad._CELL_BLOCK * q * q * ITEM
         bound = 5 * pooled + 4 * block
-        assert peak < bound < 9 * n * q * q * 8, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < bound < 9 * n * q * q * ITEM, f"peak {peak / 2**20:.1f} MiB"
 
     # ids: n spans one cell block, or two with the second partial; masked
     # or not
     @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
     @pytest.mark.parametrize("n", [37, ad._CELL_BLOCK + 7], ids=["one-block", "two-blocks"])
+    @pytest.mark.usefixtures("float64")
     def test_head_matches_reshape_matmul_add(self, n, masked):
         # the op applies the linear head cnn.fc itself and takes its pooled
         # gradient block by block; the chain reshapes the pooled maps and
@@ -748,6 +772,7 @@ class TestConvBlockOracle:
         assert fused[0].shape == (n, cfg.embed_dim)
         _assert_match(fused, _conv_block_pass(composite_cnn, (zeroed, *arrays), weights))
 
+    @pytest.mark.usefixtures("float64")
     def test_model_matches_composite(self):
         cfg = ModelConfig(seed=4, **{**TOY_CFG, "cnn_channels": 4})
         model = CellScapeModel(36, 6, cfg)
@@ -770,6 +795,7 @@ class TestConvBlockOracle:
         _assert_match(fused, reference)
 
     @pytest.mark.parametrize("masked", [True, False])
+    @pytest.mark.usefixtures("float64")
     def test_gradients_match_finite_differences(self, masked):
         # a masked cell reads as a zero map, whose windows tie whatever the
         # parameters, so central differences straddle no kink there
@@ -819,6 +845,7 @@ class TestDecoder:
 
     @pytest.mark.parametrize("loss_kind", ["weighted", "sce"])
     @pytest.mark.parametrize("n_genes,embed_dim", [(16, 4), (100, 32)])
+    @pytest.mark.usefixtures("float64")
     def test_matches_gene_space_decoder(self, n_genes, embed_dim, loss_kind):
         got = self._decoder_pass(CellScapeModel.decode, n_genes, embed_dim, loss_kind)
         want = self._decoder_pass(gene_space_decoder, n_genes, embed_dim, loss_kind)
@@ -902,7 +929,7 @@ class TestEncoderKeeps:
         hidden = z_spatial._parents[0].values
         assert hidden.shape == (ds.n_cells, 24)
         wide = [a for a in _reachable_arrays(z_fused)
-                if a.dtype == np.float64 and a.ndim >= 2 and a.shape[0] == ds.n_cells
+                if a.dtype == ad.DTYPE and a.ndim >= 2 and a.shape[0] == ds.n_cells
                 and int(np.prod(a.shape[1:])) in (20, 24)]
         assert wide and all(np.shares_memory(a, hidden) for a in wide)
 
@@ -915,7 +942,7 @@ class TestEncoderKeeps:
         model = CellScapeModel(q * q, q, cfg)
         rng = np.random.default_rng(31)
         n = 32 * ad._CELL_BLOCK
-        z = model.encode_intrinsic(rng.random((n, q, q)))
+        z = model.encode_intrinsic(rng.random((n, q, q)).astype(ad.DTYPE))
         seed = rng.standard_normal(z.shape)
         tracemalloc.start()
         try:
@@ -924,11 +951,12 @@ class TestEncoderKeeps:
         finally:
             tracemalloc.stop()
         assert model.params["cnn.fc.w"].grad.shape == (16 * 5 * 5, cfg.embed_dim)
-        pooled = n * 16 * (q // 2) ** 2 * 8
+        pooled = n * 16 * (q // 2) ** 2 * ITEM
         assert peak < pooled, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestModelGradients:
+    @pytest.mark.usefixtures("float64")
     def test_full_model_matches_finite_differences(self):
         ds, graph, layout = toy_dataset(n=12, p=16, seed=7)
         cfg = ModelConfig(seed=7, **TOY_CFG)
@@ -964,7 +992,8 @@ def _step_inputs(ds, graph, layout, cfg):
     q = None if cfg.cci_only else layout.q
     maps = None if cfg.cci_only else render_maps(ds.X, layout)
     edges = graph.directed_edges()
-    return CellScapeModel(ds.n_genes, q, cfg), (ds.X.T, maps, edges, neighbor_arrays(edges))
+    features = np.ascontiguousarray(ds.X.T, dtype=ad.DTYPE)
+    return CellScapeModel(ds.n_genes, q, cfg), (features, maps, edges, neighbor_arrays(edges))
 
 
 class TestTaskStackedGradients:
@@ -979,6 +1008,7 @@ class TestTaskStackedGradients:
         ("toy", [True, True]), ("five-channels", [False, False]),
         ("cci-only", [True, False]), ("sampled-anchors", [True, True]),
     ], ids=["toy", "five-channels", "cci-only", "sampled-anchors"])
+    @pytest.mark.usefixtures("float64")
     def test_matches_two_pass_oracle(self, case, projects, monkeypatch):
         extra = {"five-channels": {"cnn_channels": 5},
                  "cci-only": {"cci_only": True}}.get(case, {})
@@ -1200,6 +1230,7 @@ class TestTraining:
         assert emb.Z_intrinsic.tobytes() == twice.Z_intrinsic.tobytes()
         assert emb.Z.tobytes() == twice.Z.tobytes()
 
+    @pytest.mark.usefixtures("float64")
     def test_intrinsic_embedding_matches_composite_on_trained_parameters(self):
         # embed normalizes the CNN by the statistics of the cells it
         # encodes, as a training forward does; no running average enters
@@ -1224,9 +1255,9 @@ class TestTraining:
         )
         graph_p = SpatialGraph(graph.n_nodes, remapped, np.ones(len(remapped)))
         emb_p = embed(model, *embed_inputs(ds_p, graph_p, layout))
-        np.testing.assert_allclose(emb_p.Z_spatial, emb.Z_spatial[perm], atol=1e-9)
-        np.testing.assert_allclose(emb_p.Z_intrinsic, emb.Z_intrinsic[perm], atol=1e-9)
-        np.testing.assert_allclose(emb_p.Z, emb.Z[perm], atol=1e-9)
+        for got, want in ((emb_p.Z_spatial, emb.Z_spatial), (emb_p.Z_intrinsic, emb.Z_intrinsic),
+                          (emb_p.Z, emb.Z)):
+            np.testing.assert_allclose(got, want[perm], rtol=0, atol=rounding(want))
 
     def test_fused_rows_unit_norm(self):
         ds, graph, layout = toy_dataset(seed=17)
