@@ -11,8 +11,11 @@ of ``paths.samples`` jointly when that list is set, and harmonizes batches
 with ComBat when the data carries them (``paths.batch_labels``, or one
 batch per sample). ``segment``, ``evaluate`` and ``analyze`` read the
 artifacts of ``train`` in the output directory, and ``simulate`` writes a
-tissue there. Exit codes: 0 success, 1 usage or configuration error, 2
-numerical failure.
+tissue there. ``segment`` refines over the spatial graph that ``train``
+fits on, rebuilt from ``cells.csv`` and ``samples.csv`` with the config's
+``graph`` section, so a graph chosen by ``train``'s flags must be chosen in
+the config file to reach it. Exit codes: 0 success, 1 usage or
+configuration error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -274,15 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     _flag(p, "--tau", "model.tau", "contrastive temperature")
     _flag(p, "--gamma", "model.gamma", "reconstruction exponent")
     _flag(p, "--n-domains", "clustering.n_domains", "mixture components K")
-    _flag(p, "--no-refine", "clustering.refine", "skip majority-vote refinement",
+    _flag(p, "--no-refine", "clustering.refine", "skip the plurality vote over the spatial graph",
           action="store_false")
-    _flag(p, "--refine-neighbors", "clustering.refine_neighbors", "voters per cell")
 
     p = command("segment", "cluster spatial embeddings into domains")
     _flag(p, "--n-domains", "clustering.n_domains", "mixture components K")
-    _flag(p, "--no-refine", "clustering.refine", "skip majority-vote refinement",
+    _flag(p, "--no-refine", "clustering.refine", "skip the plurality vote over the spatial graph",
           action="store_false")
-    _flag(p, "--refine-neighbors", "clustering.refine_neighbors", "voters per cell")
 
     p = command("evaluate", "score labels against truth annotations")
     _flag(p, "--truth-labels", "paths.truth_labels", "truth labels CSV path")

@@ -1,5 +1,6 @@
 """Spatial-domain segmentation: PCA reduction, full-covariance Gaussian
-mixture EM with k-means++ restarts, and neighbor majority-vote refinement."""
+mixture EM with k-means++ restarts, and a plurality vote among each cell's
+neighbours in the spatial graph."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dtrtri
 
-from .spatial_graph import nearest_neighbors
+from .spatial_graph import SpatialGraph
 
 
 @dataclass
@@ -206,23 +207,21 @@ def gmm_cluster(Zp: np.ndarray, K: int, seed: int) -> DomainLabels:
                         objective_path=objectives)
 
 
-def refine_labels(labels: np.ndarray, coords: np.ndarray, r: int) -> DomainLabels:
-    """One synchronous pass of majority voting among each cell's r
-    ``nearest_neighbors`` (ties in distance to the lower index; a cell's
-    coordinate twin votes, the cell never); vote ties keep the original label."""
+def refine_labels(labels: np.ndarray, graph: SpatialGraph) -> DomainLabels:
+    """One synchronous pass of plurality voting among each cell's neighbours
+    in ``graph`` (a coordinate twin is one when the graph joins it; the cell
+    never votes); vote ties, and a cell without neighbours, keep the
+    original label."""
     labels = np.asarray(labels)
-    coords = np.asarray(coords, dtype=np.float64)
     n = labels.shape[0]
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    if r >= n:
-        raise ValueError(f"r={r} must be smaller than the number of cells n={n}")
-    if coords.shape != (2, n):
-        raise ValueError(f"coords must be 2 x {n}")
+    if graph.n_nodes != n:
+        raise ValueError(f"graph has {graph.n_nodes} nodes for {n} cells")
     uniq, dense = np.unique(labels, return_inverse=True)
     K = uniq.size
-    votes = np.zeros((n, K), dtype=np.int64)
-    np.add.at(votes, (np.repeat(np.arange(n), r), dense[nearest_neighbors(coords, r)].ravel()), 1)
+    # each edge carries a vote both ways: cell i's label to j and j's to i
+    i, j = graph.edges[:, 0], graph.edges[:, 1]
+    votes = np.bincount(np.r_[j, i] * K + dense[np.r_[i, j]],
+                        minlength=n * K).reshape(n, K)
     n_winners = (votes == votes.max(axis=1, keepdims=True)).sum(axis=1)
     # ties (including zero votes) keep the original label
     refined = np.where(n_winners == 1, votes.argmax(axis=1), dense)

@@ -85,13 +85,10 @@ class GraphConfig:
 class ClusteringConfig:
     n_domains: int = 5
     refine: bool = True
-    refine_neighbors: int = 15
 
     def __post_init__(self):
         if self.n_domains < 2:
             raise ValueError("n_domains must be at least 2")
-        if self.refine_neighbors < 1:
-            raise ValueError("refine_neighbors must be positive")
 
     @property
     def pca_dim(self) -> int:

@@ -1,6 +1,7 @@
 """The pipeline's stage functions and ``fit``, which runs them once from raw
 samples to domain labels; the command-line entry points are thin wrappers
-over these."""
+over these. A tissue has one spatial graph (``_tissue_graph``): the encoder
+attends over it and refinement votes over it."""
 
 from __future__ import annotations
 
@@ -60,6 +61,22 @@ def build_graph(coords: np.ndarray, cfg: PipelineConfig) -> SpatialGraph:
     return build_delaunay_graph(coords, prune_percentile=cfg.graph.prune_percentile)
 
 
+def _tissue_graph(coords: np.ndarray, samples: np.ndarray | list,
+                  cfg: PipelineConfig) -> SpatialGraph:
+    """``build_graph`` of each sample's cells (``samples`` names each
+    cell's), merged block-diagonally and renumbered so that node i is cell
+    i: no edge joins two samples, even where their coordinates overlap."""
+    samples = np.asarray(samples)
+    if samples.shape != (coords.shape[1],):
+        raise ValueError(f"sample_labels must have one entry per cell ({coords.shape[1]})")
+    groups = [np.flatnonzero(samples == name) for name in np.unique(samples)]
+    merged = block_diagonal_merge([build_graph(coords[:, cells], cfg) for cells in groups])
+    # each sample's cells ascend, so every renumbered edge keeps i < j
+    edges = np.concatenate(groups)[merged.edges]
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    return SpatialGraph(merged.n_nodes, edges[order], merged.weights[order])
+
+
 def make_layout(coexpr: np.ndarray, cfg: PipelineConfig) -> GeneLayout:
     """The gene layout of the (p, p) co-expression ``coexpr``
     (``pearson_coexpression``) at ``SWAP_BUDGET_FACTOR * p**2`` swaps."""
@@ -77,43 +94,21 @@ def _pca_gmm(X: np.ndarray, cfg: PipelineConfig) -> DomainLabels:
     return gmm_cluster(reduced, K=cfg.clustering.n_domains, seed=cfg.seed)
 
 
-def _check_refinable(cells_per_sample: dict[str, int], cfg: PipelineConfig) -> None:
-    """Raise if refinement is on and a sample has no more cells than
-    ``clustering.refine_neighbors``, the voters each cell draws from its
-    own sample."""
-    if not cfg.clustering.refine:
-        return
-    r = cfg.clustering.refine_neighbors
-    for name, n_cells in cells_per_sample.items():
-        if n_cells <= r:
-            raise ValueError(f"{name} has {n_cells} cells; "
-                             f"clustering.refine_neighbors={r} needs more "
-                             "(or set clustering.refine to false)")
-
-
 def segment_embeddings(Z_spatial: np.ndarray, coords: np.ndarray,
                        cfg: PipelineConfig,
                        sample_labels: np.ndarray | list | None = None) -> DomainLabels:
     """PCA to K = ``clustering.n_domains`` dims and a K-component GMM
-    (``_pca_gmm``), then optional spatial majority-vote refinement.
+    (``_pca_gmm``), then, with ``clustering.refine`` on, one plurality vote
+    over the spatial graph ``fit`` trains on (``_tissue_graph``).
     ``sample_labels`` gives each cell's sample when several samples share
-    one coordinate frame; cells then vote only among neighbours from their
-    own sample; without them every cell belongs to ``sample0``."""
+    one coordinate frame; the graph then joins no two samples. Without them
+    every cell belongs to ``sample0``."""
     result = _pca_gmm(Z_spatial, cfg)
     if not cfg.clustering.refine:
         return result
-    n = len(result.labels)
-    samples = np.full(n, "sample0") if sample_labels is None else np.asarray(sample_labels)
-    if samples.shape != (n,):
-        raise ValueError(f"sample_labels must have one entry per cell ({n})")
-    names, sizes = np.unique(samples, return_counts=True)
-    _check_refinable(dict(zip(names.tolist(), sizes.tolist())), cfg)
-    labels = result.labels.copy()
-    for sample in names:
-        cells = np.flatnonzero(samples == sample)
-        labels[cells] = refine_labels(result.labels[cells], coords[:, cells],
-                                      r=cfg.clustering.refine_neighbors).labels
-    return dataclasses.replace(result, labels=labels)
+    samples = np.full(len(result.labels), "sample0") if sample_labels is None else sample_labels
+    graph = _tissue_graph(coords, samples, cfg)
+    return dataclasses.replace(result, labels=refine_labels(result.labels, graph).labels)
 
 
 def baseline_pca_gmm(ds_raw: ExpressionDataset, cfg: PipelineConfig) -> DomainLabels:
@@ -161,31 +156,25 @@ def _merge_samples(samples: list[ExpressionDataset]) -> tuple[ExpressionDataset,
     return merged, names
 
 
-def _check_segmentable(samples: list[ExpressionDataset], cfg: PipelineConfig) -> None:
-    """Raise if the segmentation at the end of ``fit`` cannot run on these
-    samples: the GMM needs more cells than ``clustering.n_domains``, and
-    refinement enough in each sample (``_check_refinable``)."""
-    n_cells = sum(s.n_cells for s in samples)
-    K = cfg.clustering.n_domains
-    if n_cells <= K:
-        raise ValueError(f"{n_cells} cells in total; clustering.n_domains={K} needs more")
-    _check_refinable({f"sample{i}": s.n_cells for i, s in enumerate(samples)}, cfg)
-
-
 def fit(samples: list[ExpressionDataset], cfg: PipelineConfig) -> Fit:
     """Raw samples to domain labels: preprocess, graph, gene layout (its
     co-expression built only when the intrinsic branch reads it), train,
-    segment, each once; a tissue too small to segment is rejected before the
+    segment, each once; a tissue with no more cells than
+    ``clustering.n_domains``, too few for the GMM, is rejected before the
     first stage. Samples may share one coordinate frame: they share no graph
-    edge, and refinement votes only within a sample. Several samples are
-    harmonized with one batch per sample (``_merge_samples``)."""
+    edge (``_tissue_graph``), and refinement votes over the graph training
+    read. Several samples are harmonized with one batch per sample
+    (``_merge_samples``)."""
     ds, samples_of_cells = _merge_samples(samples)
-    _check_segmentable(samples, cfg)
+    K = cfg.clustering.n_domains
+    if ds.n_cells <= K:
+        raise ValueError(f"{ds.n_cells} cells in total; clustering.n_domains={K} needs more")
     pre, _ = preprocess_expression(ds, cfg)
-    graph = block_diagonal_merge([build_graph(s.coords, cfg) for s in samples])
+    graph = _tissue_graph(ds.coords, samples_of_cells, cfg)
     mcfg = model_config_from(cfg)
     layout = None if mcfg.cci_only else make_layout(pearson_coexpression(pre), cfg)
     _, embeddings, log = train(pre, graph, layout, mcfg)
-    labels = segment_embeddings(embeddings.Z_spatial, pre.coords, cfg,
-                                sample_labels=samples_of_cells)
+    labels = _pca_gmm(embeddings.Z_spatial, cfg)
+    if cfg.clustering.refine:
+        labels = dataclasses.replace(labels, labels=refine_labels(labels.labels, graph).labels)
     return Fit(pre, graph, embeddings, log, labels, samples_of_cells)

@@ -64,7 +64,10 @@ class SpatialGraph:
 
 def _finalize(n: int, pairs: np.ndarray, coords: np.ndarray) -> SpatialGraph:
     """The graph of the (m, 2) ``pairs``, each edge once, weighted by length."""
-    edges = np.unique(np.sort(pairs, axis=1), axis=0).reshape(-1, 2)
+    # (i, j) with i < j as the key i * n + j: sorting the keys sorts the rows
+    pairs = np.sort(np.asarray(pairs, dtype=np.int64), axis=1)
+    keys = np.unique(pairs[:, 0] * n + pairs[:, 1])
+    edges = np.column_stack([keys // n, keys % n])
     diffs = coords[:, edges[:, 0]] - coords[:, edges[:, 1]]
     weights = np.sqrt((diffs * diffs).sum(axis=0))
     return SpatialGraph(n, edges, weights)

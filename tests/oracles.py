@@ -679,14 +679,19 @@ def brute_force_knn_edges(points, k: int) -> set[tuple[int, int]]:
             for i, row in enumerate(brute_force_neighbors(points, k)) for j in row}
 
 
-def loop_refine_labels(labels, coords, r: int):
-    """Majority vote among each cell's r ``brute_force_neighbors``, tallied
-    and tie-checked cell by cell; a tied vote keeps the cell's own label."""
+def loop_refine_labels(labels, graph):
+    """Plurality vote among each cell's neighbours in ``graph``, gathered
+    edge by edge, tallied and tie-checked cell by cell; a tied vote, or no
+    vote, keeps the cell's own label."""
     labels = np.asarray(labels)
+    neighbours = [[] for _ in range(graph.n_nodes)]
+    for i, j in graph.edges.tolist():
+        neighbours[i].append(j)
+        neighbours[j].append(i)
     refined = labels.copy()
-    for i, neighbours in enumerate(brute_force_neighbors(coords, r)):
-        counts = Counter(labels[neighbours].tolist())
-        top = max(counts.values())
+    for i, voters in enumerate(neighbours):
+        counts = Counter(labels[voters].tolist())
+        top = max(counts.values(), default=0)
         winners = [label for label, c in counts.items() if c == top]
         if len(winners) == 1:
             refined[i] = winners[0]

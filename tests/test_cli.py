@@ -45,8 +45,10 @@ def test_simulate_train_segment_evaluate(tmp_path, capsys):
     inputs = ["--expression", str(tmp_path / "expression.csv"),
               "--coords", str(tmp_path / "coords.csv")]
     assert main(["train", *common, *inputs, "--epochs", "3"]) == 0
+    trained = read_rows(tmp_path / "labels.csv")
     assert main(["analyze", *common]) == 0
     assert main(["segment", *common]) == 0
+    assert read_rows(tmp_path / "labels.csv") == trained  # voted over train's graph
     assert main(["evaluate", *common,
                  "--truth-labels", str(tmp_path / "truth_labels.csv")]) == 0
 
@@ -272,32 +274,33 @@ def test_type_labels_are_read_by_analyze_only(tmp_path, capsys):
     assert float(rows[-1][header.index("unknown")]) == 1 / 200
 
 
-def test_segment_names_the_refine_setting_a_tiny_tissue_needs(tmp_path, capsys):
-    # 12 cells cannot give each cell 15 voters; segment says which setting
-    # to change, as train does, instead of failing inside the vote
+def test_twelve_cells_train_and_segment_refined(tmp_path, capsys):
+    # refinement votes over the fit's own graph, which any tissue the GMM
+    # can segment has; with refinement off, segment keeps train's GMM labels
     out = str(tmp_path)
-    common = ["--output-dir", out, "--seed", "0"]
-    assert main(["simulate", *common, "--n-cells", "12", "--n-genes", "20",
-                 "--n-domains", "2"]) == 0
-    no_refine = tmp_path / "norefine.yaml"
-    no_refine.write_text(yaml.safe_dump({"clustering": {"refine": False}}))
-    assert main(["train", "--config", str(no_refine), *common, "--epochs", "2",
-                 "--n-domains", "2", "--expression", str(tmp_path / "expression.csv"),
-                 "--coords", str(tmp_path / "coords.csv")]) == 0
-    capsys.readouterr()
-    assert main(["segment", *common, "--n-domains", "2"]) == 1
-    assert capsys.readouterr().err == (
-        "error: sample0 has 12 cells; clustering.refine_neighbors=15 needs more "
-        "(or set clustering.refine to false)\n")
+    common = ["--output-dir", out, "--seed", "0", "--n-domains", "2"]
+    assert main(["simulate", *common, "--n-cells", "12", "--n-genes", "20"]) == 0
+    inputs = ["--expression", str(tmp_path / "expression.csv"),
+              "--coords", str(tmp_path / "coords.csv")]
+    assert main(["train", *common, *inputs, "--epochs", "2"]) == 0
+    refined = read_rows(tmp_path / "labels.csv")
+    assert len(refined) == 1 + 12
+    assert main(["segment", *common]) == 0
+    assert read_rows(tmp_path / "labels.csv") == refined
+    assert main(["train", *common, *inputs, "--epochs", "2", "--no-refine"]) == 0
+    unrefined = read_rows(tmp_path / "labels.csv")
+    assert main(["segment", *common, "--no-refine"]) == 0
+    assert read_rows(tmp_path / "labels.csv") == unrefined
 
 
 @pytest.mark.parametrize("argv", [
     [], ["integrate"], ["train", "--epochs", "x"], ["train", "--no-such-flag"],
     ["segment", "--no-refine", "yes"], ["--seed", "1"], ["segment", "--pca-dim", "5"],
     ["preprocess"], ["graph", "--method", "knn"], ["train", "--combat"],
+    ["segment", "--refine-neighbors", "4"],
 ], ids=["no-command", "integrate-is-gone", "bad-type", "unknown-flag", "flag-value",
         "flag-before-command", "pca-dim-is-gone", "preprocess-is-gone", "graph-is-gone",
-        "combat-is-gone"])
+        "combat-is-gone", "refine-neighbors-is-gone"])
 def test_usage_error_exits_1(argv, capsys):
     assert main(argv) == 1
     assert "usage: cellscape" in capsys.readouterr().err

@@ -42,7 +42,6 @@ DEFAULTS = {
     "model.cci_only": False,
     "clustering.n_domains": 5,
     "clustering.refine": True,
-    "clustering.refine_neighbors": 15,
     "analysis.transition_source": "spatial",
     "analysis.embedding_knn": 15,
     "analysis.marker_adj_p": 0.05,
@@ -86,7 +85,7 @@ def write_yaml(path, data) -> str:
 
 
 def test_defaults_are_the_literal_table():
-    assert len(DEFAULTS) == 41
+    assert len(DEFAULTS) == 40
     assert settable(PipelineConfig()) == DEFAULTS
 
 
@@ -139,7 +138,7 @@ def train_argv(tmp_path, monkeypatch):
 
 
 def test_valid_config_reaches_the_stage(train_argv, tmp_path):
-    path = write_yaml(tmp_path / "ok.yaml", {"clustering": {"refine_neighbors": 1}})
+    path = write_yaml(tmp_path / "ok.yaml", {"clustering": {"refine": False}})
     with pytest.raises(StageReached):
         main([*train_argv, "--config", path, "--tau", "0.5"])
 
@@ -147,8 +146,9 @@ def test_valid_config_reaches_the_stage(train_argv, tmp_path):
 BAD = [
     # flags, YAML, words the error line must contain
     pytest.param(["--tau", "0"], None, ["model", "tau"], id="tau-flag"),
-    pytest.param([], {"clustering": {"refine_neighbors": 0}}, ["clustering", "refine_neighbors"],
-                 id="refine_neighbors"),
+    # refinement votes over the fit's spatial graph, so no key sets a voter count
+    pytest.param([], {"clustering": {"refine_neighbors": 15}},
+                 ["unknown", "clustering", "refine_neighbors"], id="refine_neighbors-is-gone"),
     # the PCA width is the domain count, not a setting
     pytest.param([], {"clustering": {"pca_dim": 30}}, ["unknown", "clustering", "pca_dim"],
                  id="pca_dim"),

@@ -62,33 +62,59 @@ def test_coexpression_is_built_only_for_the_gene_layout(monkeypatch):
     assert calls == [30]
 
 
-def test_fit_refines_each_sample_alone():
+def two_overlapping_samples():
     # two samples in the same unit-square frame with bands on different
-    # axes: a cell's nearest neighbours in the stacked coordinates include
-    # cells of the other sample, whose domains disagree with its own
-    samples = [
+    # axes: a graph over the stacked coordinates joins cells of the other
+    # sample, whose domains disagree with their own
+    return [
         generate_tissue(SyntheticSpec(n_cells=150, n_genes=40, n_domains=3,
                                       band_axis=axis, seed=seed))[0]
         for axis, seed in (("x", 1), ("y", 2))
     ]
+
+
+def test_fit_refines_each_sample_alone():
     cfg = PipelineConfig()
     cfg.model.epochs = 1
     cfg.clustering.n_domains = 3
-    result = pipeline.fit(samples, cfg)
+    result = pipeline.fit(two_overlapping_samples(), cfg)
 
-    unrefined = pipeline._pca_gmm(result.embeddings.Z_spatial, cfg).labels
-    coords = result.dataset.coords
-    r = cfg.clustering.refine_neighbors
-    per_sample = np.concatenate([
-        refine_labels(unrefined[cells], coords[:, cells], r=r).labels
-        for cells in (np.arange(150), np.arange(150, 300))
-    ])
-    pooled = refine_labels(unrefined, coords, r=r).labels
+    Z, coords = result.embeddings.Z_spatial, result.dataset.coords
+    np.testing.assert_array_equal(
+        result.labels.labels,
+        pipeline.segment_embeddings(Z, coords, cfg, result.samples).labels)
+    unrefined = pipeline._pca_gmm(Z, cfg).labels
+    per_sample = refine_labels(unrefined, result.graph).labels
+    pooled = refine_labels(unrefined, pipeline.build_graph(coords, cfg)).labels
     assert not np.array_equal(pooled, per_sample)  # the input can show a leak
     np.testing.assert_array_equal(result.labels.labels, per_sample)
+    sample_of = result.samples[result.graph.edges]
+    assert np.all(sample_of[:, 0] == sample_of[:, 1])
     assert result.samples.tolist() == ["sample0"] * 150 + ["sample1"] * 150
     assert result.dataset.batch_labels == result.samples.tolist()
     assert result.dataset.cell_ids[0] == "s0_c0" and result.dataset.cell_ids[150] == "s1_c0"
+
+
+def test_fit_builds_each_sample_graph_once_and_votes_over_it(monkeypatch):
+    built, voted = [], []
+    build, vote = pipeline.build_graph, pipeline.refine_labels
+
+    def counted_build(coords, cfg):
+        built.append(coords.shape[1])
+        return build(coords, cfg)
+
+    def recorded_vote(labels, graph):
+        voted.append(graph)
+        return vote(labels, graph)
+
+    monkeypatch.setattr(pipeline, "build_graph", counted_build)
+    monkeypatch.setattr(pipeline, "refine_labels", recorded_vote)
+    cfg = PipelineConfig()
+    cfg.model.epochs = 1
+    cfg.clustering.n_domains = 3
+    result = pipeline.fit(two_overlapping_samples(), cfg)
+    assert built == [150, 150]
+    assert len(voted) == 1 and voted[0] is result.graph
 
 
 def test_fit_on_25_cells():
@@ -102,7 +128,7 @@ def test_fit_on_25_cells():
 
 
 @pytest.mark.parametrize("refine, n_domains, words", [
-    (True, 2, "sample0 has 12 cells; clustering.refine_neighbors=15 needs more"),
+    (True, 12, "12 cells in total; clustering.n_domains=12 needs more"),
     (False, 12, "12 cells in total; clustering.n_domains=12 needs more"),
 ])
 def test_fit_rejects_a_tissue_too_small_to_segment_before_training(
@@ -119,12 +145,11 @@ def test_fit_rejects_a_tissue_too_small_to_segment_before_training(
         pipeline.fit([ds], cfg)
 
 
-def test_segment_rejects_a_sample_too_small_to_refine():
-    # the same check and message as fit's, per sample, before the vote
+def test_segment_needs_one_sample_label_per_cell():
     Z = np.random.default_rng(0).normal(size=(40, 4))
-    samples = ["sample0"] * 25 + ["sample1"] * 15
-    with pytest.raises(ValueError, match="sample1 has 15 cells; clustering.refine_neighbors=15"):
-        pipeline.segment_embeddings(Z, np.zeros((2, 40)), k_domain_config(seed=0), samples)
+    with pytest.raises(ValueError, match=r"sample_labels must have one entry per cell \(40\)"):
+        pipeline.segment_embeddings(Z, np.random.default_rng(1).random((2, 40)),
+                                    k_domain_config(seed=0), ["sample0"] * 39)
 
 
 def k_domain_config(seed: int) -> PipelineConfig:
@@ -145,6 +170,19 @@ def test_segment_reads_k_principal_components():
     narrow = Z[:, :3]
     labels = pipeline.segment_embeddings(narrow, np.zeros((2, 90)), cfg).labels
     np.testing.assert_array_equal(labels, gmm_cluster(narrow, 3, seed=5).labels)
+
+
+def test_segment_without_refinement_builds_no_graph(monkeypatch):
+    def no_graph(coords, cfg):
+        raise AssertionError("a graph was built with refinement off")
+
+    monkeypatch.setattr(pipeline, "build_graph", no_graph)
+    ds = generate_tissue(SyntheticSpec(n_cells=60, n_genes=20, n_domains=3, seed=3))[0]
+    cfg = k_domain_config(seed=3)
+    cfg.clustering.refine = False
+    Z = np.random.default_rng(0).normal(size=(60, 8))
+    np.testing.assert_array_equal(pipeline.segment_embeddings(Z, ds.coords, cfg).labels,
+                                  pipeline._pca_gmm(Z, cfg).labels)
 
 
 @pytest.mark.parametrize("n", [2, 3])
